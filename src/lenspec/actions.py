@@ -45,6 +45,8 @@ def _is_exact(x) -> bool:
 
 def exact_div(a, b):
     """a / b, staying in Fraction when both sides are exact."""
+    if type(a) is int and type(b) is int:
+        return Fraction(a, b)
     if _is_exact(a) and _is_exact(b):
         return Fraction(a, 1) / Fraction(b, 1)
     return a / b

@@ -15,12 +15,16 @@ sits below the bound, is "violated" only when the reference lo certifiedly
 exceeds the bound AND the bound-side window had full coverage (otherwise
 the computed bound may understate the true right-hand side), and is
 "inconclusive" in between.  Violations are therefore certified events.
+
+The windowed reports take an optional ``tables`` dict through which the
+reports of one run share their class tables (see ``_class_table``).
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -175,6 +179,44 @@ class ClassTable:
     def __len__(self):
         return len(self.reps)
 
+    def prefix(self, radius: int) -> "ClassTable":
+        """This table cut to the classes of length <= radius <= self.radius.
+
+        The same object when radius is this table's radius; reps are
+        sorted by length, so the cut is a prefix of every list.
+        """
+        if radius == self.radius:
+            return self
+        k = bisect_right(self.reps, radius, key=len)
+        cut = object.__new__(ClassTable)
+        cut.rank = self.rank
+        cut.radius = radius
+        cut.reps = self.reps[:k]
+        cut.ref_lo, cut.ref_hi = self.ref_lo[:k], self.ref_hi[:k]
+        cut.tgt_lo, cut.tgt_hi = self.tgt_lo[:k], self.tgt_hi[:k]
+        return cut
+
+
+def _class_table(target, ref, radius: int, cfg: VerifierConfig,
+                tables: Optional[dict] = None) -> ClassTable:
+    """The class table of (target, ref) up to radius, reusing ``tables``.
+
+    ``tables`` maps (target, ref, class_cap, window_k_max) to the largest
+    table built so far for that pair; a smaller radius gets a prefix of it.
+    The caller owns the dict and decides how long tables live; without
+    one every call builds a fresh table.
+    """
+    radius = int(radius)
+    key = (target, ref, cfg.class_cap, cfg.window_k_max)
+    table = tables.get(key) if tables is not None else None
+    if table is not None and table.radius >= radius:
+        return table.prefix(radius)
+    table = ClassTable(target, ref, radius, class_cap=cfg.class_cap,
+                       window_k_max=cfg.window_k_max)
+    if tables is not None:
+        tables[key] = table
+    return table
+
 
 def _needed_radius(ref, L) -> object:
     r = ref.window_radius(L)
@@ -308,11 +350,11 @@ def _coverage(ws: WindowSup) -> dict:
     }
 
 
-def _build_table(target, ref, radii, cfg: VerifierConfig) -> ClassTable:
+def _build_table(target, ref, radii, cfg: VerifierConfig,
+                 tables: Optional[dict] = None) -> ClassTable:
     finite = [r for r in radii if r != math.inf]
     radius = int(min(max(finite, default=cfg.radius_cap), cfg.radius_cap))
-    return ClassTable(target, ref, radius, class_cap=cfg.class_cap,
-                      window_k_max=cfg.window_k_max)
+    return _class_table(target, ref, radius, cfg, tables)
 
 
 # ------------------------------------------------- cobounded comparison
@@ -351,7 +393,9 @@ def _minimal_K(ref_hi, sup_term, den, delta):
 
 
 def cobounded_dilation_report(target, ref, config: Optional[VerifierConfig] = None,
-                              variant: str = "tight") -> list[DilationReport]:
+                              variant: str = "tight", *,
+                              tables: Optional[dict] = None
+                              ) -> list[DilationReport]:
     """Window-sup comparison bound for a pair of cobounded actions.
 
     For each L: Dil(target, ref) <= window_sup(L) * coefficient + penalty,
@@ -373,7 +417,7 @@ def cobounded_dilation_report(target, ref, config: Optional[VerifierConfig] = No
             raise InputError(f"need L > 6D for every window; L={L}, 6D={6 * D}")
         radii.append(_needed_radius(ref, L))
         radii.append(_needed_radius(ref, cfg.reference_factor * L))
-    table = _build_table(target, ref, radii, cfg)
+    table = _build_table(target, ref, radii, cfg, tables)
     out = []
     for L in cfg.L_values:
         ws = _window_sup(table, L, _needed_radius(ref, L),
@@ -412,7 +456,8 @@ def cobounded_dilation_report(target, ref, config: Optional[VerifierConfig] = No
 # --------------------------------------------- semigroup word-metric bound
 
 
-def word_metric_dilation_report(target, gens, config: Optional[VerifierConfig] = None
+def word_metric_dilation_report(target, gens, config: Optional[VerifierConfig] = None,
+                                *, tables: Optional[dict] = None
                                 ) -> list[DilationReport]:
     """Dilation of target against a word metric: K*delta/L + window sup at 2L.
 
@@ -429,7 +474,7 @@ def word_metric_dilation_report(target, gens, config: Optional[VerifierConfig] =
             raise InputError(f"window lengths must be integers >= 1, got {L}")
         radii.append(_needed_radius(ref, 2 * L))
         radii.append(_needed_radius(ref, 2 * cfg.reference_factor * L))
-    table = _build_table(target, ref, radii, cfg)
+    table = _build_table(target, ref, radii, cfg, tables)
     out = []
     for L in cfg.L_values:
         ws = _window_sup(table, 2 * L, _needed_radius(ref, 2 * L),
@@ -466,7 +511,9 @@ def word_metric_dilation_report(target, gens, config: Optional[VerifierConfig] =
 def spectral_dilation_report(rho, tau, config: Optional[VerifierConfig] = None,
                              alpha: float = 0.0,
                              constants: Optional[BochiConstants] = None,
-                             cert_radius: int = 6) -> list[DilationReport]:
+                             cert_radius: int = 6, *,
+                             tables: Optional[dict] = None
+                             ) -> list[DilationReport]:
     """Dilation of log-spectral-radius lengths of rho against those of tau.
 
     eta is the window sup of log lambda_1(rho(g)) / log lambda_1(tau(g)) over
@@ -488,7 +535,7 @@ def spectral_dilation_report(rho, tau, config: Optional[VerifierConfig] = None,
             raise InputError(f"need L > d_m(alpha+1) = {slack}; got L={L}")
         radii.append(_needed_radius(tau, L))
         radii.append(_needed_radius(tau, cfg.reference_factor * L))
-    table = _build_table(rho, tau, radii, cfg)
+    table = _build_table(rho, tau, radii, cfg, tables)
     out = []
     for L in cfg.L_values:
         ws = _window_sup(table, L, _needed_radius(tau, L),
@@ -526,7 +573,8 @@ def spectral_dilation_report(rho, tau, config: Optional[VerifierConfig] = None,
 
 def ratio_envelope_report(target, ref, alpha_lo, beta_hi,
                           config: Optional[VerifierConfig] = None,
-                          C0=None) -> list[DilationReport]:
+                          C0=None, *, tables: Optional[dict] = None
+                          ) -> list[DilationReport]:
     """Two-sided envelope check: if ratios lie in [alpha, beta] on the window,
     the conclusion pins all ratios inside the C0/L-inflated envelope.
 
@@ -541,7 +589,7 @@ def ratio_envelope_report(target, ref, alpha_lo, beta_hi,
     for L in cfg.L_values:
         radii.append(_needed_radius(ref, L))
         radii.append(_needed_radius(ref, cfg.reference_factor * L))
-    table = _build_table(target, ref, radii, cfg)
+    table = _build_table(target, ref, radii, cfg, tables)
     out = []
     tol = cfg.tolerance
     for L in cfg.L_values:

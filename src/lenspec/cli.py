@@ -46,9 +46,9 @@ import numpy as np
 
 from .actions import LengthBracket, stable_length_bracket
 from .bounds import (
-    ClassTable,
     VerifierConfig,
     WindowRow,
+    _class_table,
     _needed_radius,
     _window_sup,
     cobounded_dilation_report,
@@ -590,20 +590,24 @@ def _spectral_instances(scen: Scenario, target):
 
 
 def _run_token(token: str, scen: Scenario, cfg: VerifierConfig,
-               target, reference) -> dict:
+               target, reference, *, tables: Optional[dict] = None) -> dict:
     p = scen.params
     tol = cfg.tolerance
     if token in ("thm13", "cor17"):
         _require(target is not None and reference is not None,
                  f"verifier {token} needs target and reference models")
         variant = "tight" if token == "thm13" else "plain-log4"
-        reports = cobounded_dilation_report(target, reference, cfg, variant)
+        reports = cobounded_dilation_report(target, reference, cfg, variant,
+                                            tables=tables)
         return {"reports": [_jsonable(r) for r in reports],
                 "verdict": _worst(r.verdict for r in reports)}
     if token == "thm15":
         _require(target is not None, "verifier thm15 needs a target model")
         ref = _word_metric_reference(scen, reference)
-        reports = word_metric_dilation_report(target, ref, cfg)
+        # a reference built from the subset serves this call only: keeping
+        # its table for the run would hold memory no later check reads
+        reports = word_metric_dilation_report(
+            target, ref, cfg, tables=tables if ref is reference else None)
         return {"reports": [_jsonable(r) for r in reports],
                 "verdict": _worst(r.verdict for r in reports)}
     if token == "cor14":
@@ -612,7 +616,8 @@ def _run_token(token: str, scen: Scenario, cfg: VerifierConfig,
         _require(p["band"] is not None,
                  "verifier cor14 needs params.band = [alpha, beta]")
         reports = ratio_envelope_report(target, reference, p["band"][0],
-                                        p["band"][1], cfg, C0=p["C0"])
+                                        p["band"][1], cfg, C0=p["C0"],
+                                        tables=tables)
         return {"reports": [_jsonable(r) for r in reports],
                 "verdict": _worst(r.verdict for r in reports)}
     if token == "anosov":
@@ -625,7 +630,7 @@ def _run_token(token: str, scen: Scenario, cfg: VerifierConfig,
                                                             LinearRepModel):
             reports = spectral_dilation_report(
                 target, reference, cfg, alpha=p["alpha"],
-                cert_radius=p["cert_radius"])
+                cert_radius=p["cert_radius"], tables=tables)
             entry["reports"] = [_jsonable(r) for r in reports]
             verdicts += [r.verdict for r in reports]
         return {**entry, "verdict": _worst(verdicts)}
@@ -717,7 +722,8 @@ def _csv_cell(v):
     return v
 
 
-def _class_rows(scen: Scenario, cfg: VerifierConfig, target, reference):
+def _class_rows(scen: Scenario, cfg: VerifierConfig, target, reference, *,
+                tables: Optional[dict] = None):
     """Per-class table rows: id, reference lo/hi, target lo/hi, ratio lo/hi."""
     radius = scen.params["radius"]
     if radius is None:
@@ -741,8 +747,7 @@ def _class_rows(scen: Scenario, cfg: VerifierConfig, target, reference):
             rows.append((str(w), "", "", _csv_cell(lo[i]), _csv_cell(hi[i]),
                          "", ""))
         return rows
-    table = ClassTable(primary, other, int(radius), class_cap=cfg.class_cap,
-                       window_k_max=cfg.window_k_max)
+    table = _class_table(primary, other, radius, cfg, tables)
     for i, rep in enumerate(table.reps):
         w = Word.__new__(Word)
         object.__setattr__(w, "letters", tuple(rep))
@@ -771,12 +776,15 @@ def run(scenario: Scenario, *, max_frontier: Optional[int] = None,
     cfg = scenario.config()
     target = build_model(scenario.data["target"], scenario.rank)
     reference = build_model(scenario.data["reference"], scenario.rank)
+    # one class table per (target, reference) for the whole run
+    tables: dict = {}
     entries = []
     capped = False
     for token in scenario.verify:
         t0 = time.perf_counter()
         try:
-            entry = _run_token(token, scenario, cfg, target, reference)
+            entry = _run_token(token, scenario, cfg, target, reference,
+                               tables=tables)
         except ResourceCapError as e:
             capped = True
             entry = {"status": "resource-cap", "error": str(e),
@@ -788,7 +796,7 @@ def run(scenario: Scenario, *, max_frontier: Optional[int] = None,
         entries.append({"token": token, **entry})
     verdict = _worst(e["verdict"] for e in entries) if entries else "holds"
     exit_code = 1 if verdict == "violated" else 3 if capped else 0
-    class_rows = (_class_rows(scenario, cfg, target, reference)
+    class_rows = (_class_rows(scenario, cfg, target, reference, tables=tables)
                   if with_classes else [])
     return RunReport(
         scenario=scenario.data,

@@ -245,59 +245,65 @@ def enumerate_ball(rank: int, radius: int, cap: int = 2_000_000) -> list[Word]:
     return out
 
 
-def _is_least_rotation(w: tuple[int, ...]) -> bool:
-    """Whether w equals its canonical rotation (ties resolve to index 0)."""
-    n = len(w)
-    k0 = letter_key(w[0])
-    for r in range(1, n):
-        kr = letter_key(w[r])
-        if kr < k0:
-            return False
-        if kr != k0:
-            continue
-        # deep compare rotation r against rotation 0; equal keys mean equal
-        # letters, so start at offset 1
-        for i in range(1, n):
-            a = letter_key(w[r + i - n if r + i >= n else r + i])
-            b = letter_key(w[i])
-            if a < b:
-                return False
-            if a > b:
-                break
-    return True
-
-
 def iter_class_reps(rank: int, max_std_length: int, cap: int = 4_000_000):
     """Canonical class representatives as letter tuples, by (length, order).
 
-    One pruned depth-first walk: a branch dies as soon as it contains a
-    letter ordered before its first letter, since no rotation of any
-    extension could then start at index 0.  Identity is not included.
+    The representatives of length n are the necklaces of length n over the
+    letters, in letter_key order, with no adjacent inverse pair, the last
+    and first letters counting as adjacent.  They come from one iterative
+    prenecklace walk (Fredricksen-Kessler-Maiorana; Ruskey, Savage & Wang,
+    "Generating necklaces", J. Algorithms 13, 1992) over the integer codes
+    0..2*rank-1, where code c is the letter (c//2 + 1) * (-1)**c and c^1 is
+    its inverse.  A prefix a[1..t-1] of period p extends by each code
+    c >= a[t-p] other than a[t-1]^1; the period becomes t unless
+    c == a[t-p].  A prefix is a representative when t % p == 0 and its
+    last letter does not cancel its first.
+
+    The result is a list sorted by length, then lexicographically in
+    letter_key order.  Identity is not included.  ``cap`` bounds the
+    number of prefixes the walk visits (every prefix, not only the
+    representatives); exceeding it raises ResourceCapError.
     """
     if rank < 1:
         raise InputError("rank must be >= 1")
-    if max_std_length < 1:
+    n = max_std_length
+    if n < 1:
         return []
-    alphabet = _letters_in_order(rank)
-    by_len: list[list[tuple[int, ...]]] = [[] for _ in range(max_std_length + 1)]
+    m = 2 * rank
+    letter = [-(c // 2 + 1) if c & 1 else c // 2 + 1 for c in range(m)]
+    by_len: list[list[tuple[int, ...]]] = [[] for _ in range(n + 1)]
+    a = [0] * (n + 1)          # a[t]: code at position t (1-indexed)
+    period = [0] * (n + 1)     # period[t]: period of the prefix a[1..t]
+    prefix = [()] * (n + 1)    # prefix[t]: the letters of a[1..t]
+    nxt = [0] * (n + 1)        # nxt[t]: next code to try at position t
     visited = 0
-    rev = list(reversed(alphabet))
-    stack: list[tuple[int, ...]] = [(x,) for x in rev]
-    while stack:
-        w = stack.pop()
+    t = 1
+    while t:
+        c = nxt[t]
+        if c == m:
+            t -= 1
+            continue
+        nxt[t] = c + 1
+        if t > 1:
+            if c == a[t - 1] ^ 1:
+                continue
+            p = period[t - 1]
+            if c != a[t - p]:
+                p = t
+        else:
+            p = 1
         visited += 1
         if visited > cap:
             raise ResourceCapError(f"class enumeration exceeds cap {cap}")
-        n = len(w)
-        if not (n > 1 and w[0] == -w[-1]) and _is_least_rotation(w):
-            by_len[n].append(w)
-        if n == max_std_length:
-            continue
-        k0 = letter_key(w[0])
-        last = w[-1]
-        for x in rev:
-            if x != -last and letter_key(x) >= k0:
-                stack.append(w + (x,))
+        a[t] = c
+        period[t] = p
+        w = prefix[t - 1] + (letter[c],)
+        if t % p == 0 and c != a[1] ^ 1:
+            by_len[t].append(w)
+        if t < n:
+            prefix[t] = w
+            t += 1
+            nxt[t] = a[t - p]
     out: list[tuple[int, ...]] = []
     for bucket in by_len:
         out.extend(bucket)

@@ -82,6 +82,27 @@ def test_exact_div_keeps_fractions():
     assert isinstance(exact_div(1.0, 3), float)
 
 
+@pytest.mark.parametrize("a,b", [(7, 12), (7, -12), (-7, -12), (0, 5),
+                                 (0, -5), (6, -3), (-4, 1)])
+def test_exact_div_int_pair_matches_fraction_division(a, b):
+    got = exact_div(a, b)
+    want = Fraction(a, 1) / Fraction(b, 1)
+    assert type(got) is Fraction
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+
+
+def test_exact_div_by_zero_and_other_operands():
+    for a, b in ((1, 0), (0, 0), (Fraction(1, 2), 0)):
+        with pytest.raises(ZeroDivisionError):
+            exact_div(a, b)
+    assert exact_div(Fraction(1, 2), -3) == Fraction(-1, 6)
+    assert exact_div(3, Fraction(3, 4)) == 4
+    assert exact_div(True, 2) == Fraction(1, 2)
+    got = exact_div(1, 3.0)
+    assert type(got) is float and got == 1 / 3.0
+    assert type(exact_div(2.5, 5)) is float
+
+
 def test_ratio_bracket():
     r = ratio_bracket(LengthBracket(2, 3), LengthBracket(1, 2))
     assert (r.lo, r.hi) == (1, 3)

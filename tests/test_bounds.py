@@ -18,7 +18,9 @@ from lenspec.bounds import (
     HYPOTHESIS_FAILED,
     INCONCLUSIVE,
     VIOLATED,
+    ClassTable,
     VerifierConfig,
+    _class_table,
     _greedy_chunks,
     _verdict,
     cobounded_dilation_report,
@@ -141,6 +143,59 @@ def test_verdict_requires_certified_refutation():
     assert _verdict(LengthBracket(1, 2), 3, 0, False) == HOLDS
     # straddling reference bracket: neither side settles
     assert _verdict(LengthBracket(1, 6), 3, 0, True) == INCONCLUSIVE
+
+
+# ------------------------------------------------------ class table reuse
+
+
+def _count_tables(monkeypatch):
+    """Radii of the ClassTables built from here on."""
+    built = []
+    init = ClassTable.__init__
+
+    def counting(self, target, ref, radius, **kw):
+        built.append(radius)
+        init(self, target, ref, radius, **kw)
+
+    monkeypatch.setattr(ClassTable, "__init__", counting)
+    return built
+
+
+def test_class_table_prefix_equals_fresh_table():
+    big = ClassTable(WB2, UNIT, 12)
+    cut = big.prefix(8)
+    fresh = ClassTable(WB2, UNIT, 8)
+    assert cut.radius == fresh.radius == 8
+    for name in ("reps", "ref_lo", "ref_hi", "tgt_lo", "tgt_hi"):
+        assert getattr(cut, name) == getattr(fresh, name)
+    assert big.prefix(12) is big
+
+
+def test_class_table_dict_keeps_the_largest_table(monkeypatch):
+    built = _count_tables(monkeypatch)
+    cfg = VerifierConfig()
+    tables = {}
+    t6 = _class_table(WB2, UNIT, 6, cfg, tables)
+    t8 = _class_table(WB2, UNIT, 8, cfg, tables)
+    assert _class_table(WB2, UNIT, 8, cfg, tables) is t8
+    assert _class_table(WB2, UNIT, 6, cfg, tables).reps == t6.reps
+    # another pair, or another cap, is another key
+    _class_table(UNIT, WB2, 6, cfg, tables)
+    _class_table(WB2, UNIT, 6, VerifierConfig(window_k_max=3), tables)
+    assert built == [6, 8, 6, 6]
+
+
+def test_reports_share_tables_only_through_the_dict(monkeypatch):
+    built = _count_tables(monkeypatch)
+    cfg8, cfg4 = VerifierConfig(L_values=(8,)), VerifierConfig(L_values=(4,))
+    fresh = (cobounded_dilation_report(WB2, UNIT, cfg8),
+             ratio_envelope_report(WB2, UNIT, 1, 2, cfg4))
+    assert built == [12, 8]
+    tables = {}
+    shared = (cobounded_dilation_report(WB2, UNIT, cfg8, tables=tables),
+              ratio_envelope_report(WB2, UNIT, 1, 2, cfg4, tables=tables))
+    assert built == [12, 8, 12]
+    assert shared == fresh
 
 
 # ------------------------------------------------------- cobounded bound

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from lenspec import bounds
 from lenspec.cli import (
     RunReport,
     Scenario,
@@ -208,6 +209,31 @@ def test_run_captures_resource_cap(tmp_path):
     assert rep.entries[0]["verdict"] == "inconclusive"
     # the capped run still serializes
     json.loads(rep.to_json())
+
+
+def test_run_maps_class_cap_to_exit_3():
+    data = {"target": {"kind": "tree"}, "reference": {"kind": "tree"},
+            "verify": ["thm13"], "config": {"L_values": [4], "class_cap": 50}}
+    rep = run(parse_scenario(json.dumps(data)))
+    assert rep.exit_code == 3
+    assert rep.entries[0]["status"] == "resource-cap"
+    assert "class enumeration exceeds cap 50" in rep.entries[0]["error"]
+
+
+def test_run_builds_one_class_table(monkeypatch):
+    # thm13, cor17 and the classes.csv rows share one (target, reference)
+    built = []
+    init = bounds.ClassTable.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args[2])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(bounds.ClassTable, "__init__", counting)
+    rep = run(load_scenario(SCEN_DIR / "schottky-cobounded.json"),
+              with_classes=True)
+    assert rep.exit_code == 0 and rep.class_rows
+    assert len(built) == 1
 
 
 def test_emit_writes_report_and_classes(tmp_path):

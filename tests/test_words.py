@@ -2,9 +2,10 @@
 
 The enumeration oracles here are frozen from a brute-force pass: every
 ball word is cyclically reduced and rotated to canonical form by hand,
-and the resulting class sets are compared against iter_class_reps.
+and the resulting class lists are compared against iter_class_reps.
 """
 
+import gc
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,6 @@ from lenspec.words import (
     ConjClass,
     GeneratingSet,
     Word,
-    _is_least_rotation,
     _min_rotation,
     check_semigroup_generation,
     enumerate_ball,
@@ -24,7 +24,7 @@ from lenspec.words import (
     letter_key,
     word_length,
 )
-from lenspec.errors import InputError, SearchExhaustedError
+from lenspec.errors import InputError, ResourceCapError, SearchExhaustedError
 
 
 letters = st.integers(min_value=-3, max_value=3).filter(lambda x: x != 0)
@@ -130,7 +130,7 @@ def test_rep_is_cyclically_reduced_and_least(xs):
     rep = ConjClass.of(Word(xs)).rep.letters
     if rep:
         assert rep[0] != -rep[-1] or len(rep) == 1
-        assert _is_least_rotation(rep)
+        assert _min_rotation(rep) == 0
 
 
 @given(st.lists(letters, min_size=1, max_size=10))
@@ -140,7 +140,6 @@ def test_min_rotation_agrees_with_scan(xs):
     rots = [xs[j:] + xs[:j] for j in range(len(xs))]
     best = min(rots, key=lambda r: tuple(letter_key(x) for x in r))
     assert xs[i:] + xs[:i] == best
-    assert _is_least_rotation(xs) == (i == 0)
 
 
 def test_class_counts_rank2():
@@ -165,6 +164,34 @@ def test_class_reps_match_bruteforce(rank, radius):
     assert lens == sorted(lens)
 
 
+@pytest.mark.parametrize("rank,radius", [(1, 6), (2, 6), (3, 4)])
+def test_class_reps_are_the_sorted_bruteforce_list(rank, radius):
+    brute = set()
+    for w in enumerate_ball(rank, radius):
+        c = ConjClass.of(w)
+        if c.rep:
+            brute.add(c.rep.letters)
+    expected = sorted(brute, key=lambda r: (len(r), [letter_key(x) for x in r]))
+    assert iter_class_reps(rank, radius) == expected
+
+
+def test_class_reps_cap_raises():
+    with pytest.raises(ResourceCapError):
+        iter_class_reps(2, 12, cap=1000)
+
+
+def test_class_reps_leave_no_cyclic_garbage():
+    # a walk holding reference cycles keeps every rep tuple alive until the
+    # cyclic collector runs, which shows as peak memory on large tables
+    gc.collect()
+    gc.disable()
+    try:
+        iter_class_reps(2, 8)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_ball_sizes_rank2():
     # 1 + 4 * sum(3^(k-1)) words of length <= R
     assert len(list(enumerate_ball(2, 0))) == 1
@@ -174,8 +201,6 @@ def test_ball_sizes_rank2():
 
 
 def test_ball_cap_raises():
-    from lenspec.errors import ResourceCapError
-
     with pytest.raises(ResourceCapError):
         list(enumerate_ball(2, 12, cap=100))
 
