@@ -29,9 +29,7 @@ __all__ = [
     "LengthBracket",
     "ActionModel",
     "AnosovCertificate",
-    "displacement",
     "gromov_product",
-    "stable_length",
     "stable_length_bracket",
     "ratio_bracket",
     "anosov_certificate",
@@ -186,10 +184,6 @@ class ActionModel:
         raise NotImplementedError
 
 
-def displacement(model: ActionModel, g: Word):
-    return model.displacement(g)
-
-
 def gromov_product(model: ActionModel, g: Word, h: Word):
     """(g x | h x)_x from displacements.
 
@@ -245,10 +239,6 @@ def stable_length_bracket(
     lo = max(zero, zero if lo is None else lo)
     lo = min(lo, hi)  # float noise guard; exact models satisfy lo <= hi anyway
     return LengthBracket(lo, hi, exact=bool(lo == hi))
-
-
-def stable_length(model: ActionModel, c: ConjClass, k_max: int = 8, c_delta=4):
-    return model.stable_length(c, k_max=k_max, c_delta=c_delta)
 
 
 @dataclass(frozen=True)

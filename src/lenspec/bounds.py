@@ -129,16 +129,6 @@ class WindowSup:
     rows: tuple = ()
 
 
-def _word_of(letters) -> Word:
-    w = Word.__new__(Word)
-    object.__setattr__(w, "letters", tuple(letters))
-    return w
-
-
-def _class_of(letters) -> ConjClass:
-    return ConjClass(rep=_word_of(letters))
-
-
 def _eval_class_lengths(model, reps, k_max):
     """Per-class stable-length lo/hi lists for a model over canonical reps."""
     cl = getattr(model, "class_length", None)
@@ -155,7 +145,7 @@ def _eval_class_lengths(model, reps, k_max):
         return lows, highs
     lows, highs = [], []
     for r in reps:
-        b = model.stable_length(_class_of(r), k_max=k_max)
+        b = model.stable_length(ConjClass(rep=Word._unchecked(r)), k_max=k_max)
         lows.append(b.lo)
         highs.append(b.hi)
     return lows, highs
@@ -218,9 +208,11 @@ def _class_table(target, ref, radius: int, cfg: VerifierConfig,
     return table
 
 
-def _needed_radius(ref, L) -> object:
-    r = ref.window_radius(L)
-    return r
+def _build_table(target, ref, radii, cfg: VerifierConfig,
+                 tables: Optional[dict] = None) -> ClassTable:
+    finite = [r for r in radii if r != math.inf]
+    radius = int(min(max(finite, default=cfg.radius_cap), cfg.radius_cap))
+    return _class_table(target, ref, radius, cfg, tables)
 
 
 def _window_sup(table: ClassTable, L, radius_needed, *, swap: bool = False,
@@ -276,7 +268,7 @@ def _window_sup(table: ClassTable, L, radius_needed, *, swap: bool = False,
     rows = []
     for r_hi, i, r_lo, straddle in sorted(top, reverse=True):
         rows.append(WindowRow(
-            rep=_word_of(reps[i]),
+            rep=Word._unchecked(reps[i]),
             ref_length=LengthBracket(ref_lo[i], ref_hi[i],
                                      exact=bool(ref_lo[i] == ref_hi[i])),
             target_length=LengthBracket(tgt_lo[i], tgt_hi[i],
@@ -288,26 +280,27 @@ def _window_sup(table: ClassTable, L, radius_needed, *, swap: bool = False,
         value=LengthBracket(sup_lo, sup_hi, exact=bool(sup_lo == sup_hi)),
         L=L, count=count, excluded=excluded, straddled=straddled,
         radius=table.radius, radius_needed=radius_needed,
-        truncated=truncated, attained=_word_of(reps[att_idx]), empty=False,
+        truncated=truncated, attained=Word._unchecked(reps[att_idx]), empty=False,
         rows=tuple(rows),
     )
 
 
-def dilation_window(target, ref, L, classes: Optional[ClassTable] = None,
-                    config: Optional[VerifierConfig] = None) -> WindowSup:
+def dilation_window(target, ref, L, config: Optional[VerifierConfig] = None,
+                    *, tables: Optional[dict] = None) -> WindowSup:
     """Sup of l_target/l_ref ratio brackets over classes with 0 < l_ref <= L.
 
     Classes whose reference bracket straddles L are included (conservative
     for the hi side, excluded from the lo side); classes whose reference
-    length cannot be certified positive are excluded and counted.
+    length cannot be certified positive are excluded and counted.  The
+    window reads the classes up to ``ref.window_radius(L)``, capped at
+    ``radius_cap``.  With a ``tables`` dict (see ``_class_table``) calls on
+    the same pair share one table: a window no larger than one already
+    built reads a prefix of it, so the largest L should come first.
     """
     cfg = config or VerifierConfig()
-    needed = _needed_radius(ref, L)
-    if classes is None:
-        radius = int(min(needed, cfg.radius_cap))
-        classes = ClassTable(target, ref, radius, class_cap=cfg.class_cap,
-                             window_k_max=cfg.window_k_max)
-    return _window_sup(classes, L, needed, diag_cap=cfg.diagnostics_cap)
+    needed = ref.window_radius(L)
+    table = _build_table(target, ref, [needed], cfg, tables)
+    return _window_sup(table, L, needed, diag_cap=cfg.diagnostics_cap)
 
 
 # ----------------------------------------------------------------- verdicts
@@ -350,11 +343,40 @@ def _coverage(ws: WindowSup) -> dict:
     }
 
 
-def _build_table(target, ref, radii, cfg: VerifierConfig,
-                 tables: Optional[dict] = None) -> ClassTable:
-    finite = [r for r in radii if r != math.inf]
-    radius = int(min(max(finite, default=cfg.radius_cap), cfg.radius_cap))
-    return _class_table(target, ref, radius, cfg, tables)
+def _windowed_reports(target, ref, cfg: VerifierConfig, tables: Optional[dict],
+                      judge, scale=1) -> list[DilationReport]:
+    """One DilationReport per L of cfg.L_values from one class table.
+
+    For each L the window (0, scale*L] and the reference window
+    (0, scale*reference_factor*L] of the reference spectrum are scanned in
+    a table built once, up to the largest window radius any of them needs.
+    ``judge(L, ws, ref_ws, table)`` returns (name, bound, verdict, extras).
+    Reference windows keep no rows: no report reads them.
+    """
+    windows = [(scale * L, scale * cfg.reference_factor * L)
+               for L in cfg.L_values]
+    table = _build_table(target, ref,
+                         [ref.window_radius(w) for pair in windows for w in pair],
+                         cfg, tables)
+    out = []
+    for L, (win, ref_win) in zip(cfg.L_values, windows):
+        ws = _window_sup(table, win, ref.window_radius(win),
+                         diag_cap=cfg.diagnostics_cap)
+        ref_ws = _window_sup(table, ref_win, ref.window_radius(ref_win),
+                             diag_cap=0)
+        name, bound, verdict, extras = judge(L, ws, ref_ws, table)
+        out.append(DilationReport(
+            name=name,
+            window_L=L,
+            window_sup=ws.value,
+            bound_value=bound,
+            reference_dilation=ref_ws.value,
+            verdict=verdict,
+            diagnostics=list(ws.rows),
+            coverage={"window": _coverage(ws), "reference": _coverage(ref_ws)},
+            extras=extras,
+        ))
+    return out
 
 
 # ------------------------------------------------- cobounded comparison
@@ -411,20 +433,11 @@ def cobounded_dilation_report(target, ref, config: Optional[VerifierConfig] = No
     delta = cfg.delta
     if delta is None:
         delta = max(target.delta, ref.delta)
-    radii = []
     for L in cfg.L_values:
         if not L > 6 * D:
             raise InputError(f"need L > 6D for every window; L={L}, 6D={6 * D}")
-        radii.append(_needed_radius(ref, L))
-        radii.append(_needed_radius(ref, cfg.reference_factor * L))
-    table = _build_table(target, ref, radii, cfg, tables)
-    out = []
-    for L in cfg.L_values:
-        ws = _window_sup(table, L, _needed_radius(ref, L),
-                         diag_cap=cfg.diagnostics_cap)
-        ref_ws = _window_sup(table, cfg.reference_factor * L,
-                             _needed_radius(ref, cfg.reference_factor * L),
-                             diag_cap=cfg.diagnostics_cap)
+
+    def judge(L, ws, ref_ws, table):
         bound = window_comparison_bound(ws.value.hi, L, D, delta, cfg.K, variant)
         den = L - 6 * D
         sup_term = ws.value.hi * (exact_div(L - 2 * D, den) if variant == "tight"
@@ -432,25 +445,16 @@ def cobounded_dilation_report(target, ref, config: Optional[VerifierConfig] = No
         pen_delta = delta if variant == "tight" else math.log(4)
         verdict = _verdict(ref_ws.value, bound, cfg.tolerance,
                            refutation_certified=not ws.truncated)
-        out.append(DilationReport(
-            name=f"cobounded-window[{variant}]",
-            window_L=L,
-            window_sup=ws.value,
-            bound_value=bound,
-            reference_dilation=ref_ws.value,
-            verdict=verdict,
-            diagnostics=list(ws.rows),
-            coverage={"window": _coverage(ws), "reference": _coverage(ref_ws)},
-            extras={
-                "D": D,
-                "delta": delta,
-                "K": cfg.K,
-                "variant": variant,
-                "attained": str(ws.attained) if ws.attained else None,
-                "minimal_K": _minimal_K(ref_ws.value.hi, sup_term, den, pen_delta),
-            },
-        ))
-    return out
+        return f"cobounded-window[{variant}]", bound, verdict, {
+            "D": D,
+            "delta": delta,
+            "K": cfg.K,
+            "variant": variant,
+            "attained": str(ws.attained) if ws.attained else None,
+            "minimal_K": _minimal_K(ref_ws.value.hi, sup_term, den, pen_delta),
+        }
+
+    return _windowed_reports(target, ref, cfg, tables, judge)
 
 
 # --------------------------------------------- semigroup word-metric bound
@@ -468,41 +472,23 @@ def word_metric_dilation_report(target, gens, config: Optional[VerifierConfig] =
     cfg = config or VerifierConfig()
     ref = gens if isinstance(gens, WordMetricModel) else WordMetricModel(gens)
     delta = cfg.delta if cfg.delta is not None else target.delta
-    radii = []
     for L in cfg.L_values:
         if L < 1 or int(L) != L:
             raise InputError(f"window lengths must be integers >= 1, got {L}")
-        radii.append(_needed_radius(ref, 2 * L))
-        radii.append(_needed_radius(ref, 2 * cfg.reference_factor * L))
-    table = _build_table(target, ref, radii, cfg, tables)
-    out = []
-    for L in cfg.L_values:
-        ws = _window_sup(table, 2 * L, _needed_radius(ref, 2 * L),
-                         diag_cap=cfg.diagnostics_cap)
-        ref_ws = _window_sup(table, 2 * cfg.reference_factor * L,
-                             _needed_radius(ref, 2 * cfg.reference_factor * L),
-                             diag_cap=cfg.diagnostics_cap)
+
+    def judge(L, ws, ref_ws, table):
         pen = cfg.K * delta
         bound = ws.value.hi if pen == 0 else exact_div(pen, L) + ws.value.hi
         verdict = _verdict(ref_ws.value, bound, cfg.tolerance,
                            refutation_certified=not ws.truncated)
-        out.append(DilationReport(
-            name="word-metric-window",
-            window_L=L,
-            window_sup=ws.value,
-            bound_value=bound,
-            reference_dilation=ref_ws.value,
-            verdict=verdict,
-            diagnostics=list(ws.rows),
-            coverage={"window": _coverage(ws), "reference": _coverage(ref_ws)},
-            extras={
-                "delta": delta,
-                "K": cfg.K,
-                "window": 2 * L,
-                "attained": str(ws.attained) if ws.attained else None,
-            },
-        ))
-    return out
+        return "word-metric-window", bound, verdict, {
+            "delta": delta,
+            "K": cfg.K,
+            "window": 2 * L,
+            "attained": str(ws.attained) if ws.attained else None,
+        }
+
+    return _windowed_reports(target, ref, cfg, tables, judge, scale=2)
 
 
 # ---------------------------------------------------- spectral-radius bound
@@ -529,43 +515,25 @@ def spectral_dilation_report(rho, tau, config: Optional[VerifierConfig] = None,
         )
     consts = constants or BochiConstants.for_dim(rho.dim)
     slack = consts.d_m * (alpha + 1)
-    radii = []
     for L in cfg.L_values:
         if not L > slack:
             raise InputError(f"need L > d_m(alpha+1) = {slack}; got L={L}")
-        radii.append(_needed_radius(tau, L))
-        radii.append(_needed_radius(tau, cfg.reference_factor * L))
-    table = _build_table(rho, tau, radii, cfg, tables)
-    out = []
-    for L in cfg.L_values:
-        ws = _window_sup(table, L, _needed_radius(tau, L),
-                         diag_cap=cfg.diagnostics_cap)
-        ref_ws = _window_sup(table, cfg.reference_factor * L,
-                             _needed_radius(tau, cfg.reference_factor * L),
-                             diag_cap=cfg.diagnostics_cap)
+
+    def judge(L, ws, ref_ws, table):
         den = L - slack
         bound = consts.c_m * consts.d_m / den + float(ws.value.hi) * L / den
         verdict = _verdict(ref_ws.value, bound, cfg.tolerance,
                            refutation_certified=not ws.truncated)
-        out.append(DilationReport(
-            name="spectral-window",
-            window_L=L,
-            window_sup=ws.value,
-            bound_value=bound,
-            reference_dilation=ref_ws.value,
-            verdict=verdict,
-            diagnostics=list(ws.rows),
-            coverage={"window": _coverage(ws), "reference": _coverage(ref_ws)},
-            extras={
-                "c_m": consts.c_m,
-                "d_m": consts.d_m,
-                "alpha": alpha,
-                "eta": ws.value.hi,
-                "certificate_mu": cert.mu,
-                "attained": str(ws.attained) if ws.attained else None,
-            },
-        ))
-    return out
+        return "spectral-window", bound, verdict, {
+            "c_m": consts.c_m,
+            "d_m": consts.d_m,
+            "alpha": alpha,
+            "eta": ws.value.hi,
+            "certificate_mu": cert.mu,
+            "attained": str(ws.attained) if ws.attained else None,
+        }
+
+    return _windowed_reports(rho, tau, cfg, tables, judge)
 
 
 # ------------------------------------------------------- ratio envelope
@@ -585,25 +553,17 @@ def ratio_envelope_report(target, ref, alpha_lo, beta_hi,
     cfg = config or VerifierConfig()
     if alpha_lo < 0 or beta_hi < alpha_lo:
         raise InputError("need 0 <= alpha <= beta")
-    radii = []
-    for L in cfg.L_values:
-        radii.append(_needed_radius(ref, L))
-        radii.append(_needed_radius(ref, cfg.reference_factor * L))
-    table = _build_table(target, ref, radii, cfg, tables)
-    out = []
     tol = cfg.tolerance
-    for L in cfg.L_values:
-        ws = _window_sup(table, L, _needed_radius(ref, L),
-                         diag_cap=cfg.diagnostics_cap)
-        ref_ws = _window_sup(table, cfg.reference_factor * L,
-                             _needed_radius(ref, cfg.reference_factor * L),
-                             diag_cap=0)
+
+    def judge(L, ws, ref_ws, table):
         hyp_failed = False
         hyp_uncertified = ws.truncated
         need_c0 = 0
         cert_c0 = 0
         worst = None
         refL = cfg.reference_factor * L
+        a_scale = exact_div(L, alpha_lo + 1)
+        b_scale = exact_div(L, beta_hi + 1)
         for i in range(len(table.reps)):
             rlo = table.ref_lo[i]
             if rlo <= _ZERO_EPS or rlo > refL:
@@ -618,17 +578,12 @@ def ratio_envelope_report(target, ref, alpha_lo, beta_hi,
                 if r_lo < alpha_lo - tol or r_hi > beta_hi + tol:
                     hyp_uncertified = True
             # measurement: outer bracket, can only overstate the needed C0
-            c_lo = (alpha_lo - r_lo) * exact_div(L, alpha_lo + 1)
-            c_hi = (r_hi - beta_hi) * exact_div(L, beta_hi + 1)
-            c = max(c_lo, c_hi)
+            c = max((alpha_lo - r_lo) * a_scale, (r_hi - beta_hi) * b_scale)
             if c > need_c0:
                 need_c0 = c
                 worst = table.reps[i]
             # refutation: inner bracket, the true ratio escapes for sure
-            c_cert = max(
-                (alpha_lo - r_hi) * exact_div(L, alpha_lo + 1),
-                (r_lo - beta_hi) * exact_div(L, beta_hi + 1),
-            )
+            c_cert = max((alpha_lo - r_hi) * a_scale, (r_lo - beta_hi) * b_scale)
             if c_cert > cert_c0:
                 cert_c0 = c_cert
         need_c0 = max(need_c0, 0)
@@ -647,26 +602,17 @@ def ratio_envelope_report(target, ref, alpha_lo, beta_hi,
                 verdict = VIOLATED
             else:
                 verdict = INCONCLUSIVE
-        out.append(DilationReport(
-            name="ratio-envelope",
-            window_L=L,
-            window_sup=ws.value,
-            bound_value=bound,
-            reference_dilation=ref_ws.value,
-            verdict=verdict,
-            diagnostics=list(ws.rows),
-            coverage={"window": _coverage(ws), "reference": _coverage(ref_ws)},
-            extras={
-                "alpha": alpha_lo,
-                "beta": beta_hi,
-                "C0": C0,
-                "minimal_C0": need_c0,
-                "worst_class": str(_word_of(worst)) if worst else None,
-                "hypothesis": ("failed" if hyp_failed else
-                               "inconclusive" if hyp_uncertified else "verified"),
-            },
-        ))
-    return out
+        return "ratio-envelope", bound, verdict, {
+            "alpha": alpha_lo,
+            "beta": beta_hi,
+            "C0": C0,
+            "minimal_C0": need_c0,
+            "worst_class": str(Word._unchecked(worst)) if worst else None,
+            "hypothesis": ("failed" if hyp_failed else
+                           "inconclusive" if hyp_uncertified else "verified"),
+        }
+
+    return _windowed_reports(target, ref, cfg, tables, judge)
 
 
 # ------------------------------------------- dilation vs joint stable length
@@ -690,7 +636,7 @@ def joint_vs_dilation_report(model, s, config: Optional[VerifierConfig] = None,
         gens = GeneratingSet(rank=model.rank, elements=tuple(words))
     ref = WordMetricModel(gens)
     L = window_L if window_L is not None else max(cfg.L_values)
-    needed = _needed_radius(ref, L)
+    needed = ref.window_radius(L)
     table = _build_table(model, ref, [needed], cfg)
     ws = _window_sup(table, L, needed, diag_cap=cfg.diagnostics_cap)
     profile = joint_stable_profile(model, words, cfg.n_max,
@@ -874,11 +820,12 @@ def displacement_sandwich_report(model, n: int, ball_radius: int,
         k = dist.get(t)
         if k is None:
             continue
-        d = model.displacement(_word_of(t))
+        g = Word._unchecked(t)
+        d = model.displacement(g)
         lo = (n - alpha - 1) * k - (n - 1)
         hi = n * k
         if not (lo - tol <= d <= hi + tol):
-            violations.append((str(_word_of(t)), k, d))
+            violations.append((str(g), k, d))
         checked += 1
     verdict = VIOLATED if violations and not truncated else (
         HOLDS if not violations and not capped else INCONCLUSIVE)
@@ -1002,12 +949,10 @@ def metric_distance_report(a, b, config: Optional[VerifierConfig] = None
     """log(Dil(a,b) * Dil(b,a)) from windowed dilations in both directions."""
     cfg = config or VerifierConfig()
     L = max(cfg.L_values)
-    needed = max(_needed_radius(b, L), _needed_radius(a, L))
-    table = _build_table(a, b, [needed], cfg)
-    ws_ab = _window_sup(table, L, _needed_radius(b, L),
-                        diag_cap=cfg.diagnostics_cap)
-    ws_ba = _window_sup(table, L, _needed_radius(a, L),
-                        diag_cap=cfg.diagnostics_cap, swap=True)
+    r_ab, r_ba = b.window_radius(L), a.window_radius(L)
+    table = _build_table(a, b, [max(r_ab, r_ba)], cfg)
+    ws_ab = _window_sup(table, L, r_ab, diag_cap=cfg.diagnostics_cap)
+    ws_ba = _window_sup(table, L, r_ba, diag_cap=cfg.diagnostics_cap, swap=True)
     if ws_ab.empty or ws_ba.empty or ws_ab.value.lo <= 0 or ws_ba.value.lo <= 0:
         return DeltaReport(
             delta=LengthBracket(0.0, math.inf), dil_ab=ws_ab.value,

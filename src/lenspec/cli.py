@@ -44,14 +44,14 @@ from typing import Optional
 
 import numpy as np
 
-from .actions import LengthBracket, stable_length_bracket
+from .actions import LengthBracket, exact_div
 from .bounds import (
     VerifierConfig,
     WindowRow,
     _class_table,
-    _needed_radius,
-    _window_sup,
+    _eval_class_lengths,
     cobounded_dilation_report,
+    dilation_window,
     displacement_sandwich_report,
     joint_vs_dilation_report,
     metric_distance_report,
@@ -729,7 +729,7 @@ def _class_rows(scen: Scenario, cfg: VerifierConfig, target, reference, *,
     if radius is None:
         radius = cfg.radius_cap
         if reference is not None:
-            needed = _needed_radius(reference, max(cfg.L_values))
+            needed = reference.window_radius(max(cfg.L_values))
             radius = int(min(needed, cfg.radius_cap))
     primary = target if target is not None else reference
     if primary is None:
@@ -737,31 +737,35 @@ def _class_rows(scen: Scenario, cfg: VerifierConfig, target, reference, *,
     other = reference if target is not None else None
     rows = []
     if other is None:
-        from .bounds import _eval_class_lengths
-
         reps = iter_class_reps(scen.rank, int(radius), cfg.class_cap)
         lo, hi = _eval_class_lengths(primary, reps, cfg.window_k_max)
         for i, rep in enumerate(reps):
-            w = Word.__new__(Word)
-            object.__setattr__(w, "letters", tuple(rep))
-            rows.append((str(w), "", "", _csv_cell(lo[i]), _csv_cell(hi[i]),
-                         "", ""))
+            rows.append((str(Word._unchecked(rep)), "", "", _csv_cell(lo[i]),
+                         _csv_cell(hi[i]), "", ""))
         return rows
     table = _class_table(primary, other, radius, cfg, tables)
     for i, rep in enumerate(table.reps):
-        w = Word.__new__(Word)
-        object.__setattr__(w, "letters", tuple(rep))
         rlo, rhi = table.ref_lo[i], table.ref_hi[i]
         tlo, thi = table.tgt_lo[i], table.tgt_hi[i]
         if rlo > 1e-9:
-            from .actions import exact_div
-
             ratio_lo, ratio_hi = exact_div(tlo, rhi), exact_div(thi, rlo)
         else:
             ratio_lo = ratio_hi = ""
-        rows.append((str(w), _csv_cell(rlo), _csv_cell(rhi), _csv_cell(tlo),
-                     _csv_cell(thi), _csv_cell(ratio_lo), _csv_cell(ratio_hi)))
+        rows.append((str(Word._unchecked(rep)), _csv_cell(rlo), _csv_cell(rhi),
+                     _csv_cell(tlo), _csv_cell(thi), _csv_cell(ratio_lo),
+                     _csv_cell(ratio_hi)))
     return rows
+
+
+def _models(scen: Scenario):
+    """The scenario's (target, reference) models; either may be None."""
+    return (build_model(scen.data["target"], scen.rank),
+            build_model(scen.data["reference"], scen.rank))
+
+
+def _env(scen: Scenario) -> dict:
+    return {"package": "lenspec", "version": _VERSION,
+            "python": platform.python_version(), "seed": scen.seed}
 
 
 def run(scenario: Scenario, *, max_frontier: Optional[int] = None,
@@ -774,8 +778,7 @@ def run(scenario: Scenario, *, max_frontier: Optional[int] = None,
     if max_frontier is not None:
         scenario = scenario.with_overrides(max_frontier=max_frontier)
     cfg = scenario.config()
-    target = build_model(scenario.data["target"], scenario.rank)
-    reference = build_model(scenario.data["reference"], scenario.rank)
+    target, reference = _models(scenario)
     # one class table per (target, reference) for the whole run
     tables: dict = {}
     entries = []
@@ -803,12 +806,7 @@ def run(scenario: Scenario, *, max_frontier: Optional[int] = None,
         entries=entries,
         verdict=verdict,
         exit_code=exit_code,
-        env={
-            "package": "lenspec",
-            "version": _VERSION,
-            "python": platform.python_version(),
-            "seed": scenario.seed,
-        },
+        env=_env(scenario),
         class_rows=class_rows,
     )
 
@@ -873,9 +871,10 @@ def _print_report(report: RunReport, fmt: str):
 
 
 def _load(args) -> Scenario:
+    """The scenario of --scenario with the --seed and --max-frontier overrides."""
     scen = load_scenario(args.scenario)
-    if args.seed is not None:
-        scen = scen.with_overrides(seed=args.seed)
+    if args.seed is not None or args.max_frontier is not None:
+        scen = scen.with_overrides(seed=args.seed, max_frontier=args.max_frontier)
     return scen
 
 
@@ -885,8 +884,7 @@ def _cmd_verify(args, tokens=None) -> int:
         d = json.loads(json.dumps(scen.data))
         d["verify"] = list(tokens)
         scen = parse_scenario(json.dumps(d))
-    report = run(scen, max_frontier=args.max_frontier,
-                 with_classes=args.format == "csv" or args.out is not None)
+    report = run(scen, with_classes=args.format == "csv" or args.out is not None)
     if args.out:
         for p in emit(report, args.out, args.format):
             print(f"wrote {p}", file=sys.stderr)
@@ -896,21 +894,12 @@ def _cmd_verify(args, tokens=None) -> int:
 
 def _cmd_spectrum(args) -> int:
     scen = _load(args)
-    cfg = scen.config()
-    if args.max_frontier is not None:
-        scen = scen.with_overrides(max_frontier=args.max_frontier)
-        cfg = scen.config()
-    target = build_model(scen.data["target"], scen.rank)
-    reference = build_model(scen.data["reference"], scen.rank)
+    target, reference = _models(scen)
     if target is None and reference is None:
         raise InputError("spectrum needs a target or reference model")
-    rows = _class_rows(scen, cfg, target, reference)
-    report = RunReport(
-        scenario=scen.data, entries=[], verdict="holds", exit_code=0,
-        env={"package": "lenspec", "version": _VERSION,
-             "python": platform.python_version(), "seed": scen.seed},
-        class_rows=rows,
-    )
+    rows = _class_rows(scen, scen.config(), target, reference)
+    report = RunReport(scenario=scen.data, entries=[], verdict="holds",
+                       exit_code=0, env=_env(scen), class_rows=rows)
     if args.out:
         for p in emit(report, args.out, args.format):
             print(f"wrote {p}", file=sys.stderr)
@@ -926,18 +915,14 @@ def _cmd_spectrum(args) -> int:
 def _cmd_dilation(args) -> int:
     scen = _load(args)
     cfg = scen.config()
-    target = build_model(scen.data["target"], scen.rank)
-    reference = build_model(scen.data["reference"], scen.rank)
+    target, reference = _models(scen)
     _require(target is not None and reference is not None,
              "dilation needs target and reference models")
-    radii = [_needed_radius(reference, L) for L in cfg.L_values]
-    from .bounds import _build_table
-
-    table = _build_table(target, reference, radii, cfg)
+    # the largest window first: the smaller ones read a prefix of its table
+    tables: dict = {}
     out = {}
-    for L in cfg.L_values:
-        ws = _window_sup(table, L, _needed_radius(reference, L),
-                         diag_cap=cfg.diagnostics_cap)
+    for L in sorted(cfg.L_values, reverse=True):
+        ws = dilation_window(target, reference, L, cfg, tables=tables)
         out[str(L)] = {
             "sup": _jsonable(ws.value),
             "attained": str(ws.attained) if ws.attained else None,
@@ -950,34 +935,19 @@ def _cmd_dilation(args) -> int:
 
 def _cmd_jsr(args) -> int:
     scen = _load(args)
-    cfg = scen.config()
     target = build_model(scen.data["target"], scen.rank)
-    instances = _spectral_instances(scen, target)
-    cap = args.max_frontier or cfg.frontier_cap
-    rows = []
-    worst = "holds"
-    for mats in instances:
-        prof = jsr_profile(mats, cfg.n_max, cap=cap)
-        rhs = bochi_rhs(mats, cap=cap)
-        ok = bool(prof.bracket.hi <= rhs.value + cfg.tolerance)
-        rows.append({"jsr": _jsonable(prof.bracket), "rhs": _num(rhs.value),
-                     "j_used": rhs.j_used, "partial": rhs.partial, "ok": ok})
-        if not ok:
-            worst = ("violated" if prof.bracket.lo > rhs.value + cfg.tolerance
-                     and not rhs.partial else "inconclusive")
-    print(json.dumps({"instances": rows, "verdict": worst},
+    entry = _run_token("bochi", scen, scen.config(), target, None)
+    print(json.dumps({"instances": entry["reports"], "verdict": entry["verdict"]},
                      indent=2, sort_keys=True))
-    return 1 if worst == "violated" else 0
+    return 1 if entry["verdict"] == "violated" else 0
 
 
 def _cmd_delta(args) -> int:
     scen = _load(args)
-    cfg = scen.config()
-    target = build_model(scen.data["target"], scen.rank)
-    reference = build_model(scen.data["reference"], scen.rank)
+    target, reference = _models(scen)
     _require(target is not None and reference is not None,
              "delta needs target and reference models")
-    rep = metric_distance_report(target, reference, cfg)
+    rep = metric_distance_report(target, reference, scen.config())
     print(json.dumps(_jsonable(rep), indent=2, sort_keys=True))
     return 0
 

@@ -35,15 +35,12 @@ from .spaces import MatrixActionModel, MobiusModel, TreeModel, WordMetricModel
 from .words import Word
 
 __all__ = [
-    "SubsetS",
     "JointLengthProfile",
-    "joint_stable_length",
     "joint_stable_profile",
     "tree_joint_profile",
     "BochiConstants",
     "BochiBound",
     "bochi_rhs",
-    "jsr_bracket",
     "jsr_profile",
     "JsrProfile",
     "bf_upper",
@@ -53,29 +50,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SubsetS:
-    """A finite subset of the free group, the S in joint-length quantities."""
-
-    elements: tuple[Word, ...]
-
-    def __init__(self, elements: Sequence[Word | str]):
-        elems = tuple(e if isinstance(e, Word) else Word(e) for e in elements)
-        if not elems:
-            raise InputError("subset must be nonempty")
-        object.__setattr__(self, "elements", elems)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __len__(self):
-        return len(self.elements)
-
-
 def _as_words(s) -> list[Word]:
-    if isinstance(s, SubsetS):
-        return list(s.elements)
-    return [e if isinstance(e, Word) else Word(e) for e in s]
+    """The subset S as a nonempty list of Words (strings are parsed)."""
+    words = [e if isinstance(e, Word) else Word(e) for e in s]
+    if not words:
+        raise InputError("subset must be nonempty")
+    return words
 
 
 @dataclass
@@ -415,10 +395,6 @@ def joint_stable_profile(
     )
 
 
-def joint_stable_length(model, s, n_max: int = 8, **kw) -> LengthBracket:
-    return joint_stable_profile(model, s, n_max, **kw).bracket
-
-
 # ------------------------------------------------------- pairwise bounds
 
 
@@ -472,7 +448,7 @@ def bf_minimal_K(model, s, n_max: int = 8, **kw):
     """
     words = _as_words(s)
     pair = _pair_sup_bracket(model, words)
-    joint = joint_stable_length(model, words, n_max, **kw)
+    joint = joint_stable_profile(model, words, n_max, **kw).bracket
     return _k_from_gap(joint.hi - exact_div(pair.lo, 2), model.delta)
 
 
@@ -558,10 +534,6 @@ def jsr_profile(mats, n_max: int = 8, *, cap: int = 2_000_000,
     bracket = LengthBracket(lo, hi, certified=not levels.pruned)
     return JsrProfile(bracket=bracket, sigma_terms=sig, lambda_terms=lam,
                       pruned=levels.pruned)
-
-
-def jsr_bracket(mats, n_max: int = 8, **kw) -> LengthBracket:
-    return jsr_profile(mats, n_max, **kw).bracket
 
 
 @dataclass(frozen=True)

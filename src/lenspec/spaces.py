@@ -26,13 +26,8 @@ __all__ = [
     "WordMetricModel",
     "MobiusModel",
     "LinearRepModel",
-    "SchottkyBuilder",
     "SchottkyAction",
     "build_schottky",
-    "tree_displacement",
-    "mobius_displacement",
-    "mobius_stable_length",
-    "linear_displacement",
 ]
 
 
@@ -93,10 +88,6 @@ class TreeModel(ActionModel):
 
     def window_radius(self, length_bound) -> int:
         return math.ceil(exact_div(length_bound, min(self.weights)))
-
-
-def tree_displacement(model: TreeModel, g: Word):
-    return model.displacement(g)
 
 
 # ---------------------------------------------------------- word metrics
@@ -518,18 +509,6 @@ class LinearRepModel(MatrixActionModel):
         return math.ceil(2.0 * length_bound / mu)
 
 
-def mobius_displacement(model: MobiusModel, g: Word) -> float:
-    return model.displacement(g)
-
-
-def mobius_stable_length(model: MobiusModel, c: ConjClass) -> float:
-    return model.exact_stable_length(c)
-
-
-def linear_displacement(model: LinearRepModel, g: Word) -> float:
-    return model.displacement(g)
-
-
 # ------------------------------------------------------------- Schottky
 
 
@@ -550,56 +529,43 @@ class SchottkyAction:
     certificate: AnosovCertificate
 
 
-class SchottkyBuilder:
-    """Builds rank-n Schottky-type generators R(t_i) diag(l_i, 1/l_i) R(t_i)^-1.
+def build_schottky(stretch, angles: Sequence, delta: Optional[float] = None,
+                   cert_radius: int = 6) -> SchottkyAction:
+    """Rank-n Schottky-type generators R(t_i) diag(l_i, 1/l_i) R(t_i)^-1.
 
     Real angles give isometries of the plane; any complex angle switches to
     the 3-space model.  Every generator has trace l + 1/l > 2, hence is
-    loxodromic by construction.  The builder attaches a singular-gap
-    certificate and warns when it does not certify.
+    loxodromic by construction.  The action carries a singular-gap
+    certificate, with a warning when it does not certify.
     """
-
-    def __init__(self, stretch, angles: Sequence, delta: Optional[float] = None,
-                 cert_radius: int = 6):
-        angles = list(angles)
-        if not angles:
-            raise InputError("need at least one angle")
-        if isinstance(stretch, (int, float)):
-            stretches = [float(stretch)] * len(angles)
-        else:
-            stretches = [float(s) for s in stretch]
-            if len(stretches) != len(angles):
-                raise InputError("one stretch per angle required")
-        for s in stretches:
-            if not s > 1:
-                raise InputError(f"stretch factors must exceed 1, got {s}")
-        self.stretches = stretches
-        self.angles = angles
-        self.delta = delta
-        self.cert_radius = cert_radius
-
-    def build(self) -> SchottkyAction:
-        complex_case = any(isinstance(t, complex) for t in self.angles)
-        mats = []
-        for lam, theta in zip(self.stretches, self.angles):
-            r = _rotation(complex(theta) if complex_case else theta)
-            d = np.diag([lam, 1.0 / lam]).astype(r.dtype)
-            mats.append(r @ d @ np.linalg.inv(r))
-        delta = self.delta
-        if delta is None:
-            delta = math.log(2)
-        mob = MobiusModel(mats, dim=3 if complex_case else 2, delta=delta)
-        lin = LinearRepModel(mats, delta=delta, complex_entries=complex_case)
-        cert = mob.certificate(self.cert_radius)
-        lin._cert = cert
-        if not cert.ok:
-            warnings.warn(
-                f"Schottky certificate failed (mu = {cert.mu:.3g}); "
-                "window coverage radii will be unavailable",
-                stacklevel=2,
-            )
-        return SchottkyAction(mobius=mob, linear=lin, certificate=cert)
-
-
-def build_schottky(stretch, angles, delta=None, cert_radius: int = 6) -> SchottkyAction:
-    return SchottkyBuilder(stretch, angles, delta=delta, cert_radius=cert_radius).build()
+    angles = list(angles)
+    if not angles:
+        raise InputError("need at least one angle")
+    if isinstance(stretch, (int, float)):
+        stretches = [float(stretch)] * len(angles)
+    else:
+        stretches = [float(s) for s in stretch]
+        if len(stretches) != len(angles):
+            raise InputError("one stretch per angle required")
+    for s in stretches:
+        if not s > 1:
+            raise InputError(f"stretch factors must exceed 1, got {s}")
+    complex_case = any(isinstance(t, complex) for t in angles)
+    mats = []
+    for lam, theta in zip(stretches, angles):
+        r = _rotation(complex(theta) if complex_case else theta)
+        d = np.diag([lam, 1.0 / lam]).astype(r.dtype)
+        mats.append(r @ d @ np.linalg.inv(r))
+    if delta is None:
+        delta = math.log(2)
+    mob = MobiusModel(mats, dim=3 if complex_case else 2, delta=delta)
+    lin = LinearRepModel(mats, delta=delta, complex_entries=complex_case)
+    cert = mob.certificate(cert_radius)
+    lin._cert = cert
+    if not cert.ok:
+        warnings.warn(
+            f"Schottky certificate failed (mu = {cert.mu:.3g}); "
+            "window coverage radii will be unavailable",
+            stacklevel=2,
+        )
+    return SchottkyAction(mobius=mob, linear=lin, certificate=cert)

@@ -31,7 +31,6 @@ __all__ = [
     "ConjClass",
     "GeneratingSet",
     "GenerationCheck",
-    "reduce_word",
     "free_reduce",
     "letter_key",
     "cyclic_reduce",
@@ -88,6 +87,13 @@ class Word:
         if isinstance(letters, str):
             letters = _parse_letter_string(letters)
         object.__setattr__(self, "letters", free_reduce(letters))
+
+    @classmethod
+    def _unchecked(cls, letters: Iterable[int]) -> "Word":
+        """A Word over letters already known to be reduced; no reduction."""
+        w = cls.__new__(cls)
+        object.__setattr__(w, "letters", tuple(letters))
+        return w
 
     # -- basic algebra ------------------------------------------------
 
@@ -146,11 +152,6 @@ class Word:
         return f"Word({str(self)!r})"
 
 
-def reduce_word(letters: Iterable[int] | str) -> Word:
-    """Free-reduce a raw letter sequence (or string) into a Word."""
-    return Word(letters)
-
-
 def _min_rotation(u: tuple[int, ...]) -> int:
     """Index of the lexicographically minimal rotation of u (letter_key order)."""
     n = len(u)
@@ -205,11 +206,7 @@ def cyclic_reduce(g: Word) -> ConjClass:
     r = _min_rotation(core)
     rep = core[r:] + core[:r]
     conj = peeled + core[:r]      # rep = conj^-1 g conj; concatenation is reduced
-    w = Word.__new__(Word)
-    object.__setattr__(w, "letters", rep)
-    c = Word.__new__(Word)
-    object.__setattr__(c, "letters", conj)
-    return ConjClass(rep=w, conjugator=c)
+    return ConjClass(rep=Word._unchecked(rep), conjugator=Word._unchecked(conj))
 
 
 def _letters_in_order(rank: int) -> list[int]:
@@ -237,10 +234,7 @@ def enumerate_ball(rank: int, radius: int, cap: int = 2_000_000) -> list[Word]:
             raise ResourceCapError(
                 f"ball of radius {radius} in rank {rank} exceeds cap {cap}"
             )
-        for w in nxt:
-            wd = Word.__new__(Word)
-            object.__setattr__(wd, "letters", w)
-            out.append(wd)
+        out.extend(map(Word._unchecked, nxt))
         frontier = nxt
     return out
 
@@ -317,12 +311,8 @@ def enumerate_conj_classes(
 
     Deterministic order: by (length, letter order).  Identity is not included.
     """
-    out: list[ConjClass] = []
-    for rep in iter_class_reps(rank, max_std_length, cap):
-        wd = Word.__new__(Word)
-        object.__setattr__(wd, "letters", rep)
-        out.append(ConjClass(rep=wd))
-    return out
+    return [ConjClass(rep=Word._unchecked(rep))
+            for rep in iter_class_reps(rank, max_std_length, cap)]
 
 
 # -- weighted generating sets and word metrics -------------------------

@@ -198,6 +198,23 @@ def test_reports_share_tables_only_through_the_dict(monkeypatch):
     assert shared == fresh
 
 
+def test_every_window_is_validated_before_a_table_is_built(monkeypatch):
+    built = _count_tables(monkeypatch)
+    with pytest.raises(InputError, match="L > 6D"):
+        cobounded_dilation_report(WB2, UNIT, VerifierConfig(L_values=(20, 1)))
+    assert built == []
+
+
+def test_dilation_windows_share_one_table_through_the_dict(monkeypatch):
+    built = _count_tables(monkeypatch)
+    tables = {}
+    big = dilation_window(WB2, UNIT, 8, tables=tables)
+    small = dilation_window(WB2, UNIT, 4, tables=tables)
+    assert built == [8]
+    assert small == dilation_window(WB2, UNIT, 4)
+    assert big == dilation_window(WB2, UNIT, 8)
+
+
 # ------------------------------------------------------- cobounded bound
 
 

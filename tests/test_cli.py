@@ -364,6 +364,31 @@ def test_main_jsr_subcommand(capsys):
     assert all(row["j_used"] == 16 for row in body["instances"])
 
 
+def test_main_jsr_verdict_is_the_worst_over_instances(tmp_path, capsys,
+                                                      monkeypatch):
+    # a violated instance followed by an inconclusive one stays violated
+    from types import SimpleNamespace
+
+    from lenspec import cli
+    from lenspec.actions import LengthBracket
+
+    brackets = iter([LengthBracket(5.0, 6.0), LengthBracket(1.0, 6.0)])
+    monkeypatch.setattr(cli, "jsr_profile",
+                        lambda mats, n_max, cap: SimpleNamespace(
+                            bracket=next(brackets)))
+    monkeypatch.setattr(cli, "bochi_rhs",
+                        lambda mats, cap: SimpleNamespace(
+                            value=2.0, j_used=16, partial=False))
+    p = tmp_path / "jsr.json"
+    p.write_text(json.dumps({"ensemble": {"count": 2, "dim": 2},
+                             "verify": ["bochi"]}))
+    code = main(["jsr", "--scenario", str(p)])
+    body = json.loads(capsys.readouterr().out)
+    assert [row["ok"] for row in body["instances"]] == [False, False]
+    assert body["verdict"] == "violated"
+    assert code == 1
+
+
 def test_main_delta_subcommand(capsys):
     code = main(["delta",
                  "--scenario", str(SCEN_DIR / "identical-actions.json")])

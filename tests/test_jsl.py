@@ -15,14 +15,11 @@ import pytest
 from lenspec.errors import InputError, ResourceCapError
 from lenspec.jsl import (
     BochiConstants,
-    SubsetS,
     bf_lower_check,
     bf_minimal_K,
     bf_upper,
     bochi_rhs,
-    joint_stable_length,
     joint_stable_profile,
-    jsr_bracket,
     jsr_profile,
     tree_joint_profile,
 )
@@ -138,11 +135,13 @@ def test_n_max_validation():
 
 
 def test_subset_validation():
-    with pytest.raises(InputError):
-        SubsetS([])
-    s = SubsetS(["a", "bA"])
-    assert len(s) == 2
-    assert [str(w) for w in s] == ["a", "bA"]
+    with pytest.raises(InputError, match="subset must be nonempty"):
+        joint_stable_profile(TreeModel(2), [], 4)
+    with pytest.raises(InputError, match="subset must be nonempty"):
+        bf_lower_check(TreeModel(2), [])
+    prof = joint_stable_profile(TreeModel(2), ["a", "bA"], 4, engine="products")
+    assert prof.bracket == joint_stable_profile(
+        TreeModel(2), [Word("a"), Word("bA")], 4, engine="products").bracket
 
 
 # ---------------------------------------------------------- matrix engine
@@ -150,7 +149,7 @@ def test_subset_validation():
 
 def test_schottky_generators_joint_length():
     act = build_schottky(4.0, [0.0, 1.2])
-    b = joint_stable_length(act.mobius, ["a", "b"], n_max=6)
+    b = joint_stable_profile(act.mobius, ["a", "b"], n_max=6).bracket
     # powers of a single generator dominate: the joint length is 2 log 4
     assert b.lo == pytest.approx(2 * math.log(4), abs=1e-9)
     assert b.hi == pytest.approx(2.7725887222397807, abs=1e-6)
@@ -221,21 +220,21 @@ def test_bf_upper_and_minimal_K_helpers():
 
 
 def test_jsr_single_diagonal_is_exact():
-    b = jsr_bracket([np.diag([2.0, 0.5])])
+    b = jsr_profile([np.diag([2.0, 0.5])]).bracket
     assert b.lo == pytest.approx(math.log(2), abs=1e-12)
     assert b.hi == pytest.approx(math.log(2), abs=1e-12)
 
 
 def test_jsr_rotation_is_zero():
     rot = np.array([[0.0, -1.0], [1.0, 0.0]])
-    b = jsr_bracket([rot], n_max=4)
+    b = jsr_profile([rot], n_max=4).bracket
     assert b.lo == pytest.approx(0.0, abs=1e-12)
     assert b.hi == pytest.approx(0.0, abs=1e-12)
 
 
 def test_jsr_pair_with_rotation():
     mats = [np.diag([2.0, 0.5]), np.array([[0.0, -1.0], [1.0, 0.0]])]
-    b = jsr_bracket(mats, n_max=8)
+    b = jsr_profile(mats, n_max=8).bracket
     assert b.contains(math.log(2), tol=1e-9)
     assert b.hi == pytest.approx(math.log(2), abs=1e-9)
 
@@ -258,7 +257,7 @@ def test_jsr_cap_raises_and_beam_prunes():
 
 def test_jsr_overflow_resistance():
     # stretch 1e8: naive products overflow float64 by level 5
-    b = jsr_bracket([np.diag([1e8, 1e-8])], n_max=8)
+    b = jsr_profile([np.diag([1e8, 1e-8])], n_max=8).bracket
     assert b.lo == pytest.approx(8 * math.log(10), rel=1e-12)
 
 
@@ -289,7 +288,7 @@ def test_bochi_bound_dominates_jsr():
         rhs = bochi_rhs(mats)
         assert not rhs.partial
         assert rhs.j_used == 16
-        jsr = jsr_bracket(mats, n_max=8)
+        jsr = jsr_profile(mats, n_max=8).bracket
         assert jsr.hi <= rhs.value + 1e-9
 
 

@@ -16,11 +16,9 @@ from lenspec.errors import InputError, SearchExhaustedError
 from lenspec.spaces import (
     LinearRepModel,
     MobiusModel,
-    SchottkyBuilder,
     TreeModel,
     WordMetricModel,
     build_schottky,
-    tree_displacement,
 )
 from lenspec.words import ConjClass, GeneratingSet, Word, enumerate_ball, word_length
 
@@ -41,7 +39,7 @@ def test_tree_displacement_and_class_length():
     assert m.displacement(Word("ab")) == 4
     assert m.displacement(Word("abA")) == 5
     assert m.exact_stable_length(ConjClass.of(Word("abA"))) == 3
-    assert tree_displacement(m, Word("aB")) == 4
+    assert m.displacement(Word("aB")) == 4
 
 
 def test_tree_keeps_fractions():
