@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import InputError, NumericError
 from .words import ConjClass, Word, cyclic_reduce
@@ -59,8 +59,9 @@ class LengthBracket:
     """A certified interval [lo, hi] around a length-type quantity.
 
     ``exact`` means lo == hi by construction (not merely numerically).
-    ``certified`` drops to False when a resource-capped computation pruned
-    candidates, in which case hi is no longer a proven upper bound.
+    ``certified`` False would mark a bracket whose hi is not a proven upper
+    bound.  No engine of the package returns one (an enumeration past its
+    cap raises ResourceCapError instead); combinators carry the flag through.
     Values may be int/Fraction (exact models) or float.
     """
 

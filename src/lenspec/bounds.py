@@ -30,7 +30,13 @@ from typing import Optional
 
 from .actions import LengthBracket, exact_div
 from .errors import InputError
-from .jsl import BochiConstants, joint_stable_profile
+from .jsl import (
+    BochiConstants,
+    _as_words,
+    _concat_reduced,
+    _peeled_length,
+    joint_stable_profile,
+)
 from .spaces import MobiusModel, TreeModel, WordMetricModel
 from .words import ConjClass, GeneratingSet, Word, enumerate_ball, iter_class_reps
 
@@ -625,8 +631,6 @@ def joint_vs_dilation_report(model, s, config: Optional[VerifierConfig] = None,
     The two agree for isometric actions on hyperbolic spaces; the check
     certifies Dil <= joint on the window and reports the equality gap.
     """
-    from .jsl import _as_words
-
     cfg = config or VerifierConfig()
     if isinstance(s, GeneratingSet):
         words = list(s.elements)
@@ -796,12 +800,7 @@ def displacement_sandwich_report(model, n: int, ball_radius: int,
         nxt = []
         for w in frontier:
             for s in gen_letters:
-                i = len(w)
-                j = 0
-                while i > 0 and j < len(s) and w[i - 1] == -s[j]:
-                    i -= 1
-                    j += 1
-                prod = w[:i] + s[j:]
+                prod = _concat_reduced(w, s)
                 if prod in dist:
                     continue
                 dist[prod] = depth
@@ -872,15 +871,8 @@ def pointwise_cover_report(model, ball_radius: int, f_radius: int,
 
     if isinstance(model, TreeModel):
         def col(f: Word):
-            out = []
-            for g in ball:
-                prod = (g * f).letters
-                i, j = 0, len(prod) - 1
-                while i < j and prod[i] == -prod[j]:
-                    i += 1
-                    j -= 1
-                out.append(sum(model.weight_of(x) for x in prod[i:j + 1]))
-            return out
+            return [_peeled_length((g * f).letters, model.weight_of)
+                    for g in ball]
     else:
         mats = [model.matrix(g) for g in ball]
         double = 2.0 if isinstance(model, MobiusModel) else 1.0

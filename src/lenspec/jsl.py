@@ -24,15 +24,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .actions import LengthBracket, exact_div
 from .errors import InputError, NumericError, ResourceCapError
-from .spaces import MatrixActionModel, MobiusModel, TreeModel, WordMetricModel
-from .words import Word
+from .spaces import MobiusModel, TreeModel, WordMetricModel
+from .words import ConjClass, Word
 
 __all__ = [
     "JointLengthProfile",
@@ -67,7 +66,6 @@ class JointLengthProfile:
     lo_terms: dict
     pair_half: object
     engine: str
-    pruned: bool = False
     eroded: bool = False
 
 
@@ -102,34 +100,25 @@ def _word_lower_oracle(model):
             return lambda letters: _peeled_length(letters, tree.weight_of)
         c = model._c_cmp
         return lambda letters: exact_div(_peeled_length(letters, lambda _x: 1), c)
-    return None
+    raise InputError(f"no joint-length engine for {type(model).__name__}")
 
 
-def _word_joint_profile(model, words, n_max, frontier_cap, beam, deep_lo):
+def _word_joint_profile(model, words, n_max, frontier_cap):
     s_list = [w.letters for w in words]
-    lower = _word_lower_oracle(model) if deep_lo else None
+    lower = _word_lower_oracle(model)
     frontier = set(s_list)
     a = {}
     lo_terms = {}
-    pruned = False
     for n in range(1, n_max + 1):
         if n > 1:
             if len(frontier) * len(s_list) > frontier_cap:
-                if beam is None:
-                    raise ResourceCapError(
-                        f"level {n} frontier would exceed cap {frontier_cap}; "
-                        "pass a beam width to prune (bracket loses certification)"
-                    )
-                ranked = sorted(
-                    frontier, key=lambda w: model.displacement(Word(w)), reverse=True
+                raise ResourceCapError(
+                    f"level {n} frontier would exceed cap {frontier_cap}"
                 )
-                frontier = set(ranked[:beam])
-                pruned = True
             frontier = {_concat_reduced(w, s) for w in frontier for s in s_list}
         a[n] = max(model.displacement(Word(w)) for w in frontier)
-        if lower is not None:
-            lo_terms[n] = exact_div(max(lower(w) for w in frontier), n)
-    return a, lo_terms, pruned, frontier
+        lo_terms[n] = exact_div(max(lower(w) for w in frontier), n)
+    return a, lo_terms
 
 
 # ------------------------------------------------- vectorized matrix levels
@@ -157,65 +146,44 @@ def _batch_lambda1(batch: np.ndarray) -> np.ndarray:
     return np.max(np.abs(np.linalg.eigvals(batch)), axis=1)
 
 
-class _MatrixLevels:
-    """Iterates S^n as a normalized batch with an accumulated log scale."""
+def _matrix_levels(mats, n_max: int, cap: int):
+    """Yield (n, batch, log_scale) for n = 1..n_max: S^n as a batch scaled
+    to max entry 1, the true products being exp(log_scale) * batch.
 
-    def __init__(self, mats: Sequence[np.ndarray], cap: int, beam: Optional[int]):
-        base = np.stack([np.asarray(m) for m in mats])
-        if np.iscomplexobj(base):
-            base = base.astype(np.complex128)
-        else:
-            base = base.astype(np.float64)
-        self.gens = base
-        self.cap = cap
-        self.beam = beam
-        self.pruned = False
-        self.batch = base.copy()
-        self.log_scale = 0.0
-        self._renorm()
-
-    def _renorm(self):
-        c = float(np.max(np.abs(self.batch)))
+    The products of level n are the level n-1 batch times each generator
+    in turn; a level of more than ``cap`` products raises ResourceCapError.
+    """
+    gens = np.stack([np.asarray(m) for m in mats])
+    gens = gens.astype(np.complex128 if np.iscomplexobj(gens) else np.float64)
+    batch = gens
+    log_scale = 0.0
+    for n in range(1, n_max + 1):
+        if n > 1:
+            if batch.shape[0] * gens.shape[0] > cap:
+                raise ResourceCapError(
+                    f"level {n} matrix frontier would exceed cap {cap}"
+                )
+            batch = np.concatenate([batch @ g for g in gens], axis=0)
+        c = float(np.max(np.abs(batch)))
         if not math.isfinite(c):
             raise NumericError("non-finite matrix entries in joint enumeration")
         if c <= 0:
             raise NumericError("zero matrix reached in joint enumeration")
-        self.batch = self.batch / c
-        self.log_scale += math.log(c)
-
-    def advance(self):
-        n_next = self.batch.shape[0] * self.gens.shape[0]
-        if n_next > self.cap:
-            if self.beam is None:
-                raise ResourceCapError(
-                    f"matrix frontier would exceed cap {self.cap}; "
-                    "pass a beam width to prune"
-                )
-            order = np.argsort(-_batch_sigma1(self.batch))
-            self.batch = self.batch[order[: self.beam]]
-            self.pruned = True
-        self.batch = np.concatenate(
-            [self.batch @ g for g in self.gens], axis=0
-        )
-        self._renorm()
+        batch = batch / c
+        log_scale += math.log(c)
+        yield n, batch, log_scale
 
 
-def _matrix_joint_profile(model, words, n_max, frontier_cap, beam, deep_lo):
+def _matrix_joint_profile(model, words, n_max, frontier_cap):
     mats = [model.matrix(w) for w in words]
-    levels = _MatrixLevels(mats, frontier_cap, beam)
     a = {}
     lo_terms = {}
     is_mobius = isinstance(model, MobiusModel)
-    for n in range(1, n_max + 1):
-        if n > 1:
-            levels.advance()
-        ls = levels.log_scale
-        s1 = _batch_sigma1(levels.batch)
-        log_disp = np.log(np.clip(s1, 1e-300, None)) + ls
+    for n, batch, ls in _matrix_levels(mats, n_max, frontier_cap):
         if is_mobius:
-            # d = arccosh(|A|_F^2 / 2); |A|_F^2 = s1^2 + s2^2 and s1 s2 = 1,
-            # so in terms of s1 this is exactly 2 log s1... only for det 1.
-            f = np.sum(np.abs(levels.batch) ** 2, axis=(1, 2))
+            # d = arccosh(|A|_F^2 / 2) for det-1 matrices, in log scale so
+            # that large products neither overflow nor lose the arccosh.
+            f = np.sum(np.abs(batch) ** 2, axis=(1, 2))
             log_y = np.log(np.clip(f / 2.0, 1e-300, None)) + 2.0 * ls
             big = log_y >= 20.0
             y_small = np.exp(np.where(big, 0.0, log_y))
@@ -225,32 +193,29 @@ def _matrix_joint_profile(model, words, n_max, frontier_cap, beam, deep_lo):
                 np.arccosh(np.clip(y_small, 1.0, None)),
             )
         else:
-            disp = np.maximum(log_disp, 0.0)
+            s1 = _batch_sigma1(batch)
+            disp = np.maximum(np.log(np.clip(s1, 1e-300, None)) + ls, 0.0)
         a[n] = float(np.max(disp))
-        if deep_lo:
-            lam = _batch_lambda1(levels.batch)
-            ll = np.log(np.clip(lam, 1e-300, None)) + ls
-            ll = np.maximum(ll, 0.0)
-            if is_mobius:
-                ll = 2.0 * ll
-            lo_terms[n] = float(np.max(ll)) / n
-    return a, lo_terms, levels.pruned
+        lam = _batch_lambda1(batch)
+        ll = np.log(np.clip(lam, 1e-300, None)) + ls
+        ll = np.maximum(ll, 0.0)
+        if is_mobius:
+            ll = 2.0 * ll
+        lo_terms[n] = float(np.max(ll)) / n
+    return a, lo_terms
 
 
 # ----------------------------------------------------- tree fast path (DP)
 
-# Transition memo shared across models with the same weight signature:
-# key (weights, suffix, trunc, s) -> (new_suffix, new_trunc, delta, eroded).
-_TREE_STEP_MEMO: dict = {}
-
 _EXACT, _TRUNC, _BLIND = 0, 1, 2
+
+# Retained suffix length of the tree automaton, raised to twice the
+# longest factor of S.
+_SUFFIX_CAP = 6
 
 
 def _tree_step(weights, suffix, trunc, s, cap):
-    key = (weights, suffix, trunc, s)
-    hit = _TREE_STEP_MEMO.get(key)
-    if hit is not None:
-        return hit
+    """(new_suffix, new_trunc, delta, eroded) of appending factor s."""
     w = list(suffix)
     t = 0
     delta = 0
@@ -262,20 +227,14 @@ def _tree_step(weights, suffix, trunc, s, cap):
     for x in kept:
         delta += weights[abs(x) - 1]
     if eroded:
-        out = ((), _BLIND, delta, True)
-    else:
-        new = tuple(w) + kept
-        new_trunc = trunc
-        if len(new) > cap:
-            new = new[-cap:]
-            new_trunc = _TRUNC
-        out = (new, new_trunc, delta, False)
-    _TREE_STEP_MEMO[key] = out
-    return out
+        return (), _BLIND, delta, True
+    new = tuple(w) + kept
+    if len(new) > cap:
+        return new[-cap:], _TRUNC, delta, False
+    return new, trunc, delta, False
 
 
-def tree_joint_profile(model: TreeModel, s, n_max: int = 12,
-                       suffix_cap: int = 6) -> JointLengthProfile:
+def tree_joint_profile(model: TreeModel, s, n_max: int = 12) -> JointLengthProfile:
     """Joint stable length on a tree via a bounded-suffix automaton.
 
     Cancellation against a single factor never looks deeper than the factor
@@ -291,7 +250,9 @@ def tree_joint_profile(model: TreeModel, s, n_max: int = 12,
     if any(not w for w in s_list):
         s_list = [w for w in s_list if w] or [()]
     weights = tuple(model.weights)
-    cap = max(suffix_cap, 2 * max((len(w) for w in s_list), default=1))
+    cap = max(_SUFFIX_CAP, 2 * max((len(w) for w in s_list), default=1))
+    # transitions of this call: (suffix, trunc, s) -> _tree_step(...)
+    step: dict = {}
     states: dict = {}
     a = {}
     eroded_any = False
@@ -312,7 +273,11 @@ def tree_joint_profile(model: TreeModel, s, n_max: int = 12,
                     nxt[blind_key] = nv
                 continue
             for sw in s_list:
-                nsuf, ntr, delta, er = _tree_step(weights, suffix, trunc, sw, cap)
+                hit = step.get((suffix, trunc, sw))
+                if hit is None:
+                    hit = step[suffix, trunc, sw] = _tree_step(
+                        weights, suffix, trunc, sw, cap)
+                nsuf, ntr, delta, er = hit
                 if er:
                     eroded_any = True
                 key = (nsuf, ntr)
@@ -350,48 +315,38 @@ def joint_stable_profile(
     n_max: int = 8,
     *,
     frontier_cap: int = 1_000_000,
-    beam: Optional[int] = None,
-    deep_lo: bool = True,
     engine: str = "auto",
 ) -> JointLengthProfile:
     """Joint stable length of S under the model, with per-level evidence.
 
     engine: 'products' enumerates S^n (deduplicated reduced words for word
     models, vectorized batches for matrix models); 'tree-dp' is the bounded
-    suffix automaton (TreeModel only); 'auto' picks by model kind.
+    suffix automaton (TreeModel only); 'auto' picks by model kind.  A level
+    of more than ``frontier_cap`` products raises ResourceCapError.
     """
     words = _as_words(s)
     if n_max < 2:
         raise InputError("n_max must be >= 2")
     if engine == "tree-dp" or (
-        engine == "auto" and isinstance(model, TreeModel) and n_max >= 2
+        engine == "auto" and isinstance(model, TreeModel)
         and len(words) ** n_max > frontier_cap
     ):
         if not isinstance(model, TreeModel):
             raise InputError("tree-dp engine needs a TreeModel")
         return tree_joint_profile(model, words, n_max)
     if model.frontier_kind == "matrix":
-        a, lo_terms, pruned = _matrix_joint_profile(
-            model, words, n_max, frontier_cap, beam, deep_lo
-        )
+        a, lo_terms = _matrix_joint_profile(model, words, n_max, frontier_cap)
     else:
-        a, lo_terms, pruned, _ = _word_joint_profile(
-            model, words, n_max, frontier_cap, beam, deep_lo
-        )
+        a, lo_terms = _word_joint_profile(model, words, n_max, frontier_cap)
     hi = min(exact_div(a[n], n) for n in a)
-    pair_half = lo_terms.get(2)
-    lo = max(lo_terms.values()) if lo_terms else (0 if isinstance(hi, (int, Fraction)) else 0.0)
-    lo = min(lo, hi)  # guards float noise; exact engines satisfy lo <= hi
-    bracket = LengthBracket(
-        lo, hi, exact=bool(lo == hi and not pruned), certified=not pruned
-    )
+    # min guards float noise; exact engines satisfy lo <= hi
+    lo = min(max(lo_terms.values()), hi)
     return JointLengthProfile(
-        bracket=bracket,
+        bracket=LengthBracket(lo, hi, exact=bool(lo == hi)),
         a=a,
         lo_terms=lo_terms,
-        pair_half=pair_half,
+        pair_half=lo_terms[2],
         engine="matrix" if model.frontier_kind == "matrix" else "products",
-        pruned=pruned,
     )
 
 
@@ -414,8 +369,6 @@ class BfCheck:
 
 
 def _pair_sup_bracket(model, words) -> LengthBracket:
-    from .words import ConjClass
-
     best_lo = None
     best_hi = None
     for u in words:
@@ -504,36 +457,30 @@ class JsrProfile:
     bracket: LengthBracket
     sigma_terms: dict
     lambda_terms: dict
-    pruned: bool
 
 
-def jsr_profile(mats, n_max: int = 8, *, cap: int = 2_000_000,
-                beam: Optional[int] = None) -> JsrProfile:
+def jsr_profile(mats, n_max: int = 8, *, cap: int = 2_000_000) -> JsrProfile:
     """Joint spectral radius bracket in log scale.
 
     hi = min over n of (1/n) log max sigma_1 over S^n (submultiplicativity),
     lo = max over n of (1/n) log max spectral radius over S^n (Gelfand).
-    Levels are renormalized, so overflow cannot occur silently.
+    Levels are renormalized, so overflow cannot occur silently.  A level of
+    more than ``cap`` products raises ResourceCapError.
     """
     if n_max < 1:
         raise InputError("n_max must be >= 1")
-    levels = _MatrixLevels(list(mats), cap, beam)
     sig = {}
     lam = {}
-    for n in range(1, n_max + 1):
-        if n > 1:
-            levels.advance()
-        ls = levels.log_scale
-        s1 = float(np.max(_batch_sigma1(levels.batch)))
-        l1 = float(np.max(_batch_lambda1(levels.batch)))
+    for n, batch, ls in _matrix_levels(mats, n_max, cap):
+        s1 = float(np.max(_batch_sigma1(batch)))
+        l1 = float(np.max(_batch_lambda1(batch)))
         sig[n] = (math.log(s1) + ls) / n if s1 > 0 else -math.inf
         lam[n] = (math.log(l1) + ls) / n if l1 > 0 else -math.inf
     hi = min(sig.values())
     lo = max(lam.values())
     lo = min(lo, hi)
-    bracket = LengthBracket(lo, hi, certified=not levels.pruned)
-    return JsrProfile(bracket=bracket, sigma_terms=sig, lambda_terms=lam,
-                      pruned=levels.pruned)
+    return JsrProfile(bracket=LengthBracket(lo, hi), sigma_terms=sig,
+                      lambda_terms=lam)
 
 
 @dataclass(frozen=True)
@@ -562,21 +509,16 @@ def bochi_rhs(mats, constants: Optional[BochiConstants] = None, *,
     if constants.m != m:
         raise InputError(f"constants are for dimension {constants.m}, matrices are {m}x{m}")
     j_stop = constants.d_m if j_cap is None else min(j_cap, constants.d_m)
-    levels = _MatrixLevels(mats, cap, None)
     lam = {}
     j_used = 0
     partial = False
-    for j in range(1, j_stop + 1):
-        if j > 1:
-            try:
-                levels.advance()
-            except ResourceCapError:
-                partial = True
-                break
-        ls = levels.log_scale
-        l1 = float(np.max(_batch_lambda1(levels.batch)))
-        lam[j] = (math.log(l1) + ls) / j if l1 > 0 else -math.inf
-        j_used = j
+    try:
+        for j, batch, ls in _matrix_levels(mats, j_stop, cap):
+            l1 = float(np.max(_batch_lambda1(batch)))
+            lam[j] = (math.log(l1) + ls) / j if l1 > 0 else -math.inf
+            j_used = j
+    except ResourceCapError:
+        partial = True
     if j_used < constants.d_m:
         partial = True
     value = constants.c_m + max(lam.values())

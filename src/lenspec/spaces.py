@@ -19,7 +19,7 @@ import numpy as np
 
 from .actions import ActionModel, AnosovCertificate, LengthBracket, anosov_certificate, exact_div
 from .errors import InputError, NumericError, SearchExhaustedError
-from .words import ConjClass, GeneratingSet, Word, cyclic_reduce, word_length
+from .words import ConjClass, GeneratingSet, Word, word_length
 
 __all__ = [
     "TreeModel",

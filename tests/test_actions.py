@@ -15,7 +15,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lenspec.actions import (
-    AnosovCertificate,
     LengthBracket,
     anosov_certificate,
     exact_div,
@@ -26,7 +25,7 @@ from lenspec.actions import (
     sup_bracket,
 )
 from lenspec.errors import InputError
-from lenspec.spaces import LinearRepModel, MobiusModel, TreeModel, build_schottky
+from lenspec.spaces import LinearRepModel, TreeModel, build_schottky
 from lenspec.words import ConjClass, Word, enumerate_ball
 
 

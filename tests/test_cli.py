@@ -10,7 +10,6 @@ import pytest
 from lenspec import bounds
 from lenspec.cli import (
     RunReport,
-    Scenario,
     _num,
     builtin_preset,
     emit,

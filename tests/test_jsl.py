@@ -5,13 +5,17 @@ a_n = n + 2 (alternating seams cancel one letter per factor), giving the
 bracket [1, 5/4] at n_max = 8; the pair maximum is l[abA abA] = 2.
 """
 
+import importlib
 import math
+import pkgutil
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import lenspec
+from lenspec.actions import LengthBracket
 from lenspec.errors import InputError, ResourceCapError
 from lenspec.jsl import (
     BochiConstants,
@@ -117,15 +121,6 @@ def test_word_engine_resource_cap():
         )
 
 
-def test_word_engine_beam_drops_certification():
-    p = joint_stable_profile(
-        TreeModel(2), ["a", "A", "b", "B"], n_max=6,
-        frontier_cap=10, beam=4, engine="products",
-    )
-    assert p.pruned
-    assert not p.bracket.certified
-
-
 def test_n_max_validation():
     with pytest.raises(InputError):
         joint_stable_profile(TreeModel(2), ["a"], n_max=1)
@@ -168,14 +163,11 @@ def test_matrix_engine_displacements_match_model():
     assert p.a[2] == pytest.approx(best2, abs=1e-9)
 
 
-def test_matrix_engine_cap_and_beam():
+def test_matrix_engine_cap_raises():
     act = build_schottky(4.0, [0.0, 1.2])
     with pytest.raises(ResourceCapError):
         joint_stable_profile(act.mobius, ["a", "A", "b", "B"], n_max=12,
                              frontier_cap=100)
-    p = joint_stable_profile(act.mobius, ["a", "A", "b", "B"], n_max=12,
-                             frontier_cap=100, beam=16)
-    assert p.pruned and not p.bracket.certified
 
 
 # ------------------------------------------------------------ pair bounds
@@ -246,13 +238,11 @@ def test_jsr_profile_terms_are_monotone_evidence():
     assert p.bracket.lo <= p.bracket.hi
 
 
-def test_jsr_cap_raises_and_beam_prunes():
+def test_jsr_cap_raises():
     mats = [np.diag([2.0, 0.5]), np.array([[0.0, -1.0], [1.0, 0.0]]),
             np.array([[1.0, 1.0], [0.0, 1.0]])]
     with pytest.raises(ResourceCapError):
         jsr_profile(mats, n_max=12, cap=50)
-    p = jsr_profile(mats, n_max=12, cap=50, beam=10)
-    assert p.pruned and not p.bracket.certified
 
 
 def test_jsr_overflow_resistance():
@@ -304,3 +294,39 @@ def test_bochi_partial_flag():
 def test_bochi_dimension_mismatch():
     with pytest.raises(InputError):
         bochi_rhs([np.eye(3)], BochiConstants.for_dim(2))
+
+
+# ------------------------------------------------------ no retained state
+
+
+def _module_container_sizes():
+    sizes = {}
+    for info in pkgutil.iter_modules(lenspec.__path__):
+        if info.name == "__main__":
+            continue
+        mod = importlib.import_module(f"lenspec.{info.name}")
+        for name, value in vars(mod).items():
+            if isinstance(value, (dict, list, set)):
+                sizes[info.name, name] = len(value)
+    return sizes
+
+
+def test_engines_leave_module_state_unchanged():
+    before = _module_container_sizes()
+    m = TreeModel(2, [5, 7])
+    tree_joint_profile(m, ["abA", "aBA"], n_max=8)
+    tree_joint_profile(m, ["ab", "bA", "aab"], n_max=8)
+    joint_stable_profile(m, ["a", "bA"], n_max=4, engine="products")
+    assert _module_container_sizes() == before
+
+
+def test_tree_profile_does_not_depend_on_earlier_calls():
+    # S = {abA, aBA} keeps a 6-letter suffix and erodes; with a 4-letter
+    # word in S the suffix is 8 letters, and the transitions learned there
+    # must not carry over into the later call.
+    m = TreeModel(2, [2, 3])
+    tree_joint_profile(m, ["aaaa", "abA", "aBA"], n_max=12)
+    p = tree_joint_profile(m, ["abA", "aBA"], n_max=12)
+    assert p.eroded
+    assert p.bracket == LengthBracket(3, Fraction(10, 3))
+    assert p.a == {n: 3 * n + 4 for n in range(1, 13)}

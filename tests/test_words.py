@@ -9,7 +9,7 @@ import gc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from lenspec.words import (
