@@ -26,7 +26,10 @@ import heapq
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 from typing import Optional
+
+import numpy as np
 
 from .actions import LengthBracket, exact_div
 from .errors import InputError
@@ -72,6 +75,7 @@ INCONCLUSIVE = "inconclusive"
 HYPOTHESIS_FAILED = "hypothesis-failed"
 
 _ZERO_EPS = 1e-9
+_EXACT = (int, Fraction)
 
 
 @dataclass(frozen=True)
@@ -157,8 +161,79 @@ def _eval_class_lengths(model, reps, k_max):
     return lows, highs
 
 
+def _ratio_column(tops, bottoms, positive) -> np.ndarray:
+    """float(exact_div(t, b)) of each pair where ``positive``, else nan.
+
+    An exact pair (int or Fraction) is one correctly rounded int division,
+    with no Fraction built.
+    """
+    out = np.full(len(tops), np.nan)
+    for i in np.flatnonzero(positive).tolist():
+        t, b = tops[i], bottoms[i]
+        if isinstance(t, _EXACT) and isinstance(b, _EXACT):
+            out[i] = (t.numerator * b.denominator) / (t.denominator * b.numerator)
+        else:
+            out[i] = float(exact_div(t, b))
+    return out
+
+
+@dataclass(frozen=True)
+class _Columns:
+    """One direction of a class table as float64 columns.
+
+    ``ref_lo``/``ref_hi`` are the reference lengths, ``lo`` = tgt_lo/ref_hi
+    and ``hi`` = tgt_hi/ref_lo the ratio columns (nan where the reference
+    lo is <= _ZERO_EPS).  Every entry is the correctly rounded float of the
+    exact value, so float order never contradicts exact order: where two
+    floats differ, the exact values differ the same way.
+
+    ``ties_exact``: every length is an int and m**3 < 2**52 for the
+    largest |length| m.  Two distinct ratios a/b != c/d then differ by at
+    least 1/(b*d) >= 1/m**2, more than the float spacing 2**-52 * m at
+    their size, so ratios with equal floats are equal.
+    """
+
+    ref_lo: np.ndarray
+    ref_hi: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    ties_exact: bool
+
+    @classmethod
+    def of(cls, ref_lo, ref_hi, tgt_lo, tgt_hi) -> "_Columns":
+        lists = (ref_lo, ref_hi, tgt_lo, tgt_hi)
+        rl, rh, tl, th = (np.array(c, dtype=np.float64) for c in lists)
+        types = set()
+        for c in lists:
+            types.update(map(type, c))
+        top = max((float(np.abs(f).max()) for f in (rl, rh, tl, th) if f.size),
+                  default=0.0)
+        if types <= {int, float} and top < 2.0 ** 53:
+            # ints below 2**53 and floats are exact as float64, so one IEEE
+            # division is the correctly rounded exact_div value (a Fraction
+            # for int/int, Python's a / b otherwise)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                lo, hi = tl / rh, th / rl
+            lo[rl <= _ZERO_EPS] = np.nan
+            hi[rl <= _ZERO_EPS] = np.nan
+        else:
+            positive = _above(rl, ref_lo, _ZERO_EPS)
+            lo = _ratio_column(tgt_lo, ref_hi, positive)
+            hi = _ratio_column(tgt_hi, ref_lo, positive)
+        return cls(rl, rh, lo, hi, types <= {int} and top ** 3 < 2.0 ** 52)
+
+    def prefix(self, k: int) -> "_Columns":
+        return _Columns(self.ref_lo[:k], self.ref_hi[:k], self.lo[:k],
+                        self.hi[:k], self.ties_exact)
+
+
 class ClassTable:
-    """Canonical classes with length brackets under two models at once."""
+    """Canonical classes with length brackets under two models at once.
+
+    ``columns(swap)`` gives one direction of the table as float64 columns,
+    built on first use and kept on the table; every window sup, the cor14
+    envelope and the classes.csv rows read them.
+    """
 
     def __init__(self, target, ref, radius: int, *,
                  class_cap: int = 4_000_000, window_k_max: int = 2):
@@ -171,6 +246,8 @@ class ClassTable:
         self.reps = iter_class_reps(self.rank, self.radius, class_cap)
         self.ref_lo, self.ref_hi = _eval_class_lengths(ref, self.reps, window_k_max)
         self.tgt_lo, self.tgt_hi = _eval_class_lengths(target, self.reps, window_k_max)
+        self._whole = None  # the table a prefix was cut from
+        self._columns = {}
 
     def __len__(self):
         return len(self.reps)
@@ -179,7 +256,8 @@ class ClassTable:
         """This table cut to the classes of length <= radius <= self.radius.
 
         The same object when radius is this table's radius; reps are
-        sorted by length, so the cut is a prefix of every list.
+        sorted by length, so the cut is a prefix of every list, and its
+        columns are views of this table's.
         """
         if radius == self.radius:
             return self
@@ -190,7 +268,97 @@ class ClassTable:
         cut.reps = self.reps[:k]
         cut.ref_lo, cut.ref_hi = self.ref_lo[:k], self.ref_hi[:k]
         cut.tgt_lo, cut.tgt_hi = self.tgt_lo[:k], self.tgt_hi[:k]
+        cut._whole = self._whole or self
+        cut._columns = {}
         return cut
+
+    def lengths(self, swap: bool = False) -> tuple:
+        """(ref_lo, ref_hi, tgt_lo, tgt_hi) lists, the models exchanged by swap."""
+        if swap:
+            return self.tgt_lo, self.tgt_hi, self.ref_lo, self.ref_hi
+        return self.ref_lo, self.ref_hi, self.tgt_lo, self.tgt_hi
+
+    def columns(self, swap: bool = False) -> _Columns:
+        cols = self._columns.get(swap)
+        if cols is None:
+            if self._whole is None:
+                cols = _Columns.of(*self.lengths(swap))
+            else:
+                cols = self._whole.columns(swap).prefix(len(self.reps))
+            self._columns[swap] = cols
+        return cols
+
+    def ratios(self, swap: bool = False):
+        """The exact (r_lo, r_hi) of one class, as functions of its index."""
+        ref_lo, ref_hi, tgt_lo, tgt_hi = self.lengths(swap)
+
+        def r_lo(i):
+            return exact_div(tgt_lo[i], ref_hi[i])
+
+        def r_hi(i):
+            return exact_div(tgt_hi[i], ref_lo[i])
+
+        return r_lo, r_hi
+
+    def exact_ratio_rows(self):
+        """(r_lo, r_hi) of every class, or None where the reference lo is
+        <= _ZERO_EPS; the exact_div values, read from the float columns
+        wherever exact_div would return a float."""
+        cols = self.columns()
+        for rl, rh, tl, th, fl, fh in zip(self.ref_lo, self.ref_hi,
+                                          self.tgt_lo, self.tgt_hi,
+                                          cols.lo.tolist(), cols.hi.tolist()):
+            if not rl > _ZERO_EPS:
+                yield None
+                continue
+            exact_lo = isinstance(tl, _EXACT) and isinstance(rh, _EXACT)
+            exact_hi = isinstance(th, _EXACT) and isinstance(rl, _EXACT)
+            yield (exact_div(tl, rh) if exact_lo else fl,
+                   exact_div(th, rl) if exact_hi else fh)
+
+
+def _above(f, exact, x):
+    """Mask of exact[i] > x, where ``f`` holds the correctly rounded floats
+    of ``exact``: f[i] and float(x) decide wherever they differ, and exact
+    values are compared only where they are equal."""
+    fx = float(x)
+    mask = f > fx
+    ties = np.flatnonzero(f == fx).tolist()
+    if ties:
+        mask[ties] = [exact[i] > x for i in ties]
+    return mask
+
+
+def _near(f, idx, lowest: bool = False, scale=None):
+    """The indices of ``idx`` (ascending) whose float in f is the extreme.
+
+    f holds correctly rounded floats of exact values, so the exact max (or
+    min) is among the entries whose float equals the float max (min).
+    With ``scale``, every entry within 2**-40 * (|extreme| + scale) of the
+    extreme is kept too: a value computed from the exact ones in float
+    arithmetic of that scale can tie with the extreme only inside that
+    slack.
+    """
+    if not idx.size:
+        return idx
+    ext = f.min() if lowest else f.max()
+    if scale is None or not math.isfinite(ext):
+        return idx[f == ext]
+    return idx[np.abs(f - ext) <= 2.0 ** -40 * (abs(ext) + scale)]
+
+
+def _first_max(cands, value_of, ties_exact: bool = False):
+    """(value, index): the exact max of value_of over cands, first index.
+
+    With ``ties_exact`` the candidates (one float tie) are known equal, and
+    the first decides.
+    """
+    best, at = None, -1
+    for i in cands[:1].tolist() if ties_exact else cands.tolist():
+        v = value_of(i)
+        if best is None or v > best:
+            best, at = v, i
+    return best, at
 
 
 def _class_table(target, ref, radius: int, cfg: VerifierConfig,
@@ -223,43 +391,13 @@ def _build_table(target, ref, radii, cfg: VerifierConfig,
 
 def _window_sup(table: ClassTable, L, radius_needed, *, swap: bool = False,
                 diag_cap: int = 16) -> WindowSup:
-    if swap:
-        ref_lo, ref_hi = table.tgt_lo, table.tgt_hi
-        tgt_lo, tgt_hi = table.ref_lo, table.ref_hi
-    else:
-        ref_lo, ref_hi = table.ref_lo, table.ref_hi
-        tgt_lo, tgt_hi = table.tgt_lo, table.tgt_hi
-    reps = table.reps
-    sup_lo = None
-    sup_hi = None
-    att_idx = -1
-    count = excluded = straddled = 0
-    top: list = []
-    for i in range(len(reps)):
-        rlo = ref_lo[i]
-        if rlo > L:
-            continue
-        if rlo <= _ZERO_EPS:
-            excluded += 1
-            continue
-        rhi = ref_hi[i]
-        straddle = rhi > L
-        count += 1
-        if straddle:
-            straddled += 1
-        r_lo = exact_div(tgt_lo[i], rhi)
-        r_hi = exact_div(tgt_hi[i], rlo)
-        if not straddle and (sup_lo is None or r_lo > sup_lo):
-            sup_lo = r_lo
-        if sup_hi is None or r_hi > sup_hi:
-            sup_hi = r_hi
-            att_idx = i
-        if diag_cap > 0:
-            item = (r_hi, i, r_lo, straddle)
-            if len(top) < diag_cap:
-                heapq.heappush(top, item)
-            elif item > top[0]:
-                heapq.heapreplace(top, item)
+    cols = table.columns(swap)
+    ref_lo, ref_hi, tgt_lo, tgt_hi = table.lengths(swap)
+    seen = ~_above(cols.ref_lo, ref_lo, L)
+    positive = _above(cols.ref_lo, ref_lo, _ZERO_EPS)
+    inc = np.flatnonzero(seen & positive)
+    excluded = int(np.count_nonzero(seen & ~positive))
+    count = len(inc)
     truncated = bool(radius_needed > table.radius)
     if count == 0:
         return WindowSup(
@@ -268,26 +406,42 @@ def _window_sup(table: ClassTable, L, radius_needed, *, swap: bool = False,
             radius=table.radius, radius_needed=radius_needed,
             truncated=truncated, attained=None, empty=True,
         )
-    if sup_lo is None:
-        sup_lo = 0
+    strad = _above(cols.ref_hi, ref_hi, L)[inc]
+    r_lo, r_hi = table.ratios(swap)
+    hi_f = cols.hi[inc]
+    sup_hi, att_idx = _first_max(_near(hi_f, inc), r_hi, cols.ties_exact)
+    inner = inc[~strad]
+    sup_lo = (_first_max(_near(cols.lo[inner], inner), r_lo, cols.ties_exact)[0]
+              if inner.size else 0)
     sup_lo = min(sup_lo, sup_hi)
     rows = []
-    for r_hi, i, r_lo, straddle in sorted(top, reverse=True):
-        rows.append(WindowRow(
-            rep=Word._unchecked(reps[i]),
-            ref_length=LengthBracket(ref_lo[i], ref_hi[i],
-                                     exact=bool(ref_lo[i] == ref_hi[i])),
-            target_length=LengthBracket(tgt_lo[i], tgt_hi[i],
-                                        exact=bool(tgt_lo[i] == tgt_hi[i])),
-            ratio=LengthBracket(r_lo, r_hi, exact=bool(r_lo == r_hi)),
-            straddles=straddle,
-        ))
+    if diag_cap > 0:
+        # the top diag_cap by (r_hi, index): all entries whose float beats
+        # the diag_cap-th largest float, and the exact order among ties
+        cands = inc
+        if count > diag_cap:
+            cut = np.partition(hi_f, count - diag_cap)[count - diag_cap]
+            cands = inc[hi_f >= cut]
+        order = cols.hi.__getitem__ if cols.ties_exact else r_hi
+        top = heapq.nlargest(diag_cap, cands.tolist(), key=lambda i: (order(i), i))
+        for i in top:
+            rh, rl = r_hi(i), r_lo(i)
+            rows.append(WindowRow(
+                rep=Word._unchecked(table.reps[i]),
+                ref_length=LengthBracket(ref_lo[i], ref_hi[i],
+                                         exact=bool(ref_lo[i] == ref_hi[i])),
+                target_length=LengthBracket(tgt_lo[i], tgt_hi[i],
+                                            exact=bool(tgt_lo[i] == tgt_hi[i])),
+                ratio=LengthBracket(rl, rh, exact=bool(rl == rh)),
+                straddles=bool(ref_hi[i] > L),
+            ))
     return WindowSup(
         value=LengthBracket(sup_lo, sup_hi, exact=bool(sup_lo == sup_hi)),
-        L=L, count=count, excluded=excluded, straddled=straddled,
+        L=L, count=count, excluded=excluded,
+        straddled=int(np.count_nonzero(strad)),
         radius=table.radius, radius_needed=radius_needed,
-        truncated=truncated, attained=Word._unchecked(reps[att_idx]), empty=False,
-        rows=tuple(rows),
+        truncated=truncated, attained=Word._unchecked(table.reps[att_idx]),
+        empty=False, rows=tuple(rows),
     )
 
 
@@ -562,37 +716,48 @@ def ratio_envelope_report(target, ref, alpha_lo, beta_hi,
     tol = cfg.tolerance
 
     def judge(L, ws, ref_ws, table):
-        hyp_failed = False
-        hyp_uncertified = ws.truncated
+        cols = table.columns()
+        r_lo, r_hi = table.ratios()
+        a_scale = exact_div(L, alpha_lo + 1)
+        b_scale = exact_div(L, beta_hi + 1)
+        # measurement scope: 0 < ref lo <= reference_factor * L; hypothesis
+        # scope: its part with ref lo <= L
+        scope = (_above(cols.ref_lo, table.ref_lo, _ZERO_EPS)
+                 & ~_above(cols.ref_lo, table.ref_lo, cfg.reference_factor * L))
+        meas = np.flatnonzero(scope)
+        hyp = np.flatnonzero(scope & ~_above(cols.ref_lo, table.ref_lo, L))
+        hyp_failed = hyp_uncertified = False
+        if hyp.size:
+            lo_f, hi_f = cols.lo[hyp], cols.hi[hyp]
+            min_lo = min(map(r_lo, _near(lo_f, hyp, lowest=True)))
+            max_lo = max(map(r_lo, _near(lo_f, hyp)))
+            min_hi = min(map(r_hi, _near(hi_f, hyp, lowest=True)))
+            max_hi = max(map(r_hi, _near(hi_f, hyp)))
+            hyp_failed = min_hi < alpha_lo - tol or max_lo > beta_hi + tol
+            hyp_uncertified = min_lo < alpha_lo - tol or max_hi > beta_hi + tol
+        hyp_uncertified = hyp_uncertified or ws.truncated
+        # Each C0 term is monotone in one ratio, so its max sits at an
+        # extreme of that ratio's column.  Float arithmetic in a term can
+        # tie other classes with it, so every class within float slack of
+        # an extreme is scanned exactly, in table order.
         need_c0 = 0
         cert_c0 = 0
         worst = None
-        refL = cfg.reference_factor * L
-        a_scale = exact_div(L, alpha_lo + 1)
-        b_scale = exact_div(L, beta_hi + 1)
-        for i in range(len(table.reps)):
-            rlo = table.ref_lo[i]
-            if rlo <= _ZERO_EPS or rlo > refL:
-                continue
-            rhi = table.ref_hi[i]
-            r_lo = exact_div(table.tgt_lo[i], rhi)
-            r_hi = exact_div(table.tgt_hi[i], rlo)
-            if rlo <= L:
-                # hypothesis scope
-                if r_hi < alpha_lo - tol or r_lo > beta_hi + tol:
-                    hyp_failed = True
-                if r_lo < alpha_lo - tol or r_hi > beta_hi + tol:
-                    hyp_uncertified = True
-            # measurement: outer bracket, can only overstate the needed C0
-            c = max((alpha_lo - r_lo) * a_scale, (r_hi - beta_hi) * b_scale)
+        lo_f, hi_f = cols.lo[meas], cols.hi[meas]
+        scale = abs(alpha_lo) + abs(beta_hi) + 1
+        # measurement: outer bracket, can only overstate the needed C0
+        for i in np.union1d(_near(lo_f, meas, lowest=True, scale=scale),
+                            _near(hi_f, meas, scale=scale)).tolist():
+            c = max((alpha_lo - r_lo(i)) * a_scale, (r_hi(i) - beta_hi) * b_scale)
             if c > need_c0:
                 need_c0 = c
                 worst = table.reps[i]
-            # refutation: inner bracket, the true ratio escapes for sure
-            c_cert = max((alpha_lo - r_hi) * a_scale, (r_lo - beta_hi) * b_scale)
+        # refutation: inner bracket, the true ratio escapes for sure
+        for i in np.union1d(_near(hi_f, meas, lowest=True, scale=scale),
+                            _near(lo_f, meas, scale=scale)).tolist():
+            c_cert = max((alpha_lo - r_hi(i)) * a_scale, (r_lo(i) - beta_hi) * b_scale)
             if c_cert > cert_c0:
                 cert_c0 = c_cert
-        need_c0 = max(need_c0, 0)
         if hyp_failed:
             verdict = HYPOTHESIS_FAILED
             bound = None
@@ -625,23 +790,31 @@ def ratio_envelope_report(target, ref, alpha_lo, beta_hi,
 
 
 def joint_vs_dilation_report(model, s, config: Optional[VerifierConfig] = None,
-                             window_L=None) -> DilationReport:
+                             window_L=None, *, tables: Optional[dict] = None
+                             ) -> DilationReport:
     """Windowed Dil(model, word metric of S) against the joint stable length.
 
     The two agree for isometric actions on hyperbolic spaces; the check
     certifies Dil <= joint on the window and reports the equality gap.
+    ``s`` may be a GeneratingSet, a list of words, or a prebuilt
+    WordMetricModel, whose table a ``tables`` dict can then share with the
+    other reports against the same reference.
     """
     cfg = config or VerifierConfig()
-    if isinstance(s, GeneratingSet):
-        words = list(s.elements)
-        gens = s
+    if isinstance(s, WordMetricModel):
+        ref = s
+        words = list(s.gens.elements)
     else:
-        words = _as_words(s)
-        gens = GeneratingSet(rank=model.rank, elements=tuple(words))
-    ref = WordMetricModel(gens)
+        if isinstance(s, GeneratingSet):
+            words = list(s.elements)
+            gens = s
+        else:
+            words = _as_words(s)
+            gens = GeneratingSet(rank=model.rank, elements=tuple(words))
+        ref = WordMetricModel(gens)
     L = window_L if window_L is not None else max(cfg.L_values)
     needed = ref.window_radius(L)
-    table = _build_table(model, ref, [needed], cfg)
+    table = _build_table(model, ref, [needed], cfg, tables)
     ws = _window_sup(table, L, needed, diag_cap=cfg.diagnostics_cap)
     profile = joint_stable_profile(model, words, cfg.n_max,
                                    frontier_cap=cfg.frontier_cap)

@@ -39,12 +39,13 @@ import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache, partial
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .actions import LengthBracket, exact_div
+from .actions import LengthBracket
 from .bounds import (
     VerifierConfig,
     WindowRow,
@@ -568,9 +569,8 @@ def _require(cond, what):
         raise InputError(what)
 
 
-def _word_metric_reference(scen: Scenario, reference):
-    if isinstance(reference, WordMetricModel):
-        return reference
+def _subset_reference(scen: Scenario) -> WordMetricModel:
+    """The word metric of the scenario's subset."""
     subset = scen.data["subset"]
     _require(subset is not None,
              "this check needs a word-metric reference or a subset")
@@ -590,8 +590,14 @@ def _spectral_instances(scen: Scenario, target):
 
 
 def _run_token(token: str, scen: Scenario, cfg: VerifierConfig,
-               target, reference, *, tables: Optional[dict] = None) -> dict:
+               target, reference, *, tables: Optional[dict] = None,
+               subset_reference=None) -> dict:
+    """One verifier's entry.  ``subset_reference()`` gives the word metric
+    of the subset (built per call when not given), so that the checks of a
+    run can share it and, through ``tables``, its class table."""
     p = scen.params
+    if subset_reference is None:
+        subset_reference = partial(_subset_reference, scen)
     tol = cfg.tolerance
     if token in ("thm13", "cor17"):
         _require(target is not None and reference is not None,
@@ -603,11 +609,9 @@ def _run_token(token: str, scen: Scenario, cfg: VerifierConfig,
                 "verdict": _worst(r.verdict for r in reports)}
     if token == "thm15":
         _require(target is not None, "verifier thm15 needs a target model")
-        ref = _word_metric_reference(scen, reference)
-        # a reference built from the subset serves this call only: keeping
-        # its table for the run would hold memory no later check reads
-        reports = word_metric_dilation_report(
-            target, ref, cfg, tables=tables if ref is reference else None)
+        ref = (reference if isinstance(reference, WordMetricModel)
+               else subset_reference())
+        reports = word_metric_dilation_report(target, ref, cfg, tables=tables)
         return {"reports": [_jsonable(r) for r in reports],
                 "verdict": _worst(r.verdict for r in reports)}
     if token == "cor14":
@@ -672,8 +676,8 @@ def _run_token(token: str, scen: Scenario, cfg: VerifierConfig,
     if token == "prop31":
         _require(target is not None and scen.data["subset"] is not None,
                  "verifier prop31 needs a target model and a subset")
-        words = [Word(e) for e in scen.data["subset"]]
-        report = joint_vs_dilation_report(target, words, cfg)
+        report = joint_vs_dilation_report(target, subset_reference(), cfg,
+                                          tables=tables)
         return {"reports": [_jsonable(report)], "verdict": report.verdict}
     if token == "lemma25":
         _require(target is not None, "verifier lemma25 needs a target model")
@@ -722,9 +726,10 @@ def _csv_cell(v):
     return v
 
 
-def _class_rows(scen: Scenario, cfg: VerifierConfig, target, reference, *,
-                tables: Optional[dict] = None):
-    """Per-class table rows: id, reference lo/hi, target lo/hi, ratio lo/hi."""
+def _class_cells(scen: Scenario, cfg: VerifierConfig, target, reference, *,
+                 tables: Optional[dict] = None):
+    """Per-class cells (_CSV_HEADER), one tuple per class: the class as a
+    string, then the numbers, "" where a cell has no value."""
     radius = scen.params["radius"]
     if radius is None:
         radius = cfg.radius_cap
@@ -733,28 +738,32 @@ def _class_rows(scen: Scenario, cfg: VerifierConfig, target, reference, *,
             radius = int(min(needed, cfg.radius_cap))
     primary = target if target is not None else reference
     if primary is None:
-        return []
-    other = reference if target is not None else None
-    rows = []
-    if other is None:
+        return
+    if target is None or reference is None:
         reps = iter_class_reps(scen.rank, int(radius), cfg.class_cap)
         lo, hi = _eval_class_lengths(primary, reps, cfg.window_k_max)
-        for i, rep in enumerate(reps):
-            rows.append((str(Word._unchecked(rep)), "", "", _csv_cell(lo[i]),
-                         _csv_cell(hi[i]), "", ""))
-        return rows
-    table = _class_table(primary, other, radius, cfg, tables)
-    for i, rep in enumerate(table.reps):
-        rlo, rhi = table.ref_lo[i], table.ref_hi[i]
-        tlo, thi = table.tgt_lo[i], table.tgt_hi[i]
-        if rlo > 1e-9:
-            ratio_lo, ratio_hi = exact_div(tlo, rhi), exact_div(thi, rlo)
-        else:
-            ratio_lo = ratio_hi = ""
-        rows.append((str(Word._unchecked(rep)), _csv_cell(rlo), _csv_cell(rhi),
-                     _csv_cell(tlo), _csv_cell(thi), _csv_cell(ratio_lo),
-                     _csv_cell(ratio_hi)))
-    return rows
+        for rep, l, h in zip(reps, lo, hi):
+            yield str(Word._unchecked(rep)), "", "", l, h, "", ""
+        return
+    table = _class_table(target, reference, radius, cfg, tables)
+    for rep, rlo, rhi, tlo, thi, ratio in zip(
+            table.reps, table.ref_lo, table.ref_hi, table.tgt_lo, table.tgt_hi,
+            table.exact_ratio_rows()):
+        yield (str(Word._unchecked(rep)), rlo, rhi, tlo, thi,
+               *(("", "") if ratio is None else ratio))
+
+
+def _csv_line(cells) -> str:
+    """One classes.csv row.  str() of a Fraction, int or float is its CSV
+    text (a float's repr), and no cell holds a comma, quote or newline."""
+    return ",".join(map(str, cells)) + "\n"
+
+
+def _class_rows(scen: Scenario, cfg: VerifierConfig, target, reference, *,
+                tables: Optional[dict] = None) -> list:
+    """classes.csv rows, each one comma-joined line ending in a newline."""
+    return list(map(_csv_line, _class_cells(scen, cfg, target, reference,
+                                            tables=tables)))
 
 
 def _models(scen: Scenario):
@@ -779,15 +788,17 @@ def run(scenario: Scenario, *, max_frontier: Optional[int] = None,
         scenario = scenario.with_overrides(max_frontier=max_frontier)
     cfg = scenario.config()
     target, reference = _models(scenario)
-    # one class table per (target, reference) for the whole run
+    # one class table per (target, reference) and one subset word metric
+    # for the whole run
     tables: dict = {}
+    subset_reference = cache(partial(_subset_reference, scenario))
     entries = []
     capped = False
     for token in scenario.verify:
         t0 = time.perf_counter()
         try:
             entry = _run_token(token, scenario, cfg, target, reference,
-                               tables=tables)
+                               tables=tables, subset_reference=subset_reference)
         except ResourceCapError as e:
             capped = True
             entry = {"status": "resource-cap", "error": str(e),
@@ -813,15 +824,7 @@ def run(scenario: Scenario, *, max_frontier: Optional[int] = None,
 
 _CSV_HEADER = ("class", "ref_lo", "ref_hi", "target_lo", "target_hi",
                "ratio_lo", "ratio_hi")
-
-
-def _classes_csv(rows) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(_CSV_HEADER)
-    for row in rows:
-        w.writerow(row)
-    return buf.getvalue()
+_CSV_HEADER_LINE = ",".join(_CSV_HEADER) + "\n"
 
 
 def emit(report: RunReport, out_dir, fmt: str = "json") -> list:
@@ -832,7 +835,9 @@ def emit(report: RunReport, out_dir, fmt: str = "json") -> list:
     paths[0].write_text(report.to_json())
     if report.class_rows:
         p = out / "classes.csv"
-        p.write_text(_classes_csv(report.class_rows))
+        with p.open("w") as fh:
+            fh.write(_CSV_HEADER_LINE)
+            fh.writelines(report.class_rows)
         paths.append(p)
     if fmt == "csv" and not report.class_rows:
         p = out / "entries.csv"
@@ -867,7 +872,8 @@ def _print_report(report: RunReport, fmt: str):
         for e in report.entries:
             print(f"{e['token']},{e['status']},{e['verdict']}")
         if report.class_rows:
-            sys.stdout.write(_classes_csv(report.class_rows))
+            sys.stdout.write(_CSV_HEADER_LINE)
+            sys.stdout.writelines(report.class_rows)
 
 
 def _load(args) -> Scenario:
@@ -897,17 +903,20 @@ def _cmd_spectrum(args) -> int:
     target, reference = _models(scen)
     if target is None and reference is None:
         raise InputError("spectrum needs a target or reference model")
-    rows = _class_rows(scen, scen.config(), target, reference)
+    cells = list(_class_cells(scen, scen.config(), target, reference))
+    rows = list(map(_csv_line, cells))
     report = RunReport(scenario=scen.data, entries=[], verdict="holds",
                        exit_code=0, env=_env(scen), class_rows=rows)
     if args.out:
         for p in emit(report, args.out, args.format):
             print(f"wrote {p}", file=sys.stderr)
     if args.format == "csv":
-        sys.stdout.write(_classes_csv(rows))
+        sys.stdout.write(_CSV_HEADER_LINE)
+        sys.stdout.writelines(rows)
     else:
-        preview = [dict(zip(_CSV_HEADER, r)) for r in rows[:20]]
-        print(json.dumps({"classes": len(rows), "first": preview},
+        preview = [dict(zip(_CSV_HEADER, map(_csv_cell, c)))
+                   for c in cells[:20]]
+        print(json.dumps({"classes": len(cells), "first": preview},
                          indent=2, sort_keys=True))
     return 0
 

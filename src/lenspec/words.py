@@ -73,6 +73,12 @@ def _parse_letter_string(s: str) -> tuple[int, ...]:
     return tuple(letters)
 
 
+# letter -> its character in a rendered word: a..z, and A..Z for inverses
+_LETTER_CHARS = {sign * i: (c if sign > 0 else c.upper())
+                 for i, c in enumerate(string.ascii_lowercase, 1)
+                 for sign in (1, -1)}
+
+
 @dataclass(frozen=True, slots=True)
 class Word:
     """A reduced word in a free group.
@@ -140,13 +146,10 @@ class Word:
     def __str__(self) -> str:
         if not self.letters:
             return "e"
-        if self.max_index() > 26:
-            return ".".join(str(x) for x in self.letters)
-        out = []
-        for x in self.letters:
-            c = string.ascii_lowercase[abs(x) - 1]
-            out.append(c if x > 0 else c.upper())
-        return "".join(out)
+        try:
+            return "".join(map(_LETTER_CHARS.__getitem__, self.letters))
+        except KeyError:  # a letter beyond rank 26
+            return ".".join(map(str, self.letters))
 
     def __repr__(self) -> str:
         return f"Word({str(self)!r})"

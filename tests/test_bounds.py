@@ -434,6 +434,18 @@ def test_joint_vs_dilation_accepts_plain_words():
     assert r.verdict == HOLDS
 
 
+def test_joint_vs_dilation_shares_a_word_metric_table(monkeypatch):
+    built = _count_tables(monkeypatch)
+    cfg = VerifierConfig(L_values=(4,))
+    ref = WordMetricModel(GeneratingSet(2, ["a", "A", "b", "B"]))
+    tables = {}
+    windows = word_metric_dilation_report(WB2, ref, cfg, tables=tables)
+    joint = joint_vs_dilation_report(WB2, ref, cfg, tables=tables)
+    assert built == [12]
+    assert joint == joint_vs_dilation_report(WB2, ["a", "A", "b", "B"], cfg)
+    assert windows[0].window_sup == LengthBracket(2, 2, exact=True)
+
+
 # ---------------------------------------------------- displacement balls
 
 

@@ -20,6 +20,7 @@ from lenspec.cli import (
     run,
 )
 from lenspec.errors import InputError
+from lenspec.words import Word, iter_class_reps
 
 SCEN_DIR = Path(__file__).resolve().parents[1] / "src" / "lenspec" / "scenarios"
 SHIPPED = sorted(SCEN_DIR.glob("*.json"))
@@ -235,6 +236,23 @@ def test_run_builds_one_class_table(monkeypatch):
     assert len(built) == 1
 
 
+def test_run_shares_the_subset_word_metric(monkeypatch):
+    # thm15 and prop31 read one table against one word metric of the
+    # subset; thm13 and the classes.csv rows share the tree pair's table
+    built = []
+    init = bounds.ClassTable.__init__
+
+    def counting(self, target, ref, radius, **kwargs):
+        built.append((type(ref).__name__, radius))
+        init(self, target, ref, radius, **kwargs)
+
+    monkeypatch.setattr(bounds.ClassTable, "__init__", counting)
+    rep = run(load_scenario(SCEN_DIR / "identical-actions.json"),
+              with_classes=True)
+    assert rep.verdict == "holds"
+    assert built == [("TreeModel", 8), ("WordMetricModel", 12)]
+
+
 def test_emit_writes_report_and_classes(tmp_path):
     scen = load_scenario(SCEN_DIR / "identical-actions.json")
     rep = run(scen, with_classes=True)
@@ -322,6 +340,59 @@ def test_main_frontier_cap_exits_3(tmp_path, capsys):
     assert code == 3
     body = json.loads(capsys.readouterr().out)
     assert body["entries"][0]["status"] == "resource-cap"
+
+
+def test_main_spectrum_json_counts_and_previews_rows(capsys):
+    # tree-pair: target weights (1, 2) against the unit tree, radius 8
+    code = main(["spectrum", "--scenario", str(SCEN_DIR / "tree-pair.json")])
+    assert code == 0
+    body = json.loads(capsys.readouterr().out)
+    reps = iter_class_reps(2, 8)
+    assert body["classes"] == len(reps)
+    want = []
+    for rep in reps[:20]:
+        n, t = len(rep), sum(1 if abs(x) == 1 else 2 for x in rep)
+        # int lengths stay JSON numbers; Fraction ratios are their text
+        want.append({"class": str(Word(rep)), "ref_lo": n, "ref_hi": n,
+                     "target_lo": t, "target_hi": t,
+                     "ratio_lo": str(Fraction(t, n)),
+                     "ratio_hi": str(Fraction(t, n))})
+    assert body["first"] == want
+
+
+def test_main_spectrum_json_keeps_cell_types(tmp_path, capsys):
+    # Fraction and float lengths render as text, blank cells as ""
+    p = tmp_path / "spec.json"
+    p.write_text(json.dumps({"target": {"kind": "tree", "weights": [0.5, 1]},
+                             "params": {"radius": 1}}))
+    assert main(["spectrum", "--scenario", str(p)]) == 0
+    first = json.loads(capsys.readouterr().out)["first"]
+    assert first[0] == {"class": "a", "ref_lo": "", "ref_hi": "",
+                        "target_lo": "0.5", "target_hi": "0.5",
+                        "ratio_lo": "", "ratio_hi": ""}
+    assert first[2]["target_lo"] == 1
+    p.write_text(json.dumps({
+        "target": {"kind": "tree"},
+        "reference": {"kind": "word-metric",
+                      "elements": ["a", "A", "b", "B", "ab", "BA"]},
+        "params": {"radius": 1}}))
+    assert main(["spectrum", "--scenario", str(p)]) == 0
+    first = json.loads(capsys.readouterr().out)["first"]
+    # the word metric's hi is a Fraction even where it is whole
+    assert first[0] == {"class": "a", "ref_lo": "1/2", "ref_hi": "1",
+                        "target_lo": 1, "target_hi": 1,
+                        "ratio_lo": "1", "ratio_hi": "2"}
+
+
+def test_main_verify_csv_stdout_equals_classes_csv(tmp_path, capsys):
+    code = main(["verify", "--scenario", str(SCEN_DIR / "word-metric-window.json"),
+                 "--format", "csv", "--out", str(tmp_path)])
+    assert code == 0
+    out = capsys.readouterr().out
+    classes = (tmp_path / "classes.csv").read_text()
+    assert classes.startswith("class,ref_lo,ref_hi,target_lo,target_hi,"
+                              "ratio_lo,ratio_hi\n")
+    assert out == "thm15,ok,holds\n" + classes
 
 
 def test_main_spectrum_csv(tmp_path, capsys):

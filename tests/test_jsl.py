@@ -10,12 +10,14 @@ import math
 import pkgutil
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import lenspec
 from lenspec.actions import LengthBracket
+from lenspec.cli import load_scenario, run
 from lenspec.errors import InputError, ResourceCapError
 from lenspec.jsl import (
     BochiConstants,
@@ -28,6 +30,8 @@ from lenspec.jsl import (
     tree_joint_profile,
 )
 from lenspec.spaces import TreeModel, WordMetricModel, build_schottky
+
+SCEN_DIR = Path(__file__).resolve().parents[1] / "src" / "lenspec" / "scenarios"
 from lenspec.words import GeneratingSet, Word
 
 
@@ -317,6 +321,10 @@ def test_engines_leave_module_state_unchanged():
     tree_joint_profile(m, ["abA", "aBA"], n_max=8)
     tree_joint_profile(m, ["ab", "bA", "aab"], n_max=8)
     joint_stable_profile(m, ["a", "bA"], n_max=4, engine="products")
+    # a whole run: class tables, their ratio columns and the subset word
+    # metric live on the run and its tables, never in a module
+    scen = SCEN_DIR / "tree-pair.json"
+    assert run(load_scenario(scen), with_classes=True).verdict == "holds"
     assert _module_container_sizes() == before
 
 
