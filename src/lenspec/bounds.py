@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
@@ -41,7 +40,7 @@ from .jsl import (
     joint_stable_profile,
 )
 from .spaces import MobiusModel, TreeModel, WordMetricModel
-from .words import ConjClass, GeneratingSet, Word, enumerate_ball, iter_class_reps
+from .words import ROW_CHUNK, ClassCodes, GeneratingSet, Word, enumerate_ball
 
 __all__ = [
     "HOLDS",
@@ -139,26 +138,45 @@ class WindowSup:
     rows: tuple = ()
 
 
-def _eval_class_lengths(model, reps, k_max):
-    """Per-class stable-length lo/hi lists for a model over canonical reps."""
-    cl = getattr(model, "class_length", None)
-    if cl is not None:
-        vals = [cl(r) for r in reps]
-        return vals, vals
-    br = getattr(model, "class_length_bracket", None)
-    if br is not None:
-        lows, highs = [], []
-        for r in reps:
-            lo, hi = br(r, k_max)
-            lows.append(lo)
-            highs.append(hi)
-        return lows, highs
-    lows, highs = [], []
-    for r in reps:
-        b = model.stable_length(ConjClass(rep=Word._unchecked(r)), k_max=k_max)
-        lows.append(b.lo)
-        highs.append(b.hi)
-    return lows, highs
+def _eval_class_lengths(model, codes: ClassCodes, k_max):
+    """(lo, hi, lo floats, hi floats): the stable-length bracket of every
+    class of ``codes`` under ``model``, as lists and as float64 columns.
+
+    The values are the model's class_length, or else its
+    class_length_bracket.  Where that per-class method is the one of the
+    class family defining its bulk form (class_lengths,
+    class_length_brackets), the bulk form evaluates a length block at a
+    time; a model overriding the per-class method, or one whose bulk form
+    declines (returns None), is evaluated class by class.
+    """
+    if hasattr(model, "class_length"):
+        lengths = _bulk(model, "class_length", codes)
+        if lengths is None:
+            vals = [model.class_length(r) for r in codes.reps]
+            lengths = vals, np.array(vals, dtype=np.float64)
+        vals, floats = lengths
+        return vals, vals, floats, floats
+    if hasattr(model, "class_length_bracket"):
+        brackets = _bulk(model, "class_length_bracket", codes, k_max)
+        if brackets is None:
+            pairs = [model.class_length_bracket(r, k_max) for r in codes.reps]
+            lo, hi = [p[0] for p in pairs], [p[1] for p in pairs]
+            brackets = (lo, hi, np.array(lo, dtype=np.float64),
+                        np.array(hi, dtype=np.float64))
+        return brackets
+    raise InputError(f"{type(model).__name__} has neither class_length "
+                     "nor class_length_bracket")
+
+
+def _bulk(model, name: str, *args):
+    """The bulk form ``name + "s"`` of the per-class method ``name`` over
+    ``args``, or None: when the model's class overrides the per-class
+    method below the family that defines the bulk form, or none does."""
+    cls = type(model)
+    family = next((k for k in cls.__mro__ if name + "s" in vars(k)), None)
+    if family is None or getattr(family, name, None) is not getattr(cls, name):
+        return None
+    return getattr(model, name + "s")(*args)
 
 
 def _ratio_column(tops, bottoms, positive) -> np.ndarray:
@@ -200,9 +218,11 @@ class _Columns:
     ties_exact: bool
 
     @classmethod
-    def of(cls, ref_lo, ref_hi, tgt_lo, tgt_hi) -> "_Columns":
-        lists = (ref_lo, ref_hi, tgt_lo, tgt_hi)
-        rl, rh, tl, th = (np.array(c, dtype=np.float64) for c in lists)
+    def of(cls, lists, floats) -> "_Columns":
+        """From the (ref_lo, ref_hi, tgt_lo, tgt_hi) lists and their
+        float64 columns."""
+        ref_lo, ref_hi, tgt_lo, tgt_hi = lists
+        rl, rh, tl, th = floats
         types = set()
         for c in lists:
             types.update(map(type, c))
@@ -230,22 +250,34 @@ class _Columns:
 class ClassTable:
     """Canonical classes with length brackets under two models at once.
 
-    ``columns(swap)`` gives one direction of the table as float64 columns,
-    built on first use and kept on the table; every window sup, the cor14
-    envelope and the classes.csv rows read them.
+    ``classes`` (a ClassCodes) holds the classes as letter tuples
+    (``reps``) and as code blocks, from one walk or cut from the classes
+    of another table of the rank (see ``_class_table``).  ``columns(swap)``
+    gives one direction of the table as float64 columns, built on first
+    use and kept on the table; every window sup, the cor14 envelope and
+    the classes.csv rows read them.
     """
 
     def __init__(self, target, ref, radius: int, *,
-                 class_cap: int = 4_000_000, window_k_max: int = 2):
+                 class_cap: int = 4_000_000, window_k_max: int = 2,
+                 classes: Optional[ClassCodes] = None):
         if target.rank != ref.rank:
             raise InputError(
                 f"rank mismatch: target {target.rank}, reference {ref.rank}"
             )
         self.rank = target.rank
         self.radius = int(radius)
-        self.reps = iter_class_reps(self.rank, self.radius, class_cap)
-        self.ref_lo, self.ref_hi = _eval_class_lengths(ref, self.reps, window_k_max)
-        self.tgt_lo, self.tgt_hi = _eval_class_lengths(target, self.reps, window_k_max)
+        if classes is None:
+            classes = ClassCodes.walk(self.rank, self.radius, class_cap)
+        elif classes.rank != self.rank or classes.radius < self.radius:
+            raise InputError("classes of another rank or a smaller radius")
+        self.classes = classes.prefix(self.radius)
+        self.reps = self.classes.reps
+        self.ref_lo, self.ref_hi, ref_lo_f, ref_hi_f = _eval_class_lengths(
+            ref, self.classes, window_k_max)
+        self.tgt_lo, self.tgt_hi, tgt_lo_f, tgt_hi_f = _eval_class_lengths(
+            target, self.classes, window_k_max)
+        self._floats = (ref_lo_f, ref_hi_f, tgt_lo_f, tgt_hi_f)
         self._whole = None  # the table a prefix was cut from
         self._columns = {}
 
@@ -261,11 +293,12 @@ class ClassTable:
         """
         if radius == self.radius:
             return self
-        k = bisect_right(self.reps, radius, key=len)
         cut = object.__new__(ClassTable)
         cut.rank = self.rank
         cut.radius = radius
-        cut.reps = self.reps[:k]
+        cut.classes = self.classes.prefix(radius)
+        cut.reps = cut.classes.reps
+        k = len(cut.reps)
         cut.ref_lo, cut.ref_hi = self.ref_lo[:k], self.ref_hi[:k]
         cut.tgt_lo, cut.tgt_hi = self.tgt_lo[:k], self.tgt_hi[:k]
         cut._whole = self._whole or self
@@ -282,7 +315,9 @@ class ClassTable:
         cols = self._columns.get(swap)
         if cols is None:
             if self._whole is None:
-                cols = _Columns.of(*self.lengths(swap))
+                rl, rh, tl, th = self._floats
+                floats = (tl, th, rl, rh) if swap else (rl, rh, tl, th)
+                cols = _Columns.of(self.lengths(swap), floats)
             else:
                 cols = self._whole.columns(swap).prefix(len(self.reps))
             self._columns[swap] = cols
@@ -307,7 +342,8 @@ class ClassTable:
         cols = self.columns()
         for rl, rh, tl, th, fl, fh in zip(self.ref_lo, self.ref_hi,
                                           self.tgt_lo, self.tgt_hi,
-                                          cols.lo.tolist(), cols.hi.tolist()):
+                                          _floats_of(cols.lo),
+                                          _floats_of(cols.hi)):
             if not rl > _ZERO_EPS:
                 yield None
                 continue
@@ -315,6 +351,13 @@ class ClassTable:
             exact_hi = isinstance(th, _EXACT) and isinstance(rl, _EXACT)
             yield (exact_div(tl, rh) if exact_lo else fl,
                    exact_div(th, rl) if exact_hi else fh)
+
+
+def _floats_of(column):
+    """The entries of a float64 column as Python floats, converted a row
+    chunk at a time, so no list of the whole column is held."""
+    for start in range(0, len(column), ROW_CHUNK):
+        yield from column[start:start + ROW_CHUNK].tolist()
 
 
 def _above(f, exact, x):
@@ -366,9 +409,10 @@ def _class_table(target, ref, radius: int, cfg: VerifierConfig,
     """The class table of (target, ref) up to radius, reusing ``tables``.
 
     ``tables`` maps (target, ref, class_cap, window_k_max) to the largest
-    table built so far for that pair; a smaller radius gets a prefix of it.
-    The caller owns the dict and decides how long tables live; without
-    one every call builds a fresh table.
+    table built so far for that pair; a smaller radius gets a prefix of it,
+    and a new table takes its classes from any table of the dict that has
+    them (``_shared_classes``).  The caller owns the dict and decides how long
+    tables live; without one every call builds a fresh table.
     """
     radius = int(radius)
     key = (target, ref, cfg.class_cap, cfg.window_k_max)
@@ -376,10 +420,23 @@ def _class_table(target, ref, radius: int, cfg: VerifierConfig,
     if table is not None and table.radius >= radius:
         return table.prefix(radius)
     table = ClassTable(target, ref, radius, class_cap=cfg.class_cap,
-                       window_k_max=cfg.window_k_max)
+                       window_k_max=cfg.window_k_max,
+                       classes=_shared_classes(target.rank, radius,
+                                               cfg.class_cap, tables))
     if tables is not None:
         tables[key] = table
     return table
+
+
+def _shared_classes(rank: int, radius: int, class_cap: int,
+                    tables: Optional[dict]) -> Optional[ClassCodes]:
+    """The classes of length <= radius of a table in ``tables`` with this
+    rank and class_cap and at least this radius, or None: with them a run
+    walks the classes of a rank once."""
+    for (_, _, cap, _), table in (tables or {}).items():
+        if cap == class_cap and table.rank == rank and table.radius >= radius:
+            return table.classes.prefix(radius)
+    return None
 
 
 def _build_table(target, ref, radii, cfg: VerifierConfig,

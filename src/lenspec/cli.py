@@ -51,6 +51,7 @@ from .bounds import (
     WindowRow,
     _class_table,
     _eval_class_lengths,
+    _shared_classes,
     cobounded_dilation_report,
     dilation_window,
     displacement_sandwich_report,
@@ -71,7 +72,7 @@ from .spaces import (
     WordMetricModel,
     build_schottky,
 )
-from .words import GeneratingSet, Word, iter_class_reps
+from .words import ClassCodes, GeneratingSet, Word
 
 try:
     from importlib.metadata import version as _pkg_version
@@ -740,17 +741,18 @@ def _class_cells(scen: Scenario, cfg: VerifierConfig, target, reference, *,
     if primary is None:
         return
     if target is None or reference is None:
-        reps = iter_class_reps(scen.rank, int(radius), cfg.class_cap)
-        lo, hi = _eval_class_lengths(primary, reps, cfg.window_k_max)
-        for rep, l, h in zip(reps, lo, hi):
-            yield str(Word._unchecked(rep)), "", "", l, h, "", ""
+        codes = _shared_classes(scen.rank, int(radius), cfg.class_cap, tables)
+        if codes is None:
+            codes = ClassCodes.walk(scen.rank, int(radius), cfg.class_cap)
+        lo, hi, _, _ = _eval_class_lengths(primary, codes, cfg.window_k_max)
+        for name, l, h in zip(codes.names(), lo, hi):
+            yield name, "", "", l, h, "", ""
         return
     table = _class_table(target, reference, radius, cfg, tables)
-    for rep, rlo, rhi, tlo, thi, ratio in zip(
-            table.reps, table.ref_lo, table.ref_hi, table.tgt_lo, table.tgt_hi,
-            table.exact_ratio_rows()):
-        yield (str(Word._unchecked(rep)), rlo, rhi, tlo, thi,
-               *(("", "") if ratio is None else ratio))
+    for name, rlo, rhi, tlo, thi, ratio in zip(
+            table.classes.names(), table.ref_lo, table.ref_hi, table.tgt_lo,
+            table.tgt_hi, table.exact_ratio_rows()):
+        yield (name, rlo, rhi, tlo, thi, *(("", "") if ratio is None else ratio))
 
 
 def _csv_line(cells) -> str:

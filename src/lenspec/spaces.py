@@ -19,7 +19,7 @@ import numpy as np
 
 from .actions import ActionModel, AnosovCertificate, LengthBracket, anosov_certificate, exact_div
 from .errors import InputError, NumericError, SearchExhaustedError
-from .words import ConjClass, GeneratingSet, Word, word_length
+from .words import ClassCodes, ConjClass, GeneratingSet, Word, _code_letters, word_length
 
 __all__ = [
     "TreeModel",
@@ -29,6 +29,11 @@ __all__ = [
     "SchottkyAction",
     "build_schottky",
 ]
+
+
+def _per_code(value_of_letter, rank: int) -> list:
+    """value_of_letter of the letter of each code (a, A, b, B, ...)."""
+    return list(map(value_of_letter, _code_letters(rank)))
 
 
 # ---------------------------------------------------------------- trees
@@ -82,6 +87,58 @@ class TreeModel(ActionModel):
     def class_length(self, letters):
         w = self.weights
         return sum(w[abs(x) - 1] for x in letters)
+
+    def class_lengths(self, codes: ClassCodes):
+        """(class_length of every class of ``codes``, their float64 values).
+
+        A weight gather per column of a length block, summed in letter
+        order as class_length sums: exact weights as ints scaled by the
+        lcm of their denominators, and from a row's first float weight on
+        in float64, so every value and its type (int, Fraction, float)
+        are class_length's.  None for a weight of another type (a numpy
+        scalar): the caller then evaluates class by class.
+        """
+        w = self.weights
+        if not all(type(x) in (int, Fraction, float) for x in w):
+            return None
+        den = math.lcm(*(x.denominator for x in w if type(x) is Fraction))
+        scaled = [0 if type(x) is float else int(x * den) for x in w]
+        big = den >= 2 ** 53 or max(scaled) * codes.radius >= 2 ** 53
+        dtype = object if big else np.int64   # object: Python ints
+
+        def table(f, dt):
+            return np.array(_per_code(lambda x: f(abs(x) - 1), self.rank), dt)
+
+        exact_w = table(scaled.__getitem__, dtype)
+        float_w = table(lambda i: float(w[i]), np.float64)
+        is_float = table(lambda i: type(w[i]) is float, bool)
+        is_frac = table(lambda i: type(w[i]) is Fraction, bool)
+        floats_seen = bool(is_float.any())
+        vals, floats = [], []
+        for block in codes.blocks:
+            exact = np.zeros(len(block), dtype)  # den * the exact part
+            flt = np.zeros(len(block))           # the sum from a float on
+            went = np.zeros(len(block), bool)    # a float weight was met
+            for col in block.T:
+                if floats_seen:
+                    wf = float_w[col]
+                    start = is_float[col] & ~went
+                    exact_f = (exact / den).astype(np.float64)
+                    flt = np.where(went, flt + wf,
+                                   np.where(start, exact_f + wf, flt))
+                    went |= start
+                exact = exact + exact_w[col]
+            exact_f = (exact / den).astype(np.float64)
+            if not floats_seen and den == 1:
+                vals += exact.tolist()
+                floats.append(exact_f)
+                continue
+            frac = is_frac[block].any(axis=1)
+            vals += [f if g else Fraction(e, den) if q else e // den
+                     for e, f, g, q in zip(exact.tolist(), flt.tolist(),
+                                           went.tolist(), frac.tolist())]
+            floats.append(np.where(went, flt, exact_f))
+        return vals, _joined(floats)
 
     def exact_stable_length(self, c: ConjClass):
         return self.displacement(c.rep)
@@ -253,8 +310,113 @@ class WordMetricModel(ActionModel):
                 hi = cand
         return min(lo, hi), hi
 
+    def class_length_brackets(self, codes: ClassCodes, k_max: int = 2):
+        """(lo, hi, lo floats, hi floats): class_length_bracket of every
+        class of ``codes`` as two lists and as float64 columns.
+
+        A standard set is its tree's class_lengths.  Otherwise the
+        spelling cost of u^k for k <= k_max is a min-plus DP over the
+        columns of a length block, for all its rows at once, capped by the
+        sum of the letter costs as cost_upper caps it: in ints scaled by
+        the lcm of the denominators when every piece weight, letter cost
+        and the comparison constant are exact, in float64 when every one
+        is a finite float.  None for a set mixing the two: the caller
+        then evaluates class by class.
+        """
+        if self._standard:
+            lengths = self._tree.class_lengths(codes)
+            if lengths is None:
+                return None
+            vals, floats = lengths
+            return vals, vals, floats, floats
+        weights = [*self._table.values(), *self._letter_cost.values()]
+        kinds = {type(w) for w in weights} | {type(self._c_cmp)}
+        b = 2 * self.rank
+        n_max = k_max * codes.radius
+        if kinds <= {int, Fraction}:
+            den = math.lcm(*(Fraction(w).denominator for w in weights))
+            scale, inf = (lambda w: int(w * den)), 2 ** 61
+            bulk = max(weights) * den * n_max < 2 ** 60
+        else:
+            den, scale, inf = None, float, math.inf
+            bulk = kinds == {float} and all(map(math.isfinite, weights))
+        if not (bulk and k_max >= 1 and b ** self._max_piece < 2 ** 62):
+            return None
+        code = {x: c for c, x in enumerate(_code_letters(self.rank))}
+        pieces = []   # pieces[l-1]: sorted keys and weights of length-l entries
+        for l in range(1, self._max_piece + 1):
+            keyed = sorted((sum(code[x] * b ** (l - 1 - j) for j, x in enumerate(k)),
+                            scale(w)) for k, w in self._table.items() if len(k) == l)
+            pieces.append((np.array([k for k, _ in keyed], dtype=np.int64),
+                           np.array([w for _, w in keyed],
+                                    dtype=np.float64 if den is None else np.int64)))
+        letter_cost = np.array(_per_code(lambda x: scale(self._letter_cost[x]),
+                                         self.rank))
+        lo, hi, lo_f, hi_f = [], [], [], []
+        for rows in codes.row_chunks():
+            costs = _spelling_costs(rows, k_max, pieces, letter_cost, b, inf)
+            lo_n = exact_div(rows.shape[1], self._c_cmp)
+            if den is None:
+                # exact_div(cost, k) is cost / k for a float cost; min
+                # keeps the first of equal values, which are one float
+                best = costs[0]
+                for k, cost in enumerate(costs[1:], 2):
+                    best = np.where(cost / k < best, cost / k, best)
+                low = np.where(best < lo_n, best, lo_n)
+                lo += low.tolist()
+                hi += best.tolist()
+                lo_f.append(low)
+                hi_f.append(best)
+                continue
+            # exact: every bracket is a Fraction, one per distinct cost row
+            uniq, inv = np.unique(np.stack(costs, axis=1), axis=0,
+                                  return_inverse=True)
+            brackets = []
+            for row in uniq.tolist():
+                best = None
+                for k, cost in enumerate(row, 1):
+                    cand = Fraction(cost, den * k)
+                    if best is None or cand < best:
+                        best = cand
+                brackets.append((min(lo_n, best), best))
+            inv = inv.ravel().tolist()
+            lo += [brackets[i][0] for i in inv]
+            hi += [brackets[i][1] for i in inv]
+            lo_f.append(np.array([float(p[0]) for p in brackets])[inv])
+            hi_f.append(np.array([float(p[1]) for p in brackets])[inv])
+        return lo, hi, _joined(lo_f), _joined(hi_f)
+
     def window_radius(self, length_bound) -> int:
         return math.ceil(length_bound * self._c_cmp)
+
+
+def _spelling_costs(rows, k_max, pieces, letter_cost, base, inf) -> list:
+    """cost_upper of u^k, k = 1..k_max, for every row u of a code block.
+
+    dp[i] is _spell_cost's: the cheapest spelling of the first i letters
+    of u^k_max by table pieces, ``inf`` where there is none; a piece is
+    keyed by its codes in base ``base``.  The spelling of u^k is dp[k*n],
+    capped by the letter-cost sum of its k*n letters, added in order.
+    """
+    n = rows.shape[1]
+    zero = np.zeros(len(rows), dtype=letter_cost.dtype)
+    dp = [zero]          # dp[-l] is dp[i - l] at step i
+    per_letter = zero
+    keys = []            # keys[l-1]: the piece of length l ending at i
+    out = []
+    for i in range(1, k_max * n + 1):
+        x = rows[:, (i - 1) % n].astype(np.int64)
+        keys = [x] + [key * base + x for key in keys[:len(pieces) - 1]]
+        best = np.full(len(rows), inf, dtype=letter_cost.dtype)
+        for (tk, tw), key, prev in zip(pieces, keys, reversed(dp)):
+            if tk.size:
+                at = np.minimum(np.searchsorted(tk, key), tk.size - 1)
+                best = np.minimum(best, prev + np.where(tk[at] == key, tw[at], inf))
+        dp = (dp + [best])[-len(pieces):]
+        per_letter = per_letter + letter_cost[x]
+        if i % n == 0:
+            out.append(np.minimum(best, per_letter))
+    return out
 
 
 # ------------------------------------------------------- matrix models
@@ -273,6 +435,60 @@ def _sv_pair_2x2(a: np.ndarray) -> tuple[float, float]:
     s1 = math.sqrt(max((f + q) / 2.0, 0.0))
     s2 = d / s1 if s1 > 0 else 0.0
     return s1, s2
+
+
+def _joined(parts) -> np.ndarray:
+    return np.concatenate(parts) if parts else np.zeros(0)
+
+
+def _lambda1(tr: complex, det: complex) -> float:
+    """Spectral radius of a 2x2 matrix from its trace and determinant."""
+    if not (math.isfinite(abs(tr)) and math.isfinite(abs(det))):
+        raise NumericError("matrix overflow in class length evaluation")
+    q = cmath.sqrt(tr * tr - 4.0 * det)
+    return max(abs(tr + q), abs(tr - q)) / 2.0
+
+
+def _cmul(ar, ai, br, bi):
+    """(a*b).real, (a*b).imag with the operations of Python's complex a*b."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _cmuladd(ar, ai, br, bi, cr, ci, dr, di):
+    """a*b + c*d, real and imaginary parts, as Python's complex arithmetic."""
+    (p, q), (r, t) = _cmul(ar, ai, br, bi), _cmul(cr, ci, dr, di)
+    return p + r, q + t
+
+
+def _lambda1_rows(trr, tri, dr, di) -> np.ndarray:
+    """_lambda1 of arrays of traces and determinants, bit for bit.
+
+    cmath.sqrt is CPython's algorithm, s = 2 sqrt(|x|/8 + hypot(|x|/8,
+    |y|/8)) for z = x + iy, and abs(z) is hypot; IEEE arithmetic and the
+    C library's hypot round each step alike.  Rows outside that path
+    (an infinite or overflowing value, a zero or subnormal discriminant)
+    are finished by _lambda1 itself, which also raises its errors.
+    """
+    with np.errstate(all="ignore"):
+        zr, zi = _cmul(trr, tri, trr, tri)
+        # 4.0 * det: a signed zero of this product can differ from
+        # complex multiplication, which moves neither hypot below
+        zr, zi = zr - 4.0 * dr, zi - 4.0 * di
+        ax, ay = np.abs(zr) / 8.0, np.abs(zi) / 8.0
+        s = 2.0 * np.sqrt(ax + np.hypot(ax, ay))
+        d = np.abs(zi) / (2.0 * s)
+        pos = zr >= 0.0
+        qr = np.where(pos, s, d)
+        qi = np.copysign(np.where(pos, d, s), zi)
+        lam = np.maximum(np.hypot(trr + qr, tri + qi),
+                         np.hypot(trr - qr, tri - qi)) / 2.0
+        tiny = np.finfo(np.float64).tiny
+        odd = ~(np.isfinite(np.hypot(trr, tri)) & np.isfinite(np.hypot(dr, di))
+                & np.isfinite(zr) & np.isfinite(zi) & np.isfinite(lam)
+                & ((np.abs(zr) >= tiny) | (np.abs(zi) >= tiny)))
+    for i in np.flatnonzero(odd).tolist():
+        lam[i] = _lambda1(complex(trr[i], tri[i]), complex(dr[i], di[i]))
+    return lam
 
 
 class MatrixActionModel(ActionModel):
@@ -362,12 +578,36 @@ class MatrixActionModel(ActionModel):
         for x in letters:
             e, f, g, h = gens[x]
             a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
-        tr = a + d
-        det = a * d - b * c
-        if not (math.isfinite(abs(tr)) and math.isfinite(abs(det))):
-            raise NumericError("matrix overflow in class length evaluation")
-        q = cmath.sqrt(tr * tr - 4.0 * det)
-        return max(abs(tr + q), abs(tr - q)) / 2.0
+        return _lambda1(a + d, a * d - b * c)
+
+    def class_lambda1_column(self, codes: ClassCodes) -> np.ndarray:
+        """class_lambda1 of every class of ``codes`` (2x2 generators).
+
+        The prefix product runs one column at a time over the rows of a
+        length block, as separate real and imaginary float64 arrays in
+        the operations of class_lambda1's complex arithmetic (each a
+        separate ufunc call, so no step is fused), so every value is
+        class_lambda1's bit for bit.
+        """
+        gens = self._tuple_gens()
+        parts = [np.array(_per_code(lambda x: getattr(gens[x][k], part),
+                                    self.rank))
+                 for k in range(4) for part in ("real", "imag")]
+        out = []
+        with np.errstate(all="ignore"):
+            for rows in codes.row_chunks():
+                one, zero = np.ones(len(rows)), np.zeros(len(rows))
+                ar, ai, br, bi, cr, ci, dr, di = one, zero, zero, zero, zero, zero, one, zero
+                for col in rows.T:
+                    er, ei, fr, fi, gr, gi, hr, hi = (p[col] for p in parts)
+                    (ar, ai), (br, bi), (cr, ci), (dr, di) = (
+                        _cmuladd(ar, ai, er, ei, br, bi, gr, gi),
+                        _cmuladd(ar, ai, fr, fi, br, bi, hr, hi),
+                        _cmuladd(cr, ci, er, ei, dr, di, gr, gi),
+                        _cmuladd(cr, ci, fr, fi, dr, di, hr, hi))
+                (p, q), (r, t) = _cmul(ar, ai, dr, di), _cmul(br, bi, cr, ci)
+                out.append(_lambda1_rows(ar + dr, ai + di, p - r, q - t))
+        return _joined(out)
 
     def spectral_radius(self, a: np.ndarray) -> float:
         if self.dim == 2:
@@ -436,6 +676,12 @@ class MobiusModel(MatrixActionModel):
             return 0.0
         return 2.0 * math.log(lam)
 
+    def class_lengths(self, codes: ClassCodes):
+        """(class_length of every class of ``codes``, their float64 values)."""
+        vals = [0.0 if lam <= 1.0 + 1e-12 else 2.0 * math.log(lam)
+                for lam in self.class_lambda1_column(codes).tolist()]
+        return vals, np.array(vals, dtype=np.float64)
+
     def exact_stable_length(self, c: ConjClass) -> float:
         return self.class_length(c.rep.letters)
 
@@ -497,6 +743,15 @@ class LinearRepModel(MatrixActionModel):
 
     def class_length(self, letters) -> float:
         return max(math.log(self.class_lambda1(letters)), 0.0)
+
+    def class_lengths(self, codes: ClassCodes):
+        """(class_length of every class of ``codes``, their float64
+        values); None beyond 2x2 matrices, evaluated class by class."""
+        if self.dim != 2:
+            return None
+        vals = [max(math.log(lam), 0.0)
+                for lam in self.class_lambda1_column(codes).tolist()]
+        return vals, np.array(vals, dtype=np.float64)
 
     def exact_stable_length(self, c: ConjClass) -> float:
         return self.class_length(c.rep.letters)

@@ -20,15 +20,20 @@ from __future__ import annotations
 
 import heapq
 import string
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain, islice
 from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 from .errors import InputError, ResourceCapError, SearchExhaustedError
 
 __all__ = [
     "Word",
     "ConjClass",
+    "ClassCodes",
     "GeneratingSet",
     "GenerationCheck",
     "free_reduce",
@@ -242,6 +247,12 @@ def enumerate_ball(rank: int, radius: int, cap: int = 2_000_000) -> list[Word]:
     return out
 
 
+def _code_letters(rank: int) -> list:
+    """The letter of each code 0..2*rank-1: code c is (c//2 + 1) * (-1)**c,
+    so the codes run a, A, b, B, ... in letter_key order."""
+    return [-(c // 2 + 1) if c & 1 else c // 2 + 1 for c in range(2 * rank)]
+
+
 def iter_class_reps(rank: int, max_std_length: int, cap: int = 4_000_000):
     """Canonical class representatives as letter tuples, by (length, order).
 
@@ -267,7 +278,7 @@ def iter_class_reps(rank: int, max_std_length: int, cap: int = 4_000_000):
     if n < 1:
         return []
     m = 2 * rank
-    letter = [-(c // 2 + 1) if c & 1 else c // 2 + 1 for c in range(m)]
+    letter = _code_letters(rank)
     by_len: list[list[tuple[int, ...]]] = [[] for _ in range(n + 1)]
     a = [0] * (n + 1)          # a[t]: code at position t (1-indexed)
     period = [0] * (n + 1)     # period[t]: period of the prefix a[1..t]
@@ -305,6 +316,75 @@ def iter_class_reps(rank: int, max_std_length: int, cap: int = 4_000_000):
     for bucket in by_len:
         out.extend(bucket)
     return out
+
+
+# rows of a code block handled together: bounds the temporaries of the
+# per-block evaluations
+ROW_CHUNK = 8192
+
+
+@dataclass(frozen=True, eq=False)
+class ClassCodes:
+    """The canonical class representatives up to a length, in two forms.
+
+    ``reps`` is the list of ``iter_class_reps``.  ``blocks[n - 1]`` holds
+    its representatives of length n as one (N_n, n) array of the walk's
+    integer codes, code c being the letter (c//2 + 1) * (-1)**c; every
+    length up to ``radius`` has representatives (a^n), so every block is
+    there.  A block has one width, so per-class arithmetic over it needs
+    no padding.
+    """
+
+    rank: int
+    reps: list
+    blocks: tuple
+
+    @classmethod
+    def walk(cls, rank: int, radius: int, cap: int = 4_000_000) -> "ClassCodes":
+        """The classes of length 1..radius, from one iter_class_reps walk."""
+        reps = iter_class_reps(rank, radius, cap)
+        code = np.empty(2 * rank + 1, np.min_scalar_type(2 * rank - 1))
+        code[_code_letters(rank)] = np.arange(2 * rank)  # letter x -> code[x]
+        blocks, start = [], 0
+        for n in range(1, radius + 1):
+            end = bisect_right(reps, n, lo=start, key=len)
+            flat = np.fromiter(chain.from_iterable(islice(reps, start, end)),
+                               np.min_scalar_type(-rank), (end - start) * n)
+            blocks.append(code[flat].reshape(end - start, n))
+            start = end
+        return cls(rank, reps, tuple(blocks))
+
+    @property
+    def radius(self) -> int:
+        return len(self.blocks)
+
+    def prefix(self, radius: int) -> "ClassCodes":
+        """The classes of length <= radius: a prefix of reps and of blocks."""
+        if radius >= self.radius:
+            return self
+        k = sum(len(b) for b in self.blocks[:radius])
+        return ClassCodes(self.rank, self.reps[:k], self.blocks[:radius])
+
+    def row_chunks(self):
+        """The blocks in order, cut into arrays of <= ROW_CHUNK rows."""
+        for b in self.blocks:
+            for start in range(0, len(b), ROW_CHUNK):
+                yield b[start:start + ROW_CHUNK]
+
+    def names(self):
+        """Iterate over str(Word(rep)) of every rep, rendered from the
+        codes a row chunk at a time: a..z and A..Z for inverses, and a word
+        with a letter beyond rank 26 as its letters joined by "."."""
+        letters = _code_letters(self.rank)
+        chars = np.array([_LETTER_CHARS.get(x, "?") for x in letters])
+        text = [str(x) for x in letters]
+        for rows in self.row_chunks():
+            # the (N, n) characters of the rows, each row read as one string
+            names = np.ascontiguousarray(chars[rows]).view(f"<U{rows.shape[1]}")
+            names = names.ravel().tolist()
+            for i in np.flatnonzero((rows >= 52).any(axis=1)).tolist():
+                names[i] = ".".join(map(text.__getitem__, rows[i].tolist()))
+            yield from names
 
 
 def enumerate_conj_classes(
