@@ -91,53 +91,21 @@ class TreeModel(ActionModel):
     def class_lengths(self, codes: ClassCodes):
         """(class_length of every class of ``codes``, their float64 values).
 
-        A weight gather per column of a length block, summed in letter
-        order as class_length sums: exact weights as ints scaled by the
-        lcm of their denominators, and from a row's first float weight on
-        in float64, so every value and its type (int, Fraction, float)
-        are class_length's.  None for a weight of another type (a numpy
-        scalar): the caller then evaluates class by class.
+        A weight gather per column of a length block, summed in int64.
+        None unless every weight is an int and every sum stays below
+        2**53: the caller then evaluates class by class.
         """
         w = self.weights
-        if not all(type(x) in (int, Fraction, float) for x in w):
+        if not all(type(x) is int for x in w) or max(w) * codes.radius >= 2 ** 53:
             return None
-        den = math.lcm(*(x.denominator for x in w if type(x) is Fraction))
-        scaled = [0 if type(x) is float else int(x * den) for x in w]
-        big = den >= 2 ** 53 or max(scaled) * codes.radius >= 2 ** 53
-        dtype = object if big else np.int64   # object: Python ints
-
-        def table(f, dt):
-            return np.array(_per_code(lambda x: f(abs(x) - 1), self.rank), dt)
-
-        exact_w = table(scaled.__getitem__, dtype)
-        float_w = table(lambda i: float(w[i]), np.float64)
-        is_float = table(lambda i: type(w[i]) is float, bool)
-        is_frac = table(lambda i: type(w[i]) is Fraction, bool)
-        floats_seen = bool(is_float.any())
+        weight = np.array(_per_code(lambda x: w[abs(x) - 1], self.rank), np.int64)
         vals, floats = [], []
         for block in codes.blocks:
-            exact = np.zeros(len(block), dtype)  # den * the exact part
-            flt = np.zeros(len(block))           # the sum from a float on
-            went = np.zeros(len(block), bool)    # a float weight was met
+            total = np.zeros(len(block), np.int64)
             for col in block.T:
-                if floats_seen:
-                    wf = float_w[col]
-                    start = is_float[col] & ~went
-                    exact_f = (exact / den).astype(np.float64)
-                    flt = np.where(went, flt + wf,
-                                   np.where(start, exact_f + wf, flt))
-                    went |= start
-                exact = exact + exact_w[col]
-            exact_f = (exact / den).astype(np.float64)
-            if not floats_seen and den == 1:
-                vals += exact.tolist()
-                floats.append(exact_f)
-                continue
-            frac = is_frac[block].any(axis=1)
-            vals += [f if g else Fraction(e, den) if q else e // den
-                     for e, f, g, q in zip(exact.tolist(), flt.tolist(),
-                                           went.tolist(), frac.tolist())]
-            floats.append(np.where(went, flt, exact_f))
+                total += weight[col]
+            vals += total.tolist()
+            floats.append(total.astype(np.float64))
         return vals, _joined(floats)
 
     def exact_stable_length(self, c: ConjClass):
@@ -317,11 +285,10 @@ class WordMetricModel(ActionModel):
         A standard set is its tree's class_lengths.  Otherwise the
         spelling cost of u^k for k <= k_max is a min-plus DP over the
         columns of a length block, for all its rows at once, capped by the
-        sum of the letter costs as cost_upper caps it: in ints scaled by
-        the lcm of the denominators when every piece weight, letter cost
-        and the comparison constant are exact, in float64 when every one
-        is a finite float.  None for a set mixing the two: the caller
-        then evaluates class by class.
+        sum of the letter costs as cost_upper caps it, in ints scaled by
+        the lcm of the denominators.  None unless every piece weight,
+        letter cost and the comparison constant is an int or a Fraction:
+        the caller then evaluates class by class.
         """
         if self._standard:
             lengths = self._tree.class_lengths(codes)
@@ -330,45 +297,31 @@ class WordMetricModel(ActionModel):
             vals, floats = lengths
             return vals, vals, floats, floats
         weights = [*self._table.values(), *self._letter_cost.values()]
-        kinds = {type(w) for w in weights} | {type(self._c_cmp)}
-        b = 2 * self.rank
-        n_max = k_max * codes.radius
-        if kinds <= {int, Fraction}:
-            den = math.lcm(*(Fraction(w).denominator for w in weights))
-            scale, inf = (lambda w: int(w * den)), 2 ** 61
-            bulk = max(weights) * den * n_max < 2 ** 60
-        else:
-            den, scale, inf = None, float, math.inf
-            bulk = kinds == {float} and all(map(math.isfinite, weights))
-        if not (bulk and k_max >= 1 and b ** self._max_piece < 2 ** 62):
+        if not {type(w) for w in weights} | {type(self._c_cmp)} <= {int, Fraction}:
             return None
+        den = math.lcm(*(Fraction(w).denominator for w in weights))
+        b = 2 * self.rank
+        if not (k_max >= 1 and max(weights) * den * k_max * codes.radius < 2 ** 60
+                and b ** self._max_piece < 2 ** 62):
+            return None
+
+        def scale(w):
+            return int(w * den)
+
         code = {x: c for c, x in enumerate(_code_letters(self.rank))}
         pieces = []   # pieces[l-1]: sorted keys and weights of length-l entries
         for l in range(1, self._max_piece + 1):
             keyed = sorted((sum(code[x] * b ** (l - 1 - j) for j, x in enumerate(k)),
                             scale(w)) for k, w in self._table.items() if len(k) == l)
             pieces.append((np.array([k for k, _ in keyed], dtype=np.int64),
-                           np.array([w for _, w in keyed],
-                                    dtype=np.float64 if den is None else np.int64)))
+                           np.array([w for _, w in keyed], dtype=np.int64)))
         letter_cost = np.array(_per_code(lambda x: scale(self._letter_cost[x]),
-                                         self.rank))
+                                         self.rank), dtype=np.int64)
         lo, hi, lo_f, hi_f = [], [], [], []
         for rows in codes.row_chunks():
-            costs = _spelling_costs(rows, k_max, pieces, letter_cost, b, inf)
+            costs = _spelling_costs(rows, k_max, pieces, letter_cost, b)
             lo_n = exact_div(rows.shape[1], self._c_cmp)
-            if den is None:
-                # exact_div(cost, k) is cost / k for a float cost; min
-                # keeps the first of equal values, which are one float
-                best = costs[0]
-                for k, cost in enumerate(costs[1:], 2):
-                    best = np.where(cost / k < best, cost / k, best)
-                low = np.where(best < lo_n, best, lo_n)
-                lo += low.tolist()
-                hi += best.tolist()
-                lo_f.append(low)
-                hi_f.append(best)
-                continue
-            # exact: every bracket is a Fraction, one per distinct cost row
+            # every bracket is a Fraction, one per distinct cost row
             uniq, inv = np.unique(np.stack(costs, axis=1), axis=0,
                                   return_inverse=True)
             brackets = []
@@ -390,16 +343,21 @@ class WordMetricModel(ActionModel):
         return math.ceil(length_bound * self._c_cmp)
 
 
-def _spelling_costs(rows, k_max, pieces, letter_cost, base, inf) -> list:
+# the cost of a prefix no table pieces spell: above every scaled cost
+# (< 2**60), and twice it still fits an int64
+_NO_SPELLING = 2 ** 61
+
+
+def _spelling_costs(rows, k_max, pieces, letter_cost, base) -> list:
     """cost_upper of u^k, k = 1..k_max, for every row u of a code block.
 
     dp[i] is _spell_cost's: the cheapest spelling of the first i letters
-    of u^k_max by table pieces, ``inf`` where there is none; a piece is
+    of u^k_max by table pieces, _NO_SPELLING where there is none; a piece is
     keyed by its codes in base ``base``.  The spelling of u^k is dp[k*n],
     capped by the letter-cost sum of its k*n letters, added in order.
     """
     n = rows.shape[1]
-    zero = np.zeros(len(rows), dtype=letter_cost.dtype)
+    zero = np.zeros(len(rows), dtype=np.int64)
     dp = [zero]          # dp[-l] is dp[i - l] at step i
     per_letter = zero
     keys = []            # keys[l-1]: the piece of length l ending at i
@@ -407,11 +365,12 @@ def _spelling_costs(rows, k_max, pieces, letter_cost, base, inf) -> list:
     for i in range(1, k_max * n + 1):
         x = rows[:, (i - 1) % n].astype(np.int64)
         keys = [x] + [key * base + x for key in keys[:len(pieces) - 1]]
-        best = np.full(len(rows), inf, dtype=letter_cost.dtype)
+        best = np.full(len(rows), _NO_SPELLING, dtype=np.int64)
         for (tk, tw), key, prev in zip(pieces, keys, reversed(dp)):
             if tk.size:
                 at = np.minimum(np.searchsorted(tk, key), tk.size - 1)
-                best = np.minimum(best, prev + np.where(tk[at] == key, tw[at], inf))
+                hit = np.where(tk[at] == key, tw[at], _NO_SPELLING)
+                best = np.minimum(best, prev + hit)
         dp = (dp + [best])[-len(pieces):]
         per_letter = per_letter + letter_cost[x]
         if i % n == 0:

@@ -345,11 +345,13 @@ class ClassCodes:
         reps = iter_class_reps(rank, radius, cap)
         code = np.empty(2 * rank + 1, np.min_scalar_type(2 * rank - 1))
         code[_code_letters(rank)] = np.arange(2 * rank)  # letter x -> code[x]
+        # a signed type holding -rank - 1, and so every letter -rank..rank
+        letter_type = np.min_scalar_type(-rank - 1)
         blocks, start = [], 0
         for n in range(1, radius + 1):
             end = bisect_right(reps, n, lo=start, key=len)
             flat = np.fromiter(chain.from_iterable(islice(reps, start, end)),
-                               np.min_scalar_type(-rank), (end - start) * n)
+                               letter_type, (end - start) * n)
             blocks.append(code[flat].reshape(end - start, n))
             start = end
         return cls(rank, reps, tuple(blocks))
