@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import InputError, NumericError
-from .words import ConjClass, Word, cyclic_reduce
+from .words import ConjClass, Word, _letters_in_order, cyclic_reduce
 
 __all__ = [
     "LengthBracket",
@@ -271,10 +271,7 @@ def anosov_certificate(model, radius: int = 6) -> AnosovCertificate:
     ``model`` must expose ``rank``, ``generator_matrix(letter)`` and
     ``singular_gap(matrix) -> log(sigma1/sigma2)`` (the matrix models do).
     """
-    rank = model.rank
-    letters = []
-    for i in range(1, rank + 1):
-        letters.extend((i, -i))
+    letters = _letters_in_order(model.rank)
     mu = math.inf
     worst = Word()
     rows: list[tuple[int, float]] = []

@@ -250,29 +250,22 @@ class _Columns:
 class ClassTable:
     """Canonical classes with length brackets under two models at once.
 
-    ``classes`` (a ClassCodes) holds the classes as letter tuples
-    (``reps``) and as code blocks, from one walk or cut from the classes
-    of another table of the rank (see ``_class_table``).  ``columns(swap)``
-    gives one direction of the table as float64 columns, built on first
-    use and kept on the table; every window sup, the cor14 envelope and
-    the classes.csv rows read them.
+    ``classes`` (a ClassCodes) holds the classes as code blocks, from one
+    walk; ``reps`` is their letter tuples, built on first use.
+    ``columns(swap)`` gives one direction of the table as float64 columns,
+    built on first use and kept on the table; every window sup, the cor14
+    envelope and the classes.csv rows read them.
     """
 
     def __init__(self, target, ref, radius: int, *,
-                 class_cap: int = 4_000_000, window_k_max: int = 2,
-                 classes: Optional[ClassCodes] = None):
+                 class_cap: int = 4_000_000, window_k_max: int = 2):
         if target.rank != ref.rank:
             raise InputError(
                 f"rank mismatch: target {target.rank}, reference {ref.rank}"
             )
         self.rank = target.rank
         self.radius = int(radius)
-        if classes is None:
-            classes = ClassCodes.walk(self.rank, self.radius, class_cap)
-        elif classes.rank != self.rank or classes.radius < self.radius:
-            raise InputError("classes of another rank or a smaller radius")
-        self.classes = classes.prefix(self.radius)
-        self.reps = self.classes.reps
+        self.classes = ClassCodes.walk(self.rank, self.radius, class_cap)
         self.ref_lo, self.ref_hi, ref_lo_f, ref_hi_f = _eval_class_lengths(
             ref, self.classes, window_k_max)
         self.tgt_lo, self.tgt_hi, tgt_lo_f, tgt_hi_f = _eval_class_lengths(
@@ -282,13 +275,17 @@ class ClassTable:
         self._columns = {}
 
     def __len__(self):
-        return len(self.reps)
+        return len(self.classes)
+
+    @property
+    def reps(self) -> list:
+        return self.classes.reps
 
     def prefix(self, radius: int) -> "ClassTable":
         """This table cut to the classes of length <= radius <= self.radius.
 
-        The same object when radius is this table's radius; reps are
-        sorted by length, so the cut is a prefix of every list, and its
+        The same object when radius is this table's radius; the classes
+        are sorted by length, so the cut is a prefix of every list, and its
         columns are views of this table's.
         """
         if radius == self.radius:
@@ -297,8 +294,7 @@ class ClassTable:
         cut.rank = self.rank
         cut.radius = radius
         cut.classes = self.classes.prefix(radius)
-        cut.reps = cut.classes.reps
-        k = len(cut.reps)
+        k = len(cut.classes)
         cut.ref_lo, cut.ref_hi = self.ref_lo[:k], self.ref_hi[:k]
         cut.tgt_lo, cut.tgt_hi = self.tgt_lo[:k], self.tgt_hi[:k]
         cut._whole = self._whole or self
@@ -319,7 +315,7 @@ class ClassTable:
                 floats = (tl, th, rl, rh) if swap else (rl, rh, tl, th)
                 cols = _Columns.of(self.lengths(swap), floats)
             else:
-                cols = self._whole.columns(swap).prefix(len(self.reps))
+                cols = self._whole.columns(swap).prefix(len(self))
             self._columns[swap] = cols
         return cols
 
@@ -409,10 +405,9 @@ def _class_table(target, ref, radius: int, cfg: VerifierConfig,
     """The class table of (target, ref) up to radius, reusing ``tables``.
 
     ``tables`` maps (target, ref, class_cap, window_k_max) to the largest
-    table built so far for that pair; a smaller radius gets a prefix of it,
-    and a new table takes its classes from any table of the dict that has
-    them (``_shared_classes``).  The caller owns the dict and decides how long
-    tables live; without one every call builds a fresh table.
+    table built so far for that pair; a smaller radius gets a prefix of it.
+    The caller owns the dict and decides how long tables live; without one
+    every call builds a fresh table.
     """
     radius = int(radius)
     key = (target, ref, cfg.class_cap, cfg.window_k_max)
@@ -420,23 +415,10 @@ def _class_table(target, ref, radius: int, cfg: VerifierConfig,
     if table is not None and table.radius >= radius:
         return table.prefix(radius)
     table = ClassTable(target, ref, radius, class_cap=cfg.class_cap,
-                       window_k_max=cfg.window_k_max,
-                       classes=_shared_classes(target.rank, radius,
-                                               cfg.class_cap, tables))
+                       window_k_max=cfg.window_k_max)
     if tables is not None:
         tables[key] = table
     return table
-
-
-def _shared_classes(rank: int, radius: int, class_cap: int,
-                    tables: Optional[dict]) -> Optional[ClassCodes]:
-    """The classes of length <= radius of a table in ``tables`` with this
-    rank and class_cap and at least this radius, or None: with them a run
-    walks the classes of a rank once."""
-    for (_, _, cap, _), table in (tables or {}).items():
-        if cap == class_cap and table.rank == rank and table.radius >= radius:
-            return table.classes.prefix(radius)
-    return None
 
 
 def _build_table(target, ref, radii, cfg: VerifierConfig,
@@ -484,7 +466,7 @@ def _window_sup(table: ClassTable, L, radius_needed, *, swap: bool = False,
         for i in top:
             rh, rl = r_hi(i), r_lo(i)
             rows.append(WindowRow(
-                rep=Word._unchecked(table.reps[i]),
+                rep=Word._unchecked(table.classes.rep(i)),
                 ref_length=LengthBracket(ref_lo[i], ref_hi[i],
                                          exact=bool(ref_lo[i] == ref_hi[i])),
                 target_length=LengthBracket(tgt_lo[i], tgt_hi[i],
@@ -497,7 +479,7 @@ def _window_sup(table: ClassTable, L, radius_needed, *, swap: bool = False,
         L=L, count=count, excluded=excluded,
         straddled=int(np.count_nonzero(strad)),
         radius=table.radius, radius_needed=radius_needed,
-        truncated=truncated, attained=Word._unchecked(table.reps[att_idx]),
+        truncated=truncated, attained=Word._unchecked(table.classes.rep(att_idx)),
         empty=False, rows=tuple(rows),
     )
 
@@ -808,7 +790,7 @@ def ratio_envelope_report(target, ref, alpha_lo, beta_hi,
             c = max((alpha_lo - r_lo(i)) * a_scale, (r_hi(i) - beta_hi) * b_scale)
             if c > need_c0:
                 need_c0 = c
-                worst = table.reps[i]
+                worst = table.classes.rep(i)
         # refutation: inner bracket, the true ratio escapes for sure
         for i in np.union1d(_near(hi_f, meas, lowest=True, scale=scale),
                             _near(lo_f, meas, scale=scale)).tolist():

@@ -37,7 +37,7 @@ import math
 import platform
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cache, partial
 from pathlib import Path
@@ -51,7 +51,6 @@ from .bounds import (
     WindowRow,
     _class_table,
     _eval_class_lengths,
-    _shared_classes,
     cobounded_dilation_report,
     dilation_window,
     displacement_sandwich_report,
@@ -110,22 +109,9 @@ _PRESETS = {
     },
 }
 
-_CONFIG_DEFAULTS = {
-    "K": 1e4,
-    "delta": None,
-    "D": None,
-    "L_values": [8],
-    "c_delta": 4.0,
-    "tolerance": 1e-9,
-    "radius_cap": 12,
-    "class_cap": 4_000_000,
-    "k_max": 8,
-    "window_k_max": 2,
-    "reference_factor": 2,
-    "n_max": 8,
-    "frontier_cap": 1_000_000,
-    "diagnostics_cap": 16,
-}
+# the VerifierConfig defaults, L_values as the list a scenario file holds
+_CONFIG_DEFAULTS = {f.name: list(f.default) if f.name == "L_values" else f.default
+                    for f in fields(VerifierConfig)}
 
 _PARAM_DEFAULTS = {
     "alpha": 0.0,
@@ -741,9 +727,7 @@ def _class_cells(scen: Scenario, cfg: VerifierConfig, target, reference, *,
     if primary is None:
         return
     if target is None or reference is None:
-        codes = _shared_classes(scen.rank, int(radius), cfg.class_cap, tables)
-        if codes is None:
-            codes = ClassCodes.walk(scen.rank, int(radius), cfg.class_cap)
+        codes = ClassCodes.walk(scen.rank, int(radius), cfg.class_cap)
         lo, hi, _, _ = _eval_class_lengths(primary, codes, cfg.window_k_max)
         for name, l, h in zip(codes.names(), lo, hi):
             yield name, "", "", l, h, "", ""

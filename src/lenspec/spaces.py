@@ -19,7 +19,8 @@ import numpy as np
 
 from .actions import ActionModel, AnosovCertificate, LengthBracket, anosov_certificate, exact_div
 from .errors import InputError, NumericError, SearchExhaustedError
-from .words import ClassCodes, ConjClass, GeneratingSet, Word, _code_letters, word_length
+from .words import (ClassCodes, ConjClass, GeneratingSet, Word, _letters_in_order,
+                    word_length)
 
 __all__ = [
     "TreeModel",
@@ -33,7 +34,7 @@ __all__ = [
 
 def _per_code(value_of_letter, rank: int) -> list:
     """value_of_letter of the letter of each code (a, A, b, B, ...)."""
-    return list(map(value_of_letter, _code_letters(rank)))
+    return list(map(value_of_letter, _letters_in_order(rank)))
 
 
 # ---------------------------------------------------------------- trees
@@ -191,7 +192,7 @@ class WordMetricModel(ActionModel):
             )
             self.cobound_D = self._tree.cobound_D
             self._letter_cost = {
-                x: gens.weight_of(x) for x in self._letters_pm()
+                x: gens.weight_of(x) for x in _letters_in_order(self.rank)
             }
         else:
             self.cobound_D = None
@@ -208,7 +209,7 @@ class WordMetricModel(ActionModel):
             # with the generation check disabled a letter may be unreachable;
             # record inf so cost_upper degrades instead of crashing
             self._letter_cost = {}
-            for x in self._letters_pm():
+            for x in _letters_in_order(self.rank):
                 try:
                     self._letter_cost[x] = word_length(
                         Word((x,)), gens, radius_cap=radius_cap
@@ -217,12 +218,6 @@ class WordMetricModel(ActionModel):
                     if check_generation:
                         raise
                     self._letter_cost[x] = math.inf
-
-    def _letters_pm(self):
-        out = []
-        for i in range(1, self.rank + 1):
-            out.extend((i, -i))
-        return out
 
     def displacement(self, g: Word):
         if self._standard:
@@ -246,21 +241,13 @@ class WordMetricModel(ActionModel):
         return per_letter if best is None else min(best, per_letter)
 
     def stable_length(self, c: ConjClass, k_max: Optional[int] = None, c_delta=4):
+        # a standard set goes through weight_of, which rejects letters
+        # beyond the rank; class_length_bracket would not
         v = self.exact_stable_length(c)
         if v is not None:
             return LengthBracket.exactly(v)
-        rep = c.rep
-        if not rep.letters:
-            return LengthBracket.exactly(0)
-        lo = exact_div(len(rep), self._c_cmp)
-        k_max = self.k_max if k_max is None else k_max
-        hi = None
-        u = rep.letters
-        for k in range(1, k_max + 1):
-            cand = exact_div(self.cost_upper(Word(u * k)), k)
-            if hi is None or cand < hi:
-                hi = cand
-        lo = min(lo, hi)
+        lo, hi = self.class_length_bracket(
+            c.rep.letters, self.k_max if k_max is None else k_max)
         return LengthBracket(lo, hi, exact=bool(lo == hi))
 
     def class_length_bracket(self, letters, k_max: int = 2):
@@ -308,7 +295,7 @@ class WordMetricModel(ActionModel):
         def scale(w):
             return int(w * den)
 
-        code = {x: c for c, x in enumerate(_code_letters(self.rank))}
+        code = {x: c for c, x in enumerate(_letters_in_order(self.rank))}
         pieces = []   # pieces[l-1]: sorted keys and weights of length-l entries
         for l in range(1, self._max_piece + 1):
             keyed = sorted((sum(code[x] * b ** (l - 1 - j) for j, x in enumerate(k)),
@@ -576,6 +563,9 @@ class MatrixActionModel(ActionModel):
             return max(abs((tr + q) / 2.0), abs((tr - q) / 2.0))
         return float(np.max(np.abs(np.linalg.eigvals(a))))
 
+    def exact_stable_length(self, c: ConjClass) -> float:
+        return self.class_length(c.rep.letters)
+
     def certificate(self, radius: int = 6) -> AnosovCertificate:
         if getattr(self, "_cert", None) is None or self._cert.radius < radius:
             self._cert = anosov_certificate(self, radius=radius)
@@ -640,9 +630,6 @@ class MobiusModel(MatrixActionModel):
         vals = [0.0 if lam <= 1.0 + 1e-12 else 2.0 * math.log(lam)
                 for lam in self.class_lambda1_column(codes).tolist()]
         return vals, np.array(vals, dtype=np.float64)
-
-    def exact_stable_length(self, c: ConjClass) -> float:
-        return self.class_length(c.rep.letters)
 
     def window_radius(self, length_bound) -> float:
         mu = self.certificate().mu
@@ -711,9 +698,6 @@ class LinearRepModel(MatrixActionModel):
         vals = [max(math.log(lam), 0.0)
                 for lam in self.class_lambda1_column(codes).tolist()]
         return vals, np.array(vals, dtype=np.float64)
-
-    def exact_stable_length(self, c: ConjClass) -> float:
-        return self.class_length(c.rep.letters)
 
     def window_radius(self, length_bound) -> float:
         # log sigma1 >= gap/2 for unit determinant, so l >= mu * cyclen / 2

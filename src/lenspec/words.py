@@ -20,10 +20,9 @@ from __future__ import annotations
 
 import heapq
 import string
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, islice
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -218,10 +217,10 @@ def cyclic_reduce(g: Word) -> ConjClass:
 
 
 def _letters_in_order(rank: int) -> list[int]:
-    out = []
-    for i in range(1, rank + 1):
-        out.extend((i, -i))
-    return out
+    """The letters a1, a1^-1, a2, a2^-1, ... in letter_key order.  The index
+    of a letter is its integer code: code c is the letter (c//2 + 1) *
+    (-1)**c, and c^1 is the code of its inverse."""
+    return [-(c // 2 + 1) if c & 1 else c // 2 + 1 for c in range(2 * rank)]
 
 
 def enumerate_ball(rank: int, radius: int, cap: int = 2_000_000) -> list[Word]:
@@ -247,77 +246,6 @@ def enumerate_ball(rank: int, radius: int, cap: int = 2_000_000) -> list[Word]:
     return out
 
 
-def _code_letters(rank: int) -> list:
-    """The letter of each code 0..2*rank-1: code c is (c//2 + 1) * (-1)**c,
-    so the codes run a, A, b, B, ... in letter_key order."""
-    return [-(c // 2 + 1) if c & 1 else c // 2 + 1 for c in range(2 * rank)]
-
-
-def iter_class_reps(rank: int, max_std_length: int, cap: int = 4_000_000):
-    """Canonical class representatives as letter tuples, by (length, order).
-
-    The representatives of length n are the necklaces of length n over the
-    letters, in letter_key order, with no adjacent inverse pair, the last
-    and first letters counting as adjacent.  They come from one iterative
-    prenecklace walk (Fredricksen-Kessler-Maiorana; Ruskey, Savage & Wang,
-    "Generating necklaces", J. Algorithms 13, 1992) over the integer codes
-    0..2*rank-1, where code c is the letter (c//2 + 1) * (-1)**c and c^1 is
-    its inverse.  A prefix a[1..t-1] of period p extends by each code
-    c >= a[t-p] other than a[t-1]^1; the period becomes t unless
-    c == a[t-p].  A prefix is a representative when t % p == 0 and its
-    last letter does not cancel its first.
-
-    The result is a list sorted by length, then lexicographically in
-    letter_key order.  Identity is not included.  ``cap`` bounds the
-    number of prefixes the walk visits (every prefix, not only the
-    representatives); exceeding it raises ResourceCapError.
-    """
-    if rank < 1:
-        raise InputError("rank must be >= 1")
-    n = max_std_length
-    if n < 1:
-        return []
-    m = 2 * rank
-    letter = _code_letters(rank)
-    by_len: list[list[tuple[int, ...]]] = [[] for _ in range(n + 1)]
-    a = [0] * (n + 1)          # a[t]: code at position t (1-indexed)
-    period = [0] * (n + 1)     # period[t]: period of the prefix a[1..t]
-    prefix = [()] * (n + 1)    # prefix[t]: the letters of a[1..t]
-    nxt = [0] * (n + 1)        # nxt[t]: next code to try at position t
-    visited = 0
-    t = 1
-    while t:
-        c = nxt[t]
-        if c == m:
-            t -= 1
-            continue
-        nxt[t] = c + 1
-        if t > 1:
-            if c == a[t - 1] ^ 1:
-                continue
-            p = period[t - 1]
-            if c != a[t - p]:
-                p = t
-        else:
-            p = 1
-        visited += 1
-        if visited > cap:
-            raise ResourceCapError(f"class enumeration exceeds cap {cap}")
-        a[t] = c
-        period[t] = p
-        w = prefix[t - 1] + (letter[c],)
-        if t % p == 0 and c != a[1] ^ 1:
-            by_len[t].append(w)
-        if t < n:
-            prefix[t] = w
-            t += 1
-            nxt[t] = a[t - p]
-    out: list[tuple[int, ...]] = []
-    for bucket in by_len:
-        out.extend(bucket)
-    return out
-
-
 # rows of a code block handled together: bounds the temporaries of the
 # per-block evaluations
 ROW_CHUNK = 8192
@@ -325,47 +253,96 @@ ROW_CHUNK = 8192
 
 @dataclass(frozen=True, eq=False)
 class ClassCodes:
-    """The canonical class representatives up to a length, in two forms.
+    """The canonical class representatives up to a length, as code blocks.
 
-    ``reps`` is the list of ``iter_class_reps``.  ``blocks[n - 1]`` holds
-    its representatives of length n as one (N_n, n) array of the walk's
-    integer codes, code c being the letter (c//2 + 1) * (-1)**c; every
-    length up to ``radius`` has representatives (a^n), so every block is
-    there.  A block has one width, so per-class arithmetic over it needs
-    no padding.
+    ``blocks[n - 1]`` holds the representatives of length n as one
+    (N_n, n) array of integer codes (see ``_letters_in_order``), its rows
+    in letter_key order; every length up to ``radius`` has
+    representatives (a^n), so every block is there.  A block has one
+    width, so per-class arithmetic over it needs no padding.
     """
 
     rank: int
-    reps: list
     blocks: tuple
 
     @classmethod
     def walk(cls, rank: int, radius: int, cap: int = 4_000_000) -> "ClassCodes":
-        """The classes of length 1..radius, from one iter_class_reps walk."""
-        reps = iter_class_reps(rank, radius, cap)
-        code = np.empty(2 * rank + 1, np.min_scalar_type(2 * rank - 1))
-        code[_code_letters(rank)] = np.arange(2 * rank)  # letter x -> code[x]
-        # a signed type holding -rank - 1, and so every letter -rank..rank
-        letter_type = np.min_scalar_type(-rank - 1)
-        blocks, start = [], 0
-        for n in range(1, radius + 1):
-            end = bisect_right(reps, n, lo=start, key=len)
-            flat = np.fromiter(chain.from_iterable(islice(reps, start, end)),
-                               letter_type, (end - start) * n)
-            blocks.append(code[flat].reshape(end - start, n))
-            start = end
-        return cls(rank, reps, tuple(blocks))
+        """The classes of length 1..radius, from one prenecklace walk.
+
+        The representatives of length n are the necklaces of length n over
+        the codes with no adjacent inverse pair, the last and first codes
+        counting as adjacent.  The walk is the prenecklace rule of
+        Fredricksen, Kessler and Maiorana (Ruskey, Savage & Wang,
+        "Generating necklaces", J. Algorithms 13, 1992), taken a level at a
+        time: a prefix a[1..t] of period p extends by each code
+        c >= a[t+1-p] other than a[t]^1, and the period becomes t + 1
+        unless c == a[t+1-p].  The children of a level come in order, so
+        each level is sorted, and a prefix is a representative when
+        t % p == 0 and its last code does not cancel its first.
+
+        ``cap`` bounds the number of prefixes the walk visits (every
+        prefix, not only the representatives); a level whose children
+        would exceed it raises ResourceCapError before it is built.
+        """
+        if rank < 1:
+            raise InputError("rank must be >= 1")
+        m = 2 * rank
+        code_type = np.min_scalar_type(m - 1)
+        prefixes = np.zeros((1, 0), code_type)   # the prefixes of length t - 1
+        period = np.ones(1, np.int64)
+        least = np.zeros(1, np.int64)            # the least code of a child
+        banned = np.full(1, -1, np.int64)        # the inverse of the last code, or -1
+        blocks, visited = [], 0
+        for t in range(1, radius + 1):
+            skip = banned >= least
+            count = m - least - skip
+            visited += int(count.sum())
+            if visited > cap:
+                raise ResourceCapError(f"class enumeration exceeds cap {cap}")
+            parent = np.repeat(np.arange(len(prefixes)), count)
+            start = np.repeat(np.cumsum(count) - count, count)
+            code = np.arange(len(parent)) - start + least[parent]
+            code += skip[parent] & (code >= banned[parent])
+            period = np.where(code == least[parent], period[parent], t)
+            prefixes = np.column_stack((prefixes[parent], code.astype(code_type)))
+            last, first = prefixes[:, -1], prefixes[:, 0]
+            blocks.append(prefixes[(t % period == 0) & (last != first ^ 1)])
+            if t < radius:
+                least = prefixes[np.arange(len(prefixes)), t - period].astype(np.int64)
+                banned = last ^ 1
+        return cls(rank, tuple(blocks))
 
     @property
     def radius(self) -> int:
         return len(self.blocks)
 
+    def __len__(self) -> int:
+        return sum(map(len, self.blocks))
+
+    @cached_property
+    def reps(self) -> list:
+        """The representatives as letter tuples, by (length, letter_key
+        order), built from the blocks on first use."""
+        letters = np.array(_letters_in_order(self.rank))
+        out: list[tuple[int, ...]] = []
+        for b in self.blocks:
+            out += map(tuple, letters[b].tolist())
+        return out
+
+    def rep(self, i: int) -> tuple[int, ...]:
+        """The i-th representative as a letter tuple."""
+        for b in self.blocks:
+            if i < len(b):
+                letters = _letters_in_order(self.rank)
+                return tuple(map(letters.__getitem__, b[i].tolist()))
+            i -= len(b)
+        raise IndexError("class index out of range")
+
     def prefix(self, radius: int) -> "ClassCodes":
-        """The classes of length <= radius: a prefix of reps and of blocks."""
+        """The classes of length <= radius: a prefix of the blocks."""
         if radius >= self.radius:
             return self
-        k = sum(len(b) for b in self.blocks[:radius])
-        return ClassCodes(self.rank, self.reps[:k], self.blocks[:radius])
+        return ClassCodes(self.rank, self.blocks[:radius])
 
     def row_chunks(self):
         """The blocks in order, cut into arrays of <= ROW_CHUNK rows."""
@@ -377,7 +354,7 @@ class ClassCodes:
         """Iterate over str(Word(rep)) of every rep, rendered from the
         codes a row chunk at a time: a..z and A..Z for inverses, and a word
         with a letter beyond rank 26 as its letters joined by "."."""
-        letters = _code_letters(self.rank)
+        letters = _letters_in_order(self.rank)
         chars = np.array([_LETTER_CHARS.get(x, "?") for x in letters])
         text = [str(x) for x in letters]
         for rows in self.row_chunks():
@@ -387,6 +364,17 @@ class ClassCodes:
             for i in np.flatnonzero((rows >= 52).any(axis=1)).tolist():
                 names[i] = ".".join(map(text.__getitem__, rows[i].tolist()))
             yield from names
+
+
+def iter_class_reps(rank: int, max_std_length: int, cap: int = 4_000_000):
+    """Canonical class representatives as letter tuples, by (length, order).
+
+    The ``reps`` of ``ClassCodes.walk``: a list sorted by length, then
+    lexicographically in letter_key order.  Identity is not included.
+    ``cap`` bounds the number of prefixes the walk visits; exceeding it
+    raises ResourceCapError.
+    """
+    return ClassCodes.walk(rank, max_std_length, cap).reps
 
 
 def enumerate_conj_classes(

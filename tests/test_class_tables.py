@@ -1,4 +1,4 @@
-"""Class tables from integer-coded classes: bulk lengths, names, sharing.
+"""Class tables from integer-coded classes: bulk lengths, names, prefixes.
 
 Every model kind evaluates its class lengths a length block at a time
 (``class_lengths`` / ``class_length_brackets``).  The bulk values must be
@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lenspec import bounds, words
+from lenspec import bounds
 from lenspec.bounds import ClassTable, VerifierConfig, _class_table, _eval_class_lengths
 from lenspec.errors import InputError, NumericError
 from lenspec.spaces import (
@@ -187,6 +187,10 @@ def test_code_blocks_hold_the_reps():
             for b in codes.blocks for row in b.tolist()]
     assert rows == codes.reps
     assert [b.shape[1] for b in codes.blocks] == [1, 2, 3, 4, 5]
+    assert len(codes) == len(codes.reps)
+    assert [codes.rep(i) for i in range(len(codes))] == codes.reps
+    with pytest.raises(IndexError):
+        codes.rep(len(codes))
     cut = codes.prefix(3)
     assert cut.reps == iter_class_reps(3, 3) and cut.radius == 3
     assert codes.prefix(5) is codes
@@ -204,27 +208,12 @@ def test_names_past_rank_26_join_the_letters():
     assert names[(1, -27)] == "1.-27" and names[(1, -26)] == "aZ"
 
 
-# --------------------------------------------------------- one walk per rank
+# ------------------------------------------------- tables of one rank
 
 
-def test_tables_of_one_rank_share_one_walk(monkeypatch):
-    walks = []
-    walk = words.iter_class_reps
-
-    def counting(rank, radius, cap=4_000_000):
-        walks.append(radius)
-        return walk(rank, radius, cap)
-
-    monkeypatch.setattr(words, "iter_class_reps", counting)
+def test_tables_of_one_rank_hold_the_same_classes():
     cfg, tables = VerifierConfig(), {}
     first = _class_table(TreeModel(2, [1, 2]), TreeModel(2), 8, cfg, tables)
     other = _class_table(TreeModel(2), TreeModel(2, [3, 1]), 6, cfg, tables)
-    assert walks == [8]
     assert other.reps == first.reps[:len(other)]
     assert other.reps == ClassTable(TreeModel(2), TreeModel(2, [3, 1]), 6).reps
-    # a larger radius, another cap or no dict walks again
-    _class_table(TreeModel(2), TreeModel(2), 9, cfg, tables)
-    _class_table(TreeModel(2), TreeModel(2), 4,
-                 VerifierConfig(class_cap=10 ** 6), tables)
-    _class_table(TreeModel(2), TreeModel(2), 4, cfg)
-    assert walks == [8, 6, 9, 4, 4]

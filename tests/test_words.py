@@ -6,6 +6,7 @@ and the resulting class lists are compared against iter_class_reps.
 """
 
 import gc
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lenspec.words import (
+    ClassCodes,
     ConjClass,
     GeneratingSet,
     Word,
@@ -178,6 +180,28 @@ def test_class_reps_are_the_sorted_bruteforce_list(rank, radius):
 def test_class_reps_cap_raises():
     with pytest.raises(ResourceCapError):
         iter_class_reps(2, 12, cap=1000)
+
+
+# the number of prefixes of length <= radius the walk visits: a prefix
+# extends by every code from a[t+1-p] on but the inverse of its last
+@pytest.mark.parametrize("rank,radius,visited", [(1, 6, 12), (2, 6, 420), (3, 4, 322)])
+def test_class_reps_cap_counts_every_visited_prefix(rank, radius, visited):
+    assert iter_class_reps(rank, radius, cap=visited) == iter_class_reps(rank, radius)
+    with pytest.raises(ResourceCapError):
+        iter_class_reps(rank, radius, cap=visited - 1)
+
+
+def test_class_walk_counts_a_level_before_building_it():
+    # rank 128 has about 5.6M prefixes of length 3, past the default cap:
+    # the walk raises on their count, holding only the 33k of length 2
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceCapError):
+            ClassCodes.walk(128, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
 
 
 def test_class_reps_leave_no_cyclic_garbage():
