@@ -37,6 +37,7 @@ from .jsl import (
     _as_words,
     _concat_reduced,
     _peeled_length,
+    _tree_weight,
     joint_stable_profile,
 )
 from .spaces import MobiusModel, TreeModel, WordMetricModel
@@ -1082,8 +1083,10 @@ def pointwise_cover_report(model, ball_radius: int, f_radius: int,
     disp = [model.displacement(g) for g in ball]
 
     if isinstance(model, TreeModel):
+        weight = _tree_weight(model)
+
         def col(f: Word):
-            return [_peeled_length((g * f).letters, model.weight_of)
+            return [_peeled_length(_concat_reduced(g.letters, f.letters), weight)
                     for g in ball]
     else:
         mats = [model.matrix(g) for g in ball]

@@ -67,6 +67,8 @@ class JointLengthProfile:
     pair_half: object
     engine: str
     eroded: bool = False
+    # interned automaton states of the tree-dp engine; None for the others
+    states: Optional[int] = None
 
 
 def _concat_reduced(w: tuple, s: tuple) -> tuple:
@@ -88,6 +90,13 @@ def _peeled_length(letters: tuple, weight_of) -> object:
     if i > j:
         return 0
     return sum(weight_of(x) for x in letters[i : j + 1])
+
+
+def _tree_weight(model: TreeModel):
+    """letter -> weight of a tree model, a tuple gather without the range
+    check of ``weight_of`` (for letters already known to be in range)."""
+    weights = model.weights
+    return lambda x: weights[abs(x) - 1]
 
 
 def _word_lower_oracle(model):
@@ -208,30 +217,155 @@ def _matrix_joint_profile(model, words, n_max, frontier_cap):
 # ----------------------------------------------------- tree fast path (DP)
 
 _EXACT, _TRUNC, _BLIND = 0, 1, 2
+_BLIND_STATE = ((), _BLIND)
 
 # Retained suffix length of the tree automaton, raised to twice the
 # longest factor of S.
 _SUFFIX_CAP = 6
 
 
-def _tree_step(weights, suffix, trunc, s, cap):
-    """(new_suffix, new_trunc, delta, eroded) of appending factor s."""
-    w = list(suffix)
-    t = 0
-    delta = 0
-    while t < len(s) and w and w[-1] == -s[t]:
-        delta -= weights[abs(w.pop()) - 1]
-        t += 1
-    eroded = trunc == _TRUNC and not w and t < len(s)
-    kept = s[t:]
-    for x in kept:
-        delta += weights[abs(x) - 1]
-    if eroded:
-        return (), _BLIND, delta, True
-    new = tuple(w) + kept
-    if len(new) > cap:
-        return new[-cap:], _TRUNC, delta, False
-    return new, trunc, delta, False
+def _compile_tree_automaton(weights, s_list, cap: int, n_max: int):
+    """The (suffix, trunc) automaton of S, its states interned breadth first.
+
+    Returns (init, dst, delta, eroded, n_states).  ``init`` maps the state
+    of each one-factor product to its length, in S order.  Every state
+    first reached within n_max - 1 factors (no deeper state is a source
+    below level n_max) gets |S| out-edges, one per factor in S order: edge
+    e leaves state e // |S| for ``dst[e]`` and changes the length by
+    ``delta[e]``.  Breadth first, those states are exactly the ids
+    0 .. len(dst) // |S| - 1.
+
+    Appending a factor cancels its longest prefix against the suffix, which
+    is exact because cancellation never looks deeper than the factor, and
+    keeps the last ``cap`` letters.  When the cancellation eats a truncated
+    suffix whole, the product goes to a blind state that stops cancelling
+    and adds the heaviest factor on every edge; ``eroded`` says whether
+    such an edge exists.  Deltas take the cancelled weights off and then
+    put the kept ones on, letter by letter, so float weights round the same
+    way on every edge.
+    """
+    factors = []
+    for s in s_list:
+        ws = [weights[abs(x) - 1] for x in s]
+        deltas = []
+        for t in range(len(s) + 1):
+            d = 0
+            for w in ws[:t]:
+                d -= w
+            for w in ws[t:]:
+                d += w
+            deltas.append(d)
+        factors.append((s, len(s), tuple(-x for x in s), deltas))
+    m = len(factors)
+    blind = [max(f[3][0] for f in factors)] * m
+
+    ids: dict = {}
+    init: dict = {}
+    for s, _, _, deltas in factors:
+        key = (s, _EXACT)  # len(s) <= cap / 2: no truncation
+        if key not in ids:
+            init[len(ids)] = deltas[0]
+            ids[key] = len(ids)
+    keys = list(ids)
+    dst, delta = [], []
+    eroded = False
+    lo = 0
+    for _ in range(n_max - 1):
+        hi = len(keys)
+        for suffix, trunc in keys[lo:hi]:
+            if trunc == _BLIND:
+                dst += [ids[_BLIND_STATE]] * m
+                delta += blind
+                continue
+            n = len(suffix)
+            for s, k, inv, deltas in factors:
+                # t: letters of s cancelled against the end of the suffix
+                t = 0
+                while t < n and t < k and suffix[n - 1 - t] == inv[t]:
+                    t += 1
+                if t == n and t < k and trunc == _TRUNC:
+                    eroded = True
+                    key = _BLIND_STATE
+                else:
+                    new = suffix[:n - t] + s[t:]
+                    key = (new[-cap:], _TRUNC) if len(new) > cap else (new, trunc)
+                j = ids.get(key)
+                if j is None:
+                    j = ids[key] = len(keys)
+                    keys.append(key)
+                dst.append(j)
+                delta.append(deltas[t])
+        lo = hi
+    return init, dst, delta, eroded, len(keys)
+
+
+def _dp_dtype(weights, n_max: int, cap: int):
+    """int64 for int weights whose level sums stay below 2**62, float64 for
+    float weights, object (Python arithmetic) for anything else."""
+    if all(type(w) is int for w in weights):
+        if n_max * cap * max(weights, default=0) < 2 ** 62:
+            return np.int64
+    elif all(type(w) is float for w in weights):
+        return np.float64
+    return object
+
+
+def _dst_groups(dst_sorted):
+    """Start index and dst of each run of equal dst in a sorted dst column."""
+    starts = np.flatnonzero(np.concatenate(([True], dst_sorted[1:] != dst_sorted[:-1])))
+    return starts, dst_sorted[starts]
+
+
+def _level_maxima(init, dst, delta, n_states, n_factors, dtype, n_max):
+    """a[n] for n = 1..n_max: the largest length over the states n factors reach.
+
+    Each level is one max-plus product over the edge arrays: every edge
+    offers val[src] + delta to its dst and np.maximum.reduceat keeps the
+    largest offer per dst, the edges grouped by dst once.  Lengths are >= 0
+    and unreached states sit below 0 (-2**62 in int64, -inf in float64).
+
+    In the object dtype an int and a Fraction can tie.  There the edges are
+    reordered every level, so a tie keeps the offer a walk over the level's
+    states in the order it reached them, and over S in order, meets first:
+    reduceat and max keep the first of equal objects.
+    """
+    a = {1: max(init.values())}
+    if n_max < 2:
+        return a
+    dst = np.array(dst, np.intp)
+    delta = np.array(delta, dtype)
+    src = np.arange(len(dst)) // n_factors
+    first = np.fromiter(init, np.intp, len(init))
+    ordered = dtype is object
+    floor = None if ordered else -np.inf if dtype is np.float64 else -2 ** 62
+    val = np.full(n_states, floor, dtype)
+    val[first] = list(init.values())
+    pos = np.full(n_states, -1, np.intp)
+    pos[first] = np.arange(len(first))
+    order = np.argsort(dst, kind="stable")
+    starts, heads = _dst_groups(dst[order])
+    src_o, delta_o = src[order], delta[order]
+    for n in range(2, n_max + 1):
+        if ordered:
+            # edge e is met at (pos of its src) * |S| + its factor index
+            live = np.flatnonzero(pos[src] >= 0)
+            seen = pos[src[live]] * n_factors + live % n_factors
+            sort = np.lexsort((seen, dst[live]))
+            order, seen = live[sort], seen[sort]
+            starts, heads = _dst_groups(dst[order])
+            src_o, delta_o = src[order], delta[order]
+        top = np.maximum.reduceat(val[src_o] + delta_o, starts)
+        val = np.full(n_states, floor, dtype)
+        val[heads] = top
+        if ordered:
+            reached = heads[np.argsort(seen[starts])]
+            pos[:] = -1
+            pos[reached] = np.arange(len(reached))
+            a[n] = val[reached].max()
+        else:
+            # every state reached at level n has an in-edge from level n - 1
+            a[n] = top.max().item()
+    return a
 
 
 def tree_joint_profile(model: TreeModel, s, n_max: int = 12) -> JointLengthProfile:
@@ -244,6 +378,10 @@ def tree_joint_profile(model: TreeModel, s, n_max: int = 12) -> JointLengthProfi
     certified upper bounds for the true maxima (exact when nothing eroded,
     as reported by ``eroded``), so the hi side of the bracket stays sound.
     The lo side is the exact half-max stable length over S^2.
+
+    The automaton is compiled once per call (``states`` counts its
+    interned states) and the levels run as max-plus products over its edge
+    arrays, in int64, float64 or object arithmetic by the weights of S.
     """
     words = _as_words(s)
     s_list = [w.letters for w in words]
@@ -251,45 +389,16 @@ def tree_joint_profile(model: TreeModel, s, n_max: int = 12) -> JointLengthProfi
         s_list = [w for w in s_list if w] or [()]
     weights = tuple(model.weights)
     cap = max(_SUFFIX_CAP, 2 * max((len(w) for w in s_list), default=1))
-    # transitions of this call: (suffix, trunc, s) -> _tree_step(...)
-    step: dict = {}
-    states: dict = {}
-    a = {}
-    eroded_any = False
-    for w in s_list:
-        st = (w, _EXACT) if len(w) <= cap else (w[-cap:], _TRUNC)
-        v = sum(weights[abs(x) - 1] for x in w)
-        if states.get(st, -1) < v:
-            states[st] = v
-    a[1] = max(states.values())
-    sw_weight = [sum(weights[abs(x) - 1] for x in sw) for sw in s_list]
-    blind_key = ((), _BLIND)
-    for n in range(2, n_max + 1):
-        nxt: dict = {}
-        for (suffix, trunc), val in states.items():
-            if trunc == _BLIND:
-                nv = val + max(sw_weight)
-                if nxt.get(blind_key, -1) < nv:
-                    nxt[blind_key] = nv
-                continue
-            for sw in s_list:
-                hit = step.get((suffix, trunc, sw))
-                if hit is None:
-                    hit = step[suffix, trunc, sw] = _tree_step(
-                        weights, suffix, trunc, sw, cap)
-                nsuf, ntr, delta, er = hit
-                if er:
-                    eroded_any = True
-                key = (nsuf, ntr)
-                nv = val + delta
-                if nxt.get(key, -1) < nv:
-                    nxt[key] = nv
-        states = nxt
-        a[n] = max(states.values())
+    init, dst, delta, eroded, n_states = _compile_tree_automaton(
+        weights, s_list, cap, n_max)
+    used = [weights[x - 1] for x in {abs(x) for w in s_list for x in w}]
+    a = _level_maxima(init, dst, delta, n_states, len(s_list),
+                      _dp_dtype(used, n_max, cap), n_max)
+    weight = _tree_weight(model)
     pair = 0
     for u in s_list:
         for v in s_list:
-            cand = _peeled_length(_concat_reduced(u, v), model.weight_of)
+            cand = _peeled_length(_concat_reduced(u, v), weight)
             if cand > pair:
                 pair = cand
     pair_half = exact_div(pair, 2)
@@ -302,7 +411,8 @@ def tree_joint_profile(model: TreeModel, s, n_max: int = 12) -> JointLengthProfi
         lo_terms={2: pair_half},
         pair_half=pair_half,
         engine="tree-dp",
-        eroded=eroded_any,
+        eroded=eroded,
+        states=n_states,
     )
 
 
