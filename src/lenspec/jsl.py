@@ -300,13 +300,11 @@ def _compile_tree_automaton(weights, s_list, cap: int, n_max: int):
 
 
 def _dp_dtype(weights, n_max: int, cap: int):
-    """int64 for int weights whose level sums stay below 2**62, float64 for
-    float weights, object (Python arithmetic) for anything else."""
-    if all(type(w) is int for w in weights):
-        if n_max * cap * max(weights, default=0) < 2 ** 62:
-            return np.int64
-    elif all(type(w) is float for w in weights):
-        return np.float64
+    """int64 for int weights whose level sums stay below 2**62, object
+    (Python arithmetic) for anything else."""
+    if (all(type(w) is int for w in weights)
+            and n_max * cap * max(weights, default=0) < 2 ** 62):
+        return np.int64
     return object
 
 
@@ -322,7 +320,7 @@ def _level_maxima(init, dst, delta, n_states, n_factors, dtype, n_max):
     Each level is one max-plus product over the edge arrays: every edge
     offers val[src] + delta to its dst and np.maximum.reduceat keeps the
     largest offer per dst, the edges grouped by dst once.  Lengths are >= 0
-    and unreached states sit below 0 (-2**62 in int64, -inf in float64).
+    and unreached states sit below 0 (-2**62 in int64).
 
     In the object dtype an int and a Fraction can tie.  There the edges are
     reordered every level, so a tie keeps the offer a walk over the level's
@@ -337,7 +335,7 @@ def _level_maxima(init, dst, delta, n_states, n_factors, dtype, n_max):
     src = np.arange(len(dst)) // n_factors
     first = np.fromiter(init, np.intp, len(init))
     ordered = dtype is object
-    floor = None if ordered else -np.inf if dtype is np.float64 else -2 ** 62
+    floor = None if ordered else -2 ** 62
     val = np.full(n_states, floor, dtype)
     val[first] = list(init.values())
     pos = np.full(n_states, -1, np.intp)
@@ -381,7 +379,7 @@ def tree_joint_profile(model: TreeModel, s, n_max: int = 12) -> JointLengthProfi
 
     The automaton is compiled once per call (``states`` counts its
     interned states) and the levels run as max-plus products over its edge
-    arrays, in int64, float64 or object arithmetic by the weights of S.
+    arrays, in int64 or object arithmetic by the weights of S.
     """
     words = _as_words(s)
     s_list = [w.letters for w in words]

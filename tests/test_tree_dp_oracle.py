@@ -219,7 +219,7 @@ def test_dtype_follows_the_weights():
     assert jsl._dp_dtype([], 12, 6) is np.int64  # S = {identity}
     assert jsl._dp_dtype([2 ** 62 // 72], 12, 6) is np.int64
     assert jsl._dp_dtype([2 ** 62 // 72 + 1], 12, 6) is object
-    assert jsl._dp_dtype([0.5, 1.5], 12, 6) is np.float64
+    assert jsl._dp_dtype([0.5, 1.5], 12, 6) is object
     assert jsl._dp_dtype([1, Fraction(1, 2)], 12, 6) is object
     assert jsl._dp_dtype([1, 0.5], 12, 6) is object
 
