@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import InputError, NumericError
-from .words import ConjClass, Word, _letters_in_order, cyclic_reduce
+from .words import ConjClass, Word, _letters_in_order
 
 __all__ = [
     "LengthBracket",
@@ -159,14 +159,8 @@ class ActionModel:
         raise NotImplementedError
 
     def displacement_of_powers(self, g: Word, ks: Sequence[int]) -> dict:
-        """d(x, g^k x) for each k.  Word models use the cyclic decomposition."""
-        c = cyclic_reduce(g)
-        u, w = c.rep.letters, c.conjugator.letters
-        winv = tuple(-x for x in reversed(w))
-        out = {}
-        for k in ks:
-            out[k] = self.displacement(Word(w + u * k + winv))
-        return out
+        """d(x, g^k x) for each k."""
+        return {k: self.displacement(g ** k) for k in ks}
 
     def exact_stable_length(self, c: ConjClass):
         """Exact stable length of the class, or None if unavailable."""

@@ -10,11 +10,13 @@ with enumeration depth chosen so that every class in the window is seen
 (each model provides a comparison radius; when it exceeds the configured
 cap, the window is flagged truncated and verdicts degrade accordingly).
 
-Verdict policy, uniformly: a bound "holds" when the reference bracket's hi
-sits below the bound, is "violated" only when the reference lo certifiedly
-exceeds the bound AND the bound-side window had full coverage (otherwise
-the computed bound may understate the true right-hand side), and is
-"inconclusive" in between.  Violations are therefore certified events.
+Verdict policy, uniformly (``verdict_of``): a bound "holds" when the
+compared bracket's hi sits below the bound, is "violated" only when the
+bracket's lo certifiedly exceeds the bound AND the check's data is
+certified (for a windowed bound: the bound-side window had full coverage,
+otherwise the computed bound may understate the true right-hand side),
+and is "inconclusive" in between.  Violations are therefore certified
+events.
 
 The windowed reports take an optional ``tables`` dict through which the
 reports of one run share their class tables (see ``_class_table``).
@@ -24,7 +26,8 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field, replace
+import numbers
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -32,22 +35,25 @@ import numpy as np
 
 from .actions import LengthBracket, exact_div
 from .errors import InputError
-from .jsl import (
-    BochiConstants,
+from .jsl import BochiConstants, joint_stable_profile
+from .spaces import MobiusModel, TreeModel, WordMetricModel
+from .words import (
+    ROW_CHUNK,
+    ClassCodes,
+    GeneratingSet,
+    Word,
     _as_words,
     _concat_reduced,
-    _peeled_length,
-    _tree_weight,
-    joint_stable_profile,
+    _cyclic_core,
+    enumerate_ball,
 )
-from .spaces import MobiusModel, TreeModel, WordMetricModel
-from .words import ROW_CHUNK, ClassCodes, GeneratingSet, Word, enumerate_ball
 
 __all__ = [
     "HOLDS",
     "VIOLATED",
     "INCONCLUSIVE",
     "HYPOTHESIS_FAILED",
+    "verdict_of",
     "VerifierConfig",
     "WindowRow",
     "WindowSup",
@@ -77,10 +83,28 @@ HYPOTHESIS_FAILED = "hypothesis-failed"
 _ZERO_EPS = 1e-9
 _EXACT = (int, Fraction)
 
+# the int fields of VerifierConfig (caps, radii, levels), each with its least value
+_INT_FIELDS = {"radius_cap": 1, "class_cap": 1, "k_max": 1, "window_k_max": 1,
+               "n_max": 1, "frontier_cap": 1, "diagnostics_cap": 0}
+# its other numbers, each with its least value (None: no bound); delta
+# and D may also be None
+_NUM_FIELDS = {"K": 0, "delta": 0, "D": None, "c_delta": 0, "tolerance": 0,
+               "reference_factor": 1}
+
+
+def _finite(v) -> bool:
+    """v is a finite real number and not a bool."""
+    return (isinstance(v, numbers.Real) and not isinstance(v, bool)
+            and math.isfinite(v))
+
 
 @dataclass(frozen=True)
 class VerifierConfig:
-    """Shared knobs for the verifiers; all radii and caps live here."""
+    """Shared knobs for the verifiers; all radii and caps live here.
+
+    Caps, radii and levels are ints at or above their least value; every
+    other number is finite, and a bool is no number.
+    """
 
     K: float = 1e4
     delta: Optional[float] = None
@@ -98,19 +122,21 @@ class VerifierConfig:
     diagnostics_cap: int = 16
 
     def __post_init__(self):
-        if self.K < 0 or self.tolerance < 0 or self.c_delta < 0:
-            raise InputError("K, tolerance and c_delta must be nonnegative")
-        if self.delta is not None and self.delta < 0:
-            raise InputError("delta must be nonnegative")
-        if not self.L_values or any(L <= 0 for L in self.L_values):
+        for name, least in _INT_FIELDS.items():
+            v = getattr(self, name)
+            if not (isinstance(v, numbers.Integral) and not isinstance(v, bool)
+                    and v >= least):
+                raise InputError(f"{name} must be an int >= {least}, got {v!r}")
+        for name, least in _NUM_FIELDS.items():
+            v = getattr(self, name)
+            if v is None and name in ("delta", "D"):
+                continue
+            if not (_finite(v) and (least is None or v >= least)):
+                at_least = "" if least is None else f" >= {least}"
+                raise InputError(f"{name} must be a finite number{at_least}, "
+                                 f"got {v!r}")
+        if not self.L_values or not all(_finite(L) and L > 0 for L in self.L_values):
             raise InputError("L_values must be a nonempty tuple of positive lengths")
-        if self.reference_factor < 1:
-            raise InputError("reference_factor must be >= 1")
-        if self.radius_cap < 1:
-            raise InputError("radius_cap must be >= 1")
-
-    def with_L(self, L_values) -> "VerifierConfig":
-        return replace(self, L_values=tuple(L_values))
 
 
 @dataclass(frozen=True)
@@ -521,11 +547,15 @@ class DilationReport:
     extras: dict = field(default_factory=dict)
 
 
-def _verdict(reference: LengthBracket, bound, tol: float,
-             refutation_certified: bool) -> str:
-    if reference.hi <= bound + tol:
+def verdict_of(lo, hi, bound_lo, bound_hi, tol: float, certified: bool) -> str:
+    """The verdict of a bracket [lo, hi] against a bound bracketed by
+    [bound_lo, bound_hi]: "holds" when hi <= bound_lo + tol, "violated"
+    only when the data is ``certified`` and lo > bound_hi + tol, and
+    "inconclusive" otherwise.  Every check that compares a bracket against
+    a bound decides by this rule."""
+    if hi <= bound_lo + tol:
         return HOLDS
-    if refutation_certified and reference.lo > bound + tol:
+    if certified and lo > bound_hi + tol:
         return VIOLATED
     return INCONCLUSIVE
 
@@ -643,8 +673,8 @@ def cobounded_dilation_report(target, ref, config: Optional[VerifierConfig] = No
         sup_term = ws.value.hi * (exact_div(L - 2 * D, den) if variant == "tight"
                                   else exact_div(L, den))
         pen_delta = delta if variant == "tight" else math.log(4)
-        verdict = _verdict(ref_ws.value, bound, cfg.tolerance,
-                           refutation_certified=not ws.truncated)
+        verdict = verdict_of(ref_ws.value.lo, ref_ws.value.hi, bound, bound,
+                             cfg.tolerance, not ws.truncated)
         return f"cobounded-window[{variant}]", bound, verdict, {
             "D": D,
             "delta": delta,
@@ -679,8 +709,8 @@ def word_metric_dilation_report(target, gens, config: Optional[VerifierConfig] =
     def judge(L, ws, ref_ws, table):
         pen = cfg.K * delta
         bound = ws.value.hi if pen == 0 else exact_div(pen, L) + ws.value.hi
-        verdict = _verdict(ref_ws.value, bound, cfg.tolerance,
-                           refutation_certified=not ws.truncated)
+        verdict = verdict_of(ref_ws.value.lo, ref_ws.value.hi, bound, bound,
+                             cfg.tolerance, not ws.truncated)
         return "word-metric-window", bound, verdict, {
             "delta": delta,
             "K": cfg.K,
@@ -722,8 +752,8 @@ def spectral_dilation_report(rho, tau, config: Optional[VerifierConfig] = None,
     def judge(L, ws, ref_ws, table):
         den = L - slack
         bound = consts.c_m * consts.d_m / den + float(ws.value.hi) * L / den
-        verdict = _verdict(ref_ws.value, bound, cfg.tolerance,
-                           refutation_certified=not ws.truncated)
+        verdict = verdict_of(ref_ws.value.lo, ref_ws.value.hi, bound, bound,
+                             cfg.tolerance, not ws.truncated)
         return "spectral-window", bound, verdict, {
             "c_m": consts.c_m,
             "d_m": consts.d_m,
@@ -806,12 +836,9 @@ def ratio_envelope_report(target, ref, alpha_lo, beta_hi,
             bound = None
         else:
             bound = C0
-            if need_c0 <= C0 + tol:
-                verdict = HOLDS if not hyp_uncertified else INCONCLUSIVE
-            elif cert_c0 > C0 + tol:
-                # a single certified escapee refutes, whatever the coverage
-                verdict = VIOLATED
-            else:
+            # a single certified escapee refutes, whatever the coverage
+            verdict = verdict_of(cert_c0, need_c0, C0, C0, tol, True)
+            if verdict == HOLDS and hyp_uncertified:
                 verdict = INCONCLUSIVE
         return "ratio-envelope", bound, verdict, {
             "alpha": alpha_lo,
@@ -859,20 +886,14 @@ def joint_vs_dilation_report(model, s, config: Optional[VerifierConfig] = None,
     profile = joint_stable_profile(model, words, cfg.n_max,
                                    frontier_cap=cfg.frontier_cap)
     joint = profile.bracket
-    tol = cfg.tolerance
-    if ws.value.lo > joint.hi + tol and not ws.truncated:
-        verdict = VIOLATED
-    elif ws.value.hi <= joint.lo + tol:
-        verdict = HOLDS
-    else:
-        verdict = INCONCLUSIVE
     return DilationReport(
         name="joint-vs-dilation",
         window_L=L,
         window_sup=ws.value,
         bound_value=joint.hi,
         reference_dilation=ws.value,
-        verdict=verdict,
+        verdict=verdict_of(ws.value.lo, ws.value.hi, joint.lo, joint.hi,
+                           cfg.tolerance, not ws.truncated),
         diagnostics=list(ws.rows),
         coverage={"window": _coverage(ws)},
         extras={
@@ -1083,10 +1104,10 @@ def pointwise_cover_report(model, ball_radius: int, f_radius: int,
     disp = [model.displacement(g) for g in ball]
 
     if isinstance(model, TreeModel):
-        weight = _tree_weight(model)
-
         def col(f: Word):
-            return [_peeled_length(_concat_reduced(g.letters, f.letters), weight)
+            # a tree length is the same on every rotation of the core
+            fl = f.letters
+            return [model.class_length(_cyclic_core(_concat_reduced(g.letters, fl)))
                     for g in ball]
     else:
         mats = [model.matrix(g) for g in ball]

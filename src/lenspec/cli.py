@@ -59,6 +59,7 @@ from .bounds import (
     pointwise_cover_report,
     ratio_envelope_report,
     spectral_dilation_report,
+    verdict_of,
     word_metric_dilation_report,
 )
 from .errors import InputError, NumericError, ResourceCapError
@@ -124,6 +125,9 @@ _PARAM_DEFAULTS = {
     "cert_radius": 6,
     "radius": None,
 }
+# the integer params and their least values
+_INT_PARAMS = {"n": 1, "ball_radius": 0, "f_radius": 0, "max_f": 0,
+               "cert_radius": 0, "radius": 0}
 
 _TOP_KEYS = ("name", "rank", "seed", "target", "reference", "subset",
              "matrices", "ensemble", "verify", "config", "params")
@@ -174,7 +178,7 @@ def _fail(path: str, msg: str):
     raise InputError(f"scenario.{path}: {msg}" if path else f"scenario: {msg}")
 
 
-def _check_num(v, path, *, positive=False, integer=False):
+def _check_num(v, path, *, positive=False, integer=False, least=None):
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         _fail(path, f"expected a number, got {type(v).__name__}")
     if not math.isfinite(v):
@@ -183,6 +187,8 @@ def _check_num(v, path, *, positive=False, integer=False):
         _fail(path, f"expected an integer, got {v}")
     if positive and not v > 0:
         _fail(path, f"must be positive, got {v}")
+    if least is not None and v < least:
+        _fail(path, f"must be >= {least}, got {v}")
     return v
 
 
@@ -402,9 +408,19 @@ def parse_scenario(text: str) -> Scenario:
             _fail("params.band", "expected [alpha, beta]")
         _check_num(band[0], "params.band[0]")
         _check_num(band[1], "params.band[1]")
+    for key, v in par.items():
+        if key == "band" or (v is None and key in ("C0", "radius")):
+            continue
+        least = _INT_PARAMS.get(key)
+        _check_num(v, f"params.{key}", integer=least is not None, least=least)
+        if least is not None:
+            par[key] = int(v)
     data["params"] = par
     scen = Scenario(data=data)
-    scen.config()  # validate config values via the dataclass
+    try:
+        scen.config()  # validate config values via the dataclass
+    except InputError as e:
+        _fail("config", str(e))
     return scen
 
 
@@ -631,33 +647,25 @@ def _run_token(token: str, scen: Scenario, cfg: VerifierConfig,
         words = [Word(e) for e in scen.data["subset"]]
         check = bf_lower_check(target, words, n_max=cfg.n_max, tol=tol,
                                K=cfg.K, frontier_cap=cfg.frontier_cap)
-        if check.ok:
-            verdict = "holds"
-        elif check.joint.certified:
-            verdict = "violated"
-        else:
-            verdict = "inconclusive"
+        half_lo, joint_hi = check.pair_half.lo, check.joint.hi
+        verdict = verdict_of(half_lo, half_lo, joint_hi, joint_hi, tol,
+                             check.joint.certified)
         return {"reports": [_jsonable(check)], "verdict": verdict}
     if token == "bochi":
         instances = _spectral_instances(scen, target)
         rows = []
         verdicts = []
         for mats in instances:
-            prof = jsr_profile(mats, cfg.n_max, cap=cfg.frontier_cap)
+            jsr = jsr_profile(mats, cfg.n_max, cap=cfg.frontier_cap).bracket
             rhs = bochi_rhs(mats, cap=cfg.frontier_cap)
-            ok = bool(prof.bracket.hi <= rhs.value + tol)
-            if ok:
-                verdicts.append("holds")
-            elif prof.bracket.lo > rhs.value + tol and not rhs.partial:
-                verdicts.append("violated")
-            else:
-                verdicts.append("inconclusive")
+            verdicts.append(verdict_of(jsr.lo, jsr.hi, rhs.value, rhs.value, tol,
+                                       not rhs.partial))
             rows.append({
-                "jsr": _jsonable(prof.bracket),
+                "jsr": _jsonable(jsr),
                 "rhs": _num(rhs.value),
                 "j_used": rhs.j_used,
                 "partial": rhs.partial,
-                "ok": ok,
+                "ok": verdicts[-1] == "holds",
             })
         return {"reports": rows, "verdict": _worst(verdicts)}
     if token == "prop31":
@@ -763,15 +771,12 @@ def _env(scen: Scenario) -> dict:
             "python": platform.python_version(), "seed": scen.seed}
 
 
-def run(scenario: Scenario, *, max_frontier: Optional[int] = None,
-        with_classes: bool = False) -> RunReport:
+def run(scenario: Scenario, *, with_classes: bool = False) -> RunReport:
     """Execute the scenario's verifiers in order.
 
     Resource-cap errors are captured per verifier and the run continues;
     input errors propagate (the scenario itself is wrong).
     """
-    if max_frontier is not None:
-        scenario = scenario.with_overrides(max_frontier=max_frontier)
     cfg = scenario.config()
     target, reference = _models(scenario)
     # one class table per (target, reference) and one subset word metric

@@ -31,7 +31,7 @@ import numpy as np
 from .actions import LengthBracket, exact_div
 from .errors import InputError, NumericError, ResourceCapError
 from .spaces import MobiusModel, TreeModel, WordMetricModel
-from .words import ConjClass, Word
+from .words import ConjClass, Word, _as_words, _concat_reduced, _cyclic_core
 
 __all__ = [
     "JointLengthProfile",
@@ -49,14 +49,6 @@ __all__ = [
 ]
 
 
-def _as_words(s) -> list[Word]:
-    """The subset S as a nonempty list of Words (strings are parsed)."""
-    words = [e if isinstance(e, Word) else Word(e) for e in s]
-    if not words:
-        raise InputError("subset must be nonempty")
-    return words
-
-
 @dataclass
 class JointLengthProfile:
     """Joint stable length bracket plus the per-level evidence."""
@@ -71,44 +63,16 @@ class JointLengthProfile:
     states: Optional[int] = None
 
 
-def _concat_reduced(w: tuple, s: tuple) -> tuple:
-    """Reduce w * s assuming both are reduced (cancellation only at the seam)."""
-    i = len(w)
-    j = 0
-    while i > 0 and j < len(s) and w[i - 1] == -s[j]:
-        i -= 1
-        j += 1
-    return w[:i] + s[j:]
-
-
-def _peeled_length(letters: tuple, weight_of) -> object:
-    """Weighted cyclically reduced length (no rotation needed for lengths)."""
-    i, j = 0, len(letters) - 1
-    while i < j and letters[i] == -letters[j]:
-        i += 1
-        j -= 1
-    if i > j:
-        return 0
-    return sum(weight_of(x) for x in letters[i : j + 1])
-
-
-def _tree_weight(model: TreeModel):
-    """letter -> weight of a tree model, a tuple gather without the range
-    check of ``weight_of`` (for letters already known to be in range)."""
-    weights = model.weights
-    return lambda x: weights[abs(x) - 1]
-
-
 def _word_lower_oracle(model):
     """Cheap per-word stable-length lower bound for word-frontier models."""
     if isinstance(model, TreeModel):
-        return lambda letters: _peeled_length(letters, model.weight_of)
+        return lambda letters: model.class_length(_cyclic_core(letters))
     if isinstance(model, WordMetricModel):
         if model.exactness == "tree-exact":
             tree = model._tree
-            return lambda letters: _peeled_length(letters, tree.weight_of)
+            return lambda letters: tree.class_length(_cyclic_core(letters))
         c = model._c_cmp
-        return lambda letters: exact_div(_peeled_length(letters, lambda _x: 1), c)
+        return lambda letters: exact_div(len(_cyclic_core(letters)), c)
     raise InputError(f"no joint-length engine for {type(model).__name__}")
 
 
@@ -308,61 +272,51 @@ def _dp_dtype(weights, n_max: int, cap: int):
     return object
 
 
-def _dst_groups(dst_sorted):
-    """Start index and dst of each run of equal dst in a sorted dst column."""
-    starts = np.flatnonzero(np.concatenate(([True], dst_sorted[1:] != dst_sorted[:-1])))
-    return starts, dst_sorted[starts]
-
-
 def _level_maxima(init, dst, delta, n_states, n_factors, dtype, n_max):
     """a[n] for n = 1..n_max: the largest length over the states n factors reach.
 
-    Each level is one max-plus product over the edge arrays: every edge
-    offers val[src] + delta to its dst and np.maximum.reduceat keeps the
+    In int64 each level is one max-plus product over the edge arrays: every
+    edge offers val[src] + delta to its dst and np.maximum.reduceat keeps the
     largest offer per dst, the edges grouped by dst once.  Lengths are >= 0
-    and unreached states sit below 0 (-2**62 in int64).
+    and unreached states sit at -2**62.
 
-    In the object dtype an int and a Fraction can tie.  There the edges are
-    reordered every level, so a tie keeps the offer a walk over the level's
-    states in the order it reached them, and over S in order, meets first:
-    reduceat and max keep the first of equal objects.
+    In the object dtype an int and a Fraction can tie, and a tie keeps the
+    number type offered first.  There the levels are a dict walk: each
+    reached state, in the order its level first reached it, offers its
+    length plus each edge delta in S order, and an offer is kept only when
+    it beats the current one (a strict <).
     """
     a = {1: max(init.values())}
+    if dtype is object:
+        val = init
+        for n in range(2, n_max + 1):
+            nxt: dict = {}
+            for i, v in val.items():
+                e = i * n_factors
+                for j, d in zip(dst[e:e + n_factors], delta[e:e + n_factors]):
+                    nv = v + d
+                    if nxt.get(j, -1) < nv:
+                        nxt[j] = nv
+            val = nxt
+            a[n] = max(val.values())
+        return a
     if n_max < 2:
         return a
     dst = np.array(dst, np.intp)
-    delta = np.array(delta, dtype)
     src = np.arange(len(dst)) // n_factors
-    first = np.fromiter(init, np.intp, len(init))
-    ordered = dtype is object
-    floor = None if ordered else -2 ** 62
-    val = np.full(n_states, floor, dtype)
-    val[first] = list(init.values())
-    pos = np.full(n_states, -1, np.intp)
-    pos[first] = np.arange(len(first))
     order = np.argsort(dst, kind="stable")
-    starts, heads = _dst_groups(dst[order])
-    src_o, delta_o = src[order], delta[order]
+    dst_o = dst[order]
+    starts = np.flatnonzero(np.concatenate(([True], dst_o[1:] != dst_o[:-1])))
+    heads = dst_o[starts]
+    src_o, delta_o = src[order], np.array(delta, dtype)[order]
+    val = np.full(n_states, -2 ** 62, dtype)
+    val[list(init)] = list(init.values())
     for n in range(2, n_max + 1):
-        if ordered:
-            # edge e is met at (pos of its src) * |S| + its factor index
-            live = np.flatnonzero(pos[src] >= 0)
-            seen = pos[src[live]] * n_factors + live % n_factors
-            sort = np.lexsort((seen, dst[live]))
-            order, seen = live[sort], seen[sort]
-            starts, heads = _dst_groups(dst[order])
-            src_o, delta_o = src[order], delta[order]
         top = np.maximum.reduceat(val[src_o] + delta_o, starts)
-        val = np.full(n_states, floor, dtype)
+        val = np.full(n_states, -2 ** 62, dtype)
         val[heads] = top
-        if ordered:
-            reached = heads[np.argsort(seen[starts])]
-            pos[:] = -1
-            pos[reached] = np.arange(len(reached))
-            a[n] = val[reached].max()
-        else:
-            # every state reached at level n has an in-edge from level n - 1
-            a[n] = top.max().item()
+        # every state reached at level n has an in-edge from level n - 1
+        a[n] = top.max().item()
     return a
 
 
@@ -378,8 +332,9 @@ def tree_joint_profile(model: TreeModel, s, n_max: int = 12) -> JointLengthProfi
     The lo side is the exact half-max stable length over S^2.
 
     The automaton is compiled once per call (``states`` counts its
-    interned states) and the levels run as max-plus products over its edge
-    arrays, in int64 or object arithmetic by the weights of S.
+    interned states) and the levels run over its edges: as max-plus
+    products of int64 arrays when the weights of S allow, else as a dict
+    walk in Python arithmetic.
     """
     words = _as_words(s)
     s_list = [w.letters for w in words]
@@ -392,11 +347,10 @@ def tree_joint_profile(model: TreeModel, s, n_max: int = 12) -> JointLengthProfi
     used = [weights[x - 1] for x in {abs(x) for w in s_list for x in w}]
     a = _level_maxima(init, dst, delta, n_states, len(s_list),
                       _dp_dtype(used, n_max, cap), n_max)
-    weight = _tree_weight(model)
     pair = 0
     for u in s_list:
         for v in s_list:
-            cand = _peeled_length(_concat_reduced(u, v), weight)
+            cand = model.class_length(_cyclic_core(_concat_reduced(u, v)))
             if cand > pair:
                 pair = cand
     pair_half = exact_div(pair, 2)

@@ -20,7 +20,7 @@ import numpy as np
 from .actions import ActionModel, AnosovCertificate, LengthBracket, anosov_certificate, exact_div
 from .errors import InputError, NumericError, SearchExhaustedError
 from .words import (ClassCodes, ConjClass, GeneratingSet, Word, _letters_in_order,
-                    word_length)
+                    check_semigroup_generation, word_length)
 
 __all__ = [
     "TreeModel",
@@ -197,8 +197,6 @@ class WordMetricModel(ActionModel):
         else:
             self.cobound_D = None
             if check_generation:
-                from .words import check_semigroup_generation
-
                 chk = check_semigroup_generation(gens, radius_cap=radius_cap)
                 if not chk.ok:
                     kind = "inconclusive" if chk.inconclusive else "failed"

@@ -110,7 +110,7 @@ class Word:
     def __mul__(self, other: "Word") -> "Word":
         if not isinstance(other, Word):
             return NotImplemented
-        return Word(self.letters + other.letters)
+        return Word._unchecked(_concat_reduced(self.letters, other.letters))
 
     def inverse(self) -> "Word":
         return Word(tuple(-x for x in reversed(self.letters)))
@@ -159,6 +159,34 @@ class Word:
         return f"Word({str(self)!r})"
 
 
+def _as_words(s) -> list[Word]:
+    """The subset S as a nonempty list of Words (strings are parsed)."""
+    words = [e if isinstance(e, Word) else Word(e) for e in s]
+    if not words:
+        raise InputError("subset must be nonempty")
+    return words
+
+
+def _concat_reduced(w: tuple, s: tuple) -> tuple:
+    """Reduce w * s assuming both are reduced (cancellation only at the seam)."""
+    i = len(w)
+    j = 0
+    while i > 0 and j < len(s) and w[i - 1] == -s[j]:
+        i -= 1
+        j += 1
+    return w[:i] + s[j:]
+
+
+def _cyclic_core(letters: tuple) -> tuple:
+    """The cyclically reduced core u of a reduced word w u w^-1: the word
+    with its mutually inverse end letters peeled off in pairs."""
+    i, j = 0, len(letters) - 1
+    while i < j and letters[i] == -letters[j]:
+        i += 1
+        j -= 1
+    return letters[i : j + 1]
+
+
 def _min_rotation(u: tuple[int, ...]) -> int:
     """Index of the lexicographically minimal rotation of u (letter_key order)."""
     n = len(u)
@@ -204,12 +232,8 @@ class ConjClass:
 def cyclic_reduce(g: Word) -> ConjClass:
     """Cyclically reduce and rotate to the canonical class representative."""
     letters = g.letters
-    i, j = 0, len(letters) - 1
-    while i < j and letters[i] == -letters[j]:
-        i += 1
-        j -= 1
-    peeled = letters[:i]          # conjugator prefix from peeling
-    core = letters[i : j + 1]
+    core = _cyclic_core(letters)
+    peeled = letters[:(len(letters) - len(core)) // 2]  # conjugator prefix
     r = _min_rotation(core)
     rep = core[r:] + core[:r]
     conj = peeled + core[:r]      # rep = conj^-1 g conj; concatenation is reduced

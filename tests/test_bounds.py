@@ -6,6 +6,7 @@ are convex combinations), the cobounded coefficients are (L-2D)/(L-6D) by
 hand, and the sandwich counts are ball sizes 2*3^r - 1.
 """
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -22,7 +23,6 @@ from lenspec.bounds import (
     VerifierConfig,
     _class_table,
     _greedy_chunks,
-    _verdict,
     cobounded_dilation_report,
     dilation_window,
     displacement_ball,
@@ -32,6 +32,7 @@ from lenspec.bounds import (
     pointwise_cover_report,
     ratio_envelope_report,
     spectral_dilation_report,
+    verdict_of,
     window_comparison_bound,
     word_metric_dilation_report,
 )
@@ -137,12 +138,43 @@ def test_submultiplicativity_of_dilations():
 
 
 def test_verdict_requires_certified_refutation():
-    assert _verdict(LengthBracket(5, 6), 1, 0, True) == VIOLATED
+    assert verdict_of(5, 6, 1, 1, 0, True) == VIOLATED
     # a truncated test window cannot certify: the bound underestimates
-    assert _verdict(LengthBracket(5, 6), 1, 0, False) == INCONCLUSIVE
-    assert _verdict(LengthBracket(1, 2), 3, 0, False) == HOLDS
+    assert verdict_of(5, 6, 1, 1, 0, False) == INCONCLUSIVE
+    assert verdict_of(1, 2, 3, 3, 0, False) == HOLDS
     # straddling reference bracket: neither side settles
-    assert _verdict(LengthBracket(1, 6), 3, 0, True) == INCONCLUSIVE
+    assert verdict_of(1, 6, 3, 3, 0, True) == INCONCLUSIVE
+
+
+# (lo, hi, bound_lo, bound_hi, tol, certified) -> verdict
+VERDICT_TABLE = [
+    ((1, 3, 3, 3, 0, True), HOLDS),             # hi == bound: holds
+    ((1, 3.5, 3, 3, 0.5, True), HOLDS),         # within tol
+    ((3, 4, 3, 3, 0, True), INCONCLUSIVE),      # lo == bound: not above it
+    ((4, 5, 3, 3, 0, True), VIOLATED),
+    ((4, 5, 3, 3, 1, True), INCONCLUSIVE),      # lo not above bound + tol
+    # a bracketed bound: holds against its lo, refuted only above its hi
+    ((1, 2, 2, 5, 0, True), HOLDS),
+    ((1, 3, 2, 5, 0, True), INCONCLUSIVE),
+    ((5, 6, 2, 5, 0, True), INCONCLUSIVE),
+    ((6, 7, 2, 5, 0, True), VIOLATED),
+    ((Fraction(7, 2), Fraction(7, 2), 3, 3, 0, True), VIOLATED),
+]
+
+
+@pytest.mark.parametrize("args,verdict", VERDICT_TABLE,
+                         ids=range(len(VERDICT_TABLE)))
+def test_verdict_of_table(args, verdict):
+    assert verdict_of(*args) == verdict
+
+
+def test_uncertified_data_never_gives_violated():
+    values = [0, 1, 2, 2.5, 3, Fraction(7, 2), 4, 5]
+    for lo, hi, b_lo, b_hi in itertools.product(values, repeat=4):
+        if lo <= hi and b_lo <= b_hi:
+            for tol in (0, 0.5):
+                assert verdict_of(lo, hi, b_lo, b_hi, tol, False) == (
+                    HOLDS if hi <= b_lo + tol else INCONCLUSIVE)
 
 
 # ------------------------------------------------------ class table reuse
@@ -432,6 +464,18 @@ def test_joint_vs_dilation_accepts_plain_words():
     r = joint_vs_dilation_report(UNIT, ["a", "A", "b", "B"],
                                  VerifierConfig(L_values=(4,)))
     assert r.verdict == HOLDS
+
+
+def test_joint_vs_dilation_inconclusive_on_a_loose_window():
+    # aa makes the word metric of S bracket-only, its lo side cyclen / 2:
+    # the window's ratio bracket on b^k is [3, 6] against the exact joint
+    # length 3, and neither side settles
+    r = joint_vs_dilation_report(TreeModel(2, [1, 3]), ["a", "A", "b", "B", "aa"],
+                                 VerifierConfig(L_values=(4,), n_max=4))
+    assert r.window_sup == LengthBracket(3, 6)
+    assert r.extras["joint_lo"] == r.extras["joint_hi"] == 3
+    assert not r.coverage["window"]["truncated"]
+    assert r.verdict == INCONCLUSIVE
 
 
 def test_joint_vs_dilation_shares_a_word_metric_table(monkeypatch):

@@ -203,7 +203,7 @@ CAP_SCENARIO = {
 
 def test_run_captures_resource_cap(tmp_path):
     scen = parse_scenario(json.dumps(CAP_SCENARIO))
-    rep = run(scen, max_frontier=500)
+    rep = run(scen.with_overrides(max_frontier=500))
     assert rep.exit_code == 3
     assert rep.entries[0]["status"] == "resource-cap"
     assert rep.entries[0]["verdict"] == "inconclusive"
@@ -467,3 +467,127 @@ def test_main_delta_subcommand(capsys):
     assert body["verdict"] == "holds"
     assert body["delta"]["lo"] == 0
     assert body["delta"]["hi"] == 0
+
+
+# ------------------------------------------------ malformed config/params
+
+# one scenario whose checks read every probed field: a malformed value
+# must stop the parse (exit 2, the field named), not crash a check (exit 1,
+# the code of a certified violation) or run
+PROBE_BASE = {
+    "target": {"kind": "tree"},
+    "reference": {"kind": "word-metric", "elements": ["a", "A", "b", "B", "ab"]},
+    "subset": ["a", "b"],
+    "verify": ["thm15", "bf", "lemma25", "lemma32"],
+    "config": {"L_values": [2]},
+    "params": {"ball_radius": 3},
+}
+
+PROBES = [
+    ("config", "n_max", "x"),
+    ("config", "radius_cap", "12"),
+    ("config", "K", None),
+    ("config", "frontier_cap", "9"),
+    ("config", "window_k_max", 0),
+    ("config", "class_cap", 1.5),
+    ("config", "tolerance", True),
+    ("config", "diagnostics_cap", -1),
+    ("params", "n", "4"),
+    ("params", "ball_radius", 2.5),
+    ("params", "max_f", None),
+    ("params", "C0", "x"),
+]
+
+
+@pytest.mark.parametrize("section,key,value", PROBES,
+                         ids=[f"{s}.{k}={v!r}" for s, k, v in PROBES])
+def test_malformed_config_and_params_exit_2_naming_the_field(
+        tmp_path, capsys, section, key, value):
+    data = json.loads(json.dumps(PROBE_BASE))
+    data[section][key] = value
+    p = tmp_path / "probe.json"
+    p.write_text(json.dumps(data))
+    assert main(["verify", "--scenario", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert "input error:" in err
+    assert key in err
+
+
+def test_the_probe_base_runs_clean(tmp_path, capsys):
+    p = tmp_path / "probe.json"
+    p.write_text(json.dumps(PROBE_BASE))
+    assert main(["verify", "--scenario", str(p)]) == 0
+
+
+def test_integer_params_are_stored_as_ints():
+    scen = parse_scenario(json.dumps({"params": {"n": 3.0, "radius": 4.0}}))
+    assert scen.params["n"] == 3 and type(scen.params["n"]) is int
+    assert scen.params["radius"] == 4 and type(scen.params["radius"]) is int
+    assert parse_scenario(emit_scenario(scen)) == scen
+
+
+# ------------------------------------------------ explicit matrix models
+
+
+def _run_main(tmp_path, capsys, data, *argv):
+    """(exit code, stdout JSON, scenario) of one main() call on data."""
+    p = tmp_path / "scen.json"
+    p.write_text(json.dumps(data))
+    scen = load_scenario(p)
+    assert parse_scenario(emit_scenario(scen)) == scen
+    code = main([*argv, "--scenario", str(p)])
+    return code, json.loads(capsys.readouterr().out), scen
+
+
+def test_explicit_mobius_target_runs_thm13(tmp_path, capsys):
+    code, body, scen = _run_main(tmp_path, capsys, {
+        "target": {"kind": "mobius",
+                   "matrices": [[[2, 1], [1, 1]], [[1, 1], [1, 2]]]},
+        "reference": {"kind": "tree"},
+        "verify": ["thm13"],
+        "config": {"L_values": [4], "radius_cap": 8},
+    }, "verify")
+    assert scen.data["target"] == {"kind": "mobius", "delta": None, "dim": None,
+                                   "matrices": [[[2, 1], [1, 1]], [[1, 1], [1, 2]]]}
+    assert code == 0
+    (entry,) = body["entries"]
+    assert entry["verdict"] == "holds"
+    assert [r["verdict"] for r in entry["reports"]] == ["holds"]
+    assert entry["reports"][0]["coverage"]["window"]["truncated"] is False
+
+
+def test_linear_target_with_complex_entries_runs_anosov(tmp_path, capsys):
+    # [re, im] pairs: a = [[2, 1], [0, 1+i]], b = [[1, -i], [2i, 1]]
+    mats = [[[[2, 0], [1, 0]], [[0, 0], [1, 1]]],
+            [[[1, 0], [0, -1]], [[0, 2], [1, 0]]]]
+    code, body, scen = _run_main(tmp_path, capsys, {
+        "target": {"kind": "linear", "matrices": mats},
+        "reference": {"kind": "tree"},
+        "verify": ["anosov"],
+        "config": {"L_values": [20], "radius_cap": 6},
+    }, "verify")
+    assert scen.data["target"]["matrices"] == mats
+    assert code == 0
+    (entry,) = body["entries"]
+    assert entry["certificate"]["ok"] is True
+    assert entry["verdict"] == "holds"
+    # the spectral window needs more than radius_cap: truncated, and still
+    # holding, since only a refutation needs the whole window
+    (report,) = entry["reports"]
+    assert report["verdict"] == "holds"
+    assert report["coverage"]["window"]["truncated"] is True
+
+
+def test_top_level_matrices_run_through_jsr(tmp_path, capsys):
+    code, body, scen = _run_main(tmp_path, capsys, {
+        "matrices": [[[1, 1], [0, 1]], [[1, 0], [1, 1]]],
+        "verify": ["bochi"],
+    }, "jsr")
+    assert scen.data["matrices"] == [[[1, 1], [0, 1]], [[1, 0], [1, 1]]]
+    assert code == 0
+    assert body["verdict"] == "holds"
+    (row,) = body["instances"]
+    assert row["ok"] is True and row["partial"] is False
+    assert row["j_used"] == 16
+    # the golden-ratio growth of the products: log((1 + sqrt 5) / 2)
+    assert row["jsr"]["lo"] == pytest.approx(math.log((1 + 5 ** 0.5) / 2))

@@ -1,8 +1,12 @@
-"""Every top-level import of the package is used.
+"""The imports of the package: every one used, and no private name shared
+across modules without a listed reason.
 
-An AST scan of ``src/lenspec/*.py``: a name bound by a module-level
+AST scans of ``src/lenspec/*.py``.  A name bound by a module-level
 ``import`` or ``from ... import`` must be read somewhere in the module or
-be listed in its ``__all__`` (a re-export).
+be listed in its ``__all__`` (a re-export).  A ``from ... import`` of a
+name with a leading underscore from another module of the package must
+come from ``words`` (the word arithmetic every layer builds on) or be
+listed in ``PRIVATE_IMPORTS``.
 """
 
 import ast
@@ -42,3 +46,45 @@ def test_the_scan_sees_an_unused_import():
     tree = ast.parse("import math\nfrom os import path, sep\n"
                      "__all__ = ['sep']\nprint(math.pi)\n")
     assert _unused_imports(tree) == [(2, "path")]
+
+
+# (importing module, source module, name): the private names a module may
+# import from another besides those of words.  The CLI's classes.csv reads
+# the class tables of the run's reports.
+PRIVATE_IMPORTS = {
+    ("cli", "bounds", "_class_table"),
+    ("cli", "bounds", "_eval_class_lengths"),
+}
+
+
+def _private_imports(tree: ast.Module, module: str) -> list:
+    """(line, source module, name) of every import of an underscore name
+    from another module of the package that is not allowed."""
+    out = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.ImportFrom) and node.module
+                and (node.level > 0 or node.module.startswith("lenspec."))):
+            continue
+        source = node.module.rsplit(".", 1)[-1]
+        for alias in node.names:
+            if (alias.name.startswith("_") and source not in ("words", module)
+                    and (module, source, alias.name) not in PRIVATE_IMPORTS):
+                out.append((node.lineno, source, alias.name))
+    return out
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_names_cross_modules(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _private_imports(tree, path.stem) == []
+
+
+def test_the_scan_sees_a_private_import():
+    tree = ast.parse("from .jsl import _peeled_length, bf_upper\n"
+                     "from .words import _as_words\n"
+                     "from .bounds import _class_table\n"
+                     "def f():\n    from lenspec.spaces import _joined\n")
+    assert _private_imports(tree, "bounds") == [(1, "jsl", "_peeled_length"),
+                                                (5, "spaces", "_joined")]
+    assert _private_imports(tree, "cli") == [(1, "jsl", "_peeled_length"),
+                                             (5, "spaces", "_joined")]

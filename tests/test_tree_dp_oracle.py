@@ -18,15 +18,9 @@ from hypothesis import strategies as st
 
 from lenspec import jsl
 from lenspec.actions import LengthBracket, exact_div
-from lenspec.jsl import (
-    JointLengthProfile,
-    _as_words,
-    _concat_reduced,
-    _peeled_length,
-    tree_joint_profile,
-)
+from lenspec.jsl import JointLengthProfile, tree_joint_profile
 from lenspec.spaces import TreeModel
-from lenspec.words import Word, enumerate_ball
+from lenspec.words import Word, _as_words, _concat_reduced, enumerate_ball
 
 # ------------------------------------------------------------------ oracle
 
@@ -35,6 +29,17 @@ _EXACT, _TRUNC, _BLIND = 0, 1, 2
 # Retained suffix length of the tree automaton, raised to twice the
 # longest factor of S.
 _SUFFIX_CAP = 6
+
+
+def _peeled_length(letters: tuple, weight_of) -> object:
+    """Weighted cyclically reduced length (no rotation needed for lengths)."""
+    i, j = 0, len(letters) - 1
+    while i < j and letters[i] == -letters[j]:
+        i += 1
+        j -= 1
+    if i > j:
+        return 0
+    return sum(weight_of(x) for x in letters[i : j + 1])
 
 
 def _oracle_tree_step(weights, suffix, trunc, s, cap):
