@@ -31,7 +31,6 @@ __all__ = [
     "AnosovCertificate",
     "gromov_product",
     "stable_length_bracket",
-    "ratio_bracket",
     "anosov_certificate",
     "power_schedule",
 ]
@@ -61,7 +60,7 @@ class LengthBracket:
     ``exact`` means lo == hi by construction (not merely numerically).
     ``certified`` False would mark a bracket whose hi is not a proven upper
     bound.  No engine of the package returns one (an enumeration past its
-    cap raises ResourceCapError instead); combinators carry the flag through.
+    cap raises ResourceCapError instead).
     Values may be int/Fraction (exact models) or float.
     """
 
@@ -106,34 +105,6 @@ class LengthBracket:
         return f"[{self.lo}, {self.hi}]"
 
 
-def ratio_bracket(num: LengthBracket, den: LengthBracket) -> LengthBracket:
-    """Bracket of num/den for positive den (den.lo > 0)."""
-    if not den.lo > 0:
-        raise InputError("ratio bracket needs a positive denominator")
-    lo = exact_div(num.lo, den.hi)
-    hi = exact_div(num.hi, den.lo)
-    return LengthBracket(
-        lo,
-        hi,
-        exact=num.exact and den.exact,
-        certified=num.certified and den.certified,
-    )
-
-
-def sup_bracket(brackets: Sequence[LengthBracket]) -> LengthBracket:
-    """Bracket of the supremum of finitely many bracketed quantities."""
-    if not brackets:
-        raise InputError("sup of empty bracket list")
-    lo = max(b.lo for b in brackets)
-    hi = max(b.hi for b in brackets)
-    return LengthBracket(
-        lo,
-        hi,
-        exact=all(b.exact for b in brackets) and lo == hi,
-        certified=all(b.certified for b in brackets),
-    )
-
-
 class ActionModel:
     """Base class: an isometric action of a free group given by displacements.
 
@@ -166,11 +137,11 @@ class ActionModel:
         """Exact stable length of the class, or None if unavailable."""
         return None
 
-    def stable_length(self, c: ConjClass, k_max: int = 8, c_delta=4) -> LengthBracket:
+    def stable_length(self, c: ConjClass, k_max: int = 8) -> LengthBracket:
         v = self.exact_stable_length(c)
         if v is not None:
             return LengthBracket.exactly(v)
-        return stable_length_bracket(self, c.rep, k_max=k_max, c_delta=c_delta)
+        return stable_length_bracket(self, c.rep, k_max=k_max)
 
     def window_radius(self, length_bound) -> int:
         """Standard-length radius guaranteed to contain every conjugacy class

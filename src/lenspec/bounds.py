@@ -36,7 +36,7 @@ import numpy as np
 from .actions import LengthBracket, exact_div
 from .errors import InputError
 from .jsl import BochiConstants, joint_stable_profile
-from .spaces import MobiusModel, TreeModel, WordMetricModel
+from .spaces import MatrixActionModel, MobiusModel, TreeModel, WordMetricModel
 from .words import (
     ROW_CHUNK,
     ClassCodes,
@@ -725,9 +725,7 @@ def word_metric_dilation_report(target, gens, config: Optional[VerifierConfig] =
 
 
 def spectral_dilation_report(rho, tau, config: Optional[VerifierConfig] = None,
-                             alpha: float = 0.0,
-                             constants: Optional[BochiConstants] = None,
-                             cert_radius: int = 6, *,
+                             alpha: float = 0.0, cert_radius: int = 6, *,
                              tables: Optional[dict] = None
                              ) -> list[DilationReport]:
     """Dilation of log-spectral-radius lengths of rho against those of tau.
@@ -743,7 +741,7 @@ def spectral_dilation_report(rho, tau, config: Optional[VerifierConfig] = None,
             "singular gap certificate failed for the dominated representation "
             f"(mu={cert.mu:.6g} at radius {cert.radius}); cannot certify windows"
         )
-    consts = constants or BochiConstants.for_dim(rho.dim)
+    consts = BochiConstants.for_dim(rho.dim)
     slack = consts.d_m * (alpha + 1)
     for L in cfg.L_values:
         if not L > slack:
@@ -857,8 +855,7 @@ def ratio_envelope_report(target, ref, alpha_lo, beta_hi,
 
 
 def joint_vs_dilation_report(model, s, config: Optional[VerifierConfig] = None,
-                             window_L=None, *, tables: Optional[dict] = None
-                             ) -> DilationReport:
+                             *, tables: Optional[dict] = None) -> DilationReport:
     """Windowed Dil(model, word metric of S) against the joint stable length.
 
     The two agree for isometric actions on hyperbolic spaces; the check
@@ -879,7 +876,7 @@ def joint_vs_dilation_report(model, s, config: Optional[VerifierConfig] = None,
             words = _as_words(s)
             gens = GeneratingSet(rank=model.rank, elements=tuple(words))
         ref = WordMetricModel(gens)
-    L = window_L if window_L is not None else max(cfg.L_values)
+    L = max(cfg.L_values)
     needed = ref.window_radius(L)
     table = _build_table(model, ref, [needed], cfg, tables)
     ws = _window_sup(table, L, needed, diag_cap=cfg.diagnostics_cap)
@@ -912,16 +909,22 @@ def joint_vs_dilation_report(model, s, config: Optional[VerifierConfig] = None,
 
 def displacement_ball(model, bound, config: Optional[VerifierConfig] = None
                       ) -> GeneratingSet:
-    """All nontrivial g with displacement <= bound, as a generating set."""
+    """All nontrivial g with displacement <= bound, as a generating set.
+
+    Needs a tree or a matrix model: only these bound the ball's radius.
+    """
     cfg = config or VerifierConfig()
     if isinstance(model, TreeModel):
         unit_radius = int(exact_div(bound, min(model.weights)))
-    else:
+    elif isinstance(model, MatrixActionModel):
         cert = model.certificate()
         if cert.mu <= 0:
             raise InputError("cannot bound the displacement ball: no gap certificate")
         unit_radius = math.ceil((2 * float(bound) - 2 * cert.log_C) / cert.mu)
         unit_radius = min(unit_radius, cfg.radius_cap)
+    else:
+        raise InputError("the displacement ball needs a tree or a matrix "
+                         f"model, got {type(model).__name__}")
     if unit_radius < 1:
         raise InputError(f"displacement bound {bound} admits no generator")
     elems = []
@@ -975,9 +978,12 @@ class SandwichReport:
 
 
 def displacement_sandwich_report(model, n: int, ball_radius: int,
-                                 config: Optional[VerifierConfig] = None,
-                                 case: str = "auto") -> SandwichReport:
+                                 config: Optional[VerifierConfig] = None
+                                 ) -> SandwichReport:
     """Check the two-sided control of displacement by S_n word length.
+
+    A model that declares a coboundedness constant D takes the cobounded
+    case, any other the rough-geodesic case.
 
     Cobounded case (trees): S_n = {d(x,gx) <= (n+2)D} and
     n*D*|g| - n*D <= d(x,gx) <= (n+2)*D*|g| for every g, in exact arithmetic.
@@ -985,17 +991,14 @@ def displacement_sandwich_report(model, n: int, ball_radius: int,
     (n-alpha-1)*|g| - (n-1) <= psi(x,gx) <= n*|g|.
     """
     cfg = config or VerifierConfig()
-    if case == "auto":
-        case = "cobounded" if model.cobound_D is not None else "rough"
+    case = "cobounded" if model.cobound_D is not None else "rough"
     if n < 1:
         raise InputError("n must be >= 1")
     violations = []
     if case == "cobounded":
-        D = model.cobound_D
-        if D is None or D <= 0:
-            raise InputError("model declares no coboundedness constant")
         if not isinstance(model, TreeModel):
             raise InputError("exact sandwich checking needs a tree model")
+        D = model.cobound_D
         B = (n + 2) * D
         s_n = displacement_ball(model, B, cfg)
         checked = 0
@@ -1094,11 +1097,12 @@ def pointwise_cover_report(model, ball_radius: int, f_radius: int,
     Starts from F = {identity} and adds the candidate (word of length <=
     f_radius) that most reduces C = max over the ball of
     d(x,gx) - max_f l[gf], until no strict improvement remains.
-    Needs a model with exact class lengths.
+    Needs a tree or a matrix model, whose class lengths are exact.
     """
     cfg = config or VerifierConfig()
-    if model.exactness not in ("tree-exact", "eigenvalue-exact"):
-        raise InputError("cover search needs exact class lengths")
+    if not isinstance(model, (TreeModel, MatrixActionModel)):
+        raise InputError("cover search needs a tree or a matrix model, "
+                         f"got {type(model).__name__}")
     ball = enumerate_ball(model.rank, ball_radius, cap=cfg.class_cap)
     pool = enumerate_ball(model.rank, f_radius, cap=cfg.class_cap)
     disp = [model.displacement(g) for g in ball]

@@ -217,12 +217,10 @@ def _norm_model(spec, path, rank):
         _fail(path, "expected a model object or null")
     kind = spec.get("kind")
     if kind == "preset":
-        name = spec.get("name")
-        if name not in _PRESETS:
-            _fail(f"{path}.name",
-                  f"unknown preset {name!r} (known: {sorted(_PRESETS)})")
-        expanded = dict(_PRESETS[name])
-        expanded["preset"] = name
+        try:
+            expanded = builtin_preset(spec.get("name"))
+        except InputError as e:
+            _fail(f"{path}.name", str(e))
         if "use" in spec:
             expanded["use"] = spec["use"]
         spec = expanded

@@ -42,9 +42,7 @@ __all__ = [
     "bochi_rhs",
     "jsr_profile",
     "JsrProfile",
-    "bf_upper",
     "bf_lower_check",
-    "bf_minimal_K",
     "BfCheck",
 ]
 
@@ -89,7 +87,7 @@ def _word_joint_profile(model, words, n_max, frontier_cap):
                     f"level {n} frontier would exceed cap {frontier_cap}"
                 )
             frontier = {_concat_reduced(w, s) for w in frontier for s in s_list}
-        a[n] = max(model.displacement(Word(w)) for w in frontier)
+        a[n] = max(model.displacement(Word._unchecked(w)) for w in frontier)
         lo_terms[n] = exact_div(max(lower(w) for w in frontier), n)
     return a, lo_terms
 
@@ -441,30 +439,10 @@ def _pair_sup_bracket(model, words) -> LengthBracket:
     return LengthBracket(best_lo, best_hi, exact=bool(best_lo == best_hi))
 
 
-def bf_upper(model, s, K) -> object:
-    """Value of K*delta + half the largest pair stable length (upper side)."""
-    words = _as_words(s)
-    pair = _pair_sup_bracket(model, words)
-    return K * model.delta + exact_div(pair.hi, 2)
-
-
 def _k_from_gap(gap, delta):
     if delta == 0:
         return 0 if gap <= 0 else math.inf
     return max(0.0, float(gap) / float(delta))
-
-
-def bf_minimal_K(model, s, n_max: int = 8, **kw):
-    """Smallest K certified to make the pair upper bound hold here.
-
-    Uses the hi side of the joint bracket against the lo side of the pair
-    sup, so it can only overshoot the true minimal K; inf means the bracket
-    is too loose to certify any K when delta is zero.
-    """
-    words = _as_words(s)
-    pair = _pair_sup_bracket(model, words)
-    joint = joint_stable_profile(model, words, n_max, **kw).bracket
-    return _k_from_gap(joint.hi - exact_div(pair.lo, 2), model.delta)
 
 
 def bf_lower_check(model, s, n_max: int = 8, tol: float = 1e-9, K=None, **kw) -> BfCheck:
@@ -556,8 +534,7 @@ class BochiBound:
     lambda_terms: dict = field(default_factory=dict)
 
 
-def bochi_rhs(mats, constants: Optional[BochiConstants] = None, *,
-              cap: int = 2_000_000, j_cap: Optional[int] = None) -> BochiBound:
+def bochi_rhs(mats, *, cap: int = 2_000_000) -> BochiBound:
     """Spectral-radius upper bound for the joint spectral radius (log scale).
 
     Scans products of length j = 1..d_m.  If |S|^j would exceed the cap the
@@ -565,24 +542,16 @@ def bochi_rhs(mats, constants: Optional[BochiConstants] = None, *,
     maximum can only undershoot, so a probe must not be used to certify.
     """
     mats = list(mats)
-    m = np.asarray(mats[0]).shape[0]
-    if constants is None:
-        constants = BochiConstants.for_dim(m)
-    if constants.m != m:
-        raise InputError(f"constants are for dimension {constants.m}, matrices are {m}x{m}")
-    j_stop = constants.d_m if j_cap is None else min(j_cap, constants.d_m)
+    constants = BochiConstants.for_dim(np.asarray(mats[0]).shape[0])
     lam = {}
     j_used = 0
-    partial = False
     try:
-        for j, batch, ls in _matrix_levels(mats, j_stop, cap):
+        for j, batch, ls in _matrix_levels(mats, constants.d_m, cap):
             l1 = float(np.max(_batch_lambda1(batch)))
             lam[j] = (math.log(l1) + ls) / j if l1 > 0 else -math.inf
             j_used = j
     except ResourceCapError:
-        partial = True
-    if j_used < constants.d_m:
-        partial = True
+        pass
     value = constants.c_m + max(lam.values())
     return BochiBound(value=value, constants=constants, j_used=j_used,
-                      partial=partial, lambda_terms=lam)
+                      partial=j_used < constants.d_m, lambda_terms=lam)

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .actions import ActionModel, AnosovCertificate, LengthBracket, anosov_certificate, exact_div
-from .errors import InputError, NumericError, SearchExhaustedError
+from .errors import InputError, NumericError
 from .words import (ClassCodes, ConjClass, GeneratingSet, Word, _letters_in_order,
                     check_semigroup_generation, word_length)
 
@@ -158,21 +158,14 @@ class WordMetricModel(ActionModel):
     """
 
     frontier_kind = "word"
+    delta = 0
+    alpha = 0
+    # cost budget of the generation check and of every word_length search
+    radius_cap = 32
 
-    def __init__(
-        self,
-        gens: GeneratingSet,
-        delta=0,
-        radius_cap=32,
-        check_generation: bool = True,
-        k_max: int = 8,
-    ):
+    def __init__(self, gens: GeneratingSet):
         self.rank = gens.rank
         self.gens = gens
-        self.delta = delta
-        self.alpha = 0
-        self.radius_cap = radius_cap
-        self.k_max = k_max
         self.symmetric = gens.symmetric
         self._standard = gens.is_standard
         self.exactness = "tree-exact" if self._standard else "bracket-only"
@@ -196,26 +189,17 @@ class WordMetricModel(ActionModel):
             }
         else:
             self.cobound_D = None
-            if check_generation:
-                chk = check_semigroup_generation(gens, radius_cap=radius_cap)
-                if not chk.ok:
-                    kind = "inconclusive" if chk.inconclusive else "failed"
-                    raise InputError(
-                        f"semigroup generation check {kind}: letter {chk.missing} "
-                        f"not reached within cost {radius_cap}"
-                    )
-            # with the generation check disabled a letter may be unreachable;
-            # record inf so cost_upper degrades instead of crashing
-            self._letter_cost = {}
-            for x in _letters_in_order(self.rank):
-                try:
-                    self._letter_cost[x] = word_length(
-                        Word((x,)), gens, radius_cap=radius_cap
-                    )
-                except SearchExhaustedError:
-                    if check_generation:
-                        raise
-                    self._letter_cost[x] = math.inf
+            chk = check_semigroup_generation(gens, radius_cap=self.radius_cap)
+            if not chk.ok:
+                kind = "inconclusive" if chk.inconclusive else "failed"
+                raise InputError(
+                    f"semigroup generation check {kind}: letter {chk.missing} "
+                    f"not reached within cost {self.radius_cap}"
+                )
+            self._letter_cost = {
+                x: word_length(Word((x,)), gens, radius_cap=self.radius_cap)
+                for x in _letters_in_order(self.rank)
+            }
 
     def displacement(self, g: Word):
         if self._standard:
@@ -238,14 +222,13 @@ class WordMetricModel(ActionModel):
         per_letter = sum(self._letter_cost[x] for x in g.letters)
         return per_letter if best is None else min(best, per_letter)
 
-    def stable_length(self, c: ConjClass, k_max: Optional[int] = None, c_delta=4):
+    def stable_length(self, c: ConjClass, k_max: int = 8):
         # a standard set goes through weight_of, which rejects letters
         # beyond the rank; class_length_bracket would not
         v = self.exact_stable_length(c)
         if v is not None:
             return LengthBracket.exactly(v)
-        lo, hi = self.class_length_bracket(
-            c.rep.letters, self.k_max if k_max is None else k_max)
+        lo, hi = self.class_length_bracket(c.rep.letters, k_max)
         return LengthBracket(lo, hi, exact=bool(lo == hi))
 
     def class_length_bracket(self, letters, k_max: int = 2):
@@ -725,14 +708,15 @@ class SchottkyAction:
     certificate: AnosovCertificate
 
 
-def build_schottky(stretch, angles: Sequence, delta: Optional[float] = None,
-                   cert_radius: int = 6) -> SchottkyAction:
+def build_schottky(stretch, angles: Sequence, delta: Optional[float] = None
+                   ) -> SchottkyAction:
     """Rank-n Schottky-type generators R(t_i) diag(l_i, 1/l_i) R(t_i)^-1.
 
     Real angles give isometries of the plane; any complex angle switches to
     the 3-space model.  Every generator has trace l + 1/l > 2, hence is
     loxodromic by construction.  The action carries a singular-gap
-    certificate, with a warning when it does not certify.
+    certificate over the radius-6 ball, with a warning when it does not
+    certify.
     """
     angles = list(angles)
     if not angles:
@@ -756,7 +740,7 @@ def build_schottky(stretch, angles: Sequence, delta: Optional[float] = None,
         delta = math.log(2)
     mob = MobiusModel(mats, dim=3 if complex_case else 2, delta=delta)
     lin = LinearRepModel(mats, delta=delta, complex_entries=complex_case)
-    cert = mob.certificate(cert_radius)
+    cert = mob.certificate()
     lin._cert = cert
     if not cert.ok:
         warnings.warn(

@@ -38,7 +38,6 @@ __all__ = [
     "free_reduce",
     "letter_key",
     "cyclic_reduce",
-    "enumerate_conj_classes",
     "enumerate_ball",
     "word_length",
     "check_semigroup_generation",
@@ -401,17 +400,6 @@ def iter_class_reps(rank: int, max_std_length: int, cap: int = 4_000_000):
     return ClassCodes.walk(rank, max_std_length, cap).reps
 
 
-def enumerate_conj_classes(
-    rank: int, max_std_length: int, cap: int = 4_000_000
-) -> list[ConjClass]:
-    """All conjugacy classes with cyclically reduced length in 1..max_std_length.
-
-    Deterministic order: by (length, letter order).  Identity is not included.
-    """
-    return [ConjClass(rep=Word._unchecked(rep))
-            for rep in iter_class_reps(rank, max_std_length, cap)]
-
-
 # -- weighted generating sets and word metrics -------------------------
 
 
@@ -552,17 +540,20 @@ class GenerationCheck:
     missing: Optional[int] = None
 
 
-def check_semigroup_generation(
-    s: GeneratingSet, rank: Optional[int] = None, radius_cap=8, node_cap=200_000
-) -> GenerationCheck:
+# settled states after which check_semigroup_generation gives up
+_GENERATION_NODE_CAP = 200_000
+
+
+def check_semigroup_generation(s: GeneratingSet, radius_cap=8) -> GenerationCheck:
     """Check that s generates the free group as a semigroup (within a radius).
 
-    The search stops at radius_cap cost or node_cap settled states,
-    whichever comes first; either cap makes a negative answer inconclusive
-    rather than certified.  Without the node cap a non-generating set would
-    force exploration of the entire cost ball, which is exponential.
+    The search stops at radius_cap cost or _GENERATION_NODE_CAP settled
+    states, whichever comes first; either cap makes a negative answer
+    inconclusive rather than certified.  Without the node cap a
+    non-generating set would force exploration of the entire cost ball,
+    which is exponential.
     """
-    rank = s.rank if rank is None else rank
+    rank = s.rank
     targets = {(i,) for i in range(1, rank + 1)} | {(-i,) for i in range(1, rank + 1)}
     paths: dict[tuple[int, ...], tuple] = {(): ()}
     dist: dict[tuple[int, ...], object] = {(): 0}
@@ -575,7 +566,7 @@ def check_semigroup_generation(
             continue
         if w in targets and w[0] not in found:
             found[w[0]] = paths[w]
-        if len(dist) > node_cap:
+        if len(dist) > _GENERATION_NODE_CAP:
             capped = True
             break
         for idx, (e, wt) in enumerate(zip(s.elements, s.weights)):

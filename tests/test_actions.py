@@ -20,9 +20,7 @@ from lenspec.actions import (
     exact_div,
     gromov_product,
     power_schedule,
-    ratio_bracket,
     stable_length_bracket,
-    sup_bracket,
 )
 from lenspec.errors import InputError
 from lenspec.spaces import LinearRepModel, TreeModel, build_schottky
@@ -100,20 +98,6 @@ def test_exact_div_by_zero_and_other_operands():
     got = exact_div(1, 3.0)
     assert type(got) is float and got == 1 / 3.0
     assert type(exact_div(2.5, 5)) is float
-
-
-def test_ratio_bracket():
-    r = ratio_bracket(LengthBracket(2, 3), LengthBracket(1, 2))
-    assert (r.lo, r.hi) == (1, 3)
-    with pytest.raises(InputError):
-        ratio_bracket(LengthBracket(1, 1), LengthBracket(0, 1))
-
-
-def test_sup_bracket():
-    s = sup_bracket([LengthBracket(1, 2), LengthBracket(0, 3)])
-    assert (s.lo, s.hi) == (1, 3)
-    with pytest.raises(InputError):
-        sup_bracket([])
 
 
 def test_power_schedule():

@@ -560,7 +560,7 @@ def test_rough_sandwich_on_linear_model():
         [act.linear.generator_matrix(1), act.linear.generator_matrix(2)],
         alpha=0.0,
     )
-    sr = displacement_sandwich_report(lin, 3, 3, VerifierConfig(), case="rough")
+    sr = displacement_sandwich_report(lin, 3, 3, VerifierConfig())
     assert sr.case == "rough"
     assert sr.checked == 52
     assert sr.violations == []
@@ -577,7 +577,7 @@ def test_sandwich_validation():
         displacement_sandwich_report(act.linear, 4, 3)  # no alpha declared
     lin = LinearRepModel([act.linear.generator_matrix(1)], alpha=2.0)
     with pytest.raises(InputError):
-        displacement_sandwich_report(lin, 3, 3, case="rough")  # n <= alpha+1
+        displacement_sandwich_report(lin, 3, 3)  # n <= alpha+1
 
 
 # ------------------------------------------------------------------ covers

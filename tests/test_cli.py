@@ -591,3 +591,26 @@ def test_top_level_matrices_run_through_jsr(tmp_path, capsys):
     assert row["j_used"] == 16
     # the golden-ratio growth of the products: log((1 + sqrt 5) / 2)
     assert row["jsr"]["lo"] == pytest.approx(math.log((1 + 5 ** 0.5) / 2))
+
+
+# ------------------------------------------- models a check cannot take
+
+
+@pytest.mark.parametrize("token,elements", [
+    ("lemma25", ["a", "A", "b", "B", "ab", "BA"]),
+    ("lemma32", ["a", "A", "b", "B"]),
+    ("lemma32", ["a", "A", "b", "B", "ab", "BA"]),
+])
+def test_word_metric_target_exits_2_naming_its_kind(tmp_path, capsys, token,
+                                                     elements):
+    # lemma25 and lemma32 take trees and matrix models only; exit 1 is the
+    # code of a certified violation, so a word metric must not crash there
+    p = tmp_path / "scen.json"
+    p.write_text(json.dumps({
+        "target": {"kind": "word-metric", "elements": elements},
+        "verify": [token],
+    }))
+    assert main(["verify", "--scenario", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert "input error:" in err
+    assert "WordMetricModel" in err

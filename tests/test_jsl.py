@@ -22,8 +22,6 @@ from lenspec.errors import InputError, ResourceCapError
 from lenspec.jsl import (
     BochiConstants,
     bf_lower_check,
-    bf_minimal_K,
-    bf_upper,
     bochi_rhs,
     joint_stable_profile,
     jsr_profile,
@@ -167,6 +165,17 @@ def test_matrix_engine_displacements_match_model():
     assert p.a[2] == pytest.approx(best2, abs=1e-9)
 
 
+@pytest.mark.parametrize("subset", [["a", "b"], ["a", "b", "A", "B"],
+                                    ["ab", "B"]], ids=str)
+def test_linear_engine_matches_jsr_profile(subset):
+    # on a linear model the joint length is the log joint spectral radius
+    lin = build_schottky(4.0, [0.0, 1.2]).linear
+    got = joint_stable_profile(lin, subset, 6).bracket
+    want = jsr_profile([lin.matrix(Word(s)) for s in subset], 6).bracket
+    assert got.lo == pytest.approx(want.lo, rel=1e-12)
+    assert got.hi == pytest.approx(want.hi, rel=1e-12)
+
+
 def test_matrix_engine_cap_raises():
     act = build_schottky(4.0, [0.0, 1.2])
     with pytest.raises(ResourceCapError):
@@ -207,9 +216,9 @@ def test_bf_check_on_schottky():
 
 
 def test_bf_upper_and_minimal_K_helpers():
-    m = TreeModel(2)
-    assert bf_upper(m, ["a", "b"], K=3) == 1  # delta 0: just the half pair
-    assert bf_minimal_K(m, ["a", "b"]) == 0
+    chk = bf_lower_check(TreeModel(2), ["a", "b"], K=3)
+    assert chk.upper_value == 1  # delta 0: just the half pair
+    assert chk.minimal_K == 0
 
 
 # -------------------------------------------------------------------- jsr
@@ -288,16 +297,9 @@ def test_bochi_bound_dominates_jsr():
 
 def test_bochi_partial_flag():
     mats = [np.diag([2.0, 0.5]), np.array([[0.0, -1.0], [1.0, 0.0]])]
-    probe = bochi_rhs(mats, j_cap=3)
-    assert probe.partial
-    assert probe.j_used == 3
     capped = bochi_rhs(mats, cap=100)
     assert capped.partial
-
-
-def test_bochi_dimension_mismatch():
-    with pytest.raises(InputError):
-        bochi_rhs([np.eye(3)], BochiConstants.for_dim(2))
+    assert capped.j_used == 6
 
 
 # ------------------------------------------------------ no retained state

@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lenspec.errors import InputError, SearchExhaustedError
+from lenspec.errors import InputError
 from lenspec.spaces import (
     LinearRepModel,
     MobiusModel,
@@ -122,7 +122,7 @@ def test_cost_upper_dominates_word_length():
 
 def test_class_length_bracket_matches_stable_length():
     gens = GeneratingSet(2, ["a", "A", "b", "B", "ab", "BA"])
-    wm = WordMetricModel(gens, k_max=2)
+    wm = WordMetricModel(gens)
     for g in enumerate_ball(2, 4):
         c = ConjClass.of(g)
         lo, hi = wm.class_length_bracket(c.rep.letters, k_max=2)
@@ -133,16 +133,6 @@ def test_class_length_bracket_matches_stable_length():
 def test_non_generating_set_is_rejected():
     with pytest.raises(InputError):
         WordMetricModel(GeneratingSet(2, ["a", "b"]))
-
-
-def test_generation_check_can_be_skipped():
-    # small radius_cap: the unreachable search must exhaust the whole ball
-    wm = WordMetricModel(
-        GeneratingSet(2, ["a", "b"]), check_generation=False, radius_cap=8
-    )
-    assert wm.displacement(Word("ab")) == 2
-    with pytest.raises(SearchExhaustedError):
-        wm.displacement(Word("A"))
 
 
 def test_asymmetric_metric():
@@ -297,7 +287,7 @@ def test_schottky_warns_when_certificate_fails():
     # equal angles at tiny stretch: commuting-ish pair still certifies, so
     # use an honest failure: stretch barely above 1 with crossing axes
     with pytest.warns(UserWarning, match="certificate failed"):
-        build_schottky(1.0001, [0.0, 0.78], cert_radius=4)
+        build_schottky(1.0001, [0.0, 0.78])
 
 
 def test_window_radius_uses_certificate():
