@@ -24,6 +24,7 @@ reports of one run share their class tables (see ``_class_table``).
 
 from __future__ import annotations
 
+import copy
 import heapq
 import math
 import numbers
@@ -93,9 +94,14 @@ _NUM_FIELDS = {"K": 0, "delta": 0, "D": None, "c_delta": 0, "tolerance": 0,
 
 
 def _finite(v) -> bool:
-    """v is a finite real number and not a bool."""
-    return (isinstance(v, numbers.Real) and not isinstance(v, bool)
-            and math.isfinite(v))
+    """v is a finite real number and not a bool; an int or Fraction beyond
+    the float range counts as not finite."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
 
 
 @dataclass(frozen=True)
@@ -222,66 +228,25 @@ def _ratio_column(tops, bottoms, positive) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class _Columns:
-    """One direction of a class table as float64 columns.
+class ClassTable:
+    """Canonical classes with length brackets under two models at once,
+    read in one direction: the ratios are target over reference.
 
-    ``ref_lo``/``ref_hi`` are the reference lengths, ``lo`` = tgt_lo/ref_hi
-    and ``hi`` = tgt_hi/ref_lo the ratio columns (nan where the reference
-    lo is <= _ZERO_EPS).  Every entry is the correctly rounded float of the
-    exact value, so float order never contradicts exact order: where two
-    floats differ, the exact values differ the same way.
+    ``classes`` (a ClassCodes) holds the classes as code blocks, from one
+    walk; ``reps`` is their letter tuples, built on first use.  Each
+    length bracket end is a list (``ref_lo``, ``ref_hi``, ``tgt_lo``,
+    ``tgt_hi``) and a float64 column (the same name with ``_f``); ``lo`` =
+    tgt_lo/ref_hi and ``hi`` = tgt_hi/ref_lo are the ratio columns (nan
+    where the reference lo is <= _ZERO_EPS).  Every column entry is the
+    correctly rounded float of the exact value, so float order never
+    contradicts exact order: where two floats differ, the exact values
+    differ the same way.  Every window sup, the cor14 envelope and the
+    classes.csv rows read these columns.
 
     ``ties_exact``: every length is an int and m**3 < 2**52 for the
     largest |length| m.  Two distinct ratios a/b != c/d then differ by at
     least 1/(b*d) >= 1/m**2, more than the float spacing 2**-52 * m at
     their size, so ratios with equal floats are equal.
-    """
-
-    ref_lo: np.ndarray
-    ref_hi: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
-    ties_exact: bool
-
-    @classmethod
-    def of(cls, lists, floats) -> "_Columns":
-        """From the (ref_lo, ref_hi, tgt_lo, tgt_hi) lists and their
-        float64 columns."""
-        ref_lo, ref_hi, tgt_lo, tgt_hi = lists
-        rl, rh, tl, th = floats
-        types = set()
-        for c in lists:
-            types.update(map(type, c))
-        top = max((float(np.abs(f).max()) for f in (rl, rh, tl, th) if f.size),
-                  default=0.0)
-        if types <= {int, float} and top < 2.0 ** 53:
-            # ints below 2**53 and floats are exact as float64, so one IEEE
-            # division is the correctly rounded exact_div value (a Fraction
-            # for int/int, Python's a / b otherwise)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                lo, hi = tl / rh, th / rl
-            lo[rl <= _ZERO_EPS] = np.nan
-            hi[rl <= _ZERO_EPS] = np.nan
-        else:
-            positive = _above(rl, ref_lo, _ZERO_EPS)
-            lo = _ratio_column(tgt_lo, ref_hi, positive)
-            hi = _ratio_column(tgt_hi, ref_lo, positive)
-        return cls(rl, rh, lo, hi, types <= {int} and top ** 3 < 2.0 ** 52)
-
-    def prefix(self, k: int) -> "_Columns":
-        return _Columns(self.ref_lo[:k], self.ref_hi[:k], self.lo[:k],
-                        self.hi[:k], self.ties_exact)
-
-
-class ClassTable:
-    """Canonical classes with length brackets under two models at once.
-
-    ``classes`` (a ClassCodes) holds the classes as code blocks, from one
-    walk; ``reps`` is their letter tuples, built on first use.
-    ``columns(swap)`` gives one direction of the table as float64 columns,
-    built on first use and kept on the table; every window sup, the cor14
-    envelope and the classes.csv rows read them.
     """
 
     def __init__(self, target, ref, radius: int, *,
@@ -293,13 +258,35 @@ class ClassTable:
         self.rank = target.rank
         self.radius = int(radius)
         self.classes = ClassCodes.walk(self.rank, self.radius, class_cap)
-        self.ref_lo, self.ref_hi, ref_lo_f, ref_hi_f = _eval_class_lengths(
-            ref, self.classes, window_k_max)
-        self.tgt_lo, self.tgt_hi, tgt_lo_f, tgt_hi_f = _eval_class_lengths(
-            target, self.classes, window_k_max)
-        self._floats = (ref_lo_f, ref_hi_f, tgt_lo_f, tgt_hi_f)
-        self._whole = None  # the table a prefix was cut from
-        self._columns = {}
+        self.ref_lo, self.ref_hi, self.ref_lo_f, self.ref_hi_f = \
+            _eval_class_lengths(ref, self.classes, window_k_max)
+        self.tgt_lo, self.tgt_hi, self.tgt_lo_f, self.tgt_hi_f = \
+            _eval_class_lengths(target, self.classes, window_k_max)
+        self._divide()
+
+    def _divide(self):
+        """Build the ratio columns ``lo`` and ``hi`` and ``ties_exact``
+        from the lengths."""
+        lists = (self.ref_lo, self.ref_hi, self.tgt_lo, self.tgt_hi)
+        rl, rh, tl, th = self.ref_lo_f, self.ref_hi_f, self.tgt_lo_f, self.tgt_hi_f
+        types = set()
+        for c in lists:
+            types.update(map(type, c))
+        top = max((float(np.abs(f).max()) for f in (rl, rh, tl, th) if f.size),
+                  default=0.0)
+        if types <= {int, float} and top < 2.0 ** 53:
+            # ints below 2**53 and floats are exact as float64, so one IEEE
+            # division is the correctly rounded exact_div value (a Fraction
+            # for int/int, Python's a / b otherwise)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                self.lo, self.hi = tl / rh, th / rl
+            self.lo[rl <= _ZERO_EPS] = np.nan
+            self.hi[rl <= _ZERO_EPS] = np.nan
+        else:
+            positive = _above(rl, self.ref_lo, _ZERO_EPS)
+            self.lo = _ratio_column(self.tgt_lo, self.ref_hi, positive)
+            self.hi = _ratio_column(self.tgt_hi, self.ref_lo, positive)
+        self.ties_exact = types <= {int} and top ** 3 < 2.0 ** 52
 
     def __len__(self):
         return len(self.classes)
@@ -312,61 +299,48 @@ class ClassTable:
         """This table cut to the classes of length <= radius <= self.radius.
 
         The same object when radius is this table's radius; the classes
-        are sorted by length, so the cut is a prefix of every list, and its
-        columns are views of this table's.
+        are sorted by length, so the cut is a prefix of every list and
+        column, and its columns are views of this table's.
         """
         if radius == self.radius:
             return self
-        cut = object.__new__(ClassTable)
-        cut.rank = self.rank
+        cut = copy.copy(self)
         cut.radius = radius
         cut.classes = self.classes.prefix(radius)
         k = len(cut.classes)
-        cut.ref_lo, cut.ref_hi = self.ref_lo[:k], self.ref_hi[:k]
-        cut.tgt_lo, cut.tgt_hi = self.tgt_lo[:k], self.tgt_hi[:k]
-        cut._whole = self._whole or self
-        cut._columns = {}
+        for name, v in vars(self).items():
+            if isinstance(v, (list, np.ndarray)):
+                setattr(cut, name, v[:k])
         return cut
 
-    def lengths(self, swap: bool = False) -> tuple:
-        """(ref_lo, ref_hi, tgt_lo, tgt_hi) lists, the models exchanged by swap."""
-        if swap:
-            return self.tgt_lo, self.tgt_hi, self.ref_lo, self.ref_hi
-        return self.ref_lo, self.ref_hi, self.tgt_lo, self.tgt_hi
+    def swapped(self) -> "ClassTable":
+        """This table with target and reference exchanged: the lengths
+        already evaluated, under each other's names, and the ratio columns
+        of the other direction."""
+        out = copy.copy(self)
+        out.ref_lo, out.ref_hi, out.tgt_lo, out.tgt_hi = (
+            self.tgt_lo, self.tgt_hi, self.ref_lo, self.ref_hi)
+        out.ref_lo_f, out.ref_hi_f, out.tgt_lo_f, out.tgt_hi_f = (
+            self.tgt_lo_f, self.tgt_hi_f, self.ref_lo_f, self.ref_hi_f)
+        out._divide()
+        return out
 
-    def columns(self, swap: bool = False) -> _Columns:
-        cols = self._columns.get(swap)
-        if cols is None:
-            if self._whole is None:
-                rl, rh, tl, th = self._floats
-                floats = (tl, th, rl, rh) if swap else (rl, rh, tl, th)
-                cols = _Columns.of(self.lengths(swap), floats)
-            else:
-                cols = self._whole.columns(swap).prefix(len(self))
-            self._columns[swap] = cols
-        return cols
+    def ratio_lo(self, i):
+        """The exact tgt_lo/ref_hi of class i."""
+        return exact_div(self.tgt_lo[i], self.ref_hi[i])
 
-    def ratios(self, swap: bool = False):
-        """The exact (r_lo, r_hi) of one class, as functions of its index."""
-        ref_lo, ref_hi, tgt_lo, tgt_hi = self.lengths(swap)
-
-        def r_lo(i):
-            return exact_div(tgt_lo[i], ref_hi[i])
-
-        def r_hi(i):
-            return exact_div(tgt_hi[i], ref_lo[i])
-
-        return r_lo, r_hi
+    def ratio_hi(self, i):
+        """The exact tgt_hi/ref_lo of class i."""
+        return exact_div(self.tgt_hi[i], self.ref_lo[i])
 
     def exact_ratio_rows(self):
         """(r_lo, r_hi) of every class, or None where the reference lo is
         <= _ZERO_EPS; the exact_div values, read from the float columns
         wherever exact_div would return a float."""
-        cols = self.columns()
         for rl, rh, tl, th, fl, fh in zip(self.ref_lo, self.ref_hi,
                                           self.tgt_lo, self.tgt_hi,
-                                          _floats_of(cols.lo),
-                                          _floats_of(cols.hi)):
+                                          _floats_of(self.lo),
+                                          _floats_of(self.hi)):
             if not rl > _ZERO_EPS:
                 yield None
                 continue
@@ -455,12 +429,12 @@ def _build_table(target, ref, radii, cfg: VerifierConfig,
     return _class_table(target, ref, radius, cfg, tables)
 
 
-def _window_sup(table: ClassTable, L, radius_needed, *, swap: bool = False,
+def _window_sup(table: ClassTable, L, radius_needed, *,
                 diag_cap: int = 16) -> WindowSup:
-    cols = table.columns(swap)
-    ref_lo, ref_hi, tgt_lo, tgt_hi = table.lengths(swap)
-    seen = ~_above(cols.ref_lo, ref_lo, L)
-    positive = _above(cols.ref_lo, ref_lo, _ZERO_EPS)
+    ref_lo, ref_hi = table.ref_lo, table.ref_hi
+    tgt_lo, tgt_hi = table.tgt_lo, table.tgt_hi
+    seen = ~_above(table.ref_lo_f, ref_lo, L)
+    positive = _above(table.ref_lo_f, ref_lo, _ZERO_EPS)
     inc = np.flatnonzero(seen & positive)
     excluded = int(np.count_nonzero(seen & ~positive))
     count = len(inc)
@@ -472,12 +446,12 @@ def _window_sup(table: ClassTable, L, radius_needed, *, swap: bool = False,
             radius=table.radius, radius_needed=radius_needed,
             truncated=truncated, attained=None, empty=True,
         )
-    strad = _above(cols.ref_hi, ref_hi, L)[inc]
-    r_lo, r_hi = table.ratios(swap)
-    hi_f = cols.hi[inc]
-    sup_hi, att_idx = _first_max(_near(hi_f, inc), r_hi, cols.ties_exact)
+    strad = _above(table.ref_hi_f, ref_hi, L)[inc]
+    r_lo, r_hi = table.ratio_lo, table.ratio_hi
+    hi_f = table.hi[inc]
+    sup_hi, att_idx = _first_max(_near(hi_f, inc), r_hi, table.ties_exact)
     inner = inc[~strad]
-    sup_lo = (_first_max(_near(cols.lo[inner], inner), r_lo, cols.ties_exact)[0]
+    sup_lo = (_first_max(_near(table.lo[inner], inner), r_lo, table.ties_exact)[0]
               if inner.size else 0)
     sup_lo = min(sup_lo, sup_hi)
     rows = []
@@ -488,7 +462,7 @@ def _window_sup(table: ClassTable, L, radius_needed, *, swap: bool = False,
         if count > diag_cap:
             cut = np.partition(hi_f, count - diag_cap)[count - diag_cap]
             cands = inc[hi_f >= cut]
-        order = cols.hi.__getitem__ if cols.ties_exact else r_hi
+        order = table.hi.__getitem__ if table.ties_exact else r_hi
         top = heapq.nlargest(diag_cap, cands.tolist(), key=lambda i: (order(i), i))
         for i in top:
             rh, rl = r_hi(i), r_lo(i)
@@ -784,19 +758,19 @@ def ratio_envelope_report(target, ref, alpha_lo, beta_hi,
     tol = cfg.tolerance
 
     def judge(L, ws, ref_ws, table):
-        cols = table.columns()
-        r_lo, r_hi = table.ratios()
+        r_lo, r_hi = table.ratio_lo, table.ratio_hi
         a_scale = exact_div(L, alpha_lo + 1)
         b_scale = exact_div(L, beta_hi + 1)
         # measurement scope: 0 < ref lo <= reference_factor * L; hypothesis
         # scope: its part with ref lo <= L
-        scope = (_above(cols.ref_lo, table.ref_lo, _ZERO_EPS)
-                 & ~_above(cols.ref_lo, table.ref_lo, cfg.reference_factor * L))
+        ref_lo_f = table.ref_lo_f
+        scope = (_above(ref_lo_f, table.ref_lo, _ZERO_EPS)
+                 & ~_above(ref_lo_f, table.ref_lo, cfg.reference_factor * L))
         meas = np.flatnonzero(scope)
-        hyp = np.flatnonzero(scope & ~_above(cols.ref_lo, table.ref_lo, L))
+        hyp = np.flatnonzero(scope & ~_above(ref_lo_f, table.ref_lo, L))
         hyp_failed = hyp_uncertified = False
         if hyp.size:
-            lo_f, hi_f = cols.lo[hyp], cols.hi[hyp]
+            lo_f, hi_f = table.lo[hyp], table.hi[hyp]
             min_lo = min(map(r_lo, _near(lo_f, hyp, lowest=True)))
             max_lo = max(map(r_lo, _near(lo_f, hyp)))
             min_hi = min(map(r_hi, _near(hi_f, hyp, lowest=True)))
@@ -811,7 +785,7 @@ def ratio_envelope_report(target, ref, alpha_lo, beta_hi,
         need_c0 = 0
         cert_c0 = 0
         worst = None
-        lo_f, hi_f = cols.lo[meas], cols.hi[meas]
+        lo_f, hi_f = table.lo[meas], table.hi[meas]
         scale = abs(alpha_lo) + abs(beta_hi) + 1
         # measurement: outer bracket, can only overstate the needed C0
         for i in np.union1d(_near(lo_f, meas, lowest=True, scale=scale),
@@ -1184,7 +1158,7 @@ def metric_distance_report(a, b, config: Optional[VerifierConfig] = None
     r_ab, r_ba = b.window_radius(L), a.window_radius(L)
     table = _build_table(a, b, [max(r_ab, r_ba)], cfg)
     ws_ab = _window_sup(table, L, r_ab, diag_cap=cfg.diagnostics_cap)
-    ws_ba = _window_sup(table, L, r_ba, diag_cap=cfg.diagnostics_cap, swap=True)
+    ws_ba = _window_sup(table.swapped(), L, r_ba, diag_cap=cfg.diagnostics_cap)
     if ws_ab.empty or ws_ba.empty or ws_ab.value.lo <= 0 or ws_ba.value.lo <= 0:
         return DeltaReport(
             delta=LengthBracket(0.0, math.inf), dil_ab=ws_ab.value,

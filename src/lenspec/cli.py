@@ -181,7 +181,11 @@ def _fail(path: str, msg: str):
 def _check_num(v, path, *, positive=False, integer=False, least=None):
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         _fail(path, f"expected a number, got {type(v).__name__}")
-    if not math.isfinite(v):
+    try:
+        finite = math.isfinite(v)
+    except OverflowError:  # an int beyond the float range
+        finite = False
+    if not finite:
         _fail(path, f"expected a finite number, got {v}")
     if integer and int(v) != v:
         _fail(path, f"expected an integer, got {v}")
@@ -316,6 +320,8 @@ def parse_scenario(text: str) -> Scenario:
             f"scenario is not valid JSON: {e.msg} at line {e.lineno} "
             f"column {e.colno}"
         ) from None
+    except ValueError as e:  # an int of more digits than str() converts
+        raise InputError(f"scenario is not valid JSON: {e}") from None
     if not isinstance(raw, dict):
         _fail("", "top level must be a JSON object")
     unknown = set(raw) - set(_TOP_KEYS)
@@ -435,6 +441,9 @@ def load_scenario(path) -> Scenario:
 
 
 def builtin_preset(name: str) -> dict:
+    if not isinstance(name, str):
+        raise InputError("expected a preset name string, "
+                         f"got {type(name).__name__}")
     if name not in _PRESETS:
         raise InputError(f"unknown preset {name!r} (known: {sorted(_PRESETS)})")
     out = dict(_PRESETS[name])

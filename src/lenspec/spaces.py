@@ -196,8 +196,10 @@ class WordMetricModel(ActionModel):
                     f"semigroup generation check {kind}: letter {chk.missing} "
                     f"not reached within cost {self.radius_cap}"
                 )
+            # each witness is a cheapest spelling of its letter, its
+            # weights summed in the order the search added them
             self._letter_cost = {
-                x: word_length(Word((x,)), gens, radius_cap=self.radius_cap)
+                x: sum(gens.weights[i] for i in chk.witnesses[x])
                 for x in _letters_in_order(self.rank)
             }
 
@@ -641,17 +643,15 @@ class LinearRepModel(MatrixActionModel):
         generators: Sequence,
         delta: float = math.log(4),
         alpha: Optional[float] = None,
-        complex_entries: bool = False,
     ):
         mats = [np.asarray(m) for m in generators]
         if not mats:
             raise InputError("need at least one generator matrix")
         self.dim = mats[0].shape[0]
-        if any(np.iscomplexobj(m) for m in mats):
-            complex_entries = True
         self.delta = float(delta)
         self.alpha = alpha
         self._cert = None
+        complex_entries = any(np.iscomplexobj(m) for m in mats)
         self._init_matrices(mats, np.complex128 if complex_entries else np.float64)
         self.cobound_D = None
 
@@ -739,7 +739,7 @@ def build_schottky(stretch, angles: Sequence, delta: Optional[float] = None
     if delta is None:
         delta = math.log(2)
     mob = MobiusModel(mats, dim=3 if complex_case else 2, delta=delta)
-    lin = LinearRepModel(mats, delta=delta, complex_entries=complex_case)
+    lin = LinearRepModel(mats, delta=delta)
     cert = mob.certificate()
     lin._cert = cert
     if not cert.ok:

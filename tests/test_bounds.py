@@ -100,6 +100,14 @@ def test_empty_window():
     assert ws.value.lo == 0 and ws.value.hi == 0
 
 
+@pytest.mark.parametrize("field,value", [
+    ("K", 10 ** 400), ("D", Fraction(10 ** 400, 3)), ("L_values", (10 ** 400,))],
+    ids=["K", "D", "L_values"])
+def test_config_numbers_beyond_the_float_range_are_not_finite(field, value):
+    with pytest.raises(InputError, match=field):
+        VerifierConfig(**{field: value})
+
+
 def test_window_rank_mismatch():
     with pytest.raises(InputError):
         dilation_window(TreeModel(2), TreeModel(3), 4)

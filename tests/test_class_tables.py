@@ -13,7 +13,13 @@ import numpy as np
 import pytest
 
 from lenspec import bounds
-from lenspec.bounds import ClassTable, VerifierConfig, _class_table, _eval_class_lengths
+from lenspec.bounds import (
+    ClassTable,
+    VerifierConfig,
+    _class_table,
+    _eval_class_lengths,
+    metric_distance_report,
+)
 from lenspec.errors import InputError, NumericError
 from lenspec.spaces import (
     LinearRepModel,
@@ -217,3 +223,34 @@ def test_tables_of_one_rank_hold_the_same_classes():
     other = _class_table(TreeModel(2), TreeModel(2, [3, 1]), 6, cfg, tables)
     assert other.reps == first.reps[:len(other)]
     assert other.reps == ClassTable(TreeModel(2), TreeModel(2, [3, 1]), 6).reps
+
+
+# ------------------------------------------------------- swapped tables
+
+
+def test_swapped_tables_evaluate_each_model_once(monkeypatch):
+    evaluated = []
+    real = bounds._eval_class_lengths
+
+    def counting(model, codes, k_max):
+        evaluated.append(model)
+        return real(model, codes, k_max)
+
+    monkeypatch.setattr(bounds, "_eval_class_lengths", counting)
+    # an elliptic generator: zero reference lengths once swapped
+    a, b = _MATRIX_MODELS[2], TreeModel(2, [1, 2])
+    table = ClassTable(a, b, 4)
+    back = table.swapped()
+    assert len(evaluated) == 2 and evaluated[0] is b and evaluated[1] is a
+    assert back.ref_lo is table.tgt_lo and back.tgt_hi is table.ref_hi
+    assert back.ref_lo_f is table.tgt_lo_f and back.tgt_hi_f is table.ref_hi_f
+    fresh = ClassTable(b, a, 4)
+    assert back.reps == fresh.reps and back.ties_exact == fresh.ties_exact
+    for name in ("lo", "hi"):
+        assert np.array_equal(getattr(back, name), getattr(fresh, name),
+                              equal_nan=True)
+        assert np.array_equal(getattr(back.swapped(), name),
+                              getattr(table, name), equal_nan=True)
+    evaluated.clear()
+    metric_distance_report(a, b, VerifierConfig(L_values=(3,), radius_cap=4))
+    assert sorted(map(id, evaluated)) == sorted(map(id, (a, b)))

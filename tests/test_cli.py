@@ -85,6 +85,9 @@ def test_preset_expands_in_scenario():
     assert parse_scenario(emit_scenario(scen)) == scen
 
 
+# an int beyond the float range: math.isfinite raises on it
+HUGE = 10 ** 400
+
 BAD = [
     ('{"verify": ["thm99"]}',
      r"scenario\.verify\[0\]: unknown verifier 'thm99'"),
@@ -116,6 +119,13 @@ BAD = [
      r"scenario\.target\.use: expected 'mobius' or 'linear'"),
     ('{"target": {"kind": "word-metric", "elements": []}}',
      r"scenario\.target\.elements: expected a nonempty list"),
+    ('{"target": {"kind": "preset", "name": ["x"]}}',
+     r"scenario\.target\.name: expected a preset name string, got list"),
+    (f'{{"rank": {HUGE}}}', r"scenario\.rank: expected a finite number"),
+    (f'{{"seed": {HUGE}}}', r"scenario\.seed: expected a finite number"),
+    (f'{{"target": {{"kind": "tree", "weights": [1, {HUGE}]}}}}',
+     r"scenario\.target\.weights\[1\]: expected a finite number"),
+    ('{"seed": 1' + "0" * 5000 + "}", r"scenario is not valid JSON: .*digits"),
 ]
 
 
@@ -496,11 +506,14 @@ PROBES = [
     ("params", "ball_radius", 2.5),
     ("params", "max_f", None),
     ("params", "C0", "x"),
+    ("config", "K", HUGE),
+    ("config", "L_values", [HUGE]),
+    ("params", "C0", HUGE),
 ]
 
 
 @pytest.mark.parametrize("section,key,value", PROBES,
-                         ids=[f"{s}.{k}={v!r}" for s, k, v in PROBES])
+                         ids=[f"{s}.{k}={v!r:.20}" for s, k, v in PROBES])
 def test_malformed_config_and_params_exit_2_naming_the_field(
         tmp_path, capsys, section, key, value):
     data = json.loads(json.dumps(PROBE_BASE))

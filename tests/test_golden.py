@@ -18,7 +18,11 @@ from lenspec.cli import main
 ROOT = Path(__file__).resolve().parents[1]
 SCEN_DIR = ROOT / "src" / "lenspec" / "scenarios"
 GOLDEN = json.loads((ROOT / "perfbench" / "golden.json").read_text())
-SEED = 0
+# every scenario at seed 0, and jsr-ensemble, which draws its ensemble from
+# the seed, at every recorded seed
+CASES = [(name, "0") for name in sorted(GOLDEN)] + [
+    ("jsr-ensemble", seed) for seed in sorted(GOLDEN["jsr-ensemble"], key=int)
+    if seed != "0"]
 
 
 def _sha256(path):
@@ -35,10 +39,11 @@ def _report_sha256(path):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_shipped_scenario_matches_golden(name, tmp_path, capsys):
+@pytest.mark.parametrize("name,seed", CASES, ids=[
+    name if seed == "0" else f"{name}-seed{seed}" for name, seed in CASES])
+def test_shipped_scenario_matches_golden(name, seed, tmp_path, capsys):
     code = main(["verify", "--scenario", str(SCEN_DIR / f"{name}.json"),
-                 "--out", str(tmp_path), "--seed", str(SEED)])
+                 "--out", str(tmp_path), "--seed", seed])
     capsys.readouterr()
     report = tmp_path / "report.json"
     got = {
@@ -47,4 +52,4 @@ def test_shipped_scenario_matches_golden(name, tmp_path, capsys):
         "report_sha256": _report_sha256(report),
         "classes_sha256": _sha256(tmp_path / "classes.csv"),
     }
-    assert got == GOLDEN[name][str(SEED)]
+    assert got == GOLDEN[name][seed]

@@ -12,6 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from lenspec import spaces
 from lenspec.errors import InputError
 from lenspec.spaces import (
     LinearRepModel,
@@ -21,6 +22,7 @@ from lenspec.spaces import (
     build_schottky,
 )
 from lenspec.words import ConjClass, GeneratingSet, Word, enumerate_ball, word_length
+from test_window_oracle import _WORD_METRICS, _canon
 
 
 def random_words(rng, n, max_len=8):
@@ -128,6 +130,20 @@ def test_class_length_bracket_matches_stable_length():
         lo, hi = wm.class_length_bracket(c.rep.letters, k_max=2)
         b = wm.stable_length(c, k_max=2)
         assert (lo, hi) == (b.lo, b.hi)
+
+
+def test_letter_costs_come_from_the_generation_witnesses(monkeypatch):
+    # the generation check has already found a cheapest spelling of every
+    # letter, so the model runs no word_length search of its own
+    # A is spelt Ab.B in the last two sets
+    sets = [m.gens for m in _WORD_METRICS] + [
+        GeneratingSet(2, ["a", "b", "B", "Ab"], [Fraction(1, 2), 1, 2, Fraction(1, 3)]),
+        GeneratingSet(2, ["a", "b", "B", "Ab", "aB"], [0.1, 0.7, 1 / 3, 0.2, 0.3])]
+    monkeypatch.setattr(spaces, "word_length", None)
+    for gens in sets:
+        costs = WordMetricModel(gens)._letter_cost
+        assert _canon(costs) == _canon(
+            {x: word_length(Word((x,)), gens) for x in (1, -1, 2, -2)})
 
 
 def test_non_generating_set_is_rejected():
@@ -262,6 +278,13 @@ def test_schottky_builder_basics():
     c = ConjClass.of(Word("a"))
     assert act.mobius.exact_stable_length(c) == pytest.approx(2 * math.log(4))
     assert act.linear.exact_stable_length(c) == pytest.approx(math.log(4))
+
+
+def test_complex_angles_give_complex_generators():
+    act = build_schottky(4.0, [0.3 + 0.2j, 1.2])
+    assert act.mobius.space_dim == 3
+    for letter in (1, -1, 2, -2):
+        assert act.linear.generator_matrix(letter).dtype == np.complex128
 
 
 def test_schottky_per_generator_stretches():

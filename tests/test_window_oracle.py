@@ -12,6 +12,7 @@ import dataclasses
 import heapq
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -49,13 +50,9 @@ _ZERO_EPS = bounds._ZERO_EPS
 # ------------------------------------------------------------------ oracles
 
 
-def _oracle_window_sup(table, L, radius_needed, *, swap=False, diag_cap=16):
-    if swap:
-        ref_lo, ref_hi = table.tgt_lo, table.tgt_hi
-        tgt_lo, tgt_hi = table.ref_lo, table.ref_hi
-    else:
-        ref_lo, ref_hi = table.ref_lo, table.ref_hi
-        tgt_lo, tgt_hi = table.tgt_lo, table.tgt_hi
+def _oracle_window_sup(table, L, radius_needed, *, diag_cap=16):
+    ref_lo, ref_hi = table.ref_lo, table.ref_hi
+    tgt_lo, tgt_hi = table.tgt_lo, table.tgt_hi
     reps = table.reps
     sup_lo = None
     sup_hi = None
@@ -116,6 +113,14 @@ def _oracle_window_sup(table, L, radius_needed, *, swap=False, diag_cap=16):
         truncated=truncated, attained=Word._unchecked(reps[att_idx]), empty=False,
         rows=tuple(rows),
     )
+
+
+def _exchanged(table):
+    """The lists of ``table`` with target and reference exchanged, read
+    by the oracle in place of the table's own ``swapped()``."""
+    return SimpleNamespace(ref_lo=table.tgt_lo, ref_hi=table.tgt_hi,
+                           tgt_lo=table.ref_lo, tgt_hi=table.ref_hi,
+                           reps=table.reps, radius=table.radius)
 
 
 def _oracle_envelope(table, L, truncated, alpha_lo, beta_hi, C0, cfg):
@@ -229,11 +234,10 @@ def pairs(draw):
     return draw(trees), draw(models)
 
 
-def _window_lengths(draw, table, swap):
-    """A window length: a class length of the table (so L equals one), a
-    value below every length (an empty window), or a number in between."""
-    lo, hi = (table.tgt_lo, table.tgt_hi) if swap else (table.ref_lo, table.ref_hi)
-    values = [v for v in lo + hi if v > _ZERO_EPS]
+def _window_lengths(draw, table):
+    """A window length: a reference length of the table (so L equals one),
+    a value below every length (an empty window), or a number in between."""
+    values = [v for v in table.ref_lo + table.ref_hi if v > _ZERO_EPS]
     choice = draw(st.sampled_from(["length", "below", "int", "float", "fraction"]))
     if choice == "length" and values:
         return draw(st.sampled_from(values))
@@ -256,22 +260,24 @@ _SETTINGS = settings(max_examples=60, deadline=None,
 @_SETTINGS
 @given(pairs(), st.integers(3, 5), st.booleans(), st.data())
 def test_window_sup_matches_the_per_class_scan(pair, radius, swap, data):
-    table = ClassTable(*pair, radius)
-    ref_lo, ref_hi, tgt_lo, tgt_hi = table.lengths(swap)
-    cols = table.columns(swap)
-    for i, (rl, rh, tl, th) in enumerate(zip(ref_lo, ref_hi, tgt_lo, tgt_hi)):
-        # every column entry is the correctly rounded exact value
-        assert (cols.ref_lo[i], cols.ref_hi[i]) == (float(rl), float(rh))
-        if rl > _ZERO_EPS:
-            assert cols.lo[i] == float(exact_div(tl, rh))
-            assert cols.hi[i] == float(exact_div(th, rl))
-    for tab in (table, table.prefix(radius - 1)):
+    whole = ClassTable(*pair, radius)
+    for tab in (whole, whole.prefix(radius - 1)):
+        # with swap the oracle reads the unswapped table's lists exchanged
+        table, lists = (tab.swapped(), _exchanged(tab)) if swap else (tab, tab)
+        for i, (rl, rh, tl, th) in enumerate(zip(lists.ref_lo, lists.ref_hi,
+                                                 lists.tgt_lo, lists.tgt_hi)):
+            # every column entry is the correctly rounded exact value
+            assert (table.ref_lo_f[i], table.ref_hi_f[i], table.tgt_lo_f[i],
+                    table.tgt_hi_f[i]) == tuple(map(float, (rl, rh, tl, th)))
+            if rl > _ZERO_EPS:
+                assert table.lo[i] == float(exact_div(tl, rh))
+                assert table.hi[i] == float(exact_div(th, rl))
         for _ in range(3):
-            L = _window_lengths(data.draw, tab, swap)
+            L = _window_lengths(data.draw, lists)
             needed = data.draw(st.integers(1, 6))
             for cap in (0, 1, 16):
-                got = _window_sup(tab, L, needed, swap=swap, diag_cap=cap)
-                want = _oracle_window_sup(tab, L, needed, swap=swap, diag_cap=cap)
+                got = _window_sup(table, L, needed, diag_cap=cap)
+                want = _oracle_window_sup(lists, L, needed, diag_cap=cap)
                 assert _canon(got) == _canon(want), (L, cap)
 
 
@@ -335,8 +341,8 @@ def test_float_ties_are_resolved_in_exact_arithmetic():
     # and B, yet it is the sup
     table = ClassTable(_Listed({"b": Fraction(10**17 + 1, 10**17)}),
                        TreeModel(2), 2)
-    assert len(set(table.columns().hi[:4].tolist())) == 1
-    assert not table.columns().ties_exact
+    assert len(set(table.hi[:4].tolist())) == 1
+    assert not table.ties_exact
     ws = _window_sup(table, 1, 1, diag_cap=2)
     assert ws.value.hi == Fraction(10**17 + 1, 10**17) and ws.attained == Word("b")
     assert [str(r.rep) for r in ws.rows] == ["b", "B"]
@@ -367,7 +373,7 @@ def test_tied_ratios_resolve_to_the_first_class_and_the_last_rows():
     # identical actions: every ratio is 1, so the first class attains the
     # sup and the rows are the classes of largest index
     table = ClassTable(TreeModel(2), TreeModel(2), 4)
-    assert table.columns().ties_exact
+    assert table.ties_exact
     ws = _window_sup(table, 4, 4, diag_cap=3)
     assert ws.value == LengthBracket(1, 1, exact=True)
     assert ws.attained == Word("a")
@@ -383,8 +389,8 @@ def test_large_int_lengths_resolve_float_ties_exactly():
     # large equal floats no longer mean equal ratios
     n = 2 ** 52
     table = ClassTable(TreeModel(2, [n + 2, n + 1]), TreeModel(2, [n + 1, n]), 1)
-    assert not table.columns().ties_exact
-    assert len(set(table.columns().hi.tolist())) == 1
+    assert not table.ties_exact
+    assert len(set(table.hi.tolist())) == 1
     ws = _window_sup(table, n + 1, 1, diag_cap=1)
     assert ws.attained == Word("b") and ws.value.hi == Fraction(n + 1, n)
     for cap in (0, 1, 16):
@@ -395,7 +401,7 @@ def test_large_int_lengths_resolve_float_ties_exactly():
 def test_columns_are_views_of_the_whole_table():
     table = ClassTable(TreeModel(2, [1, 2]), TreeModel(2), 5)
     cut = table.prefix(3)
-    cols, whole = cut.columns(), table.columns()
-    assert np.shares_memory(cols.hi, whole.hi)
-    assert len(cols.hi) == len(cut)
-    assert cut.columns() is cols and table.columns(swap=True) is not whole
+    for name in ("ref_lo_f", "ref_hi_f", "tgt_lo_f", "tgt_hi_f", "lo", "hi"):
+        col = getattr(cut, name)
+        assert np.shares_memory(col, getattr(table, name))
+        assert len(col) == len(cut)
