@@ -39,7 +39,6 @@ from .errors import InputError
 from .jsl import BochiConstants, joint_stable_profile
 from .spaces import MatrixActionModel, MobiusModel, TreeModel, WordMetricModel
 from .words import (
-    ROW_CHUNK,
     ClassCodes,
     GeneratingSet,
     Word,
@@ -237,7 +236,8 @@ class ClassTable:
     length bracket end is a list (``ref_lo``, ``ref_hi``, ``tgt_lo``,
     ``tgt_hi``) and a float64 column (the same name with ``_f``); ``lo`` =
     tgt_lo/ref_hi and ``hi`` = tgt_hi/ref_lo are the ratio columns (nan
-    where the reference lo is <= _ZERO_EPS).  Every column entry is the
+    where the reference lo is <= _ZERO_EPS), and ``positive`` masks the
+    classes whose reference lo is > _ZERO_EPS.  Every column entry is the
     correctly rounded float of the exact value, so float order never
     contradicts exact order: where two floats differ, the exact values
     differ the same way.  Every window sup, the cor14 envelope and the
@@ -265,10 +265,11 @@ class ClassTable:
         self._divide()
 
     def _divide(self):
-        """Build the ratio columns ``lo`` and ``hi`` and ``ties_exact``
-        from the lengths."""
+        """Build ``positive``, the ratio columns ``lo`` and ``hi`` and
+        ``ties_exact`` from the lengths."""
         lists = (self.ref_lo, self.ref_hi, self.tgt_lo, self.tgt_hi)
         rl, rh, tl, th = self.ref_lo_f, self.ref_hi_f, self.tgt_lo_f, self.tgt_hi_f
+        self.positive = positive = _above(rl, self.ref_lo, _ZERO_EPS)
         types = set()
         for c in lists:
             types.update(map(type, c))
@@ -283,7 +284,6 @@ class ClassTable:
             self.lo[rl <= _ZERO_EPS] = np.nan
             self.hi[rl <= _ZERO_EPS] = np.nan
         else:
-            positive = _above(rl, self.ref_lo, _ZERO_EPS)
             self.lo = _ratio_column(self.tgt_lo, self.ref_hi, positive)
             self.hi = _ratio_column(self.tgt_hi, self.ref_lo, positive)
         self.ties_exact = types <= {int} and top ** 3 < 2.0 ** 52
@@ -300,7 +300,9 @@ class ClassTable:
 
         The same object when radius is this table's radius; the classes
         are sorted by length, so the cut is a prefix of every list and
-        column, and its columns are views of this table's.
+        column, and its columns are views of this table's.  A list or
+        column held under two names (tgt_lo and tgt_hi of a model with one
+        length per class) is cut once, and the cut holds it under both.
         """
         if radius == self.radius:
             return self
@@ -308,9 +310,12 @@ class ClassTable:
         cut.radius = radius
         cut.classes = self.classes.prefix(radius)
         k = len(cut.classes)
+        cuts = {}
         for name, v in vars(self).items():
             if isinstance(v, (list, np.ndarray)):
-                setattr(cut, name, v[:k])
+                if id(v) not in cuts:
+                    cuts[id(v)] = v[:k]
+                setattr(cut, name, cuts[id(v)])
         return cut
 
     def swapped(self) -> "ClassTable":
@@ -333,28 +338,22 @@ class ClassTable:
         """The exact tgt_hi/ref_lo of class i."""
         return exact_div(self.tgt_hi[i], self.ref_lo[i])
 
-    def exact_ratio_rows(self):
-        """(r_lo, r_hi) of every class, or None where the reference lo is
-        <= _ZERO_EPS; the exact_div values, read from the float columns
-        wherever exact_div would return a float."""
-        for rl, rh, tl, th, fl, fh in zip(self.ref_lo, self.ref_hi,
-                                          self.tgt_lo, self.tgt_hi,
-                                          _floats_of(self.lo),
-                                          _floats_of(self.hi)):
-            if not rl > _ZERO_EPS:
+    def exact_ratio_rows(self, start: int, stop: int):
+        """(r_lo, r_hi) of the classes start..stop-1, or None where the
+        reference lo is <= _ZERO_EPS; the exact_div values, read from the
+        float columns wherever exact_div would return a float."""
+        for positive, rl, rh, tl, th, fl, fh in zip(
+                self.positive[start:stop].tolist(), self.ref_lo[start:stop],
+                self.ref_hi[start:stop], self.tgt_lo[start:stop],
+                self.tgt_hi[start:stop], self.lo[start:stop].tolist(),
+                self.hi[start:stop].tolist()):
+            if not positive:
                 yield None
                 continue
             exact_lo = isinstance(tl, _EXACT) and isinstance(rh, _EXACT)
             exact_hi = isinstance(th, _EXACT) and isinstance(rl, _EXACT)
             yield (exact_div(tl, rh) if exact_lo else fl,
                    exact_div(th, rl) if exact_hi else fh)
-
-
-def _floats_of(column):
-    """The entries of a float64 column as Python floats, converted a row
-    chunk at a time, so no list of the whole column is held."""
-    for start in range(0, len(column), ROW_CHUNK):
-        yield from column[start:start + ROW_CHUNK].tolist()
 
 
 def _above(f, exact, x):
@@ -434,7 +433,7 @@ def _window_sup(table: ClassTable, L, radius_needed, *,
     ref_lo, ref_hi = table.ref_lo, table.ref_hi
     tgt_lo, tgt_hi = table.tgt_lo, table.tgt_hi
     seen = ~_above(table.ref_lo_f, ref_lo, L)
-    positive = _above(table.ref_lo_f, ref_lo, _ZERO_EPS)
+    positive = table.positive
     inc = np.flatnonzero(seen & positive)
     excluded = int(np.count_nonzero(seen & ~positive))
     count = len(inc)
@@ -764,7 +763,7 @@ def ratio_envelope_report(target, ref, alpha_lo, beta_hi,
         # measurement scope: 0 < ref lo <= reference_factor * L; hypothesis
         # scope: its part with ref lo <= L
         ref_lo_f = table.ref_lo_f
-        scope = (_above(ref_lo_f, table.ref_lo, _ZERO_EPS)
+        scope = (table.positive
                  & ~_above(ref_lo_f, table.ref_lo, cfg.reference_factor * L))
         meas = np.flatnonzero(scope)
         hyp = np.flatnonzero(scope & ~_above(ref_lo_f, table.ref_lo, L))

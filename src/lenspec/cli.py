@@ -37,9 +37,10 @@ import math
 import platform
 import sys
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cache, partial
+from itertools import islice, repeat
 from pathlib import Path
 from typing import Optional
 
@@ -47,6 +48,7 @@ import numpy as np
 
 from .actions import LengthBracket
 from .bounds import (
+    ClassTable,
     VerifierConfig,
     WindowRow,
     _class_table,
@@ -72,7 +74,7 @@ from .spaces import (
     WordMetricModel,
     build_schottky,
 )
-from .words import ClassCodes, GeneratingSet, Word
+from .words import ROW_CHUNK, ClassCodes, GeneratingSet, Word
 
 try:
     from importlib.metadata import version as _pkg_version
@@ -706,7 +708,8 @@ class RunReport:
     verdict: str
     exit_code: int
     env: dict
-    class_rows: list = field(default_factory=list)
+    # the classes of classes.csv (a _class_listing), rendered as written
+    classes: object = None
 
     def to_json(self) -> str:
         body = {
@@ -720,6 +723,11 @@ class RunReport:
                           allow_nan=False) + "\n"
 
 
+_CSV_HEADER = ("class", "ref_lo", "ref_hi", "target_lo", "target_hi",
+               "ratio_lo", "ratio_hi")
+_CSV_HEADER_LINE = ",".join(_CSV_HEADER) + "\n"
+
+
 def _csv_cell(v):
     if isinstance(v, Fraction):
         return str(v)
@@ -728,10 +736,26 @@ def _csv_cell(v):
     return v
 
 
-def _class_cells(scen: Scenario, cfg: VerifierConfig, target, reference, *,
-                 tables: Optional[dict] = None):
-    """Per-class cells (_CSV_HEADER), one tuple per class: the class as a
-    string, then the numbers, "" where a cell has no value."""
+@dataclass(frozen=True)
+class _Spectrum:
+    """The classes of one model with its length brackets: classes.csv
+    without reference or ratio cells."""
+
+    classes: ClassCodes
+    lo: list
+    hi: list
+
+    def __len__(self):
+        return len(self.classes)
+
+
+def _class_listing(scen: Scenario, cfg: VerifierConfig, target, reference, *,
+                   tables: Optional[dict] = None):
+    """The classes of classes.csv with their lengths: the ClassTable of
+    (target, reference), a _Spectrum when only one model is given, None
+    when neither is.  Every step of classes.csv that can raise
+    ResourceCapError (the class walk, the length evaluation) runs here;
+    rendering the rows (``_csv_chunks``) raises none."""
     radius = scen.params["radius"]
     if radius is None:
         radius = cfg.radius_cap
@@ -740,31 +764,92 @@ def _class_cells(scen: Scenario, cfg: VerifierConfig, target, reference, *,
             radius = int(min(needed, cfg.radius_cap))
     primary = target if target is not None else reference
     if primary is None:
-        return
+        return None
     if target is None or reference is None:
         codes = ClassCodes.walk(scen.rank, int(radius), cfg.class_cap)
         lo, hi, _, _ = _eval_class_lengths(primary, codes, cfg.window_k_max)
-        for name, l, h in zip(codes.names(), lo, hi):
-            yield name, "", "", l, h, "", ""
-        return
-    table = _class_table(target, reference, radius, cfg, tables)
-    for name, rlo, rhi, tlo, thi, ratio in zip(
-            table.classes.names(), table.ref_lo, table.ref_hi, table.tgt_lo,
-            table.tgt_hi, table.exact_ratio_rows()):
-        yield (name, rlo, rhi, tlo, thi, *(("", "") if ratio is None else ratio))
+        return _Spectrum(codes, lo, hi)
+    return _class_table(target, reference, radius, cfg, tables)
 
 
-def _csv_line(cells) -> str:
-    """One classes.csv row.  str() of a Fraction, int or float is its CSV
-    text (a float's repr), and no cell holds a comma, quote or newline."""
-    return ",".join(map(str, cells)) + "\n"
+def _all_floats(cells) -> bool:
+    return set(map(type, cells)) <= {float}
 
 
-def _class_rows(scen: Scenario, cfg: VerifierConfig, target, reference, *,
-                tables: Optional[dict] = None) -> list:
-    """classes.csv rows, each one comma-joined line ending in a newline."""
-    return list(map(_csv_line, _class_cells(scen, cfg, target, reference,
-                                            tables=tables)))
+def _ratio_text(table: ClassTable, start: int, stop: int):
+    """The ratio_lo and ratio_hi cells of rows start..stop-1 of a table:
+    "" where the reference lo is <= _ZERO_EPS, else the exact_div value.
+
+    Where no row of the chunk pairs two exact lengths, every value is the
+    float of the table's ratio column, and its text is the float's repr;
+    ratio_hi reuses the text of ratio_lo when both divide the same lists.
+    Other chunks read the table's exact_ratio_rows.
+    """
+    pairs = ((table.tgt_lo, table.ref_hi, table.lo),
+             (table.tgt_hi, table.ref_lo, table.hi))
+    if not all(_all_floats(tops[start:stop]) or _all_floats(bottoms[start:stop])
+               for tops, bottoms, _ in pairs):
+        return list(zip(*(("", "") if r is None else map(str, r)
+                          for r in table.exact_ratio_rows(start, stop))))
+    blank = np.flatnonzero(~table.positive[start:stop]).tolist()
+    out = []
+    for tops, bottoms, floats in pairs:
+        if out and tops is pairs[0][0] and bottoms is pairs[0][1]:
+            out.append(out[0])
+            continue
+        cells = list(map(float.__repr__, floats[start:stop].tolist()))
+        for i in blank:
+            cells[i] = ""
+        out.append(cells)
+    return out
+
+
+def _csv_chunks(classes):
+    """The rows of classes.csv (without its header) of a _class_listing,
+    as text of at most ROW_CHUNK rows per string.
+
+    A chunk renders each column once: the names from the class codes, and
+    str() of every length, which is the CSV text of an int, Fraction or
+    float (its repr); a column that is the same list as one rendered
+    before reuses its text.  No cell holds a comma, quote or newline, and
+    the rows are joined once per chunk.
+    """
+    table = isinstance(classes, ClassTable)
+    lengths = ((classes.ref_lo, classes.ref_hi, classes.tgt_lo, classes.tgt_hi)
+               if table else (None, None, classes.lo, classes.hi))
+    names = classes.classes.names()
+    n = len(classes)
+    for start in range(0, n, ROW_CHUNK):
+        stop = min(n, start + ROW_CHUNK)
+        text = {}
+        for col in lengths:
+            if col is not None and id(col) not in text:
+                text[id(col)] = list(map(str, col[start:stop]))
+        cols = [islice(names, stop - start)]
+        cols += (repeat("") if c is None else text[id(c)] for c in lengths)
+        cols += (_ratio_text(classes, start, stop) if table
+                 else (repeat(""), repeat("")))
+        yield "\n".join(map(",".join, zip(*cols))) + "\n"
+
+
+def _write_classes(fh, classes):
+    """Write classes.csv, header first, a row chunk at a time."""
+    fh.write(_CSV_HEADER_LINE)
+    fh.writelines(_csv_chunks(classes))
+
+
+def _first_cells(classes, k: int) -> list:
+    """The cells of the first k rows of classes.csv, one tuple per class:
+    the class as a string, then the numbers, "" where a cell has no value."""
+    names = islice(classes.classes.names(), k)
+    if not isinstance(classes, ClassTable):
+        return [(name, "", "", lo, hi, "", "")
+                for name, lo, hi in zip(names, classes.lo[:k], classes.hi[:k])]
+    return [(name, rlo, rhi, tlo, thi, *(("", "") if ratio is None else ratio))
+            for name, rlo, rhi, tlo, thi, ratio in zip(
+                names, classes.ref_lo[:k], classes.ref_hi[:k],
+                classes.tgt_lo[:k], classes.tgt_hi[:k],
+                classes.exact_ratio_rows(0, k))]
 
 
 def _models(scen: Scenario):
@@ -806,23 +891,25 @@ def run(scenario: Scenario, *, with_classes: bool = False) -> RunReport:
         print(f"[{scenario.name}] {token}: {entry['verdict']} "
               f"({time.perf_counter() - t0:.2f}s)", file=sys.stderr)
         entries.append({"token": token, **entry})
+    classes = None
+    if with_classes:
+        try:
+            classes = _class_listing(scenario, cfg, target, reference,
+                                     tables=tables)
+        except ResourceCapError as e:
+            capped = True
+            print(f"[{scenario.name}] classes.csv left out: resource cap: {e}",
+                  file=sys.stderr)
     verdict = _worst(e["verdict"] for e in entries) if entries else "holds"
     exit_code = 1 if verdict == "violated" else 3 if capped else 0
-    class_rows = (_class_rows(scenario, cfg, target, reference, tables=tables)
-                  if with_classes else [])
     return RunReport(
         scenario=scenario.data,
         entries=entries,
         verdict=verdict,
         exit_code=exit_code,
         env=_env(scenario),
-        class_rows=class_rows,
+        classes=classes,
     )
-
-
-_CSV_HEADER = ("class", "ref_lo", "ref_hi", "target_lo", "target_hi",
-               "ratio_lo", "ratio_hi")
-_CSV_HEADER_LINE = ",".join(_CSV_HEADER) + "\n"
 
 
 def emit(report: RunReport, out_dir, fmt: str = "json") -> list:
@@ -831,13 +918,12 @@ def emit(report: RunReport, out_dir, fmt: str = "json") -> list:
     out.mkdir(parents=True, exist_ok=True)
     paths = [out / "report.json"]
     paths[0].write_text(report.to_json())
-    if report.class_rows:
+    if report.classes:
         p = out / "classes.csv"
         with p.open("w") as fh:
-            fh.write(_CSV_HEADER_LINE)
-            fh.writelines(report.class_rows)
+            _write_classes(fh, report.classes)
         paths.append(p)
-    if fmt == "csv" and not report.class_rows:
+    if fmt == "csv" and not report.classes:
         p = out / "entries.csv"
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
@@ -869,9 +955,8 @@ def _print_report(report: RunReport, fmt: str):
     else:
         for e in report.entries:
             print(f"{e['token']},{e['status']},{e['verdict']}")
-        if report.class_rows:
-            sys.stdout.write(_CSV_HEADER_LINE)
-            sys.stdout.writelines(report.class_rows)
+        if report.classes:
+            _write_classes(sys.stdout, report.classes)
 
 
 def _load(args) -> Scenario:
@@ -901,20 +986,18 @@ def _cmd_spectrum(args) -> int:
     target, reference = _models(scen)
     if target is None and reference is None:
         raise InputError("spectrum needs a target or reference model")
-    cells = list(_class_cells(scen, scen.config(), target, reference))
-    rows = list(map(_csv_line, cells))
+    classes = _class_listing(scen, scen.config(), target, reference)
     report = RunReport(scenario=scen.data, entries=[], verdict="holds",
-                       exit_code=0, env=_env(scen), class_rows=rows)
+                       exit_code=0, env=_env(scen), classes=classes)
     if args.out:
         for p in emit(report, args.out, args.format):
             print(f"wrote {p}", file=sys.stderr)
     if args.format == "csv":
-        sys.stdout.write(_CSV_HEADER_LINE)
-        sys.stdout.writelines(rows)
+        _write_classes(sys.stdout, classes)
     else:
         preview = [dict(zip(_CSV_HEADER, map(_csv_cell, c)))
-                   for c in cells[:20]]
-        print(json.dumps({"classes": len(cells), "first": preview},
+                   for c in _first_cells(classes, 20)]
+        print(json.dumps({"classes": len(classes), "first": preview},
                          indent=2, sort_keys=True))
     return 0
 

@@ -230,6 +230,38 @@ def test_run_maps_class_cap_to_exit_3():
     assert "class enumeration exceeds cap 50" in rep.entries[0]["error"]
 
 
+_CLASS_CAPPED = {"target": {"kind": "tree"}, "reference": {"kind": "tree"},
+                 "config": {"L_values": [4], "class_cap": 50}}
+
+
+@pytest.mark.parametrize("verify", [["thm13"], []], ids=["thm13", "no-checks"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_class_cap_in_classes_csv_keeps_the_report(tmp_path, capsys, verify,
+                                                   fmt):
+    # the classes.csv walk hits the class cap: report.json and stdout are
+    # still written with exit code 3, classes.csv is left out, and stderr
+    # names the cap
+    p = tmp_path / "capped.json"
+    p.write_text(json.dumps({**_CLASS_CAPPED, "verify": verify}))
+    out = tmp_path / "out"
+    code = main(["verify", "--scenario", str(p), "--out", str(out),
+                 "--format", fmt])
+    captured = capsys.readouterr()
+    assert code == 3
+    body = json.loads((out / "report.json").read_text())
+    assert body["exit_code"] == 3
+    assert body["verdict"] == ("inconclusive" if verify else "holds")
+    assert not (out / "classes.csv").exists()
+    assert "classes.csv left out: resource cap: class enumeration exceeds cap 50" \
+        in captured.err
+    if fmt == "json":
+        assert json.loads(captured.out) == body
+    else:
+        assert (out / "entries.csv").exists()
+        assert captured.out == "".join(f"{t},resource-cap,inconclusive\n"
+                                       for t in verify)
+
+
 def test_run_builds_one_class_table(monkeypatch):
     # thm13, cor17 and the classes.csv rows share one (target, reference)
     built = []
@@ -242,7 +274,7 @@ def test_run_builds_one_class_table(monkeypatch):
     monkeypatch.setattr(bounds.ClassTable, "__init__", counting)
     rep = run(load_scenario(SCEN_DIR / "schottky-cobounded.json"),
               with_classes=True)
-    assert rep.exit_code == 0 and rep.class_rows
+    assert rep.exit_code == 0 and len(rep.classes) == 69_996
     assert len(built) == 1
 
 

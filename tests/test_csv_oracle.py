@@ -1,0 +1,196 @@
+"""classes.csv rendered a column and a row chunk at a time, against the
+per-row path.
+
+``cli._csv_chunks`` renders each column of a chunk of rows once.  The
+oracle below is the per-row path it replaced: one tuple of cell values per
+class (``_class_cells``, with the ratio rows of ``_exact_ratio_rows``),
+each turned into one line by ``_csv_line``.  Every byte must agree, and so
+must the cell values of the ``spectrum`` JSON preview, number types
+included.
+"""
+
+from fractions import Fraction
+from types import SimpleNamespace
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from lenspec import bounds, cli
+from lenspec.actions import exact_div
+from lenspec.bounds import VerifierConfig, _class_table, _eval_class_lengths
+from lenspec.spaces import (
+    LinearRepModel,
+    MobiusModel,
+    TreeModel,
+    WordMetricModel,
+    build_schottky,
+)
+from lenspec.words import ROW_CHUNK, ClassCodes, GeneratingSet
+
+_ZERO_EPS = bounds._ZERO_EPS
+_EXACT = (int, Fraction)
+
+
+# ------------------------------------------------------------------ oracle
+
+
+def _exact_ratio_rows(table):
+    """(r_lo, r_hi) of every class, or None where the reference lo is
+    <= _ZERO_EPS; the exact_div values, read from the float columns
+    wherever exact_div would return a float."""
+    for rl, rh, tl, th, fl, fh in zip(table.ref_lo, table.ref_hi,
+                                      table.tgt_lo, table.tgt_hi,
+                                      table.lo.tolist(), table.hi.tolist()):
+        if not rl > _ZERO_EPS:
+            yield None
+            continue
+        exact_lo = isinstance(tl, _EXACT) and isinstance(rh, _EXACT)
+        exact_hi = isinstance(th, _EXACT) and isinstance(rl, _EXACT)
+        yield (exact_div(tl, rh) if exact_lo else fl,
+               exact_div(th, rl) if exact_hi else fh)
+
+
+def _class_cells(scen, cfg, target, reference, *, tables=None):
+    """Per-class cells (the classes.csv header), one tuple per class: the
+    class as a string, then the numbers, "" where a cell has no value."""
+    radius = scen.params["radius"]
+    if radius is None:
+        radius = cfg.radius_cap
+        if reference is not None:
+            needed = reference.window_radius(max(cfg.L_values))
+            radius = int(min(needed, cfg.radius_cap))
+    primary = target if target is not None else reference
+    if primary is None:
+        return
+    if target is None or reference is None:
+        codes = ClassCodes.walk(scen.rank, int(radius), cfg.class_cap)
+        lo, hi, _, _ = _eval_class_lengths(primary, codes, cfg.window_k_max)
+        for name, l, h in zip(codes.names(), lo, hi):
+            yield name, "", "", l, h, "", ""
+        return
+    table = _class_table(target, reference, radius, cfg, tables)
+    for name, rlo, rhi, tlo, thi, ratio in zip(
+            table.classes.names(), table.ref_lo, table.ref_hi, table.tgt_lo,
+            table.tgt_hi, _exact_ratio_rows(table)):
+        yield (name, rlo, rhi, tlo, thi, *(("", "") if ratio is None else ratio))
+
+
+def _csv_line(cells) -> str:
+    """One classes.csv row.  str() of a Fraction, int or float is its CSV
+    text (a float's repr), and no cell holds a comma, quote or newline."""
+    return ",".join(map(str, cells)) + "\n"
+
+
+def _check(target, reference, radius, *, rank=2, cfg=None, tables=None):
+    """The renderer's bytes and preview cells equal the oracle's; returns
+    the rows."""
+    scen = SimpleNamespace(rank=rank, params={"radius": radius})
+    cfg = cfg or VerifierConfig()
+    cells = list(_class_cells(scen, cfg, target, reference))
+    classes = cli._class_listing(scen, cfg, target, reference, tables=tables)
+    chunks = list(cli._csv_chunks(classes))
+    assert all(c.count("\n") <= ROW_CHUNK for c in chunks)
+    assert "".join(chunks) == "".join(map(_csv_line, cells))
+    assert len(classes) == len(cells)
+    preview = cli._first_cells(classes, 20)
+    assert list(map(repr, preview)) == list(map(repr, cells[:20]))
+    return cells
+
+
+# --------------------------------------------------------------- models
+
+
+_SCHOTTKY = build_schottky(4.0, [0.0, 1.2])
+# equal stretches: classes of length zero, so ratio cells are ""
+_ZERO_LENGTHS = build_schottky(2, (0, 0.6)).mobius
+_MATRIX_MODELS = [
+    _SCHOTTKY.mobius,
+    _SCHOTTKY.linear,
+    _ZERO_LENGTHS,
+    MobiusModel([np.array([[2.0, 0.0], [0.0, 0.5]]),
+                 np.array([[1.0, 1.0], [1.0, 2.0]])]),
+    LinearRepModel([np.array([[2.0, 1.0], [1.0, 1.0]]),
+                    np.array([[1.0, 0.0], [3.0, 1.0]])]),
+]
+_WORD_METRICS = [
+    WordMetricModel(GeneratingSet(2, ["a", "A", "b", "B", "ab", "BA"])),
+    WordMetricModel(GeneratingSet(2, ["a", "A", "b", "B", "aB"],
+                                  [1, 1, Fraction(3, 2), 2, 1])),
+    WordMetricModel(GeneratingSet(2, ["a", "A", "b", "B"], [1.5, 1.5, 1, 1])),
+]
+
+weights = st.one_of(
+    st.integers(1, 4),
+    st.integers(10 ** 5, 10 ** 6),
+    st.builds(Fraction, st.integers(1, 9), st.integers(1, 4)),
+    st.sampled_from([0.5, 1.5, 2.25, 0.1, 1 / 3]),
+)
+# int, Fraction, float and mixed weights
+trees = st.builds(lambda w: TreeModel(2, w), st.lists(weights, min_size=2, max_size=2))
+models = st.one_of(trees, st.sampled_from(_MATRIX_MODELS),
+                   st.sampled_from(_WORD_METRICS))
+
+_SETTINGS = settings(max_examples=80, deadline=None,
+                     suppress_health_check=[HealthCheck.too_slow])
+
+
+# ---------------------------------------------------------------- tests
+
+
+@_SETTINGS
+@given(models, models, st.integers(1, 5))
+def test_pairs_match_the_per_row_path(target, reference, radius):
+    _check(target, reference, radius)
+
+
+@_SETTINGS
+@given(models, st.booleans(), st.integers(0, 5))
+def test_one_model_matches_the_per_row_path(model, as_target, radius):
+    # radius 0: no classes, no rows
+    if as_target:
+        _check(model, None, radius)
+    else:
+        _check(None, model, radius)
+
+
+def test_zero_length_classes_have_blank_ratios():
+    rows = _check(TreeModel(2), _ZERO_LENGTHS, 4)
+    assert any(r[5:] == ("", "") for r in rows)
+    assert any(r[5:] != ("", "") for r in rows)
+
+
+def test_default_radius_follows_the_reference_window():
+    cfg = VerifierConfig(L_values=(3, 5))
+    rows = _check(_SCHOTTKY.mobius, TreeModel(2, [1, 2]), None, cfg=cfg)
+    assert rows
+
+
+def test_rank_27_names_join_letters_with_dots():
+    for pair in ((TreeModel(27), TreeModel(27, [2] * 26 + [Fraction(1, 3)])),
+                 (TreeModel(27, [0.5] * 27), None)):
+        rows = _check(*pair, 2, rank=27)
+        assert any("." in r[0] for r in rows)
+
+
+def test_length_blocks_cross_chunk_boundaries():
+    # radius 10: 9,518 classes, the length-10 block spanning rows
+    # 3,582..9,517 across the first chunk boundary
+    for target, reference in ((_SCHOTTKY.mobius, TreeModel(2)),
+                              (TreeModel(2, [1, 0.5]), TreeModel(2, [3, 2])),
+                              (_SCHOTTKY.linear, None)):
+        rows = _check(target, reference, 10)
+        assert len(rows) == 9518 > ROW_CHUNK
+
+
+def test_a_prefix_table_matches_the_per_row_path():
+    # the listing of a run that built a larger table first reads a prefix
+    # of it: its lists are cut, and those the models share stay shared
+    target, reference = _SCHOTTKY.mobius, TreeModel(2)
+    tables = {}
+    whole = _class_table(target, reference, 6, VerifierConfig(), tables)
+    _check(target, reference, 4, tables=tables)
+    cut = cli._class_listing(SimpleNamespace(rank=2, params={"radius": 4}),
+                             VerifierConfig(), target, reference, tables=tables)
+    assert cut is not whole and np.shares_memory(cut.lo, whole.lo)
+    assert cut.tgt_lo is cut.tgt_hi and cut.ref_lo is cut.ref_hi
