@@ -30,11 +30,10 @@ byte-identical reports.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import platform
+import shutil
 import sys
 import time
 from dataclasses import dataclass, fields
@@ -166,15 +165,6 @@ class Scenario:
         c["L_values"] = tuple(c["L_values"])
         return VerifierConfig(**c)
 
-    def with_overrides(self, *, seed: Optional[int] = None,
-                       max_frontier: Optional[int] = None) -> "Scenario":
-        d = json.loads(json.dumps(self.data))
-        if seed is not None:
-            d["seed"] = seed
-        if max_frontier is not None:
-            d["config"]["frontier_cap"] = max_frontier
-        return Scenario(data=d)
-
 
 def _fail(path: str, msg: str):
     raise InputError(f"scenario.{path}: {msg}" if path else f"scenario: {msg}")
@@ -206,13 +196,14 @@ def _norm_matrix(m, path):
         if not isinstance(row, list) or len(row) != n:
             _fail(f"{path}[{i}]", f"expected a row of {n} entries")
         for j, e in enumerate(row):
-            if isinstance(e, list):
-                if len(e) != 2 or not all(isinstance(x, (int, float))
-                                          and not isinstance(x, bool) for x in e):
-                    _fail(f"{path}[{i}][{j}]",
-                          "complex entries are [re, im] number pairs")
-            else:
+            if not isinstance(e, list):
                 _check_num(e, f"{path}[{i}][{j}]")
+                continue
+            if len(e) != 2:
+                _fail(f"{path}[{i}][{j}]",
+                      "complex entries are [re, im] number pairs")
+            for k, x in enumerate(e):
+                _check_num(x, f"{path}[{i}][{j}][{k}]")
     return m
 
 
@@ -313,10 +304,9 @@ def _norm_model(spec, path, rank):
     return out
 
 
-def parse_scenario(text: str) -> Scenario:
-    """Parse and validate scenario JSON, filling every default."""
+def _decode(text: str):
     try:
-        raw = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as e:
         raise InputError(
             f"scenario is not valid JSON: {e.msg} at line {e.lineno} "
@@ -324,6 +314,12 @@ def parse_scenario(text: str) -> Scenario:
         ) from None
     except ValueError as e:  # an int of more digits than str() converts
         raise InputError(f"scenario is not valid JSON: {e}") from None
+
+
+def parse_scenario(source) -> Scenario:
+    """Parse and validate a scenario, its JSON text or the object that text
+    decodes to, filling every default."""
+    raw = _decode(source) if isinstance(source, str) else source
     if not isinstance(raw, dict):
         _fail("", "top level must be a JSON object")
     unknown = set(raw) - set(_TOP_KEYS)
@@ -435,11 +431,15 @@ def emit_scenario(scenario: Scenario) -> str:
     return json.dumps(scenario.data, sort_keys=True, indent=2) + "\n"
 
 
-def load_scenario(path) -> Scenario:
+def _read(path) -> str:
     p = Path(path)
     if not p.exists():
         raise InputError(f"scenario file not found: {p}")
-    return parse_scenario(p.read_text())
+    return p.read_text()
+
+
+def load_scenario(path) -> Scenario:
+    return parse_scenario(_read(path))
 
 
 def builtin_preset(name: str) -> dict:
@@ -476,22 +476,12 @@ def build_model(spec: Optional[dict], rank: int):
         gens = GeneratingSet(rank, [Word(e) for e in spec["elements"]],
                              spec.get("weights"))
         return WordMetricModel(gens)
-    if kind == "mobius":
-        mats = [_mat_array(m) for m in spec["matrices"]]
-        kw = {}
-        if spec.get("delta") is not None:
-            kw["delta"] = spec["delta"]
-        if spec.get("dim") is not None:
-            kw["dim"] = spec["dim"]
-        return MobiusModel(mats, **kw)
-    if kind == "linear":
-        mats = [_mat_array(m) for m in spec["matrices"]]
-        kw = {}
-        if spec.get("delta") is not None:
-            kw["delta"] = spec["delta"]
-        if spec.get("alpha") is not None:
-            kw["alpha"] = spec["alpha"]
-        return LinearRepModel(mats, **kw)
+    if kind in ("mobius", "linear"):
+        # the optional fields the spec gives, the model's defaults otherwise
+        cls, opt = ((MobiusModel, "dim") if kind == "mobius"
+                    else (LinearRepModel, "alpha"))
+        kw = {k: spec[k] for k in ("delta", opt) if spec.get(k) is not None}
+        return cls([_mat_array(m) for m in spec["matrices"]], **kw)
     if kind == "schottky":
         action = build_schottky(spec["stretch"], spec["angles"],
                                 delta=spec.get("delta"))
@@ -566,11 +556,7 @@ _VERDICT_RANK = {"holds": 0, "inconclusive": 1, "hypothesis-failed": 2,
 
 
 def _worst(verdicts) -> str:
-    worst = "holds"
-    for v in verdicts:
-        if _VERDICT_RANK.get(v, 1) > _VERDICT_RANK[worst]:
-            worst = v
-    return worst
+    return max(verdicts, key=lambda v: _VERDICT_RANK.get(v, 1), default="holds")
 
 
 # ------------------------------------------------------------ verifier glue
@@ -900,16 +886,16 @@ def run(scenario: Scenario, *, with_classes: bool = False) -> RunReport:
             capped = True
             print(f"[{scenario.name}] classes.csv left out: resource cap: {e}",
                   file=sys.stderr)
-    verdict = _worst(e["verdict"] for e in entries) if entries else "holds"
+    verdict = _worst(e["verdict"] for e in entries)
     exit_code = 1 if verdict == "violated" else 3 if capped else 0
-    return RunReport(
-        scenario=scenario.data,
-        entries=entries,
-        verdict=verdict,
-        exit_code=exit_code,
-        env=_env(scenario),
-        classes=classes,
-    )
+    return RunReport(scenario=scenario.data, entries=entries, verdict=verdict,
+                     exit_code=exit_code, env=_env(scenario), classes=classes)
+
+
+def _entry_rows(report: RunReport) -> str:
+    """The token,status,verdict rows of the entries; no cell holds a comma."""
+    return "".join(f"{e['token']},{e['status']},{e['verdict']}\n"
+                   for e in report.entries)
 
 
 def emit(report: RunReport, out_dir, fmt: str = "json") -> list:
@@ -925,12 +911,7 @@ def emit(report: RunReport, out_dir, fmt: str = "json") -> list:
         paths.append(p)
     if fmt == "csv" and not report.classes:
         p = out / "entries.csv"
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(("token", "status", "verdict"))
-        for e in report.entries:
-            w.writerow((e["token"], e["status"], e["verdict"]))
-        p.write_text(buf.getvalue())
+        p.write_text("token,status,verdict\n" + _entry_rows(report))
         paths.append(p)
     return paths
 
@@ -938,46 +919,47 @@ def emit(report: RunReport, out_dir, fmt: str = "json") -> list:
 # ----------------------------------------------------------------- CLI
 
 
-def _add_common(sub):
-    sub.add_argument("--scenario", required=True, help="scenario JSON path")
-    sub.add_argument("--out", default=None, help="output directory")
-    sub.add_argument("--seed", type=int, default=None,
-                     help="override the scenario seed")
-    sub.add_argument("--max-frontier", type=int, default=None,
-                     help="override the frontier/product cap")
-    sub.add_argument("--format", choices=("json", "csv"), default="json",
-                     help="stdout format")
-
-
-def _print_report(report: RunReport, fmt: str):
-    if fmt == "json":
-        sys.stdout.write(report.to_json())
-    else:
-        for e in report.entries:
-            print(f"{e['token']},{e['status']},{e['verdict']}")
-        if report.classes:
-            _write_classes(sys.stdout, report.classes)
-
-
 def _load(args) -> Scenario:
-    """The scenario of --scenario with the --seed and --max-frontier overrides."""
-    scen = load_scenario(args.scenario)
-    if args.seed is not None or args.max_frontier is not None:
-        scen = scen.with_overrides(seed=args.seed, max_frontier=args.max_frontier)
-    return scen
+    """The scenario of --scenario with the command line's values in place of
+    the file's: --seed, --max-frontier and verify's tokens edit the decoded
+    file, and one parse_scenario validates the result."""
+    raw = _decode(_read(args.scenario))
+    opts = vars(args)
+    # a file of the wrong shape is left for parse_scenario to name
+    if isinstance(raw, dict):
+        if opts.get("seed") is not None:
+            raw["seed"] = opts["seed"]
+        if opts.get("max_frontier") is not None:
+            cfg = raw.setdefault("config", {})
+            if isinstance(cfg, dict):
+                cfg["frontier_cap"] = opts["max_frontier"]
+        if opts.get("tokens"):
+            raw["verify"] = opts["tokens"]
+    return parse_scenario(raw)
 
 
-def _cmd_verify(args, tokens=None) -> int:
+def _output(report: RunReport, args, to_json) -> None:
+    """--out through emit, then stdout: to_json() in JSON; in CSV the
+    entries, then the classes.csv rows, copied from the file emit wrote
+    when it wrote one."""
+    written = emit(report, args.out, args.format) if args.out else []
+    for p in written:
+        print(f"wrote {p}", file=sys.stderr)
+    if args.format == "json":
+        sys.stdout.write(to_json())
+        return
+    sys.stdout.write(_entry_rows(report))
+    if written[1:] and written[1].name == "classes.csv":
+        with written[1].open() as fh:
+            shutil.copyfileobj(fh, sys.stdout)
+    elif report.classes is not None:
+        _write_classes(sys.stdout, report.classes)
+
+
+def _cmd_verify(args) -> int:
     scen = _load(args)
-    if tokens:
-        d = json.loads(json.dumps(scen.data))
-        d["verify"] = list(tokens)
-        scen = parse_scenario(json.dumps(d))
     report = run(scen, with_classes=args.format == "csv" or args.out is not None)
-    if args.out:
-        for p in emit(report, args.out, args.format):
-            print(f"wrote {p}", file=sys.stderr)
-    _print_report(report, args.format)
+    _output(report, args, report.to_json)
     return report.exit_code
 
 
@@ -989,16 +971,14 @@ def _cmd_spectrum(args) -> int:
     classes = _class_listing(scen, scen.config(), target, reference)
     report = RunReport(scenario=scen.data, entries=[], verdict="holds",
                        exit_code=0, env=_env(scen), classes=classes)
-    if args.out:
-        for p in emit(report, args.out, args.format):
-            print(f"wrote {p}", file=sys.stderr)
-    if args.format == "csv":
-        _write_classes(sys.stdout, classes)
-    else:
-        preview = [dict(zip(_CSV_HEADER, map(_csv_cell, c)))
-                   for c in _first_cells(classes, 20)]
-        print(json.dumps({"classes": len(classes), "first": preview},
-                         indent=2, sort_keys=True))
+
+    def preview():
+        first = [dict(zip(_CSV_HEADER, map(_csv_cell, c)))
+                 for c in _first_cells(classes, 20)]
+        return json.dumps({"classes": len(classes), "first": first},
+                          indent=2, sort_keys=True) + "\n"
+
+    _output(report, args, preview)
     return 0
 
 
@@ -1042,36 +1022,50 @@ def _cmd_delta(args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+def _parser() -> argparse.ArgumentParser:
+    """Each subcommand takes --scenario and only the options it reads:
+    --seed and --max-frontier where the scenario's values are run, --out
+    and --format where a report or class listing is written."""
     parser = argparse.ArgumentParser(
         prog="lenspec",
         description="Length-spectrum comparison toolkit: windowed dilations, "
                     "joint stable lengths, and inequality verification runs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in (
-        ("spectrum", "enumerate conjugacy classes with length brackets"),
-        ("dilation", "windowed dilation sup between two models"),
-        ("jsr", "joint spectral radius bracket and spectral upper bound"),
-        ("delta", "symmetrized log-dilation distance between two models"),
+    for name, cmd, helptext, overrides, outputs in (
+        ("spectrum", _cmd_spectrum,
+         "enumerate conjugacy classes with length brackets", True, True),
+        ("dilation", _cmd_dilation,
+         "windowed dilation sup between two models", False, False),
+        ("jsr", _cmd_jsr,
+         "joint spectral radius bracket and spectral upper bound", True, False),
+        ("delta", _cmd_delta,
+         "symmetrized log-dilation distance between two models", False, False),
+        ("verify", _cmd_verify, "run named inequality checks", True, True),
     ):
-        _add_common(sub.add_parser(name, help=helptext))
-    vp = sub.add_parser("verify", help="run named inequality checks")
-    vp.add_argument("tokens", nargs="*", metavar="token",
-                    help=f"checks to run (default: scenario's verify list); "
-                         f"one of {', '.join(VERIFY_TOKENS)}")
-    _add_common(vp)
-    args = parser.parse_args(argv)
+        p = sub.add_parser(name, help=helptext)
+        p.set_defaults(cmd=cmd)
+        if name == "verify":
+            p.add_argument("tokens", nargs="*", metavar="token",
+                           help=f"checks to run (default: scenario's verify "
+                                f"list); one of {', '.join(VERIFY_TOKENS)}")
+        p.add_argument("--scenario", required=True, help="scenario JSON path")
+        if overrides:
+            p.add_argument("--seed", type=int, default=None,
+                           help="override the scenario seed")
+            p.add_argument("--max-frontier", type=int, default=None,
+                           help="override the frontier/product cap")
+        if outputs:
+            p.add_argument("--out", default=None, help="output directory")
+            p.add_argument("--format", choices=("json", "csv"), default="json",
+                           help="stdout format")
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
-        if args.command == "spectrum":
-            return _cmd_spectrum(args)
-        if args.command == "dilation":
-            return _cmd_dilation(args)
-        if args.command == "jsr":
-            return _cmd_jsr(args)
-        if args.command == "delta":
-            return _cmd_delta(args)
-        return _cmd_verify(args, tokens=args.tokens)
+        return args.cmd(args)
     except InputError as e:
         print(f"input error: {e}", file=sys.stderr)
         return 2

@@ -169,6 +169,9 @@ class WordMetricModel(ActionModel):
         self.symmetric = gens.symmetric
         self._standard = gens.is_standard
         self.exactness = "tree-exact" if self._standard else "bracket-only"
+        if not any(len(e) for e in gens.elements):
+            raise InputError("a word metric needs a nontrivial element; "
+                             "every element given is the identity")
         self._table: dict[tuple, object] = {}
         for e, w in gens:
             k = e.letters

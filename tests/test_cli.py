@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from lenspec import bounds
+from lenspec import bounds, cli
 from lenspec.cli import (
     RunReport,
     _num,
@@ -145,17 +145,6 @@ def test_load_scenario_missing_file():
         load_scenario("/no/such/scenario.json")
 
 
-def test_with_overrides_copies():
-    scen = load_scenario(SCEN_DIR / "jsr-ensemble.json")
-    bumped = scen.with_overrides(seed=7, max_frontier=99)
-    assert bumped.seed == 7
-    assert bumped.data["config"]["frontier_cap"] == 99
-    # the source scenario is untouched
-    assert scen.seed == 0
-    assert scen.data["config"]["frontier_cap"] == 1_000_000
-    assert bumped.data is not scen.data
-
-
 # ----------------------------------------------------------- run + emit
 
 
@@ -195,7 +184,7 @@ def test_run_report_bytes_are_deterministic():
 def test_seed_override_changes_ensemble_output():
     scen = load_scenario(SCEN_DIR / "jsr-ensemble.json")
     base = run(scen)
-    other = run(scen.with_overrides(seed=7))
+    other = run(parse_scenario({**scen.data, "seed": 7}))
     assert other.env["seed"] == 7
     assert other.to_json() != base.to_json()
     # random unit-det pairs still satisfy the spectral upper bound
@@ -212,8 +201,8 @@ CAP_SCENARIO = {
 
 
 def test_run_captures_resource_cap(tmp_path):
-    scen = parse_scenario(json.dumps(CAP_SCENARIO))
-    rep = run(scen.with_overrides(max_frontier=500))
+    rep = run(parse_scenario({**CAP_SCENARIO,
+                              "config": {"n_max": 10, "frontier_cap": 500}}))
     assert rep.exit_code == 3
     assert rep.entries[0]["status"] == "resource-cap"
     assert rep.entries[0]["verdict"] == "inconclusive"
@@ -481,7 +470,6 @@ def test_main_jsr_verdict_is_the_worst_over_instances(tmp_path, capsys,
     # a violated instance followed by an inconclusive one stays violated
     from types import SimpleNamespace
 
-    from lenspec import cli
     from lenspec.actions import LengthBracket
 
     brackets = iter([LengthBracket(5.0, 6.0), LengthBracket(1.0, 6.0)])
@@ -509,6 +497,101 @@ def test_main_delta_subcommand(capsys):
     assert body["verdict"] == "holds"
     assert body["delta"]["lo"] == 0
     assert body["delta"]["hi"] == 0
+
+
+# ----------------------------------- subcommand options and overrides
+
+# the dests each subcommand's parser sets: verify and spectrum write
+# outputs and run the scenario's seed and caps, jsr runs the seed and the
+# product cap, dilation and delta read the scenario only
+SUBCOMMAND_DESTS = {
+    "verify": ["format", "max_frontier", "out", "scenario", "seed", "tokens"],
+    "spectrum": ["format", "max_frontier", "out", "scenario", "seed"],
+    "jsr": ["max_frontier", "scenario", "seed"],
+    "dilation": ["scenario"],
+    "delta": ["scenario"],
+}
+
+
+def test_each_subcommand_takes_only_the_options_it_reads():
+    parser = cli._parser()
+    got = {}
+    for command in SUBCOMMAND_DESTS:
+        args = vars(parser.parse_args([command, "--scenario", "s.json"]))
+        got[command] = sorted(set(args) - {"command", "cmd"})
+    assert got == SUBCOMMAND_DESTS
+    assert sum(map(len, got.values())) == 16
+
+
+REMOVED_FLAGS = [(command, flag)
+                 for command in ("dilation", "delta")
+                 for flag in (["--out", "d"], ["--format", "csv"],
+                              ["--seed", "3"], ["--max-frontier", "5"])]
+REMOVED_FLAGS += [("jsr", ["--out", "d"]), ("jsr", ["--format", "csv"])]
+
+
+@pytest.mark.parametrize("command,flag", REMOVED_FLAGS,
+                         ids=[f"{c}{f[0]}" for c, f in REMOVED_FLAGS])
+def test_a_flag_the_subcommand_does_not_read_exits_2(capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--scenario", str(SCEN_DIR / "tree-pair.json"), *flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["verify", "spectrum"])
+def test_csv_out_renders_classes_csv_once(tmp_path, capsys, monkeypatch,
+                                          command):
+    # stdout copies the written classes.csv rather than rendering it again
+    rendered = []
+    chunks = cli._csv_chunks
+
+    def counting(classes):
+        rendered.append(len(classes))
+        return chunks(classes)
+
+    monkeypatch.setattr(cli, "_csv_chunks", counting)
+    code = main([command, "--scenario", str(SCEN_DIR / "tree-pair.json"),
+                 "--out", str(tmp_path), "--format", "csv"])
+    assert code == 0
+    assert len(rendered) == 1
+    out = capsys.readouterr().out
+    classes = (tmp_path / "classes.csv").read_text()
+    tokens = json.loads((SCEN_DIR / "tree-pair.json").read_text())["verify"]
+    entries = "".join(f"{t},ok,holds\n" for t in tokens)
+    assert out == (entries if command == "verify" else "") + classes
+
+
+def test_command_line_values_equal_an_edited_scenario_file(tmp_path, capsys):
+    # --seed, --max-frontier and tokens are the file's values replaced
+    src = SCEN_DIR / "tree-pair.json"
+    data = json.loads(src.read_text())
+    data.update(seed=5, verify=["prop31", "bf"])
+    data["config"]["frontier_cap"] = 20_000
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(data))
+    outputs = []
+    for argv in (["prop31", "bf", "--scenario", str(src), "--seed", "5",
+                  "--max-frontier", "20000"],
+                 ["--scenario", str(edited)]):
+        out = tmp_path / f"out{len(outputs)}"
+        assert main(["verify", *argv, "--out", str(out)]) == 0
+        outputs.append((capsys.readouterr().out,
+                        (out / "report.json").read_text(),
+                        (out / "classes.csv").read_text()))
+    assert outputs[0] == outputs[1]
+    body = json.loads(outputs[0][1])
+    assert body["scenario"]["seed"] == 5 == body["env"]["seed"]
+    assert body["scenario"]["config"]["frontier_cap"] == 20_000
+    assert [e["token"] for e in body["entries"]] == ["prop31", "bf"]
+
+
+def test_max_frontier_is_validated_as_the_file_value_is(capsys):
+    code = main(["verify", "--scenario", str(SCEN_DIR / "tree-pair.json"),
+                 "--max-frontier", "0"])
+    assert code == 2
+    assert ("input error: scenario.config: frontier_cap must be an int >= 1"
+            in capsys.readouterr().err)
 
 
 # ------------------------------------------------ malformed config/params
@@ -659,3 +742,53 @@ def test_word_metric_target_exits_2_naming_its_kind(tmp_path, capsys, token,
     err = capsys.readouterr().err
     assert "input error:" in err
     assert "WordMetricModel" in err
+
+
+# ------------------------------------- inputs that must not crash a check
+
+
+@pytest.mark.parametrize("entry,message", [
+    (HUGE, "expected a finite number"),
+    (math.inf, "expected a finite number, got inf"),
+    (math.nan, "expected a finite number, got nan"),
+    ("1", "expected a number, got str"),
+], ids=["huge-int", "inf", "nan", "str"])
+@pytest.mark.parametrize("where", ["jsr", "mobius-dim-3"])
+def test_complex_matrix_parts_are_checked_numbers(tmp_path, capsys, where,
+                                                  entry, message):
+    # a bad [re, im] part is an input error naming the part: not a crash
+    # (exit 1, the code of a certified violation) nor a numeric failure
+    mats = [[[[entry, 0], 0], [0, 1]], [[1, 1], [1, 2]]]
+    if where == "jsr":
+        command, path = "jsr", "matrices[0][0][0][0]"
+        data = {"matrices": mats, "verify": ["bochi"]}
+    else:
+        command, path = "verify", "target.matrices[0][0][0][0]"
+        data = {"target": {"kind": "mobius", "dim": 3, "matrices": mats},
+                "reference": {"kind": "tree"}, "verify": ["thm13"],
+                "config": {"L_values": [4], "radius_cap": 4}}
+    p = tmp_path / "scen.json"
+    p.write_text(json.dumps(data))
+    assert main([command, "--scenario", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert f"input error: scenario.{path}: {message}" in err
+
+
+@pytest.mark.parametrize("data,command", [
+    ({"target": {"kind": "tree"}, "subset": [""], "verify": ["thm15"]},
+     "verify"),
+    ({"target": {"kind": "tree"}, "subset": ["", "aA"], "verify": ["prop31"]},
+     "verify"),
+    ({"target": {"kind": "tree"},
+      "reference": {"kind": "word-metric", "elements": [""]},
+      "verify": ["thm15"]}, "verify"),
+    ({"target": {"kind": "word-metric", "elements": [""]}}, "spectrum"),
+], ids=["thm15-subset", "prop31-subset", "thm15-reference", "spectrum"])
+def test_word_metric_of_the_identity_only_exits_2(tmp_path, capsys, data,
+                                                   command):
+    # no nontrivial element: an input error, not a ValueError from max()
+    p = tmp_path / "scen.json"
+    p.write_text(json.dumps(data))
+    assert main([command, "--scenario", str(p)]) == 2
+    assert ("input error: a word metric needs a nontrivial element"
+            in capsys.readouterr().err)
