@@ -594,21 +594,29 @@ def window_comparison_bound(window_sup_hi, L, D, delta, K,
     actions on convex cores where log 4 replaces the measured delta.
     Requires L > 6D.
     """
+    return _comparison_bound(window_sup_hi, L, D, delta, K, variant)[0]
+
+
+def _comparison_bound(window_sup_hi, L, D, delta, K, variant):
+    """(bound, sup term, L - 6D, penalty constant) of
+    window_comparison_bound: the bound is the sup term plus
+    2*K*(penalty constant)/(L - 6D)."""
     if not L > 6 * D:
         raise InputError(f"need L > 6D; got L={L}, 6D={6 * D}")
     den = L - 6 * D
     if variant == "tight":
         coef = exact_div(L - 2 * D, den)
-        pen = 2 * K * delta
+        pen_delta = delta
     elif variant == "plain-log4":
         coef = exact_div(L, den)
-        pen = 2 * K * math.log(4)
+        pen_delta = math.log(4)
     else:
         raise InputError(f"unknown variant {variant!r}")
-    bound = window_sup_hi * coef
+    sup_term = bound = window_sup_hi * coef
+    pen = 2 * K * pen_delta
     if pen:
         bound = bound + exact_div(pen, den)
-    return bound
+    return bound, sup_term, den, pen_delta
 
 
 def _minimal_K(ref_hi, sup_term, den, delta):
@@ -641,11 +649,8 @@ def cobounded_dilation_report(target, ref, config: Optional[VerifierConfig] = No
             raise InputError(f"need L > 6D for every window; L={L}, 6D={6 * D}")
 
     def judge(L, ws, ref_ws, table):
-        bound = window_comparison_bound(ws.value.hi, L, D, delta, cfg.K, variant)
-        den = L - 6 * D
-        sup_term = ws.value.hi * (exact_div(L - 2 * D, den) if variant == "tight"
-                                  else exact_div(L, den))
-        pen_delta = delta if variant == "tight" else math.log(4)
+        bound, sup_term, den, pen_delta = _comparison_bound(
+            ws.value.hi, L, D, delta, cfg.K, variant)
         verdict = verdict_of(ref_ws.value.lo, ref_ws.value.hi, bound, bound,
                              cfg.tolerance, not ws.truncated)
         return f"cobounded-window[{variant}]", bound, verdict, {

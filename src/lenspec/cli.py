@@ -214,6 +214,9 @@ def _norm_model(spec, path, rank):
         _fail(path, "expected a model object or null")
     kind = spec.get("kind")
     if kind == "preset":
+        unknown = set(spec) - {"kind", "name", "use"}
+        if unknown:
+            _fail(path, f"unknown field(s) {sorted(unknown)} for kind 'preset'")
         try:
             expanded = builtin_preset(spec.get("name"))
         except InputError as e:
@@ -258,7 +261,7 @@ def _norm_model(spec, path, rank):
         out["elements"] = els
         out["weights"] = w
     elif kind in ("mobius", "linear"):
-        allowed = {"matrices", "delta", "alpha", "dim"}
+        allowed = {"matrices", "delta", "dim" if kind == "mobius" else "alpha"}
         mats = spec.get("matrices")
         if not isinstance(mats, list) or len(mats) != rank:
             _fail(f"{path}.matrices", f"expected {rank} generator matrices")

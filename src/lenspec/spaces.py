@@ -19,8 +19,8 @@ import numpy as np
 
 from .actions import ActionModel, AnosovCertificate, LengthBracket, anosov_certificate, exact_div
 from .errors import InputError, NumericError
-from .words import (ClassCodes, ConjClass, GeneratingSet, Word, _letters_in_order,
-                    check_semigroup_generation, word_length)
+from .words import (ClassCodes, ConjClass, GeneratingSet, Word, _cheapest_first,
+                    _letters_in_order, word_length)
 
 __all__ = [
     "TreeModel",
@@ -160,7 +160,7 @@ class WordMetricModel(ActionModel):
     frontier_kind = "word"
     delta = 0
     alpha = 0
-    # cost budget of the generation check and of every word_length search
+    # cost budget of the letter-cost search and of every word_length search
     radius_cap = 32
 
     def __init__(self, gens: GeneratingSet):
@@ -191,20 +191,24 @@ class WordMetricModel(ActionModel):
                 x: gens.weight_of(x) for x in _letters_in_order(self.rank)
             }
         else:
-            self.cobound_D = None
-            chk = check_semigroup_generation(gens, radius_cap=self.radius_cap)
-            if not chk.ok:
-                kind = "inconclusive" if chk.inconclusive else "failed"
+            # each letter's cost is its distance in the metric, from one
+            # cheapest-first search that stops once every letter is settled
+            cost = {}
+            for d, w in _cheapest_first(gens, self.radius_cap):
+                if len(w) == 1:
+                    cost[w[0]] = d
+                    if len(cost) == 2 * self.rank:
+                        break
+            letters = _letters_in_order(self.rank)
+            missing = [x for x in letters if x not in cost]
+            if missing:
+                # with positive weights finitely many elements lie within
+                # any cost, so a letter not reached means the budget ran out
                 raise InputError(
-                    f"semigroup generation check {kind}: letter {chk.missing} "
-                    f"not reached within cost {self.radius_cap}"
+                    f"semigroup generation check inconclusive: letter "
+                    f"{missing[0]} not reached within cost {self.radius_cap}"
                 )
-            # each witness is a cheapest spelling of its letter, its
-            # weights summed in the order the search added them
-            self._letter_cost = {
-                x: sum(gens.weights[i] for i in chk.witnesses[x])
-                for x in _letters_in_order(self.rank)
-            }
+            self._letter_cost = {x: cost[x] for x in letters}
 
     def displacement(self, g: Word):
         if self._standard:
@@ -584,10 +588,8 @@ class MobiusModel(MatrixActionModel):
         self.dim = 2  # matrices are always 2x2; `dim` is the space dimension
         self.space_dim = dim
         self.delta = float(delta)
-        self._cert = None
         dtype = np.complex128 if dim == 3 else np.float64
         self._init_matrices(generators, dtype)
-        self.cobound_D = None
 
     def _normalize(self, a: np.ndarray, det: complex) -> np.ndarray:
         if self.space_dim == 2:
@@ -653,10 +655,8 @@ class LinearRepModel(MatrixActionModel):
         self.dim = mats[0].shape[0]
         self.delta = float(delta)
         self.alpha = alpha
-        self._cert = None
         complex_entries = any(np.iscomplexobj(m) for m in mats)
         self._init_matrices(mats, np.complex128 if complex_entries else np.float64)
-        self.cobound_D = None
 
     def _normalize(self, a: np.ndarray, det: complex) -> np.ndarray:
         return a / abs(det) ** (1.0 / self.dim)

@@ -23,7 +23,7 @@ import string
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -34,13 +34,11 @@ __all__ = [
     "ConjClass",
     "ClassCodes",
     "GeneratingSet",
-    "GenerationCheck",
     "free_reduce",
     "letter_key",
     "cyclic_reduce",
     "enumerate_ball",
     "word_length",
-    "check_semigroup_generation",
 ]
 
 
@@ -486,26 +484,30 @@ class GeneratingSet:
         return len(self.elements)
 
 
-def word_length(g: Word, s: GeneratingSet, radius_cap=32):
-    """Length of g in the (possibly asymmetric) weighted word metric of s.
+# elements a word-metric search reaches before it gives up
+_SEARCH_NODE_CAP = 200_000
 
-    Uniform-cost search over the free group: expand the identity by right
-    multiplication with s-elements until g is settled.  Exact weights give
-    exact costs.  Raises SearchExhaustedError when the budget runs out,
-    reporting whether the ball closed (certifying unreachability) or the
-    radius cap was hit (inconclusive).
+
+def _cheapest_first(s: GeneratingSet, radius_cap):
+    """Yield (cost, letters) of each element of the free group in the
+    order a uniform-cost search over the word metric of s settles it.
+
+    The search expands the identity by right multiplication with the
+    elements of s, ties broken by the letters.  Exact weights give exact
+    costs, each the sum of the weights along a cheapest spelling in the
+    order they were added.  It stops when no element within cost
+    radius_cap is left, or once it has reached more than
+    _SEARCH_NODE_CAP elements.
     """
-    target = g.letters
-    if not target:
-        return 0
     dist: dict[tuple[int, ...], object] = {(): 0}
     heap: list = [(0, ())]
     while heap:
         d, w = heapq.heappop(heap)
-        if dist.get(w, None) != d:
+        if dist[w] != d:
             continue
-        if w == target:
-            return d
+        yield d, w
+        if len(dist) > _SEARCH_NODE_CAP:
+            return
         for e, wt in zip(s.elements, s.weights):
             nd = d + wt
             if nd > radius_cap:
@@ -515,77 +517,22 @@ def word_length(g: Word, s: GeneratingSet, radius_cap=32):
             if old is None or nd < old:
                 dist[nw] = nd
                 heapq.heappush(heap, (nd, nw))
-    if target in dist:
-        return dist[target]
+
+
+def word_length(g: Word, s: GeneratingSet, radius_cap=32):
+    """Length of g in the (possibly asymmetric) weighted word metric of s.
+
+    Exact weights give exact costs.  Raises SearchExhaustedError when g is
+    not reached within cost radius_cap or _SEARCH_NODE_CAP elements; that
+    says nothing about g beyond the budget.
+    """
+    target = g.letters
+    if not target:
+        return 0
+    for d, w in _cheapest_first(s, radius_cap):
+        if w == target:
+            return d
     raise SearchExhaustedError(
-        f"{g} not reached within cost {radius_cap} "
-        f"(searched {len(dist)} elements; larger radius_cap may help)"
-    )
-
-
-@dataclass(frozen=True)
-class GenerationCheck:
-    """Result of a semigroup generation check.
-
-    ``ok`` true means every standard generator and inverse was written as a
-    product of set elements within the radius; ``witnesses`` maps the letter
-    to one such product (as element indices).  When ``ok`` is false,
-    ``inconclusive`` distinguishes a genuine exhaustion of the ball (false:
-    certified non-generation) from a radius cap (true: unknown).
-    """
-
-    ok: bool
-    inconclusive: bool
-    witnesses: dict
-    missing: Optional[int] = None
-
-
-# settled states after which check_semigroup_generation gives up
-_GENERATION_NODE_CAP = 200_000
-
-
-def check_semigroup_generation(s: GeneratingSet, radius_cap=8) -> GenerationCheck:
-    """Check that s generates the free group as a semigroup (within a radius).
-
-    The search stops at radius_cap cost or _GENERATION_NODE_CAP settled
-    states, whichever comes first; either cap makes a negative answer
-    inconclusive rather than certified.  Without the node cap a
-    non-generating set would force exploration of the entire cost ball,
-    which is exponential.
-    """
-    rank = s.rank
-    targets = {(i,) for i in range(1, rank + 1)} | {(-i,) for i in range(1, rank + 1)}
-    paths: dict[tuple[int, ...], tuple] = {(): ()}
-    dist: dict[tuple[int, ...], object] = {(): 0}
-    heap: list = [(0, ())]
-    capped = False
-    found: dict[int, tuple] = {}
-    while heap and len(found) < len(targets):
-        d, w = heapq.heappop(heap)
-        if dist.get(w) != d:
-            continue
-        if w in targets and w[0] not in found:
-            found[w[0]] = paths[w]
-        if len(dist) > _GENERATION_NODE_CAP:
-            capped = True
-            break
-        for idx, (e, wt) in enumerate(zip(s.elements, s.weights)):
-            nd = d + wt
-            if nd > radius_cap:
-                capped = True
-                continue
-            nw = free_reduce(w + e.letters)
-            old = dist.get(nw)
-            if old is None or nd < old:
-                dist[nw] = nd
-                paths[nw] = paths[w] + (idx,)
-                heapq.heappush(heap, (nd, nw))
-    witnesses = {x: list(p) for x, p in found.items()}
-    if len(found) == len(targets):
-        return GenerationCheck(ok=True, inconclusive=False, witnesses=witnesses)
-    missing = min(
-        (x for x in _letters_in_order(rank) if x not in found), key=letter_key
-    )
-    return GenerationCheck(
-        ok=False, inconclusive=capped, witnesses=witnesses, missing=missing
+        f"{g} not reached within cost {radius_cap} or "
+        f"{_SEARCH_NODE_CAP} elements"
     )

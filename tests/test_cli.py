@@ -126,6 +126,19 @@ BAD = [
     (f'{{"target": {{"kind": "tree", "weights": [1, {HUGE}]}}}}',
      r"scenario\.target\.weights\[1\]: expected a finite number"),
     ('{"seed": 1' + "0" * 5000 + "}", r"scenario is not valid JSON: .*digits"),
+    # each field a kind does not read is named, not dropped
+    ('{"target": {"kind": "preset", "name": "cor17-default", "delta": 5}}',
+     r"scenario\.target: unknown field\(s\) \['delta'\] for kind 'preset'"),
+    ('{"target": {"kind": "preset", "name": "cor17-default",'
+     ' "stretch": 2, "angles": [0, 0]}}',
+     r"scenario\.target: unknown field\(s\) \['angles', 'stretch'\] "
+     r"for kind 'preset'"),
+    ('{"target": {"kind": "mobius", "matrices": [[[2, 0], [0, 0.5]],'
+     ' [[1, 1], [0, 1]]], "alpha": 0}}',
+     r"scenario\.target: unknown field\(s\) \['alpha'\] for kind 'mobius'"),
+    ('{"target": {"kind": "linear", "matrices": [[[2, 0], [0, 0.5]],'
+     ' [[1, 1], [0, 1]]], "dim": 3}}',
+     r"scenario\.target: unknown field\(s\) \['dim'\] for kind 'linear'"),
 ]
 
 
@@ -371,6 +384,25 @@ def test_main_frontier_cap_exits_3(tmp_path, capsys):
     assert code == 3
     body = json.loads(capsys.readouterr().out)
     assert body["entries"][0]["status"] == "resource-cap"
+
+
+def test_word_length_out_of_budget_is_a_resource_cap(tmp_path, capsys):
+    # bf measures each subset word in a non-standard word metric; with
+    # every weight 8 a cost of 32 is four steps, too few for (ab)^5
+    p = tmp_path / "search.json"
+    p.write_text(json.dumps({
+        "target": {"kind": "word-metric",
+                   "elements": ["a", "A", "b", "B", "ab", "BA"],
+                   "weights": [8] * 6},
+        "subset": ["ab"], "verify": ["bf"], "config": {"n_max": 5}}))
+    out = tmp_path / "out"
+    assert main(["verify", "--scenario", str(p), "--out", str(out)]) == 3
+    body = json.loads((out / "report.json").read_text())
+    assert body["exit_code"] == 3
+    [entry] = body["entries"]
+    assert (entry["token"], entry["status"], entry["verdict"]) == (
+        "bf", "resource-cap", "inconclusive")
+    assert "not reached within cost 32" in entry["error"]
 
 
 def test_main_spectrum_json_counts_and_previews_rows(capsys):

@@ -19,14 +19,15 @@ from lenspec.words import (
     GeneratingSet,
     Word,
     _min_rotation,
-    check_semigroup_generation,
     enumerate_ball,
     free_reduce,
     iter_class_reps,
     letter_key,
     word_length,
 )
+from lenspec import words
 from lenspec.errors import InputError, ResourceCapError, SearchExhaustedError
+from lenspec.spaces import WordMetricModel
 
 
 letters = st.integers(min_value=-3, max_value=3).filter(lambda x: x != 0)
@@ -303,12 +304,32 @@ def test_word_length_exhaustion():
 
 
 def test_semigroup_generation():
-    assert check_semigroup_generation(GeneratingSet.standard(2)).ok
+    standard = WordMetricModel(GeneratingSet.standard(2))
+    assert standard._letter_cost == {1: 1, -1: 1, 2: 1, -2: 1}
     # no inverses reachable within the budget
-    res = check_semigroup_generation(GeneratingSet(2, [Word("a"), Word("b")]))
-    assert not res.ok
-    assert res.missing in (-1, -2)
-    # asymmetric but still generating: b = (aB)^-1 a needs inverses... use
-    # the classic pair {ab, BA, a, A} which closes over b = A(ab)
+    with pytest.raises(InputError, match=r"letter -[12] not reached"):
+        WordMetricModel(GeneratingSet(2, [Word("a"), Word("b")]))
+    # asymmetric but still generating: the pair {ab, BA, a, A} closes over
+    # b = A(ab) and B = (BA)a
     gen = GeneratingSet(2, [Word("a"), Word("A"), Word("ab"), Word("BA")])
-    assert check_semigroup_generation(gen).ok
+    assert WordMetricModel(gen)._letter_cost == {1: 1, -1: 1, 2: 2, -2: 2}
+
+
+# A costs 8, so the search settles over a thousand cheaper elements first
+_DEAR_A = GeneratingSet(2, ["a", "A", "b", "B"], [1, 8, 1, 1])
+
+
+def test_word_length_stops_at_the_node_cap(monkeypatch):
+    deep = Word("ab") ** 4
+    assert word_length(deep, GeneratingSet.standard(2)) == 8
+    monkeypatch.setattr(words, "_SEARCH_NODE_CAP", 1000)
+    with pytest.raises(ResourceCapError, match="1000 elements"):
+        word_length(deep, GeneratingSet.standard(2))
+
+
+def test_letter_cost_search_stops_at_the_node_cap(monkeypatch):
+    assert WordMetricModel(_DEAR_A)._letter_cost[-1] == 8
+    monkeypatch.setattr(words, "_SEARCH_NODE_CAP", 1000)
+    with pytest.raises(InputError, match="semigroup generation check "
+                                         "inconclusive: letter -1"):
+        WordMetricModel(_DEAR_A)
