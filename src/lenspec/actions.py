@@ -8,11 +8,7 @@ is computed from displacements.
 
 Stable translation length of g is lim_k d(x, g^k x)/k; the limit exists by
 subadditivity, does not depend on the basepoint, and is a conjugacy
-invariant.  Models that can evaluate it exactly say so via ``exactness``:
-
-* ``tree-exact``: weighted cyclically reduced length, exact arithmetic;
-* ``eigenvalue-exact``: spectral formula on the class representative;
-* ``bracket-only``: only certified brackets are available.
+invariant.
 """
 
 from __future__ import annotations
@@ -23,7 +19,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import InputError, NumericError
-from .words import ConjClass, Word, _letters_in_order
+from .words import Word, _letters_in_order
 
 __all__ = [
     "LengthBracket",
@@ -110,21 +106,15 @@ class ActionModel:
 
     Attributes set by subclasses:
       rank         free group rank
-      symmetric    False for asymmetric pseudo-metrics
       delta        hyperbolicity constant of the space (0 for trees)
       cobound_D    orbit density constant, or None
       alpha        rough-geodesicity constant, or None
-      exactness    'tree-exact' | 'eigenvalue-exact' | 'bracket-only'
-      frontier_kind 'word' or 'matrix', picks the joint-length engine
     """
 
     rank: int = 0
-    symmetric: bool = True
     delta = 0
     cobound_D = None
     alpha = None
-    exactness: str = "bracket-only"
-    frontier_kind: str = "word"
 
     def displacement(self, g: Word):
         raise NotImplementedError
@@ -132,16 +122,6 @@ class ActionModel:
     def displacement_of_powers(self, g: Word, ks: Sequence[int]) -> dict:
         """d(x, g^k x) for each k."""
         return {k: self.displacement(g ** k) for k in ks}
-
-    def exact_stable_length(self, c: ConjClass):
-        """Exact stable length of the class, or None if unavailable."""
-        return None
-
-    def stable_length(self, c: ConjClass, k_max: int = 8) -> LengthBracket:
-        v = self.exact_stable_length(c)
-        if v is not None:
-            return LengthBracket.exactly(v)
-        return stable_length_bracket(self, c.rep, k_max=k_max)
 
     def window_radius(self, length_bound) -> int:
         """Standard-length radius guaranteed to contain every conjugacy class
@@ -154,8 +134,8 @@ def gromov_product(model: ActionModel, g: Word, h: Word):
     """(g x | h x)_x from displacements.
 
     Computed as (d(x, g^-1 x) + d(x, h x) - d(x, (g^-1 h) x)) / 2, which is
-    the ordered variant; for symmetric models it coincides with the usual
-    Gromov product.  Exact weights give exact values.
+    the ordered variant; for a metric (d(x, y) = d(y, x)) it coincides
+    with the usual Gromov product.  Exact weights give exact values.
     """
     a = model.displacement(g.inverse())
     b = model.displacement(h)

@@ -5,7 +5,7 @@ A scenario is a JSON object; parsing fills every default so that
 
     name       run label (default "scenario")
     rank       free group rank (default 2)
-    seed       RNG seed for matrix ensembles (default 0)
+    seed       RNG seed for matrix ensembles, an int >= 0 (default 0)
     target     model spec for X* (the compared metric), or null
     reference  model spec for X (the window metric), or null
     subset     list of words (strings) for joint-length checks, or null
@@ -337,7 +337,7 @@ def parse_scenario(source) -> Scenario:
     _check_num(rank, "rank", positive=True, integer=True)
     data["rank"] = int(rank)
     seed = raw.get("seed", 0)
-    _check_num(seed, "seed", integer=True)
+    _check_num(seed, "seed", integer=True, least=0)
     data["seed"] = int(seed)
     data["target"] = _norm_model(raw.get("target"), "target", data["rank"])
     data["reference"] = _norm_model(raw.get("reference"), "reference",

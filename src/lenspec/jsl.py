@@ -30,7 +30,7 @@ import numpy as np
 
 from .actions import LengthBracket, exact_div
 from .errors import InputError, NumericError, ResourceCapError
-from .spaces import MobiusModel, TreeModel, WordMetricModel
+from .spaces import MatrixActionModel, MobiusModel, TreeModel, WordMetricModel
 from .words import ConjClass, Word, _as_words, _concat_reduced, _cyclic_core
 
 __all__ = [
@@ -66,7 +66,7 @@ def _word_lower_oracle(model):
     if isinstance(model, TreeModel):
         return lambda letters: model.class_length(_cyclic_core(letters))
     if isinstance(model, WordMetricModel):
-        if model.exactness == "tree-exact":
+        if model._standard:
             tree = model._tree
             return lambda letters: tree.class_length(_cyclic_core(letters))
         c = model._c_cmp
@@ -394,7 +394,8 @@ def joint_stable_profile(
         if not isinstance(model, TreeModel):
             raise InputError("tree-dp engine needs a TreeModel")
         return tree_joint_profile(model, words, n_max)
-    if model.frontier_kind == "matrix":
+    matrix = isinstance(model, MatrixActionModel)
+    if matrix:
         a, lo_terms = _matrix_joint_profile(model, words, n_max, frontier_cap)
     else:
         a, lo_terms = _word_joint_profile(model, words, n_max, frontier_cap)
@@ -406,7 +407,7 @@ def joint_stable_profile(
         a=a,
         lo_terms=lo_terms,
         pair_half=lo_terms[2],
-        engine="matrix" if model.frontier_kind == "matrix" else "products",
+        engine="matrix" if matrix else "products",
     )
 
 
@@ -429,14 +430,18 @@ class BfCheck:
 
 
 def _pair_sup_bracket(model, words) -> LengthBracket:
-    best_lo = None
-    best_hi = None
-    for u in words:
-        for v in words:
-            b = model.stable_length(ConjClass.of(u * v))
-            best_lo = b.lo if best_lo is None else max(best_lo, b.lo)
-            best_hi = b.hi if best_hi is None else max(best_hi, b.hi)
-    return LengthBracket(best_lo, best_hi, exact=bool(best_lo == best_hi))
+    """Largest class length over S^2, read on each canonical rep: a
+    model's class_length, or else its class_length_bracket with k_max 8."""
+    reps = [ConjClass.of(u * v).rep.letters for u in words for v in words]
+    if hasattr(model, "class_length"):
+        pairs = [(model.class_length(rep),) * 2 for rep in reps]
+    elif hasattr(model, "class_length_bracket"):
+        pairs = [model.class_length_bracket(rep, 8) for rep in reps]
+    else:
+        raise InputError(f"{type(model).__name__} has neither class_length "
+                         "nor class_length_bracket")
+    lo, hi = map(max, zip(*pairs))
+    return LengthBracket(lo, hi, exact=bool(lo == hi))
 
 
 def _k_from_gap(gap, delta):
@@ -448,6 +453,8 @@ def _k_from_gap(gap, delta):
 def bf_lower_check(model, s, n_max: int = 8, tol: float = 1e-9, K=None, **kw) -> BfCheck:
     """Check half the pair maximum really sits below the joint length."""
     words = _as_words(s)
+    if max(w.max_index() for w in words) > model.rank:
+        raise InputError(f"S uses letters beyond rank {model.rank}")
     pair = _pair_sup_bracket(model, words)
     profile = joint_stable_profile(model, words, n_max, **kw)
     joint = profile.bracket

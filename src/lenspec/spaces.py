@@ -17,9 +17,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .actions import ActionModel, AnosovCertificate, LengthBracket, anosov_certificate, exact_div
+from .actions import ActionModel, AnosovCertificate, anosov_certificate, exact_div
 from .errors import InputError, NumericError
-from .words import (ClassCodes, ConjClass, GeneratingSet, Word, _cheapest_first,
+from .words import (ClassCodes, GeneratingSet, Word, _cheapest_first,
                     _letters_in_order, word_length)
 
 __all__ = [
@@ -48,9 +48,6 @@ class TreeModel(ActionModel):
     The orbit is D-dense with D = max weight / 2 and the space is 0-hyperbolic.
     """
 
-    symmetric = True
-    exactness = "tree-exact"
-    frontier_kind = "word"
     delta = 0
     alpha = 0
 
@@ -109,9 +106,6 @@ class TreeModel(ActionModel):
             floats.append(total.astype(np.float64))
         return vals, _joined(floats)
 
-    def exact_stable_length(self, c: ConjClass):
-        return self.displacement(c.rep)
-
     def window_radius(self, length_bound) -> int:
         return math.ceil(exact_div(length_bound, min(self.weights)))
 
@@ -145,8 +139,8 @@ class WordMetricModel(ActionModel):
     """Word metric of a finite weighted generating set S on the free group.
 
     d_S(x, y) = |x^-1 y|_S, asymmetric when S is not inversion-closed.
-    For the standard symmetric S this is a weighted tree metric and stable
-    lengths are exact.  Otherwise stable lengths come as certified
+    For the standard S = {a_i, a_i^-1} this is a weighted tree metric and
+    stable lengths are exact.  Otherwise stable lengths come as certified
     comparison brackets:
 
       lo: any S-expression of g^k of cost W is a path of unit-tree length
@@ -157,18 +151,15 @@ class WordMetricModel(ActionModel):
     Both sides hold without any hyperbolicity assumption.
     """
 
-    frontier_kind = "word"
     delta = 0
     alpha = 0
-    # cost budget of the letter-cost search and of every word_length search
+    # cost budget of every search; displacement's stops at cost_upper if less
     radius_cap = 32
 
     def __init__(self, gens: GeneratingSet):
         self.rank = gens.rank
         self.gens = gens
-        self.symmetric = gens.symmetric
         self._standard = gens.is_standard
-        self.exactness = "tree-exact" if self._standard else "bracket-only"
         if not any(len(e) for e in gens.elements):
             raise InputError("a word metric needs a nontrivial element; "
                              "every element given is the identity")
@@ -213,12 +204,11 @@ class WordMetricModel(ActionModel):
     def displacement(self, g: Word):
         if self._standard:
             return self._tree.displacement(g)
-        return word_length(g, self.gens, radius_cap=self.radius_cap)
-
-    def exact_stable_length(self, c: ConjClass):
-        if self._standard:
-            return self._tree.displacement(c.rep)
-        return None
+        # no search past a spelling of g (a hair past it for float costs,
+        # whose sums may round apart when added in another order)
+        bound = self.cost_upper(g)
+        bound = bound * (1 + 1e-9) if isinstance(bound, float) else bound
+        return word_length(g, self.gens, radius_cap=min(self.radius_cap, bound))
 
     def cost_upper(self, g: Word):
         """Certified upper bound for |g|_S (no-cancellation spelling)."""
@@ -230,15 +220,6 @@ class WordMetricModel(ActionModel):
             best = s
         per_letter = sum(self._letter_cost[x] for x in g.letters)
         return per_letter if best is None else min(best, per_letter)
-
-    def stable_length(self, c: ConjClass, k_max: int = 8):
-        # a standard set goes through weight_of, which rejects letters
-        # beyond the rank; class_length_bracket would not
-        v = self.exact_stable_length(c)
-        if v is not None:
-            return LengthBracket.exactly(v)
-        lo, hi = self.class_length_bracket(c.rep.letters, k_max)
-        return LengthBracket(lo, hi, exact=bool(lo == hi))
 
     def class_length_bracket(self, letters, k_max: int = 2):
         """(lo, hi) for the stable length of an already-canonical class."""
@@ -430,8 +411,6 @@ def _lambda1_rows(trr, tri, dr, di) -> np.ndarray:
 class MatrixActionModel(ActionModel):
     """Shared machinery for models whose generators are matrices."""
 
-    frontier_kind = "matrix"
-
     def _init_matrices(self, mats: Sequence[np.ndarray], dtype) -> None:
         self._gen: dict[int, np.ndarray] = {}
         for i, m in enumerate(mats, start=1):
@@ -484,6 +463,8 @@ class MatrixActionModel(ActionModel):
         return out
 
     def singular_gap(self, a: np.ndarray) -> float:
+        if self.dim < 2:
+            raise InputError("a singular gap needs matrices of size 2 or more")
         if self.dim == 2:
             s1, s2 = _sv_pair_2x2(a)
         else:
@@ -553,9 +534,6 @@ class MatrixActionModel(ActionModel):
             return max(abs((tr + q) / 2.0), abs((tr - q) / 2.0))
         return float(np.max(np.abs(np.linalg.eigvals(a))))
 
-    def exact_stable_length(self, c: ConjClass) -> float:
-        return self.class_length(c.rep.letters)
-
     def certificate(self, radius: int = 6) -> AnosovCertificate:
         if getattr(self, "_cert", None) is None or self._cert.radius < radius:
             self._cert = anosov_certificate(self, radius=radius)
@@ -578,8 +556,6 @@ class MobiusModel(MatrixActionModel):
     for elliptic and parabolic classes.
     """
 
-    symmetric = True
-    exactness = "eigenvalue-exact"
     alpha = None
 
     def __init__(self, generators: Sequence, dim: int = 2, delta: float = math.log(2)):
@@ -639,9 +615,6 @@ class LinearRepModel(MatrixActionModel):
     four-point diagnostics are used in anger.  ``alpha`` (rough-geodesicity
     of psi along subgroups) is configuration, default None.
     """
-
-    symmetric = False
-    exactness = "eigenvalue-exact"
 
     def __init__(
         self,

@@ -105,7 +105,7 @@ def test_tree_bulk_types_follow_the_letters_present():
 def test_word_metric_bulk_brackets_are_class_length_bracket(model, bulk):
     assert (model.class_length_brackets(ClassCodes.walk(2, 1)) is not None) == bulk
     lo, hi = _assert_bulk_is_per_class(model)
-    assert any(a != b for a, b in zip(lo, hi)) or model.exactness == "tree-exact"
+    assert any(a != b for a, b in zip(lo, hi)) or model._standard
 
 
 def _complex_rotation(t):

@@ -405,6 +405,22 @@ def test_word_length_out_of_budget_is_a_resource_cap(tmp_path, capsys):
     assert "not reached within cost 32" in entry["error"]
 
 
+def test_word_length_searches_no_further_than_a_spelling(tmp_path, capsys):
+    # with every weight 3, aaaaaaaa costs 24, inside the budget of 32, but
+    # a search to cost 32 reaches 200,000 elements first; spelt letter by
+    # letter it costs 24, which bounds the search
+    p = tmp_path / "search.json"
+    p.write_text(json.dumps({
+        "target": {"kind": "word-metric",
+                   "elements": ["a", "A", "b", "B", "ab", "BA"],
+                   "weights": [3] * 6},
+        "subset": ["aa"], "verify": ["bf"], "config": {"n_max": 4}}))
+    assert main(["verify", "--scenario", str(p)]) == 0
+    [entry] = json.loads(capsys.readouterr().out)["entries"]
+    assert (entry["token"], entry["status"], entry["verdict"]) == (
+        "bf", "ok", "holds")
+
+
 def test_main_spectrum_json_counts_and_previews_rows(capsys):
     # tree-pair: target weights (1, 2) against the unit tree, radius 8
     code = main(["spectrum", "--scenario", str(SCEN_DIR / "tree-pair.json")])
@@ -618,6 +634,22 @@ def test_command_line_values_equal_an_edited_scenario_file(tmp_path, capsys):
     assert [e["token"] for e in body["entries"]] == ["prop31", "bf"]
 
 
+@pytest.mark.parametrize("command,file_seed,extra", [
+    ("verify", None, ["--seed", "-1"]),
+    ("jsr", -3, []),
+], ids=["verify-option", "jsr-file"])
+def test_negative_seed_exits_2_naming_the_field(tmp_path, capsys, command,
+                                                file_seed, extra):
+    # the seed seeds numpy's generator, which takes no negative seed
+    data = json.loads((SCEN_DIR / "jsr-ensemble.json").read_text())
+    if file_seed is not None:
+        data["seed"] = file_seed
+    p = tmp_path / "seeded.json"
+    p.write_text(json.dumps(data))
+    assert main([command, "--scenario", str(p), *extra]) == 2
+    assert "input error: scenario.seed: must be >= 0" in capsys.readouterr().err
+
+
 def test_max_frontier_is_validated_as_the_file_value_is(capsys):
     code = main(["verify", "--scenario", str(SCEN_DIR / "tree-pair.json"),
                  "--max-frontier", "0"])
@@ -823,4 +855,27 @@ def test_word_metric_of_the_identity_only_exits_2(tmp_path, capsys, data,
     p.write_text(json.dumps(data))
     assert main([command, "--scenario", str(p)]) == 2
     assert ("input error: a word metric needs a nontrivial element"
+            in capsys.readouterr().err)
+
+
+ONE_BY_ONE = {"kind": "linear", "matrices": [[[2.0]], [[3.0]]]}
+
+
+@pytest.mark.parametrize("data,command", [
+    ({"target": ONE_BY_ONE, "reference": {"kind": "tree"},
+      "verify": ["anosov"]}, "verify"),
+    ({"target": {"kind": "tree"}, "reference": ONE_BY_ONE,
+      "verify": ["cor14"], "params": {"band": [0.5, 2.0]}}, "verify"),
+    ({"target": {**ONE_BY_ONE, "alpha": 0}, "verify": ["lemma25"]}, "verify"),
+    ({"target": {"kind": "tree"}, "reference": ONE_BY_ONE}, "dilation"),
+], ids=["anosov-target", "cor14-reference", "lemma25-alpha-0",
+        "dilation-reference"])
+def test_one_by_one_linear_model_has_no_singular_gap(tmp_path, capsys, data,
+                                                     command):
+    # a 1x1 matrix has one singular value: an input error, not an
+    # IndexError (exit 1, the code of a certified violation)
+    p = tmp_path / "scen.json"
+    p.write_text(json.dumps(data))
+    assert main([command, "--scenario", str(p)]) == 2
+    assert ("input error: a singular gap needs matrices of size 2 or more"
             in capsys.readouterr().err)

@@ -1,6 +1,8 @@
-"""Each demo runs to completion against the package as it stands."""
+"""Each demo, and the README's library quick start, runs to completion
+against the package as it stands."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,9 +13,20 @@ ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
+def _run(*args):
+    env = dict(os.environ, PYTHONPATH="src")
+    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
 def test_demo_exits_0(path):
-    env = dict(os.environ, PYTHONPATH="src")
-    proc = subprocess.run([sys.executable, str(path)], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=300)
+    proc = _run(str(path))
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_quick_start_exits_0():
+    [block] = re.findall(r"```python\n(.*?)```",
+                         (ROOT / "README.md").read_text(), re.S)
+    proc = _run("-c", block)
     assert proc.returncode == 0, proc.stderr

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import lenspec
-from lenspec.actions import LengthBracket
+from lenspec.actions import ActionModel, LengthBracket, exact_div
 from lenspec.cli import load_scenario, run
 from lenspec.errors import InputError, ResourceCapError
 from lenspec.jsl import (
@@ -30,7 +30,7 @@ from lenspec.jsl import (
 from lenspec.spaces import TreeModel, WordMetricModel, build_schottky
 
 SCEN_DIR = Path(__file__).resolve().parents[1] / "src" / "lenspec" / "scenarios"
-from lenspec.words import GeneratingSet, Word
+from lenspec.words import ConjClass, GeneratingSet, Word
 
 
 def random_subset(rng, size, max_len=4):
@@ -136,6 +136,9 @@ def test_subset_validation():
         joint_stable_profile(TreeModel(2), [], 4)
     with pytest.raises(InputError, match="subset must be nonempty"):
         bf_lower_check(TreeModel(2), [])
+    for model in (TreeModel(2), SCHOTTKY.linear):
+        with pytest.raises(InputError, match="S uses letters beyond rank 2"):
+            bf_lower_check(model, ["ab", "c"])
     prof = joint_stable_profile(TreeModel(2), ["a", "bA"], 4, engine="products")
     assert prof.bracket == joint_stable_profile(
         TreeModel(2), [Word("a"), Word("bA")], 4, engine="products").bracket
@@ -219,6 +222,65 @@ def test_bf_upper_and_minimal_K_helpers():
     chk = bf_lower_check(TreeModel(2), ["a", "b"], K=3)
     assert chk.upper_value == 1  # delta 0: just the half pair
     assert chk.minimal_K == 0
+
+
+# S^2 holds (ba)(ba) = baba, whose canonical rep is its rotation abab
+PAIR_S = [Word("ba"), Word("b"), Word("aB")]
+SCHOTTKY = build_schottky(4.0, [0.0, 1.2])
+SHORTCUT_3 = GeneratingSet(2, ["a", "A", "b", "B", "ab"], [3, 3, 3, 3, 1])
+
+
+def _pair_lengths(model, s):
+    """(lo, hi) of every class of S^2, read on its canonical rep."""
+    reps = [ConjClass.of(u * v).rep.letters for u in s for v in s]
+    if isinstance(model, WordMetricModel):
+        return [model.class_length_bracket(rep, 8) for rep in reps]
+    return [(model.class_length(rep),) * 2 for rep in reps]
+
+
+@pytest.mark.parametrize("model,want", [
+    (TreeModel(2, [1, 3]), (4, 4)),
+    (TreeModel(2, [1, Fraction(3, 2)]), (Fraction(5, 2), Fraction(5, 2))),
+    (WordMetricModel(GeneratingSet.standard(2, [2, 1])), (3, 3)),
+    (WordMetricModel(SHORTCUT_3), (1, 6)),
+    (SCHOTTKY.mobius, None),
+    (SCHOTTKY.linear, None),
+], ids=["tree-int", "tree-fraction", "word-metric-standard",
+        "word-metric-shortcut", "mobius", "linear-2x2"])
+def test_pair_half_is_half_the_largest_pair_class_length(model, want):
+    half = bf_lower_check(model, PAIR_S, n_max=3).pair_half
+    lengths = _pair_lengths(model, PAIR_S)
+    lo, hi = max(b[0] for b in lengths), max(b[1] for b in lengths)
+    assert (half.lo, half.hi) == (exact_div(lo, 2), exact_div(hi, 2))
+    assert half.exact == (half.lo == half.hi)
+    # exact models halve into Fractions, matrix models into floats
+    kind = float if want is None else Fraction
+    assert type(half.lo) is kind and type(half.hi) is kind
+    if want is not None:
+        assert (half.lo, half.hi) == want
+
+
+def test_pair_half_reads_the_canonical_rotation():
+    wm = WordMetricModel(SHORTCUT_3)
+    # as written, (baba)^k is spelt b (ab)^(2k-1) a at cost 2k + 5, so
+    # k <= 8 gives 21/8; its rotation abab is spelt (ab)(ab) at cost 2
+    assert wm.class_length_bracket(Word("baba").letters, 8)[1] == Fraction(21, 8)
+    assert wm.class_length_bracket(Word("abab").letters, 8)[1] == 2
+    assert ConjClass.of(Word("baba")).rep == Word("abab")
+    assert bf_lower_check(wm, [Word("ba")], n_max=3).pair_half.hi == 1
+
+
+class _DisplacementOnly(ActionModel):
+    rank = 2
+
+    def displacement(self, g):
+        return len(g.letters)
+
+
+def test_pair_half_needs_a_class_length():
+    with pytest.raises(InputError, match="_DisplacementOnly has neither "
+                       "class_length nor class_length_bracket"):
+        bf_lower_check(_DisplacementOnly(), [Word("ab")], n_max=3)
 
 
 # -------------------------------------------------------------------- jsr

@@ -33,6 +33,10 @@ def random_words(rng, n, max_len=8):
     return out
 
 
+def _class_length(model, g):
+    return model.class_length(ConjClass.of(g).rep.letters)
+
+
 # ----------------------------------------------------------------- trees
 
 
@@ -40,7 +44,7 @@ def test_tree_displacement_and_class_length():
     m = TreeModel(2, [1, 3])
     assert m.displacement(Word("ab")) == 4
     assert m.displacement(Word("abA")) == 5
-    assert m.exact_stable_length(ConjClass.of(Word("abA"))) == 3
+    assert _class_length(m, Word("abA")) == 3
     assert m.displacement(Word("aB")) == 4
 
 
@@ -79,18 +83,18 @@ def test_tree_validation():
 def test_standard_word_metric_is_the_tree():
     wm = WordMetricModel(GeneratingSet.standard(2, weights=[2, 1]))
     tree = TreeModel(2, [2, 1])
-    assert wm.exactness == "tree-exact"
+    assert wm._standard
     assert wm.cobound_D == 1
     for g in enumerate_ball(2, 4):
         assert wm.displacement(g) == tree.displacement(g)
-        c = ConjClass.of(g)
-        assert wm.exact_stable_length(c) == tree.exact_stable_length(c)
+        rep = ConjClass.of(g).rep.letters
+        assert wm.class_length_bracket(rep) == (tree.class_length(rep),) * 2
 
 
 def test_shortcut_metric_displacement():
     gens = GeneratingSet(2, ["a", "A", "b", "B", "ab", "BA"])
     wm = WordMetricModel(gens)
-    assert wm.exactness == "bracket-only"
+    assert not wm._standard
     assert wm.displacement(Word("ab")) == 1
     assert wm.displacement(Word("abb")) == 2
     assert wm.displacement(Word("abab")) == 2
@@ -105,13 +109,13 @@ def test_word_metric_brackets_are_sound():
         c = ConjClass.of(g)
         if not c.rep:
             continue
-        b = wm.stable_length(c)
-        assert b.lo <= b.hi
+        lo, hi = wm.class_length_bracket(c.rep.letters, 8)
+        assert lo <= hi
         # true stable length lies below the power averages
         avg = Fraction(word_length(c.rep**2, gens), 2)
-        assert b.lo <= avg + Fraction(1, 10**9)
+        assert lo <= avg + Fraction(1, 10**9)
         # and above the cyclic length divided by the comparison constant
-        assert b.hi >= Fraction(len(c.rep), 2)
+        assert hi >= Fraction(len(c.rep), 2)
 
 
 def test_cost_upper_dominates_word_length():
@@ -122,14 +126,20 @@ def test_cost_upper_dominates_word_length():
         assert wm.cost_upper(g) >= word_length(g, gens)
 
 
-def test_class_length_bracket_matches_stable_length():
-    gens = GeneratingSet(2, ["a", "A", "b", "B", "ab", "BA"])
+def test_displacement_is_the_word_length():
+    # displacement searches no further than cost_upper, which bounds |g|_S
+    for m in _WORD_METRICS:
+        for g in enumerate_ball(2, 3):
+            assert _canon(m.displacement(g)) == _canon(word_length(g, m.gens))
+
+
+def test_displacement_reaches_a_float_cost_rounded_above_cost_upper():
+    # A = (Ab)(B) costs 0.2 + 0.3; the search adds b, Ab and B in turn and
+    # gets 0.6000000000000001, cost_upper adds b and A's cost and gets 0.6
+    gens = GeneratingSet(2, ["a", "b", "B", "Ab"], [1, 0.1, 0.3, 0.2])
     wm = WordMetricModel(gens)
-    for g in enumerate_ball(2, 4):
-        c = ConjClass.of(g)
-        lo, hi = wm.class_length_bracket(c.rep.letters, k_max=2)
-        b = wm.stable_length(c, k_max=2)
-        assert (lo, hi) == (b.lo, b.hi)
+    assert wm.cost_upper(Word("bA")) == 0.6
+    assert wm.displacement(Word("bA")) == word_length(Word("bA"), gens) > 0.6
 
 
 def test_letter_costs_come_from_the_generation_witnesses(monkeypatch):
@@ -155,7 +165,6 @@ def test_asymmetric_metric():
     # a is cheap, A only reachable the long way round
     gens = GeneratingSet(2, ["a", "A", "b", "B"], weights=[1, 5, 1, 1])
     wm = WordMetricModel(gens)
-    assert not wm.symmetric
     assert wm.displacement(Word("a")) == 1
     assert wm.displacement(Word("A")) == 5
 
@@ -175,14 +184,12 @@ def _h2_distance(z, w):
 def test_mobius_axis_example():
     m = MobiusModel([np.diag([2.0, 0.5])])
     assert m.displacement(Word("a")) == pytest.approx(math.log(4))
-    assert m.exact_stable_length(ConjClass.of(Word("a"))) == pytest.approx(
-        2 * math.log(2)
-    )
+    assert _class_length(m, Word("a")) == pytest.approx(2 * math.log(2))
 
 
 def test_mobius_trace_three_example():
     m = MobiusModel([[[2.0, 1.0], [1.0, 1.0]]])
-    got = m.exact_stable_length(ConjClass.of(Word("a")))
+    got = _class_length(m, Word("a"))
     assert got == pytest.approx(2 * math.acosh(1.5))
     assert got == pytest.approx(1.9248473002384139)
 
@@ -191,8 +198,8 @@ def test_mobius_elliptic_and_parabolic_have_zero_length():
     rot = [[0.0, -1.0], [1.0, 0.0]]
     par = [[1.0, 1.0], [0.0, 1.0]]
     m = MobiusModel([rot, par])
-    assert m.exact_stable_length(ConjClass.of(Word("a"))) == 0.0
-    assert m.exact_stable_length(ConjClass.of(Word("b"))) == 0.0
+    assert _class_length(m, Word("a")) == 0.0
+    assert _class_length(m, Word("b")) == 0.0
     # parabolic still moves the basepoint
     assert m.displacement(Word("b")) > 0
 
@@ -225,9 +232,7 @@ def test_mobius_three_space():
     act = build_schottky(3.0, [theta, 0.0])
     m = act.mobius
     assert m.space_dim == 3
-    assert m.exact_stable_length(ConjClass.of(Word("b"))) == pytest.approx(
-        2 * math.log(3)
-    )
+    assert _class_length(m, Word("b")) == pytest.approx(2 * math.log(3))
     assert m.displacement(Word("ab")) > 0
 
 
@@ -236,12 +241,9 @@ def test_mobius_three_space():
 
 def test_linear_model_is_asymmetric_pseudometric():
     m = LinearRepModel([np.diag([4.0, 0.25])])
-    assert not m.symmetric
     assert m.displacement(Word("a")) == pytest.approx(math.log(4))
     assert m.displacement(Word("A")) == pytest.approx(math.log(4))
-    assert m.exact_stable_length(ConjClass.of(Word("a"))) == pytest.approx(
-        math.log(4)
-    )
+    assert _class_length(m, Word("a")) == pytest.approx(math.log(4))
 
 
 def test_linear_model_normalizes_determinant():
@@ -275,9 +277,9 @@ def test_schottky_builder_basics():
     assert act.linear.rank == 2
     assert act.certificate.ok
     # the stretch shows up as the stable length on both sides
-    c = ConjClass.of(Word("a"))
-    assert act.mobius.exact_stable_length(c) == pytest.approx(2 * math.log(4))
-    assert act.linear.exact_stable_length(c) == pytest.approx(math.log(4))
+    rep = ConjClass.of(Word("a")).rep.letters
+    assert act.mobius.class_length(rep) == pytest.approx(2 * math.log(4))
+    assert act.linear.class_length(rep) == pytest.approx(math.log(4))
 
 
 def test_complex_angles_give_complex_generators():
@@ -289,12 +291,8 @@ def test_complex_angles_give_complex_generators():
 
 def test_schottky_per_generator_stretches():
     act = build_schottky([2.0, 5.0], [0.0, 0.9])
-    assert act.mobius.exact_stable_length(
-        ConjClass.of(Word("a"))
-    ) == pytest.approx(2 * math.log(2))
-    assert act.mobius.exact_stable_length(
-        ConjClass.of(Word("b"))
-    ) == pytest.approx(2 * math.log(5))
+    assert _class_length(act.mobius, Word("a")) == pytest.approx(2 * math.log(2))
+    assert _class_length(act.mobius, Word("b")) == pytest.approx(2 * math.log(5))
 
 
 def test_schottky_validation():
