@@ -37,7 +37,8 @@ import numpy as np
 from .actions import LengthBracket, exact_div
 from .errors import InputError
 from .jsl import BochiConstants, joint_stable_profile
-from .spaces import MatrixActionModel, MobiusModel, TreeModel, WordMetricModel
+from .spaces import (MatrixActionModel, MobiusModel, TreeModel, WordMetricModel,
+                     class_bracket_reader)
 from .words import (
     ClassCodes,
     GeneratingSet,
@@ -181,23 +182,19 @@ def _eval_class_lengths(model, codes: ClassCodes, k_max):
     time; a model overriding the per-class method, or one whose bulk form
     declines (returns None), is evaluated class by class.
     """
+    read = class_bracket_reader(model, k_max)
     if hasattr(model, "class_length"):
         lengths = _bulk(model, "class_length", codes)
-        if lengths is None:
-            vals = [model.class_length(r) for r in codes.reps]
-            lengths = vals, np.array(vals, dtype=np.float64)
-        vals, floats = lengths
-        return vals, vals, floats, floats
-    if hasattr(model, "class_length_bracket"):
+        if lengths is not None:
+            vals, floats = lengths
+            return vals, vals, floats, floats
+    else:
         brackets = _bulk(model, "class_length_bracket", codes, k_max)
-        if brackets is None:
-            pairs = [model.class_length_bracket(r, k_max) for r in codes.reps]
-            lo, hi = [p[0] for p in pairs], [p[1] for p in pairs]
-            brackets = (lo, hi, np.array(lo, dtype=np.float64),
-                        np.array(hi, dtype=np.float64))
-        return brackets
-    raise InputError(f"{type(model).__name__} has neither class_length "
-                     "nor class_length_bracket")
+        if brackets is not None:
+            return brackets
+    pairs = [read(r) for r in codes.reps]
+    lo, hi = [p[0] for p in pairs], [p[1] for p in pairs]
+    return lo, hi, np.array(lo, dtype=np.float64), np.array(hi, dtype=np.float64)
 
 
 def _bulk(model, name: str, *args):

@@ -30,7 +30,8 @@ import numpy as np
 
 from .actions import LengthBracket, exact_div
 from .errors import InputError, NumericError, ResourceCapError
-from .spaces import MatrixActionModel, MobiusModel, TreeModel, WordMetricModel
+from .spaces import (MatrixActionModel, MobiusModel, TreeModel, WordMetricModel,
+                     class_bracket_reader)
 from .words import ConjClass, Word, _as_words, _concat_reduced, _cyclic_core
 
 __all__ = [
@@ -186,15 +187,16 @@ _BLIND_STATE = ((), _BLIND)
 _SUFFIX_CAP = 6
 
 
-def _compile_tree_automaton(weights, s_list, cap: int, n_max: int):
+def _compile_tree_automaton(scaled, s_list, cap: int, n_max: int):
     """The (suffix, trunc) automaton of S, its states interned breadth first.
 
-    Returns (init, dst, delta, eroded, n_states).  ``init`` maps the state
-    of each one-factor product to its length, in S order.  Every state
+    ``scaled`` maps each letter to its weight scaled to an int.  Returns
+    (init, dst, delta, eroded, n_states).  ``init`` maps the state of each
+    one-factor product to its scaled length, in S order.  Every state
     first reached within n_max - 1 factors (no deeper state is a source
     below level n_max) gets |S| out-edges, one per factor in S order: edge
-    e leaves state e // |S| for ``dst[e]`` and changes the length by
-    ``delta[e]``.  Breadth first, those states are exactly the ids
+    e leaves state e // |S| for ``dst[e]`` and changes the scaled length by
+    the int ``delta[e]``.  Breadth first, those states are exactly the ids
     0 .. len(dst) // |S| - 1.
 
     Appending a factor cancels its longest prefix against the suffix, which
@@ -202,21 +204,13 @@ def _compile_tree_automaton(weights, s_list, cap: int, n_max: int):
     keeps the last ``cap`` letters.  When the cancellation eats a truncated
     suffix whole, the product goes to a blind state that stops cancelling
     and adds the heaviest factor on every edge; ``eroded`` says whether
-    such an edge exists.  Deltas take the cancelled weights off and then
-    put the kept ones on, letter by letter, so float weights round the same
-    way on every edge.
+    such an edge exists.  A delta takes the cancelled weights off and puts
+    the kept ones on.
     """
     factors = []
     for s in s_list:
-        ws = [weights[abs(x) - 1] for x in s]
-        deltas = []
-        for t in range(len(s) + 1):
-            d = 0
-            for w in ws[:t]:
-                d -= w
-            for w in ws[t:]:
-                d += w
-            deltas.append(d)
+        ws = [scaled[x] for x in s]
+        deltas = [sum(ws[t:]) - sum(ws[:t]) for t in range(len(s) + 1)]
         factors.append((s, len(s), tuple(-x for x in s), deltas))
     m = len(factors)
     blind = [max(f[3][0] for f in factors)] * m
@@ -261,43 +255,23 @@ def _compile_tree_automaton(weights, s_list, cap: int, n_max: int):
     return init, dst, delta, eroded, len(keys)
 
 
-def _dp_dtype(weights, n_max: int, cap: int):
-    """int64 for int weights whose level sums stay below 2**62, object
-    (Python arithmetic) for anything else."""
-    if (all(type(w) is int for w in weights)
-            and n_max * cap * max(weights, default=0) < 2 ** 62):
-        return np.int64
-    return object
+def _dp_dtype(scaled, n_max: int, cap: int):
+    """int64 while the level sums of the scaled weights stay below 2**62,
+    else object (Python ints)."""
+    return np.int64 if n_max * cap * max(scaled, default=0) < 2 ** 62 else object
 
 
 def _level_maxima(init, dst, delta, n_states, n_factors, dtype, n_max):
-    """a[n] for n = 1..n_max: the largest length over the states n factors reach.
+    """a[n] for n = 1..n_max: the largest scaled length over the states n
+    factors reach.
 
-    In int64 each level is one max-plus product over the edge arrays: every
-    edge offers val[src] + delta to its dst and np.maximum.reduceat keeps the
-    largest offer per dst, the edges grouped by dst once.  Lengths are >= 0
-    and unreached states sit at -2**62.
-
-    In the object dtype an int and a Fraction can tie, and a tie keeps the
-    number type offered first.  There the levels are a dict walk: each
-    reached state, in the order its level first reached it, offers its
-    length plus each edge delta in S order, and an offer is kept only when
-    it beats the current one (a strict <).
+    Each level is one max-plus product over the edge arrays: every edge
+    offers val[src] + delta to its dst and np.maximum.reduceat keeps the
+    largest offer per dst, the edges grouped by dst once.  Lengths are
+    >= 0; unreached states sit at -2**62 in int64, and at -inf in the
+    object dtype, whose sums may pass any fixed floor.
     """
     a = {1: max(init.values())}
-    if dtype is object:
-        val = init
-        for n in range(2, n_max + 1):
-            nxt: dict = {}
-            for i, v in val.items():
-                e = i * n_factors
-                for j, d in zip(dst[e:e + n_factors], delta[e:e + n_factors]):
-                    nv = v + d
-                    if nxt.get(j, -1) < nv:
-                        nxt[j] = nv
-            val = nxt
-            a[n] = max(val.values())
-        return a
     if n_max < 2:
         return a
     dst = np.array(dst, np.intp)
@@ -307,14 +281,15 @@ def _level_maxima(init, dst, delta, n_states, n_factors, dtype, n_max):
     starts = np.flatnonzero(np.concatenate(([True], dst_o[1:] != dst_o[:-1])))
     heads = dst_o[starts]
     src_o, delta_o = src[order], np.array(delta, dtype)[order]
-    val = np.full(n_states, -2 ** 62, dtype)
+    unreached = -2 ** 62 if dtype is np.int64 else -math.inf
+    val = np.full(n_states, unreached, dtype)
     val[list(init)] = list(init.values())
     for n in range(2, n_max + 1):
         top = np.maximum.reduceat(val[src_o] + delta_o, starts)
-        val = np.full(n_states, -2 ** 62, dtype)
+        val = np.full(n_states, unreached, dtype)
         val[heads] = top
         # every state reached at level n has an in-edge from level n - 1
-        a[n] = top.max().item()
+        a[n] = int(top.max())
     return a
 
 
@@ -330,27 +305,23 @@ def tree_joint_profile(model: TreeModel, s, n_max: int = 12) -> JointLengthProfi
     The lo side is the exact half-max stable length over S^2.
 
     The automaton is compiled once per call (``states`` counts its
-    interned states) and the levels run over its edges: as max-plus
-    products of int64 arrays when the weights of S allow, else as a dict
-    walk in Python arithmetic.
+    interned states) and the levels run over its edges as max-plus
+    products of the tree's scaled int weights, each level maximum divided
+    back to the tree's number type at the end.
     """
-    words = _as_words(s)
+    words = _as_words(s, model.rank)
     s_list = [w.letters for w in words]
     if any(not w for w in s_list):
         s_list = [w for w in s_list if w] or [()]
-    weights = tuple(model.weights)
     cap = max(_SUFFIX_CAP, 2 * max((len(w) for w in s_list), default=1))
     init, dst, delta, eroded, n_states = _compile_tree_automaton(
-        weights, s_list, cap, n_max)
-    used = [weights[x - 1] for x in {abs(x) for w in s_list for x in w}]
+        model._scaled, s_list, cap, n_max)
+    used = [model._scaled[x] for x in {abs(x) for w in s_list for x in w}]
     a = _level_maxima(init, dst, delta, n_states, len(s_list),
                       _dp_dtype(used, n_max, cap), n_max)
-    pair = 0
-    for u in s_list:
-        for v in s_list:
-            cand = model.class_length(_cyclic_core(_concat_reduced(u, v)))
-            if cand > pair:
-                pair = cand
+    a = {n: model._exact(v) for n, v in a.items()}
+    pair = max(model.class_length(_cyclic_core(_concat_reduced(u, v)))
+               for u in s_list for v in s_list)
     pair_half = exact_div(pair, 2)
     hi = min(exact_div(a[n], n) for n in a)
     lo = min(pair_half, hi)
@@ -384,7 +355,7 @@ def joint_stable_profile(
     suffix automaton (TreeModel only); 'auto' picks by model kind.  A level
     of more than ``frontier_cap`` products raises ResourceCapError.
     """
-    words = _as_words(s)
+    words = _as_words(s, model.rank)
     if n_max < 2:
         raise InputError("n_max must be >= 2")
     if engine == "tree-dp" or (
@@ -432,15 +403,9 @@ class BfCheck:
 def _pair_sup_bracket(model, words) -> LengthBracket:
     """Largest class length over S^2, read on each canonical rep: a
     model's class_length, or else its class_length_bracket with k_max 8."""
-    reps = [ConjClass.of(u * v).rep.letters for u in words for v in words]
-    if hasattr(model, "class_length"):
-        pairs = [(model.class_length(rep),) * 2 for rep in reps]
-    elif hasattr(model, "class_length_bracket"):
-        pairs = [model.class_length_bracket(rep, 8) for rep in reps]
-    else:
-        raise InputError(f"{type(model).__name__} has neither class_length "
-                         "nor class_length_bracket")
-    lo, hi = map(max, zip(*pairs))
+    read = class_bracket_reader(model, 8)
+    lo, hi = map(max, zip(*(read(ConjClass.of(u * v).rep.letters)
+                            for u in words for v in words)))
     return LengthBracket(lo, hi, exact=bool(lo == hi))
 
 
@@ -452,9 +417,7 @@ def _k_from_gap(gap, delta):
 
 def bf_lower_check(model, s, n_max: int = 8, tol: float = 1e-9, K=None, **kw) -> BfCheck:
     """Check half the pair maximum really sits below the joint length."""
-    words = _as_words(s)
-    if max(w.max_index() for w in words) > model.rank:
-        raise InputError(f"S uses letters beyond rank {model.rank}")
+    words = _as_words(s, model.rank)
     pair = _pair_sup_bracket(model, words)
     profile = joint_stable_profile(model, words, n_max, **kw)
     joint = profile.bracket

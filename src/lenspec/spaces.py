@@ -19,7 +19,7 @@ import numpy as np
 
 from .actions import ActionModel, AnosovCertificate, anosov_certificate, exact_div
 from .errors import InputError, NumericError
-from .words import (ClassCodes, GeneratingSet, Word, _cheapest_first,
+from .words import (ClassCodes, GeneratingSet, Word, _as_weight, _cheapest_first,
                     _letters_in_order, word_length)
 
 __all__ = [
@@ -37,6 +37,26 @@ def _per_code(value_of_letter, rank: int) -> list:
     return list(map(value_of_letter, _letters_in_order(rank)))
 
 
+def _letter_sum(table: dict, letters, rank: int):
+    """The sum of table[x] over the letters x; InputError for a letter
+    the table lacks, one beyond the rank."""
+    try:
+        return sum(map(table.__getitem__, letters))
+    except KeyError as e:
+        raise InputError(f"letter {e.args[0]} outside rank {rank}") from None
+
+
+def class_bracket_reader(model, k_max: int):
+    """letters -> (lo, hi) of a canonical class under ``model``: its
+    class_length twice, or else its class_length_bracket with ``k_max``."""
+    if hasattr(model, "class_length"):
+        return lambda letters: (model.class_length(letters),) * 2
+    if hasattr(model, "class_length_bracket"):
+        return lambda letters: model.class_length_bracket(letters, k_max)
+    raise InputError(f"{type(model).__name__} has neither class_length "
+                     "nor class_length_bracket")
+
+
 # ---------------------------------------------------------------- trees
 
 
@@ -44,7 +64,11 @@ class TreeModel(ActionModel):
     """Simplicial tree: the Cayley tree of the free group with edge weights.
 
     Displacement is the weighted reduced length, stable length the weighted
-    cyclically reduced length; both stay exact for int/Fraction weights.
+    cyclically reduced length, both exact: every weight is an int, or else
+    the Fraction it equals (a float is read as its binary value).  A tree
+    whose weights are all ints gives int lengths, any other tree Fractions,
+    whole ones included; lengths are sums of the weights scaled by the lcm
+    ``_den`` of their denominators, divided back by it once.
     The orbit is D-dense with D = max weight / 2 and the space is 0-hyperbolic.
     """
 
@@ -59,51 +83,50 @@ class TreeModel(ActionModel):
             weights = [1] * rank
         if len(weights) != rank:
             raise InputError("need one weight per generator")
-        ws = []
-        for w in weights:
-            if isinstance(w, float):
-                if not w > 0:
-                    raise InputError(f"weights must be positive, got {w}")
-                ws.append(w)
-            else:
-                wf = Fraction(w)
-                if not wf > 0:
-                    raise InputError(f"weights must be positive, got {w}")
-                ws.append(int(wf) if wf.denominator == 1 else wf)
-        self.weights = tuple(ws)
+        self.weights = tuple(map(_as_weight, weights))
+        self._den = math.lcm(*(Fraction(w).denominator for w in self.weights))
+        # letter -> its weight times _den, in code order (a, A, b, B, ...)
+        self._scaled = {x: int(self.weights[abs(x) - 1] * self._den)
+                        for x in _letters_in_order(rank)}
         self.cobound_D = exact_div(max(self.weights), 2)
 
+    def _exact(self, scaled):
+        """The length of a sum of scaled weights, in the tree's number type."""
+        return scaled if self._den == 1 else Fraction(scaled, self._den)
+
     def weight_of(self, letter: int):
-        i = abs(letter)
-        if not 1 <= i <= self.rank:
-            raise InputError(f"letter {letter} outside rank {self.rank}")
-        return self.weights[i - 1]
+        return self._exact(_letter_sum(self._scaled, (letter,), self.rank))
 
     def displacement(self, g: Word):
-        return sum(self.weight_of(x) for x in g.letters)
+        return self._exact(_letter_sum(self._scaled, g.letters, self.rank))
 
     def class_length(self, letters):
-        w = self.weights
-        return sum(w[abs(x) - 1] for x in letters)
+        return self._exact(_letter_sum(self._scaled, letters, self.rank))
 
     def class_lengths(self, codes: ClassCodes):
         """(class_length of every class of ``codes``, their float64 values).
 
-        A weight gather per column of a length block, summed in int64.
-        None unless every weight is an int and every sum stays below
-        2**53: the caller then evaluates class by class.
+        A scaled-weight gather per column of a length block, summed in
+        int64, or in Python ints (an object array) where a sum could pass
+        it.  With ``_den`` > 1 one Fraction and one float is built per
+        distinct sum.
         """
-        w = self.weights
-        if not all(type(x) is int for x in w) or max(w) * codes.radius >= 2 ** 53:
-            return None
-        weight = np.array(_per_code(lambda x: w[abs(x) - 1], self.rank), np.int64)
+        scaled = list(self._scaled.values())
+        dtype = np.int64 if max(scaled) * max(codes.radius, 1) < 2 ** 63 else object
+        weight = np.array(scaled, dtype)
         vals, floats = [], []
         for block in codes.blocks:
-            total = np.zeros(len(block), np.int64)
+            total = np.zeros(len(block), dtype)
             for col in block.T:
                 total += weight[col]
-            vals += total.tolist()
-            floats.append(total.astype(np.float64))
+            if self._den == 1:
+                vals += total.tolist()
+                floats.append(total.astype(np.float64))
+                continue
+            uniq, inv = np.unique(total, return_inverse=True)
+            lengths = [Fraction(v, self._den) for v in uniq.tolist()]
+            vals += map(lengths.__getitem__, inv.tolist())
+            floats.append(np.array(list(map(float, lengths)))[inv])
         return vals, _joined(floats)
 
     def window_radius(self, length_bound) -> int:
@@ -204,22 +227,15 @@ class WordMetricModel(ActionModel):
     def displacement(self, g: Word):
         if self._standard:
             return self._tree.displacement(g)
-        # no search past a spelling of g (a hair past it for float costs,
-        # whose sums may round apart when added in another order)
-        bound = self.cost_upper(g)
-        bound = bound * (1 + 1e-9) if isinstance(bound, float) else bound
-        return word_length(g, self.gens, radius_cap=min(self.radius_cap, bound))
+        # no search past a spelling of g
+        return word_length(g, self.gens,
+                           radius_cap=min(self.radius_cap, self.cost_upper(g)))
 
     def cost_upper(self, g: Word):
         """Certified upper bound for |g|_S (no-cancellation spelling)."""
-        if not g.letters:
-            return 0
-        best = None
-        s = _spell_cost(g.letters, self._table, self._max_piece)
-        if s is not None:
-            best = s
-        per_letter = sum(self._letter_cost[x] for x in g.letters)
-        return per_letter if best is None else min(best, per_letter)
+        per_letter = _letter_sum(self._letter_cost, g.letters, self.rank)
+        spelt = _spell_cost(g.letters, self._table, self._max_piece)
+        return per_letter if spelt is None else min(spelt, per_letter)
 
     def class_length_bracket(self, letters, k_max: int = 2):
         """(lo, hi) for the stable length of an already-canonical class."""
@@ -244,23 +260,17 @@ class WordMetricModel(ActionModel):
         spelling cost of u^k for k <= k_max is a min-plus DP over the
         columns of a length block, for all its rows at once, capped by the
         sum of the letter costs as cost_upper caps it, in ints scaled by
-        the lcm of the denominators.  None unless every piece weight,
-        letter cost and the comparison constant is an int or a Fraction:
-        the caller then evaluates class by class.
+        the lcm of the denominators.  None when a scaled cost could pass
+        int64: the caller then evaluates class by class.
         """
         if self._standard:
-            lengths = self._tree.class_lengths(codes)
-            if lengths is None:
-                return None
-            vals, floats = lengths
+            vals, floats = self._tree.class_lengths(codes)
             return vals, vals, floats, floats
         weights = [*self._table.values(), *self._letter_cost.values()]
-        if not {type(w) for w in weights} | {type(self._c_cmp)} <= {int, Fraction}:
-            return None
         den = math.lcm(*(Fraction(w).denominator for w in weights))
         b = 2 * self.rank
-        if not (k_max >= 1 and max(weights) * den * k_max * codes.radius < 2 ** 60
-                and b ** self._max_piece < 2 ** 62):
+        top = max(weights) * den * k_max * max(codes.radius, 1)
+        if not (k_max >= 1 and top < 2 ** 60 and b ** self._max_piece < 2 ** 62):
             return None
 
         def scale(w):

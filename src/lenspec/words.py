@@ -19,6 +19,8 @@ and ``[b^-1 a^-1]`` are distinct.
 from __future__ import annotations
 
 import heapq
+import math
+import numbers
 import string
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -156,11 +158,14 @@ class Word:
         return f"Word({str(self)!r})"
 
 
-def _as_words(s) -> list[Word]:
-    """The subset S as a nonempty list of Words (strings are parsed)."""
+def _as_words(s, rank=None) -> list[Word]:
+    """The subset S as a nonempty list of Words (strings are parsed), with
+    no letter beyond ``rank`` when it is given."""
     words = [e if isinstance(e, Word) else Word(e) for e in s]
     if not words:
         raise InputError("subset must be nonempty")
+    if rank is not None and max(w.max_index() for w in words) > rank:
+        raise InputError(f"S uses letters beyond rank {rank}")
     return words
 
 
@@ -402,14 +407,17 @@ def iter_class_reps(rank: int, max_std_length: int, cap: int = 4_000_000):
 
 
 def _as_weight(w):
-    if isinstance(w, (int, Fraction)):
-        if w <= 0:
-            raise InputError(f"weights must be positive, got {w}")
-        return w
-    wf = float(w)
-    if not wf > 0:
+    """A positive finite real weight as the exact number it equals: an int
+    when whole, else a Fraction (a float is read as its binary value)."""
+    if isinstance(w, bool) or not isinstance(w, numbers.Real):
+        raise InputError(f"weights must be real numbers, got {w!r}")
+    try:
+        f = Fraction(w) if isinstance(w, numbers.Rational) else Fraction(float(w))
+    except (OverflowError, ValueError):
+        raise InputError(f"weights must be finite, got {w}") from None
+    if not f > 0:
         raise InputError(f"weights must be positive, got {w}")
-    return wf
+    return int(f) if f.denominator == 1 else f
 
 
 @dataclass(frozen=True)
@@ -417,7 +425,8 @@ class GeneratingSet:
     """A finite weighted generating set of words.
 
     ``symmetric`` is computed: true iff the set is closed under inversion
-    with equal weights.  Weights stay exact (int / Fraction) when given so.
+    with equal weights.  Every weight is an int, or else the Fraction it
+    equals (see ``_as_weight``).
     """
 
     rank: int
@@ -493,26 +502,29 @@ def _cheapest_first(s: GeneratingSet, radius_cap):
     order a uniform-cost search over the word metric of s settles it.
 
     The search expands the identity by right multiplication with the
-    elements of s, ties broken by the letters.  Exact weights give exact
-    costs, each the sum of the weights along a cheapest spelling in the
-    order they were added.  It stops when no element within cost
-    radius_cap is left, or once it has reached more than
-    _SEARCH_NODE_CAP elements.
+    elements of s, ties broken by the letters.  Costs are exact: the
+    search adds ints, the weights scaled by the lcm ``den`` of their
+    denominators, and yields Fraction(cost, den) when den > 1.  It stops
+    when no element within cost radius_cap is left, or once it has
+    reached more than _SEARCH_NODE_CAP elements.
     """
-    dist: dict[tuple[int, ...], object] = {(): 0}
+    den = math.lcm(*(Fraction(w).denominator for w in s.weights))
+    steps = [(e.letters, int(w * den)) for e, w in zip(s.elements, s.weights)]
+    cap = math.floor(Fraction(radius_cap) * den)
+    dist: dict[tuple[int, ...], int] = {(): 0}
     heap: list = [(0, ())]
     while heap:
         d, w = heapq.heappop(heap)
         if dist[w] != d:
             continue
-        yield d, w
+        yield (d if den == 1 else Fraction(d, den)), w
         if len(dist) > _SEARCH_NODE_CAP:
             return
-        for e, wt in zip(s.elements, s.weights):
+        for letters, wt in steps:
             nd = d + wt
-            if nd > radius_cap:
+            if nd > cap:
                 continue
-            nw = free_reduce(w + e.letters)
+            nw = _concat_reduced(w, letters)
             old = dist.get(nw)
             if old is None or nd < old:
                 dist[nw] = nd
@@ -522,7 +534,7 @@ def _cheapest_first(s: GeneratingSet, radius_cap):
 def word_length(g: Word, s: GeneratingSet, radius_cap=32):
     """Length of g in the (possibly asymmetric) weighted word metric of s.
 
-    Exact weights give exact costs.  Raises SearchExhaustedError when g is
+    The length is exact.  Raises SearchExhaustedError when g is
     not reached within cost radius_cap or _SEARCH_NODE_CAP elements; that
     says nothing about g beyond the budget.
     """

@@ -57,53 +57,58 @@ def _assert_bulk_is_per_class(model, rank=2, radius=RADIUS):
 # ------------------------------------------------------------ bulk lengths
 
 
-# the bulk form takes int weights whose sums stay below 2**53; the
-# others go class by class, and the table's values are the same
-@pytest.mark.parametrize("weights,bulk", [
+# every tree is bulk, its sums in int64 or, past it, in Python ints
+# ([0.1, 100.0]: 100 scaled by 2**55, six times, passes 2**63);
+# small_ints: every length is an int below 2**53, so the float64 column
+# holds it exactly
+@pytest.mark.parametrize("weights,small_ints", [
     ([1, 2], True),
     ([10 ** 6, 999_983], True),
-    ([2 ** 60, 3], False),              # sums past 2**53: Python ints
+    ([2 ** 60, 3], False),
     ([Fraction(3, 2), Fraction(1, 3)], False),
     ([0.5, 1 / 3], False),
     ([1, 0.5], False),
     ([Fraction(1, 3), 0.1], False),
     ([2, Fraction(5, 7), 0.3], False),
+    ([0.1, 100.0], False),
 ], ids=str)
-def test_tree_bulk_lengths_are_class_length(weights, bulk):
+def test_tree_bulk_lengths_are_class_length(weights, small_ints):
     model = TreeModel(len(weights), weights)
-    assert (model.class_lengths(ClassCodes.walk(model.rank, 1)) is not None) == bulk
-    _assert_bulk_is_per_class(model, model.rank,
-                              RADIUS if model.rank == 2 else 4)
+    assert model.class_lengths(ClassCodes.walk(model.rank, 1)) is not None
+    vals, _ = _assert_bulk_is_per_class(model, model.rank,
+                                        RADIUS if model.rank == 2 else 4)
+    assert all(type(v) is int and v < 2 ** 53 for v in vals) == small_ints
 
 
-def test_tree_bulk_types_follow_the_letters_present():
-    model = TreeModel(2, [1, 0.5])
+def test_tree_bulk_types_follow_the_weights():
+    # a tree with a weight that is not an int gives Fractions, whole ones too
     codes = ClassCodes.walk(2, 2)
-    vals, _, _, _ = _eval_class_lengths(model, codes, 2)
+    vals, _, _, _ = _eval_class_lengths(TreeModel(2, [1, 0.5]), codes, 2)
     by_name = dict(zip(codes.names(), vals))
-    assert _canon([by_name["a"], by_name["aa"]]) == _canon([1, 2])
-    assert _canon([by_name["b"], by_name["ab"]]) == _canon([0.5, 1.5])
+    assert _canon([by_name["a"], by_name["aa"], by_name["b"], by_name["ab"]]) \
+        == _canon([Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3, 2)])
+    vals, _, _, _ = _eval_class_lengths(TreeModel(2, [1, 2.0]), codes, 2)
+    assert all(type(v) is int for v in vals)
 
 
-# the bulk form takes exact (int and Fraction) sets, and a standard set
-# whose tree takes int weights; the others go class by class
-@pytest.mark.parametrize("model,bulk", [
-    *((m, True) for m in _WORD_METRICS),
-    (WordMetricModel(GeneratingSet(2, ["a", "A", "b", "B", "ab", "BA"],
-                                   [1.5, 1.5, 0.7, 0.7, 1.1, 2.3])), False),
-    (WordMetricModel(GeneratingSet(2, ["a", "A", "b", "B", "ab"],
-                                   [1, 1, 0.5, 0.5, 1])), False),
-    (WordMetricModel(GeneratingSet.standard(2, [1, 3])), True),
-    (WordMetricModel(GeneratingSet.standard(2, [1, Fraction(3, 2)])), False),
+# every set is bulk: a float weight is the Fraction it equals
+@pytest.mark.parametrize("model", [
+    *_WORD_METRICS,
+    WordMetricModel(GeneratingSet(2, ["a", "A", "b", "B", "ab", "BA"],
+                                  [1.5, 1.5, 0.7, 0.7, 1.1, 2.3])),
+    WordMetricModel(GeneratingSet(2, ["a", "A", "b", "B", "ab"],
+                                  [1, 1, 0.5, 0.5, 1])),
+    WordMetricModel(GeneratingSet.standard(2, [1, 3])),
+    WordMetricModel(GeneratingSet.standard(2, [1, Fraction(3, 2)])),
     # a = (ab)(B) costs 2 < 5, and with no piece "a" only the letter-cost
     # cap spells a class holding a
-    (WordMetricModel(GeneratingSet(2, ["a", "A", "b", "B", "ab"],
-                                   [5, 1, 1, 1, 1])), True),
-    (WordMetricModel(GeneratingSet(2, ["ab", "A", "b", "B"])), True),
+    WordMetricModel(GeneratingSet(2, ["a", "A", "b", "B", "ab"],
+                                  [5, 1, 1, 1, 1])),
+    WordMetricModel(GeneratingSet(2, ["ab", "A", "b", "B"])),
 ], ids=["shortcut", "asymmetric-fraction", "float", "mixed", "standard",
         "standard-fraction", "cancelling", "no-piece"])
-def test_word_metric_bulk_brackets_are_class_length_bracket(model, bulk):
-    assert (model.class_length_brackets(ClassCodes.walk(2, 1)) is not None) == bulk
+def test_word_metric_bulk_brackets_are_class_length_bracket(model):
+    assert model.class_length_brackets(ClassCodes.walk(2, 1)) is not None
     lo, hi = _assert_bulk_is_per_class(model)
     assert any(a != b for a, b in zip(lo, hi)) or model._standard
 

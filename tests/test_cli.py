@@ -440,16 +440,17 @@ def test_main_spectrum_json_counts_and_previews_rows(capsys):
 
 
 def test_main_spectrum_json_keeps_cell_types(tmp_path, capsys):
-    # Fraction and float lengths render as text, blank cells as ""
+    # Fraction lengths render as text, blank cells as ""; the weight 0.5
+    # is the Fraction 1/2, so the tree's lengths are Fractions
     p = tmp_path / "spec.json"
     p.write_text(json.dumps({"target": {"kind": "tree", "weights": [0.5, 1]},
                              "params": {"radius": 1}}))
     assert main(["spectrum", "--scenario", str(p)]) == 0
     first = json.loads(capsys.readouterr().out)["first"]
     assert first[0] == {"class": "a", "ref_lo": "", "ref_hi": "",
-                        "target_lo": "0.5", "target_hi": "0.5",
+                        "target_lo": "1/2", "target_hi": "1/2",
                         "ratio_lo": "", "ratio_hi": ""}
-    assert first[2]["target_lo"] == 1
+    assert first[2]["target_lo"] == "1"
     p.write_text(json.dumps({
         "target": {"kind": "tree"},
         "reference": {"kind": "word-metric",
@@ -461,6 +462,45 @@ def test_main_spectrum_json_keeps_cell_types(tmp_path, capsys):
     assert first[0] == {"class": "a", "ref_lo": "1/2", "ref_hi": "1",
                         "target_lo": 1, "target_hi": 1,
                         "ratio_lo": "1", "ratio_hi": "2"}
+
+
+def test_thm13_exact_brackets_of_a_float_tree_are_exact_sums(tmp_path, capsys):
+    # a tree with float weights against the unit tree: every exact
+    # bracket is a sum of the Fractions the weights equal, or a ratio
+    p = tmp_path / "s.json"
+    p.write_text(json.dumps({
+        "rank": 2, "target": {"kind": "tree", "weights": [0.1, 0.2]},
+        "reference": {"kind": "tree"}, "verify": ["thm13"],
+        "config": {"L_values": [4], "delta": 0}}))
+    assert main(["verify", "--scenario", str(p), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    rep = json.loads((tmp_path / "report.json").read_text())["entries"][0]["reports"][0]
+    weight = {"a": Fraction(0.1), "b": Fraction(0.2)}
+    exact = []
+
+    def value(bracket):
+        exact.append(bracket)
+        lo, hi = Fraction(str(bracket["lo"])), Fraction(str(bracket["hi"]))
+        assert lo == hi
+        return lo
+
+    for row in rep["diagnostics"]:
+        target = sum(weight[c.lower()] for c in row["class"])
+        assert value(row["target"]) == target
+        assert value(row["ref"]) == len(row["class"])
+        assert value(row["ratio"]) == target / len(row["class"])
+    assert value(rep["window_sup"]) == value(rep["reference_dilation"]) == weight["b"]
+
+    def exact_brackets(o):
+        if isinstance(o, dict):
+            yield from [o] if o.get("exact") is True else []
+            for v in o.values():
+                yield from exact_brackets(v)
+        elif isinstance(o, list):
+            for v in o:
+                yield from exact_brackets(v)
+
+    assert len(list(exact_brackets(rep))) == len(exact) > 2
 
 
 def test_main_verify_csv_stdout_equals_classes_csv(tmp_path, capsys):

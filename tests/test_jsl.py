@@ -139,9 +139,27 @@ def test_subset_validation():
     for model in (TreeModel(2), SCHOTTKY.linear):
         with pytest.raises(InputError, match="S uses letters beyond rank 2"):
             bf_lower_check(model, ["ab", "c"])
+    for engine in ("auto", "products", "tree-dp"):
+        with pytest.raises(InputError, match="S uses letters beyond rank 2"):
+            joint_stable_profile(TreeModel(2), ["c"], 2, engine=engine)
     prof = joint_stable_profile(TreeModel(2), ["a", "bA"], 4, engine="products")
     assert prof.bracket == joint_stable_profile(
         TreeModel(2), [Word("a"), Word("bA")], 4, engine="products").bracket
+
+
+def test_float_weight_joint_length_is_exact_on_both_engines():
+    # the joint length of {a, bb} under [0.1, 0.2] is that of bb, twice
+    # the Fraction 0.2 equals; summed as floats its exact bracket lay below
+    tree = TreeModel(2, [0.1, 0.2])
+    dp = joint_stable_profile(tree, ["a", "bb"], 6, engine="tree-dp")
+    products = joint_stable_profile(tree, ["a", "bb"], 6, engine="products")
+    assert dp.bracket.hi >= 2 * Fraction(0.2)
+    assert dp.bracket == products.bracket == LengthBracket(
+        2 * Fraction(0.2), 2 * Fraction(0.2), exact=True)
+    for p in (dp, products):
+        assert type(p.bracket.lo) is type(p.bracket.hi) is Fraction
+        assert all(type(v) is Fraction for v in p.a.values())
+    assert dp.a == products.a
 
 
 # ---------------------------------------------------------- matrix engine

@@ -54,6 +54,34 @@ def test_tree_keeps_fractions():
     assert m.cobound_D == Fraction(1, 6)
 
 
+def test_tree_float_weights_are_the_fractions_they_equal():
+    # summed as floats, BBB under [0.1, 0.2] was 0.6000000000000001
+    m = TreeModel(2, [0.1, 0.2])
+    length = m.class_length((-2, -2, -2))
+    assert length == 3 * Fraction(0.2) and type(length) is Fraction
+    assert m.displacement(Word("aBa")) == 2 * Fraction(0.1) + Fraction(0.2)
+
+
+def test_letters_beyond_the_rank_raise_input_error():
+    with pytest.raises(InputError, match="letter 3 outside rank 2"):
+        TreeModel(2).class_length((3,))
+    with pytest.raises(InputError, match="letter -3 outside rank 2"):
+        TreeModel(2).displacement(Word("C"))
+    wm = WordMetricModel(GeneratingSet(2, ["a", "A", "b", "B", "ab"]))
+    with pytest.raises(InputError, match="letter 3 outside rank 2"):
+        wm.displacement(Word("c"))
+    with pytest.raises(InputError, match="letter 3 outside rank 2"):
+        wm.class_length_bracket((1, 3))
+
+
+@pytest.mark.parametrize("weights", [
+    [math.inf, 1], [math.nan, 1], [True, 1], ["1/2", 1], [1j, 1], [0.0, 1],
+], ids=str)
+def test_malformed_tree_weights_raise_input_error(weights):
+    with pytest.raises(InputError):
+        TreeModel(2, weights)
+
+
 def test_tree_cobound_is_half_max_weight():
     assert TreeModel(2, [1, 3]).cobound_D == Fraction(3, 2)
     assert TreeModel(2).cobound_D == Fraction(1, 2)
@@ -134,12 +162,15 @@ def test_displacement_is_the_word_length():
 
 
 def test_displacement_reaches_a_float_cost_rounded_above_cost_upper():
-    # A = (Ab)(B) costs 0.2 + 0.3; the search adds b, Ab and B in turn and
-    # gets 0.6000000000000001, cost_upper adds b and A's cost and gets 0.6
+    # A = (Ab)(B) costs 0.2 + 0.3; added as floats, the search's order
+    # gives 0.6000000000000001 and cost_upper's 0.6.  Each weight is the
+    # Fraction the float equals, so both sums are that of the three
     gens = GeneratingSet(2, ["a", "b", "B", "Ab"], [1, 0.1, 0.3, 0.2])
     wm = WordMetricModel(gens)
-    assert wm.cost_upper(Word("bA")) == 0.6
-    assert wm.displacement(Word("bA")) == word_length(Word("bA"), gens) > 0.6
+    want = Fraction(0.1) + Fraction(0.2) + Fraction(0.3)
+    d = wm.displacement(Word("bA"))
+    assert d == word_length(Word("bA"), gens) == wm.cost_upper(Word("bA")) == want
+    assert type(d) is Fraction
 
 
 def test_letter_costs_come_from_the_generation_witnesses(monkeypatch):

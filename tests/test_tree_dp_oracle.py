@@ -1,13 +1,14 @@
 """The compiled tree automaton against the per-level dict walk it replaced.
 
 ``jsl.tree_joint_profile`` interns the reachable (suffix, trunc) states once
-per call and runs the levels as max-plus products over edge arrays.  The
-oracle below is the engine it replaced, kept verbatim: every level a dict
-of states, every state stepped through every factor of S, a strict ``<``
-so the first offer of a maximum wins.  Every field must agree, number
-types included: an int, a Fraction and a float of equal value render
-differently in a report, and in the object dtype a tie between them keeps
-the type the dict walk meets first.
+per call and runs the levels as max-plus products over edge arrays of the
+tree's weights scaled to ints.  The oracle below is the engine it replaced,
+kept verbatim: every level a dict of states, every state stepped through
+every factor of S, in the arithmetic of the tree's weights.  Every value
+must agree.  The number types follow the rule of trees instead of the
+oracle's walk: level maxima are ints on a tree whose weights are all ints
+and Fractions on any other, whole ones included, and every bracket end is
+a Fraction.
 """
 
 from fractions import Fraction
@@ -21,6 +22,7 @@ from lenspec.actions import LengthBracket, exact_div
 from lenspec.jsl import JointLengthProfile, tree_joint_profile
 from lenspec.spaces import TreeModel
 from lenspec.words import Word, _as_words, _concat_reduced, enumerate_ball
+from test_window_oracle import _canon
 
 # ------------------------------------------------------------------ oracle
 
@@ -154,22 +156,24 @@ def _oracle_state_count(model, s, n_max):
 # ------------------------------------------------------------- comparison
 
 
-def _assert_same(new, old):
+def _assert_same(new, old, model):
+    want = int if all(type(w) is int for w in model.weights) else Fraction
     assert list(new.a) == list(old.a)
     for n, v in old.a.items():
-        assert new.a[n] == v and type(new.a[n]) is type(v), (n, new.a[n], v)
+        assert new.a[n] == v and type(new.a[n]) is want, (n, new.a[n], v)
     assert new.bracket == old.bracket
-    assert type(new.bracket.lo) is type(old.bracket.lo)
-    assert type(new.bracket.hi) is type(old.bracket.hi)
+    assert type(new.bracket.lo) is Fraction
+    assert type(new.bracket.hi) is Fraction
     assert new.eroded is old.eroded
     assert new.pair_half == old.pair_half
-    assert type(new.pair_half) is type(old.pair_half)
+    assert type(new.pair_half) is Fraction
     assert new.lo_terms == old.lo_terms
     assert new.engine == old.engine
 
 
 # int, Fraction, float, ints whose level sums pass 2**62 (object dtype),
-# int mixed with Fraction, and float mixed with both
+# int mixed with Fraction, float mixed with both, and floats whose sums
+# scaled by 2**55 pass 2**62
 _WEIGHTS = {
     "int": st.integers(1, 5),
     "fraction": st.fractions(Fraction(1, 4), 4, max_denominator=6),
@@ -179,6 +183,7 @@ _WEIGHTS = {
                                      Fraction(5, 3)]),
     "float-mixed": st.sampled_from([1, 2, Fraction(1, 2), Fraction(3, 2),
                                     0.5, 1.5, 2.0, 0.1, 0.7]),
+    "float-big": st.sampled_from([0.1, 5.0]),
 }
 
 
@@ -206,7 +211,7 @@ def _cases(draw):
 def test_compiled_automaton_matches_the_dict_walk(case):
     model, s, n_max = case
     new = tree_joint_profile(model, s, n_max)
-    _assert_same(new, _oracle_tree_joint_profile(model, s, n_max))
+    _assert_same(new, _oracle_tree_joint_profile(model, s, n_max), model)
     assert new.states == _oracle_state_count(model, s, n_max)
 
 
@@ -216,7 +221,8 @@ def test_acceptance_triples_match_the_dict_walk():
     for i, j, k in [(0, 1, 2), (3, 17, 40), (5, 29, 51), (8, 9, 33),
                     (12, 30, 47), (20, 21, 22)]:
         s = [elems[i], elems[j], elems[k]]
-        _assert_same(tree_joint_profile(tree, s), _oracle_tree_joint_profile(tree, s))
+        _assert_same(tree_joint_profile(tree, s),
+                     _oracle_tree_joint_profile(tree, s), tree)
 
 
 def test_dtype_follows_the_weights():
@@ -224,20 +230,28 @@ def test_dtype_follows_the_weights():
     assert jsl._dp_dtype([], 12, 6) is np.int64  # S = {identity}
     assert jsl._dp_dtype([2 ** 62 // 72], 12, 6) is np.int64
     assert jsl._dp_dtype([2 ** 62 // 72 + 1], 12, 6) is object
-    assert jsl._dp_dtype([0.5, 1.5], 12, 6) is object
-    assert jsl._dp_dtype([1, Fraction(1, 2)], 12, 6) is object
-    assert jsl._dp_dtype([1, 0.5], 12, 6) is object
+    # 0.1 = 3602879701896397 / 2**55 and 5.0 scale to 5 * 2**55
+    tree = TreeModel(2, [0.1, 5.0])
+    scaled = tree._scaled
+    assert jsl._dp_dtype([scaled[1]], 12, 6) is np.int64
+    assert jsl._dp_dtype([scaled[1], scaled[2]], 12, 6) is object
+    assert jsl._dp_dtype([scaled[1], scaled[2]], 3, 6) is np.int64
+    # the object levels agree with the dict walk
+    s = ["b", "aB", "Ab"]
+    _assert_same(tree_joint_profile(tree, s, 12),
+                 _oracle_tree_joint_profile(tree, s, 12), tree)
 
 
-def test_int_fraction_tie_keeps_the_type_the_walk_meets_first():
-    # a has weight 1 (int), bb weighs 1/2 + 1/2 = Fraction(1): every level
-    # ties between an int and a Fraction, and the first factor of S wins
+def test_int_fraction_tie_is_the_same_fraction_in_either_order():
+    # a has weight 1, bb weighs 1/2 + 1/2: every level ties, and a tree
+    # with a Fraction weight gives Fractions whichever factor comes first
     m = TreeModel(2, [1, Fraction(1, 2)])
     for s in (["a", "bb"], ["bb", "a"]):
         new = tree_joint_profile(m, s, 6)
-        _assert_same(new, _oracle_tree_joint_profile(m, s, 6))
-    assert type(tree_joint_profile(m, ["a", "bb"], 6).a[1]) is int
-    assert type(tree_joint_profile(m, ["bb", "a"], 6).a[1]) is Fraction
+        _assert_same(new, _oracle_tree_joint_profile(m, s, 6), m)
+    a_first = tree_joint_profile(m, ["a", "bb"], 6).a
+    assert _canon(a_first) == _canon(tree_joint_profile(m, ["bb", "a"], 6).a)
+    assert a_first[1] == 1 and type(a_first[1]) is Fraction
 
 
 # ------------------------------------------------------------ regressions
@@ -253,8 +267,8 @@ def test_erosion_out_of_a_state_first_reached_at_n_max_does_not_count():
     at10 = tree_joint_profile(tree, s, 10)
     assert not at9.eroded
     assert at10.eroded
-    _assert_same(at9, _oracle_tree_joint_profile(tree, s, 9))
-    _assert_same(at10, _oracle_tree_joint_profile(tree, s, 10))
+    _assert_same(at9, _oracle_tree_joint_profile(tree, s, 9), tree)
+    _assert_same(at10, _oracle_tree_joint_profile(tree, s, 10), tree)
 
 
 def test_states_counts_the_interned_automaton():

@@ -273,6 +273,19 @@ def test_generating_set_validation():
         GeneratingSet(2, [Word("a")], weights=[-1])
 
 
+@pytest.mark.parametrize("bad", [float("inf"), float("nan"), "0.5", True, None, 1j],
+                         ids=repr)
+def test_generating_set_rejects_malformed_weights(bad):
+    with pytest.raises(InputError):
+        GeneratingSet(2, ["a", "A", "b", "B"], [bad, 1, 1, 1])
+
+
+def test_weights_are_ints_or_the_fractions_they_equal():
+    s = GeneratingSet(2, ["a", "A", "b", "B"], [2.0, Fraction(4, 2), 0.1, Fraction(1, 3)])
+    assert [type(w) for w in s.weights] == [int, int, Fraction, Fraction]
+    assert s.weights == (2, 2, Fraction(0.1), Fraction(1, 3))
+
+
 def test_word_length_standard_is_word_length():
     s = GeneratingSet.standard(2)
     for txt in ("", "a", "ab", "abAB", "aaB"):
