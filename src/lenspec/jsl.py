@@ -32,7 +32,8 @@ from .actions import LengthBracket, exact_div
 from .errors import InputError, NumericError, ResourceCapError
 from .spaces import (MatrixActionModel, MobiusModel, TreeModel, WordMetricModel,
                      class_bracket_reader)
-from .words import ConjClass, Word, _as_words, _concat_reduced, _cyclic_core
+from .words import (ConjClass, Word, _as_words, _concat_reduced, _cyclic_core,
+                    _letters_in_order)
 
 __all__ = [
     "JointLengthProfile",
@@ -180,7 +181,6 @@ def _matrix_joint_profile(model, words, n_max, frontier_cap):
 # ----------------------------------------------------- tree fast path (DP)
 
 _EXACT, _TRUNC, _BLIND = 0, 1, 2
-_BLIND_STATE = ((), _BLIND)
 
 # Retained suffix length of the tree automaton, raised to twice the
 # longest factor of S.
@@ -206,49 +206,84 @@ def _compile_tree_automaton(scaled, s_list, cap: int, n_max: int):
     and adds the heaviest factor on every edge; ``eroded`` says whether
     such an edge exists.  A delta takes the cancelled weights off and puts
     the kept ones on.
+
+    A state is one int, ``code * 3 + trunc``.  ``code`` reads the suffix
+    as a number in base B = 2r + 1, r the largest letter index in S: each
+    letter is a digit, its code in ``words._letters_in_order`` plus 1, and
+    the last letter is the lowest digit, so digit 0 means no letter and
+    the empty suffix is code 0.  The blind state is the int ``_BLIND``.
+    ``lens``, parallel to ``keys``, holds each state's suffix length.
+    Appending a factor strips the low digits that match its inverse
+    letters, shifts what is left up by the kept letters and adds their
+    code; a suffix past ``cap`` letters keeps its low ``cap`` digits.
     """
+    base = 2 * max((abs(x) for s in s_list for x in s), default=0) + 1
+    digit = {x: c + 1 for c, x in enumerate(_letters_in_order(base // 2))}
     factors = []
     for s in s_list:
+        k = len(s)
         ws = [scaled[x] for x in s]
-        deltas = [sum(ws[t:]) - sum(ws[:t]) for t in range(len(s) + 1)]
-        factors.append((s, len(s), tuple(-x for x in s), deltas))
+        tail = [0] * (k + 1)   # tail[t]: the code of s[t:]
+        for t in range(k - 1, -1, -1):
+            tail[t] = digit[s[t]] * base ** (k - 1 - t) + tail[t + 1]
+        factors.append((
+            k,
+            # the digit of each inverse letter, then -1, which no digit
+            # matches: a suffix cancels against at most the whole factor
+            [digit[-x] for x in s] + [-1],
+            tail,
+            [base ** (k - t) for t in range(k + 1)],
+            [base ** (cap - k + t) for t in range(k + 1)],
+            [sum(ws[t:]) - sum(ws[:t]) for t in range(k + 1)],
+        ))
     m = len(factors)
-    blind = [max(f[3][0] for f in factors)] * m
+    blind = [max(sum(scaled[x] for x in s) for s in s_list)] * m
 
     ids: dict = {}
     init: dict = {}
-    for s, _, _, deltas in factors:
-        key = (s, _EXACT)  # len(s) <= cap / 2: no truncation
+    lens = []
+    for k, _, tail, _, _, deltas in factors:
+        key = tail[0] * 3 + _EXACT  # k <= cap / 2: no truncation
         if key not in ids:
             init[len(ids)] = deltas[0]
             ids[key] = len(ids)
+            lens.append(k)
     keys = list(ids)
     dst, delta = [], []
     eroded = False
     lo = 0
     for _ in range(n_max - 1):
         hi = len(keys)
-        for suffix, trunc in keys[lo:hi]:
+        for i in range(lo, hi):
+            code, trunc = divmod(keys[i], 3)
             if trunc == _BLIND:
-                dst += [ids[_BLIND_STATE]] * m
+                dst += [ids[_BLIND]] * m
                 delta += blind
                 continue
-            n = len(suffix)
-            for s, k, inv, deltas in factors:
-                # t: letters of s cancelled against the end of the suffix
+            n = lens[i]
+            for k, inv, tail, shift, keep, deltas in factors:
+                # t: letters of the factor cancelled against the end of
+                # the suffix; once the suffix is used up its low digit
+                # reads 0, which no inverse letter matches
                 t = 0
-                while t < n and t < k and suffix[n - 1 - t] == inv[t]:
+                rest = code
+                while rest % base == inv[t]:
+                    rest //= base
                     t += 1
+                size = n - 2 * t + k
                 if t == n and t < k and trunc == _TRUNC:
                     eroded = True
-                    key = _BLIND_STATE
+                    key, size = _BLIND, 0
+                elif size > cap:
+                    key = ((rest % keep[t]) * shift[t] + tail[t]) * 3 + _TRUNC
+                    size = cap
                 else:
-                    new = suffix[:n - t] + s[t:]
-                    key = (new[-cap:], _TRUNC) if len(new) > cap else (new, trunc)
+                    key = (rest * shift[t] + tail[t]) * 3 + trunc
                 j = ids.get(key)
                 if j is None:
                     j = ids[key] = len(keys)
                     keys.append(key)
+                    lens.append(size)
                 dst.append(j)
                 delta.append(deltas[t])
         lo = hi
@@ -284,10 +319,13 @@ def _level_maxima(init, dst, delta, n_states, n_factors, dtype, n_max):
     unreached = -2 ** 62 if dtype is np.int64 else -math.inf
     val = np.full(n_states, unreached, dtype)
     val[list(init)] = list(init.values())
+    # levels 2.. write only the states with in-edges, so one buffer serves
+    # them all and every other state stays unreached
+    nxt = np.full(n_states, unreached, dtype)
     for n in range(2, n_max + 1):
         top = np.maximum.reduceat(val[src_o] + delta_o, starts)
-        val = np.full(n_states, unreached, dtype)
-        val[heads] = top
+        nxt[heads] = top
+        val = nxt
         # every state reached at level n has an in-edge from level n - 1
         a[n] = int(top.max())
     return a
@@ -317,13 +355,18 @@ def tree_joint_profile(model: TreeModel, s, n_max: int = 12) -> JointLengthProfi
     init, dst, delta, eroded, n_states = _compile_tree_automaton(
         model._scaled, s_list, cap, n_max)
     used = [model._scaled[x] for x in {abs(x) for w in s_list for x in w}]
-    a = _level_maxima(init, dst, delta, n_states, len(s_list),
-                      _dp_dtype(used, n_max, cap), n_max)
-    a = {n: model._exact(v) for n, v in a.items()}
+    raw = _level_maxima(init, dst, delta, n_states, len(s_list),
+                        _dp_dtype(used, n_max, cap), n_max)
+    # the n of least raw[n] / n, compared as cross products of ints
+    best = 1
+    for n, v in raw.items():
+        if v * best < raw[best] * n:
+            best = n
+    a = {n: model._exact(v) for n, v in raw.items()}
     pair = max(model.class_length(_cyclic_core(_concat_reduced(u, v)))
                for u in s_list for v in s_list)
     pair_half = exact_div(pair, 2)
-    hi = min(exact_div(a[n], n) for n in a)
+    hi = exact_div(a[best], best)
     lo = min(pair_half, hi)
     bracket = LengthBracket(lo, hi, exact=bool(lo == hi))
     return JointLengthProfile(

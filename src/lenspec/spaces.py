@@ -20,7 +20,7 @@ import numpy as np
 from .actions import ActionModel, AnosovCertificate, anosov_certificate, exact_div
 from .errors import InputError, NumericError
 from .words import (ClassCodes, GeneratingSet, Word, _as_weight, _cheapest_first,
-                    _letters_in_order, word_length)
+                    _letters_in_order, _unscaled, word_length)
 
 __all__ = [
     "TreeModel",
@@ -222,7 +222,7 @@ class WordMetricModel(ActionModel):
                     f"semigroup generation check inconclusive: letter "
                     f"{missing[0]} not reached within cost {self.radius_cap}"
                 )
-            self._letter_cost = {x: cost[x] for x in letters}
+            self._letter_cost = {x: _unscaled(cost[x], gens._den) for x in letters}
 
     def displacement(self, g: Word):
         if self._standard:

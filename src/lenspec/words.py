@@ -250,23 +250,29 @@ def _letters_in_order(rank: int) -> list[int]:
 
 
 def enumerate_ball(rank: int, radius: int, cap: int = 2_000_000) -> list[Word]:
-    """All reduced words of standard length <= radius, in (length, lex) order."""
+    """All reduced words of standard length <= radius, in (length, lex) order.
+
+    A ball of more than ``cap`` words raises ResourceCapError before the
+    level that would pass it is built.
+    """
     if rank < 1:
         raise InputError("rank must be >= 1")
     alphabet = _letters_in_order(rank)
     out = [Word()]
     frontier: list[tuple[int, ...]] = [()]
-    for _ in range(radius):
+    for level in range(radius):
+        # each word extends by every letter but the inverse of its last
+        size = len(frontier) * (len(alphabet) - (level > 0))
+        if len(out) + size > cap:
+            raise ResourceCapError(
+                f"ball of radius {radius} in rank {rank} exceeds cap {cap}"
+            )
         nxt = []
         for w in frontier:
             last = w[-1] if w else 0
             for x in alphabet:
                 if x != -last:
                     nxt.append(w + (x,))
-        if len(out) + len(nxt) > cap:
-            raise ResourceCapError(
-                f"ball of radius {radius} in rank {rank} exceeds cap {cap}"
-            )
         out.extend(map(Word._unchecked, nxt))
         frontier = nxt
     return out
@@ -486,6 +492,12 @@ class GeneratingSet:
                 return w
         raise InputError(f"generator {i} not in set")
 
+    @cached_property
+    def _den(self) -> int:
+        """The lcm of the weights' denominators: each weight times it is an
+        int."""
+        return math.lcm(*(Fraction(w).denominator for w in self.weights))
+
     def __iter__(self):
         return iter(zip(self.elements, self.weights))
 
@@ -497,18 +509,24 @@ class GeneratingSet:
 _SEARCH_NODE_CAP = 200_000
 
 
+def _unscaled(cost: int, den: int):
+    """A cost scaled by ``den`` as the exact number it stands for: the int
+    itself when den is 1, else a Fraction."""
+    return cost if den == 1 else Fraction(cost, den)
+
+
 def _cheapest_first(s: GeneratingSet, radius_cap):
-    """Yield (cost, letters) of each element of the free group in the
-    order a uniform-cost search over the word metric of s settles it.
+    """Yield (scaled cost, letters) of each element of the free group in
+    the order a uniform-cost search over the word metric of s settles it.
 
     The search expands the identity by right multiplication with the
-    elements of s, ties broken by the letters.  Costs are exact: the
-    search adds ints, the weights scaled by the lcm ``den`` of their
-    denominators, and yields Fraction(cost, den) when den > 1.  It stops
-    when no element within cost radius_cap is left, or once it has
-    reached more than _SEARCH_NODE_CAP elements.
+    elements of s, ties broken by the letters.  Costs are exact ints: the
+    weights scaled by ``s._den``, which a reader divides back out of the
+    costs it keeps (``_unscaled``).  The search stops when no element
+    within cost radius_cap is left, or once it has reached more than
+    _SEARCH_NODE_CAP elements.
     """
-    den = math.lcm(*(Fraction(w).denominator for w in s.weights))
+    den = s._den
     steps = [(e.letters, int(w * den)) for e, w in zip(s.elements, s.weights)]
     cap = math.floor(Fraction(radius_cap) * den)
     dist: dict[tuple[int, ...], int] = {(): 0}
@@ -517,7 +535,7 @@ def _cheapest_first(s: GeneratingSet, radius_cap):
         d, w = heapq.heappop(heap)
         if dist[w] != d:
             continue
-        yield (d if den == 1 else Fraction(d, den)), w
+        yield d, w
         if len(dist) > _SEARCH_NODE_CAP:
             return
         for letters, wt in steps:
@@ -543,7 +561,7 @@ def word_length(g: Word, s: GeneratingSet, radius_cap=32):
         return 0
     for d, w in _cheapest_first(s, radius_cap):
         if w == target:
-            return d
+            return _unscaled(d, s._den)
     raise SearchExhaustedError(
         f"{g} not reached within cost {radius_cap} or "
         f"{_SEARCH_NODE_CAP} elements"

@@ -14,6 +14,7 @@ a Fraction.
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -187,16 +188,22 @@ _WEIGHTS = {
 }
 
 
+# a rank of 40 with factors of length 5: the automaton's suffix codes in
+# base 81 pass 2**63 once a suffix holds 10 letters
+_BIG_RANK = 40
+
+
 @st.composite
 def _cases(draw):
-    rank = draw(st.integers(1, 3))
+    rank = draw(st.sampled_from([1, 2, 3, _BIG_RANK]))
     weights = draw(st.lists(_WEIGHTS[draw(st.sampled_from(sorted(_WEIGHTS)))],
                             min_size=rank, max_size=rank))
     letters = [x for i in range(1, rank + 1) for x in (i, -i)]
+    sizes = st.just(5) if rank == _BIG_RANK else st.integers(0, 5)
     s = []
     for _ in range(draw(st.integers(1, 4))):
         w = []  # reduced, of length 0-5: a suffix cap of 6, 8 or 10
-        for _ in range(draw(st.integers(0, 5))):
+        for _ in range(draw(sizes)):
             w.append(draw(st.sampled_from([x for x in letters if not w or x != -w[-1]])))
         s.append(Word(w))
     if len(s) > 1 and draw(st.booleans()):
@@ -255,6 +262,31 @@ def test_int_fraction_tie_is_the_same_fraction_in_either_order():
 
 
 # ------------------------------------------------------------ regressions
+
+
+@pytest.mark.parametrize("s", [["a", "AAA"], ["a", "AA"], ["aa", "AA"]])
+def test_the_empty_truncated_suffix_erodes_like_the_dict_walk(s):
+    # powers of a fill and truncate the suffix; the inverse factor then
+    # cancels it to the empty truncated suffix, out of which the next
+    # inverse factor erodes with nothing cancelled.  {aa, AA} erodes only
+    # there: an erosion test skipped when no letter cancels misses it
+    tree = TreeModel(1)
+    p = tree_joint_profile(tree, s, 12)
+    assert p.eroded
+    _assert_same(p, _oracle_tree_joint_profile(tree, s, 12), tree)
+    assert p.states == _oracle_state_count(tree, s, 12)
+
+
+def test_suffix_codes_past_int64_match_the_dict_walk():
+    # rank 40, so base 81; ten-letter suffixes of letters 36..40 code
+    # above 81**9 * 70 > 2**63
+    tree = TreeModel(_BIG_RANK, list(range(1, _BIG_RANK + 1)))
+    s = [Word([40, 39, 38, 37, 36]), Word([-36, -37, 38, 39, 40]),
+         Word([36, 37, 38, 39, 40])]
+    assert 81 ** 9 * 70 > 2 ** 63
+    p = tree_joint_profile(tree, s, 12)
+    _assert_same(p, _oracle_tree_joint_profile(tree, s, 12), tree)
+    assert p.states == _oracle_state_count(tree, s, 12)
 
 
 def test_erosion_out_of_a_state_first_reached_at_n_max_does_not_count():

@@ -6,6 +6,7 @@ and the resulting class lists are compared against iter_class_reps.
 """
 
 import gc
+import heapq
 import tracemalloc
 from fractions import Fraction
 
@@ -230,6 +231,32 @@ def test_ball_cap_raises():
         list(enumerate_ball(2, 12, cap=100))
 
 
+@pytest.mark.parametrize("rank,radius,cap", [(2, 3, 52), (2, 3, 53), (3, 1, 6),
+                                             (3, 1, 7), (1, 4, 8), (1, 4, 9)])
+def test_ball_cap_is_the_ball_size(rank, radius, cap):
+    # the ball of radius R holds 1 + 2r * sum((2r - 1)^(k-1)) words: a cap
+    # one below that raises, the size itself does not
+    size = 1 + sum(2 * rank * (2 * rank - 1) ** (k - 1) for k in range(1, radius + 1))
+    if cap < size:
+        with pytest.raises(ResourceCapError, match=f"exceeds cap {cap}"):
+            enumerate_ball(rank, radius, cap=cap)
+    else:
+        assert len(enumerate_ball(rank, radius, cap=cap)) == size
+
+
+def test_ball_counts_a_level_before_building_it():
+    # level 2 of rank 300 holds 600 * 599 = 359,400 words, far past the
+    # cap: it must raise before a tuple of it is built
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceCapError):
+            enumerate_ball(300, 2, cap=1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
 # ----------------------------------------------------------- generating sets
 
 
@@ -308,6 +335,40 @@ def test_word_length_fractional_weights_stay_exact():
     )
     assert word_length(Word("aaa"), s) == 1
     assert isinstance(word_length(Word("aa"), s), Fraction)
+
+
+def _fraction_distances(s: GeneratingSet, bound) -> dict:
+    """Every element of cost <= bound with its word-metric distance, from a
+    uniform-cost search that adds the weights as Fractions."""
+    steps = [(e.letters, Fraction(w)) for e, w in s]
+    settled: dict = {}
+    heap = [(Fraction(0), ())]
+    while heap:
+        d, w = heapq.heappop(heap)
+        if w in settled:
+            continue
+        settled[w] = d
+        for letters, wt in steps:
+            if d + wt <= bound:
+                heapq.heappush(heap, (d + wt, (Word(w) * Word(letters)).letters))
+    return settled
+
+
+def test_float_word_metric_lengths_are_fractions_of_the_exact_search():
+    # the search adds scaled ints and divides only what it returns: every
+    # length over the radius-4 ball and every letter cost is the Fraction
+    # of an exact search (identity aside, which is the int 0)
+    s = GeneratingSet(2, ["a", "A", "b", "B", "ab", "BA"],
+                      [1.5, 1.5, 0.7, 0.7, 1.1, 2.3])
+    exact = _fraction_distances(s, 6)  # radius 4 costs at most 4 * 1.5
+    for g in enumerate_ball(2, 4):
+        d = word_length(g, s)
+        assert d == exact[g.letters], g
+        assert type(d) is (Fraction if g else int)
+    costs = WordMetricModel(s)._letter_cost
+    assert costs == {x: exact[(x,)] for x in (1, -1, 2, -2)}
+    assert {type(c) for c in costs.values()} == {Fraction}
+    assert costs[1] == Fraction(3, 2) and costs[2] == Fraction(0.7)
 
 
 def test_word_length_exhaustion():
