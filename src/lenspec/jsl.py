@@ -12,7 +12,9 @@ lengths of specific products certify lower bounds:
               max over n, s in S^n of l_lo[s] / n ).
 
 On trees the two collapse to the same number, half the largest two-letter
-stable length; the product enumeration is still run to witness it.
+stable length.  When a heaviest factor of S is cyclically reduced, S alone
+fixes every level maximum and the pair maximum; otherwise the tree
+automaton's levels and the S^2 scan witness them.
 
 The matrix joint spectral radius gets the same treatment in log scale, with
 sigma_1 certifying from above and spectral radii from below, plus the
@@ -346,6 +348,17 @@ def tree_joint_profile(model: TreeModel, s, n_max: int = 12) -> JointLengthProfi
     interned states) and the levels run over its edges as max-plus
     products of the tree's scaled int weights, each level maximum divided
     back to the tree's number type at the end.
+
+    With w_max the largest scaled weight of a factor of S, if some factor
+    of weight w_max is cyclically reduced (the empty word counts), then
+    a[n] = n * w_max for every n and the pair maximum is 2 * w_max, and
+    neither the levels nor the S^2 scan run.  Proof: every automaton edge
+    adds at most its factor's weight and a blind edge adds w_max, so no
+    level passes n * w_max, while the powers of that factor never cancel
+    and so reach it; likewise no product of two factors is longer than
+    2 * w_max, and that factor's square is a cyclically reduced word of
+    length 2 * w_max.  The automaton is still compiled for ``states`` and
+    ``eroded``.
     """
     words = _as_words(s, model.rank)
     s_list = [w.letters for w in words]
@@ -354,17 +367,27 @@ def tree_joint_profile(model: TreeModel, s, n_max: int = 12) -> JointLengthProfi
     cap = max(_SUFFIX_CAP, 2 * max((len(w) for w in s_list), default=1))
     init, dst, delta, eroded, n_states = _compile_tree_automaton(
         model._scaled, s_list, cap, n_max)
-    used = [model._scaled[x] for x in {abs(x) for w in s_list for x in w}]
-    raw = _level_maxima(init, dst, delta, n_states, len(s_list),
-                        _dp_dtype(used, n_max, cap), n_max)
+    weights = [sum(map(model._scaled.__getitem__, w)) for w in s_list]
+    w_max = max(weights)
+    if any(w == w_max and (not f or f[0] != -f[-1])
+           for w, f in zip(weights, s_list)):
+        # a heaviest factor is cyclically reduced: its powers reach the
+        # bound n * w_max that no edge can beat.  Level 1 is always there,
+        # as in _level_maxima
+        raw = {n: n * w_max for n in range(1, max(n_max, 1) + 1)}
+        pair = model._exact(2 * w_max)
+    else:
+        used = [model._scaled[x] for x in {abs(x) for w in s_list for x in w}]
+        raw = _level_maxima(init, dst, delta, n_states, len(s_list),
+                            _dp_dtype(used, n_max, cap), n_max)
+        pair = max(model.class_length(_cyclic_core(_concat_reduced(u, v)))
+                   for u in s_list for v in s_list)
     # the n of least raw[n] / n, compared as cross products of ints
     best = 1
     for n, v in raw.items():
         if v * best < raw[best] * n:
             best = n
     a = {n: model._exact(v) for n, v in raw.items()}
-    pair = max(model.class_length(_cyclic_core(_concat_reduced(u, v)))
-               for u in s_list for v in s_list)
     pair_half = exact_div(pair, 2)
     hi = exact_div(a[best], best)
     lo = min(pair_half, hi)

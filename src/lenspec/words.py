@@ -252,21 +252,31 @@ def _letters_in_order(rank: int) -> list[int]:
 def enumerate_ball(rank: int, radius: int, cap: int = 2_000_000) -> list[Word]:
     """All reduced words of standard length <= radius, in (length, lex) order.
 
-    A ball of more than ``cap`` words raises ResourceCapError before the
-    level that would pass it is built.
+    A ball of more than ``cap`` words raises ResourceCapError before any
+    of it is built: in rank 1 the ball holds 1 + 2 radius words, in higher
+    ranks its levels are counted until their sum passes the cap.
     """
     if rank < 1:
         raise InputError("rank must be >= 1")
+    # each word extends by every letter but the inverse of its last, so
+    # level n > 0 holds 2r (2r - 1)^(n - 1) words
+    if rank == 1:
+        size = 1 + 2 * max(radius, 0)
+    else:
+        size, level = 1, 2 * rank
+        for _ in range(radius):
+            if size > cap:
+                break
+            size += level
+            level *= 2 * rank - 1
+    if radius > 0 and size > cap:
+        raise ResourceCapError(
+            f"ball of radius {radius} in rank {rank} exceeds cap {cap}"
+        )
     alphabet = _letters_in_order(rank)
     out = [Word()]
     frontier: list[tuple[int, ...]] = [()]
-    for level in range(radius):
-        # each word extends by every letter but the inverse of its last
-        size = len(frontier) * (len(alphabet) - (level > 0))
-        if len(out) + size > cap:
-            raise ResourceCapError(
-                f"ball of radius {radius} in rank {rank} exceeds cap {cap}"
-            )
+    for _ in range(radius):
         nxt = []
         for w in frontier:
             last = w[-1] if w else 0

@@ -312,3 +312,55 @@ def test_states_counts_the_interned_automaton():
     s = ["abA", "aBA", "ab"]
     p = tree_joint_profile(tree, s, 12)
     assert p.states == _oracle_state_count(tree, s, 12) == 377
+
+
+# ------------------------------------------- S alone fixes the level maxima
+
+# (tree weights, S, whether a factor of greatest weight is cyclically
+# reduced); on that side a[n] = n * w_max and the pair maximum is 2 * w_max
+_SIDES = [
+    (None, ["abA"], False),
+    (None, ["abA", "aBA"], False),
+    # a weight-3 tie: abA is not cyclically reduced, abb is
+    (None, ["abA", "abb"], True),
+    # bb weighs 10 and abA 7: the heaviest factor is the shorter one
+    ([1, 5], ["bb", "abA"], True),
+    ([Fraction(1, 2), Fraction(2, 3)], ["aB", "bab"], True),
+    ([Fraction(1, 2), Fraction(2, 3)], ["ab", "bAB"], False),
+    (None, [""], True),
+    (None, ["", "a"], True),
+]
+
+
+@pytest.mark.parametrize("weights,s,proven", _SIDES)
+@pytest.mark.parametrize("n_max", [2, 12])
+def test_both_sides_of_the_rule_match_the_dict_walk(weights, s, proven, n_max):
+    tree = TreeModel(2, weights)
+    p = tree_joint_profile(tree, s, n_max)
+    _assert_same(p, _oracle_tree_joint_profile(tree, s, n_max), tree)
+    assert p.states == _oracle_state_count(tree, s, n_max)
+
+
+class _Ran(Exception):
+    pass
+
+
+def _boom(*args):
+    raise _Ran
+
+
+def test_a_cyclically_reduced_heaviest_factor_skips_the_walk(monkeypatch):
+    # with the level walk and the tree's class lengths made to raise, the
+    # proven side still gives the dict walk's profile; the other side
+    # reaches the walk
+    monkeypatch.setattr(jsl, "_level_maxima", _boom)
+    for weights, s, proven in _SIDES:
+        tree = TreeModel(2, weights)
+        if proven:
+            monkeypatch.setattr(tree, "class_length", _boom)
+            p = tree_joint_profile(tree, s)
+            _assert_same(p, _oracle_tree_joint_profile(tree, s), tree)
+            assert p.states == _oracle_state_count(tree, s, 12)
+        else:
+            with pytest.raises(_Ran):
+                tree_joint_profile(tree, s)

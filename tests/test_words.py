@@ -246,15 +246,18 @@ def test_ball_cap_is_the_ball_size(rank, radius, cap):
 
 def test_ball_counts_a_level_before_building_it():
     # level 2 of rank 300 holds 600 * 599 = 359,400 words, far past the
-    # cap: it must raise before a tuple of it is built
-    tracemalloc.start()
-    try:
-        with pytest.raises(ResourceCapError):
-            enumerate_ball(300, 2, cap=1000)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 ** 20
+    # cap: it must raise before a tuple of it is built.  The rank-2 ball
+    # of radius 59 passes 4,000,000 words only at level 14, so the
+    # levels below it must not be built either
+    for rank, radius, cap in [(300, 2, 1000), (2, 59, 4_000_000)]:
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceCapError):
+                enumerate_ball(rank, radius, cap=cap)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20, (rank, radius)
 
 
 # ----------------------------------------------------------- generating sets
