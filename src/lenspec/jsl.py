@@ -13,8 +13,9 @@ lengths of specific products certify lower bounds:
 
 On trees the two collapse to the same number, half the largest two-letter
 stable length.  When a heaviest factor of S is cyclically reduced, S alone
-fixes every level maximum and the pair maximum; otherwise the tree
-automaton's levels and the S^2 scan witness them.
+fixes every level maximum and the pair maximum; otherwise one walk over the
+levels of a bounded-suffix automaton, its states kept as dicts of Python
+ints, and the S^2 scan witness them.
 
 The matrix joint spectral radius gets the same treatment in log scale, with
 sigma_1 certifying from above and spectral radii from below, plus the
@@ -60,8 +61,10 @@ class JointLengthProfile:
     lo_terms: dict
     pair_half: object
     engine: str
+    # tree-dp: some a[n] may exceed the true maximum; False where S fixes
+    # the levels
     eroded: bool = False
-    # interned automaton states of the tree-dp engine; None for the others
+    # automaton states the tree-dp walk reached; None where no walk ran
     states: Optional[int] = None
 
 
@@ -189,36 +192,36 @@ _EXACT, _TRUNC, _BLIND = 0, 1, 2
 _SUFFIX_CAP = 6
 
 
-def _compile_tree_automaton(scaled, s_list, cap: int, n_max: int):
-    """The (suffix, trunc) automaton of S, its states interned breadth first.
+def _tree_walk(scaled, s_list, n_max: int):
+    """(raw, eroded, states): the levels 1..n_max of the (suffix, trunc)
+    automaton of S walked as dicts of states.
 
-    ``scaled`` maps each letter to its weight scaled to an int.  Returns
-    (init, dst, delta, eroded, n_states).  ``init`` maps the state of each
-    one-factor product to its scaled length, in S order.  Every state
-    first reached within n_max - 1 factors (no deeper state is a source
-    below level n_max) gets |S| out-edges, one per factor in S order: edge
-    e leaves state e // |S| for ``dst[e]`` and changes the scaled length by
-    the int ``delta[e]``.  Breadth first, those states are exactly the ids
-    0 .. len(dst) // |S| - 1.
+    ``scaled`` maps each letter to its weight scaled to an int, and
+    ``raw[n]`` is the largest scaled length over the states n factors
+    reach.  A state's out-edges, the largest length change to each state
+    one factor of S leads to, are worked out the first time the walk steps
+    out of it and kept for the rest of the call.  ``states`` counts the
+    distinct states of the levels.
 
     Appending a factor cancels its longest prefix against the suffix, which
     is exact because cancellation never looks deeper than the factor, and
     keeps the last ``cap`` letters.  When the cancellation eats a truncated
     suffix whole, the product goes to a blind state that stops cancelling
-    and adds the heaviest factor on every edge; ``eroded`` says whether
-    such an edge exists.  A delta takes the cancelled weights off and puts
-    the kept ones on.
+    and adds the heaviest factor's weight w_max at every step; ``eroded``
+    says whether a level below n_max stepped into it.  A length change
+    takes the cancelled weights off and puts the kept ones on.
 
-    A state is one int, ``code * 3 + trunc``.  ``code`` reads the suffix
-    as a number in base B = 2r + 1, r the largest letter index in S: each
-    letter is a digit, its code in ``words._letters_in_order`` plus 1, and
-    the last letter is the lowest digit, so digit 0 means no letter and
-    the empty suffix is code 0.  The blind state is the int ``_BLIND``.
-    ``lens``, parallel to ``keys``, holds each state's suffix length.
-    Appending a factor strips the low digits that match its inverse
-    letters, shifts what is left up by the kept letters and adds their
-    code; a suffix past ``cap`` letters keeps its low ``cap`` digits.
+    A state is one int, ``(code * (cap + 1) + size) * 3 + trunc``.
+    ``code`` reads the suffix as a number in base B = 2r + 1, r the largest
+    letter index in S: each letter is a digit, its code in
+    ``words._letters_in_order`` plus 1, and the last letter is the lowest
+    digit, so digit 0 means no letter and the empty suffix is code 0.
+    ``size`` is the suffix length and the blind state is the int
+    ``_BLIND``.  Appending a factor strips the low digits that match its
+    inverse letters, shifts what is left up by the kept letters and adds
+    their code; a suffix past ``cap`` letters keeps its low ``cap`` digits.
     """
+    cap = max(_SUFFIX_CAP, 2 * max(len(s) for s in s_list))
     base = 2 * max((abs(x) for s in s_list for x in s), default=0) + 1
     digit = {x: c + 1 for c, x in enumerate(_letters_in_order(base // 2))}
     factors = []
@@ -238,99 +241,56 @@ def _compile_tree_automaton(scaled, s_list, cap: int, n_max: int):
             [base ** (cap - k + t) for t in range(k + 1)],
             [sum(ws[t:]) - sum(ws[:t]) for t in range(k + 1)],
         ))
-    m = len(factors)
-    blind = [max(sum(scaled[x] for x in s) for s in s_list)] * m
-
-    ids: dict = {}
-    init: dict = {}
-    lens = []
-    for k, _, tail, _, _, deltas in factors:
-        key = tail[0] * 3 + _EXACT  # k <= cap / 2: no truncation
-        if key not in ids:
-            init[len(ids)] = deltas[0]
-            ids[key] = len(ids)
-            lens.append(k)
-    keys = list(ids)
-    dst, delta = [], []
+    w_max = max(deltas[0] for *_, deltas in factors)
     eroded = False
-    lo = 0
-    for _ in range(n_max - 1):
-        hi = len(keys)
-        for i in range(lo, hi):
-            code, trunc = divmod(keys[i], 3)
-            if trunc == _BLIND:
-                dst += [ids[_BLIND]] * m
-                delta += blind
-                continue
-            n = lens[i]
-            for k, inv, tail, shift, keep, deltas in factors:
-                # t: letters of the factor cancelled against the end of
-                # the suffix; once the suffix is used up its low digit
-                # reads 0, which no inverse letter matches
-                t = 0
-                rest = code
-                while rest % base == inv[t]:
-                    rest //= base
-                    t += 1
-                size = n - 2 * t + k
-                if t == n and t < k and trunc == _TRUNC:
-                    eroded = True
-                    key, size = _BLIND, 0
-                elif size > cap:
-                    key = ((rest % keep[t]) * shift[t] + tail[t]) * 3 + _TRUNC
-                    size = cap
-                else:
-                    key = (rest * shift[t] + tail[t]) * 3 + trunc
-                j = ids.get(key)
-                if j is None:
-                    j = ids[key] = len(keys)
-                    keys.append(key)
-                    lens.append(size)
-                dst.append(j)
-                delta.append(deltas[t])
-        lo = hi
-    return init, dst, delta, eroded, len(keys)
 
+    def out_edges(key):
+        nonlocal eroded
+        code, trunc = divmod(key, 3)
+        if trunc == _BLIND:
+            return [(_BLIND, w_max)]
+        code, n = divmod(code, cap + 1)
+        best = {}
+        for k, inv, tail, shift, keep, deltas in factors:
+            # t: letters of the factor cancelled against the end of the
+            # suffix; once the suffix is used up its low digit reads 0,
+            # which no inverse letter matches
+            t = 0
+            rest = code
+            while rest % base == inv[t]:
+                rest //= base
+                t += 1
+            size = n - 2 * t + k
+            if t == n and t < k and trunc == _TRUNC:
+                eroded = True
+                dst = _BLIND
+            elif size > cap:
+                dst = (((rest % keep[t]) * shift[t] + tail[t]) * (cap + 1)
+                       + cap) * 3 + _TRUNC
+            else:
+                dst = ((rest * shift[t] + tail[t]) * (cap + 1) + size) * 3 + trunc
+            if dst not in best or best[dst] < deltas[t]:
+                best[dst] = deltas[t]
+        return list(best.items())
 
-def _dp_dtype(scaled, n_max: int, cap: int):
-    """int64 while the level sums of the scaled weights stay below 2**62,
-    else object (Python ints)."""
-    return np.int64 if n_max * cap * max(scaled, default=0) < 2 ** 62 else object
-
-
-def _level_maxima(init, dst, delta, n_states, n_factors, dtype, n_max):
-    """a[n] for n = 1..n_max: the largest scaled length over the states n
-    factors reach.
-
-    Each level is one max-plus product over the edge arrays: every edge
-    offers val[src] + delta to its dst and np.maximum.reduceat keeps the
-    largest offer per dst, the edges grouped by dst once.  Lengths are
-    >= 0; unreached states sit at -2**62 in int64, and at -inf in the
-    object dtype, whose sums may pass any fixed floor.
-    """
-    a = {1: max(init.values())}
-    if n_max < 2:
-        return a
-    dst = np.array(dst, np.intp)
-    src = np.arange(len(dst)) // n_factors
-    order = np.argsort(dst, kind="stable")
-    dst_o = dst[order]
-    starts = np.flatnonzero(np.concatenate(([True], dst_o[1:] != dst_o[:-1])))
-    heads = dst_o[starts]
-    src_o, delta_o = src[order], np.array(delta, dtype)[order]
-    unreached = -2 ** 62 if dtype is np.int64 else -math.inf
-    val = np.full(n_states, unreached, dtype)
-    val[list(init)] = list(init.values())
-    # levels 2.. write only the states with in-edges, so one buffer serves
-    # them all and every other state stays unreached
-    nxt = np.full(n_states, unreached, dtype)
+    # k <= cap / 2: no one-factor product is truncated
+    level = {(tail[0] * (cap + 1) + k) * 3 + _EXACT: deltas[0]
+             for k, _, tail, _, _, deltas in factors}
+    raw = {1: max(level.values())}
+    edges = {}
     for n in range(2, n_max + 1):
-        top = np.maximum.reduceat(val[src_o] + delta_o, starts)
-        nxt[heads] = top
-        val = nxt
-        # every state reached at level n has an in-edge from level n - 1
-        a[n] = int(top.max())
-    return a
+        for key in level.keys() - edges.keys():
+            edges[key] = out_edges(key)
+        nxt = {}
+        for key, val in level.items():
+            for dst, delta in edges[key]:
+                v = val + delta
+                if nxt.get(dst, -1) < v:  # lengths are >= 0
+                    nxt[dst] = v
+        level = nxt
+        raw[n] = max(level.values())
+    # every state of levels 1..n_max - 1 was stepped out of
+    return raw, eroded, len(edges.keys() | level.keys())
 
 
 def tree_joint_profile(model: TreeModel, s, n_max: int = 12) -> JointLengthProfile:
@@ -340,14 +300,10 @@ def tree_joint_profile(model: TreeModel, s, n_max: int = 12) -> JointLengthProfi
     length, so transitions on the last few letters are exact; when repeated
     cancellation erodes past the retained suffix the sequence switches to a
     blind state that stops cancelling altogether.  Level maxima are then
-    certified upper bounds for the true maxima (exact when nothing eroded,
-    as reported by ``eroded``), so the hi side of the bracket stays sound.
-    The lo side is the exact half-max stable length over S^2.
-
-    The automaton is compiled once per call (``states`` counts its
-    interned states) and the levels run over its edges as max-plus
-    products of the tree's scaled int weights, each level maximum divided
-    back to the tree's number type at the end.
+    certified upper bounds for the true maxima: ``eroded`` says some a[n]
+    may exceed the true maximum, and is False where S fixes the levels.
+    The hi side of the bracket stays sound; the lo side is the exact
+    half-max stable length over S^2.
 
     With w_max the largest scaled weight of a factor of S, if some factor
     of weight w_max is cyclically reduced (the empty word counts), then
@@ -357,29 +313,28 @@ def tree_joint_profile(model: TreeModel, s, n_max: int = 12) -> JointLengthProfi
     level passes n * w_max, while the powers of that factor never cancel
     and so reach it; likewise no product of two factors is longer than
     2 * w_max, and that factor's square is a cyclically reduced word of
-    length 2 * w_max.  The automaton is still compiled for ``states`` and
-    ``eroded``.
+    length 2 * w_max.
+
+    Otherwise the levels are walked as dicts of automaton states, in the
+    tree's scaled int weights, each level maximum divided back to the
+    tree's number type at the end; ``states`` counts the states the walk
+    reached, and is None where no walk ran.
     """
     words = _as_words(s, model.rank)
-    s_list = [w.letters for w in words]
-    if any(not w for w in s_list):
-        s_list = [w for w in s_list if w] or [()]
-    cap = max(_SUFFIX_CAP, 2 * max((len(w) for w in s_list), default=1))
-    init, dst, delta, eroded, n_states = _compile_tree_automaton(
-        model._scaled, s_list, cap, n_max)
+    if n_max < 1:
+        raise InputError("n_max must be >= 1")
+    s_list = [w.letters for w in words if w.letters] or [()]
     weights = [sum(map(model._scaled.__getitem__, w)) for w in s_list]
     w_max = max(weights)
     if any(w == w_max and (not f or f[0] != -f[-1])
            for w, f in zip(weights, s_list)):
         # a heaviest factor is cyclically reduced: its powers reach the
-        # bound n * w_max that no edge can beat.  Level 1 is always there,
-        # as in _level_maxima
-        raw = {n: n * w_max for n in range(1, max(n_max, 1) + 1)}
+        # bound n * w_max that no edge can beat, and nothing erodes
+        raw = {n: n * w_max for n in range(1, n_max + 1)}
         pair = model._exact(2 * w_max)
+        eroded, states = False, None
     else:
-        used = [model._scaled[x] for x in {abs(x) for w in s_list for x in w}]
-        raw = _level_maxima(init, dst, delta, n_states, len(s_list),
-                            _dp_dtype(used, n_max, cap), n_max)
+        raw, eroded, states = _tree_walk(model._scaled, s_list, n_max)
         pair = max(model.class_length(_cyclic_core(_concat_reduced(u, v)))
                    for u in s_list for v in s_list)
     # the n of least raw[n] / n, compared as cross products of ints
@@ -399,7 +354,7 @@ def tree_joint_profile(model: TreeModel, s, n_max: int = 12) -> JointLengthProfi
         pair_half=pair_half,
         engine="tree-dp",
         eroded=eroded,
-        states=n_states,
+        states=states,
     )
 
 
@@ -418,12 +373,15 @@ def joint_stable_profile(
 
     engine: 'products' enumerates S^n (deduplicated reduced words for word
     models, vectorized batches for matrix models); 'tree-dp' is the bounded
-    suffix automaton (TreeModel only); 'auto' picks by model kind.  A level
-    of more than ``frontier_cap`` products raises ResourceCapError.
+    suffix automaton (TreeModel only); 'auto' picks by model kind; any other
+    name raises InputError.  A level of more than ``frontier_cap`` products
+    raises ResourceCapError.
     """
     words = _as_words(s, model.rank)
     if n_max < 2:
         raise InputError("n_max must be >= 2")
+    if engine not in ("auto", "products", "tree-dp"):
+        raise InputError(f"unknown joint-length engine {engine!r}")
     if engine == "tree-dp" or (
         engine == "auto" and isinstance(model, TreeModel)
         and len(words) ** n_max > frontier_cap

@@ -129,6 +129,11 @@ def test_n_max_validation():
     with pytest.raises(InputError):
         joint_stable_profile(WordMetricModel(GeneratingSet.standard(2)),
                              ["a"], n_max=4, engine="tree-dp")
+    with pytest.raises(InputError, match="unknown joint-length engine 'treedp'"):
+        joint_stable_profile(TreeModel(2), ["a"], n_max=4, engine="treedp")
+    for n_max in (0, -3):
+        with pytest.raises(InputError, match="n_max must be >= 1"):
+            tree_joint_profile(TreeModel(2), ["abA"], n_max)
 
 
 def test_subset_validation():
@@ -411,11 +416,12 @@ def test_engines_leave_module_state_unchanged():
 
 
 def test_tree_profile_does_not_depend_on_earlier_calls():
-    # S = {abA, aBA} keeps a 6-letter suffix and erodes; with a 4-letter
-    # word in S the suffix is 8 letters, and the transitions learned there
-    # must not carry over into the later call.
+    # S = {abA, aBA} keeps a 6-letter suffix and erodes; with the 4-letter
+    # abbA, heaviest and not cyclically reduced, in S the walked suffix is
+    # 8 letters, and the transitions learned there must not carry over into
+    # the later call.
     m = TreeModel(2, [2, 3])
-    tree_joint_profile(m, ["aaaa", "abA", "aBA"], n_max=12)
+    assert tree_joint_profile(m, ["abbA", "abA", "aBA"], n_max=12).states
     p = tree_joint_profile(m, ["abA", "aBA"], n_max=12)
     assert p.eroded
     assert p.bracket == LengthBracket(3, Fraction(10, 3))
