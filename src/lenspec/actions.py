@@ -159,15 +159,18 @@ def power_schedule(k_max: int) -> list[int]:
 def stable_length_bracket(
     model: ActionModel, g: Word, k_max: int = 8, c_delta=4
 ) -> LengthBracket:
-    """Certified bracket around the stable length of g from power displacements.
+    """Bracket around the stable length of g from power displacements.
 
     With a_k = d(x, g^k x):
       hi = min over computed k of a_k / k          (subadditivity),
       lo = max over pairs (k, 2k) of (a_2k - a_k)/k - c_delta*delta/k,
-    clamped at 0.  In a delta-hyperbolic space the drift of consecutive
-    powers underestimates the stable length by at most a fixed multiple of
-    delta, which c_delta (default 4) is meant to dominate; trees (delta=0)
-    give lo exactly.
+    clamped at 0.  The lo side would need l(h) >= d(x, h^2 x) - d(x, hx)
+    - c_delta * delta for every isometry h, with delta the model's
+    ``model.delta``.  The package cites no such inequality for the delta
+    its models declare, and c_delta (default 4) is a declared constant, so
+    for delta > 0 this lo is not certified.  On a tree (delta = 0) it is:
+    d(x, h^2 x) - d(x, hx) is l(h) for hyperbolic h and at most 0 for
+    elliptic h, so lo is the stable length.
     """
     if not g.letters:
         return LengthBracket.exactly(0 if _is_exact(model.delta) else 0.0)

@@ -11,11 +11,9 @@ lengths of specific products certify lower bounds:
     lo = max( half the largest stable length over S^2,
               max over n, s in S^n of l_lo[s] / n ).
 
-On trees the two collapse to the same number, half the largest two-letter
-stable length.  When a heaviest factor of S is cyclically reduced, S alone
-fixes every level maximum and the pair maximum; otherwise one walk over the
-levels of a bounded-suffix automaton, its states kept as dicts of Python
-ints, and the S^2 scan witness them.
+On trees the joint stable length is exactly half the largest two-letter
+stable length, a Helly argument proved in ``tree_joint_profile``, so the
+S^2 scan alone gives the bracket and no level is computed.
 
 The matrix joint spectral radius gets the same treatment in log scale, with
 sigma_1 certifying from above and spectral radii from below, plus the
@@ -27,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -35,8 +32,7 @@ from .actions import LengthBracket, exact_div
 from .errors import InputError, NumericError, ResourceCapError
 from .spaces import (MatrixActionModel, MobiusModel, TreeModel, WordMetricModel,
                      class_bracket_reader)
-from .words import (ConjClass, Word, _as_words, _concat_reduced, _cyclic_core,
-                    _letters_in_order)
+from .words import ConjClass, Word, _as_words, _concat_reduced, _cyclic_core
 
 __all__ = [
     "JointLengthProfile",
@@ -57,15 +53,13 @@ class JointLengthProfile:
     """Joint stable length bracket plus the per-level evidence."""
 
     bracket: LengthBracket
+    # a[n]: the largest displacement over S^n; empty for tree-dp, which
+    # computes no level
     a: dict
+    # lower-bound terms by level; tree-dp has only the pair term at 2
     lo_terms: dict
     pair_half: object
     engine: str
-    # tree-dp: some a[n] may exceed the true maximum; False where S fixes
-    # the levels
-    eroded: bool = False
-    # automaton states the tree-dp walk reached; None where no walk ran
-    states: Optional[int] = None
 
 
 def _word_lower_oracle(model):
@@ -183,178 +177,41 @@ def _matrix_joint_profile(model, words, n_max, frontier_cap):
     return a, lo_terms
 
 
-# ----------------------------------------------------- tree fast path (DP)
-
-_EXACT, _TRUNC, _BLIND = 0, 1, 2
-
-# Retained suffix length of the tree automaton, raised to twice the
-# longest factor of S.
-_SUFFIX_CAP = 6
+# ------------------------------------------------------- tree: the S^2 scan
 
 
-def _tree_walk(scaled, s_list, n_max: int):
-    """(raw, eroded, states): the levels 1..n_max of the (suffix, trunc)
-    automaton of S walked as dicts of states.
+def tree_joint_profile(model: TreeModel, s) -> JointLengthProfile:
+    """Joint stable length on a tree: exactly half the largest stable length
+    over S^2.
 
-    ``scaled`` maps each letter to its weight scaled to an int, and
-    ``raw[n]`` is the largest scaled length over the states n factors
-    reach.  A state's out-edges, the largest length change to each state
-    one factor of S leads to, are worked out the first time the walk steps
-    out of it and kept for the rest of the call.  ``states`` counts the
-    distinct states of the levels.
+    With lambda = max over s, t in S of l(st) / 2, the bracket is
+    [lambda, lambda], a Fraction at both ends.
 
-    Appending a factor cancels its longest prefix against the suffix, which
-    is exact because cancellation never looks deeper than the factor, and
-    keeps the last ``cap`` letters.  When the cancellation eats a truncated
-    suffix whole, the product goes to a blind state that stops cancelling
-    and adds the heaviest factor's weight w_max at every step; ``eroded``
-    says whether a level below n_max stepped into it.  A length change
-    takes the cancelled weights off and puts the kept ones on.
+    Lower bound: (st)^k lies in S^(2k), so D(S) >= l(st) / 2.
 
-    A state is one int, ``(code * (cap + 1) + size) * 3 + trunc``.
-    ``code`` reads the suffix as a number in base B = 2r + 1, r the largest
-    letter index in S: each letter is a digit, its code in
-    ``words._letters_in_order`` plus 1, and the last letter is the lowest
-    digit, so digit 0 means no letter and the empty suffix is code 0.
-    ``size`` is the suffix length and the blind state is the int
-    ``_BLIND``.  Appending a factor strips the low digits that match its
-    inverse letters, shifts what is left up by the kept letters and adds
-    their code; a suffix past ``cap`` letters keeps its low ``cap`` digits.
+    Upper bound: Min_s(r) = {x : d(x, sx) <= r} is a subtree, nonempty for
+    r >= l(s), and lambda >= l(ss) / 2 = l(s).  By the displacement formulas
+    of a tree (Culler-Morgan, Proc. London Math. Soc. 55, 1987, section 1),
+    d(x, sx) = l(s) + 2 d(x, Axis s) for hyperbolic s and 2 d(x, Fix s) for
+    elliptic s, and l(st) = l(s) + l(t) + 2 Delta when the axes or fixed
+    sets of s and t lie Delta > 0 apart.  So Min_s(lambda) and Min_t(lambda) meet, or else
+    l(st) > 2 lambda.  Subtrees have the Helly property, so some x has
+    d(x, sx) <= lambda for every s in S, and then d(x, s_1...s_n x) <= n
+    lambda.  Compare Breuillard-Fujiwara (Ann. Inst. Fourier 71, 2021).
+
+    No level is computed: ``a`` is empty and ``lo_terms`` holds the pair
+    term alone.
     """
-    cap = max(_SUFFIX_CAP, 2 * max(len(s) for s in s_list))
-    base = 2 * max((abs(x) for s in s_list for x in s), default=0) + 1
-    digit = {x: c + 1 for c, x in enumerate(_letters_in_order(base // 2))}
-    factors = []
-    for s in s_list:
-        k = len(s)
-        ws = [scaled[x] for x in s]
-        tail = [0] * (k + 1)   # tail[t]: the code of s[t:]
-        for t in range(k - 1, -1, -1):
-            tail[t] = digit[s[t]] * base ** (k - 1 - t) + tail[t + 1]
-        factors.append((
-            k,
-            # the digit of each inverse letter, then -1, which no digit
-            # matches: a suffix cancels against at most the whole factor
-            [digit[-x] for x in s] + [-1],
-            tail,
-            [base ** (k - t) for t in range(k + 1)],
-            [base ** (cap - k + t) for t in range(k + 1)],
-            [sum(ws[t:]) - sum(ws[:t]) for t in range(k + 1)],
-        ))
-    w_max = max(deltas[0] for *_, deltas in factors)
-    eroded = False
-
-    def out_edges(key):
-        nonlocal eroded
-        code, trunc = divmod(key, 3)
-        if trunc == _BLIND:
-            return [(_BLIND, w_max)]
-        code, n = divmod(code, cap + 1)
-        best = {}
-        for k, inv, tail, shift, keep, deltas in factors:
-            # t: letters of the factor cancelled against the end of the
-            # suffix; once the suffix is used up its low digit reads 0,
-            # which no inverse letter matches
-            t = 0
-            rest = code
-            while rest % base == inv[t]:
-                rest //= base
-                t += 1
-            size = n - 2 * t + k
-            if t == n and t < k and trunc == _TRUNC:
-                eroded = True
-                dst = _BLIND
-            elif size > cap:
-                dst = (((rest % keep[t]) * shift[t] + tail[t]) * (cap + 1)
-                       + cap) * 3 + _TRUNC
-            else:
-                dst = ((rest * shift[t] + tail[t]) * (cap + 1) + size) * 3 + trunc
-            if dst not in best or best[dst] < deltas[t]:
-                best[dst] = deltas[t]
-        return list(best.items())
-
-    # k <= cap / 2: no one-factor product is truncated
-    level = {(tail[0] * (cap + 1) + k) * 3 + _EXACT: deltas[0]
-             for k, _, tail, _, _, deltas in factors}
-    raw = {1: max(level.values())}
-    edges = {}
-    for n in range(2, n_max + 1):
-        for key in level.keys() - edges.keys():
-            edges[key] = out_edges(key)
-        nxt = {}
-        for key, val in level.items():
-            for dst, delta in edges[key]:
-                v = val + delta
-                if nxt.get(dst, -1) < v:  # lengths are >= 0
-                    nxt[dst] = v
-        level = nxt
-        raw[n] = max(level.values())
-    # every state of levels 1..n_max - 1 was stepped out of
-    return raw, eroded, len(edges.keys() | level.keys())
-
-
-def tree_joint_profile(model: TreeModel, s, n_max: int = 12) -> JointLengthProfile:
-    """Joint stable length on a tree via a bounded-suffix automaton.
-
-    Cancellation against a single factor never looks deeper than the factor
-    length, so transitions on the last few letters are exact; when repeated
-    cancellation erodes past the retained suffix the sequence switches to a
-    blind state that stops cancelling altogether.  Level maxima are then
-    certified upper bounds for the true maxima: ``eroded`` says some a[n]
-    may exceed the true maximum, and is False where S fixes the levels.
-    The hi side of the bracket stays sound; the lo side is the exact
-    half-max stable length over S^2.
-
-    With w_max the largest scaled weight of a factor of S, if some factor
-    of weight w_max is cyclically reduced (the empty word counts), then
-    a[n] = n * w_max for every n and the pair maximum is 2 * w_max, and
-    neither the levels nor the S^2 scan run.  Proof: every automaton edge
-    adds at most its factor's weight and a blind edge adds w_max, so no
-    level passes n * w_max, while the powers of that factor never cancel
-    and so reach it; likewise no product of two factors is longer than
-    2 * w_max, and that factor's square is a cyclically reduced word of
-    length 2 * w_max.
-
-    Otherwise the levels are walked as dicts of automaton states, in the
-    tree's scaled int weights, each level maximum divided back to the
-    tree's number type at the end; ``states`` counts the states the walk
-    reached, and is None where no walk ran.
-    """
-    words = _as_words(s, model.rank)
-    if n_max < 1:
-        raise InputError("n_max must be >= 1")
-    s_list = [w.letters for w in words if w.letters] or [()]
-    weights = [sum(map(model._scaled.__getitem__, w)) for w in s_list]
-    w_max = max(weights)
-    if any(w == w_max and (not f or f[0] != -f[-1])
-           for w, f in zip(weights, s_list)):
-        # a heaviest factor is cyclically reduced: its powers reach the
-        # bound n * w_max that no edge can beat, and nothing erodes
-        raw = {n: n * w_max for n in range(1, n_max + 1)}
-        pair = model._exact(2 * w_max)
-        eroded, states = False, None
-    else:
-        raw, eroded, states = _tree_walk(model._scaled, s_list, n_max)
-        pair = max(model.class_length(_cyclic_core(_concat_reduced(u, v)))
-                   for u in s_list for v in s_list)
-    # the n of least raw[n] / n, compared as cross products of ints
-    best = 1
-    for n, v in raw.items():
-        if v * best < raw[best] * n:
-            best = n
-    a = {n: model._exact(v) for n, v in raw.items()}
-    pair_half = exact_div(pair, 2)
-    hi = exact_div(a[best], best)
-    lo = min(pair_half, hi)
-    bracket = LengthBracket(lo, hi, exact=bool(lo == hi))
+    s_list = [w.letters for w in _as_words(s, model.rank)]
+    pair = max(model.class_length(_cyclic_core(_concat_reduced(u, v)))
+               for u in s_list for v in s_list)
+    lam = exact_div(pair, 2)
     return JointLengthProfile(
-        bracket=bracket,
-        a=a,
-        lo_terms={2: pair_half},
-        pair_half=pair_half,
+        bracket=LengthBracket(lam, lam, exact=True),
+        a={},
+        lo_terms={2: lam},
+        pair_half=lam,
         engine="tree-dp",
-        eroded=eroded,
-        states=states,
     )
 
 
@@ -372,10 +229,10 @@ def joint_stable_profile(
     """Joint stable length of S under the model, with per-level evidence.
 
     engine: 'products' enumerates S^n (deduplicated reduced words for word
-    models, vectorized batches for matrix models); 'tree-dp' is the bounded
-    suffix automaton (TreeModel only); 'auto' picks by model kind; any other
-    name raises InputError.  A level of more than ``frontier_cap`` products
-    raises ResourceCapError.
+    models, vectorized batches for matrix models); 'tree-dp' is the exact
+    S^2 scan of ``tree_joint_profile`` (TreeModel only), which needs no
+    n_max; 'auto' picks by model kind; any other name raises InputError.
+    A level of more than ``frontier_cap`` products raises ResourceCapError.
     """
     words = _as_words(s, model.rank)
     if n_max < 2:
@@ -388,7 +245,7 @@ def joint_stable_profile(
     ):
         if not isinstance(model, TreeModel):
             raise InputError("tree-dp engine needs a TreeModel")
-        return tree_joint_profile(model, words, n_max)
+        return tree_joint_profile(model, words)
     matrix = isinstance(model, MatrixActionModel)
     if matrix:
         a, lo_terms = _matrix_joint_profile(model, words, n_max, frontier_cap)

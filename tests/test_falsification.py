@@ -1,0 +1,99 @@
+"""Falsification properties: certified claims against brute force on small
+random instances.
+
+Joint brackets.  Let D(S) be the joint stable length of a finite set S and
+a_m the largest displacement d(x, w x) over the products w of m factors.
+Every product w of n factors has l[w] <= n D(S), since w^k is a product of
+nk factors, and D(S) <= a_m / m for every m, by subadditivity.  So a joint
+bracket [lo, hi] must satisfy l[w] / n <= hi for every product of n <= 5
+factors, and lo <= a_m / m for every m <= 5.  Trees are tested on both
+engines, word metrics on ``products``.
+
+A non-standard word metric only brackets l[w], so the lo of that bracket
+stands in for l[w].  Its displacement is a cheapest-first search whose
+ball grows exponentially with the cost, so there the certified spelling
+cost ``cost_upper`` stands in for it in a_m, which only weakens the check,
+the engine runs two levels, and the letters cost 1.
+"""
+
+from fractions import Fraction
+
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from lenspec.actions import exact_div
+from lenspec.jsl import joint_stable_profile
+from lenspec.spaces import TreeModel, WordMetricModel, class_bracket_reader
+from lenspec.words import ConjClass, GeneratingSet, Word, _concat_reduced
+
+_LEVELS = 5
+_WEIGHT = st.sampled_from([1, 2, 3, Fraction(1, 3), Fraction(5, 2)])
+
+
+def _reduced_word(draw, rank, max_len):
+    letters = [x for i in range(1, rank + 1) for x in (i, -i)]
+    w = []
+    for _ in range(draw(st.integers(0, max_len))):
+        w.append(draw(st.sampled_from([x for x in letters if not w or x != -w[-1]])))
+    return Word(w)
+
+
+@st.composite
+def _joint_cases(draw):
+    kind = draw(st.sampled_from(["tree", "tree", "word-metric",
+                                 "word-metric-nonstandard"]))
+    rank = draw(st.sampled_from([2, 3])) if kind == "tree" else 2
+    weights = draw(st.lists(_WEIGHT, min_size=rank, max_size=rank))
+    engine, n_max = "products", 6
+    if kind == "tree":
+        model = TreeModel(rank, weights)
+        engine = draw(st.sampled_from(["tree-dp", "products"]))
+    elif kind == "word-metric":
+        model = WordMetricModel(GeneratingSet.standard(rank, weights))
+    else:
+        # unit letters and unconjugated factors: |g| costs at most 6 over
+        # two levels, which keeps its search small
+        extra = _reduced_word(draw, rank, 2)
+        model = WordMetricModel(GeneratingSet(
+            rank, ["a", "A", "b", "B", extra or Word("ab")],
+            [1, 1, 1, 1, draw(st.sampled_from([1, 2, 3]))]))
+        n_max = 2
+    s = [_reduced_word(draw, rank, 3) for _ in range(draw(st.integers(1, 3)))]
+    for i in range(len(s) if n_max > 2 else 0):
+        # conjugate factors by letters, so that a product of two factors
+        # can be longer than twice either alone
+        if draw(st.booleans()):
+            x = draw(st.sampled_from([1, -1, 2, -2]))
+            s[i] = Word((x, *s[i].letters, -x))
+    return model, s, engine, n_max
+
+
+def _levels(s, n_max):
+    """Yield (n, the reduced products of n factors of S) for n = 1..n_max."""
+    factors = [w.letters for w in s]
+    level = set(factors)
+    for n in range(1, n_max + 1):
+        if n > 1:
+            level = {_concat_reduced(w, f) for w in level for f in factors}
+        yield n, level
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_joint_cases())
+# S = {abA, Aba}: l[abAAba] / 2 = 3 is past the length 1 of either factor
+@example((TreeModel(2), [Word("abA"), Word("Aba")], "tree-dp", 6))
+# S = {abA}: abAabA has length 4 and cyclic length 2, while a_5 / 5 = 7/5
+@example((TreeModel(2), [Word("abA")], "tree-dp", 6))
+def test_joint_brackets_hold_every_product_and_level(case):
+    model, s, engine, n_max = case
+    bracket = joint_stable_profile(model, s, n_max, engine=engine).bracket
+    read = class_bracket_reader(model, 2)
+    searched = isinstance(model, WordMetricModel) and not model._standard
+    displacement = model.cost_upper if searched else model.displacement
+    for n, level in _levels(s, _LEVELS):
+        for w in level:
+            lo_w = read(ConjClass.of(Word._unchecked(w)).rep.letters)[0]
+            assert exact_div(lo_w, n) <= bracket.hi, (w, n, bracket)
+        a_n = max(displacement(Word._unchecked(w)) for w in level)
+        assert bracket.lo <= exact_div(a_n, n), (n, a_n, bracket)

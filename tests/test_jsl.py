@@ -1,8 +1,9 @@
 """Joint stable lengths, the pair sandwich, and spectral radii.
 
 Frozen oracles: for S = {abA, aBA} on the unit tree the level maxima are
-a_n = n + 2 (alternating seams cancel one letter per factor), giving the
-bracket [1, 5/4] at n_max = 8; the pair maximum is l[abA abA] = 2.
+a_n = n + 2 (alternating seams cancel one letter per factor), so products
+give the bracket [1, 5/4] at n_max = 8; the pair maximum is l[abA abA] = 2,
+and tree-dp gives the exact joint length [1, 1].
 """
 
 import importlib
@@ -47,28 +48,24 @@ def random_subset(rng, size, max_len=4):
 
 
 def test_standard_pair_is_exact():
-    p = tree_joint_profile(TreeModel(2), ["a", "b"], n_max=8)
+    p = tree_joint_profile(TreeModel(2), ["a", "b"])
     assert p.bracket.exact
     assert p.bracket.lo == 1
-    assert p.a == {n: n for n in range(1, 9)}
-    assert not p.eroded
 
 
 def test_cancelling_subset_oracle():
-    p = tree_joint_profile(TreeModel(2), ["abA", "aBA"], n_max=8)
-    assert p.a == {n: n + 2 for n in range(1, 9)}
+    p = tree_joint_profile(TreeModel(2), ["abA", "aBA"])
     assert p.pair_half == 1
     assert p.bracket.lo == 1
-    assert p.bracket.hi == Fraction(5, 4)
-    assert not p.bracket.exact
+    assert p.bracket.hi == 1
+    assert p.bracket.exact
 
 
 def test_weighted_tree_profile_stays_exact():
     m = TreeModel(2, [Fraction(1, 2), 3])
-    p = tree_joint_profile(m, ["a", "b"], n_max=6)
-    assert p.a[6] == 18  # all-b products dominate
-    assert p.bracket.lo == Fraction(3, 1)
-    assert isinstance(p.a[1], (int, Fraction))
+    p = tree_joint_profile(m, ["a", "b"])
+    # all-b products dominate
+    assert p.bracket == LengthBracket(Fraction(3), Fraction(3), exact=True)
 
 
 def test_tree_dp_matches_product_enumeration():
@@ -76,12 +73,10 @@ def test_tree_dp_matches_product_enumeration():
     for trial in range(12):
         s = random_subset(rng, rng.randint(2, 3))
         m = TreeModel(2, [1, rng.choice([1, 2, Fraction(3, 2)])])
-        dp = tree_joint_profile(m, s, n_max=6)
+        dp = tree_joint_profile(m, s)
         exact = joint_stable_profile(m, s, n_max=6, engine="products")
-        for n in exact.a:
-            assert dp.a[n] >= exact.a[n]
-            if not dp.eroded:
-                assert dp.a[n] == exact.a[n]
+        for n, v in exact.a.items():
+            assert exact_div(v, n) >= dp.bracket.hi
         assert dp.pair_half == exact.pair_half
 
 
@@ -96,8 +91,8 @@ def test_auto_engine_switches_to_dp_beyond_cap():
 
 
 def test_identity_element_is_tolerated():
-    p = tree_joint_profile(TreeModel(2), ["", "a"], n_max=4)
-    assert p.a[4] == 4
+    p = tree_joint_profile(TreeModel(2), ["", "a"])
+    assert p.bracket == LengthBracket(1, 1, exact=True)
 
 
 # ------------------------------------------------------------ word engine
@@ -131,9 +126,6 @@ def test_n_max_validation():
                              ["a"], n_max=4, engine="tree-dp")
     with pytest.raises(InputError, match="unknown joint-length engine 'treedp'"):
         joint_stable_profile(TreeModel(2), ["a"], n_max=4, engine="treedp")
-    for n_max in (0, -3):
-        with pytest.raises(InputError, match="n_max must be >= 1"):
-            tree_joint_profile(TreeModel(2), ["abA"], n_max)
 
 
 def test_subset_validation():
@@ -163,8 +155,7 @@ def test_float_weight_joint_length_is_exact_on_both_engines():
         2 * Fraction(0.2), 2 * Fraction(0.2), exact=True)
     for p in (dp, products):
         assert type(p.bracket.lo) is type(p.bracket.hi) is Fraction
-        assert all(type(v) is Fraction for v in p.a.values())
-    assert dp.a == products.a
+    assert all(type(v) is Fraction for v in products.a.values())
 
 
 # ---------------------------------------------------------- matrix engine
@@ -405,8 +396,8 @@ def _module_container_sizes():
 def test_engines_leave_module_state_unchanged():
     before = _module_container_sizes()
     m = TreeModel(2, [5, 7])
-    tree_joint_profile(m, ["abA", "aBA"], n_max=8)
-    tree_joint_profile(m, ["ab", "bA", "aab"], n_max=8)
+    tree_joint_profile(m, ["abA", "aBA"])
+    tree_joint_profile(m, ["ab", "bA", "aab"])
     joint_stable_profile(m, ["a", "bA"], n_max=4, engine="products")
     # a whole run: class tables, their ratio columns and the subset word
     # metric live on the run and its tables, never in a module
@@ -416,13 +407,10 @@ def test_engines_leave_module_state_unchanged():
 
 
 def test_tree_profile_does_not_depend_on_earlier_calls():
-    # S = {abA, aBA} keeps a 6-letter suffix and erodes; with the 4-letter
-    # abbA, heaviest and not cyclically reduced, in S the walked suffix is
-    # 8 letters, and the transitions learned there must not carry over into
-    # the later call.
+    # the bracket of S = {abA, aBA} is the same before and after a call on
+    # a larger S that holds it
     m = TreeModel(2, [2, 3])
-    assert tree_joint_profile(m, ["abbA", "abA", "aBA"], n_max=12).states
-    p = tree_joint_profile(m, ["abA", "aBA"], n_max=12)
-    assert p.eroded
-    assert p.bracket == LengthBracket(3, Fraction(10, 3))
-    assert p.a == {n: 3 * n + 4 for n in range(1, 13)}
+    first = tree_joint_profile(m, ["abA", "aBA"])
+    assert tree_joint_profile(m, ["abbA", "abA", "aBA"]).bracket.exact
+    p = tree_joint_profile(m, ["abA", "aBA"])
+    assert p.bracket == first.bracket == LengthBracket(3, 3, exact=True)
