@@ -37,7 +37,7 @@ import numpy as np
 from .actions import LengthBracket, exact_div
 from .errors import InputError
 from .jsl import BochiConstants, joint_stable_profile
-from .spaces import (MatrixActionModel, MobiusModel, TreeModel, WordMetricModel,
+from .spaces import (MatrixActionModel, TreeModel, WordMetricModel,
                      class_bracket_reader)
 from .words import (
     ClassCodes,
@@ -46,6 +46,7 @@ from .words import (
     _as_words,
     _concat_reduced,
     _cyclic_core,
+    _finite_real,
     enumerate_ball,
 )
 
@@ -93,17 +94,6 @@ _NUM_FIELDS = {"K": 0, "delta": 0, "D": None, "c_delta": 0, "tolerance": 0,
                "reference_factor": 1}
 
 
-def _finite(v) -> bool:
-    """v is a finite real number and not a bool; an int or Fraction beyond
-    the float range counts as not finite."""
-    if isinstance(v, bool) or not isinstance(v, numbers.Real):
-        return False
-    try:
-        return math.isfinite(v)
-    except OverflowError:
-        return False
-
-
 @dataclass(frozen=True)
 class VerifierConfig:
     """Shared knobs for the verifiers; all radii and caps live here.
@@ -137,11 +127,12 @@ class VerifierConfig:
             v = getattr(self, name)
             if v is None and name in ("delta", "D"):
                 continue
-            if not (_finite(v) and (least is None or v >= least)):
+            if not (_finite_real(v) and (least is None or v >= least)):
                 at_least = "" if least is None else f" >= {least}"
                 raise InputError(f"{name} must be a finite number{at_least}, "
                                  f"got {v!r}")
-        if not self.L_values or not all(_finite(L) and L > 0 for L in self.L_values):
+        if not self.L_values or not all(_finite_real(L) and L > 0
+                                        for L in self.L_values):
             raise InputError("L_values must be a nonempty tuple of positive lengths")
 
 
@@ -1072,7 +1063,7 @@ def pointwise_cover_report(model, ball_radius: int, f_radius: int,
     Starts from F = {identity} and adds the candidate (word of length <=
     f_radius) that most reduces C = max over the ball of
     d(x,gx) - max_f l[gf], until no strict improvement remains.
-    Needs a tree or a matrix model, whose class lengths are exact.
+    Needs a tree or a matrix model, whose class_length gives l.
     """
     cfg = config or VerifierConfig()
     if not isinstance(model, (TreeModel, MatrixActionModel)):
@@ -1082,23 +1073,11 @@ def pointwise_cover_report(model, ball_radius: int, f_radius: int,
     pool = enumerate_ball(model.rank, f_radius, cap=cfg.class_cap)
     disp = [model.displacement(g) for g in ball]
 
-    if isinstance(model, TreeModel):
-        def col(f: Word):
-            # a tree length is the same on every rotation of the core
-            fl = f.letters
-            return [model.class_length(_cyclic_core(_concat_reduced(g.letters, fl)))
-                    for g in ball]
-    else:
-        mats = [model.matrix(g) for g in ball]
-        double = 2.0 if isinstance(model, MobiusModel) else 1.0
-
-        def col(f: Word):
-            mf = model.matrix(f)
-            out = []
-            for m in mats:
-                lam = model.spectral_radius(m @ mf)
-                out.append(double * math.log(lam) if lam > 1.0 else 0.0)
-            return out
+    def col(f: Word):
+        # a tree or matrix length is the same on every rotation of the core
+        fl = f.letters
+        return [model.class_length(_cyclic_core(_concat_reduced(g.letters, fl)))
+                for g in ball]
 
     cols = {}
 

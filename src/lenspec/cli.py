@@ -73,7 +73,7 @@ from .spaces import (
     WordMetricModel,
     build_schottky,
 )
-from .words import ROW_CHUNK, ClassCodes, GeneratingSet, Word
+from .words import ROW_CHUNK, ClassCodes, GeneratingSet, Word, _finite_real
 
 try:
     from importlib.metadata import version as _pkg_version
@@ -173,11 +173,7 @@ def _fail(path: str, msg: str):
 def _check_num(v, path, *, positive=False, integer=False, least=None):
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         _fail(path, f"expected a number, got {type(v).__name__}")
-    try:
-        finite = math.isfinite(v)
-    except OverflowError:  # an int beyond the float range
-        finite = False
-    if not finite:
+    if not _finite_real(v):
         _fail(path, f"expected a finite number, got {v}")
     if integer and int(v) != v:
         _fail(path, f"expected an integer, got {v}")

@@ -15,8 +15,12 @@ On trees the joint stable length is exactly half the largest two-letter
 stable length, a Helly argument proved in ``tree_joint_profile``, so the
 S^2 scan alone gives the bracket and no level is computed.
 
+Matrix models read a_n and l[s] as log sigma_1 and log lambda_1 of the
+products, times 2 for a Mobius model (arccosh(||A||_F^2 / 2) = 2 log
+sigma_1(A) for det-1 A): float brackets with no rounding bound.
+
 The matrix joint spectral radius gets the same treatment in log scale, with
-sigma_1 certifying from above and spectral radii from below, plus the
+sigma_1 bounding from above and spectral radii from below, plus the
 explicit dimension-dependent constants for the spectral upper bound
 c_m = 8 log 2 + 5 log m, d_m = 2 m^3.
 """
@@ -29,8 +33,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .actions import LengthBracket, exact_div
-from .errors import InputError, NumericError, ResourceCapError
-from .spaces import (MatrixActionModel, MobiusModel, TreeModel, WordMetricModel,
+from .errors import InputError, NumericError, ResourceCapError, SearchExhaustedError
+from .spaces import (MatrixActionModel, TreeModel, WordMetricModel,
                      class_bracket_reader)
 from .words import ConjClass, Word, _as_words, _concat_reduced, _cyclic_core
 
@@ -53,8 +57,8 @@ class JointLengthProfile:
     """Joint stable length bracket plus the per-level evidence."""
 
     bracket: LengthBracket
-    # a[n]: the largest displacement over S^n; empty for tree-dp, which
-    # computes no level
+    # a[n]: an upper bound on the largest displacement over S^n, exact
+    # where the search finished; empty for tree-dp, which computes no level
     a: dict
     # lower-bound terms by level; tree-dp has only the pair term at 2
     lo_terms: dict
@@ -75,6 +79,15 @@ def _word_lower_oracle(model):
     raise InputError(f"no joint-length engine for {type(model).__name__}")
 
 
+def _displacement_upper(model, w: Word):
+    """The displacement of w, or its certified upper bound ``cost_upper``
+    where a word-metric search exhausts its budget."""
+    try:
+        return model.displacement(w)
+    except SearchExhaustedError:
+        return model.cost_upper(w)
+
+
 def _word_joint_profile(model, words, n_max, frontier_cap):
     s_list = [w.letters for w in words]
     lower = _word_lower_oracle(model)
@@ -88,7 +101,7 @@ def _word_joint_profile(model, words, n_max, frontier_cap):
                     f"level {n} frontier would exceed cap {frontier_cap}"
                 )
             frontier = {_concat_reduced(w, s) for w in frontier for s in s_list}
-        a[n] = max(model.displacement(Word._unchecked(w)) for w in frontier)
+        a[n] = max(_displacement_upper(model, Word._unchecked(w)) for w in frontier)
         lo_terms[n] = exact_div(max(lower(w) for w in frontier), n)
     return a, lo_terms
 
@@ -146,34 +159,21 @@ def _matrix_levels(mats, n_max: int, cap: int):
         yield n, batch, log_scale
 
 
+def _log_max(values, log_scale: float) -> float:
+    """log of the largest of ``values`` plus ``log_scale``; -inf when it
+    is 0 (the values of a level renormalized by exp(log_scale))."""
+    m = float(np.max(values))
+    return math.log(m) + log_scale if m > 0 else -math.inf
+
+
 def _matrix_joint_profile(model, words, n_max, frontier_cap):
     mats = [model.matrix(w) for w in words]
+    scale = model._length_scale
     a = {}
     lo_terms = {}
-    is_mobius = isinstance(model, MobiusModel)
     for n, batch, ls in _matrix_levels(mats, n_max, frontier_cap):
-        if is_mobius:
-            # d = arccosh(|A|_F^2 / 2) for det-1 matrices, in log scale so
-            # that large products neither overflow nor lose the arccosh.
-            f = np.sum(np.abs(batch) ** 2, axis=(1, 2))
-            log_y = np.log(np.clip(f / 2.0, 1e-300, None)) + 2.0 * ls
-            big = log_y >= 20.0
-            y_small = np.exp(np.where(big, 0.0, log_y))
-            disp = np.where(
-                big,
-                math.log(2.0) + log_y,
-                np.arccosh(np.clip(y_small, 1.0, None)),
-            )
-        else:
-            s1 = _batch_sigma1(batch)
-            disp = np.maximum(np.log(np.clip(s1, 1e-300, None)) + ls, 0.0)
-        a[n] = float(np.max(disp))
-        lam = _batch_lambda1(batch)
-        ll = np.log(np.clip(lam, 1e-300, None)) + ls
-        ll = np.maximum(ll, 0.0)
-        if is_mobius:
-            ll = 2.0 * ll
-        lo_terms[n] = float(np.max(ll)) / n
+        a[n] = scale * max(_log_max(_batch_sigma1(batch), ls), 0.0)
+        lo_terms[n] = scale * max(_log_max(_batch_lambda1(batch), ls), 0.0) / n
     return a, lo_terms
 
 
@@ -363,10 +363,8 @@ def jsr_profile(mats, n_max: int = 8, *, cap: int = 2_000_000) -> JsrProfile:
     sig = {}
     lam = {}
     for n, batch, ls in _matrix_levels(mats, n_max, cap):
-        s1 = float(np.max(_batch_sigma1(batch)))
-        l1 = float(np.max(_batch_lambda1(batch)))
-        sig[n] = (math.log(s1) + ls) / n if s1 > 0 else -math.inf
-        lam[n] = (math.log(l1) + ls) / n if l1 > 0 else -math.inf
+        sig[n] = _log_max(_batch_sigma1(batch), ls) / n
+        lam[n] = _log_max(_batch_lambda1(batch), ls) / n
     hi = min(sig.values())
     lo = max(lam.values())
     lo = min(lo, hi)
@@ -398,8 +396,7 @@ def bochi_rhs(mats, *, cap: int = 2_000_000) -> BochiBound:
     j_used = 0
     try:
         for j, batch, ls in _matrix_levels(mats, constants.d_m, cap):
-            l1 = float(np.max(_batch_lambda1(batch)))
-            lam[j] = (math.log(l1) + ls) / j if l1 > 0 else -math.inf
+            lam[j] = _log_max(_batch_lambda1(batch), ls) / j
             j_used = j
     except ResourceCapError:
         pass

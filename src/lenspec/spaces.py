@@ -419,7 +419,12 @@ def _lambda1_rows(trr, tri, dr, di) -> np.ndarray:
 
 
 class MatrixActionModel(ActionModel):
-    """Shared machinery for models whose generators are matrices."""
+    """Shared machinery for models whose generators are matrices.
+
+    A subclass gives ``_normalize``, ``_matrix_displacement``, ``_length``
+    (a class length from the spectral radius lambda1 of its matrix) and
+    ``_length_scale``, the factor of log lambda1 in its class lengths.
+    """
 
     def _init_matrices(self, mats: Sequence[np.ndarray], dtype) -> None:
         self._gen: dict[int, np.ndarray] = {}
@@ -499,7 +504,7 @@ class MatrixActionModel(ActionModel):
     def class_lambda1(self, letters) -> float:
         """Spectral radius of the product matrix of a (canonical) word."""
         if self.dim != 2:
-            return self.spectral_radius(self.matrix(Word(letters)))
+            return float(np.max(np.abs(np.linalg.eigvals(self.matrix(Word(letters))))))
         gens = self._tuple_gens()
         a, b, c, d = 1.0 + 0j, 0j, 0j, 1.0 + 0j
         for x in letters:
@@ -536,24 +541,26 @@ class MatrixActionModel(ActionModel):
                 out.append(_lambda1_rows(ar + dr, ai + di, p - r, q - t))
         return _joined(out)
 
-    def spectral_radius(self, a: np.ndarray) -> float:
-        if self.dim == 2:
-            tr = complex(a[0, 0] + a[1, 1])
-            det = complex(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
-            q = cmath.sqrt(tr * tr - 4.0 * det)
-            return max(abs((tr + q) / 2.0), abs((tr - q) / 2.0))
-        return float(np.max(np.abs(np.linalg.eigvals(a))))
+    def _length_column(self, codes: ClassCodes):
+        """(class_length of every class of ``codes``, their float64 values);
+        None beyond 2x2 matrices, evaluated class by class."""
+        if self.dim != 2:
+            return None
+        vals = list(map(self._length, self.class_lambda1_column(codes).tolist()))
+        return vals, np.array(vals, dtype=np.float64)
+
+    def window_radius(self, length_bound) -> float:
+        # log sigma1 >= gap/2 for unit determinant, and a class length is
+        # _length_scale log lambda1, so l >= _length_scale * mu * cyclen / 2
+        mu = self.certificate().mu
+        if mu <= 0:
+            return math.inf
+        return math.ceil(2 * length_bound / (self._length_scale * mu))
 
     def certificate(self, radius: int = 6) -> AnosovCertificate:
         if getattr(self, "_cert", None) is None or self._cert.radius < radius:
             self._cert = anosov_certificate(self, radius=radius)
         return self._cert
-
-    def _matrix_displacement(self, a: np.ndarray) -> float:
-        raise NotImplementedError
-
-    def _normalize(self, a: np.ndarray, det: complex) -> np.ndarray:
-        raise NotImplementedError
 
 
 class MobiusModel(MatrixActionModel):
@@ -561,12 +568,14 @@ class MobiusModel(MatrixActionModel):
 
     dim 2 takes real 2x2 matrices with positive determinant, rescaled to
     determinant 1; dim 3 takes complex 2x2 matrices rescaled likewise.
-    Displacement of the basepoint (i resp. j) is arccosh(||A||_F^2 / 2);
-    stable length is 2 log |lambda_max| of the class representative and 0
-    for elliptic and parabolic classes.
+    Displacement of the basepoint (i resp. j) is arccosh(||A||_F^2 / 2),
+    that is 2 log sigma_1(A) (Beardon, The Geometry of Discrete Groups,
+    Thm 7.2.1); stable length is 2 log |lambda_max| of the class
+    representative and 0 for elliptic and parabolic classes.
     """
 
     alpha = None
+    _length_scale = 2.0
 
     def __init__(self, generators: Sequence, dim: int = 2, delta: float = math.log(2)):
         if dim not in (2, 3):
@@ -593,23 +602,14 @@ class MobiusModel(MatrixActionModel):
     def displacement(self, g: Word) -> float:
         return self._matrix_displacement(self.matrix(g))
 
+    def _length(self, lam: float) -> float:
+        return 0.0 if lam <= 1.0 + 1e-12 else 2.0 * math.log(lam)
+
     def class_length(self, letters) -> float:
-        lam = self.class_lambda1(letters)
-        if lam <= 1.0 + 1e-12:
-            return 0.0
-        return 2.0 * math.log(lam)
+        return self._length(self.class_lambda1(letters))
 
     def class_lengths(self, codes: ClassCodes):
-        """(class_length of every class of ``codes``, their float64 values)."""
-        vals = [0.0 if lam <= 1.0 + 1e-12 else 2.0 * math.log(lam)
-                for lam in self.class_lambda1_column(codes).tolist()]
-        return vals, np.array(vals, dtype=np.float64)
-
-    def window_radius(self, length_bound) -> float:
-        mu = self.certificate().mu
-        if mu <= 0:
-            return math.inf
-        return math.ceil(length_bound / mu)
+        return self._length_column(codes)
 
 
 class LinearRepModel(MatrixActionModel):
@@ -625,6 +625,8 @@ class LinearRepModel(MatrixActionModel):
     four-point diagnostics are used in anger.  ``alpha`` (rough-geodesicity
     of psi along subgroups) is configuration, default None.
     """
+
+    _length_scale = 1.0
 
     def __init__(
         self,
@@ -654,24 +656,14 @@ class LinearRepModel(MatrixActionModel):
     def displacement(self, g: Word) -> float:
         return self._matrix_displacement(self.matrix(g))
 
+    def _length(self, lam: float) -> float:
+        return max(math.log(lam), 0.0)
+
     def class_length(self, letters) -> float:
-        return max(math.log(self.class_lambda1(letters)), 0.0)
+        return self._length(self.class_lambda1(letters))
 
     def class_lengths(self, codes: ClassCodes):
-        """(class_length of every class of ``codes``, their float64
-        values); None beyond 2x2 matrices, evaluated class by class."""
-        if self.dim != 2:
-            return None
-        vals = [max(math.log(lam), 0.0)
-                for lam in self.class_lambda1_column(codes).tolist()]
-        return vals, np.array(vals, dtype=np.float64)
-
-    def window_radius(self, length_bound) -> float:
-        # log sigma1 >= gap/2 for unit determinant, so l >= mu * cyclen / 2
-        mu = self.certificate().mu
-        if mu <= 0:
-            return math.inf
-        return math.ceil(2.0 * length_bound / mu)
+        return self._length_column(codes)
 
 
 # ------------------------------------------------------------- Schottky

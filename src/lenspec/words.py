@@ -422,6 +422,17 @@ def iter_class_reps(rank: int, max_std_length: int, cap: int = 4_000_000):
 # -- weighted generating sets and word metrics -------------------------
 
 
+def _finite_real(v) -> bool:
+    """v is a finite real number and not a bool; an int or Fraction beyond
+    the float range counts as not finite."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
+
+
 def _as_weight(w):
     """A positive finite real weight as the exact number it equals: an int
     when whole, else a Fraction (a float is read as its binary value)."""

@@ -20,6 +20,7 @@ from lenspec.bounds import (
     _eval_class_lengths,
     metric_distance_report,
 )
+from lenspec.cli import build_model, builtin_preset
 from lenspec.errors import InputError, NumericError
 from lenspec.spaces import (
     LinearRepModel,
@@ -164,6 +165,28 @@ def test_linear_beyond_2x2_goes_class_by_class():
                                       [0.0, 0.0, 1.0]])])
     assert model.class_lengths(ClassCodes.walk(2, 1)) is None
     _assert_bulk_is_per_class(model, radius=3)
+
+
+# the model kinds the scenarios and presets build; a per-class fallback
+# would keep every value and lose only the speed, so the dispatch is pinned
+@pytest.mark.parametrize("spec", [
+    {"kind": "tree"},
+    {"kind": "tree", "weights": [1, 2]},
+    {"kind": "tree", "weights": [1, 0.5]},
+    {"kind": "word-metric", "elements": ["a", "A", "b", "B"]},
+    {"kind": "word-metric", "elements": ["a", "A", "b", "B", "ab", "BA"]},
+    builtin_preset("cor17-default"),
+    {**builtin_preset("cor17-default"), "use": "linear"},
+    {"kind": "schottky", "stretch": 4.0, "angles": [0.0, 1.2j]},
+], ids=["tree", "tree-int", "tree-fraction", "word-metric-standard",
+        "word-metric", "preset-mobius", "preset-linear", "schottky-space"])
+def test_every_built_model_kind_has_a_bulk_form(spec):
+    model = build_model(spec, 2)
+    codes = ClassCodes.walk(2, 3)
+    if hasattr(model, "class_length"):
+        assert bounds._bulk(model, "class_length", codes) is not None
+    else:
+        assert bounds._bulk(model, "class_length_bracket", codes, 2) is not None
 
 
 def test_overridden_class_length_is_evaluated_class_by_class():

@@ -386,9 +386,10 @@ def test_main_frontier_cap_exits_3(tmp_path, capsys):
     assert body["entries"][0]["status"] == "resource-cap"
 
 
-def test_word_length_out_of_budget_is_a_resource_cap(tmp_path, capsys):
+def test_bf_prices_an_out_of_budget_word_at_its_spelling_cost(tmp_path, capsys):
     # bf measures each subset word in a non-standard word metric; with
-    # every weight 8 a cost of 32 is four steps, too few for (ab)^5
+    # every weight 8 a cost of 32 is four steps, too few for (ab)^5, so the
+    # joint engine takes its spelling cost 40, a certified upper bound
     p = tmp_path / "search.json"
     p.write_text(json.dumps({
         "target": {"kind": "word-metric",
@@ -396,13 +397,14 @@ def test_word_length_out_of_budget_is_a_resource_cap(tmp_path, capsys):
                    "weights": [8] * 6},
         "subset": ["ab"], "verify": ["bf"], "config": {"n_max": 5}}))
     out = tmp_path / "out"
-    assert main(["verify", "--scenario", str(p), "--out", str(out)]) == 3
+    assert main(["verify", "--scenario", str(p), "--out", str(out)]) == 0
     body = json.loads((out / "report.json").read_text())
-    assert body["exit_code"] == 3
+    assert body["exit_code"] == 0
     [entry] = body["entries"]
     assert (entry["token"], entry["status"], entry["verdict"]) == (
-        "bf", "resource-cap", "inconclusive")
-    assert "not reached within cost 32" in entry["error"]
+        "bf", "ok", "holds")
+    joint = entry["reports"][0]["joint"]
+    assert (joint["lo"], joint["hi"], joint["certified"]) == ("8", "8", True)
 
 
 def test_word_length_searches_no_further_than_a_spelling(tmp_path, capsys):

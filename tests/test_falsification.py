@@ -14,16 +14,39 @@ stands in for l[w].  Its displacement is a cheapest-first search whose
 ball grows exponentially with the cost, so there the certified spelling
 cost ``cost_upper`` stands in for it in a_m, which only weakens the check,
 the engine runs two levels, and the letters cost 1.
+
+Matrix models (Mobius in the plane and in space, 2x2 linear) give float
+brackets, so both sides hold to 1e-9, for products of n, m <= 4 factors
+of length <= 2, on Schottky parameters that pass the ping-pong
+certificate.  The lo side is checked on the largest lower-bound term,
+before the engine clips lo at hi.  Parameters that fail it include a = b, where a product
+such as aB is the identity up to rounding: its spectral radius and
+sigma_1, read near trace 2, carry rounding errors of order sqrt(eps), so
+l[aB] reads about 2e-8 while hi reads 0, an error no bracket bounds yet.
+
+JSR brackets.  For a finite set of matrices, every product P of n factors
+has rho(P)^(1/n) <= JSR <= max sigma_1(Q)^(1/n) over the products Q of n
+factors, so in log scale a ``jsr_profile`` bracket must satisfy
+log rho(P) / n <= hi and lo <= max log sigma_1(Q) / n for every n <= 6,
+to 1e-9, with lo again the largest term before its clip at hi.  Products, spectral radii and singular values are formed here
+with numpy's general routines, not the engine's renormalized levels.
 """
 
+import itertools
+import math
+import warnings
 from fractions import Fraction
 
-from hypothesis import HealthCheck, example, given, settings
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from lenspec.actions import exact_div
-from lenspec.jsl import joint_stable_profile
-from lenspec.spaces import TreeModel, WordMetricModel, class_bracket_reader
+from lenspec.cli import _ensemble_pairs
+from lenspec.jsl import joint_stable_profile, jsr_profile
+from lenspec.spaces import (TreeModel, WordMetricModel, build_schottky,
+                            class_bracket_reader)
 from lenspec.words import ConjClass, GeneratingSet, Word, _concat_reduced
 
 _LEVELS = 5
@@ -97,3 +120,57 @@ def test_joint_brackets_hold_every_product_and_level(case):
             assert exact_div(lo_w, n) <= bracket.hi, (w, n, bracket)
         a_n = max(displacement(Word._unchecked(w)) for w in level)
         assert bracket.lo <= exact_div(a_n, n), (n, a_n, bracket)
+
+
+_MATRIX_LEVELS = 4
+_TOL = 1e-9
+
+
+@st.composite
+def _matrix_cases(draw):
+    kind = draw(st.sampled_from(["mobius", "mobius-space", "linear"]))
+    stretch = draw(st.floats(1.2, 6.0))
+    angles = [draw(st.floats(0.0, math.pi)) for _ in range(2)]
+    if kind == "mobius-space":
+        angles[1] = complex(angles[1], draw(st.floats(-1.0, 1.0)))
+    with warnings.catch_warnings():
+        # a failed certificate only warns; assume rejects the example
+        warnings.simplefilter("ignore")
+        action = build_schottky(stretch, angles)
+    assume(action.certificate.ok)
+    model = action.linear if kind == "linear" else action.mobius
+    s = [_reduced_word(draw, 2, 2) for _ in range(draw(st.integers(1, 3)))]
+    return model, s
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_matrix_cases())
+def test_matrix_joint_brackets_hold_every_product_and_level(case):
+    model, s = case
+    profile = joint_stable_profile(model, s, _MATRIX_LEVELS)
+    bracket = profile.bracket
+    # lo is the largest term, clipped at hi: each term must hold alone
+    lo = max(profile.lo_terms.values())
+    for n, level in _levels(s, _MATRIX_LEVELS):
+        for w in level:
+            assert model.class_length(w) / n <= bracket.hi + _TOL, (w, n, bracket)
+        a_n = max(model.displacement(Word._unchecked(w)) for w in level)
+        assert lo <= a_n / n + _TOL, (n, a_n, profile.lo_terms)
+
+
+_JSR_LEVELS = 6
+
+
+@pytest.mark.parametrize("seed", range(9))
+def test_jsr_brackets_hold_every_product(seed):
+    for pair in _ensemble_pairs({"count": 10, "dim": 2, "scale": 1.0}, seed):
+        profile = jsr_profile(pair, _JSR_LEVELS)
+        bracket, lo = profile.bracket, max(profile.lambda_terms.values())
+        for n in range(1, _JSR_LEVELS + 1):
+            products = np.array([np.linalg.multi_dot([np.eye(2), *f])
+                                 for f in itertools.product(pair, repeat=n)])
+            rho = np.abs(np.linalg.eigvals(products)).max(axis=1)
+            sigma = np.linalg.svd(products, compute_uv=False)[:, 0]
+            assert np.log(rho).max() / n <= bracket.hi + _TOL, (seed, n, bracket)
+            assert lo <= np.log(sigma).max() / n + _TOL, (seed, n, bracket)

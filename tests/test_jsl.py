@@ -118,6 +118,16 @@ def test_word_engine_resource_cap():
         )
 
 
+def test_word_engine_prices_an_exhausted_search_at_its_spelling_cost():
+    # bbbbbb costs 12 spelt letter by letter, but the search for it reaches
+    # 200,000 elements first; the engine takes the certified upper bound
+    model = WordMetricModel(GeneratingSet(2, ["a", "A", "b", "B", "ab"],
+                                          [1, 1, 2, 2, 1]))
+    p = joint_stable_profile(model, ["bbb"], 2, engine="products")
+    assert p.a == {1: 6, 2: 12}
+    assert p.bracket.hi == 6 and p.bracket.certified
+
+
 def test_n_max_validation():
     with pytest.raises(InputError):
         joint_stable_profile(TreeModel(2), ["a"], n_max=1)
