@@ -45,10 +45,6 @@ def exact_div(a, b):
     return a / b
 
 
-def _half(x):
-    return Fraction(x, 1) / 2 if _is_exact(x) else x / 2
-
-
 @dataclass(frozen=True)
 class LengthBracket:
     """A certified interval [lo, hi] around a length-type quantity.
@@ -141,7 +137,7 @@ def gromov_product(model: ActionModel, g: Word, h: Word):
     b = model.displacement(h)
     c = model.displacement(g.inverse() * h)
     s = a + b - c
-    return _half(s)
+    return exact_div(s, 2)
 
 
 def power_schedule(k_max: int) -> list[int]:

@@ -30,6 +30,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -40,10 +41,12 @@ from .jsl import BochiConstants, joint_stable_profile
 from .spaces import (MatrixActionModel, TreeModel, WordMetricModel,
                      class_bracket_reader)
 from .words import (
+    _SEARCH_NODE_CAP,
     ClassCodes,
     GeneratingSet,
     Word,
     _as_words,
+    _cheapest_first,
     _concat_reduced,
     _cyclic_core,
     _finite_real,
@@ -957,86 +960,69 @@ def displacement_sandwich_report(model, n: int, ball_radius: int,
     (n-alpha-1)*|g| - (n-1) <= psi(x,gx) <= n*|g|.
     """
     cfg = config or VerifierConfig()
-    case = "cobounded" if model.cobound_D is not None else "rough"
     if n < 1:
         raise InputError("n must be >= 1")
-    violations = []
-    if case == "cobounded":
+    # only a tree's sandwich is exact: a matrix ball's membership is
+    # radius-capped, so a rough-case violation is not certified
+    exact = model.cobound_D is not None
+    if exact:
         if not isinstance(model, TreeModel):
             raise InputError("exact sandwich checking needs a tree model")
-        D = model.cobound_D
-        B = (n + 2) * D
-        s_n = displacement_ball(model, B, cfg)
-        checked = 0
-        for g in enumerate_ball(model.rank, ball_radius, cap=cfg.class_cap):
-            k = _greedy_chunks(g.letters, model.weight_of, B)
-            d = model.displacement(g)
-            lo = n * D * k - n * D
-            hi = (n + 2) * D * k
-            if not (lo <= d <= hi):
-                violations.append((str(g), k, d))
-            checked += 1
-        verdict = HOLDS if not violations else VIOLATED
-        return SandwichReport(
-            case=case, n=n, scale=D, bound=B, s_n=s_n, checked=checked,
-            violations=violations, verdict=verdict, truncated=False,
-            extras={"s_n_size": len(s_n.elements)},
-        )
-    alpha = model.alpha
-    if alpha is None:
-        raise InputError("rough-geodesic case needs a declared alpha")
-    if not n > alpha + 1:
-        raise InputError(f"need n > alpha+1 = {alpha + 1}, got {n}")
-    s_n = displacement_ball(model, n, cfg)
-    truncated = not isinstance(model, TreeModel)
-    # breadth-first word lengths over S_n, exact while the frontier fits
-    targets = {g.letters: None for g in
-               enumerate_ball(model.rank, ball_radius, cap=cfg.class_cap)}
-    dist = {(): 0}
-    frontier = [()]
-    pending = sum(1 for t in targets if t != ())
-    depth = 0
-    gen_letters = [e.letters for e in s_n.elements]
-    capped = False
-    while pending > 0 and frontier:
-        depth += 1
-        nxt = []
-        for w in frontier:
-            for s in gen_letters:
-                prod = _concat_reduced(w, s)
-                if prod in dist:
-                    continue
-                dist[prod] = depth
-                nxt.append(prod)
-                if prod in targets:
-                    pending -= 1
-        if len(dist) > cfg.frontier_cap:
-            capped = True
-            break
-        frontier = nxt
-    checked = 0
-    tol = cfg.tolerance
-    for t in targets:
-        if t == ():
-            continue
-        k = dist.get(t)
-        if k is None:
-            continue
+        scale, tol = model.cobound_D, 0
+        bound = (n + 2) * scale
+        slope = shift = n * scale
+        s_n = displacement_ball(model, bound, cfg)
+
+        def word_lengths(targets):
+            return {t: _greedy_chunks(t, model.weight_of, bound)
+                    for t in targets}, False
+    else:
+        scale, tol = model.alpha, cfg.tolerance
+        if scale is None:
+            raise InputError("rough-geodesic case needs a declared alpha")
+        if not n > scale + 1:
+            raise InputError(f"need n > alpha+1 = {scale + 1}, got {n}")
+        bound, slope, shift = n, n - scale - 1, n - 1
+        s_n = displacement_ball(model, n, cfg)
+        word_lengths = partial(_settled_lengths, s_n)
+    lengths, capped = word_lengths(
+        [g.letters for g in enumerate_ball(model.rank, ball_radius,
+                                           cap=cfg.class_cap)])
+    violations = []
+    for t, k in lengths.items():
         g = Word._unchecked(t)
         d = model.displacement(g)
-        lo = (n - alpha - 1) * k - (n - 1)
-        hi = n * k
-        if not (lo - tol <= d <= hi + tol):
+        if not (slope * k - shift - tol <= d <= bound * k + tol):
             violations.append((str(g), k, d))
-        checked += 1
-    verdict = VIOLATED if violations and not truncated else (
-        HOLDS if not violations and not capped else INCONCLUSIVE)
+    extras = {"s_n_size": len(s_n.elements)}
+    if not exact:
+        extras["bfs_capped"] = capped
     return SandwichReport(
-        case=case, n=n, scale=alpha, bound=n, s_n=s_n, checked=checked,
-        violations=violations, verdict=verdict,
-        truncated=truncated or capped,
-        extras={"s_n_size": len(s_n.elements), "bfs_capped": capped},
+        case="cobounded" if exact else "rough", n=n, scale=scale,
+        bound=bound, s_n=s_n, checked=len(lengths), violations=violations,
+        verdict=(HOLDS if not violations and not capped
+                 else VIOLATED if exact else INCONCLUSIVE),
+        truncated=not exact, extras=extras,
     )
+
+
+def _settled_lengths(s_n: GeneratingSet, targets):
+    """(S_n word length of each nonidentity target the shared search
+    settles, in the order of ``targets``; whether some target was left
+    unsettled).
+
+    S_n has unit weights, so a search cost is a word length, and the cost
+    budget _SEARCH_NODE_CAP never binds before the node cap does.
+    """
+    pending = {t for t in targets if t}
+    found = {}
+    for d, w in _cheapest_first(s_n, _SEARCH_NODE_CAP):
+        if not pending:
+            break
+        if w in pending:
+            pending.remove(w)
+            found[w] = d
+    return {t: found[t] for t in targets if t in found}, bool(pending)
 
 
 # ---------------------------------------------------- pointwise length cover

@@ -45,7 +45,6 @@ from typing import Optional
 
 import numpy as np
 
-from .actions import LengthBracket
 from .bounds import (
     ClassTable,
     VerifierConfig,
@@ -64,7 +63,7 @@ from .bounds import (
     word_metric_dilation_report,
 )
 from .errors import InputError, NumericError, ResourceCapError
-from .jsl import BochiConstants, bf_lower_check, bochi_rhs, jsr_profile
+from .jsl import bf_lower_check, bochi_rhs, jsr_profile
 from .spaces import (
     LinearRepModel,
     MatrixActionModel,
@@ -522,9 +521,6 @@ def _num(v):
 
 
 def _jsonable(obj):
-    if isinstance(obj, LengthBracket):
-        return {"lo": _num(obj.lo), "hi": _num(obj.hi),
-                "exact": obj.exact, "certified": obj.certified}
     if isinstance(obj, WindowRow):
         return {
             "class": str(obj.rep),
@@ -538,8 +534,6 @@ def _jsonable(obj):
     if isinstance(obj, GeneratingSet):
         return {"elements": [str(e) for e in obj.elements],
                 "weights": [_num(w) for w in obj.weights]}
-    if isinstance(obj, BochiConstants):
-        return {"m": obj.m, "c_m": obj.c_m, "d_m": obj.d_m}
     if hasattr(obj, "__dataclass_fields__"):
         return {k: _jsonable(getattr(obj, k))
                 for k in obj.__dataclass_fields__}

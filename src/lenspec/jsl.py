@@ -13,15 +13,18 @@ lengths of specific products certify lower bounds:
 
 On trees the joint stable length is exactly half the largest two-letter
 stable length, a Helly argument proved in ``tree_joint_profile``, so the
-S^2 scan alone gives the bracket and no level is computed.
+S^2 scan alone gives the bracket and no level is computed.  Word models
+read l_lo[s] as the lo of the model's own class bracket on the cyclic
+core of s (``class_bracket_reader`` with k_max 1).
 
-Matrix models read a_n and l[s] as log sigma_1 and log lambda_1 of the
-products, times 2 for a Mobius model (arccosh(||A||_F^2 / 2) = 2 log
-sigma_1(A) for det-1 A): float brackets with no rounding bound.
-
-The matrix joint spectral radius gets the same treatment in log scale, with
-sigma_1 bounding from above and spectral radii from below, plus the
-explicit dimension-dependent constants for the spectral upper bound
+For a matrix action the joint stable length is the joint spectral radius
+in the metric's scale (Rota-Strang, Indag. Math. 22, 1960): log rho for a
+linear model, 2 log rho for a Mobius model (arccosh(||A||_F^2 / 2) =
+2 log sigma_1(A) for det-1 A).  So the matrix engine is ``jsr_profile``,
+whose levels bound the radius in log scale by sigma_1 from above and by
+spectral radii from below; a_n and l[s] are its terms in the model's
+length scale: float brackets with no rounding bound.  ``bochi_rhs`` adds
+the explicit dimension-dependent constants for the spectral upper bound
 c_m = 8 log 2 + 5 log m, d_m = 2 m^3.
 """
 
@@ -34,8 +37,7 @@ import numpy as np
 
 from .actions import LengthBracket, exact_div
 from .errors import InputError, NumericError, ResourceCapError, SearchExhaustedError
-from .spaces import (MatrixActionModel, TreeModel, WordMetricModel,
-                     class_bracket_reader)
+from .spaces import MatrixActionModel, TreeModel, class_bracket_reader
 from .words import ConjClass, Word, _as_words, _concat_reduced, _cyclic_core
 
 __all__ = [
@@ -58,25 +60,16 @@ class JointLengthProfile:
 
     bracket: LengthBracket
     # a[n]: an upper bound on the largest displacement over S^n, exact
-    # where the search finished; empty for tree-dp, which computes no level
+    # where the search finished; for a matrix model n times jsr_profile's
+    # sigma term in the length scale; empty for tree-dp, which computes no
+    # level
     a: dict
-    # lower-bound terms by level; tree-dp has only the pair term at 2
+    # lower-bound terms by level: the largest class-bracket lo over S^n
+    # divided by n; for a matrix model jsr_profile's lambda term in the length
+    # scale; tree-dp has only the pair term at 2
     lo_terms: dict
     pair_half: object
     engine: str
-
-
-def _word_lower_oracle(model):
-    """Cheap per-word stable-length lower bound for word-frontier models."""
-    if isinstance(model, TreeModel):
-        return lambda letters: model.class_length(_cyclic_core(letters))
-    if isinstance(model, WordMetricModel):
-        if model._standard:
-            tree = model._tree
-            return lambda letters: tree.class_length(_cyclic_core(letters))
-        c = model._c_cmp
-        return lambda letters: exact_div(len(_cyclic_core(letters)), c)
-    raise InputError(f"no joint-length engine for {type(model).__name__}")
 
 
 def _displacement_upper(model, w: Word):
@@ -90,7 +83,7 @@ def _displacement_upper(model, w: Word):
 
 def _word_joint_profile(model, words, n_max, frontier_cap):
     s_list = [w.letters for w in words]
-    lower = _word_lower_oracle(model)
+    read = class_bracket_reader(model, 1)
     frontier = set(s_list)
     a = {}
     lo_terms = {}
@@ -102,7 +95,7 @@ def _word_joint_profile(model, words, n_max, frontier_cap):
                 )
             frontier = {_concat_reduced(w, s) for w in frontier for s in s_list}
         a[n] = max(_displacement_upper(model, Word._unchecked(w)) for w in frontier)
-        lo_terms[n] = exact_div(max(lower(w) for w in frontier), n)
+        lo_terms[n] = exact_div(max(read(_cyclic_core(w))[0] for w in frontier), n)
     return a, lo_terms
 
 
@@ -166,17 +159,6 @@ def _log_max(values, log_scale: float) -> float:
     return math.log(m) + log_scale if m > 0 else -math.inf
 
 
-def _matrix_joint_profile(model, words, n_max, frontier_cap):
-    mats = [model.matrix(w) for w in words]
-    scale = model._length_scale
-    a = {}
-    lo_terms = {}
-    for n, batch, ls in _matrix_levels(mats, n_max, frontier_cap):
-        a[n] = scale * max(_log_max(_batch_sigma1(batch), ls), 0.0)
-        lo_terms[n] = scale * max(_log_max(_batch_lambda1(batch), ls), 0.0) / n
-    return a, lo_terms
-
-
 # ------------------------------------------------------- tree: the S^2 scan
 
 
@@ -229,9 +211,10 @@ def joint_stable_profile(
     """Joint stable length of S under the model, with per-level evidence.
 
     engine: 'products' enumerates S^n (deduplicated reduced words for word
-    models, vectorized batches for matrix models); 'tree-dp' is the exact
-    S^2 scan of ``tree_joint_profile`` (TreeModel only), which needs no
-    n_max; 'auto' picks by model kind; any other name raises InputError.
+    models; a matrix model's levels are ``jsr_profile``'s, under the engine
+    name 'matrix'); 'tree-dp' is the exact S^2 scan of
+    ``tree_joint_profile`` (TreeModel only), which needs no n_max; 'auto'
+    picks by model kind; any other name raises InputError.
     A level of more than ``frontier_cap`` products raises ResourceCapError.
     """
     words = _as_words(s, model.rank)
@@ -248,7 +231,10 @@ def joint_stable_profile(
         return tree_joint_profile(model, words)
     matrix = isinstance(model, MatrixActionModel)
     if matrix:
-        a, lo_terms = _matrix_joint_profile(model, words, n_max, frontier_cap)
+        jsr = jsr_profile([model.matrix(w) for w in words], n_max, cap=frontier_cap)
+        scale = model._length_scale
+        a = {n: scale * max(t, 0.0) * n for n, t in jsr.sigma_terms.items()}
+        lo_terms = {n: scale * max(t, 0.0) for n, t in jsr.lambda_terms.items()}
     else:
         a, lo_terms = _word_joint_profile(model, words, n_max, frontier_cap)
     hi = min(exact_div(a[n], n) for n in a)

@@ -90,18 +90,14 @@ class TreeModel(ActionModel):
                         for x in _letters_in_order(rank)}
         self.cobound_D = exact_div(max(self.weights), 2)
 
-    def _exact(self, scaled):
-        """The length of a sum of scaled weights, in the tree's number type."""
-        return scaled if self._den == 1 else Fraction(scaled, self._den)
-
     def weight_of(self, letter: int):
-        return self._exact(_letter_sum(self._scaled, (letter,), self.rank))
+        return _unscaled(_letter_sum(self._scaled, (letter,), self.rank), self._den)
 
     def displacement(self, g: Word):
-        return self._exact(_letter_sum(self._scaled, g.letters, self.rank))
+        return _unscaled(_letter_sum(self._scaled, g.letters, self.rank), self._den)
 
     def class_length(self, letters):
-        return self._exact(_letter_sum(self._scaled, letters, self.rank))
+        return _unscaled(_letter_sum(self._scaled, letters, self.rank), self._den)
 
     def class_lengths(self, codes: ClassCodes):
         """(class_length of every class of ``codes``, their float64 values).

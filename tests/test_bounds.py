@@ -577,6 +577,54 @@ def test_rough_sandwich_on_linear_model():
     assert not sr.extras["bfs_capped"]
 
 
+class _Misstated:
+    """Mixin: displacement reads ``wrong`` (letters -> value) before the
+    model's own value."""
+
+    wrong: dict = {}
+
+    def displacement(self, g):
+        if g.letters in self.wrong:
+            return self.wrong[g.letters]
+        return super().displacement(g)
+
+
+class _MisstatedTree(_Misstated, TreeModel):
+    wrong = {Word("ab").letters: 5}
+
+
+class _MisstatedLinear(_Misstated, LinearRepModel):
+    # ab far above n |ab|; a below the lower bound 0 by half the tolerance
+    wrong = {Word("ab").letters: 100.0,
+             Word("a").letters: -VerifierConfig().tolerance / 2}
+
+
+def test_cobounded_sandwich_lists_a_violation():
+    # unit tree, n = 4: D = 1/2 and S_4 = {d <= 3}, so ab (one chunk, k = 1)
+    # must have 4k/2 - 2 = 0 <= d <= 3k = 3; the stated 5 is certified wrong
+    sr = displacement_sandwich_report(_MisstatedTree(2), 4, 3)
+    assert sr.violations == [("ab", 1, 5)]
+    assert sr.verdict == VIOLATED
+    assert sr.checked == 53  # 2 * 3^3 - 1
+    assert not sr.truncated
+
+
+def test_rough_sandwich_lists_a_violation_it_cannot_certify():
+    act = schottky()
+    lin = _MisstatedLinear(
+        [act.linear.generator_matrix(1), act.linear.generator_matrix(2)],
+        alpha=0.0,
+    )
+    sr = displacement_sandwich_report(lin, 3, 3, VerifierConfig())
+    k = word_length(Word("ab"), sr.s_n)
+    assert 100.0 > 3 * k
+    # a, within the tolerance of (n - alpha - 1) - (n - 1) = 0, is not listed
+    assert sr.violations == [("ab", k, 100.0)]
+    assert sr.verdict == INCONCLUSIVE
+    assert sr.checked == 52
+    assert sr.truncated and not sr.extras["bfs_capped"]
+
+
 def test_sandwich_validation():
     act = schottky()
     with pytest.raises(InputError):

@@ -114,6 +114,19 @@ def test_word_metric_bulk_brackets_are_class_length_bracket(model):
     assert any(a != b for a, b in zip(lo, hi)) or model._standard
 
 
+# past int64 the bulk form declines and the table reads class by class: a
+# 31-letter piece keys in base 4 at 4**31 = 2**62, and a weight of 2**60
+# passes the scaled-cost bound
+@pytest.mark.parametrize("elements,weights", [
+    (["a", "A", "b", "B", "a" * 31], None),
+    (["a", "A", "b", "B", "ab"], [1, 1, 1, 1, 2 ** 60]),
+], ids=["long-piece", "heavy-weight"])
+def test_word_metric_bulk_declines_past_int64(elements, weights):
+    model = WordMetricModel(GeneratingSet(2, elements, weights))
+    assert model.class_length_brackets(ClassCodes.walk(2, 1)) is None
+    _assert_bulk_is_per_class(model, radius=3)
+
+
 def _complex_rotation(t):
     c, s = np.cos(t), np.sin(t)
     return np.array([[c, -s], [s, c]], dtype=np.complex128)

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -921,3 +924,31 @@ def test_one_by_one_linear_model_has_no_singular_gap(tmp_path, capsys, data,
     assert main([command, "--scenario", str(p)]) == 2
     assert ("input error: a singular gap needs matrices of size 2 or more"
             in capsys.readouterr().err)
+
+
+# ------------------------------------------------------------ entry points
+
+
+def test_python_m_lenspec_prints_what_main_prints(capsys):
+    argv = ["verify", "--scenario", str(SCEN_DIR / "bf-tree.json")]
+    path = [str(SCEN_DIR.parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run([sys.executable, "-m", "lenspec", *argv],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0
+    assert main(argv) == 0
+    assert proc.stdout == capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command,data,code,message", [
+    ("jsr", {"matrices": [[[0, 1], [0, 0]], [[0, 1], [0, 0]]]}, 2,
+     "numeric failure: zero matrix reached"),
+    ("spectrum", {"target": {"kind": "tree"}, "reference": {"kind": "tree"},
+                  "config": {"class_cap": 5}}, 3, "resource cap:"),
+], ids=["numeric-failure", "resource-cap"])
+def test_main_maps_numeric_failure_and_resource_cap(tmp_path, capsys, command,
+                                                    data, code, message):
+    p = tmp_path / "scen.json"
+    p.write_text(json.dumps(data))
+    assert main([command, "--scenario", str(p)]) == code
+    assert message in capsys.readouterr().err

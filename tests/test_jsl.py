@@ -6,7 +6,9 @@ give the bracket [1, 5/4] at n_max = 8; the pair maximum is l[abA abA] = 2,
 and tree-dp gives the exact joint length [1, 1].
 """
 
+import functools
 import importlib
+import itertools
 import math
 import pkgutil
 import random
@@ -28,7 +30,7 @@ from lenspec.jsl import (
     jsr_profile,
     tree_joint_profile,
 )
-from lenspec.spaces import TreeModel, WordMetricModel, build_schottky
+from lenspec.spaces import LinearRepModel, TreeModel, WordMetricModel, build_schottky
 
 SCEN_DIR = Path(__file__).resolve().parents[1] / "src" / "lenspec" / "scenarios"
 from lenspec.words import ConjClass, GeneratingSet, Word
@@ -201,6 +203,26 @@ def test_linear_engine_matches_jsr_profile(subset):
     want = jsr_profile([lin.matrix(Word(s)) for s in subset], 6).bracket
     assert got.lo == pytest.approx(want.lo, rel=1e-12)
     assert got.hi == pytest.approx(want.hi, rel=1e-12)
+
+
+def test_three_by_three_engines_match_brute_force():
+    # sigma_1 and spectral radius maxima over S^n, product by product
+    rs = np.random.default_rng(5)
+    lin = LinearRepModel([rs.standard_normal((3, 3)) for _ in range(2)])
+    s = ["a", "b", "aB"]
+    mats = [lin.matrix(Word(w)) for w in s]
+    jsr = jsr_profile(mats, 4)
+    prof = joint_stable_profile(lin, s, 4)
+    assert prof.engine == "matrix"
+    for n in range(1, 5):
+        prods = [functools.reduce(np.matmul, t)
+                 for t in itertools.product(mats, repeat=n)]
+        sig = math.log(max(np.linalg.svd(p, compute_uv=False)[0] for p in prods))
+        rho = math.log(max(np.abs(np.linalg.eigvals(p)).max() for p in prods))
+        assert jsr.sigma_terms[n] == pytest.approx(sig / n, rel=1e-9)
+        assert jsr.lambda_terms[n] == pytest.approx(rho / n, rel=1e-9)
+        assert prof.a[n] == pytest.approx(max(sig, 0.0), rel=1e-9)
+        assert prof.lo_terms[n] == pytest.approx(max(rho, 0.0) / n, rel=1e-9)
 
 
 def test_matrix_engine_cap_raises():

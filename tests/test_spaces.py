@@ -299,6 +299,24 @@ def test_linear_alpha_is_configuration():
     assert LinearRepModel([np.diag([2.0, 0.5])]).alpha is None
 
 
+def test_three_by_three_linear_reads_numpy_svd():
+    rs = np.random.default_rng(5)
+    mats = [rs.standard_normal((3, 3)) for _ in range(2)]
+    m = LinearRepModel(mats)
+    unit = [a / abs(np.linalg.det(a)) ** (1 / 3) for a in mats]
+    gens = {1: unit[0], 2: unit[1], -1: np.linalg.inv(unit[0]),
+            -2: np.linalg.inv(unit[1])}
+    for w in random_words(random.Random(4), 30, max_len=6):
+        a = np.eye(3)
+        for x in w.letters:
+            a = a @ gens[x]
+        s = np.linalg.svd(a, compute_uv=False)
+        assert m.displacement(w) == pytest.approx(max(math.log(s[0]), 0.0),
+                                                  abs=1e-9)
+        assert m.singular_gap(m.matrix(w)) == pytest.approx(
+            math.log(s[0] / s[1]), abs=1e-9)
+
+
 # --------------------------------------------------------------- Schottky
 
 
