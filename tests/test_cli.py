@@ -142,6 +142,59 @@ BAD = [
     ('{"target": {"kind": "linear", "matrices": [[[2, 0], [0, 0.5]],'
      ' [[1, 1], [0, 1]]], "dim": 3}}',
      r"scenario\.target: unknown field\(s\) \['dim'\] for kind 'linear'"),
+    # each list, word, field-set and optional-number shape, message whole
+    ('{"subset": []}',
+     r"^scenario\.subset: expected a nonempty list of word strings$"),
+    ('{"subset": [1]}', r"^scenario\.subset\[0\]: expected a word string$"),
+    ('{"target": {"kind": "word-metric", "elements": [1]}}',
+     r"^scenario\.target\.elements\[0\]: expected a word string$"),
+    ('{"target": {"kind": "word-metric", "elements": ["c"]}}',
+     r"^scenario\.target\.elements\[0\]: word 'c' uses letters beyond "
+     r"rank 2$"),
+    ('{"target": {"kind": "word-metric", "elements": ["a", "b"],'
+     ' "weights": [1]}}',
+     r"^scenario\.target\.weights: expected one weight per element$"),
+    ('{"target": {"kind": "mobius", "matrices": [[[2, 0], [0, 0.5]]]}}',
+     r"^scenario\.target\.matrices: expected 2 generator matrices$"),
+    ('{"target": {"kind": "mobius", "matrices": [[], [[1, 1], [0, 1]]]}}',
+     r"^scenario\.target\.matrices\[0\]: expected a matrix as a list of "
+     r"rows$"),
+    ('{"matrices": []}',
+     r"^scenario\.matrices: expected a nonempty list of matrices$"),
+    ('{"matrices": [[[1, [0]], [0, 1]]]}',
+     r"^scenario\.matrices\[0\]\[0\]\[1\]: complex entries are \[re, im\] "
+     r"number pairs$"),
+    ('{"matrices": [[[1, [0, true]], [0, 1]]]}',
+     r"^scenario\.matrices\[0\]\[0\]\[1\]\[1\]: expected a number, "
+     r"got bool$"),
+    ('{"target": {"kind": "schottky", "stretch": [2], "angles": [0, 0]}}',
+     r"^scenario\.target\.stretch: expected 2 stretch factors$"),
+    ('{"target": {"kind": "schottky", "stretch": [2, 0], "angles": [0, 0]}}',
+     r"^scenario\.target\.stretch\[1\]: must be positive, got 0$"),
+    ('{"target": {"kind": "schottky", "stretch": -1, "angles": [0, 0]}}',
+     r"^scenario\.target\.stretch: must be positive, got -1$"),
+    ('{"target": {"kind": "schottky", "stretch": 2, "angles": [0]}}',
+     r"^scenario\.target\.angles: expected 2 rotation angles$"),
+    ('{"target": {"kind": "schottky", "stretch": 2, "angles": ["x", 0]}}',
+     r"^scenario\.target\.angles\[0\]: expected a number, got str$"),
+    ('{"target": {"kind": "schottky", "stretch": 2, "angles": [0, 0],'
+     ' "delta": 0}}',
+     r"^scenario\.target\.delta: must be positive, got 0$"),
+    ('{"target": {"kind": "mobius", "matrices": [[[2, 0], [0, 0.5]],'
+     ' [[1, 1], [0, 1]]], "delta": -1}}',
+     r"^scenario\.target\.delta: must be positive, got -1$"),
+    ('{"target": {"kind": "linear", "matrices": [[[2, 0], [0, 0.5]],'
+     ' [[1, 1], [0, 1]]], "alpha": "x"}}',
+     r"^scenario\.target\.alpha: expected a number, got str$"),
+    ('{"ensemble": {"count": 1, "size": 3}}',
+     r"^scenario\.ensemble: unknown field\(s\) \['size'\]$"),
+    ('{"params": {"gamma": 1}}',
+     r"^scenario\.params: unknown field\(s\) \['gamma'\] \(known: C0, alpha, "
+     r"ball_radius, band, cert_radius, f_radius, max_f, n, radius\)$"),
+    ('{"config": {"L_values": [1, 0]}}',
+     r"^scenario\.config\.L_values\[1\]: must be positive, got 0$"),
+    ('{"params": {"band": [1, "x"]}}',
+     r"^scenario\.params\.band\[1\]: expected a number, got str$"),
 ]
 
 
