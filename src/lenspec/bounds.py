@@ -329,23 +329,6 @@ class ClassTable:
         """The exact tgt_hi/ref_lo of class i."""
         return exact_div(self.tgt_hi[i], self.ref_lo[i])
 
-    def exact_ratio_rows(self, start: int, stop: int):
-        """(r_lo, r_hi) of the classes start..stop-1, or None where the
-        reference lo is <= _ZERO_EPS; the exact_div values, read from the
-        float columns wherever exact_div would return a float."""
-        for positive, rl, rh, tl, th, fl, fh in zip(
-                self.positive[start:stop].tolist(), self.ref_lo[start:stop],
-                self.ref_hi[start:stop], self.tgt_lo[start:stop],
-                self.tgt_hi[start:stop], self.lo[start:stop].tolist(),
-                self.hi[start:stop].tolist()):
-            if not positive:
-                yield None
-                continue
-            exact_lo = isinstance(tl, _EXACT) and isinstance(rh, _EXACT)
-            exact_hi = isinstance(th, _EXACT) and isinstance(rl, _EXACT)
-            yield (exact_div(tl, rh) if exact_lo else fl,
-                   exact_div(th, rl) if exact_hi else fh)
-
 
 def _above(f, exact, x):
     """Mask of exact[i] > x, where ``f`` holds the correctly rounded floats

@@ -183,22 +183,56 @@ def _check_num(v, path, *, positive=False, integer=False, least=None):
     return v
 
 
+def _items(v, path, what, n=None):
+    """(item, path) of each item of v, failing with ``expected <what>``
+    unless v is a list of n items (a nonempty list when n is None)."""
+    if not isinstance(v, list) or (len(v) != n if n is not None else not v):
+        _fail(path, f"expected {what}")
+    return [(x, f"{path}[{i}]") for i, x in enumerate(v)]
+
+
+def _words(v, path, what, rank):
+    """A nonempty list of word strings whose letters are within rank."""
+    for e, p in _items(v, path, what):
+        if not isinstance(e, str):
+            _fail(p, "expected a word string")
+        if Word(e).max_index() > rank:
+            _fail(p, f"word {e!r} uses letters beyond rank {rank}")
+    return v
+
+
+def _known(obj, known, path, suffix=""):
+    """Fail naming the fields of obj outside known, suffix after them."""
+    unknown = set(obj) - set(known)
+    if unknown:
+        _fail(path, f"unknown field(s) {sorted(unknown)}{suffix}")
+
+
+def _section(raw, key, defaults):
+    """The object raw[key] ({} when absent) over its defaults.  A field
+    with no default fails, and the message lists the known fields."""
+    given = raw.get(key, {})
+    if not isinstance(given, dict):
+        _fail(key, "expected an object")
+    _known(given, defaults, key, f" (known: {', '.join(sorted(defaults))})")
+    return {**defaults, **given}
+
+
+def _optional_num(v, path, **kw):
+    return None if v is None else _check_num(v, path, **kw)
+
+
 def _norm_matrix(m, path):
-    if not isinstance(m, list) or not m:
-        _fail(path, "expected a matrix as a list of rows")
-    n = len(m)
-    for i, row in enumerate(m):
-        if not isinstance(row, list) or len(row) != n:
-            _fail(f"{path}[{i}]", f"expected a row of {n} entries")
-        for j, e in enumerate(row):
+    rows = _items(m, path, "a matrix as a list of rows")
+    for row, rp in rows:
+        for e, ep in _items(row, rp, f"a row of {len(rows)} entries", len(rows)):
             if not isinstance(e, list):
-                _check_num(e, f"{path}[{i}][{j}]")
+                _check_num(e, ep)
                 continue
             if len(e) != 2:
-                _fail(f"{path}[{i}][{j}]",
-                      "complex entries are [re, im] number pairs")
+                _fail(ep, "complex entries are [re, im] number pairs")
             for k, x in enumerate(e):
-                _check_num(x, f"{path}[{i}][{j}][{k}]")
+                _check_num(x, f"{ep}[{k}]")
     return m
 
 
@@ -209,9 +243,7 @@ def _norm_model(spec, path, rank):
         _fail(path, "expected a model object or null")
     kind = spec.get("kind")
     if kind == "preset":
-        unknown = set(spec) - {"kind", "name", "use"}
-        if unknown:
-            _fail(path, f"unknown field(s) {sorted(unknown)} for kind 'preset'")
+        _known(spec, ("kind", "name", "use"), path, " for kind 'preset'")
         try:
             expanded = builtin_preset(spec.get("name"))
         except InputError as e:
@@ -226,49 +258,27 @@ def _norm_model(spec, path, rank):
     out = {"kind": kind}
     if "preset" in spec:
         out["preset"] = spec["preset"]
-    extra = set(spec) - {"kind", "preset"}
-    if kind == "tree":
+    if kind in ("tree", "word-metric"):
         allowed = {"weights"}
-        w = spec.get("weights")
+        n, what = rank, f"{rank} weights"
+        if kind == "word-metric":
+            allowed.add("elements")
+            out["elements"] = _words(spec.get("elements"), f"{path}.elements",
+                                     "a nonempty list of words", rank)
+            n, what = len(out["elements"]), "one weight per element"
+        w = out["weights"] = spec.get("weights")
         if w is not None:
-            if not isinstance(w, list) or len(w) != rank:
-                _fail(f"{path}.weights", f"expected {rank} weights")
-            for i, x in enumerate(w):
-                _check_num(x, f"{path}.weights[{i}]", positive=True)
-        out["weights"] = w
-    elif kind == "word-metric":
-        allowed = {"elements", "weights"}
-        els = spec.get("elements")
-        if not isinstance(els, list) or not els:
-            _fail(f"{path}.elements", "expected a nonempty list of words")
-        for i, e in enumerate(els):
-            if not isinstance(e, str):
-                _fail(f"{path}.elements[{i}]", "expected a word string")
-            if Word(e).max_index() > rank:
-                _fail(f"{path}.elements[{i}]",
-                      f"word {e!r} uses letters beyond rank {rank}")
-        w = spec.get("weights")
-        if w is not None:
-            if not isinstance(w, list) or len(w) != len(els):
-                _fail(f"{path}.weights", "expected one weight per element")
-            for i, x in enumerate(w):
-                _check_num(x, f"{path}.weights[{i}]", positive=True)
-        out["elements"] = els
-        out["weights"] = w
+            for x, xp in _items(w, f"{path}.weights", what, n):
+                _check_num(x, xp, positive=True)
     elif kind in ("mobius", "linear"):
         allowed = {"matrices", "delta", "dim" if kind == "mobius" else "alpha"}
-        mats = spec.get("matrices")
-        if not isinstance(mats, list) or len(mats) != rank:
-            _fail(f"{path}.matrices", f"expected {rank} generator matrices")
-        out["matrices"] = [_norm_matrix(m, f"{path}.matrices[{i}]")
-                           for i, m in enumerate(mats)]
-        if spec.get("delta") is not None:
-            _check_num(spec["delta"], f"{path}.delta", positive=True)
-        out["delta"] = spec.get("delta")
+        out["matrices"] = [_norm_matrix(m, mp) for m, mp in _items(
+            spec.get("matrices"), f"{path}.matrices",
+            f"{rank} generator matrices", rank)]
+        out["delta"] = _optional_num(spec.get("delta"), f"{path}.delta",
+                                     positive=True)
         if kind == "linear":
-            if spec.get("alpha") is not None:
-                _check_num(spec["alpha"], f"{path}.alpha")
-            out["alpha"] = spec.get("alpha")
+            out["alpha"] = _optional_num(spec.get("alpha"), f"{path}.alpha")
         if kind == "mobius":
             dim = spec.get("dim")
             if dim is not None and dim not in (2, 3):
@@ -278,27 +288,21 @@ def _norm_model(spec, path, rank):
         allowed = {"stretch", "angles", "delta", "use"}
         stretch = spec.get("stretch")
         if isinstance(stretch, list):
-            if len(stretch) != rank:
-                _fail(f"{path}.stretch", f"expected {rank} stretch factors")
-            for i, s in enumerate(stretch):
-                _check_num(s, f"{path}.stretch[{i}]", positive=True)
+            for s, sp in _items(stretch, f"{path}.stretch",
+                                f"{rank} stretch factors", rank):
+                _check_num(s, sp, positive=True)
         else:
             _check_num(stretch, f"{path}.stretch", positive=True)
         angles = spec.get("angles")
-        if not isinstance(angles, list) or len(angles) != rank:
-            _fail(f"{path}.angles", f"expected {rank} rotation angles")
-        for i, a in enumerate(angles):
-            _check_num(a, f"{path}.angles[{i}]")
+        for a, ap in _items(angles, f"{path}.angles",
+                            f"{rank} rotation angles", rank):
+            _check_num(a, ap)
         use = spec.get("use", "mobius")
         if use not in ("mobius", "linear"):
             _fail(f"{path}.use", "expected 'mobius' or 'linear'")
-        if spec.get("delta") is not None:
-            _check_num(spec["delta"], f"{path}.delta", positive=True)
-        out.update(stretch=stretch, angles=angles,
-                   delta=spec.get("delta"), use=use)
-    unknown = extra - allowed
-    if unknown:
-        _fail(path, f"unknown field(s) {sorted(unknown)} for kind {kind!r}")
+        delta = _optional_num(spec.get("delta"), f"{path}.delta", positive=True)
+        out.update(stretch=stretch, angles=angles, delta=delta, use=use)
+    _known(spec, allowed | {"kind", "preset"}, path, f" for kind {kind!r}")
     return out
 
 
@@ -320,9 +324,7 @@ def parse_scenario(source) -> Scenario:
     raw = _decode(source) if isinstance(source, str) else source
     if not isinstance(raw, dict):
         _fail("", "top level must be a JSON object")
-    unknown = set(raw) - set(_TOP_KEYS)
-    if unknown:
-        _fail("", f"unknown field(s) {sorted(unknown)}")
+    _known(raw, _TOP_KEYS, "")
     data: dict = {}
     name = raw.get("name", "scenario")
     if not isinstance(name, str):
@@ -330,37 +332,24 @@ def parse_scenario(source) -> Scenario:
     data["name"] = name
     rank = raw.get("rank", 2)
     _check_num(rank, "rank", positive=True, integer=True)
-    data["rank"] = int(rank)
+    data["rank"] = rank = int(rank)
     seed = raw.get("seed", 0)
     _check_num(seed, "seed", integer=True, least=0)
     data["seed"] = int(seed)
-    data["target"] = _norm_model(raw.get("target"), "target", data["rank"])
-    data["reference"] = _norm_model(raw.get("reference"), "reference",
-                                    data["rank"])
+    data["target"] = _norm_model(raw.get("target"), "target", rank)
+    data["reference"] = _norm_model(raw.get("reference"), "reference", rank)
     subset = raw.get("subset")
-    if subset is not None:
-        if not isinstance(subset, list) or not subset:
-            _fail("subset", "expected a nonempty list of word strings")
-        for i, e in enumerate(subset):
-            if not isinstance(e, str):
-                _fail(f"subset[{i}]", "expected a word string")
-            if Word(e).max_index() > data["rank"]:
-                _fail(f"subset[{i}]",
-                      f"word {e!r} uses letters beyond rank {data['rank']}")
-    data["subset"] = subset
+    data["subset"] = subset if subset is None else _words(
+        subset, "subset", "a nonempty list of word strings", rank)
     mats = raw.get("matrices")
-    if mats is not None:
-        if not isinstance(mats, list) or not mats:
-            _fail("matrices", "expected a nonempty list of matrices")
-        mats = [_norm_matrix(m, f"matrices[{i}]") for i, m in enumerate(mats)]
-    data["matrices"] = mats
+    data["matrices"] = mats if mats is None else [
+        _norm_matrix(m, mp)
+        for m, mp in _items(mats, "matrices", "a nonempty list of matrices")]
     ens = raw.get("ensemble")
     if ens is not None:
         if not isinstance(ens, dict):
             _fail("ensemble", "expected an object")
-        unknown = set(ens) - {"count", "dim", "scale"}
-        if unknown:
-            _fail("ensemble", f"unknown field(s) {sorted(unknown)}")
+        _known(ens, ("count", "dim", "scale"), "ensemble")
         count = ens.get("count", 1)
         _check_num(count, "ensemble.count", positive=True, integer=True)
         dim = ens.get("dim", 2)
@@ -379,35 +368,14 @@ def parse_scenario(source) -> Scenario:
             _fail(f"verify[{i}]",
                   f"unknown verifier {t!r} (known: {', '.join(VERIFY_TOKENS)})")
     data["verify"] = list(verify)
-    cfg_in = raw.get("config", {})
-    if not isinstance(cfg_in, dict):
-        _fail("config", "expected an object")
-    unknown = set(cfg_in) - set(_CONFIG_DEFAULTS)
-    if unknown:
-        _fail("config", f"unknown field(s) {sorted(unknown)} "
-              f"(known: {', '.join(sorted(_CONFIG_DEFAULTS))})")
-    cfg = dict(_CONFIG_DEFAULTS)
-    cfg.update(cfg_in)
-    if not isinstance(cfg["L_values"], list) or not cfg["L_values"]:
-        _fail("config.L_values", "expected a nonempty list of window lengths")
-    for i, L in enumerate(cfg["L_values"]):
-        _check_num(L, f"config.L_values[{i}]", positive=True)
-    data["config"] = cfg
-    par_in = raw.get("params", {})
-    if not isinstance(par_in, dict):
-        _fail("params", "expected an object")
-    unknown = set(par_in) - set(_PARAM_DEFAULTS)
-    if unknown:
-        _fail("params", f"unknown field(s) {sorted(unknown)} "
-              f"(known: {', '.join(sorted(_PARAM_DEFAULTS))})")
-    par = dict(_PARAM_DEFAULTS)
-    par.update(par_in)
-    band = par["band"]
-    if band is not None:
-        if (not isinstance(band, list) or len(band) != 2):
-            _fail("params.band", "expected [alpha, beta]")
-        _check_num(band[0], "params.band[0]")
-        _check_num(band[1], "params.band[1]")
+    cfg = data["config"] = _section(raw, "config", _CONFIG_DEFAULTS)
+    for L, Lp in _items(cfg["L_values"], "config.L_values",
+                        "a nonempty list of window lengths"):
+        _check_num(L, Lp, positive=True)
+    par = data["params"] = _section(raw, "params", _PARAM_DEFAULTS)
+    if par["band"] is not None:
+        for b, bp in _items(par["band"], "params.band", "[alpha, beta]", 2):
+            _check_num(b, bp)
     for key, v in par.items():
         if key == "band" or (v is None and key in ("C0", "radius")):
             continue
@@ -415,7 +383,6 @@ def parse_scenario(source) -> Scenario:
         _check_num(v, f"params.{key}", integer=least is not None, least=least)
         if least is not None:
             par[key] = int(v)
-    data["params"] = par
     scen = Scenario(data=data)
     try:
         scen.config()  # validate config values via the dataclass
@@ -560,6 +527,17 @@ def _require(cond, what):
         raise InputError(what)
 
 
+def _require_both(target, reference, who):
+    _require(target is not None and reference is not None,
+             f"{who} needs target and reference models")
+
+
+def _entry(reports) -> dict:
+    """A check's entry: its reports, and the worst of their verdicts."""
+    return {"reports": [_jsonable(r) for r in reports],
+            "verdict": _worst(r.verdict for r in reports)}
+
+
 def _subset_reference(scen: Scenario) -> WordMetricModel:
     """The word metric of the scenario's subset."""
     subset = scen.data["subset"]
@@ -591,44 +569,36 @@ def _run_token(token: str, scen: Scenario, cfg: VerifierConfig,
         subset_reference = partial(_subset_reference, scen)
     tol = cfg.tolerance
     if token in ("thm13", "cor17"):
-        _require(target is not None and reference is not None,
-                 f"verifier {token} needs target and reference models")
+        _require_both(target, reference, f"verifier {token}")
         variant = "tight" if token == "thm13" else "plain-log4"
-        reports = cobounded_dilation_report(target, reference, cfg, variant,
-                                            tables=tables)
-        return {"reports": [_jsonable(r) for r in reports],
-                "verdict": _worst(r.verdict for r in reports)}
+        return _entry(cobounded_dilation_report(target, reference, cfg,
+                                                variant, tables=tables))
     if token == "thm15":
         _require(target is not None, "verifier thm15 needs a target model")
         ref = (reference if isinstance(reference, WordMetricModel)
                else subset_reference())
-        reports = word_metric_dilation_report(target, ref, cfg, tables=tables)
-        return {"reports": [_jsonable(r) for r in reports],
-                "verdict": _worst(r.verdict for r in reports)}
+        return _entry(word_metric_dilation_report(target, ref, cfg,
+                                                  tables=tables))
     if token == "cor14":
-        _require(target is not None and reference is not None,
-                 "verifier cor14 needs target and reference models")
+        _require_both(target, reference, "verifier cor14")
         _require(p["band"] is not None,
                  "verifier cor14 needs params.band = [alpha, beta]")
-        reports = ratio_envelope_report(target, reference, p["band"][0],
-                                        p["band"][1], cfg, C0=p["C0"],
-                                        tables=tables)
-        return {"reports": [_jsonable(r) for r in reports],
-                "verdict": _worst(r.verdict for r in reports)}
+        return _entry(ratio_envelope_report(target, reference, p["band"][0],
+                                            p["band"][1], cfg, C0=p["C0"],
+                                            tables=tables))
     if token == "anosov":
         _require(isinstance(target, MatrixActionModel),
                  "verifier anosov needs a matrix target model")
         cert = target.certificate(p["cert_radius"])
-        entry = {"certificate": _jsonable(cert)}
-        verdicts = ["holds" if cert.ok else "inconclusive"]
+        entry = {"certificate": _jsonable(cert),
+                 "verdict": "holds" if cert.ok else "inconclusive"}
         if cert.ok and reference is not None and isinstance(target,
                                                             LinearRepModel):
-            reports = spectral_dilation_report(
+            # past a certificate that holds, the verdict is the reports'
+            entry.update(_entry(spectral_dilation_report(
                 target, reference, cfg, alpha=p["alpha"],
-                cert_radius=p["cert_radius"], tables=tables)
-            entry["reports"] = [_jsonable(r) for r in reports]
-            verdicts += [r.verdict for r in reports]
-        return {**entry, "verdict": _worst(verdicts)}
+                cert_radius=p["cert_radius"], tables=tables)))
+        return entry
     if token == "bf":
         _require(target is not None and scen.data["subset"] is not None,
                  "verifier bf needs a target model and a subset")
@@ -659,19 +629,17 @@ def _run_token(token: str, scen: Scenario, cfg: VerifierConfig,
     if token == "prop31":
         _require(target is not None and scen.data["subset"] is not None,
                  "verifier prop31 needs a target model and a subset")
-        report = joint_vs_dilation_report(target, subset_reference(), cfg,
-                                          tables=tables)
-        return {"reports": [_jsonable(report)], "verdict": report.verdict}
+        return _entry([joint_vs_dilation_report(target, subset_reference(),
+                                                cfg, tables=tables)])
     if token == "lemma25":
         _require(target is not None, "verifier lemma25 needs a target model")
-        report = displacement_sandwich_report(target, p["n"],
-                                              p["ball_radius"], cfg)
-        return {"reports": [_jsonable(report)], "verdict": report.verdict}
+        return _entry([displacement_sandwich_report(target, p["n"],
+                                                    p["ball_radius"], cfg)])
     if token == "lemma32":
         _require(target is not None, "verifier lemma32 needs a target model")
-        report = pointwise_cover_report(target, p["ball_radius"],
-                                        p["f_radius"], cfg, max_f=p["max_f"])
-        return {"reports": [_jsonable(report)], "verdict": report.verdict}
+        return _entry([pointwise_cover_report(target, p["ball_radius"],
+                                              p["f_radius"], cfg,
+                                              max_f=p["max_f"])])
     raise InputError(f"unknown verifier token {token!r}")
 
 
@@ -755,6 +723,13 @@ def _all_floats(cells) -> bool:
     return set(map(type, cells)) <= {float}
 
 
+def _ratios(table: ClassTable, start: int, stop: int):
+    """(ratio_lo, ratio_hi) of each of rows start..stop-1 of a table, or
+    ("", "") where the reference lo is <= _ZERO_EPS."""
+    for i, positive in enumerate(table.positive[start:stop].tolist(), start):
+        yield (table.ratio_lo(i), table.ratio_hi(i)) if positive else ("", "")
+
+
 def _ratio_text(table: ClassTable, start: int, stop: int):
     """The ratio_lo and ratio_hi cells of rows start..stop-1 of a table:
     "" where the reference lo is <= _ZERO_EPS, else the exact_div value.
@@ -762,14 +737,13 @@ def _ratio_text(table: ClassTable, start: int, stop: int):
     Where no row of the chunk pairs two exact lengths, every value is the
     float of the table's ratio column, and its text is the float's repr;
     ratio_hi reuses the text of ratio_lo when both divide the same lists.
-    Other chunks read the table's exact_ratio_rows.
+    Other chunks read the table's ratio_lo and ratio_hi.
     """
     pairs = ((table.tgt_lo, table.ref_hi, table.lo),
              (table.tgt_hi, table.ref_lo, table.hi))
     if not all(_all_floats(tops[start:stop]) or _all_floats(bottoms[start:stop])
                for tops, bottoms, _ in pairs):
-        return list(zip(*(("", "") if r is None else map(str, r)
-                          for r in table.exact_ratio_rows(start, stop))))
+        return list(zip(*(map(str, r) for r in _ratios(table, start, stop))))
     blank = np.flatnonzero(~table.positive[start:stop]).tolist()
     out = []
     for tops, bottoms, floats in pairs:
@@ -824,11 +798,11 @@ def _first_cells(classes, k: int) -> list:
     if not isinstance(classes, ClassTable):
         return [(name, "", "", lo, hi, "", "")
                 for name, lo, hi in zip(names, classes.lo[:k], classes.hi[:k])]
-    return [(name, rlo, rhi, tlo, thi, *(("", "") if ratio is None else ratio))
+    return [(name, rlo, rhi, tlo, thi, *ratio)
             for name, rlo, rhi, tlo, thi, ratio in zip(
                 names, classes.ref_lo[:k], classes.ref_hi[:k],
                 classes.tgt_lo[:k], classes.tgt_hi[:k],
-                classes.exact_ratio_rows(0, k))]
+                _ratios(classes, 0, k))]
 
 
 def _models(scen: Scenario):
@@ -979,8 +953,7 @@ def _cmd_dilation(args) -> int:
     scen = _load(args)
     cfg = scen.config()
     target, reference = _models(scen)
-    _require(target is not None and reference is not None,
-             "dilation needs target and reference models")
+    _require_both(target, reference, "dilation")
     # the largest window first: the smaller ones read a prefix of its table
     tables: dict = {}
     out = {}
@@ -1008,8 +981,7 @@ def _cmd_jsr(args) -> int:
 def _cmd_delta(args) -> int:
     scen = _load(args)
     target, reference = _models(scen)
-    _require(target is not None and reference is not None,
-             "delta needs target and reference models")
+    _require_both(target, reference, "delta")
     rep = metric_distance_report(target, reference, scen.config())
     print(json.dumps(_jsonable(rep), indent=2, sort_keys=True))
     return 0

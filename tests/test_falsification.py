@@ -30,6 +30,18 @@ factors, so in log scale a ``jsr_profile`` bracket must satisfy
 log rho(P) / n <= hi and lo <= max log sigma_1(Q) / n for every n <= 6,
 to 1e-9, with lo again the largest term before its clip at hi.  Products, spectral radii and singular values are formed here
 with numpy's general routines, not the engine's renormalized levels.
+
+Displacement balls.  On a tree a reduced word moves the base point by the
+sum of its letter weights, so every word of displacement <= B has at most
+B / (least weight) letters.  ``displacement_ball`` must hold, in ball
+order, every nonidentity word of a ball one letter larger whose weight sum
+is <= B.
+
+Exact window flags.  On trees and standard word metrics a class length is
+the weight sum of its cyclically reduced word, so a window sup flagged
+exact must be an int or a Fraction equal to the largest Fraction
+l_tgt / l_ref over the classes of the window's radius with l_ref <= L,
+and each row ratio flagged exact must equal its class's Fraction ratio.
 """
 
 import itertools
@@ -43,11 +55,13 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from lenspec.actions import exact_div
+from lenspec.bounds import VerifierConfig, dilation_window, displacement_ball
 from lenspec.cli import _ensemble_pairs
 from lenspec.jsl import joint_stable_profile, jsr_profile
 from lenspec.spaces import (TreeModel, WordMetricModel, build_schottky,
                             class_bracket_reader)
-from lenspec.words import ConjClass, GeneratingSet, Word, _concat_reduced
+from lenspec.words import (ConjClass, GeneratingSet, Word, _concat_reduced,
+                           cyclic_reduce, enumerate_ball)
 
 _LEVELS = 5
 _WEIGHT = st.sampled_from([1, 2, 3, Fraction(1, 3), Fraction(5, 2)])
@@ -174,3 +188,67 @@ def test_jsr_brackets_hold_every_product(seed):
             sigma = np.linalg.svd(products, compute_uv=False)[:, 0]
             assert np.log(rho).max() / n <= bracket.hi + _TOL, (seed, n, bracket)
             assert lo <= np.log(sigma).max() / n + _TOL, (seed, n, bracket)
+
+
+def _weight_sum(weights, w: Word) -> Fraction:
+    return sum((Fraction(weights[abs(x) - 1]) for x in w.letters), Fraction(0))
+
+
+@st.composite
+def _ball_cases(draw):
+    rank = draw(st.sampled_from([1, 2]))
+    weights = draw(st.lists(_WEIGHT, min_size=rank, max_size=rank))
+    least = min(weights)
+    bound = least * draw(st.fractions(1, 6, max_denominator=4))
+    return rank, weights, int(bound) if bound.denominator == 1 else bound
+
+
+@settings(max_examples=60, deadline=None)
+@given(_ball_cases())
+def test_tree_displacement_balls_are_complete(case):
+    rank, weights, bound = case
+    radius = bound // min(weights) + 1
+    expected = [w for w in enumerate_ball(rank, radius)
+                if w.letters and _weight_sum(weights, w) <= bound]
+    got = displacement_ball(TreeModel(rank, weights), bound).elements
+    assert list(got) == expected, (weights, bound)
+
+
+@st.composite
+def _window_cases(draw):
+    rank = draw(st.sampled_from([1, 2]))
+    kinds = draw(st.sampled_from([("tree", "tree"), ("tree", "word-metric"),
+                                  ("word-metric", "tree")]))
+    weights = [draw(st.lists(_WEIGHT, min_size=rank, max_size=rank))
+               for _ in kinds]
+    models = [TreeModel(rank, w) if kind == "tree"
+              else WordMetricModel(GeneratingSet.standard(rank, w))
+              for kind, w in zip(kinds, weights)]
+    # the lightest reference letter is always in the window
+    L = min(weights[1]) * draw(st.fractions(1, 6, max_denominator=3))
+    radius_cap = draw(st.integers(1, 6))
+    return rank, models, weights, L, radius_cap
+
+
+def _is_exact(v) -> bool:
+    return type(v) in (int, Fraction)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_window_cases())
+def test_exact_window_flags_hold_the_fraction_sup(case):
+    rank, (target, ref), (w_tgt, w_ref), L, radius_cap = case
+    ws = dilation_window(target, ref, L, VerifierConfig(radius_cap=radius_cap))
+    ratios = {}
+    for w in enumerate_ball(rank, ws.radius):
+        rep = cyclic_reduce(w).rep
+        l_ref = _weight_sum(w_ref, rep)
+        if w.letters and l_ref <= L:
+            ratios[rep] = _weight_sum(w_tgt, rep) / l_ref
+    if ws.value.exact:
+        assert _is_exact(ws.value.lo) and _is_exact(ws.value.hi), ws.value
+        assert ws.value.lo == max(ratios.values(), default=0), (ws, ratios)
+    for row in ws.rows:
+        if row.ratio.exact:
+            assert _is_exact(row.ratio.lo), row
+            assert row.ratio.lo == ratios[cyclic_reduce(row.rep).rep], row
