@@ -63,6 +63,9 @@ class LengthBracket:
 
     def __post_init__(self):
         lo, hi = self.lo, self.hi
+        if lo is hi and type(lo) in (int, Fraction):
+            # one exact value at both ends: every check below holds
+            return
         if not (_is_exact(lo) and _is_exact(hi)):
             # allow a hair of float noise, then clamp
             scale = max(abs(float(lo)), abs(float(hi)), 1.0)

@@ -30,6 +30,7 @@ byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import math
 import platform
@@ -209,13 +210,14 @@ def _known(obj, known, path, suffix=""):
 
 
 def _section(raw, key, defaults):
-    """The object raw[key] ({} when absent) over its defaults.  A field
-    with no default fails, and the message lists the known fields."""
+    """The object raw[key] ({} when absent) over a copy of its defaults,
+    so that no two parses share a default list.  A field with no default
+    fails, and the message lists the known fields."""
     given = raw.get(key, {})
     if not isinstance(given, dict):
         _fail(key, "expected an object")
     _known(given, defaults, key, f" (known: {', '.join(sorted(defaults))})")
-    return {**defaults, **given}
+    return {**copy.deepcopy(defaults), **given}
 
 
 def _optional_num(v, path, **kw):
@@ -905,20 +907,27 @@ def _load(args) -> Scenario:
     return parse_scenario(raw)
 
 
-def _output(report: RunReport, args, to_json) -> None:
-    """--out through emit, then stdout: to_json() in JSON; in CSV the
-    entries, then the classes.csv rows, copied from the file emit wrote
-    when it wrote one."""
+def _copy_to_stdout(path: Path) -> None:
+    with path.open() as fh:
+        shutil.copyfileobj(fh, sys.stdout)
+
+
+def _output(report: RunReport, args, preview=None) -> None:
+    """--out through emit, then stdout: in JSON ``preview()`` when given,
+    else report.json; in CSV the entries, then the classes.csv rows.  A
+    file emit wrote is copied, not rendered again."""
     written = emit(report, args.out, args.format) if args.out else []
     for p in written:
         print(f"wrote {p}", file=sys.stderr)
     if args.format == "json":
-        sys.stdout.write(to_json())
+        if preview is None and written:
+            _copy_to_stdout(written[0])
+        else:
+            sys.stdout.write((preview or report.to_json)())
         return
     sys.stdout.write(_entry_rows(report))
     if written[1:] and written[1].name == "classes.csv":
-        with written[1].open() as fh:
-            shutil.copyfileobj(fh, sys.stdout)
+        _copy_to_stdout(written[1])
     elif report.classes is not None:
         _write_classes(sys.stdout, report.classes)
 
@@ -926,7 +935,7 @@ def _output(report: RunReport, args, to_json) -> None:
 def _cmd_verify(args) -> int:
     scen = _load(args)
     report = run(scen, with_classes=args.format == "csv" or args.out is not None)
-    _output(report, args, report.to_json)
+    _output(report, args)
     return report.exit_code
 
 

@@ -38,7 +38,8 @@ import numpy as np
 from .actions import LengthBracket, exact_div
 from .errors import InputError, NumericError, ResourceCapError, SearchExhaustedError
 from .spaces import MatrixActionModel, TreeModel, class_bracket_reader
-from .words import ConjClass, Word, _as_words, _concat_reduced, _cyclic_core
+from .words import (ConjClass, Word, _as_words, _concat_reduced, _cyclic_core,
+                    _unscaled)
 
 __all__ = [
     "JointLengthProfile",
@@ -130,9 +131,14 @@ def _matrix_levels(mats, n_max: int, cap: int):
 
     The products of level n are the level n-1 batch times each generator
     in turn; a level of more than ``cap`` products raises ResourceCapError.
+    The N products of a level are multiplied as one (N m, m) array of their
+    stacked rows, one matmul per generator: row i of P g is row i of P
+    times g, so the level holds the same products in the same order as the
+    stacked ``batch @ g`` with one call in place of N.
     """
     gens = np.stack([np.asarray(m) for m in mats])
     gens = gens.astype(np.complex128 if np.iscomplexobj(gens) else np.float64)
+    m = gens.shape[-1]
     batch = gens
     log_scale = 0.0
     for n in range(1, n_max + 1):
@@ -141,7 +147,8 @@ def _matrix_levels(mats, n_max: int, cap: int):
                 raise ResourceCapError(
                     f"level {n} matrix frontier would exceed cap {cap}"
                 )
-            batch = np.concatenate([batch @ g for g in gens], axis=0)
+            rows = batch.reshape(-1, m)
+            batch = np.concatenate([rows @ g for g in gens]).reshape(-1, m, m)
         c = float(np.max(np.abs(batch)))
         if not math.isfinite(c):
             raise NumericError("non-finite matrix entries in joint enumeration")
@@ -181,13 +188,21 @@ def tree_joint_profile(model: TreeModel, s) -> JointLengthProfile:
     d(x, sx) <= lambda for every s in S, and then d(x, s_1...s_n x) <= n
     lambda.  Compare Breuillard-Fujiwara (Ann. Inst. Fourier 71, 2021).
 
+    Pairs: ts = s^-1 (st) s is conjugate to st, so l(ts) = l(st) and the
+    scan reads each unordered pair {s, t}, s = t included, once:
+    |S|(|S| + 1)/2 products.  Each length is the sum of the tree's scaled
+    int weights (``_scaled``) over the cyclic core of st; S is checked
+    against the rank once, so no letter can miss the table, and the
+    largest sum is divided back by ``_den`` and halved once.
+
     No level is computed: ``a`` is empty and ``lo_terms`` holds the pair
     term alone.
     """
     s_list = [w.letters for w in _as_words(s, model.rank)]
-    pair = max(model.class_length(_cyclic_core(_concat_reduced(u, v)))
-               for u in s_list for v in s_list)
-    lam = exact_div(pair, 2)
+    weight = model._scaled.__getitem__
+    pair = max(sum(map(weight, _cyclic_core(_concat_reduced(u, v))))
+               for i, u in enumerate(s_list) for v in s_list[i:])
+    lam = exact_div(_unscaled(pair, model._den), 2)
     return JointLengthProfile(
         bracket=LengthBracket(lam, lam, exact=True),
         a={},
@@ -212,23 +227,25 @@ def joint_stable_profile(
 
     engine: 'products' enumerates S^n (deduplicated reduced words for word
     models; a matrix model's levels are ``jsr_profile``'s, under the engine
-    name 'matrix'); 'tree-dp' is the exact S^2 scan of
+    name 'matrix'); 'tree-dp' is the exact pair scan of
     ``tree_joint_profile`` (TreeModel only), which needs no n_max; 'auto'
     picks by model kind; any other name raises InputError.
     A level of more than ``frontier_cap`` products raises ResourceCapError.
     """
-    words = _as_words(s, model.rank)
     if n_max < 2:
         raise InputError("n_max must be >= 2")
     if engine not in ("auto", "products", "tree-dp"):
         raise InputError(f"unknown joint-length engine {engine!r}")
-    if engine == "tree-dp" or (
-        engine == "auto" and isinstance(model, TreeModel)
-        and len(words) ** n_max > frontier_cap
-    ):
+    if engine == "auto" and isinstance(model, TreeModel):
+        s = list(s)
+        if len(s) ** n_max > frontier_cap:
+            engine = "tree-dp"
+    if engine == "tree-dp":
         if not isinstance(model, TreeModel):
             raise InputError("tree-dp engine needs a TreeModel")
-        return tree_joint_profile(model, words)
+        # tree_joint_profile checks S
+        return tree_joint_profile(model, s)
+    words = _as_words(s, model.rank)
     matrix = isinstance(model, MatrixActionModel)
     if matrix:
         jsr = jsr_profile([model.matrix(w) for w in words], n_max, cap=frontier_cap)

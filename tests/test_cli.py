@@ -61,6 +61,12 @@ def test_parse_fills_defaults():
     assert scen.config().L_values == (8,)
 
 
+def test_default_l_values_are_not_shared():
+    first = parse_scenario("{}")
+    first.data["config"]["L_values"].append(99)
+    assert parse_scenario("{}").data["config"]["L_values"] == [8]
+
+
 def test_builtin_preset_golden():
     got = builtin_preset("cor17-default")
     assert got == {
@@ -314,6 +320,7 @@ def test_class_cap_in_classes_csv_keeps_the_report(tmp_path, capsys, verify,
         in captured.err
     if fmt == "json":
         assert json.loads(captured.out) == body
+        assert captured.out == (out / "report.json").read_text()
     else:
         assert (out / "entries.csv").exists()
         assert captured.out == "".join(f"{t},resource-cap,inconclusive\n"

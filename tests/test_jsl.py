@@ -26,6 +26,7 @@ from lenspec.jsl import (
     BochiConstants,
     bf_lower_check,
     bochi_rhs,
+    _matrix_levels,
     joint_stable_profile,
     jsr_profile,
     tree_joint_profile,
@@ -370,6 +371,54 @@ def test_jsr_overflow_resistance():
     # stretch 1e8: naive products overflow float64 by level 5
     b = jsr_profile([np.diag([1e8, 1e-8])], n_max=8).bracket
     assert b.lo == pytest.approx(8 * math.log(10), rel=1e-12)
+
+
+def _stacked_levels(mats, n_max):
+    """The levels of ``_matrix_levels`` from the stacked ``batch @ g``."""
+    gens = np.stack([np.asarray(m) for m in mats])
+    gens = gens.astype(np.complex128 if np.iscomplexobj(gens) else np.float64)
+    batch, log_scale = gens, 0.0
+    for n in range(1, n_max + 1):
+        if n > 1:
+            batch = np.concatenate([batch @ g for g in gens])
+        c = float(np.max(np.abs(batch)))
+        batch = batch / c
+        log_scale += math.log(c)
+        yield n, batch, log_scale
+
+
+@pytest.mark.parametrize("m,count,complex_", [
+    (2, 2, False), (2, 3, False), (2, 2, True), (2, 3, True),
+    (3, 2, False), (3, 3, False)])
+def test_matrix_levels_match_the_stacked_matmul(m, count, complex_):
+    # one matmul per generator over the flattened rows gives the products
+    # of the stacked matmul bit for bit, in the same order
+    rng = np.random.default_rng(26 + 10 * m + count)
+    mats = [rng.standard_normal((m, m))
+            + (1j * rng.standard_normal((m, m)) if complex_ else 0)
+            for _ in range(count)]
+    got = list(_matrix_levels(mats, 8, 2_000_000))
+    assert len(got) == 8
+    for (n, batch, log_scale), (want_n, want, want_scale) in zip(
+            got, _stacked_levels(mats, 8)):
+        assert n == want_n and batch.shape == (count ** n, m, m)
+        assert batch.dtype == want.dtype
+        np.testing.assert_array_equal(batch, want)
+        assert log_scale == want_scale
+
+
+@pytest.mark.parametrize("v", [3, Fraction(7, 2)])
+def test_length_bracket_of_one_exact_value(v):
+    b = LengthBracket(v, v, exact=True)
+    assert b.lo is v and b.hi is v and b.exact and b.width == 0
+
+
+def test_length_bracket_checks_distinct_ends():
+    b = LengthBracket(Fraction(7, 2), Fraction(14, 4), exact=True)
+    assert b.lo == b.hi == Fraction(7, 2)
+    nan = float("nan")
+    with pytest.raises(InputError, match="exact bracket must have lo == hi"):
+        LengthBracket(nan, nan, exact=True)
 
 
 # ------------------------------------------------------------------ bochi

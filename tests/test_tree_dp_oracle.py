@@ -22,7 +22,8 @@ from hypothesis import strategies as st
 from lenspec.actions import LengthBracket, exact_div
 from lenspec.jsl import tree_joint_profile
 from lenspec.spaces import TreeModel
-from lenspec.words import Word, _as_words, _concat_reduced, enumerate_ball
+from lenspec.words import (Word, _as_words, _concat_reduced, _cyclic_core,
+                           enumerate_ball)
 from test_window_oracle import _canon
 
 _OracleProfile = namedtuple(
@@ -228,7 +229,7 @@ def _cases(draw):
 
 @settings(max_examples=250, deadline=None)
 @given(_cases())
-def test_compiled_automaton_matches_the_dict_walk(case):
+def test_pair_scan_matches_the_dict_walk(case):
     model, s, n_max, kind = case
     old = _oracle_tree_joint_profile(model, s, n_max)
     side = ("a heaviest factor is cyclically reduced"
@@ -237,7 +238,14 @@ def test_compiled_automaton_matches_the_dict_walk(case):
     event(f"{side}: rank {model.rank}, {kind} weights")
     if old.eroded:
         event("oracle erodes")
-    _assert_bracketed(tree_joint_profile(model, s), old)
+    p = tree_joint_profile(model, s)
+    _assert_bracketed(p, old)
+    # the scan reads unordered pairs; the half-max over ordered pairs is
+    # the same value of the same type
+    letters = [w.letters for w in s]
+    ordered = exact_div(max(model.class_length(_cyclic_core(_concat_reduced(u, v)))
+                            for u in letters for v in letters), 2)
+    assert p.pair_half == ordered and type(p.pair_half) is type(ordered)
 
 
 def test_acceptance_triples_match_the_dict_walk():
