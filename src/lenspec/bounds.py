@@ -38,8 +38,8 @@ import numpy as np
 from .actions import LengthBracket, exact_div
 from .errors import InputError
 from .jsl import BochiConstants, joint_stable_profile
-from .spaces import (MatrixActionModel, TreeModel, WordMetricModel,
-                     class_bracket_reader)
+from .spaces import (LinearRepModel, MatrixActionModel, MobiusModel, TreeModel,
+                     WordMetricModel, class_bracket_reader)
 from .words import (
     _SEARCH_NODE_CAP,
     ClassCodes,
@@ -102,7 +102,10 @@ class VerifierConfig:
     """Shared knobs for the verifiers; all radii and caps live here.
 
     Caps, radii and levels are ints at or above their least value; every
-    other number is finite, and a bool is no number.
+    other number is finite, and a bool is no number.  ``k_max`` and
+    ``c_delta`` are validated and echoed into every report's scenario
+    config, but no check reads them (``bf`` reads its pair maximum at a
+    fixed k_max of 8).
     """
 
     K: float = 1e4
@@ -165,41 +168,29 @@ class WindowSup:
     rows: tuple = ()
 
 
+# the package's model classes, whose bulk form class_brackets stands for
+# their per-class method; a subclass may override that method
+_BULK_MODELS = (TreeModel, WordMetricModel, MobiusModel, LinearRepModel)
+
+
 def _eval_class_lengths(model, codes: ClassCodes, k_max):
     """(lo, hi, lo floats, hi floats): the stable-length bracket of every
     class of ``codes`` under ``model``, as lists and as float64 columns.
 
     The values are the model's class_length, or else its
-    class_length_bracket.  Where that per-class method is the one of the
-    class family defining its bulk form (class_lengths,
-    class_length_brackets), the bulk form evaluates a length block at a
-    time; a model overriding the per-class method, or one whose bulk form
-    declines (returns None), is evaluated class by class.
+    class_length_bracket.  A model whose type is one of the package's
+    model classes reads a length block at a time through its bulk form
+    ``class_brackets``; any other model, a subclass included, or one whose
+    bulk form declines (returns None), is evaluated class by class.
     """
-    read = class_bracket_reader(model, k_max)
-    if hasattr(model, "class_length"):
-        lengths = _bulk(model, "class_length", codes)
-        if lengths is not None:
-            vals, floats = lengths
-            return vals, vals, floats, floats
-    else:
-        brackets = _bulk(model, "class_length_bracket", codes, k_max)
+    if type(model) in _BULK_MODELS:
+        brackets = model.class_brackets(codes, k_max)
         if brackets is not None:
             return brackets
+    read = class_bracket_reader(model, k_max)
     pairs = [read(r) for r in codes.reps]
     lo, hi = [p[0] for p in pairs], [p[1] for p in pairs]
     return lo, hi, np.array(lo, dtype=np.float64), np.array(hi, dtype=np.float64)
-
-
-def _bulk(model, name: str, *args):
-    """The bulk form ``name + "s"`` of the per-class method ``name`` over
-    ``args``, or None: when the model's class overrides the per-class
-    method below the family that defines the bulk form, or none does."""
-    cls = type(model)
-    family = next((k for k in cls.__mro__ if name + "s" in vars(k)), None)
-    if family is None or getattr(family, name, None) is not getattr(cls, name):
-        return None
-    return getattr(model, name + "s")(*args)
 
 
 def _ratio_column(tops, bottoms, positive) -> np.ndarray:
@@ -829,9 +820,7 @@ def joint_vs_dilation_report(model, s, config: Optional[VerifierConfig] = None,
             gens = GeneratingSet(rank=model.rank, elements=tuple(words))
         ref = WordMetricModel(gens)
     L = max(cfg.L_values)
-    needed = ref.window_radius(L)
-    table = _build_table(model, ref, [needed], cfg, tables)
-    ws = _window_sup(table, L, needed, diag_cap=cfg.diagnostics_cap)
+    ws = dilation_window(model, ref, L, cfg, tables=tables)
     profile = joint_stable_profile(model, words, cfg.n_max,
                                    frontier_cap=cfg.frontier_cap)
     joint = profile.bracket

@@ -40,12 +40,13 @@ import time
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cache, partial
-from itertools import islice, repeat
+from itertools import islice
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
+from . import __version__
 from .bounds import (
     ClassTable,
     VerifierConfig,
@@ -74,13 +75,6 @@ from .spaces import (
     build_schottky,
 )
 from .words import ROW_CHUNK, ClassCodes, GeneratingSet, Word, _finite_real
-
-try:
-    from importlib.metadata import version as _pkg_version
-
-    _VERSION = _pkg_version("lenspec")
-except Exception:  # pragma: no cover - not installed
-    _VERSION = "0.1.0"
 
 __all__ = [
     "Scenario",
@@ -725,65 +719,63 @@ def _all_floats(cells) -> bool:
     return set(map(type, cells)) <= {float}
 
 
-def _ratios(table: ClassTable, start: int, stop: int):
-    """(ratio_lo, ratio_hi) of each of rows start..stop-1 of a table, or
-    ("", "") where the reference lo is <= _ZERO_EPS."""
-    for i, positive in enumerate(table.positive[start:stop].tolist(), start):
-        yield (table.ratio_lo(i), table.ratio_hi(i)) if positive else ("", "")
+def _number_columns(classes, start: int, stop: int) -> list:
+    """The six number columns of classes.csv (ref_lo, ref_hi, target_lo,
+    target_hi, ratio_lo, ratio_hi) for rows start..stop-1 of a
+    _class_listing, as values, "" where a cell has no value.  A list held
+    under two names is cut once and returned as one object.
 
-
-def _ratio_text(table: ClassTable, start: int, stop: int):
-    """The ratio_lo and ratio_hi cells of rows start..stop-1 of a table:
-    "" where the reference lo is <= _ZERO_EPS, else the exact_div value.
-
-    Where no row of the chunk pairs two exact lengths, every value is the
-    float of the table's ratio column, and its text is the float's repr;
-    ratio_hi reuses the text of ratio_lo when both divide the same lists.
-    Other chunks read the table's ratio_lo and ratio_hi.
+    A ratio cell is "" where the reference lo is <= _ZERO_EPS, else the
+    exact_div value.  Where no row of the range pairs two exact lengths,
+    that value is the float of the table's ratio column, and ratio_hi is
+    ratio_lo's list when both divide the same lists; other ranges read
+    the table's ratio_lo and ratio_hi on the positive rows alone.
     """
-    pairs = ((table.tgt_lo, table.ref_hi, table.lo),
-             (table.tgt_hi, table.ref_lo, table.hi))
-    if not all(_all_floats(tops[start:stop]) or _all_floats(bottoms[start:stop])
-               for tops, bottoms, _ in pairs):
-        return list(zip(*(map(str, r) for r in _ratios(table, start, stop))))
-    blank = np.flatnonzero(~table.positive[start:stop]).tolist()
-    out = []
-    for tops, bottoms, floats in pairs:
-        if out and tops is pairs[0][0] and bottoms is pairs[0][1]:
-            out.append(out[0])
-            continue
-        cells = list(map(float.__repr__, floats[start:stop].tolist()))
-        for i in blank:
-            cells[i] = ""
-        out.append(cells)
-    return out
+    cuts = {}
+
+    def cut(col):
+        if id(col) not in cuts:
+            cuts[id(col)] = col[start:stop]
+        return cuts[id(col)]
+
+    if not isinstance(classes, ClassTable):
+        blank = [""] * (stop - start)
+        return [blank, blank, cut(classes.lo), cut(classes.hi), blank, blank]
+    t = classes
+    lengths = [cut(t.ref_lo), cut(t.ref_hi), cut(t.tgt_lo), cut(t.tgt_hi)]
+    if all(_all_floats(cut(tops)) or _all_floats(cut(bottoms))
+           for tops, bottoms in ((t.tgt_lo, t.ref_hi), (t.tgt_hi, t.ref_lo))):
+        lo = t.lo[start:stop].tolist()
+        hi = (lo if t.tgt_hi is t.tgt_lo and t.ref_lo is t.ref_hi
+              else t.hi[start:stop].tolist())
+        for i in np.flatnonzero(~t.positive[start:stop]).tolist():
+            lo[i] = hi[i] = ""
+    else:
+        lo, hi = [""] * (stop - start), [""] * (stop - start)
+        for i in np.flatnonzero(t.positive[start:stop]).tolist():
+            lo[i], hi[i] = t.ratio_lo(start + i), t.ratio_hi(start + i)
+    return lengths + [lo, hi]
 
 
 def _csv_chunks(classes):
     """The rows of classes.csv (without its header) of a _class_listing,
     as text of at most ROW_CHUNK rows per string.
 
-    A chunk renders each column once: the names from the class codes, and
-    str() of every length, which is the CSV text of an int, Fraction or
-    float (its repr); a column that is the same list as one rendered
-    before reuses its text.  No cell holds a comma, quote or newline, and
-    the rows are joined once per chunk.
+    A chunk renders each distinct column of ``_number_columns`` once with
+    str(), which is the CSV text of an int, Fraction or float (its repr),
+    and the names from the class codes.  No cell holds a comma, quote or
+    newline, and the rows are joined once per chunk.
     """
-    table = isinstance(classes, ClassTable)
-    lengths = ((classes.ref_lo, classes.ref_hi, classes.tgt_lo, classes.tgt_hi)
-               if table else (None, None, classes.lo, classes.hi))
     names = classes.classes.names()
     n = len(classes)
     for start in range(0, n, ROW_CHUNK):
         stop = min(n, start + ROW_CHUNK)
         text = {}
-        for col in lengths:
-            if col is not None and id(col) not in text:
-                text[id(col)] = list(map(str, col[start:stop]))
         cols = [islice(names, stop - start)]
-        cols += (repeat("") if c is None else text[id(c)] for c in lengths)
-        cols += (_ratio_text(classes, start, stop) if table
-                 else (repeat(""), repeat("")))
+        for col in _number_columns(classes, start, stop):
+            if id(col) not in text:
+                text[id(col)] = list(map(str, col))
+            cols.append(text[id(col)])
         yield "\n".join(map(",".join, zip(*cols))) + "\n"
 
 
@@ -796,15 +788,9 @@ def _write_classes(fh, classes):
 def _first_cells(classes, k: int) -> list:
     """The cells of the first k rows of classes.csv, one tuple per class:
     the class as a string, then the numbers, "" where a cell has no value."""
-    names = islice(classes.classes.names(), k)
-    if not isinstance(classes, ClassTable):
-        return [(name, "", "", lo, hi, "", "")
-                for name, lo, hi in zip(names, classes.lo[:k], classes.hi[:k])]
-    return [(name, rlo, rhi, tlo, thi, *ratio)
-            for name, rlo, rhi, tlo, thi, ratio in zip(
-                names, classes.ref_lo[:k], classes.ref_hi[:k],
-                classes.tgt_lo[:k], classes.tgt_hi[:k],
-                _ratios(classes, 0, k))]
+    k = min(k, len(classes))
+    return list(zip(islice(classes.classes.names(), k),
+                    *_number_columns(classes, 0, k)))
 
 
 def _models(scen: Scenario):
@@ -814,7 +800,7 @@ def _models(scen: Scenario):
 
 
 def _env(scen: Scenario) -> dict:
-    return {"package": "lenspec", "version": _VERSION,
+    return {"package": "lenspec", "version": __version__,
             "python": platform.python_version(), "seed": scen.seed}
 
 

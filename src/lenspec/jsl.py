@@ -286,10 +286,12 @@ class BfCheck:
 
 def _pair_sup_bracket(model, words) -> LengthBracket:
     """Largest class length over S^2, read on each canonical rep: a
-    model's class_length, or else its class_length_bracket with k_max 8."""
+    model's class_length, or else its class_length_bracket with k_max 8.
+    vu = u^-1 (uv) u is conjugate to uv, so each unordered pair {u, v},
+    u = v included, is read once."""
     read = class_bracket_reader(model, 8)
     lo, hi = map(max, zip(*(read(ConjClass.of(u * v).rep.letters)
-                            for u in words for v in words)))
+                            for i, u in enumerate(words) for v in words[i:])))
     return LengthBracket(lo, hi, exact=bool(lo == hi))
 
 

@@ -99,8 +99,10 @@ class TreeModel(ActionModel):
     def class_length(self, letters):
         return _unscaled(_letter_sum(self._scaled, letters, self.rank), self._den)
 
-    def class_lengths(self, codes: ClassCodes):
-        """(class_length of every class of ``codes``, their float64 values).
+    def class_brackets(self, codes: ClassCodes, k_max: int):
+        """(lo, hi, lo floats, hi floats) with lo = hi the class_length of
+        every class of ``codes``, one list and one float64 column held
+        under both names; ``k_max`` is unused, the lengths are exact.
 
         A scaled-weight gather per column of a length block, summed in
         int64, or in Python ints (an object array) where a sum could pass
@@ -123,7 +125,8 @@ class TreeModel(ActionModel):
             lengths = [Fraction(v, self._den) for v in uniq.tolist()]
             vals += map(lengths.__getitem__, inv.tolist())
             floats.append(np.array(list(map(float, lengths)))[inv])
-        return vals, _joined(floats)
+        floats = _joined(floats)
+        return vals, vals, floats, floats
 
     def window_radius(self, length_bound) -> int:
         return math.ceil(exact_div(length_bound, min(self.weights)))
@@ -248,11 +251,11 @@ class WordMetricModel(ActionModel):
                 hi = cand
         return min(lo, hi), hi
 
-    def class_length_brackets(self, codes: ClassCodes, k_max: int = 2):
+    def class_brackets(self, codes: ClassCodes, k_max: int):
         """(lo, hi, lo floats, hi floats): class_length_bracket of every
         class of ``codes`` as two lists and as float64 columns.
 
-        A standard set is its tree's class_lengths.  Otherwise the
+        A standard set is its tree's class_brackets.  Otherwise the
         spelling cost of u^k for k <= k_max is a min-plus DP over the
         columns of a length block, for all its rows at once, capped by the
         sum of the letter costs as cost_upper caps it, in ints scaled by
@@ -260,8 +263,7 @@ class WordMetricModel(ActionModel):
         int64: the caller then evaluates class by class.
         """
         if self._standard:
-            vals, floats = self._tree.class_lengths(codes)
-            return vals, vals, floats, floats
+            return self._tree.class_brackets(codes, k_max)
         weights = [*self._table.values(), *self._letter_cost.values()]
         den = math.lcm(*(Fraction(w).denominator for w in weights))
         b = 2 * self.rank
@@ -537,13 +539,16 @@ class MatrixActionModel(ActionModel):
                 out.append(_lambda1_rows(ar + dr, ai + di, p - r, q - t))
         return _joined(out)
 
-    def _length_column(self, codes: ClassCodes):
-        """(class_length of every class of ``codes``, their float64 values);
-        None beyond 2x2 matrices, evaluated class by class."""
+    def class_brackets(self, codes: ClassCodes, k_max: int):
+        """(lo, hi, lo floats, hi floats) with lo = hi the class_length of
+        every class of ``codes``, one list and one float64 column held
+        under both names; ``k_max`` is unused.  None beyond 2x2 matrices,
+        which are evaluated class by class."""
         if self.dim != 2:
             return None
         vals = list(map(self._length, self.class_lambda1_column(codes).tolist()))
-        return vals, np.array(vals, dtype=np.float64)
+        floats = np.array(vals, dtype=np.float64)
+        return vals, vals, floats, floats
 
     def window_radius(self, length_bound) -> float:
         # log sigma1 >= gap/2 for unit determinant, and a class length is
@@ -604,9 +609,6 @@ class MobiusModel(MatrixActionModel):
     def class_length(self, letters) -> float:
         return self._length(self.class_lambda1(letters))
 
-    def class_lengths(self, codes: ClassCodes):
-        return self._length_column(codes)
-
 
 class LinearRepModel(MatrixActionModel):
     """Linear representation with the singular-value pseudo-metric.
@@ -657,9 +659,6 @@ class LinearRepModel(MatrixActionModel):
 
     def class_length(self, letters) -> float:
         return self._length(self.class_lambda1(letters))
-
-    def class_lengths(self, codes: ClassCodes):
-        return self._length_column(codes)
 
 
 # ------------------------------------------------------------- Schottky

@@ -1,7 +1,7 @@
 """Class tables from integer-coded classes: bulk lengths, names, prefixes.
 
 Every model kind evaluates its class lengths a length block at a time
-(``class_lengths`` / ``class_length_brackets``).  The bulk values must be
+through its one bulk form, ``class_brackets``.  The bulk values must be
 the per-class methods' values class by class, number types included
 (``_canon`` of the window oracle), and their float64 columns the
 correctly rounded floats of those values.
@@ -75,7 +75,7 @@ def _assert_bulk_is_per_class(model, rank=2, radius=RADIUS):
 ], ids=str)
 def test_tree_bulk_lengths_are_class_length(weights, small_ints):
     model = TreeModel(len(weights), weights)
-    assert model.class_lengths(ClassCodes.walk(model.rank, 1)) is not None
+    assert model.class_brackets(ClassCodes.walk(model.rank, 1), 2) is not None
     vals, _ = _assert_bulk_is_per_class(model, model.rank,
                                         RADIUS if model.rank == 2 else 4)
     assert all(type(v) is int and v < 2 ** 53 for v in vals) == small_ints
@@ -109,7 +109,7 @@ def test_tree_bulk_types_follow_the_weights():
 ], ids=["shortcut", "asymmetric-fraction", "float", "mixed", "standard",
         "standard-fraction", "cancelling", "no-piece"])
 def test_word_metric_bulk_brackets_are_class_length_bracket(model):
-    assert model.class_length_brackets(ClassCodes.walk(2, 1)) is not None
+    assert model.class_brackets(ClassCodes.walk(2, 1), 2) is not None
     lo, hi = _assert_bulk_is_per_class(model)
     assert any(a != b for a, b in zip(lo, hi)) or model._standard
 
@@ -123,7 +123,7 @@ def test_word_metric_bulk_brackets_are_class_length_bracket(model):
 ], ids=["long-piece", "heavy-weight"])
 def test_word_metric_bulk_declines_past_int64(elements, weights):
     model = WordMetricModel(GeneratingSet(2, elements, weights))
-    assert model.class_length_brackets(ClassCodes.walk(2, 1)) is None
+    assert model.class_brackets(ClassCodes.walk(2, 1), 2) is None
     _assert_bulk_is_per_class(model, radius=3)
 
 
@@ -176,7 +176,7 @@ def test_linear_beyond_2x2_goes_class_by_class():
     model = LinearRepModel([np.diag([2.0, 1.0, 0.5]),
                             np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0],
                                       [0.0, 0.0, 1.0]])])
-    assert model.class_lengths(ClassCodes.walk(2, 1)) is None
+    assert model.class_brackets(ClassCodes.walk(2, 1), 2) is None
     _assert_bulk_is_per_class(model, radius=3)
 
 
@@ -195,23 +195,33 @@ def test_linear_beyond_2x2_goes_class_by_class():
         "word-metric", "preset-mobius", "preset-linear", "schottky-space"])
 def test_every_built_model_kind_has_a_bulk_form(spec):
     model = build_model(spec, 2)
-    codes = ClassCodes.walk(2, 3)
-    if hasattr(model, "class_length"):
-        assert bounds._bulk(model, "class_length", codes) is not None
-    else:
-        assert bounds._bulk(model, "class_length_bracket", codes, 2) is not None
+    assert type(model) in bounds._BULK_MODELS
+    assert model.class_brackets(ClassCodes.walk(2, 3), 2) is not None
 
 
-def test_overridden_class_length_is_evaluated_class_by_class():
+def test_overridden_class_length_is_evaluated_class_by_class(monkeypatch):
+    bulk = []
+    real = TreeModel.class_brackets
+
+    def counting(self, codes, k_max):
+        bulk.append(self)
+        return real(self, codes, k_max)
+
+    monkeypatch.setattr(TreeModel, "class_brackets", counting)
     listed = _Listed({"b": Fraction(7, 3), "aB": 5})
-    table = ClassTable(listed, TreeModel(2), 3)
+    # a subclass that keeps the tree's class_length is read class by
+    # class too, with the values of its bulk form
+    plain = type("Plain", (TreeModel,), {})(2, [1, 2])
+    table = ClassTable(listed, plain, 3)
+    assert bulk == []
     by_name = dict(zip(table.classes.names(), table.tgt_lo))
     assert by_name["b"] == Fraction(7, 3) and by_name["aB"] == 5
     assert _canon(table.tgt_lo) == _canon(_per_class(listed, table.classes)[0])
-    # a subclass that keeps the family's class_length keeps the bulk form
-    plain = type("Plain", (TreeModel,), {})(2, [1, 2])
-    assert bounds._bulk(plain, "class_length", table.classes) is not None
-    assert bounds._bulk(listed, "class_length", table.classes) is None
+    want = _eval_class_lengths(TreeModel(2, [1, 2]), table.classes, 2)
+    assert len(bulk) == 1
+    got = (table.ref_lo, table.ref_hi, table.ref_lo_f, table.ref_hi_f)
+    assert _canon(got[:2]) == _canon(want[:2])
+    assert [f.tolist() for f in got[2:]] == [f.tolist() for f in want[2:]]
 
 
 class _NoLengths:

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -23,6 +24,7 @@ from lenspec.cli import (
     run,
 )
 from lenspec.errors import InputError
+from lenspec.spaces import TreeModel, build_schottky
 from lenspec.words import Word, iter_class_reps
 
 SCEN_DIR = Path(__file__).resolve().parents[1] / "src" / "lenspec" / "scenarios"
@@ -621,8 +623,6 @@ def test_main_jsr_subcommand(capsys):
 def test_main_jsr_verdict_is_the_worst_over_instances(tmp_path, capsys,
                                                       monkeypatch):
     # a violated instance followed by an inconclusive one stays violated
-    from types import SimpleNamespace
-
     from lenspec.actions import LengthBracket
 
     brackets = iter([LengthBracket(5.0, 6.0), LengthBracket(1.0, 6.0)])
@@ -690,6 +690,36 @@ def test_a_flag_the_subcommand_does_not_read_exits_2(capsys, command, flag):
         main([command, "--scenario", str(SCEN_DIR / "tree-pair.json"), *flag])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+
+
+def _listing(target, reference, radius):
+    scen = SimpleNamespace(rank=2, params={"radius": radius})
+    return cli._class_listing(scen, bounds.VerifierConfig(), target, reference)
+
+
+def test_first_cells_of_a_one_model_listing_past_its_end():
+    model = TreeModel(2, [1, 2])
+    classes = _listing(model, None, 1)
+    cells = cli._first_cells(classes, 20)
+    assert len(cells) == len(classes) == 4
+    assert cells == [(name, "", "", model.class_length(r),
+                      model.class_length(r), "", "")
+                     for name, r in zip(classes.classes.names(),
+                                        classes.classes.reps)]
+    assert cli._first_cells(classes, 0) == []
+
+
+def test_first_cells_of_a_table_are_its_csv_rows_past_its_end():
+    # two matrix models: every ratio cell is a float of the ratio columns
+    act = build_schottky(4.0, [0.0, 1.2])
+    classes = _listing(act.mobius, act.linear, 1)
+    cells = cli._first_cells(classes, 20)
+    assert len(cells) == len(classes) == 4
+    rows = "".join(cli._csv_chunks(classes)).splitlines()
+    assert [",".join(map(str, c)) for c in cells] == rows
+    # a list held under two names is one column, rendered once
+    cols = cli._number_columns(classes, 0, len(classes))
+    assert cols[0] is cols[1] and cols[2] is cols[3] and cols[4] is cols[5]
 
 
 @pytest.mark.parametrize("command", ["verify", "spectrum"])
@@ -987,6 +1017,19 @@ def test_one_by_one_linear_model_has_no_singular_gap(tmp_path, capsys, data,
 
 
 # ------------------------------------------------------------ entry points
+
+
+def test_importing_the_cli_reads_no_package_metadata():
+    # the version in a report's env is the package's __version__
+    code = ("import sys, lenspec, lenspec.cli\n"
+            "assert 'importlib.metadata' not in sys.modules\n"
+            "scen = lenspec.cli.parse_scenario('{}')\n"
+            "assert lenspec.cli._env(scen)['version'] == lenspec.__version__\n")
+    path = [str(SCEN_DIR.parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_python_m_lenspec_prints_what_main_prints(capsys):

@@ -3,7 +3,8 @@ across modules without a listed reason.
 
 AST scans of ``src/lenspec/*.py``.  A name bound by a module-level
 ``import`` or ``from ... import`` must be read somewhere in the module or
-be listed in its ``__all__`` (a re-export).  A ``from ... import`` of a
+be listed in its ``__all__`` (a re-export); the tests and demos are held
+to the same rule.  A ``from ... import`` of a
 name with a leading underscore from another module of the package must
 come from ``words`` (the word arithmetic every layer builds on) or be
 listed in ``PRIVATE_IMPORTS``.
@@ -14,7 +15,11 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "lenspec"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "lenspec"
+# the package's modules by file name, the tests and demos by folder/name
+SCANNED = [*sorted(SRC.glob("*.py")), *sorted((ROOT / "tests").glob("*.py")),
+           *sorted((ROOT / "demos").glob("*.py"))]
 
 
 def _unused_imports(tree: ast.Module) -> list:
@@ -36,7 +41,8 @@ def _unused_imports(tree: ast.Module) -> list:
                   if name not in read and name not in exported)
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SCANNED, ids=lambda p: (
+    p.name if p.parent == SRC else f"{p.parent.name}/{p.name}"))
 def test_no_unused_top_level_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     assert _unused_imports(tree) == []

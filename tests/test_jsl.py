@@ -27,6 +27,7 @@ from lenspec.jsl import (
     bf_lower_check,
     bochi_rhs,
     _matrix_levels,
+    _pair_sup_bracket,
     joint_stable_profile,
     jsr_profile,
     tree_joint_profile,
@@ -315,6 +316,25 @@ def test_pair_half_reads_the_canonical_rotation():
     assert wm.class_length_bracket(Word("abab").letters, 8)[1] == 2
     assert ConjClass.of(Word("baba")).rep == Word("abab")
     assert bf_lower_check(wm, [Word("ba")], n_max=3).pair_half.hi == 1
+
+
+def test_pair_half_reads_each_unordered_pair_once(monkeypatch):
+    # uv and vu are conjugate: 10 unordered pairs of 4 elements, not 16
+    wm = WordMetricModel(GeneratingSet(2, ["a", "A", "b", "B", "ab", "BA"]))
+    s = [Word(w) for w in ("a", "b", "ab", "aB")]
+    lengths = _pair_lengths(wm, s)
+    reads = []
+    real = wm.class_length_bracket
+
+    def counting(letters, k_max=2):
+        reads.append(letters)
+        return real(letters, k_max)
+
+    monkeypatch.setattr(wm, "class_length_bracket", counting)
+    pair = _pair_sup_bracket(wm, s)
+    assert len(reads) == 10 and len(set(reads)) == 10
+    lo, hi = max(b[0] for b in lengths), max(b[1] for b in lengths)
+    assert (pair.lo, pair.hi) == (lo, hi) == (2, 4)
 
 
 class _DisplacementOnly(ActionModel):
