@@ -29,6 +29,7 @@ __all__ = [
     "stable_length_bracket",
     "anosov_certificate",
     "power_schedule",
+    "exact_div",
 ]
 
 

@@ -38,8 +38,7 @@ import numpy as np
 from .actions import LengthBracket, exact_div
 from .errors import InputError
 from .jsl import BochiConstants, joint_stable_profile
-from .spaces import (LinearRepModel, MatrixActionModel, MobiusModel, TreeModel,
-                     WordMetricModel, class_bracket_reader)
+from .spaces import MatrixActionModel, TreeModel, WordMetricModel, class_lengths
 from .words import (
     _SEARCH_NODE_CAP,
     ClassCodes,
@@ -168,31 +167,6 @@ class WindowSup:
     rows: tuple = ()
 
 
-# the package's model classes, whose bulk form class_brackets stands for
-# their per-class method; a subclass may override that method
-_BULK_MODELS = (TreeModel, WordMetricModel, MobiusModel, LinearRepModel)
-
-
-def _eval_class_lengths(model, codes: ClassCodes, k_max):
-    """(lo, hi, lo floats, hi floats): the stable-length bracket of every
-    class of ``codes`` under ``model``, as lists and as float64 columns.
-
-    The values are the model's class_length, or else its
-    class_length_bracket.  A model whose type is one of the package's
-    model classes reads a length block at a time through its bulk form
-    ``class_brackets``; any other model, a subclass included, or one whose
-    bulk form declines (returns None), is evaluated class by class.
-    """
-    if type(model) in _BULK_MODELS:
-        brackets = model.class_brackets(codes, k_max)
-        if brackets is not None:
-            return brackets
-    read = class_bracket_reader(model, k_max)
-    pairs = [read(r) for r in codes.reps]
-    lo, hi = [p[0] for p in pairs], [p[1] for p in pairs]
-    return lo, hi, np.array(lo, dtype=np.float64), np.array(hi, dtype=np.float64)
-
-
 def _ratio_column(tops, bottoms, positive) -> np.ndarray:
     """float(exact_div(t, b)) of each pair where ``positive``, else nan.
 
@@ -213,11 +187,10 @@ class ClassTable:
     """Canonical classes with length brackets under two models at once,
     read in one direction: the ratios are target over reference.
 
-    ``classes`` (a ClassCodes) holds the classes as code blocks, from one
-    walk; ``reps`` is their letter tuples, built on first use.  Each
-    length bracket end is a list (``ref_lo``, ``ref_hi``, ``tgt_lo``,
-    ``tgt_hi``) and a float64 column (the same name with ``_f``); ``lo`` =
-    tgt_lo/ref_hi and ``hi`` = tgt_hi/ref_lo are the ratio columns (nan
+    ``ref`` and ``tgt`` are the ClassLengths of the reference and of the
+    target over the same ``classes`` (a ClassCodes, from one walk);
+    ``reps`` is their letter tuples, built on first use.  ``lo`` =
+    tgt.lo/ref.hi and ``hi`` = tgt.hi/ref.lo are the ratio columns (nan
     where the reference lo is <= _ZERO_EPS), and ``positive`` masks the
     classes whose reference lo is > _ZERO_EPS.  Every column entry is the
     correctly rounded float of the exact value, so float order never
@@ -231,29 +204,26 @@ class ClassTable:
     their size, so ratios with equal floats are equal.
     """
 
-    def __init__(self, target, ref, radius: int, *,
-                 class_cap: int = 4_000_000, window_k_max: int = 2):
+    def __init__(self, target, ref, radius: int,
+                 config: Optional[VerifierConfig] = None):
         if target.rank != ref.rank:
             raise InputError(
                 f"rank mismatch: target {target.rank}, reference {ref.rank}"
             )
-        self.rank = target.rank
-        self.radius = int(radius)
-        self.classes = ClassCodes.walk(self.rank, self.radius, class_cap)
-        self.ref_lo, self.ref_hi, self.ref_lo_f, self.ref_hi_f = \
-            _eval_class_lengths(ref, self.classes, window_k_max)
-        self.tgt_lo, self.tgt_hi, self.tgt_lo_f, self.tgt_hi_f = \
-            _eval_class_lengths(target, self.classes, window_k_max)
+        cfg = config or VerifierConfig()
+        classes = ClassCodes.walk(target.rank, int(radius), cfg.class_cap)
+        self.ref = class_lengths(ref, classes, cfg.window_k_max)
+        self.tgt = class_lengths(target, classes, cfg.window_k_max)
         self._divide()
 
     def _divide(self):
         """Build ``positive``, the ratio columns ``lo`` and ``hi`` and
         ``ties_exact`` from the lengths."""
-        lists = (self.ref_lo, self.ref_hi, self.tgt_lo, self.tgt_hi)
-        rl, rh, tl, th = self.ref_lo_f, self.ref_hi_f, self.tgt_lo_f, self.tgt_hi_f
-        self.positive = positive = _above(rl, self.ref_lo, _ZERO_EPS)
+        ref, tgt = self.ref, self.tgt
+        rl, rh, tl, th = ref.lo_f, ref.hi_f, tgt.lo_f, tgt.hi_f
+        self.positive = positive = _above(rl, ref.lo, _ZERO_EPS)
         types = set()
-        for c in lists:
+        for c in (ref.lo, ref.hi, tgt.lo, tgt.hi):
             types.update(map(type, c))
         top = max((float(np.abs(f).max()) for f in (rl, rh, tl, th) if f.size),
                   default=0.0)
@@ -266,12 +236,20 @@ class ClassTable:
             self.lo[rl <= _ZERO_EPS] = np.nan
             self.hi[rl <= _ZERO_EPS] = np.nan
         else:
-            self.lo = _ratio_column(self.tgt_lo, self.ref_hi, positive)
-            self.hi = _ratio_column(self.tgt_hi, self.ref_lo, positive)
+            self.lo = _ratio_column(tgt.lo, ref.hi, positive)
+            self.hi = _ratio_column(tgt.hi, ref.lo, positive)
         self.ties_exact = types <= {int} and top ** 3 < 2.0 ** 52
 
     def __len__(self):
         return len(self.classes)
+
+    @property
+    def classes(self) -> ClassCodes:
+        return self.ref.classes
+
+    @property
+    def radius(self) -> int:
+        return self.classes.radius
 
     @property
     def reps(self) -> list:
@@ -281,44 +259,34 @@ class ClassTable:
         """This table cut to the classes of length <= radius <= self.radius.
 
         The same object when radius is this table's radius; the classes
-        are sorted by length, so the cut is a prefix of every list and
-        column, and its columns are views of this table's.  A list or
-        column held under two names (tgt_lo and tgt_hi of a model with one
-        length per class) is cut once, and the cut holds it under both.
+        are sorted by length, so the cut is the prefix of each side
+        (``ClassLengths.prefix``) and of the ratio columns, views of this
+        table's.
         """
         if radius == self.radius:
             return self
         cut = copy.copy(self)
-        cut.radius = radius
-        cut.classes = self.classes.prefix(radius)
-        k = len(cut.classes)
-        cuts = {}
-        for name, v in vars(self).items():
-            if isinstance(v, (list, np.ndarray)):
-                if id(v) not in cuts:
-                    cuts[id(v)] = v[:k]
-                setattr(cut, name, cuts[id(v)])
+        cut.ref, cut.tgt = self.ref.prefix(radius), self.tgt.prefix(radius)
+        k = len(cut.ref)
+        cut.positive, cut.lo, cut.hi = self.positive[:k], self.lo[:k], self.hi[:k]
         return cut
 
     def swapped(self) -> "ClassTable":
         """This table with target and reference exchanged: the lengths
-        already evaluated, under each other's names, and the ratio columns
-        of the other direction."""
+        already evaluated, each side in the other's place, and the ratio
+        columns of the other direction."""
         out = copy.copy(self)
-        out.ref_lo, out.ref_hi, out.tgt_lo, out.tgt_hi = (
-            self.tgt_lo, self.tgt_hi, self.ref_lo, self.ref_hi)
-        out.ref_lo_f, out.ref_hi_f, out.tgt_lo_f, out.tgt_hi_f = (
-            self.tgt_lo_f, self.tgt_hi_f, self.ref_lo_f, self.ref_hi_f)
+        out.ref, out.tgt = self.tgt, self.ref
         out._divide()
         return out
 
     def ratio_lo(self, i):
-        """The exact tgt_lo/ref_hi of class i."""
-        return exact_div(self.tgt_lo[i], self.ref_hi[i])
+        """The exact tgt.lo/ref.hi of class i."""
+        return exact_div(self.tgt.lo[i], self.ref.hi[i])
 
     def ratio_hi(self, i):
-        """The exact tgt_hi/ref_lo of class i."""
-        return exact_div(self.tgt_hi[i], self.ref_lo[i])
+        """The exact tgt.hi/ref.lo of class i."""
+        return exact_div(self.tgt.hi[i], self.ref.lo[i])
 
 
 def _above(f, exact, x):
@@ -379,8 +347,7 @@ def _class_table(target, ref, radius: int, cfg: VerifierConfig,
     table = tables.get(key) if tables is not None else None
     if table is not None and table.radius >= radius:
         return table.prefix(radius)
-    table = ClassTable(target, ref, radius, class_cap=cfg.class_cap,
-                       window_k_max=cfg.window_k_max)
+    table = ClassTable(target, ref, radius, config=cfg)
     if tables is not None:
         tables[key] = table
     return table
@@ -395,9 +362,8 @@ def _build_table(target, ref, radii, cfg: VerifierConfig,
 
 def _window_sup(table: ClassTable, L, radius_needed, *,
                 diag_cap: int = 16) -> WindowSup:
-    ref_lo, ref_hi = table.ref_lo, table.ref_hi
-    tgt_lo, tgt_hi = table.tgt_lo, table.tgt_hi
-    seen = ~_above(table.ref_lo_f, ref_lo, L)
+    ref, tgt = table.ref, table.tgt
+    seen = ~_above(ref.lo_f, ref.lo, L)
     positive = table.positive
     inc = np.flatnonzero(seen & positive)
     excluded = int(np.count_nonzero(seen & ~positive))
@@ -410,7 +376,7 @@ def _window_sup(table: ClassTable, L, radius_needed, *,
             radius=table.radius, radius_needed=radius_needed,
             truncated=truncated, attained=None, empty=True,
         )
-    strad = _above(table.ref_hi_f, ref_hi, L)[inc]
+    strad = _above(ref.hi_f, ref.hi, L)[inc]
     r_lo, r_hi = table.ratio_lo, table.ratio_hi
     hi_f = table.hi[inc]
     sup_hi, att_idx = _first_max(_near(hi_f, inc), r_hi, table.ties_exact)
@@ -432,12 +398,12 @@ def _window_sup(table: ClassTable, L, radius_needed, *,
             rh, rl = r_hi(i), r_lo(i)
             rows.append(WindowRow(
                 rep=Word._unchecked(table.classes.rep(i)),
-                ref_length=LengthBracket(ref_lo[i], ref_hi[i],
-                                         exact=bool(ref_lo[i] == ref_hi[i])),
-                target_length=LengthBracket(tgt_lo[i], tgt_hi[i],
-                                            exact=bool(tgt_lo[i] == tgt_hi[i])),
+                ref_length=LengthBracket(ref.lo[i], ref.hi[i],
+                                         exact=bool(ref.lo[i] == ref.hi[i])),
+                target_length=LengthBracket(tgt.lo[i], tgt.hi[i],
+                                            exact=bool(tgt.lo[i] == tgt.hi[i])),
                 ratio=LengthBracket(rl, rh, exact=bool(rl == rh)),
-                straddles=bool(ref_hi[i] > L),
+                straddles=bool(ref.hi[i] > L),
             ))
     return WindowSup(
         value=LengthBracket(sup_lo, sup_hi, exact=bool(sup_lo == sup_hi)),
@@ -732,11 +698,11 @@ def ratio_envelope_report(target, ref, alpha_lo, beta_hi,
         b_scale = exact_div(L, beta_hi + 1)
         # measurement scope: 0 < ref lo <= reference_factor * L; hypothesis
         # scope: its part with ref lo <= L
-        ref_lo_f = table.ref_lo_f
+        lengths = table.ref
         scope = (table.positive
-                 & ~_above(ref_lo_f, table.ref_lo, cfg.reference_factor * L))
+                 & ~_above(lengths.lo_f, lengths.lo, cfg.reference_factor * L))
         meas = np.flatnonzero(scope)
-        hyp = np.flatnonzero(scope & ~_above(ref_lo_f, table.ref_lo, L))
+        hyp = np.flatnonzero(scope & ~_above(lengths.lo_f, lengths.lo, L))
         hyp_failed = hyp_uncertified = False
         if hyp.size:
             lo_f, hi_f = table.lo[hyp], table.hi[hyp]

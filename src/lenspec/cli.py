@@ -48,11 +48,9 @@ import numpy as np
 
 from . import __version__
 from .bounds import (
-    ClassTable,
     VerifierConfig,
     WindowRow,
     _class_table,
-    _eval_class_lengths,
     cobounded_dilation_report,
     dilation_window,
     displacement_sandwich_report,
@@ -67,12 +65,14 @@ from .bounds import (
 from .errors import InputError, NumericError, ResourceCapError
 from .jsl import bf_lower_check, bochi_rhs, jsr_profile
 from .spaces import (
+    ClassLengths,
     LinearRepModel,
     MatrixActionModel,
     MobiusModel,
     TreeModel,
     WordMetricModel,
     build_schottky,
+    class_lengths,
 )
 from .words import ROW_CHUNK, ClassCodes, GeneratingSet, Word, _finite_real
 
@@ -679,23 +679,10 @@ def _csv_cell(v):
     return v
 
 
-@dataclass(frozen=True)
-class _Spectrum:
-    """The classes of one model with its length brackets: classes.csv
-    without reference or ratio cells."""
-
-    classes: ClassCodes
-    lo: list
-    hi: list
-
-    def __len__(self):
-        return len(self.classes)
-
-
 def _class_listing(scen: Scenario, cfg: VerifierConfig, target, reference, *,
                    tables: Optional[dict] = None):
     """The classes of classes.csv with their lengths: the ClassTable of
-    (target, reference), a _Spectrum when only one model is given, None
+    (target, reference), the ClassLengths of the one model given, None
     when neither is.  Every step of classes.csv that can raise
     ResourceCapError (the class walk, the length evaluation) runs here;
     rendering the rows (``_csv_chunks``) raises none."""
@@ -710,8 +697,7 @@ def _class_listing(scen: Scenario, cfg: VerifierConfig, target, reference, *,
         return None
     if target is None or reference is None:
         codes = ClassCodes.walk(scen.rank, int(radius), cfg.class_cap)
-        lo, hi, _, _ = _eval_class_lengths(primary, codes, cfg.window_k_max)
-        return _Spectrum(codes, lo, hi)
+        return class_lengths(primary, codes, cfg.window_k_max)
     return _class_table(target, reference, radius, cfg, tables)
 
 
@@ -722,8 +708,8 @@ def _all_floats(cells) -> bool:
 def _number_columns(classes, start: int, stop: int) -> list:
     """The six number columns of classes.csv (ref_lo, ref_hi, target_lo,
     target_hi, ratio_lo, ratio_hi) for rows start..stop-1 of a
-    _class_listing, as values, "" where a cell has no value.  A list held
-    under two names is cut once and returned as one object.
+    _class_listing, as values, "" where a cell has no value.  The lo and
+    hi of a point (``ClassLengths.rows``) are one list.
 
     A ratio cell is "" where the reference lo is <= _ZERO_EPS, else the
     exact_div value.  Where no row of the range pairs two exact lengths,
@@ -731,30 +717,23 @@ def _number_columns(classes, start: int, stop: int) -> list:
     ratio_lo's list when both divide the same lists; other ranges read
     the table's ratio_lo and ratio_hi on the positive rows alone.
     """
-    cuts = {}
-
-    def cut(col):
-        if id(col) not in cuts:
-            cuts[id(col)] = col[start:stop]
-        return cuts[id(col)]
-
-    if not isinstance(classes, ClassTable):
+    if isinstance(classes, ClassLengths):
         blank = [""] * (stop - start)
-        return [blank, blank, cut(classes.lo), cut(classes.hi), blank, blank]
+        return [blank, blank, *classes.rows(start, stop), blank, blank]
     t = classes
-    lengths = [cut(t.ref_lo), cut(t.ref_hi), cut(t.tgt_lo), cut(t.tgt_hi)]
-    if all(_all_floats(cut(tops)) or _all_floats(cut(bottoms))
-           for tops, bottoms in ((t.tgt_lo, t.ref_hi), (t.tgt_hi, t.ref_lo))):
+    ref_lo, ref_hi = t.ref.rows(start, stop)
+    tgt_lo, tgt_hi = t.tgt.rows(start, stop)
+    if all(_all_floats(tops) or _all_floats(bottoms)
+           for tops, bottoms in ((tgt_lo, ref_hi), (tgt_hi, ref_lo))):
         lo = t.lo[start:stop].tolist()
-        hi = (lo if t.tgt_hi is t.tgt_lo and t.ref_lo is t.ref_hi
-              else t.hi[start:stop].tolist())
+        hi = lo if t.tgt.point and t.ref.point else t.hi[start:stop].tolist()
         for i in np.flatnonzero(~t.positive[start:stop]).tolist():
             lo[i] = hi[i] = ""
     else:
         lo, hi = [""] * (stop - start), [""] * (stop - start)
         for i in np.flatnonzero(t.positive[start:stop]).tolist():
             lo[i], hi[i] = t.ratio_lo(start + i), t.ratio_hi(start + i)
-    return lengths + [lo, hi]
+    return [ref_lo, ref_hi, tgt_lo, tgt_hi, lo, hi]
 
 
 def _csv_chunks(classes):

@@ -31,7 +31,7 @@ c_m = 8 log 2 + 5 log m, d_m = 2 m^3.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -385,7 +385,6 @@ class BochiBound:
     constants: BochiConstants
     j_used: int
     partial: bool
-    lambda_terms: dict = field(default_factory=dict)
 
 
 def bochi_rhs(mats, *, cap: int = 2_000_000) -> BochiBound:
@@ -407,4 +406,4 @@ def bochi_rhs(mats, *, cap: int = 2_000_000) -> BochiBound:
         pass
     value = constants.c_m + max(lam.values())
     return BochiBound(value=value, constants=constants, j_used=j_used,
-                      partial=j_used < constants.d_m, lambda_terms=lam)
+                      partial=j_used < constants.d_m)

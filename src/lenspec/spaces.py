@@ -23,8 +23,10 @@ from .words import (ClassCodes, GeneratingSet, Word, _as_weight, _cheapest_first
                     _letters_in_order, _unscaled, word_length)
 
 __all__ = [
+    "ClassLengths",
     "TreeModel",
     "WordMetricModel",
+    "MatrixActionModel",
     "MobiusModel",
     "LinearRepModel",
     "SchottkyAction",
@@ -55,6 +57,43 @@ def class_bracket_reader(model, k_max: int):
         return lambda letters: model.class_length_bracket(letters, k_max)
     raise InputError(f"{type(model).__name__} has neither class_length "
                      "nor class_length_bracket")
+
+
+@dataclass(frozen=True, eq=False)
+class ClassLengths:
+    """One model's stable-length brackets over ``classes``: lists ``lo``
+    and ``hi`` of ints, Fractions or floats, and float64 columns ``lo_f``
+    and ``hi_f`` of their correctly rounded floats.  A ``point`` (one
+    length per class) holds one list and one column under both names."""
+
+    classes: ClassCodes
+    lo: list
+    hi: list
+    lo_f: np.ndarray
+    hi_f: np.ndarray
+
+    @property
+    def point(self) -> bool:
+        return self.lo is self.hi
+
+    def __len__(self):
+        return len(self.classes)
+
+    def rows(self, start: int, stop: int) -> tuple:
+        """(lo, hi) of the classes start..stop-1, one list when point."""
+        lo = self.lo[start:stop]
+        return lo, lo if self.point else self.hi[start:stop]
+
+    def prefix(self, radius: int) -> "ClassLengths":
+        """The classes of length <= radius: self at this radius, else list
+        slices and column views, one of each when point."""
+        classes = self.classes.prefix(radius)
+        if classes is self.classes:
+            return self
+        k = len(classes)
+        lo, lo_f = self.lo[:k], self.lo_f[:k]
+        hi, hi_f = (lo, lo_f) if self.point else (self.hi[:k], self.hi_f[:k])
+        return ClassLengths(classes, lo, hi, lo_f, hi_f)
 
 
 # ---------------------------------------------------------------- trees
@@ -100,9 +139,8 @@ class TreeModel(ActionModel):
         return _unscaled(_letter_sum(self._scaled, letters, self.rank), self._den)
 
     def class_brackets(self, codes: ClassCodes, k_max: int):
-        """(lo, hi, lo floats, hi floats) with lo = hi the class_length of
-        every class of ``codes``, one list and one float64 column held
-        under both names; ``k_max`` is unused, the lengths are exact.
+        """The class_length of every class of ``codes``, a point;
+        ``k_max`` is unused, the lengths are exact.
 
         A scaled-weight gather per column of a length block, summed in
         int64, or in Python ints (an object array) where a sum could pass
@@ -126,7 +164,7 @@ class TreeModel(ActionModel):
             vals += map(lengths.__getitem__, inv.tolist())
             floats.append(np.array(list(map(float, lengths)))[inv])
         floats = _joined(floats)
-        return vals, vals, floats, floats
+        return ClassLengths(codes, vals, vals, floats, floats)
 
     def window_radius(self, length_bound) -> int:
         return math.ceil(exact_div(length_bound, min(self.weights)))
@@ -244,16 +282,12 @@ class WordMetricModel(ActionModel):
         if not letters:
             return 0, 0
         lo = exact_div(len(letters), self._c_cmp)
-        hi = None
-        for k in range(1, k_max + 1):
-            cand = exact_div(self.cost_upper(Word(letters * k)), k)
-            if hi is None or cand < hi:
-                hi = cand
+        hi = min(exact_div(self.cost_upper(Word(letters * k)), k)
+                 for k in range(1, k_max + 1))
         return min(lo, hi), hi
 
     def class_brackets(self, codes: ClassCodes, k_max: int):
-        """(lo, hi, lo floats, hi floats): class_length_bracket of every
-        class of ``codes`` as two lists and as float64 columns.
+        """The class_length_bracket of every class of ``codes``.
 
         A standard set is its tree's class_brackets.  Otherwise the
         spelling cost of u^k for k <= k_max is a min-plus DP over the
@@ -292,18 +326,14 @@ class WordMetricModel(ActionModel):
                                   return_inverse=True)
             brackets = []
             for row in uniq.tolist():
-                best = None
-                for k, cost in enumerate(row, 1):
-                    cand = Fraction(cost, den * k)
-                    if best is None or cand < best:
-                        best = cand
+                best = min(Fraction(cost, den * k) for k, cost in enumerate(row, 1))
                 brackets.append((min(lo_n, best), best))
             inv = inv.ravel().tolist()
             lo += [brackets[i][0] for i in inv]
             hi += [brackets[i][1] for i in inv]
             lo_f.append(np.array([float(p[0]) for p in brackets])[inv])
             hi_f.append(np.array([float(p[1]) for p in brackets])[inv])
-        return lo, hi, _joined(lo_f), _joined(hi_f)
+        return ClassLengths(codes, lo, hi, _joined(lo_f), _joined(hi_f))
 
     def window_radius(self, length_bound) -> int:
         return math.ceil(length_bound * self._c_cmp)
@@ -540,15 +570,14 @@ class MatrixActionModel(ActionModel):
         return _joined(out)
 
     def class_brackets(self, codes: ClassCodes, k_max: int):
-        """(lo, hi, lo floats, hi floats) with lo = hi the class_length of
-        every class of ``codes``, one list and one float64 column held
-        under both names; ``k_max`` is unused.  None beyond 2x2 matrices,
-        which are evaluated class by class."""
+        """The class_length of every class of ``codes``, a point; ``k_max``
+        is unused.  None beyond 2x2 matrices, which are evaluated class
+        by class."""
         if self.dim != 2:
             return None
         vals = list(map(self._length, self.class_lambda1_column(codes).tolist()))
         floats = np.array(vals, dtype=np.float64)
-        return vals, vals, floats, floats
+        return ClassLengths(codes, vals, vals, floats, floats)
 
     def window_radius(self, length_bound) -> float:
         # log sigma1 >= gap/2 for unit determinant, and a class length is
@@ -659,6 +688,31 @@ class LinearRepModel(MatrixActionModel):
 
     def class_length(self, letters) -> float:
         return self._length(self.class_lambda1(letters))
+
+
+# the package's model classes, whose bulk form class_brackets stands for
+# their per-class method; a subclass may override that method
+_BULK_MODELS = (TreeModel, WordMetricModel, MobiusModel, LinearRepModel)
+
+
+def class_lengths(model, codes: ClassCodes, k_max: int) -> ClassLengths:
+    """The class_length (a point) or else class_length_bracket of every
+    class of ``codes`` under ``model``.  A model whose type is one of the
+    package's model classes reads a length block at a time through its
+    bulk form ``class_brackets``; any other model, a subclass included,
+    or one whose bulk form declines (None), is read class by class."""
+    if type(model) in _BULK_MODELS:
+        lengths = model.class_brackets(codes, k_max)
+        if lengths is not None:
+            return lengths
+    if hasattr(model, "class_length"):
+        lo = list(map(model.class_length, codes.reps))
+        lo_f = np.array(lo, dtype=np.float64)
+        return ClassLengths(codes, lo, lo, lo_f, lo_f)
+    pairs = list(map(class_bracket_reader(model, k_max), codes.reps))
+    lo, hi = [p[0] for p in pairs], [p[1] for p in pairs]
+    return ClassLengths(codes, lo, hi, np.array(lo, dtype=np.float64),
+                        np.array(hi, dtype=np.float64))
 
 
 # ------------------------------------------------------------- Schottky

@@ -40,6 +40,7 @@ __all__ = [
     "letter_key",
     "cyclic_reduce",
     "enumerate_ball",
+    "iter_class_reps",
     "word_length",
 ]
 

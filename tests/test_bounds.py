@@ -206,8 +206,10 @@ def test_class_table_prefix_equals_fresh_table():
     cut = big.prefix(8)
     fresh = ClassTable(WB2, UNIT, 8)
     assert cut.radius == fresh.radius == 8
-    for name in ("reps", "ref_lo", "ref_hi", "tgt_lo", "tgt_hi"):
-        assert getattr(cut, name) == getattr(fresh, name)
+    assert cut.reps == fresh.reps
+    for side in ("ref", "tgt"):
+        a, b = getattr(cut, side), getattr(fresh, side)
+        assert (a.lo, a.hi) == (b.lo, b.hi)
     assert big.prefix(12) is big
 
 

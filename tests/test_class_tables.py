@@ -1,36 +1,40 @@
 """Class tables from integer-coded classes: bulk lengths, names, prefixes.
 
 Every model kind evaluates its class lengths a length block at a time
-through its one bulk form, ``class_brackets``.  The bulk values must be
+through its one bulk form, ``class_brackets``, which returns them as a
+``ClassLengths`` (``class_lengths`` reads any other model class by
+class).  The bulk values must be
 the per-class methods' values class by class, number types included
 (``_canon`` of the window oracle), and their float64 columns the
 correctly rounded floats of those values.
 """
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from lenspec import bounds
+from lenspec import bounds, spaces
 from lenspec.bounds import (
     ClassTable,
     VerifierConfig,
     _class_table,
-    _eval_class_lengths,
     metric_distance_report,
 )
 from lenspec.cli import build_model, builtin_preset
 from lenspec.errors import InputError, NumericError
 from lenspec.spaces import (
+    ClassLengths,
     LinearRepModel,
     MobiusModel,
     TreeModel,
     WordMetricModel,
     _lambda1,
     _lambda1_rows,
+    class_lengths,
 )
-from lenspec.words import ClassCodes, GeneratingSet, Word, iter_class_reps
+from lenspec.words import ROW_CHUNK, ClassCodes, GeneratingSet, Word, iter_class_reps
 from test_window_oracle import _MATRIX_MODELS, _WORD_METRICS, _canon, _Listed
 
 RADIUS = 6
@@ -46,13 +50,13 @@ def _per_class(model, codes, k_max=2):
 
 def _assert_bulk_is_per_class(model, rank=2, radius=RADIUS):
     codes = ClassCodes.walk(rank, radius)
-    lo, hi, lo_f, hi_f = _eval_class_lengths(model, codes, 2)
+    got = class_lengths(model, codes, 2)
     want_lo, want_hi = _per_class(model, codes)
-    assert _canon(lo) == _canon(want_lo)
-    assert _canon(hi) == _canon(want_hi)
-    assert lo_f.tolist() == [float(v) for v in want_lo]
-    assert hi_f.tolist() == [float(v) for v in want_hi]
-    return lo, hi
+    assert _canon(got.lo) == _canon(want_lo)
+    assert _canon(got.hi) == _canon(want_hi)
+    assert got.lo_f.tolist() == [float(v) for v in want_lo]
+    assert got.hi_f.tolist() == [float(v) for v in want_hi]
+    return got.lo, got.hi
 
 
 # ------------------------------------------------------------ bulk lengths
@@ -84,11 +88,11 @@ def test_tree_bulk_lengths_are_class_length(weights, small_ints):
 def test_tree_bulk_types_follow_the_weights():
     # a tree with a weight that is not an int gives Fractions, whole ones too
     codes = ClassCodes.walk(2, 2)
-    vals, _, _, _ = _eval_class_lengths(TreeModel(2, [1, 0.5]), codes, 2)
+    vals = class_lengths(TreeModel(2, [1, 0.5]), codes, 2).lo
     by_name = dict(zip(codes.names(), vals))
     assert _canon([by_name["a"], by_name["aa"], by_name["b"], by_name["ab"]]) \
         == _canon([Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3, 2)])
-    vals, _, _, _ = _eval_class_lengths(TreeModel(2, [1, 2.0]), codes, 2)
+    vals = class_lengths(TreeModel(2, [1, 2.0]), codes, 2).lo
     assert all(type(v) is int for v in vals)
 
 
@@ -195,7 +199,7 @@ def test_linear_beyond_2x2_goes_class_by_class():
         "word-metric", "preset-mobius", "preset-linear", "schottky-space"])
 def test_every_built_model_kind_has_a_bulk_form(spec):
     model = build_model(spec, 2)
-    assert type(model) in bounds._BULK_MODELS
+    assert type(model) in spaces._BULK_MODELS
     assert model.class_brackets(ClassCodes.walk(2, 3), 2) is not None
 
 
@@ -214,18 +218,83 @@ def test_overridden_class_length_is_evaluated_class_by_class(monkeypatch):
     plain = type("Plain", (TreeModel,), {})(2, [1, 2])
     table = ClassTable(listed, plain, 3)
     assert bulk == []
-    by_name = dict(zip(table.classes.names(), table.tgt_lo))
+    by_name = dict(zip(table.classes.names(), table.tgt.lo))
     assert by_name["b"] == Fraction(7, 3) and by_name["aB"] == 5
-    assert _canon(table.tgt_lo) == _canon(_per_class(listed, table.classes)[0])
-    want = _eval_class_lengths(TreeModel(2, [1, 2]), table.classes, 2)
+    assert _canon(table.tgt.lo) == _canon(_per_class(listed, table.classes)[0])
+    want = class_lengths(TreeModel(2, [1, 2]), table.classes, 2)
     assert len(bulk) == 1
-    got = (table.ref_lo, table.ref_hi, table.ref_lo_f, table.ref_hi_f)
-    assert _canon(got[:2]) == _canon(want[:2])
-    assert [f.tolist() for f in got[2:]] == [f.tolist() for f in want[2:]]
+    got = table.ref
+    assert _canon((got.lo, got.hi)) == _canon((want.lo, want.hi))
+    assert [got.lo_f.tolist(), got.hi_f.tolist()] == [want.lo_f.tolist(),
+                                                      want.hi_f.tolist()]
 
 
 class _NoLengths:
     rank = 2
+
+
+# ------------------------------------------------------------ ClassLengths
+
+
+_SHORTCUT = WordMetricModel(GeneratingSet(2, ["a", "A", "b", "B", "ab", "BA"]))
+
+
+def _point(lengths: ClassLengths) -> bool:
+    # one list and one column under both names
+    return lengths.point and lengths.lo_f is lengths.hi_f
+
+
+def test_a_point_prefix_stays_one_object():
+    codes = ClassCodes.walk(2, 5)
+    whole = class_lengths(TreeModel(2, [1, 2]), codes, 2)
+    assert _point(whole) and len(whole) == len(codes)
+    assert whole.prefix(5) is whole
+    cut = whole.prefix(3)
+    assert _point(cut) and len(cut) == len(codes.prefix(3))
+    assert cut.lo == whole.lo[:len(cut)]
+    assert np.shares_memory(cut.lo_f, whole.lo_f)
+    # a bracket's prefix keeps its two ends apart
+    brackets = class_lengths(_SHORTCUT, codes, 2).prefix(3)
+    assert not brackets.point and brackets.lo_f is not brackets.hi_f
+    assert len(brackets.lo) == len(brackets.hi) == len(brackets.lo_f) == len(cut)
+
+
+@pytest.mark.parametrize("model", [TreeModel(2, [1, 2]), _SHORTCUT],
+                         ids=["point", "bracket"])
+def test_rows_across_a_row_chunk_boundary(model):
+    codes = ClassCodes.walk(2, 10)
+    assert len(codes) > ROW_CHUNK + 8
+    lengths = class_lengths(model, codes, 2)
+    start, stop = ROW_CHUNK - 5, ROW_CHUNK + 5
+    lo, hi = lengths.rows(start, stop)
+    assert (lo is hi) == lengths.point
+    want = _per_class(model, SimpleNamespace(reps=codes.reps[start:stop]))
+    assert _canon([lo, hi]) == _canon(list(want))
+    assert (lo, hi) == (lengths.lo[start:stop], lengths.hi[start:stop])
+    # the chunks of classes.csv rejoin to the whole lists
+    first, rest = lengths.rows(0, ROW_CHUNK), lengths.rows(ROW_CHUNK, len(codes))
+    assert (first[0] + rest[0], first[1] + rest[1]) == (lengths.lo, lengths.hi)
+
+
+def test_a_class_length_subclass_reads_as_a_point():
+    plain = type("Plain", (TreeModel,), {})(2, [1, 2])
+    codes = ClassCodes.walk(2, 4)
+    lengths = class_lengths(plain, codes, 2)
+    assert _point(lengths)
+    assert _canon(lengths.lo) == _canon(class_lengths(TreeModel(2, [1, 2]),
+                                                      codes, 2).lo)
+
+
+# a non-standard word metric keeps two ends, in bulk and class by class
+# (a 31-letter piece makes the bulk form decline)
+@pytest.mark.parametrize("model", [
+    _SHORTCUT,
+    WordMetricModel(GeneratingSet(2, ["a", "A", "b", "B", "a" * 31])),
+], ids=["bulk", "class-by-class"])
+def test_a_word_metric_bracket_keeps_distinct_ends(model):
+    lengths = class_lengths(model, ClassCodes.walk(2, 3), 2)
+    assert not lengths.point and lengths.lo_f is not lengths.hi_f
+    assert any(a != b for a, b in zip(lengths.lo, lengths.hi))
 
 
 def test_a_model_without_per_class_lengths_is_rejected():
@@ -281,20 +350,19 @@ def test_tables_of_one_rank_hold_the_same_classes():
 
 def test_swapped_tables_evaluate_each_model_once(monkeypatch):
     evaluated = []
-    real = bounds._eval_class_lengths
+    real = bounds.class_lengths
 
     def counting(model, codes, k_max):
         evaluated.append(model)
         return real(model, codes, k_max)
 
-    monkeypatch.setattr(bounds, "_eval_class_lengths", counting)
+    monkeypatch.setattr(bounds, "class_lengths", counting)
     # an elliptic generator: zero reference lengths once swapped
     a, b = _MATRIX_MODELS[2], TreeModel(2, [1, 2])
     table = ClassTable(a, b, 4)
     back = table.swapped()
     assert len(evaluated) == 2 and evaluated[0] is b and evaluated[1] is a
-    assert back.ref_lo is table.tgt_lo and back.tgt_hi is table.ref_hi
-    assert back.ref_lo_f is table.tgt_lo_f and back.tgt_hi_f is table.ref_hi_f
+    assert back.ref is table.tgt and back.tgt is table.ref
     fresh = ClassTable(b, a, 4)
     assert back.reps == fresh.reps and back.ties_exact == fresh.ties_exact
     for name in ("lo", "hi"):

@@ -18,13 +18,14 @@ from hypothesis import strategies as st
 
 from lenspec import bounds, cli
 from lenspec.actions import exact_div
-from lenspec.bounds import VerifierConfig, _class_table, _eval_class_lengths
+from lenspec.bounds import VerifierConfig, _class_table
 from lenspec.spaces import (
     LinearRepModel,
     MobiusModel,
     TreeModel,
     WordMetricModel,
     build_schottky,
+    class_lengths,
 )
 from lenspec.words import ROW_CHUNK, ClassCodes, GeneratingSet
 
@@ -39,8 +40,8 @@ def _exact_ratio_rows(table):
     """(r_lo, r_hi) of every class, or None where the reference lo is
     <= _ZERO_EPS; the exact_div values, read from the float columns
     wherever exact_div would return a float."""
-    for rl, rh, tl, th, fl, fh in zip(table.ref_lo, table.ref_hi,
-                                      table.tgt_lo, table.tgt_hi,
+    for rl, rh, tl, th, fl, fh in zip(table.ref.lo, table.ref.hi,
+                                      table.tgt.lo, table.tgt.hi,
                                       table.lo.tolist(), table.hi.tolist()):
         if not rl > _ZERO_EPS:
             yield None
@@ -65,14 +66,14 @@ def _class_cells(scen, cfg, target, reference, *, tables=None):
         return
     if target is None or reference is None:
         codes = ClassCodes.walk(scen.rank, int(radius), cfg.class_cap)
-        lo, hi, _, _ = _eval_class_lengths(primary, codes, cfg.window_k_max)
-        for name, l, h in zip(codes.names(), lo, hi):
+        lengths = class_lengths(primary, codes, cfg.window_k_max)
+        for name, l, h in zip(codes.names(), lengths.lo, lengths.hi):
             yield name, "", "", l, h, "", ""
         return
     table = _class_table(target, reference, radius, cfg, tables)
     for name, rlo, rhi, tlo, thi, ratio in zip(
-            table.classes.names(), table.ref_lo, table.ref_hi, table.tgt_lo,
-            table.tgt_hi, _exact_ratio_rows(table)):
+            table.classes.names(), table.ref.lo, table.ref.hi, table.tgt.lo,
+            table.tgt.hi, _exact_ratio_rows(table)):
         yield (name, rlo, rhi, tlo, thi, *(("", "") if ratio is None else ratio))
 
 
@@ -185,7 +186,8 @@ def test_length_blocks_cross_chunk_boundaries():
 
 def test_a_prefix_table_matches_the_per_row_path():
     # the listing of a run that built a larger table first reads a prefix
-    # of it: its lists are cut, and those the models share stay shared
+    # of it: its lists are cut, and a side with one list under both
+    # names (a point) stays one
     target, reference = _SCHOTTKY.mobius, TreeModel(2)
     tables = {}
     whole = _class_table(target, reference, 6, VerifierConfig(), tables)
@@ -193,4 +195,4 @@ def test_a_prefix_table_matches_the_per_row_path():
     cut = cli._class_listing(SimpleNamespace(rank=2, params={"radius": 4}),
                              VerifierConfig(), target, reference, tables=tables)
     assert cut is not whole and np.shares_memory(cut.lo, whole.lo)
-    assert cut.tgt_lo is cut.tgt_hi and cut.ref_lo is cut.ref_hi
+    assert cut.tgt.point and cut.ref.point

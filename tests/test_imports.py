@@ -11,9 +11,12 @@ listed in ``PRIVATE_IMPORTS``.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
+
+import lenspec
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "lenspec"
@@ -59,7 +62,6 @@ def test_the_scan_sees_an_unused_import():
 # the class tables of the run's reports.
 PRIVATE_IMPORTS = {
     ("cli", "bounds", "_class_table"),
-    ("cli", "bounds", "_eval_class_lengths"),
 }
 
 
@@ -94,3 +96,31 @@ def test_the_scan_sees_a_private_import():
                                                 (5, "spaces", "_joined")]
     assert _private_imports(tree, "cli") == [(1, "jsl", "_peeled_length"),
                                              (5, "spaces", "_joined")]
+
+
+def _exported(module) -> set:
+    """A module's ``__all__``, or, where it has none, its public names
+    (what ``from module import *`` binds)."""
+    if hasattr(module, "__all__"):
+        return set(module.__all__)
+    return {n for n in vars(module) if not n.startswith("_")}
+
+
+def test_top_level_exports_are_exported_by_their_modules():
+    # every name lenspec re-exports is in the __all__ of the module of the
+    # package that defines it (a constant: the module whose namespace
+    # holds that object)
+    modules = [importlib.import_module(f"lenspec.{p.stem}")
+               for p in sorted(SRC.glob("*.py"))
+               if p.stem not in ("__init__", "__main__")]
+    missing = []
+    for name in lenspec.__all__:
+        if name == "__version__":
+            continue
+        obj = getattr(lenspec, name)
+        home = getattr(obj, "__module__", None)
+        if home is None or not home.startswith("lenspec."):
+            home = next(m.__name__ for m in modules if vars(m).get(name) is obj)
+        if name not in _exported(importlib.import_module(home)):
+            missing.append((name, home))
+    assert missing == []

@@ -1,0 +1,101 @@
+"""An audit of shipped reports against lengths computed apart from the
+package (``_oracle``): trees, and word metrics read as their trees.
+
+Each scenario runs in-process at seed 0 and its report.json is walked.
+Every diagnostics row must hold the oracle's reference, target and ratio
+brackets, exact.  Every window sup the report gives untruncated, up to
+radius 8, must equal the sup over an independent enumeration of the
+classes, from the cyclic cores of all reduced words of that length: its
+value, the counts of its coverage, the attained class and the ratios of
+its rows.  Matrix claims wait for outward-rounded matrix lengths.
+"""
+
+import json
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from _oracle import canonical, classes, parse, tree_length, tree_weights
+from lenspec import cli
+
+SCEN_DIR = Path(__file__).resolve().parents[1] / "src" / "lenspec" / "scenarios"
+# windows up to this radius are checked against the enumeration
+MAX_RADIUS = 8
+
+
+def _reference_spec(token: str, scen: dict) -> dict:
+    """The reference model spec a check's windows divide by."""
+    subset = {"kind": "word-metric", "elements": scen["subset"], "weights": None}
+    if token == "prop31" or (token == "thm15"
+                             and scen["reference"]["kind"] != "word-metric"):
+        return subset
+    return scen["reference"]
+
+
+def _exact(bracket: dict, value: Fraction) -> bool:
+    return (bracket["exact"] and Fraction(bracket["lo"]) == value
+            and Fraction(bracket["hi"]) == value)
+
+
+def _audit_window(rank, tgt, ref, report, key, value, rows):
+    """Check one window of a report against the enumeration; returns the
+    number of classes it checked."""
+    cov = report["coverage"][key]
+    L = Fraction(cov["L"])
+    for row in rows:
+        word = parse(row["class"])
+        assert canonical(word) == word, row
+        lo, lt = tree_length(ref, word), tree_length(tgt, word)
+        assert 0 < lo <= L, row
+        assert _exact(row["ref"], lo) and _exact(row["target"], lt), row
+        assert _exact(row["ratio"], lt / lo) and row["straddles"] is False, row
+    # a class of length <= L has at most L / (least weight) letters
+    radius = int(L / min(ref))
+    if cov["truncated"] or radius > MAX_RADIUS:
+        return 0
+    ratios = {}
+    for word in classes(rank, radius):
+        length = tree_length(ref, word)
+        if length <= L:
+            ratios[word] = tree_length(tgt, word) / length
+    assert (cov["classes"], cov["excluded"], cov["straddled"], cov["empty"]) \
+        == (len(ratios), 0, 0, not ratios)
+    sup = max(ratios.values(), default=Fraction(0))
+    assert _exact(value, sup), (key, value, sup)
+    attained = report["extras"].get("attained")
+    if key == "window" and attained is not None:
+        assert ratios[parse(attained)] == sup
+    if rows:
+        top = sorted(ratios.values(), reverse=True)[:len(rows)]
+        assert sorted((Fraction(r["ratio"]["hi"]) for r in rows),
+                      reverse=True) == top
+        assert len({r["class"] for r in rows}) == len(rows) == min(16, len(ratios))
+    return len(ratios)
+
+
+# the untruncated windows of radius <= 8 of each scenario: thm13, thm15,
+# prop31 and cor14 windows, and the reference windows of thm13 and cor14
+@pytest.mark.parametrize("name,audited", [("tree-pair", 8),
+                                          ("identical-actions", 4)])
+def test_tree_reports_match_the_oracle(name, audited):
+    scen = cli.load_scenario(SCEN_DIR / f"{name}.json")
+    report = json.loads(cli.run(scen).to_json())
+    data = report["scenario"]
+    tgt = tree_weights(data["target"], data["rank"])
+    checked = windows = 0
+    for entry in report["entries"]:
+        ref = tree_weights(_reference_spec(entry["token"], data), data["rank"])
+        for rep in entry.get("reports", []):
+            if "coverage" not in rep or "diagnostics" not in rep:
+                continue
+            assert tgt is not None and ref is not None, entry["token"]
+            for key, field in (("window", "window_sup"),
+                               ("reference", "reference_dilation")):
+                if key in rep["coverage"]:
+                    rows = rep["diagnostics"] if key == "window" else []
+                    n = _audit_window(data["rank"], tgt, ref, rep, key,
+                                      rep[field], rows)
+                    checked += n
+                    windows += n > 0
+    assert windows == audited and checked > 0

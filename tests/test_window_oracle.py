@@ -51,8 +51,8 @@ _ZERO_EPS = bounds._ZERO_EPS
 
 
 def _oracle_window_sup(table, L, radius_needed, *, diag_cap=16):
-    ref_lo, ref_hi = table.ref_lo, table.ref_hi
-    tgt_lo, tgt_hi = table.tgt_lo, table.tgt_hi
+    ref_lo, ref_hi = table.ref.lo, table.ref.hi
+    tgt_lo, tgt_hi = table.tgt.lo, table.tgt.hi
     reps = table.reps
     sup_lo = None
     sup_hi = None
@@ -116,11 +116,10 @@ def _oracle_window_sup(table, L, radius_needed, *, diag_cap=16):
 
 
 def _exchanged(table):
-    """The lists of ``table`` with target and reference exchanged, read
+    """The lengths of ``table`` with target and reference exchanged, read
     by the oracle in place of the table's own ``swapped()``."""
-    return SimpleNamespace(ref_lo=table.tgt_lo, ref_hi=table.tgt_hi,
-                           tgt_lo=table.ref_lo, tgt_hi=table.ref_hi,
-                           reps=table.reps, radius=table.radius)
+    return SimpleNamespace(ref=table.tgt, tgt=table.ref, reps=table.reps,
+                           radius=table.radius)
 
 
 def _oracle_envelope(table, L, truncated, alpha_lo, beta_hi, C0, cfg):
@@ -135,12 +134,12 @@ def _oracle_envelope(table, L, truncated, alpha_lo, beta_hi, C0, cfg):
     a_scale = exact_div(L, alpha_lo + 1)
     b_scale = exact_div(L, beta_hi + 1)
     for i in range(len(table.reps)):
-        rlo = table.ref_lo[i]
+        rlo = table.ref.lo[i]
         if rlo <= _ZERO_EPS or rlo > refL:
             continue
-        rhi = table.ref_hi[i]
-        r_lo = exact_div(table.tgt_lo[i], rhi)
-        r_hi = exact_div(table.tgt_hi[i], rlo)
+        rhi = table.ref.hi[i]
+        r_lo = exact_div(table.tgt.lo[i], rhi)
+        r_hi = exact_div(table.tgt.hi[i], rlo)
         if rlo <= L:
             if r_hi < alpha_lo - tol or r_lo > beta_hi + tol:
                 hyp_failed = True
@@ -237,7 +236,7 @@ def pairs(draw):
 def _window_lengths(draw, table):
     """A window length: a reference length of the table (so L equals one),
     a value below every length (an empty window), or a number in between."""
-    values = [v for v in table.ref_lo + table.ref_hi if v > _ZERO_EPS]
+    values = [v for v in table.ref.lo + table.ref.hi if v > _ZERO_EPS]
     choice = draw(st.sampled_from(["length", "below", "int", "float", "fraction"]))
     if choice == "length" and values:
         return draw(st.sampled_from(values))
@@ -264,11 +263,11 @@ def test_window_sup_matches_the_per_class_scan(pair, radius, swap, data):
     for tab in (whole, whole.prefix(radius - 1)):
         # with swap the oracle reads the unswapped table's lists exchanged
         table, lists = (tab.swapped(), _exchanged(tab)) if swap else (tab, tab)
-        for i, (rl, rh, tl, th) in enumerate(zip(lists.ref_lo, lists.ref_hi,
-                                                 lists.tgt_lo, lists.tgt_hi)):
+        for i, (rl, rh, tl, th) in enumerate(zip(lists.ref.lo, lists.ref.hi,
+                                                 lists.tgt.lo, lists.tgt.hi)):
             # every column entry is the correctly rounded exact value
-            assert (table.ref_lo_f[i], table.ref_hi_f[i], table.tgt_lo_f[i],
-                    table.tgt_hi_f[i]) == tuple(map(float, (rl, rh, tl, th)))
+            assert (table.ref.lo_f[i], table.ref.hi_f[i], table.tgt.lo_f[i],
+                    table.tgt.hi_f[i]) == tuple(map(float, (rl, rh, tl, th)))
             if rl > _ZERO_EPS:
                 assert table.lo[i] == float(exact_div(tl, rh))
                 assert table.hi[i] == float(exact_div(th, rl))
@@ -401,7 +400,9 @@ def test_large_int_lengths_resolve_float_ties_exactly():
 def test_columns_are_views_of_the_whole_table():
     table = ClassTable(TreeModel(2, [1, 2]), TreeModel(2), 5)
     cut = table.prefix(3)
-    for name in ("ref_lo_f", "ref_hi_f", "tgt_lo_f", "tgt_hi_f", "lo", "hi"):
-        col = getattr(cut, name)
-        assert np.shares_memory(col, getattr(table, name))
+    cols = [(cut.lo, table.lo), (cut.hi, table.hi)]
+    for part, whole in ((cut.ref, table.ref), (cut.tgt, table.tgt)):
+        cols += [(part.lo_f, whole.lo_f), (part.hi_f, whole.hi_f)]
+    for col, whole in cols:
+        assert np.shares_memory(col, whole)
         assert len(col) == len(cut)
