@@ -31,6 +31,7 @@ import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -195,8 +196,11 @@ class ClassTable:
     classes whose reference lo is > _ZERO_EPS.  Every column entry is the
     correctly rounded float of the exact value, so float order never
     contradicts exact order: where two floats differ, the exact values
-    differ the same way.  Every window sup, the cor14 envelope and the
-    classes.csv rows read these columns.
+    differ the same way.  Every window sup and the cor14 envelope read
+    these columns, and the classes.csv rows read ``ratio_cells``.
+
+    ``exact_pairs``: some class can pair two exact lengths, the target
+    and the reference each holding an int or a Fraction somewhere.
 
     ``ties_exact``: every length is an int and m**3 < 2**52 for the
     largest |length| m.  Two distinct ratios a/b != c/d then differ by at
@@ -217,14 +221,15 @@ class ClassTable:
         self._divide()
 
     def _divide(self):
-        """Build ``positive``, the ratio columns ``lo`` and ``hi`` and
-        ``ties_exact`` from the lengths."""
+        """Build ``positive``, the ratio columns ``lo`` and ``hi``,
+        ``exact_pairs`` and ``ties_exact`` from the lengths."""
         ref, tgt = self.ref, self.tgt
         rl, rh, tl, th = ref.lo_f, ref.hi_f, tgt.lo_f, tgt.hi_f
         self.positive = positive = _above(rl, ref.lo, _ZERO_EPS)
-        types = set()
-        for c in (ref.lo, ref.hi, tgt.lo, tgt.hi):
-            types.update(map(type, c))
+        sides = [set(map(type, chain(s.lo, () if s.point else s.hi)))
+                 for s in (ref, tgt)]
+        self.exact_pairs = all(any(issubclass(t, _EXACT) for t in ts) for ts in sides)
+        types = set.union(*sides)
         top = max((float(np.abs(f).max()) for f in (rl, rh, tl, th) if f.size),
                   default=0.0)
         if types <= {int, float} and top < 2.0 ** 53:
@@ -287,6 +292,23 @@ class ClassTable:
     def ratio_hi(self, i):
         """The exact tgt.hi/ref.lo of class i."""
         return exact_div(self.tgt.hi[i], self.ref.lo[i])
+
+    def ratio_cells(self, start: int, stop: int) -> tuple:
+        """The ratio_lo and ratio_hi cells of classes start..stop-1 (the
+        ratio columns of classes.csv), two lists: "" off ``positive``,
+        else the exact_div value.  Without ``exact_pairs`` that value is
+        the float of the ratio column, and the two lists are one when both
+        sides are points; otherwise it is ratio_lo and ratio_hi."""
+        if self.exact_pairs:
+            lo, hi = [""] * (stop - start), [""] * (stop - start)
+            for i in np.flatnonzero(self.positive[start:stop]).tolist():
+                lo[i], hi[i] = self.ratio_lo(start + i), self.ratio_hi(start + i)
+            return lo, hi
+        lo = self.lo[start:stop].tolist()
+        hi = lo if self.tgt.point and self.ref.point else self.hi[start:stop].tolist()
+        for i in np.flatnonzero(~self.positive[start:stop]).tolist():
+            lo[i] = hi[i] = ""
+        return lo, hi
 
 
 def _above(f, exact, x):

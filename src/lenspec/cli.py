@@ -48,6 +48,10 @@ import numpy as np
 
 from . import __version__
 from .bounds import (
+    HOLDS,
+    HYPOTHESIS_FAILED,
+    INCONCLUSIVE,
+    VIOLATED,
     VerifierConfig,
     WindowRow,
     _class_table,
@@ -507,12 +511,11 @@ def _jsonable(obj):
     return _num(obj)
 
 
-_VERDICT_RANK = {"holds": 0, "inconclusive": 1, "hypothesis-failed": 2,
-                 "violated": 3}
+_VERDICT_RANK = {HOLDS: 0, INCONCLUSIVE: 1, HYPOTHESIS_FAILED: 2, VIOLATED: 3}
 
 
 def _worst(verdicts) -> str:
-    return max(verdicts, key=lambda v: _VERDICT_RANK.get(v, 1), default="holds")
+    return max(verdicts, key=_VERDICT_RANK.__getitem__, default=HOLDS)
 
 
 # ------------------------------------------------------------ verifier glue
@@ -587,7 +590,7 @@ def _run_token(token: str, scen: Scenario, cfg: VerifierConfig,
                  "verifier anosov needs a matrix target model")
         cert = target.certificate(p["cert_radius"])
         entry = {"certificate": _jsonable(cert),
-                 "verdict": "holds" if cert.ok else "inconclusive"}
+                 "verdict": HOLDS if cert.ok else INCONCLUSIVE}
         if cert.ok and reference is not None and isinstance(target,
                                                             LinearRepModel):
             # past a certificate that holds, the verdict is the reports'
@@ -619,7 +622,7 @@ def _run_token(token: str, scen: Scenario, cfg: VerifierConfig,
                 "rhs": _num(rhs.value),
                 "j_used": rhs.j_used,
                 "partial": rhs.partial,
-                "ok": verdicts[-1] == "holds",
+                "ok": verdicts[-1] == HOLDS,
             })
         return {"reports": rows, "verdict": _worst(verdicts)}
     if token == "prop31":
@@ -701,39 +704,17 @@ def _class_listing(scen: Scenario, cfg: VerifierConfig, target, reference, *,
     return _class_table(target, reference, radius, cfg, tables)
 
 
-def _all_floats(cells) -> bool:
-    return set(map(type, cells)) <= {float}
-
-
 def _number_columns(classes, start: int, stop: int) -> list:
     """The six number columns of classes.csv (ref_lo, ref_hi, target_lo,
     target_hi, ratio_lo, ratio_hi) for rows start..stop-1 of a
     _class_listing, as values, "" where a cell has no value.  The lo and
-    hi of a point (``ClassLengths.rows``) are one list.
-
-    A ratio cell is "" where the reference lo is <= _ZERO_EPS, else the
-    exact_div value.  Where no row of the range pairs two exact lengths,
-    that value is the float of the table's ratio column, and ratio_hi is
-    ratio_lo's list when both divide the same lists; other ranges read
-    the table's ratio_lo and ratio_hi on the positive rows alone.
-    """
+    hi of a point (``ClassLengths.rows``) are one list, and the ratio
+    cells are the table's ``ratio_cells``."""
     if isinstance(classes, ClassLengths):
         blank = [""] * (stop - start)
         return [blank, blank, *classes.rows(start, stop), blank, blank]
-    t = classes
-    ref_lo, ref_hi = t.ref.rows(start, stop)
-    tgt_lo, tgt_hi = t.tgt.rows(start, stop)
-    if all(_all_floats(tops) or _all_floats(bottoms)
-           for tops, bottoms in ((tgt_lo, ref_hi), (tgt_hi, ref_lo))):
-        lo = t.lo[start:stop].tolist()
-        hi = lo if t.tgt.point and t.ref.point else t.hi[start:stop].tolist()
-        for i in np.flatnonzero(~t.positive[start:stop]).tolist():
-            lo[i] = hi[i] = ""
-    else:
-        lo, hi = [""] * (stop - start), [""] * (stop - start)
-        for i in np.flatnonzero(t.positive[start:stop]).tolist():
-            lo[i], hi[i] = t.ratio_lo(start + i), t.ratio_hi(start + i)
-    return [ref_lo, ref_hi, tgt_lo, tgt_hi, lo, hi]
+    return [*classes.ref.rows(start, stop), *classes.tgt.rows(start, stop),
+            *classes.ratio_cells(start, stop)]
 
 
 def _csv_chunks(classes):
@@ -805,7 +786,7 @@ def run(scenario: Scenario, *, with_classes: bool = False) -> RunReport:
         except ResourceCapError as e:
             capped = True
             entry = {"status": "resource-cap", "error": str(e),
-                     "verdict": "inconclusive"}
+                     "verdict": INCONCLUSIVE}
         else:
             entry.setdefault("status", "ok")
         print(f"[{scenario.name}] {token}: {entry['verdict']} "
@@ -821,7 +802,7 @@ def run(scenario: Scenario, *, with_classes: bool = False) -> RunReport:
             print(f"[{scenario.name}] classes.csv left out: resource cap: {e}",
                   file=sys.stderr)
     verdict = _worst(e["verdict"] for e in entries)
-    exit_code = 1 if verdict == "violated" else 3 if capped else 0
+    exit_code = 1 if verdict == VIOLATED else 3 if capped else 0
     return RunReport(scenario=scenario.data, entries=entries, verdict=verdict,
                      exit_code=exit_code, env=_env(scenario), classes=classes)
 
@@ -910,7 +891,7 @@ def _cmd_spectrum(args) -> int:
     if target is None and reference is None:
         raise InputError("spectrum needs a target or reference model")
     classes = _class_listing(scen, scen.config(), target, reference)
-    report = RunReport(scenario=scen.data, entries=[], verdict="holds",
+    report = RunReport(scenario=scen.data, entries=[], verdict=HOLDS,
                        exit_code=0, env=_env(scen), classes=classes)
 
     def preview():
@@ -949,7 +930,7 @@ def _cmd_jsr(args) -> int:
     entry = _run_token("bochi", scen, scen.config(), target, None)
     print(json.dumps({"instances": entry["reports"], "verdict": entry["verdict"]},
                      indent=2, sort_keys=True))
-    return 1 if entry["verdict"] == "violated" else 0
+    return 1 if entry["verdict"] == VIOLATED else 0
 
 
 def _cmd_delta(args) -> int:

@@ -456,6 +456,7 @@ class MatrixActionModel(ActionModel):
 
     def _init_matrices(self, mats: Sequence[np.ndarray], dtype) -> None:
         self._gen: dict[int, np.ndarray] = {}
+        self._certs: dict[int, AnosovCertificate] = {}
         for i, m in enumerate(mats, start=1):
             a = np.asarray(m, dtype=dtype)
             if a.shape != (self.dim, self.dim):
@@ -588,9 +589,10 @@ class MatrixActionModel(ActionModel):
         return math.ceil(2 * length_bound / (self._length_scale * mu))
 
     def certificate(self, radius: int = 6) -> AnosovCertificate:
-        if getattr(self, "_cert", None) is None or self._cert.radius < radius:
-            self._cert = anosov_certificate(self, radius=radius)
-        return self._cert
+        """The gap certificate over the ball of ``radius``, one per radius."""
+        if radius not in self._certs:
+            self._certs[radius] = anosov_certificate(self, radius=radius)
+        return self._certs[radius]
 
 
 class MobiusModel(MatrixActionModel):
@@ -700,19 +702,18 @@ def class_lengths(model, codes: ClassCodes, k_max: int) -> ClassLengths:
     class of ``codes`` under ``model``.  A model whose type is one of the
     package's model classes reads a length block at a time through its
     bulk form ``class_brackets``; any other model, a subclass included,
-    or one whose bulk form declines (None), is read class by class."""
+    or one whose bulk form declines (None), is read class by class with
+    ``class_bracket_reader``, a point where every hi is its lo."""
     if type(model) in _BULK_MODELS:
         lengths = model.class_brackets(codes, k_max)
         if lengths is not None:
             return lengths
-    if hasattr(model, "class_length"):
-        lo = list(map(model.class_length, codes.reps))
-        lo_f = np.array(lo, dtype=np.float64)
-        return ClassLengths(codes, lo, lo, lo_f, lo_f)
     pairs = list(map(class_bracket_reader(model, k_max), codes.reps))
     lo, hi = [p[0] for p in pairs], [p[1] for p in pairs]
-    return ClassLengths(codes, lo, hi, np.array(lo, dtype=np.float64),
-                        np.array(hi, dtype=np.float64))
+    lo_f = np.array(lo, dtype=np.float64)
+    if all(a is b for a, b in zip(lo, hi)):
+        return ClassLengths(codes, lo, lo, lo_f, lo_f)
+    return ClassLengths(codes, lo, hi, lo_f, np.array(hi, dtype=np.float64))
 
 
 # ------------------------------------------------------------- Schottky
@@ -767,8 +768,7 @@ def build_schottky(stretch, angles: Sequence, delta: Optional[float] = None
         delta = math.log(2)
     mob = MobiusModel(mats, dim=3 if complex_case else 2, delta=delta)
     lin = LinearRepModel(mats, delta=delta)
-    cert = mob.certificate()
-    lin._cert = cert
+    cert = lin._certs[6] = mob.certificate(6)
     if not cert.ok:
         warnings.warn(
             f"Schottky certificate failed (mu = {cert.mu:.3g}); "

@@ -12,6 +12,7 @@ from types import SimpleNamespace
 import pytest
 
 from lenspec import bounds, cli
+from lenspec.actions import anosov_certificate
 from lenspec.cli import (
     RunReport,
     _num,
@@ -245,6 +246,20 @@ def test_run_entries_follow_verify_order():
     }))
     rep = run(scen)
     assert [e["token"] for e in rep.entries] == ["prop31", "bf"]
+
+
+@pytest.mark.parametrize("name", ["identical-actions", "schottky-cobounded",
+                                  "tree-pair"])
+def test_an_entry_does_not_depend_on_the_order_of_the_checks(name):
+    # the checks of a run share class tables, the subset word metric and
+    # the models' certificates; none of it may move another check's entry
+    raw = json.loads((SCEN_DIR / f"{name}.json").read_text())
+    outputs = []
+    for tokens in (raw["verify"], raw["verify"][::-1]):
+        rep = run(parse_scenario({**raw, "verify": tokens}), with_classes=True)
+        entries = {e["token"]: json.dumps(e, sort_keys=True) for e in rep.entries}
+        outputs.append((entries, "".join(cli._csv_chunks(rep.classes))))
+    assert outputs[0] == outputs[1]
 
 
 def test_run_report_bytes_are_deterministic():
@@ -881,6 +896,20 @@ def test_explicit_mobius_target_runs_thm13(tmp_path, capsys):
     assert entry["verdict"] == "holds"
     assert [r["verdict"] for r in entry["reports"]] == ["holds"]
     assert entry["reports"][0]["coverage"]["window"]["truncated"] is False
+
+
+def test_anosov_certifies_at_cert_radius_below_the_preset_one(tmp_path, capsys):
+    # the preset's model carries a radius-6 certificate from its build
+    code, body, _ = _run_main(tmp_path, capsys, {
+        "target": {"kind": "preset", "name": "cor17-default"},
+        "verify": ["anosov"],
+        "params": {"cert_radius": 3},
+    }, "verify")
+    assert code == 0
+    cert = body["entries"][0]["certificate"]
+    mob = build_schottky(4.0, [0.0, 1.2], delta=math.log(4)).mobius
+    assert cert["radius"] == 3
+    assert cert["mu"] == anosov_certificate(mob, radius=3).mu
 
 
 def test_linear_target_with_complex_entries_runs_anosov(tmp_path, capsys):

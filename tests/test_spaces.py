@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from lenspec import spaces
+from lenspec.actions import anosov_certificate
 from lenspec.errors import InputError
 from lenspec.spaces import (
     LinearRepModel,
@@ -365,3 +366,16 @@ def test_window_radius_uses_certificate():
     mu = act.certificate.mu
     assert act.mobius.window_radius(5.0) == math.ceil(5.0 / mu)
     assert act.linear.window_radius(5.0) == math.ceil(10.0 / mu)
+
+
+def test_certificates_are_kept_per_radius():
+    # a certificate over a larger ball neither stands in for a smaller
+    # cert_radius nor moves the radius-6 one that window_radius reads
+    mob = build_schottky(4.0, [0.0, 1.2]).mobius
+    window = mob.window_radius(16)
+    assert window == 11
+    assert mob.certificate(8).radius == 8
+    assert mob.window_radius(16) == window
+    assert mob.certificate(3).radius == 3
+    assert mob.certificate() is mob.certificate(6)
+    assert mob.certificate(3).mu == anosov_certificate(mob, radius=3).mu
