@@ -16,10 +16,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import groupby
 from typing import Sequence
 
 from .errors import InputError, NumericError
-from .words import Word, _letters_in_order
+from .words import Word, enumerate_ball
 
 __all__ = [
     "LengthBracket",
@@ -194,12 +195,12 @@ def stable_length_bracket(
 class AnosovCertificate:
     """Singular-gap growth certificate for a linear model.
 
-    Scans the ball of the given radius and fits the largest mu with
-    log(sigma_1/sigma_2)(rho(g)) >= log C + mu |g| over the ball, anchored
-    at the identity: mu = min over the ball of gap/|g|, log C = min of
-    (gap - mu |g|).  mu > 0 certifies a uniform singular-value gap on the
-    sample (dominated / convex-cocompact behavior); rotations and the
-    trivial representation give mu = 0.
+    Fits the largest mu with log(sigma_1/sigma_2)(rho(g)) >= log C + mu |g|
+    over the ball of the given radius, anchored at the identity: mu = min
+    of gap/|g|, first attained at ``worst`` in (length, letter) order, and
+    log C = min of (gap - mu |g|).  mu > 0 certifies a uniform singular-value
+    gap on the sample (dominated / convex-cocompact behavior); rotations
+    and the trivial representation give mu = 0.
     """
 
     mu: float
@@ -214,36 +215,34 @@ class AnosovCertificate:
 
 
 def anosov_certificate(model, radius: int = 6) -> AnosovCertificate:
-    """Fit the gap certificate by enumerating the ball of the given radius.
+    """Fit the gap certificate over ``enumerate_ball(model.rank, radius)``.
 
     ``model`` must expose ``rank``, ``generator_matrix(letter)`` and
     ``singular_gap(matrix) -> log(sigma1/sigma2)`` (the matrix models do).
+    Each word's matrix is its parent's times its last generator.  A radius
+    below 1 raises InputError, a ball past the walk's cap ResourceCapError.
     """
-    letters = _letters_in_order(model.rank)
+    if radius < 1:
+        raise InputError(f"empty ball; radius must be >= 1, got {radius}")
     mu = math.inf
     worst = Word()
     rows: list[tuple[int, float]] = []
-
-    def walk(word: tuple[int, ...], mat):
-        nonlocal mu, worst
-        gap = model.singular_gap(mat)
-        if not math.isfinite(gap):
-            raise NumericError(f"non-finite singular gap at {Word(word)}")
-        rows.append((len(word), gap))
-        r = gap / len(word)
-        if r < mu:
-            mu = r
-            worst = Word(word)
-        if len(word) < radius:
-            for x in letters:
-                if word and x == -word[-1]:
-                    continue
-                walk(word + (x,), mat @ model.generator_matrix(x))
-
-    for x in letters:
-        walk((x,), model.generator_matrix(x))
-    if not rows:
-        raise InputError("empty ball; radius must be >= 1")
+    for n, level in groupby(enumerate_ball(model.rank, radius)[1:], key=len):
+        cur = {}
+        for g in level:
+            mat = model.generator_matrix(g.letters[-1])
+            if n > 1:
+                mat = prev[g.letters[:-1]] @ mat
+            gap = model.singular_gap(mat)
+            if not math.isfinite(gap):
+                raise NumericError(f"non-finite singular gap at {g}")
+            rows.append((n, gap))
+            r = gap / n
+            if r < mu:
+                mu, worst = r, g
+            if n < radius:
+                cur[g.letters] = mat
+        prev = cur
     mu = max(mu, 0.0)
     log_c = min(gap - mu * n for n, gap in rows)
     log_c = min(log_c, 0.0)

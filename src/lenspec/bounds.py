@@ -30,14 +30,14 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from itertools import chain
 from typing import Optional
 
 import numpy as np
 
 from .actions import LengthBracket, exact_div
-from .errors import InputError
+from .errors import InputError, ResourceCapError
 from .jsl import BochiConstants, joint_stable_profile
 from .spaces import MatrixActionModel, TreeModel, WordMetricModel, class_lengths
 from .words import (
@@ -202,6 +202,9 @@ class ClassTable:
     ``exact_pairs``: some class can pair two exact lengths, the target
     and the reference each holding an int or a Fraction somewhere.
 
+    ``floats_exact``: every length is a float or an int below 2**53 in
+    size, so each equals its float.
+
     ``ties_exact``: every length is an int and m**3 < 2**52 for the
     largest |length| m.  Two distinct ratios a/b != c/d then differ by at
     least 1/(b*d) >= 1/m**2, more than the float spacing 2**-52 * m at
@@ -221,21 +224,21 @@ class ClassTable:
         self._divide()
 
     def _divide(self):
-        """Build ``positive``, the ratio columns ``lo`` and ``hi``,
-        ``exact_pairs`` and ``ties_exact`` from the lengths."""
+        """Build ``positive``, the ratio columns ``lo`` and ``hi`` and the
+        flags ``exact_pairs``, ``floats_exact`` and ``ties_exact``."""
         ref, tgt = self.ref, self.tgt
         rl, rh, tl, th = ref.lo_f, ref.hi_f, tgt.lo_f, tgt.hi_f
-        self.positive = positive = _above(rl, ref.lo, _ZERO_EPS)
         sides = [set(map(type, chain(s.lo, () if s.point else s.hi)))
                  for s in (ref, tgt)]
         self.exact_pairs = all(any(issubclass(t, _EXACT) for t in ts) for ts in sides)
         types = set.union(*sides)
         top = max((float(np.abs(f).max()) for f in (rl, rh, tl, th) if f.size),
                   default=0.0)
-        if types <= {int, float} and top < 2.0 ** 53:
-            # ints below 2**53 and floats are exact as float64, so one IEEE
-            # division is the correctly rounded exact_div value (a Fraction
-            # for int/int, Python's a / b otherwise)
+        self.floats_exact = types <= {int, float} and top < 2.0 ** 53
+        self.positive = positive = _above(rl, ref.lo, _ZERO_EPS, self.floats_exact)
+        if self.floats_exact:
+            # one IEEE division is the correctly rounded exact_div value (a
+            # Fraction for int/int, Python's a / b otherwise)
             with np.errstate(divide="ignore", invalid="ignore"):
                 self.lo, self.hi = tl / rh, th / rl
             self.lo[rl <= _ZERO_EPS] = np.nan
@@ -311,11 +314,14 @@ class ClassTable:
         return lo, hi
 
 
-def _above(f, exact, x):
+def _above(f, exact, x, floats_exact: bool = False):
     """Mask of exact[i] > x, where ``f`` holds the correctly rounded floats
     of ``exact``: f[i] and float(x) decide wherever they differ, and exact
-    values are compared only where they are equal."""
+    values are compared only where they are equal.  With ``floats_exact``
+    (every exact[i] == f[i]) each of those ties is float(x) > x."""
     fx = float(x)
+    if floats_exact:
+        return f >= fx if fx > x else f > fx
     mask = f > fx
     ties = np.flatnonzero(f == fx).tolist()
     if ties:
@@ -385,7 +391,7 @@ def _build_table(target, ref, radii, cfg: VerifierConfig,
 def _window_sup(table: ClassTable, L, radius_needed, *,
                 diag_cap: int = 16) -> WindowSup:
     ref, tgt = table.ref, table.tgt
-    seen = ~_above(ref.lo_f, ref.lo, L)
+    seen = ~_above(ref.lo_f, ref.lo, L, table.floats_exact)
     positive = table.positive
     inc = np.flatnonzero(seen & positive)
     excluded = int(np.count_nonzero(seen & ~positive))
@@ -398,7 +404,7 @@ def _window_sup(table: ClassTable, L, radius_needed, *,
             radius=table.radius, radius_needed=radius_needed,
             truncated=truncated, attained=None, empty=True,
         )
-    strad = _above(ref.hi_f, ref.hi, L)[inc]
+    strad = _above(ref.hi_f, ref.hi, L, table.floats_exact)[inc]
     r_lo, r_hi = table.ratio_lo, table.ratio_hi
     hi_f = table.hi[inc]
     sup_hi, att_idx = _first_max(_near(hi_f, inc), r_hi, table.ties_exact)
@@ -720,11 +726,11 @@ def ratio_envelope_report(target, ref, alpha_lo, beta_hi,
         b_scale = exact_div(L, beta_hi + 1)
         # measurement scope: 0 < ref lo <= reference_factor * L; hypothesis
         # scope: its part with ref lo <= L
-        lengths = table.ref
-        scope = (table.positive
-                 & ~_above(lengths.lo_f, lengths.lo, cfg.reference_factor * L))
+        below = partial(_above, table.ref.lo_f, table.ref.lo,
+                        floats_exact=table.floats_exact)
+        scope = table.positive & ~below(cfg.reference_factor * L)
         meas = np.flatnonzero(scope)
-        hyp = np.flatnonzero(scope & ~_above(lengths.lo_f, lengths.lo, L))
+        hyp = np.flatnonzero(scope & ~below(L))
         hyp_failed = hyp_uncertified = False
         if hyp.size:
             lo_f, hi_f = table.lo[hyp], table.hi[hyp]
@@ -1007,9 +1013,10 @@ def pointwise_cover_report(model, ball_radius: int, f_radius: int,
     """Greedy search for translates whose class lengths dominate displacement.
 
     Starts from F = {identity} and adds the candidate (word of length <=
-    f_radius) that most reduces C = max over the ball of
-    d(x,gx) - max_f l[gf], until no strict improvement remains.
-    Needs a tree or a matrix model, whose class_length gives l.
+    f_radius, the first on a tie) that most reduces C = max over the ball
+    of d(x,gx) - max_f l[gf], until no strict improvement remains.  Needs
+    a tree or a matrix model, whose class_length gives l; more than
+    ``class_cap`` ball x candidate lengths raise ResourceCapError.
     """
     cfg = config or VerifierConfig()
     if not isinstance(model, (TreeModel, MatrixActionModel)):
@@ -1017,43 +1024,36 @@ def pointwise_cover_report(model, ball_radius: int, f_radius: int,
                          f"got {type(model).__name__}")
     ball = enumerate_ball(model.rank, ball_radius, cap=cfg.class_cap)
     pool = enumerate_ball(model.rank, f_radius, cap=cfg.class_cap)
+    if len(ball) * len(pool) > cfg.class_cap:
+        raise ResourceCapError(f"cover search of {len(ball)} x {len(pool)} "
+                               f"class lengths exceeds cap {cfg.class_cap}")
     disp = [model.displacement(g) for g in ball]
 
+    @cache
     def col(f: Word):
         # a tree or matrix length is the same on every rotation of the core
         fl = f.letters
         return [model.class_length(_cyclic_core(_concat_reduced(g.letters, fl)))
                 for g in ball]
 
-    cols = {}
+    def c_of(vals):
+        return max(max(d - v for d, v in zip(disp, vals)), 0)
 
-    def c_of(best_vals):
-        worst = None
-        for i in range(len(ball)):
-            gap = disp[i] - best_vals[i]
-            if worst is None or gap > worst:
-                worst = gap
-        return max(worst, 0)
+    def merged(f):
+        return [max(a, b) for a, b in zip(best_vals, col(f))]
 
+    # F holds distinct words of the pool, the identity first
     F = [Word()]
     best_vals = col(Word())
     C = c_of(best_vals)
-    while len(F) < max_f and C > 0:
-        best_c, best_f, best_col = None, None, None
-        for f in pool:
-            if f in F:
-                continue
-            if f.letters not in cols:
-                cols[f.letters] = col(f)
-            trial = [max(a, b) for a, b in zip(best_vals, cols[f.letters])]
-            c_new = c_of(trial)
-            if best_c is None or c_new < best_c:
-                best_c, best_f, best_col = c_new, f, trial
-        if best_c is None or not best_c < C:
+    while len(F) < min(max_f, len(pool)) and C > 0:
+        best_f = min((f for f in pool if f not in F),
+                     key=lambda f: c_of(merged(f)))
+        trial = merged(best_f)
+        if not c_of(trial) < C:
             break
         F.append(best_f)
-        best_vals = best_col
-        C = best_c
+        best_vals, C = trial, c_of(trial)
     return CoverReport(
         F=F, C=C, checked=len(ball), ball_radius=ball_radius,
         f_radius=f_radius, verdict=HOLDS,

@@ -126,7 +126,7 @@ _PARAM_DEFAULTS = {
 }
 # the integer params and their least values
 _INT_PARAMS = {"n": 1, "ball_radius": 0, "f_radius": 0, "max_f": 0,
-               "cert_radius": 0, "radius": 0}
+               "cert_radius": 1, "radius": 0}
 
 _TOP_KEYS = ("name", "rank", "seed", "target", "reference", "subset",
              "matrices", "ensemble", "verify", "config", "params")

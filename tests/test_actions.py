@@ -8,6 +8,7 @@ eigenvalues), over large random samples.
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from lenspec.actions import (
     power_schedule,
     stable_length_bracket,
 )
-from lenspec.errors import InputError
+from lenspec.errors import InputError, ResourceCapError
 from lenspec.spaces import LinearRepModel, TreeModel, build_schottky
 from lenspec.words import ConjClass, Word, enumerate_ball
 
@@ -284,3 +285,47 @@ def test_certificate_mu_is_ball_minimum():
         worst = min(worst, gap / len(g))
         assert gap >= cert.log_C + cert.mu * len(g) - 1e-9
     assert cert.mu == pytest.approx(worst)
+
+
+def test_certificate_needs_a_nonempty_ball():
+    m = build_schottky(4.0, [0.0, 1.2]).linear
+    with pytest.raises(InputError, match="radius must be >= 1"):
+        anosov_certificate(m, 0)
+
+
+def test_certificate_ball_past_its_cap_raises_before_any_product():
+    class NoProducts(LinearRepModel):
+        def generator_matrix(self, letter):
+            raise AssertionError("a product was taken")
+
+    with pytest.raises(ResourceCapError, match="exceeds cap 2000000"):
+        anosov_certificate(NoProducts([np.eye(2), np.eye(2)]), 40)
+
+
+class _Spelled:
+    """A 'matrix' that spells the product it stands for."""
+
+    def __init__(self, letters):
+        self.letters = letters
+
+    def __matmul__(self, other):
+        return _Spelled(self.letters + other.letters)
+
+
+def test_certificate_walks_the_ball_in_length_then_letter_order():
+    # gap/|g| = 1 at b and at aa and 10 elsewhere: a depth-first walk
+    # meets aa first, the ball's (length, letter) order meets b first
+    gaps = {(2,): 1.0, (1, 1): 2.0}
+    seen = []
+
+    def gap(m):
+        seen.append(m.letters)
+        return gaps.get(m.letters, 10.0 * len(m.letters))
+
+    model = SimpleNamespace(rank=2, singular_gap=gap,
+                            generator_matrix=lambda x: _Spelled((x,)))
+    cert = anosov_certificate(model, 3)
+    # each matrix is its word's product, one per word of the ball
+    assert seen == [g.letters for g in enumerate_ball(2, 3)[1:]]
+    assert cert.mu == 1.0 and cert.worst == Word("b")
+    assert cert.log_C == 0.0 and cert.ok and cert.radius == 3

@@ -36,7 +36,7 @@ from lenspec.bounds import (
     window_comparison_bound,
     word_metric_dilation_report,
 )
-from lenspec.errors import InputError
+from lenspec.errors import InputError, ResourceCapError
 from lenspec.spaces import (
     LinearRepModel,
     MobiusModel,
@@ -420,6 +420,17 @@ def test_envelope_homothety_needs_no_inflation():
     assert r.extras["minimal_C0"] == 0
 
 
+def test_envelope_with_c0_falls_to_inconclusive_on_a_truncated_window():
+    # C0 covers the needed constant, but the window is cut at radius_cap,
+    # so the hypothesis is not certified on all of it
+    cfg = VerifierConfig(L_values=(6,), radius_cap=3)
+    (r,) = ratio_envelope_report(TreeModel(2, [2, 2]), UNIT, 2, 2, cfg, C0=0)
+    assert r.coverage["window"]["truncated"]
+    assert r.extras["minimal_C0"] == 0
+    assert r.extras["hypothesis"] == "inconclusive"
+    assert r.verdict == INCONCLUSIVE
+
+
 def test_envelope_hypothesis_failure_is_measured():
     m = TreeModel(2, [1, Fraction(3, 2)])
     reps = ratio_envelope_report(m, UNIT, 1, 1, VerifierConfig(L_values=(4, 12)))
@@ -663,6 +674,20 @@ def test_pointwise_cover_deterministic():
     b = pointwise_cover_report(UNIT, 4, 2)
     assert [w.letters for w in a.F] == [w.letters for w in b.F]
     assert a.C == b.C
+
+
+def test_pointwise_cover_caps_its_class_lengths_before_reading_any():
+    # ball 1,457 words x pool 17 candidates = 24,769 class lengths
+    class Unread(TreeModel):
+        def class_length(self, letters):
+            raise AssertionError("a class length was read")
+
+    with pytest.raises(ResourceCapError, match="1457 x 17 class lengths"):
+        pointwise_cover_report(Unread(2, [1, 2]), 6, 2,
+                               VerifierConfig(class_cap=20_000))
+    cr = pointwise_cover_report(TreeModel(2, [1, 2]), 6, 2,
+                                VerifierConfig(class_cap=24_769))
+    assert cr.checked == 1457 and cr.extras["pool"] == 17
 
 
 def test_pointwise_cover_needs_exact_model():

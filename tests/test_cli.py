@@ -204,6 +204,8 @@ BAD = [
      r"^scenario\.config\.L_values\[1\]: must be positive, got 0$"),
     ('{"params": {"band": [1, "x"]}}',
      r"^scenario\.params\.band\[1\]: expected a number, got str$"),
+    ('{"params": {"cert_radius": 0}}',
+     r"^scenario\.params\.cert_radius: must be >= 1, got 0$"),
 ]
 
 
@@ -910,6 +912,24 @@ def test_anosov_certifies_at_cert_radius_below_the_preset_one(tmp_path, capsys):
     mob = build_schottky(4.0, [0.0, 1.2], delta=math.log(4)).mobius
     assert cert["radius"] == 3
     assert cert["mu"] == anosov_certificate(mob, radius=3).mu
+
+
+def test_anosov_past_the_certificate_ball_cap_exits_3(tmp_path):
+    # radius 40 in rank 2 is about 2.4e19 words: the ball's precount
+    # refuses it before any product is taken
+    data = json.loads((SCEN_DIR / "schottky-linear.json").read_text())
+    data["params"]["cert_radius"] = 40
+    p = tmp_path / "scen.json"
+    p.write_text(json.dumps(data))
+    path = [str(SCEN_DIR.parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run([sys.executable, "-m", "lenspec", "verify",
+                           "--scenario", str(p)],
+                          capture_output=True, text=True, env=env, timeout=30)
+    assert proc.returncode == 3, proc.stderr
+    (entry,) = json.loads(proc.stdout)["entries"]
+    assert entry["status"] == "resource-cap"
+    assert "ball of radius 40 in rank 2 exceeds cap 2000000" in entry["error"]
 
 
 def test_linear_target_with_complex_entries_runs_anosov(tmp_path, capsys):

@@ -397,6 +397,30 @@ def test_large_int_lengths_resolve_float_ties_exactly():
             _oracle_window_sup(table, n + 1, 1, diag_cap=cap))
 
 
+class _Reads(list):
+    """A list that counts its items read one at a time."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+def test_float_exact_tables_settle_ties_without_reading_a_length():
+    # every length is a small int, its own float: the classes of reference
+    # length 3 tie with L = 3 in float, and the float settles each tie
+    table = ClassTable(TreeModel(2, [1, 2]), TreeModel(2), 4)
+    assert table.floats_exact and table.ref.point
+    want = _oracle_window_sup(table, 3, 3, diag_cap=0)
+    lengths = _Reads(table.ref.lo)
+    table.ref = dataclasses.replace(table.ref, lo=lengths, hi=lengths)
+    ws = _window_sup(table, 3, 3, diag_cap=0)
+    # the sup's two ratios read one length each, and no tie reads any
+    assert lengths.reads == 2 < np.count_nonzero(table.ref.lo_f == 3)
+    assert _canon(ws) == _canon(want)
+
+
 def test_columns_are_views_of_the_whole_table():
     table = ClassTable(TreeModel(2, [1, 2]), TreeModel(2), 5)
     cut = table.prefix(3)
