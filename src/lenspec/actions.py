@@ -200,7 +200,9 @@ class AnosovCertificate:
     of gap/|g|, first attained at ``worst`` in (length, letter) order, and
     log C = min of (gap - mu |g|).  mu > 0 certifies a uniform singular-value
     gap on the sample (dominated / convex-cocompact behavior); rotations
-    and the trivial representation give mu = 0.
+    and the trivial representation give mu = 0.  ``ok`` (mu > 1e-9) is the
+    one threshold of a usable certificate: a window radius or displacement
+    ball is sized from mu only where it holds.
     """
 
     mu: float

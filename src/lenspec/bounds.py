@@ -31,7 +31,6 @@ import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, partial
-from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -197,7 +196,8 @@ class ClassTable:
     correctly rounded float of the exact value, so float order never
     contradicts exact order: where two floats differ, the exact values
     differ the same way.  Every window sup and the cor14 envelope read
-    these columns, and the classes.csv rows read ``ratio_cells``.
+    these columns, and the classes.csv rows read ``ratio_cells`` and, for
+    their text, ``ratio_floats``.
 
     ``exact_pairs``: some class can pair two exact lengths, the target
     and the reference each holding an int or a Fraction somewhere.
@@ -228,10 +228,9 @@ class ClassTable:
         flags ``exact_pairs``, ``floats_exact`` and ``ties_exact``."""
         ref, tgt = self.ref, self.tgt
         rl, rh, tl, th = ref.lo_f, ref.hi_f, tgt.lo_f, tgt.hi_f
-        sides = [set(map(type, chain(s.lo, () if s.point else s.hi)))
-                 for s in (ref, tgt)]
-        self.exact_pairs = all(any(issubclass(t, _EXACT) for t in ts) for ts in sides)
-        types = set.union(*sides)
+        self.exact_pairs = all(any(issubclass(t, _EXACT) for t in s.kinds)
+                               for s in (ref, tgt))
+        types = ref.kinds | tgt.kinds
         top = max((float(np.abs(f).max()) for f in (rl, rh, tl, th) if f.size),
                   default=0.0)
         self.floats_exact = types <= {int, float} and top < 2.0 ** 53
@@ -312,6 +311,17 @@ class ClassTable:
         for i in np.flatnonzero(~self.positive[start:stop]).tolist():
             lo[i] = hi[i] = ""
         return lo, hi
+
+    def ratio_floats(self, start: int, stop: int) -> tuple:
+        """What fixes the two lists of ratio_cells: without ``exact_pairs``
+        their cells are the floats of the ratio columns, "" where ``blank``
+        (off ``positive``), given as (floats, blank, {float}); with it,
+        (None, None)."""
+        if self.exact_pairs:
+            return None, None
+        blank, kinds = ~self.positive[start:stop], frozenset({float})
+        return ((self.lo[start:stop], blank, kinds),
+                (self.hi[start:stop], blank, kinds))
 
 
 def _above(f, exact, x, floats_exact: bool = False):
@@ -853,7 +863,7 @@ def displacement_ball(model, bound, config: Optional[VerifierConfig] = None
         unit_radius = int(exact_div(bound, min(model.weights)))
     elif isinstance(model, MatrixActionModel):
         cert = model.certificate()
-        if cert.mu <= 0:
+        if not cert.ok:
             raise InputError("cannot bound the displacement ball: no gap certificate")
         unit_radius = math.ceil((2 * float(bound) - 2 * cert.log_C) / cert.mu)
         unit_radius = min(unit_radius, cfg.radius_cap)

@@ -40,7 +40,7 @@ import time
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cache, partial
-from itertools import islice
+from itertools import groupby, islice
 from pathlib import Path
 from typing import Optional
 
@@ -717,26 +717,80 @@ def _number_columns(classes, start: int, stop: int) -> list:
             *classes.ratio_cells(start, stop)]
 
 
+def _column_sources(classes, start: int, stop: int) -> list:
+    """What fixes the text of each of the six columns of
+    ``_number_columns``, rows start..stop-1, as (floats, blank, kinds): the
+    float64 column of its cells, the mask of its "" cells (or None) and
+    the set of its cells' types.  A side's columns are its ``lo_f`` and
+    ``hi_f`` with its ``kinds``, ratio columns the table's
+    ``ratio_floats``; a blank column holds text alone.  None for exact
+    ratio cells."""
+    rows = slice(start, stop)
+    text = (None, None, frozenset({str}))
+    if isinstance(classes, ClassLengths):
+        return [text, text, (classes.lo_f[rows], None, classes.kinds),
+                (classes.hi_f[rows], None, classes.kinds), text, text]
+    return [*((f[rows], None, s.kinds) for s in (classes.ref, classes.tgt)
+              for f in (s.lo_f, s.hi_f)),
+            *classes.ratio_floats(start, stop)]
+
+
+def _column_texts(cells, source, width: int) -> list:
+    """The fields of ``width`` adjacent classes.csv columns that are one
+    list of ``cells``, with their ``_column_sources`` entry ``source``.
+
+    A column whose cells are all floats, or all ints below 2**53 in size
+    (its "" cells aside), becomes one field: its float64 bits fix each
+    cell's str(), a float's repr or an int's digits, so each distinct
+    value is rendered once, written ``width`` times joined by commas, and
+    gathered by np.unique's inverse.  The key is the type and the bits,
+    never the value: 1 and 1.0, or 0.0 and -0.0, are equal values with
+    different texts.  A column of text is its own text; any other column
+    (Fractions, mixed types, exact ratios) is ``width`` fields of str() of
+    each cell.
+    """
+    floats, blank, kinds = source or (None, None, None)
+    if kinds == {str}:
+        return [cells] * width
+    if floats is None or not (kinds == {float} or kinds == {int}
+                              and np.all(np.abs(floats) < 2.0 ** 53)):
+        return [list(map(str, cells))] * width
+    keys, inv = np.unique(floats.view(np.int64), return_inverse=True)
+    values = keys.view(np.float64).tolist()
+    texts = list(map(str, values if kinds == {float} else map(int, values)))
+    if blank is not None:
+        inv[blank] = len(texts)
+        texts.append("")
+    if width > 1:
+        texts = list(map(",".join, zip(*[texts] * width)))
+    return [list(map(texts.__getitem__, inv.tolist()))]
+
+
 def _csv_chunks(classes):
     """The rows of classes.csv (without its header) of a _class_listing,
     as text of at most ROW_CHUNK rows per string.
 
-    A chunk renders each distinct column of ``_number_columns`` once with
-    str(), which is the CSV text of an int, Fraction or float (its repr),
-    and the names from the class codes.  No cell holds a comma, quote or
-    newline, and the rows are joined once per chunk.
+    A chunk renders the names from the class codes, and each run of
+    adjacent columns of ``_number_columns`` that are one list (a point's
+    lo and hi, the ratio cells of two points, blank columns) once, with
+    ``_column_texts``: str() is the CSV text of an int, Fraction or float
+    (its repr), and a column whose float64 bits fix its texts renders
+    each distinct value once.  Either way each cell's text is str() of
+    the cell, so no byte depends on which way a column went.  No cell
+    holds a comma, quote or newline, and the rows are joined once per
+    chunk.
     """
     names = classes.classes.names()
     n = len(classes)
     for start in range(0, n, ROW_CHUNK):
         stop = min(n, start + ROW_CHUNK)
-        text = {}
-        cols = [islice(names, stop - start)]
-        for col in _number_columns(classes, start, stop):
-            if id(col) not in text:
-                text[id(col)] = list(map(str, col))
-            cols.append(text[id(col)])
-        yield "\n".join(map(",".join, zip(*cols))) + "\n"
+        fields = [islice(names, stop - start)]
+        columns = zip(_number_columns(classes, start, stop),
+                      _column_sources(classes, start, stop))
+        for _, run in groupby(columns, key=lambda c: id(c[0])):
+            run = list(run)
+            fields += _column_texts(*run[0], len(run))
+        yield "\n".join(map(",".join, zip(*fields))) + "\n"
 
 
 def _write_classes(fh, classes):

@@ -13,14 +13,15 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .actions import ActionModel, AnosovCertificate, anosov_certificate, exact_div
 from .errors import InputError, NumericError
-from .words import (ClassCodes, GeneratingSet, Word, _as_weight, _cheapest_first,
-                    _letters_in_order, _unscaled, word_length)
+from .words import (ROW_CHUNK, ClassCodes, GeneratingSet, Word, _as_weight,
+                    _cheapest_first, _letters_in_order, _unscaled, word_length)
 
 __all__ = [
     "ClassLengths",
@@ -64,13 +65,21 @@ class ClassLengths:
     """One model's stable-length brackets over ``classes``: lists ``lo``
     and ``hi`` of ints, Fractions or floats, and float64 columns ``lo_f``
     and ``hi_f`` of their correctly rounded floats.  A ``point`` (one
-    length per class) holds one list and one column under both names."""
+    length per class) holds one list and one column under both names.
+    ``kinds`` is the set of the lengths' types: given by a bulk form that
+    knows it, else found by one scan of the lists."""
 
     classes: ClassCodes
     lo: list
     hi: list
     lo_f: np.ndarray
     hi_f: np.ndarray
+    kinds: Optional[frozenset] = None
+
+    def __post_init__(self):
+        if self.kinds is None:
+            kinds = frozenset(map(type, chain(self.lo, () if self.point else self.hi)))
+            object.__setattr__(self, "kinds", kinds)
 
     @property
     def point(self) -> bool:
@@ -93,7 +102,9 @@ class ClassLengths:
         k = len(classes)
         lo, lo_f = self.lo[:k], self.lo_f[:k]
         hi, hi_f = (lo, lo_f) if self.point else (self.hi[:k], self.hi_f[:k])
-        return ClassLengths(classes, lo, hi, lo_f, hi_f)
+        # a nonempty prefix of lengths of one type holds that type alone
+        kinds = self.kinds if k and len(self.kinds) == 1 else None
+        return ClassLengths(classes, lo, hi, lo_f, hi_f, kinds)
 
 
 # ---------------------------------------------------------------- trees
@@ -164,7 +175,9 @@ class TreeModel(ActionModel):
             vals += map(lengths.__getitem__, inv.tolist())
             floats.append(np.array(list(map(float, lengths)))[inv])
         floats = _joined(floats)
-        return ClassLengths(codes, vals, vals, floats, floats)
+        kinds = frozenset({int} if self._den == 1 else {Fraction})
+        return ClassLengths(codes, vals, vals, floats, floats,
+                            kinds if vals else frozenset())
 
     def window_radius(self, length_bound) -> int:
         return math.ceil(exact_div(length_bound, min(self.weights)))
@@ -545,10 +558,15 @@ class MatrixActionModel(ActionModel):
         """class_lambda1 of every class of ``codes`` (2x2 generators).
 
         The prefix product runs one column at a time over the rows of a
-        length block, as separate real and imaginary float64 arrays in
-        the operations of class_lambda1's complex arithmetic (each a
-        separate ufunc call, so no step is fused), so every value is
-        class_lambda1's bit for bit.
+        row chunk of a length block, as separate real and imaginary
+        float64 arrays in the operations of class_lambda1's complex
+        arithmetic (each a separate ufunc call, so no step is fused).
+        The rows are in code order, so the rows that share their codes up
+        to a column are adjacent: a column step keeps one product per run
+        of such rows and multiplies only those by the next generator.
+        Each run's product is the one its rows would reach, by the same
+        operations in the same order from the identity, so every value is
+        class_lambda1's bit for bit, repeated over the rows of its run.
         """
         gens = self._tuple_gens()
         parts = [np.array(_per_code(lambda x: getattr(gens[x][k], part),
@@ -557,36 +575,62 @@ class MatrixActionModel(ActionModel):
         out = []
         with np.errstate(all="ignore"):
             for rows in codes.row_chunks():
-                one, zero = np.ones(len(rows)), np.zeros(len(rows))
+                # new[i]: row i starts a run, its codes so far differing
+                # from row i - 1's; starts: the first row of each run
+                new = np.zeros(len(rows), bool)
+                new[0] = True
+                starts = np.zeros(1, np.intp)
+                one, zero = np.ones(1), np.zeros(1)
                 ar, ai, br, bi, cr, ci, dr, di = one, zero, zero, zero, zero, zero, one, zero
                 for col in rows.T:
-                    er, ei, fr, fi, gr, gi, hr, hi = (p[col] for p in parts)
+                    new[1:] |= col[1:] != col[:-1]
+                    # each run lies in one run of the last step, its parent
+                    prev, starts = starts, np.flatnonzero(new)
+                    parent = np.searchsorted(prev, starts, side="right") - 1
+                    ar, ai, br, bi, cr, ci, dr, di = (
+                        s[parent] for s in (ar, ai, br, bi, cr, ci, dr, di))
+                    er, ei, fr, fi, gr, gi, hr, hi = (p[col[starts]] for p in parts)
                     (ar, ai), (br, bi), (cr, ci), (dr, di) = (
                         _cmuladd(ar, ai, er, ei, br, bi, gr, gi),
                         _cmuladd(ar, ai, fr, fi, br, bi, hr, hi),
                         _cmuladd(cr, ci, er, ei, dr, di, gr, gi),
                         _cmuladd(cr, ci, fr, fi, dr, di, hr, hi))
                 (p, q), (r, t) = _cmul(ar, ai, dr, di), _cmul(br, bi, cr, ci)
-                out.append(_lambda1_rows(ar + dr, ai + di, p - r, q - t))
+                lam = _lambda1_rows(ar + dr, ai + di, p - r, q - t)
+                out.append(np.repeat(lam, np.diff(starts, append=len(rows))))
         return _joined(out)
 
     def class_brackets(self, codes: ClassCodes, k_max: int):
         """The class_length of every class of ``codes``, a point; ``k_max``
         is unused.  None beyond 2x2 matrices, which are evaluated class
-        by class."""
+        by class.
+
+        A length is _length of the float lambda1, so within each ROW_CHUNK
+        rows one length is built per distinct lambda1 (keyed by its bits)
+        and shared by the rows that hold it.
+        """
         if self.dim != 2:
             return None
-        vals = list(map(self._length, self.class_lambda1_column(codes).tolist()))
-        floats = np.array(vals, dtype=np.float64)
-        return ClassLengths(codes, vals, vals, floats, floats)
+        lam = self.class_lambda1_column(codes)
+        vals, floats = [], []
+        for start in range(0, len(lam), ROW_CHUNK):
+            keys, inv = np.unique(lam[start:start + ROW_CHUNK].view(np.int64),
+                                  return_inverse=True)
+            lengths = list(map(self._length, keys.view(np.float64).tolist()))
+            vals += map(lengths.__getitem__, inv.tolist())
+            floats.append(np.array(lengths)[inv])
+        floats = _joined(floats)
+        # _length returns a float
+        return ClassLengths(codes, vals, vals, floats, floats,
+                            frozenset({float} if vals else ()))
 
     def window_radius(self, length_bound) -> float:
         # log sigma1 >= gap/2 for unit determinant, and a class length is
         # _length_scale log lambda1, so l >= _length_scale * mu * cyclen / 2
-        mu = self.certificate().mu
-        if mu <= 0:
+        cert = self.certificate()
+        if not cert.ok:
             return math.inf
-        return math.ceil(2 * length_bound / (self._length_scale * mu))
+        return math.ceil(2 * length_bound / (self._length_scale * cert.mu))
 
     def certificate(self, radius: int = 6) -> AnosovCertificate:
         """The gap certificate over the ball of ``radius``, one per radius."""

@@ -332,6 +332,7 @@ class ClassCodes:
         m = 2 * rank
         code_type = np.min_scalar_type(m - 1)
         prefixes = np.zeros((1, 0), code_type)   # the prefixes of length t - 1
+        first = np.zeros(1, np.int64)            # their first codes
         period = np.ones(1, np.int64)
         least = np.zeros(1, np.int64)            # the least code of a child
         banned = np.full(1, -1, np.int64)        # the inverse of the last code, or -1
@@ -347,12 +348,16 @@ class ClassCodes:
             code = np.arange(len(parent)) - start + least[parent]
             code += skip[parent] & (code >= banned[parent])
             period = np.where(code == least[parent], period[parent], t)
-            prefixes = np.column_stack((prefixes[parent], code.astype(code_type)))
-            last, first = prefixes[:, -1], prefixes[:, 0]
-            blocks.append(prefixes[(t % period == 0) & (last != first ^ 1)])
+            first = code if t == 1 else first[parent]
+            code = code.astype(code_type)
+            # the representatives' rows are built from their parents, and
+            # the children of the last level are never built whole
+            rep = np.flatnonzero((t % period == 0) & (code != first ^ 1))
+            blocks.append(np.column_stack((prefixes[parent[rep]], code[rep])))
             if t < radius:
+                prefixes = np.column_stack((prefixes[parent], code))
                 least = prefixes[np.arange(len(prefixes)), t - period].astype(np.int64)
-                banned = last ^ 1
+                banned = code ^ 1
         return cls(rank, tuple(blocks))
 
     @property

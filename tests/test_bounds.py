@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from lenspec.actions import LengthBracket
+from lenspec.actions import AnosovCertificate, LengthBracket
 from lenspec.bounds import (
     HOLDS,
     HYPOTHESIS_FAILED,
@@ -532,6 +532,18 @@ def test_displacement_ball_matrix():
 def test_displacement_ball_empty_raises():
     with pytest.raises(InputError, match="no generator"):
         displacement_ball(UNIT, Fraction(1, 2))
+
+
+@pytest.mark.parametrize("use", ["mobius", "linear"])
+def test_a_certificate_short_of_its_threshold_sizes_nothing(monkeypatch, use):
+    # mu = 1e-10 is positive, but the certificate's own threshold (ok is
+    # mu > 1e-9) rejects it: no window radius or ball is sized from it
+    model = getattr(schottky(), use)
+    weak = AnosovCertificate(mu=1e-10, log_C=0.0, ok=False, radius=6)
+    monkeypatch.setattr(model, "certificate", lambda radius=6: weak)
+    assert model.window_radius(4) == math.inf
+    with pytest.raises(InputError, match="no gap certificate"):
+        displacement_ball(model, 1.5 * math.log(4), VerifierConfig(radius_cap=3))
 
 
 def test_greedy_chunks_match_word_metric():

@@ -150,6 +150,29 @@ def test_matrix_bulk_lengths_are_class_length_bit_for_bit(model):
     assert all(type(v) is float for v in vals)
 
 
+# three generators, one unipotent: its powers have a zero discriminant,
+# which _lambda1_rows hands to _lambda1
+_RANK3_LINEAR = LinearRepModel([np.array([[2.0, 1.0], [1.0, 1.0]]),
+                                np.array([[0.3, -1.1], [0.9, 0.4]]),
+                                np.array([[1.0, 0.0], [3.0, 1.0]])])
+
+
+# the last length block is cut into row chunks (radius 11 at rank 2, 7 at
+# rank 3), so the prefix runs of a column step start afresh at each cut
+@pytest.mark.parametrize("model,rank,radius", [
+    *((m, 2, 11) for m in (*_MATRIX_MODELS, _COMPLEX_MOBIUS)),
+    (_RANK3_LINEAR, 3, 7),
+], ids=["schottky-mobius", "schottky-linear", "elliptic-mobius", "linear",
+        "complex-mobius", "rank-3-linear"])
+def test_lambda1_column_is_class_lambda1_bit_for_bit(model, rank, radius):
+    codes = ClassCodes.walk(rank, radius)
+    assert len(codes.blocks[-1]) > ROW_CHUNK
+    got = model.class_lambda1_column(codes)
+    want = np.array([model.class_lambda1(r) for r in codes.reps])
+    # the bits, not ==, which holds for 0.0 against -0.0
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_lambda1_rows_is_lambda1_bit_for_bit():
     # traces and determinants over the whole float range, zeros of both
     # signs, infinities and exact zero discriminants
@@ -242,6 +265,28 @@ _SHORTCUT = WordMetricModel(GeneratingSet(2, ["a", "A", "b", "B", "ab", "BA"]))
 def _point(lengths: ClassLengths) -> bool:
     # one list and one column under both names
     return lengths.point and lengths.lo_f is lengths.hi_f
+
+
+# a bulk form that states the types of its lengths states them exactly,
+# for the whole listing, a prefix and no classes at all; classes.csv
+# renders a column from its float bits only when they are one type
+@pytest.mark.parametrize("model", [
+    TreeModel(2, [1, 2]),
+    TreeModel(2, [Fraction(3, 2), 1]),
+    TreeModel(2, [2 ** 60, 3]),
+    *_MATRIX_MODELS,
+    _SHORTCUT,
+    _Listed({"b": Fraction(7, 3), "aB": 5}),
+    # a Fraction past the prefix: the prefix holds ints alone
+    _Listed({"abAB": Fraction(1, 2)}),
+], ids=["tree-int", "tree-fraction", "tree-past-int64", "schottky-mobius",
+        "schottky-linear", "elliptic-mobius", "linear", "word-metric",
+        "class-by-class", "class-by-class-prefix"])
+def test_kinds_are_the_types_of_the_lengths(model):
+    for radius in (0, 4):
+        lengths = class_lengths(model, ClassCodes.walk(2, radius), 2)
+        for part in (lengths, lengths.prefix(2)):
+            assert part.kinds == set(map(type, [*part.lo, *part.hi]))
 
 
 def test_a_point_prefix_stays_one_object():

@@ -13,6 +13,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -121,6 +122,27 @@ _WORD_METRICS = [
     WordMetricModel(GeneratingSet(2, ["a", "A", "b", "B"], [1.5, 1.5, 1, 1])),
 ]
 
+class _Cycled(TreeModel):
+    """A rank-2 model read class by class (a subclass's class_length),
+    whose class lengths cycle through ``values``."""
+
+    def __init__(self, values):
+        super().__init__(2)
+        self.values = values
+
+    def class_length(self, letters):
+        return self.values[(7 * len(letters) + sum(letters)) % len(self.values)]
+
+
+# equal values with different texts: 1 and 1.0, 0.0 and -0.0, a Fraction
+# and the float it equals; ints past 2**53 that share a float
+_TRAPS = [
+    _Cycled([1, 1.0, 0.0, -0.0, Fraction(3, 2), 1.5, 2]),
+    _Cycled([0.0, -0.0, 1.5, 0.1, 2.0]),
+    _Cycled([2 ** 53, 2 ** 53 + 1, 3]),
+]
+
+
 weights = st.one_of(
     st.integers(1, 4),
     st.integers(10 ** 5, 10 ** 6),
@@ -196,3 +218,19 @@ def test_a_prefix_table_matches_the_per_row_path():
                              VerifierConfig(), target, reference, tables=tables)
     assert cut is not whole and np.shares_memory(cut.lo, whole.lo)
     assert cut.tgt.point and cut.ref.point
+
+
+@pytest.mark.parametrize("model", _TRAPS, ids=["mixed", "floats", "past-2**53"])
+def test_equal_values_keep_their_own_text(model):
+    # alone, against a tree on either side, and against another trap: the
+    # length columns and the ratio columns each meet the traps
+    texts = set()
+    for pair in ((model, None), (None, model), (model, TreeModel(2)),
+                 (TreeModel(2, [1, 2]), model), (model, _TRAPS[0]),
+                 (_TRAPS[1], model)):
+        for row in _check(*pair, 4):
+            texts.update(map(str, row[1:]))
+    want = {str(v) for v in model.values}
+    assert want <= texts
+    assert len(want) == len(model.values)
+
