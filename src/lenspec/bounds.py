@@ -30,7 +30,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, partial
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -46,9 +46,10 @@ from .words import (
     Word,
     _as_words,
     _cheapest_first,
-    _concat_reduced,
-    _cyclic_core,
+    WordRows,
     _finite_real,
+    _letters_in_order,
+    _unscaled,
     enumerate_ball,
 )
 
@@ -872,38 +873,74 @@ def displacement_ball(model, bound, config: Optional[VerifierConfig] = None
                          f"model, got {type(model).__name__}")
     if unit_radius < 1:
         raise InputError(f"displacement bound {bound} admits no generator")
-    elems = []
-    for w in enumerate_ball(model.rank, unit_radius, cap=cfg.class_cap):
-        if not w.letters:
-            continue
-        if model.displacement(w) <= bound:
-            elems.append(w)
+    # the ball less the identity, its first word
+    ball = enumerate_ball(model.rank, unit_radius, cap=cfg.class_cap)[1:]
+    d, den = _row_values(model, _rows(model, ball), "displacement")
+    within = np.flatnonzero(d <= _scaled_limit(bound, den)).tolist()
+    elems = list(map(ball.__getitem__, within))
     if not elems:
         raise InputError(f"displacement bound {bound} admits no generator")
     return GeneratingSet(rank=model.rank, elements=tuple(elems))
 
 
-def _greedy_chunks(letters, weight_of, bound) -> int:
-    """Minimal number of weight-<=bound pieces covering a reduced word.
+def _row_values(model, rows: WordRows, method: str):
+    """(values, den): ``method``, "displacement" or "class_length", of
+    every row of a word batch, as an array of den times the values.
+
+    A TreeModel itself (not a subclass, which may override its lengths)
+    reads both as ``scaled_sums``: exact ints, den its ``_den``.  Any other
+    model is read row by row into an object array of the values it gives,
+    den None.
+    """
+    if type(model) is TreeModel:
+        return model.scaled_sums(rows.codes), model._den
+    read = (model.class_length if method == "class_length"
+            else lambda w: model.displacement(Word._unchecked(w)))
+    return np.array(list(map(read, rows.letters())), dtype=object), None
+
+
+def _scaled_limit(bound, den):
+    """What a ``_row_values`` array is compared with to find the values at
+    most ``bound``: with den, the largest int at most bound times den; with
+    den None, the bound itself."""
+    return bound if den is None else math.floor(Fraction(bound) * den)
+
+
+def _rows(model, words) -> WordRows:
+    return WordRows.of(model.rank, [w.letters for w in words])
+
+
+def _greedy_chunks(rows: WordRows, weight_of, bound) -> np.ndarray:
+    """Minimal number of weight-<=bound pieces covering each word of a
+    batch.
 
     On a tree this equals the word length with respect to the displacement
     ball: each piece is a subword (so a group element of displacement equal
     to its weight), and no factorization can move farther per factor.
+    The greedy scan runs a column at a time over the rows, in the weights
+    ``weight_of`` gives each letter, scaled to ints by the lcm of their
+    denominators; the pad code weighs 0 and changes nothing.
     """
-    k = 0
-    acc = 0
-    for x in letters:
-        w = weight_of(x)
-        if w > bound:
+    weights = [Fraction(weight_of(x)) for x in _letters_in_order(rows.rank)]
+    den = math.lcm(*(w.denominator for w in weights))
+    scaled = [int(w * den) for w in weights] + [0]
+    limit = _scaled_limit(bound, den)
+    if max(scaled) > limit:
+        present = np.unique(rows.codes)
+        if any(scaled[c] > limit for c in present.tolist()):
             raise InputError("a single letter exceeds the displacement bound")
-        if acc + w > bound:
-            k += 1
-            acc = w
-        else:
-            acc += w
-    if acc > 0:
-        k += 1
-    return k
+    wide = 2 * max(*scaled, limit) < 2 ** 63
+    weight = np.array(scaled, np.int64 if wide else object)
+    pieces = np.zeros(len(rows), np.int64)
+    acc = np.zeros(len(rows), weight.dtype)
+    for col in rows.codes.T:
+        w = weight[col]
+        acc = acc + w
+        # a pad (weight 0) never starts a piece
+        full = (acc > limit) & (w > 0)
+        pieces += full
+        acc[full] = w[full]
+    return pieces + (acc > 0)
 
 
 @dataclass
@@ -948,10 +985,6 @@ def displacement_sandwich_report(model, n: int, ball_radius: int,
         bound = (n + 2) * scale
         slope = shift = n * scale
         s_n = displacement_ball(model, bound, cfg)
-
-        def word_lengths(targets):
-            return {t: _greedy_chunks(t, model.weight_of, bound)
-                    for t in targets}, False
     else:
         scale, tol = model.alpha, cfg.tolerance
         if scale is None:
@@ -960,26 +993,53 @@ def displacement_sandwich_report(model, n: int, ball_radius: int,
             raise InputError(f"need n > alpha+1 = {scale + 1}, got {n}")
         bound, slope, shift = n, n - scale - 1, n - 1
         s_n = displacement_ball(model, n, cfg)
-        word_lengths = partial(_settled_lengths, s_n)
-    lengths, capped = word_lengths(
-        [g.letters for g in enumerate_ball(model.rank, ball_radius,
-                                           cap=cfg.class_cap)])
-    violations = []
-    for t, k in lengths.items():
-        g = Word._unchecked(t)
-        d = model.displacement(g)
-        if not (slope * k - shift - tol <= d <= bound * k + tol):
-            violations.append((str(g), k, d))
+    ball = enumerate_ball(model.rank, ball_radius, cap=cfg.class_cap)
+    rows = _rows(model, ball)
+    if exact:
+        k, capped = _greedy_chunks(rows, model.weight_of, bound), False
+    else:
+        lengths, capped = _settled_lengths(s_n, [g.letters for g in ball])
+        settled = [i for i, g in enumerate(ball) if g.letters in lengths]
+        ball, rows = [ball[i] for i in settled], rows.take(settled)
+        k = np.array([lengths[g.letters] for g in ball], dtype=np.int64)
+    d, den = _row_values(model, rows, "displacement")
+    bad = _outside(d, den, k, slope, shift, bound, tol)
+    violations = [(str(ball[i]), int(k[i]),
+                   d[i] if den is None else _unscaled(int(d[i]), den))
+                  for i in bad]
     extras = {"s_n_size": len(s_n.elements)}
     if not exact:
         extras["bfs_capped"] = capped
     return SandwichReport(
         case="cobounded" if exact else "rough", n=n, scale=scale,
-        bound=bound, s_n=s_n, checked=len(lengths), violations=violations,
+        bound=bound, s_n=s_n, checked=len(ball), violations=violations,
         verdict=(HOLDS if not violations and not capped
                  else VIOLATED if exact else INCONCLUSIVE),
         truncated=not exact, extras=extras,
     )
+
+
+def _outside(d, den, k, slope, shift, bound, tol) -> list:
+    """The indices of the rows whose value (``_row_values``: d, den) lies
+    outside [slope k - shift - tol, bound k + tol], k an int per row.
+
+    With den None the comparisons are the values' own.  Otherwise the
+    values are den times exact lengths, so the coefficients times den are
+    brought to one denominator q and every side is an exact int: in int64
+    where no side can pass it, else in Python ints.
+    """
+    if den is None:
+        k = k.astype(object)
+    else:
+        scaled = [Fraction(x) * den for x in (slope, shift, bound, tol)]
+        q = math.lcm(*(x.denominator for x in scaled))
+        slope, shift, bound, tol = (int(x * q) for x in scaled)
+        top = (abs(slope) + abs(shift) + abs(bound) + abs(tol)) * (int(k.max(initial=0)) + 1)
+        if not (top < 2 ** 62 and q * int(d.max(initial=0)) < 2 ** 62):
+            d, k = d.astype(object), k.astype(object)
+        d = d * q
+    ok = (slope * k - shift - tol <= d) & (d <= bound * k + tol)
+    return np.flatnonzero(~ok).tolist()
 
 
 def _settled_lengths(s_n: GeneratingSet, targets):
@@ -1037,33 +1097,39 @@ def pointwise_cover_report(model, ball_radius: int, f_radius: int,
     if len(ball) * len(pool) > cfg.class_cap:
         raise ResourceCapError(f"cover search of {len(ball)} x {len(pool)} "
                                f"class lengths exceeds cap {cfg.class_cap}")
-    disp = [model.displacement(g) for g in ball]
+    rows = _rows(model, ball)
+    disp, den = _row_values(model, rows, "displacement")
 
-    @cache
     def col(f: Word):
-        # a tree or matrix length is the same on every rotation of the core
-        fl = f.letters
-        return [model.class_length(_cyclic_core(_concat_reduced(g.letters, fl)))
-                for g in ball]
+        # l[gf] over the ball: a tree or matrix length is the same on
+        # every rotation of the core
+        products = rows.products(_rows(model, [f]))
+        return _row_values(model, products.cores(), "class_length")[0]
 
-    def c_of(vals):
-        return max(max(d - v for d, v in zip(disp, vals)), 0)
-
-    def merged(f):
-        return [max(a, b) for a, b in zip(best_vals, col(f))]
-
-    # F holds distinct words of the pool, the identity first
+    # F holds distinct words of the pool, the identity (pool[0]) first;
+    # gap is the max over the ball (never empty: it holds the identity) of
+    # d(x,gx) - max_f l[gf], and C is gap or else 0, as max(gap, 0) reads
     F = [Word()]
-    best_vals = col(Word())
-    C = c_of(best_vals)
-    while len(F) < min(max_f, len(pool)) and C > 0:
-        best_f = min((f for f in pool if f not in F),
-                     key=lambda f: c_of(merged(f)))
-        trial = merged(best_f)
-        if not c_of(trial) < C:
-            break
-        F.append(best_f)
-        best_vals, C = trial, c_of(trial)
+    best = col(Word())
+    gap = (disp - best).max()
+    if len(F) < min(max_f, len(pool)) and gap > 0:
+        cols = np.stack([best] + [col(f) for f in pool[1:]])
+        free = np.ones(len(pool), bool)
+        free[0] = False
+        while len(F) < min(max_f, len(pool)) and gap > 0:
+            cand = np.flatnonzero(free)
+            # C of F + f for every free f; argmin keeps the first minimum
+            c = np.maximum((disp - np.maximum(best, cols[cand])).max(axis=1), 0)
+            i = cand[np.argmin(c)]
+            trial = np.maximum(best, cols[i])
+            trial_gap = (disp - trial).max()
+            if not trial_gap < gap:
+                break
+            F.append(pool[i])
+            free[i] = False
+            best, gap = trial, trial_gap
+    gap = gap.item() if isinstance(gap, np.generic) else gap
+    C = (gap if den is None else _unscaled(gap, den)) if gap >= 0 else 0
     return CoverReport(
         F=F, C=C, checked=len(ball), ball_radius=ball_radius,
         f_radius=f_radius, verdict=HOLDS,

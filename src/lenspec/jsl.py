@@ -13,9 +13,12 @@ lengths of specific products certify lower bounds:
 
 On trees the joint stable length is exactly half the largest two-letter
 stable length, a Helly argument proved in ``tree_joint_profile``, so the
-S^2 scan alone gives the bracket and no level is computed.  Word models
-read l_lo[s] as the lo of the model's own class bracket on the cyclic
-core of s (``class_bracket_reader`` with k_max 1).
+S^2 scan alone gives the bracket and no level is computed.  The levels of
+the 'products' engine are arrays of letter codes (``WordRows``): a tree
+reads a_n and l[s] as sums of its scaled int weights over the rows and
+their cyclic cores, other word models read l_lo[s] as the lo of the
+model's own class bracket on the cyclic core of s (``class_bracket_reader``
+with k_max 1).
 
 For a matrix action the joint stable length is the joint spectral radius
 in the metric's scale (Rota-Strang, Indag. Math. 22, 1960): log rho for a
@@ -38,8 +41,8 @@ import numpy as np
 from .actions import LengthBracket, exact_div
 from .errors import InputError, NumericError, ResourceCapError, SearchExhaustedError
 from .spaces import MatrixActionModel, TreeModel, class_bracket_reader
-from .words import (ConjClass, Word, _as_words, _concat_reduced, _cyclic_core,
-                    _unscaled)
+from .words import (ConjClass, Word, WordRows, _as_words, _concat_reduced,
+                    _cyclic_core, _unscaled)
 
 __all__ = [
     "JointLengthProfile",
@@ -82,21 +85,47 @@ def _displacement_upper(model, w: Word):
         return model.cost_upper(w)
 
 
-def _word_joint_profile(model, words, n_max, frontier_cap):
-    s_list = [w.letters for w in words]
+def _level_reader(model):
+    """A level (``WordRows``) -> (the largest displacement over its rows,
+    the largest class-bracket lo over their cyclic cores).
+
+    A TreeModel itself (not a subclass, which may override its lengths)
+    reads both as the largest ``scaled_sums``, divided by ``_den`` once.
+    Any other word model reads each row: its displacement, or the
+    search's certified upper bound, and the lo of ``class_bracket_reader``
+    with k_max 1 on its core.
+    """
+    if type(model) is TreeModel:
+        def level_max(rows):
+            return _unscaled(int(model.scaled_sums(rows.codes).max()), model._den)
+
+        return lambda level: (level_max(level), level_max(level.cores()))
     read = class_bracket_reader(model, 1)
-    frontier = set(s_list)
+    return lambda level: (
+        max(_displacement_upper(model, Word._unchecked(w)) for w in level.letters()),
+        max(read(w)[0] for w in level.cores().letters()))
+
+
+def _word_joint_profile(model, words, n_max, frontier_cap):
+    """a[n] and lo_terms[n] for n = 1..n_max over the distinct reduced words
+    of S^n: each level is the last times each s in S (duplicates of S
+    included, as |S| counts them), reduced at the seam, then deduplicated,
+    as code rows (``WordRows``)."""
+    s_list = [w.letters for w in words]
+    read = _level_reader(model)
+    s_rows = WordRows.of(model.rank, s_list)
+    level = s_rows.unique()
     a = {}
     lo_terms = {}
     for n in range(1, n_max + 1):
         if n > 1:
-            if len(frontier) * len(s_list) > frontier_cap:
+            if len(level) * len(s_list) > frontier_cap:
                 raise ResourceCapError(
                     f"level {n} frontier would exceed cap {frontier_cap}"
                 )
-            frontier = {_concat_reduced(w, s) for w in frontier for s in s_list}
-        a[n] = max(_displacement_upper(model, Word._unchecked(w)) for w in frontier)
-        lo_terms[n] = exact_div(max(read(_cyclic_core(w))[0] for w in frontier), n)
+            level = level.products(s_rows).unique()
+        a[n], top = read(level)
+        lo_terms[n] = exact_div(top, n)
     return a, lo_terms
 
 

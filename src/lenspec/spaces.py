@@ -149,23 +149,34 @@ class TreeModel(ActionModel):
     def class_length(self, letters):
         return _unscaled(_letter_sum(self._scaled, letters, self.rank), self._den)
 
+    def scaled_sums(self, codes: np.ndarray) -> np.ndarray:
+        """The scaled weight sum, ``_den`` times the length, of every row
+        of a 2-D array of letter codes, the pad code 2 * rank weighing 0
+        (a ``WordRows`` array or a ``ClassCodes`` block).
+
+        One scaled-weight gather per ROW_CHUNK rows, summed in int64, or
+        in Python ints (an object array) where a sum could pass it.
+        """
+        scaled = [*self._scaled.values(), 0]
+        width = codes.shape[1]
+        dtype = np.int64 if max(scaled) * max(width, 1) < 2 ** 63 else object
+        weight = np.array(scaled, dtype)
+        total = np.empty(len(codes), dtype)
+        for start in range(0, len(codes), ROW_CHUNK):
+            stop = start + ROW_CHUNK
+            total[start:stop] = weight[codes[start:stop]].sum(axis=1)
+        return total
+
     def class_brackets(self, codes: ClassCodes, k_max: int):
         """The class_length of every class of ``codes``, a point;
         ``k_max`` is unused, the lengths are exact.
 
-        A scaled-weight gather per column of a length block, summed in
-        int64, or in Python ints (an object array) where a sum could pass
-        it.  With ``_den`` > 1 one Fraction and one float is built per
-        distinct sum.
+        The ``scaled_sums`` of each length block; with ``_den`` > 1 one
+        Fraction and one float is built per distinct sum.
         """
-        scaled = list(self._scaled.values())
-        dtype = np.int64 if max(scaled) * max(codes.radius, 1) < 2 ** 63 else object
-        weight = np.array(scaled, dtype)
         vals, floats = [], []
         for block in codes.blocks:
-            total = np.zeros(len(block), dtype)
-            for col in block.T:
-                total += weight[col]
+            total = self.scaled_sums(block)
             if self._den == 1:
                 vals += total.tolist()
                 floats.append(total.astype(np.float64))

@@ -414,6 +414,137 @@ class ClassCodes:
             yield from names
 
 
+def _pad_beyond(codes: np.ndarray, lengths: np.ndarray, pad: int) -> None:
+    """Set every column of ``codes`` past its row's length to ``pad``."""
+    codes[np.arange(codes.shape[1]) >= lengths[:, None]] = pad
+
+
+@dataclass(frozen=True, eq=False)
+class WordRows:
+    """A batch of reduced words as one array of integer codes.
+
+    ``codes`` is an (N, width) array, one word per row from its first
+    column, in the codes of ``_letters_in_order``; the columns past a
+    row's length hold the pad code 2 * rank.  ``lengths`` holds the N word
+    lengths.  Two rows are equal exactly when their words are, so a batch
+    deduplicates by its rows.  The width is at least 1.
+    """
+
+    rank: int
+    codes: np.ndarray
+    lengths: np.ndarray
+
+    @classmethod
+    def of(cls, rank: int, words) -> "WordRows":
+        """The reduced letter tuples ``words``, every letter within the
+        rank, as rows."""
+        words = list(words)
+        lengths = np.array(list(map(len, words)), dtype=np.int64)
+        width = max(int(lengths.max(initial=0)), 1)
+        codes = np.full((len(words), width), 2 * rank,
+                        dtype=np.min_scalar_type(2 * rank))
+        letters = np.fromiter((x for w in words for x in w), np.int64)
+        # letter x has code 2 (|x| - 1), and one more when x < 0
+        codes[np.arange(width) < lengths[:, None]] = 2 * np.abs(letters) - 2 + (letters < 0)
+        return cls(rank, codes, lengths)
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+    @property
+    def width(self) -> int:
+        return self.codes.shape[1]
+
+    def take(self, idx) -> "WordRows":
+        """The rows at the indices ``idx``, in that order."""
+        return WordRows(self.rank, self.codes[idx], self.lengths[idx])
+
+    def products(self, right: "WordRows") -> "WordRows":
+        """Every row times every row of ``right``, reduced at the seam:
+        the last j letters of a row cancel the first j of the other while
+        they are mutually inverse (``_concat_reduced``).  Row i m + j of
+        the result is row i times row j of ``right``, m = len(right)."""
+        parent, step = np.divmod(np.arange(len(self) * len(right)), len(right))
+        left = self.lengths[parent]
+        add = right.lengths[step]
+        # the flat index of the last letter of each product's left row
+        flat, last = self.codes.ravel(), parent * self.width + left - 1
+        # a pad of right never matches: its code ^ 1 is no letter's
+        inverse = right.codes.T ^ 1
+        cut = np.zeros(len(parent), np.int64)   # the letters cancelled
+        alive = np.ones(len(parent), bool)
+        for j in range(min(right.width, self.width)):
+            alive &= (left > j) & (flat[last - j] == inverse[j][step])
+            if not alive.any():
+                break
+            cut += alive
+        kept = left - cut
+        lengths = kept + add - cut
+        width = max(int(lengths.max(initial=0)), 1)
+        out = np.full((len(parent), width), 2 * self.rank, self.codes.dtype)
+        w = min(width, self.width)
+        out[:, :w] = self.codes[parent, :w]
+        _pad_beyond(out, kept, 2 * self.rank)
+        # the letters of right past the cut follow the kept letters
+        cols = np.arange(right.width)
+        r, c = np.nonzero((cols >= cut[:, None]) & (cols < add[:, None]))
+        out[r, kept[r] - cut[r] + c] = right.codes[step[r], c]
+        return WordRows(self.rank, out, lengths)
+
+    def unique(self) -> "WordRows":
+        """The distinct rows, sorted as their codes read as the digits of
+        a number in base 2 rank + 1 (a key of one uint64 where it fits,
+        else the columns in turn)."""
+        base = 2 * self.rank + 1
+        if base ** self.width < 2 ** 64:
+            digits = np.arange(self.width - 1, -1, -1, dtype=np.uint64)
+            key = self.codes @ np.uint64(base) ** digits
+            order = np.argsort(key)
+            key = key[order]
+            differs = key[1:] != key[:-1]
+        else:
+            order = np.lexsort(self.codes.T[::-1])
+            rows = self.codes[order]
+            differs = (rows[1:] != rows[:-1]).any(axis=1)
+        first = np.ones(len(self), bool)    # the first row of each run of equals
+        first[1:] = differs
+        return self.take(order[first])
+
+    def cores(self) -> "WordRows":
+        """The cyclically reduced core of every row (``_cyclic_core``):
+        its mutually inverse end letters peeled off in pairs."""
+        n = len(self)
+        # the flat index of the last letter of each row
+        flat = self.codes.ravel()
+        last = np.arange(n) * self.width + self.lengths - 1
+        peel = np.zeros(n, np.int64)
+        alive = np.ones(n, bool)
+        for i in range(self.width // 2):
+            alive &= (self.lengths > 2 * i + 1) & (self.codes[:, i] == flat[last - i] ^ 1)
+            if not alive.any():
+                break
+            peel += alive
+        moved = np.flatnonzero(peel)
+        if not len(moved):
+            return self
+        # only the rows that peel move: each by its peel, to the left
+        peel = peel[moved]
+        lengths = self.lengths.copy()
+        lengths[moved] -= 2 * peel
+        cols = np.minimum(peel[:, None] + np.arange(self.width), self.width - 1)
+        shifted = self.codes[moved[:, None], cols]
+        _pad_beyond(shifted, lengths[moved], 2 * self.rank)
+        codes = self.codes.copy()
+        codes[moved] = shifted
+        return WordRows(self.rank, codes, lengths)
+
+    def letters(self) -> list:
+        """The rows as letter tuples."""
+        letters = _letters_in_order(self.rank)
+        return [tuple(map(letters.__getitem__, row[:k]))
+                for row, k in zip(self.codes.tolist(), self.lengths.tolist())]
+
+
 def iter_class_reps(rank: int, max_std_length: int, cap: int = 4_000_000):
     """Canonical class representatives as letter tuples, by (length, order).
 

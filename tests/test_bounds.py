@@ -44,7 +44,7 @@ from lenspec.spaces import (
     WordMetricModel,
     build_schottky,
 )
-from lenspec.words import GeneratingSet, Word, enumerate_ball, word_length
+from lenspec.words import GeneratingSet, Word, WordRows, enumerate_ball, word_length
 
 
 UNIT = TreeModel(2)
@@ -550,19 +550,18 @@ def test_greedy_chunks_match_word_metric():
     s_n = displacement_ball(UNIT, 3)
     rng = random.Random(43)
     ball = enumerate_ball(2, 6)
-    for _ in range(30):
-        g = rng.choice(ball)
-        if not g:
-            continue
-        k = _greedy_chunks(g.letters, UNIT.weight_of, 3)
+    sample = [g for g in (rng.choice(ball) for _ in range(30)) if g]
+    ks = _greedy_chunks(WordRows.of(2, [g.letters for g in sample]),
+                        UNIT.weight_of, 3)
+    for g, k in zip(sample, ks.tolist(), strict=True):
         assert k == word_length(g, s_n, radius_cap=8)
 
 
 def test_greedy_chunks_identity_and_oversize():
-    assert _greedy_chunks((), UNIT.weight_of, 3) == 0
+    assert _greedy_chunks(WordRows.of(2, [()]), UNIT.weight_of, 3).tolist() == [0]
     heavy = TreeModel(2, [1, 5])
     with pytest.raises(InputError):
-        _greedy_chunks(Word("b").letters, heavy.weight_of, 3)
+        _greedy_chunks(WordRows.of(2, [Word("b").letters]), heavy.weight_of, 3)
 
 
 # -------------------------------------------------------------- sandwiches

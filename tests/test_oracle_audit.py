@@ -7,7 +7,9 @@ brackets, exact.  Every window sup the report gives untruncated, up to
 radius 8, must equal the sup over an independent enumeration of the
 classes, from the cyclic cores of all reduced words of that length: its
 value, the counts of its coverage, the attained class and the ratios of
-its rows.  Matrix claims wait for outward-rounded matrix lengths.
+its rows.  The claims of prop31 (the joint bracket), lemma32 (the cover)
+and lemma25 (the sandwich) are checked against the oracle's lengths too.
+Matrix claims wait for outward-rounded matrix lengths.
 """
 
 import json
@@ -16,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+import _oracle
 from _oracle import canonical, classes, parse, tree_length, tree_weights
 from lenspec import cli
 
@@ -99,3 +102,53 @@ def test_tree_reports_match_the_oracle(name, audited):
                     checked += n
                     windows += n > 0
     assert windows == audited and checked > 0
+
+
+def _entry(name: str, token: str) -> tuple:
+    """(the scenario data, the one report of ``token``) at seed 0."""
+    scen = cli.load_scenario(SCEN_DIR / f"{name}.json")
+    report = json.loads(cli.run(scen).to_json())
+    entry, = (e for e in report["entries"] if e["token"] == token)
+    rep, = entry["reports"]
+    return report["scenario"], rep
+
+
+@pytest.mark.parametrize("name", ["tree-pair", "identical-actions"])
+def test_prop31_joint_bracket_matches_the_oracle(name):
+    data, rep = _entry(name, "prop31")
+    weights = tree_weights(data["target"], data["rank"])
+    subset = [parse(s) for s in data["subset"]]
+    lo, hi = _oracle.joint_bracket(weights, subset, data["config"]["n_max"])
+    extras = rep["extras"]
+    assert (Fraction(extras["joint_lo"]), Fraction(extras["joint_hi"])) == (lo, hi)
+    # on a tree the joint length is half the largest stable length over S^2
+    assert lo == hi == max(tree_length(weights, _oracle.concat(s, t))
+                           for s in subset for t in subset) / 2
+
+
+def test_lemma32_cover_holds_with_equality_on_the_oracle():
+    data, rep = _entry("tree-pair", "lemma32")
+    weights = tree_weights(data["target"], data["rank"])
+    F = [parse("" if f == "e" else f) for f in rep["F"]]
+    C = Fraction(rep["C"])
+    ball = _oracle.ball(data["rank"], rep["ball_radius"])
+    gaps = [_oracle.displacement(weights, g)
+            - max(tree_length(weights, _oracle.concat(g, f)) for f in F)
+            for g in ball]
+    assert rep["checked"] == len(ball)
+    assert max(gaps) == C
+
+
+def test_lemma25_sandwich_holds_on_the_oracle():
+    data, rep = _entry("tree-pair", "lemma25")
+    weights = tree_weights(data["target"], data["rank"])
+    n, D = rep["n"], max(weights) / 2
+    assert Fraction(rep["scale"]) == D and Fraction(rep["bound"]) == (n + 2) * D
+    s_n = _oracle.displacement_ball(weights, (n + 2) * D)
+    assert [parse(g) for g in rep["s_n"]["elements"]] == s_n
+    assert rep["extras"]["s_n_size"] == len(s_n)
+    ball = _oracle.ball(data["rank"], data["params"]["ball_radius"])
+    assert rep["checked"] == len(ball) and rep["violations"] == []
+    for g in ball:
+        k = _oracle.pieces(weights, g, (n + 2) * D)
+        assert n * D * k - n * D <= _oracle.displacement(weights, g) <= (n + 2) * D * k
