@@ -1,12 +1,15 @@
-"""Byte-identity of the shipped scenarios' outputs against the golden oracle.
+"""Byte-identity of the shipped scenarios' outputs against their goldens.
 
-``perfbench/golden.json`` holds, for every shipped scenario and cli seed,
-the verdict, the exit code and the sha256 of ``report.json`` (without its
-``env`` object) and of ``classes.csv``.  This test only reads it; re-record
-it with ``python3 perfbench/golden.py`` when a report change is intended
-and explained.
+``tests/golden.json`` holds, for every shipped scenario and cli seed, the
+verdict, the exit code and the sha256 of ``report.json`` (without its
+``env`` object) and of ``classes.csv``.  ``tests/golden/<scenario>.json``
+holds each seed-0 report without ``env`` as the text that hash is taken
+of, so a failure names the lines that moved.  These tests only read them;
+re-record both with ``python3 tests/record_golden.py`` when a report change
+is intended and explained.
 """
 
+import difflib
 import hashlib
 import json
 from pathlib import Path
@@ -17,7 +20,8 @@ from lenspec.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 SCEN_DIR = ROOT / "src" / "lenspec" / "scenarios"
-GOLDEN = json.loads((ROOT / "perfbench" / "golden.json").read_text())
+TEXTS = ROOT / "tests" / "golden"
+GOLDEN = json.loads((ROOT / "tests" / "golden.json").read_text())
 # every scenario at seed 0, and jsr-ensemble, which draws its ensemble from
 # the seed, at every recorded seed
 CASES = [(name, "0") for name in sorted(GOLDEN)] + [
@@ -29,14 +33,13 @@ def _sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else None
 
 
-def _report_sha256(path):
-    """sha256 of report.json without ``env``, hashed as the benchmark does."""
+def _report_text(path):
+    """report.json without ``env``, as the text its golden hash is taken of."""
     if not path.exists():
         return None
     body = json.loads(path.read_text())
     body.pop("env", None)
-    text = json.dumps(body, sort_keys=True, indent=2)
-    return hashlib.sha256(text.encode()).hexdigest()
+    return json.dumps(body, sort_keys=True, indent=2)
 
 
 @pytest.mark.parametrize("name,seed", CASES, ids=[
@@ -45,11 +48,28 @@ def test_shipped_scenario_matches_golden(name, seed, tmp_path, capsys):
     code = main(["verify", "--scenario", str(SCEN_DIR / f"{name}.json"),
                  "--out", str(tmp_path), "--seed", seed])
     capsys.readouterr()
-    report = tmp_path / "report.json"
+    text = _report_text(tmp_path / "report.json")
+    if seed == "0":
+        want = (TEXTS / f"{name}.json").read_text()
+        assert text == want, "report.json moved from its golden:\n" + "\n".join(
+            difflib.unified_diff(want.splitlines(), (text or "").splitlines(),
+                                 f"tests/golden/{name}.json", "report.json",
+                                 lineterm=""))
     got = {
         "exit_code": code,
-        "verdict": json.loads(report.read_text())["verdict"],
-        "report_sha256": _report_sha256(report),
+        "verdict": json.loads(text)["verdict"],
+        "report_sha256": hashlib.sha256(text.encode()).hexdigest(),
         "classes_sha256": _sha256(tmp_path / "classes.csv"),
     }
     assert got == GOLDEN[name][seed]
+
+
+def test_every_shipped_scenario_has_a_golden():
+    shipped = {p.stem for p in SCEN_DIR.glob("*.json")}
+    assert set(GOLDEN) == shipped
+    assert {p.stem for p in TEXTS.glob("*.json")} == shipped
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_text_golden_hashes_to_its_recorded_sha256(name):
+    assert _sha256(TEXTS / f"{name}.json") == GOLDEN[name]["0"]["report_sha256"]
