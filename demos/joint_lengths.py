@@ -14,8 +14,9 @@ from lenspec.jsl import joint_stable_profile, bf_lower_check
 
 tree = TreeModel(2)
 
-# the standard generators march straight out: a_n = n
-prof = joint_stable_profile(tree, [Word("a"), Word("b")], 12)
+# the standard generators march straight out: a_n = n (levels come from
+# the products engine; on a tree the default engine computes none)
+prof = joint_stable_profile(tree, [Word("a"), Word("b")], 12, engine="products")
 print("S = {a, b}        levels", dict(sorted(prof.a.items())))
 print("bracket", prof.bracket.lo, prof.bracket.hi, "engine", prof.engine)
 
@@ -32,8 +33,8 @@ print("products bracket", levels.bracket.lo, levels.bracket.hi,
 
 # the pairwise lower bound: joint length >= 1/2 max over S^2 of l(gh).
 # equality cases are common; the check reports the minimal additive
-# constant that would be needed the other way around.  2^10 products fit
-# the frontier cap, so these joint brackets come from the products engine
+# constant that would be needed the other way around.  On a tree the joint
+# brackets come from the exact S^2 scan, so minimal K is 0 on both sets
 for S in ([Word("a"), Word("b")], [Word("abA"), Word("aBA")]):
     chk = bf_lower_check(tree, S, n_max=10)
     print([str(w) for w in S], "ok", chk.ok,

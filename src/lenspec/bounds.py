@@ -45,10 +45,10 @@ from .words import (
     GeneratingSet,
     Word,
     _as_words,
-    _cheapest_first,
     WordRows,
     _finite_real,
     _letters_in_order,
+    _settled_lengths,
     _unscaled,
     enumerate_ball,
 )
@@ -998,7 +998,10 @@ def displacement_sandwich_report(model, n: int, ball_radius: int,
     if exact:
         k, capped = _greedy_chunks(rows, model.weight_of, bound), False
     else:
-        lengths, capped = _settled_lengths(s_n, [g.letters for g in ball])
+        # S_n has unit weights, so a search cost is a word length, and the
+        # cost budget _SEARCH_NODE_CAP never binds before the node cap does
+        lengths, capped = _settled_lengths(s_n, [g.letters for g in ball],
+                                           _SEARCH_NODE_CAP)
         settled = [i for i, g in enumerate(ball) if g.letters in lengths]
         ball, rows = [ball[i] for i in settled], rows.take(settled)
         k = np.array([lengths[g.letters] for g in ball], dtype=np.int64)
@@ -1040,25 +1043,6 @@ def _outside(d, den, k, slope, shift, bound, tol) -> list:
         d = d * q
     ok = (slope * k - shift - tol <= d) & (d <= bound * k + tol)
     return np.flatnonzero(~ok).tolist()
-
-
-def _settled_lengths(s_n: GeneratingSet, targets):
-    """(S_n word length of each nonidentity target the shared search
-    settles, in the order of ``targets``; whether some target was left
-    unsettled).
-
-    S_n has unit weights, so a search cost is a word length, and the cost
-    budget _SEARCH_NODE_CAP never binds before the node cap does.
-    """
-    pending = {t for t in targets if t}
-    found = {}
-    for d, w in _cheapest_first(s_n, _SEARCH_NODE_CAP):
-        if not pending:
-            break
-        if w in pending:
-            pending.remove(w)
-            found[w] = d
-    return {t: found[t] for t in targets if t in found}, bool(pending)
 
 
 # ---------------------------------------------------- pointwise length cover

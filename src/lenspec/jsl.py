@@ -13,12 +13,12 @@ lengths of specific products certify lower bounds:
 
 On trees the joint stable length is exactly half the largest two-letter
 stable length, a Helly argument proved in ``tree_joint_profile``, so the
-S^2 scan alone gives the bracket and no level is computed.  The levels of
-the 'products' engine are arrays of letter codes (``WordRows``): a tree
-reads a_n and l[s] as sums of its scaled int weights over the rows and
-their cyclic cores, other word models read l_lo[s] as the lo of the
-model's own class bracket on the cyclic core of s (``class_bracket_reader``
-with k_max 1).
+S^2 scan alone gives the bracket and no level is computed; a standard word
+metric is its tree's metric and takes the same scan.  The levels of the
+'products' engine, which serves the other word models, are arrays of
+letter codes (``WordRows``): a_n is the largest displacement over a level,
+and l_lo[s] the lo of the model's own class bracket on the cyclic core of
+s (``class_bracket_reader`` with k_max 1).
 
 For a matrix action the joint stable length is the joint spectral radius
 in the metric's scale (Rota-Strang, Indag. Math. 22, 1960): log rho for a
@@ -40,9 +40,10 @@ import numpy as np
 
 from .actions import LengthBracket, exact_div
 from .errors import InputError, NumericError, ResourceCapError, SearchExhaustedError
-from .spaces import MatrixActionModel, TreeModel, class_bracket_reader
+from .spaces import (MatrixActionModel, TreeModel, WordMetricModel,
+                     class_bracket_reader)
 from .words import (ConjClass, Word, WordRows, _as_words, _concat_reduced,
-                    _cyclic_core, _unscaled)
+                    _cyclic_core, _settled_lengths, _unscaled)
 
 __all__ = [
     "JointLengthProfile",
@@ -89,21 +90,45 @@ def _level_reader(model):
     """A level (``WordRows``) -> (the largest displacement over its rows,
     the largest class-bracket lo over their cyclic cores).
 
-    A TreeModel itself (not a subclass, which may override its lengths)
-    reads both as the largest ``scaled_sums``, divided by ``_den`` once.
-    Any other word model reads each row: its displacement, or the
-    search's certified upper bound, and the lo of ``class_bracket_reader``
-    with k_max 1 on its core.
+    Each row is read as its displacement, or the search's certified upper
+    bound, and its core as the lo of ``class_bracket_reader`` with k_max 1.
+    A non-standard WordMetricModel itself (a subclass may override its
+    lengths) reads a level's rows from one shared search (``_level_lengths``).
     """
-    if type(model) is TreeModel:
-        def level_max(rows):
-            return _unscaled(int(model.scaled_sums(rows.codes).max()), model._den)
-
-        return lambda level: (level_max(level), level_max(level.cores()))
     read = class_bracket_reader(model, 1)
-    return lambda level: (
-        max(_displacement_upper(model, Word._unchecked(w)) for w in level.letters()),
-        max(read(w)[0] for w in level.cores().letters()))
+    if type(model) is WordMetricModel and not model._standard:
+        def uppers(level):
+            return _level_lengths(model, level.letters())
+    else:
+        def uppers(level):
+            return (_displacement_upper(model, Word._unchecked(w))
+                    for w in level.letters())
+    return lambda level: (max(uppers(level)),
+                          max(read(w)[0] for w in level.cores().letters()))
+
+
+def _level_lengths(model, words):
+    """``_displacement_upper`` of each of a non-standard word metric's
+    ``words``, from one cheapest-first search at the largest of their caps
+    min(``radius_cap``, ``cost_upper``).
+
+    A search of larger cost cap settles the same elements in the same
+    order, but may meet the node cap sooner, as it holds more of them.  So
+    a word it settles has its own search's length, and a word it leaves
+    unsettled takes its own search when its cap is lower; at an equal cap
+    the two are one walk, and it takes ``cost_upper`` at once.
+    """
+    upper = {w: model.cost_upper(Word._unchecked(w)) for w in words}
+    cap = {w: min(model.radius_cap, u) for w, u in upper.items()}
+    shared = max(cap.values())
+    found, _ = _settled_lengths(model.gens, list(upper), shared)
+    for w in upper:
+        if w in found:
+            yield found[w]
+        elif cap[w] < shared:
+            yield _displacement_upper(model, Word._unchecked(w))
+        else:
+            yield upper[w]
 
 
 def _word_joint_profile(model, words, n_max, frontier_cap):
@@ -244,6 +269,16 @@ def tree_joint_profile(model: TreeModel, s) -> JointLengthProfile:
 # ----------------------------------------------------------- public API
 
 
+def _tree_metric(model):
+    """The TreeModel whose lengths a tree metric's are: a TreeModel itself,
+    or a standard WordMetricModel's ``_tree``; None for any other model."""
+    if isinstance(model, TreeModel):
+        return model
+    if isinstance(model, WordMetricModel) and model._standard:
+        return model._tree
+    return None
+
+
 def joint_stable_profile(
     model,
     s,
@@ -257,23 +292,26 @@ def joint_stable_profile(
     engine: 'products' enumerates S^n (deduplicated reduced words for word
     models; a matrix model's levels are ``jsr_profile``'s, under the engine
     name 'matrix'); 'tree-dp' is the exact pair scan of
-    ``tree_joint_profile`` (TreeModel only), which needs no n_max; 'auto'
-    picks by model kind; any other name raises InputError.
+    ``tree_joint_profile`` on a tree metric (a TreeModel, or a standard
+    WordMetricModel's tree), which needs no n_max; 'auto' picks one engine
+    per model kind: 'tree-dp' for a tree metric of the package's exact
+    type (a subclass may override its lengths), 'products' for any other
+    word model, 'matrix' for a matrix model; any other name raises
+    InputError.
     A level of more than ``frontier_cap`` products raises ResourceCapError.
     """
     if n_max < 2:
         raise InputError("n_max must be >= 2")
     if engine not in ("auto", "products", "tree-dp"):
         raise InputError(f"unknown joint-length engine {engine!r}")
-    if engine == "auto" and isinstance(model, TreeModel):
-        s = list(s)
-        if len(s) ** n_max > frontier_cap:
-            engine = "tree-dp"
-    if engine == "tree-dp":
-        if not isinstance(model, TreeModel):
-            raise InputError("tree-dp engine needs a TreeModel")
+    auto = engine == "auto" and type(model) in (TreeModel, WordMetricModel)
+    tree = _tree_metric(model) if auto or engine == "tree-dp" else None
+    if tree is not None:
         # tree_joint_profile checks S
-        return tree_joint_profile(model, s)
+        return tree_joint_profile(tree, s)
+    if engine == "tree-dp":
+        raise InputError("tree-dp engine needs a TreeModel or a standard "
+                         "WordMetricModel")
     words = _as_words(s, model.rank)
     matrix = isinstance(model, MatrixActionModel)
     if matrix:

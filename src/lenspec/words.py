@@ -707,6 +707,21 @@ def _cheapest_first(s: GeneratingSet, radius_cap):
                 heapq.heappush(heap, (nd, nw))
 
 
+def _settled_lengths(s: GeneratingSet, targets, radius_cap):
+    """(length of each nonidentity target that one shared cheapest-first
+    search within cost radius_cap settles, in the order of ``targets``;
+    whether some target was left unsettled)."""
+    pending = {t for t in targets if t}
+    found = {}
+    for d, w in _cheapest_first(s, radius_cap):
+        if not pending:
+            break
+        if w in pending:
+            pending.remove(w)
+            found[w] = _unscaled(d, s._den)
+    return {t: found[t] for t in targets if t in found}, bool(pending)
+
+
 def word_length(g: Word, s: GeneratingSet, radius_cap=32):
     """Length of g in the (possibly asymmetric) weighted word metric of s.
 
@@ -717,9 +732,9 @@ def word_length(g: Word, s: GeneratingSet, radius_cap=32):
     target = g.letters
     if not target:
         return 0
-    for d, w in _cheapest_first(s, radius_cap):
-        if w == target:
-            return _unscaled(d, s._den)
+    found, _ = _settled_lengths(s, [target], radius_cap)
+    if found:
+        return found[target]
     raise SearchExhaustedError(
         f"{g} not reached within cost {radius_cap} or "
         f"{_SEARCH_NODE_CAP} elements"

@@ -285,9 +285,11 @@ def test_seed_override_changes_ensemble_output():
     assert other.verdict == "holds"
 
 
+# a non-standard word metric: its joint length enumerates the levels of
+# S^n, which a standard one, read as its tree, no longer does
 CAP_SCENARIO = {
     "name": "cap-probe",
-    "target": {"kind": "word-metric", "elements": ["a", "A", "b", "B"]},
+    "target": {"kind": "word-metric", "elements": ["a", "A", "b", "B", "ab"]},
     "subset": ["a", "A", "b", "B"],
     "verify": ["bf"],
     "config": {"n_max": 10},
@@ -300,6 +302,7 @@ def test_run_captures_resource_cap(tmp_path):
     assert rep.exit_code == 3
     assert rep.entries[0]["status"] == "resource-cap"
     assert rep.entries[0]["verdict"] == "inconclusive"
+    assert "level 6 frontier would exceed cap 500" in rep.entries[0]["error"]
     # the capped run still serializes
     json.loads(rep.to_json())
 

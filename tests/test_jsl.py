@@ -84,14 +84,50 @@ def test_tree_dp_matches_product_enumeration():
         assert dp.pair_half == exact.pair_half
 
 
-def test_auto_engine_switches_to_dp_beyond_cap():
-    m = TreeModel(2)
+def test_auto_engine_is_one_per_model_kind():
+    # a tree metric takes the exact S^2 scan whatever |S|^n_max is, any
+    # other word model the products levels, a matrix model jsr_profile
     s = ["a", "A", "b", "B"]
-    p = joint_stable_profile(m, s, n_max=12, frontier_cap=1000)
-    assert p.engine == "tree-dp"
-    assert p.bracket.lo == 1
-    p2 = joint_stable_profile(m, s, n_max=4, frontier_cap=1000)
-    assert p2.engine == "products"
+    exact = LengthBracket(1, 1, exact=True)
+    for model in (TreeModel(2), WordMetricModel(GeneratingSet.standard(2))):
+        for n_max in (4, 12):
+            p = joint_stable_profile(model, s, n_max=n_max, frontier_cap=1000)
+            assert (p.engine, p.bracket, p.a) == ("tree-dp", exact, {})
+    weighted = WordMetricModel(GeneratingSet.standard(2, [Fraction(1, 2), 3]))
+    assert joint_stable_profile(weighted, s, 4).bracket == tree_joint_profile(
+        TreeModel(2, [Fraction(1, 2), 3]), s).bracket
+    nonstandard = WordMetricModel(GeneratingSet(2, ["a", "A", "b", "B", "ab"]))
+    assert joint_stable_profile(nonstandard, ["a", "b"], 3).engine == "products"
+    assert joint_stable_profile(SCHOTTKY.linear, ["a", "b"], 3).engine == "matrix"
+
+
+def test_bf_check_on_a_tree_metric_is_exact():
+    # the S^2 scan gives the joint length exactly, so the sandwich closes
+    # with K = 0; the products levels at n_max 10 stop at [1, 6/5]
+    exact = LengthBracket(1, 1, exact=True)
+    for model in (TreeModel(2), WordMetricModel(GeneratingSet.standard(2))):
+        chk = bf_lower_check(model, ["abA", "aBA"], n_max=10)
+        assert chk.joint == exact
+        assert chk.minimal_K == 0 and chk.minimal_K_lower == 0
+
+
+class _DoubledTree(TreeModel):
+    """A tree whose displacements and class lengths are read twice over."""
+
+    def displacement(self, g):
+        return 2 * super().displacement(g)
+
+    def class_length(self, letters):
+        return 2 * super().class_length(letters)
+
+
+def test_auto_reads_a_tree_subclass_through_its_overrides():
+    # |S|^n_max = 4096 passes the cap, yet the levels of {a, A} stay small:
+    # the subclass is read by products, through its own methods
+    p = joint_stable_profile(_DoubledTree(2), ["a", "A"], 12, frontier_cap=1000)
+    assert p.engine == "products"
+    assert p.bracket == LengthBracket(2, 2, exact=True)
+    assert p.a == {n: 2 * n for n in range(1, 13)}
 
 
 def test_identity_element_is_tolerated():
@@ -107,7 +143,7 @@ def test_word_engine_on_word_metric_agrees_with_tree():
     wm = WordMetricModel(gens)
     tree = TreeModel(2)
     s = ["ab", "Ba"]
-    pw = joint_stable_profile(wm, s, n_max=6)
+    pw = joint_stable_profile(wm, s, n_max=6, engine="products")
     pt = joint_stable_profile(tree, s, n_max=6, engine="products")
     assert pw.a == pt.a
     assert pw.bracket.lo == pt.bracket.lo
@@ -135,9 +171,12 @@ def test_word_engine_prices_an_exhausted_search_at_its_spelling_cost():
 def test_n_max_validation():
     with pytest.raises(InputError):
         joint_stable_profile(TreeModel(2), ["a"], n_max=1)
-    with pytest.raises(InputError):
-        joint_stable_profile(WordMetricModel(GeneratingSet.standard(2)),
-                             ["a"], n_max=4, engine="tree-dp")
+    with pytest.raises(InputError, match="tree-dp engine needs a TreeModel"):
+        joint_stable_profile(
+            WordMetricModel(GeneratingSet(2, ["a", "A", "b", "B", "ab"])),
+            ["a"], n_max=4, engine="tree-dp")
+    for model in (TreeModel(2), WordMetricModel(GeneratingSet.standard(2))):
+        assert joint_stable_profile(model, ["a"], 4, engine="tree-dp").engine == "tree-dp"
     with pytest.raises(InputError, match="unknown joint-length engine 'treedp'"):
         joint_stable_profile(TreeModel(2), ["a"], n_max=4, engine="treedp")
 
@@ -249,7 +288,8 @@ def test_bf_check_on_standard_pair():
 def test_bf_check_bracket_too_loose_for_certification():
     # delta = 0 and joint.hi > pair_half.lo: no finite K is certified,
     # but nothing refutes K = 0 either
-    chk = bf_lower_check(TreeModel(2), ["abA", "aBA"])
+    chk = bf_lower_check(TreeModel(2), ["abA", "aBA"], engine="products")
+    assert chk.joint == LengthBracket(1, Fraction(5, 4))
     assert chk.ok
     assert chk.minimal_K == math.inf
     assert chk.minimal_K_lower == 0
