@@ -285,8 +285,8 @@ def test_seed_override_changes_ensemble_output():
     assert other.verdict == "holds"
 
 
-# a non-standard word metric: its joint length enumerates the levels of
-# S^n, which a standard one, read as its tree, no longer does
+# a non-standard word metric, whose joint length enumerates the levels of
+# S^n: a standard one is read as its tree, with no level
 CAP_SCENARIO = {
     "name": "cap-probe",
     "target": {"kind": "word-metric", "elements": ["a", "A", "b", "B", "ab"]},

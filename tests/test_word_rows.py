@@ -1,13 +1,15 @@
-"""Word batches as code rows (``WordRows``) and the three tree readers
-built on them: the ``products`` levels of ``joint_stable_profile``,
+"""Word batches as code rows (``WordRows``) and the three readers built
+on them: the ``products`` levels of ``joint_stable_profile``,
 ``pointwise_cover_report`` (lemma32) and ``displacement_sandwich_report``
 (lemma25).
 
 Each is checked against ``_oracle``: the kernels against its letter-tuple
 words, the level walk against the walk over Python sets it replaced
 (value, type and the level a frontier cap stops), and the two reports
-against independent tree lengths.  A counter checks that on ``tree-pair``
-the three checks read no tree length one word at a time.
+against independent tree lengths.  A non-standard word metric's level is
+read from one shared search, which gives each word its own search's
+value.  A counter checks that on ``tree-pair`` the three checks read no
+tree length one word at a time.
 """
 
 import contextlib
@@ -154,7 +156,7 @@ def test_level_words_share_one_search_per_level(monkeypatch):
     walk = words._cheapest_first
 
     def counted(*args):
-        walks.append(args[1])
+        walks.append(args)
         return walk(*args)
 
     monkeypatch.setattr(words, "_cheapest_first", counted)
