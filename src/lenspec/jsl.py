@@ -43,7 +43,7 @@ from .errors import InputError, NumericError, ResourceCapError, SearchExhaustedE
 from .spaces import (MatrixActionModel, TreeModel, WordMetricModel,
                      class_bracket_reader)
 from .words import (ConjClass, Word, WordRows, _as_words, _concat_reduced,
-                    _cyclic_core, _settled_lengths, _unscaled)
+                    _cyclic_core, _unscaled)
 
 __all__ = [
     "JointLengthProfile",
@@ -92,43 +92,11 @@ def _level_reader(model):
 
     Each row is read as its displacement, or the search's certified upper
     bound, and its core as the lo of ``class_bracket_reader`` with k_max 1.
-    A non-standard WordMetricModel itself (a subclass may override its
-    lengths) reads a level's rows from one shared search (``_level_lengths``).
     """
     read = class_bracket_reader(model, 1)
-    if type(model) is WordMetricModel and not model._standard:
-        def uppers(level):
-            return _level_lengths(model, level.letters())
-    else:
-        def uppers(level):
-            return (_displacement_upper(model, Word._unchecked(w))
-                    for w in level.letters())
-    return lambda level: (max(uppers(level)),
-                          max(read(w)[0] for w in level.cores().letters()))
-
-
-def _level_lengths(model, words):
-    """``_displacement_upper`` of each of a non-standard word metric's
-    ``words``, from one cheapest-first search at the largest of their caps
-    min(``radius_cap``, ``cost_upper``).
-
-    A search of larger cost cap settles the same elements in the same
-    order, but may meet the node cap sooner, as it holds more of them.  So
-    a word it settles has its own search's length, and a word it leaves
-    unsettled takes its own search when its cap is lower; at an equal cap
-    the two are one walk, and it takes ``cost_upper`` at once.
-    """
-    upper = {w: model.cost_upper(Word._unchecked(w)) for w in words}
-    cap = {w: min(model.radius_cap, u) for w, u in upper.items()}
-    shared = max(cap.values())
-    found, _ = _settled_lengths(model.gens, list(upper), shared)
-    for w in upper:
-        if w in found:
-            yield found[w]
-        elif cap[w] < shared:
-            yield _displacement_upper(model, Word._unchecked(w))
-        else:
-            yield upper[w]
+    return lambda level: (
+        max(_displacement_upper(model, Word._unchecked(w)) for w in level.letters()),
+        max(read(w)[0] for w in level.cores().letters()))
 
 
 def _word_joint_profile(model, words, n_max, frontier_cap):

@@ -713,12 +713,12 @@ def _settled_lengths(s: GeneratingSet, targets, radius_cap):
     whether some target was left unsettled)."""
     pending = {t for t in targets if t}
     found = {}
-    for d, w in _cheapest_first(s, radius_cap):
-        if not pending:
-            break
+    for d, w in _cheapest_first(s, radius_cap) if pending else ():
         if w in pending:
             pending.remove(w)
             found[w] = _unscaled(d, s._den)
+            if not pending:
+                break
     return {t: found[t] for t in targets if t in found}, bool(pending)
 
 

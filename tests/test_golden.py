@@ -12,16 +12,15 @@ is intended and explained.
 import difflib
 import hashlib
 import json
-from pathlib import Path
 
 import pytest
 
 from lenspec.cli import main
+# the recorder owns the golden paths and the report text its hashes are of
+from record_golden import GOLDEN as GOLDEN_PATH, SCENARIOS as SCEN_DIR
+from record_golden import TEXTS, report_text
 
-ROOT = Path(__file__).resolve().parents[1]
-SCEN_DIR = ROOT / "src" / "lenspec" / "scenarios"
-TEXTS = ROOT / "tests" / "golden"
-GOLDEN = json.loads((ROOT / "tests" / "golden.json").read_text())
+GOLDEN = json.loads(GOLDEN_PATH.read_text())
 # every scenario at seed 0, and jsr-ensemble, which draws its ensemble from
 # the seed, at every recorded seed
 CASES = [(name, "0") for name in sorted(GOLDEN)] + [
@@ -33,22 +32,13 @@ def _sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else None
 
 
-def _report_text(path):
-    """report.json without ``env``, as the text its golden hash is taken of."""
-    if not path.exists():
-        return None
-    body = json.loads(path.read_text())
-    body.pop("env", None)
-    return json.dumps(body, sort_keys=True, indent=2)
-
-
 @pytest.mark.parametrize("name,seed", CASES, ids=[
     name if seed == "0" else f"{name}-seed{seed}" for name, seed in CASES])
 def test_shipped_scenario_matches_golden(name, seed, tmp_path, capsys):
     code = main(["verify", "--scenario", str(SCEN_DIR / f"{name}.json"),
                  "--out", str(tmp_path), "--seed", seed])
     capsys.readouterr()
-    text = _report_text(tmp_path / "report.json")
+    text = report_text(tmp_path / "report.json")
     if seed == "0":
         want = (TEXTS / f"{name}.json").read_text()
         assert text == want, "report.json moved from its golden:\n" + "\n".join(

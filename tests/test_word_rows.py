@@ -6,10 +6,8 @@ on them: the ``products`` levels of ``joint_stable_profile``,
 Each is checked against ``_oracle``: the kernels against its letter-tuple
 words, the level walk against the walk over Python sets it replaced
 (value, type and the level a frontier cap stops), and the two reports
-against independent tree lengths.  A non-standard word metric's level is
-read from one shared search, which gives each word its own search's
-value.  A counter checks that on ``tree-pair`` the three checks read no
-tree length one word at a time.
+against independent tree lengths.  A counter checks that on ``tree-pair``
+the three checks read no tree length one word at a time.
 """
 
 import contextlib
@@ -24,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _oracle
-from lenspec import cli, jsl, words
+from lenspec import cli
 from lenspec.bounds import (_greedy_chunks, _outside, displacement_sandwich_report,
                             pointwise_cover_report)
 from lenspec.errors import ResourceCapError
@@ -123,45 +121,6 @@ def test_level_walk_matches_the_set_walk(model_levels, subset, cap):
     if isinstance(want, str):
         assert got == want
         return
-    assert (got.a, got.lo_terms) == want
-    for mine, theirs in zip((got.a, got.lo_terms), want):
-        assert [type(v) for v in mine.values()] == [type(v) for v in theirs.values()]
-
-
-@settings(max_examples=80, deadline=None)
-@given(NONSTANDARD, st.lists(reduced_words(6), min_size=1, max_size=6),
-       st.integers(10, 300))
-def test_the_shared_level_search_gives_each_word_its_own_value(
-        model, subset, node_cap):
-    # a small node cap makes searches give up: a word the shared search
-    # leaves unsettled still reads what its own search gives, a length or
-    # else cost_upper, in value and type
-    level = list(dict.fromkeys(subset))
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(words, "_SEARCH_NODE_CAP", node_cap)
-        want = [jsl._displacement_upper(model, Word._unchecked(w)) for w in level]
-        got = list(jsl._level_lengths(model, level))
-    assert got == want
-    assert list(map(type, got)) == list(map(type, want))
-
-
-def test_level_words_share_one_search_per_level(monkeypatch):
-    # every word of S^1..S^3 settles within its own cap, so each level of a
-    # non-standard word metric is read from one shared cheapest-first walk,
-    # each word at its own search's length
-    model = _nonstandard(["ab"], [Fraction(5, 2), 1, 1, 2, 1])
-    s = [Word("a"), Word("bA"), Word("b")]
-    want = _oracle.joint_levels(model, s, 3, 1000)
-    walks = []
-    walk = words._cheapest_first
-
-    def counted(*args):
-        walks.append(args)
-        return walk(*args)
-
-    monkeypatch.setattr(words, "_cheapest_first", counted)
-    got = joint_stable_profile(model, s, 3, engine="products")
-    assert len(walks) == 3
     assert (got.a, got.lo_terms) == want
     for mine, theirs in zip((got.a, got.lo_terms), want):
         assert [type(v) for v in mine.values()] == [type(v) for v in theirs.values()]
