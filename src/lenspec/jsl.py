@@ -237,16 +237,6 @@ def tree_joint_profile(model: TreeModel, s) -> JointLengthProfile:
 # ----------------------------------------------------------- public API
 
 
-def _tree_metric(model):
-    """The TreeModel whose lengths a tree metric's are: a TreeModel itself,
-    or a standard WordMetricModel's ``_tree``; None for any other model."""
-    if isinstance(model, TreeModel):
-        return model
-    if isinstance(model, WordMetricModel) and model._standard:
-        return model._tree
-    return None
-
-
 def joint_stable_profile(
     model,
     s,
@@ -272,14 +262,16 @@ def joint_stable_profile(
         raise InputError("n_max must be >= 2")
     if engine not in ("auto", "products", "tree-dp"):
         raise InputError(f"unknown joint-length engine {engine!r}")
-    auto = engine == "auto" and type(model) in (TreeModel, WordMetricModel)
-    tree = _tree_metric(model) if auto or engine == "tree-dp" else None
-    if tree is not None:
+    if engine == "tree-dp" or (
+            engine == "auto" and type(model) in (TreeModel, WordMetricModel)):
         # tree_joint_profile checks S
-        return tree_joint_profile(tree, s)
-    if engine == "tree-dp":
-        raise InputError("tree-dp engine needs a TreeModel or a standard "
-                         "WordMetricModel")
+        if isinstance(model, TreeModel):
+            return tree_joint_profile(model, s)
+        if isinstance(model, WordMetricModel) and model._standard:
+            return tree_joint_profile(model._tree, s)
+        if engine == "tree-dp":
+            raise InputError("tree-dp engine needs a TreeModel or a standard "
+                             "WordMetricModel")
     words = _as_words(s, model.rank)
     matrix = isinstance(model, MatrixActionModel)
     if matrix:

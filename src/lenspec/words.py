@@ -732,9 +732,9 @@ def word_length(g: Word, s: GeneratingSet, radius_cap=32):
     target = g.letters
     if not target:
         return 0
-    found, _ = _settled_lengths(s, [target], radius_cap)
-    if found:
-        return found[target]
+    for d, w in _cheapest_first(s, radius_cap):
+        if w == target:
+            return _unscaled(d, s._den)
     raise SearchExhaustedError(
         f"{g} not reached within cost {radius_cap} or "
         f"{_SEARCH_NODE_CAP} elements"
