@@ -358,6 +358,12 @@ def _near(f, idx, lowest: bool = False, scale=None):
     return idx[np.abs(f - ext) <= 2.0 ** -40 * (abs(ext) + scale)]
 
 
+def _union(a, b) -> list:
+    """The indices of ``a`` or ``b`` ascending, each once (np.union1d's
+    order, without the numpy.ma import its first call makes)."""
+    return sorted({*a.tolist(), *b.tolist()})
+
+
 def _first_max(cands, value_of, ties_exact: bool = False):
     """(value, index): the exact max of value_of over cands, first index.
 
@@ -762,15 +768,15 @@ def ratio_envelope_report(target, ref, alpha_lo, beta_hi,
         lo_f, hi_f = table.lo[meas], table.hi[meas]
         scale = abs(alpha_lo) + abs(beta_hi) + 1
         # measurement: outer bracket, can only overstate the needed C0
-        for i in np.union1d(_near(lo_f, meas, lowest=True, scale=scale),
-                            _near(hi_f, meas, scale=scale)).tolist():
+        for i in _union(_near(lo_f, meas, lowest=True, scale=scale),
+                        _near(hi_f, meas, scale=scale)):
             c = max((alpha_lo - r_lo(i)) * a_scale, (r_hi(i) - beta_hi) * b_scale)
             if c > need_c0:
                 need_c0 = c
                 worst = table.classes.rep(i)
         # refutation: inner bracket, the true ratio escapes for sure
-        for i in np.union1d(_near(hi_f, meas, lowest=True, scale=scale),
-                            _near(lo_f, meas, scale=scale)).tolist():
+        for i in _union(_near(hi_f, meas, lowest=True, scale=scale),
+                        _near(lo_f, meas, scale=scale)):
             c_cert = max((alpha_lo - r_hi(i)) * a_scale, (r_lo(i) - beta_hi) * b_scale)
             if c_cert > cert_c0:
                 cert_c0 = c_cert

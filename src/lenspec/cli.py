@@ -78,7 +78,8 @@ from .spaces import (
     build_schottky,
     class_lengths,
 )
-from .words import ROW_CHUNK, ClassCodes, GeneratingSet, Word, _finite_real
+from .words import (ROW_CHUNK, ClassCodes, GeneratingSet, Word, _ascii_rows,
+                    _finite_real)
 
 __all__ = [
     "Scenario",
@@ -735,62 +736,62 @@ def _column_sources(classes, start: int, stop: int) -> list:
             *classes.ratio_floats(start, stop)]
 
 
-def _column_texts(cells, source, width: int) -> list:
-    """The fields of ``width`` adjacent classes.csv columns that are one
-    list of ``cells``, with their ``_column_sources`` entry ``source``.
+def _field_bytes(cells, source) -> np.ndarray:
+    """The fields of a classes.csv column of ``cells``, with its
+    ``_column_sources`` entry ``source``: an (N, W) uint8 array, row i the
+    ASCII bytes of str(cells[i]), NUL-padded.
 
     A column whose cells are all floats, or all ints below 2**53 in size
-    (its "" cells aside), becomes one field: its float64 bits fix each
-    cell's str(), a float's repr or an int's digits, so each distinct
-    value is rendered once, written ``width`` times joined by commas, and
-    gathered by np.unique's inverse.  The key is the type and the bits,
-    never the value: 1 and 1.0, or 0.0 and -0.0, are equal values with
-    different texts.  A column of text is its own text; any other column
-    (Fractions, mixed types, exact ratios) is ``width`` fields of str() of
-    each cell.
+    (its "" cells aside), is a table of texts and a per-row index: its
+    float64 bits fix each cell's str(), a float's repr or an int's digits,
+    so each distinct value is rendered once and gathered by np.unique's
+    inverse.  The key is the type and the bits, never the value: 1 and
+    1.0, or 0.0 and -0.0, are equal values with different texts.  A
+    column of "" is zero bytes wide; any other column (Fractions, mixed
+    types, exact ratios) renders str() of each cell.
     """
     floats, blank, kinds = source or (None, None, None)
     if kinds == {str}:
-        return [cells] * width
+        return np.zeros((len(cells), 0), np.uint8)
     if floats is None or not (kinds == {float} or kinds == {int}
                               and np.all(np.abs(floats) < 2.0 ** 53)):
-        return [list(map(str, cells))] * width
+        return _ascii_rows(list(map(str, cells)))
     keys, inv = np.unique(floats.view(np.int64), return_inverse=True)
     values = keys.view(np.float64).tolist()
     texts = list(map(str, values if kinds == {float} else map(int, values)))
     if blank is not None:
         inv[blank] = len(texts)
         texts.append("")
-    if width > 1:
-        texts = list(map(",".join, zip(*[texts] * width)))
-    return [list(map(texts.__getitem__, inv.tolist()))]
+    return _ascii_rows(texts)[inv]
 
 
 def _csv_chunks(classes):
     """The rows of classes.csv (without its header) of a _class_listing,
     as text of at most ROW_CHUNK rows per string.
 
-    A chunk renders the names from the class codes, and each run of
-    adjacent columns of ``_number_columns`` that are one list (a point's
-    lo and hi, the ratio cells of two points, blank columns) once, with
-    ``_column_texts``: str() is the CSV text of an int, Fraction or float
-    (its repr), and a column whose float64 bits fix its texts renders
-    each distinct value once.  Either way each cell's text is str() of
-    the cell, so no byte depends on which way a column went.  No cell
-    holds a comma, quote or newline, and the rows are joined once per
-    chunk.
+    A chunk is laid out as one (N, W) uint8 array: the names
+    (``ClassCodes.name_bytes``), then "," and the field of each column,
+    then a newline, every part NUL-padded.  A run of adjacent columns of
+    ``_number_columns`` that are one list (a point's lo and hi, the ratio
+    cells of two points, blank columns) is rendered once by
+    ``_field_bytes`` and laid out once per column.  No cell or name holds
+    a NUL, a comma, a quote or a newline, so dropping the NULs leaves the
+    rows.  Each cell's text is str() of the cell (a float's repr), so no
+    byte depends on which way ``_field_bytes`` took.
     """
-    names = classes.classes.names()
-    n = len(classes)
+    codes, n = classes.classes, len(classes)
     for start in range(0, n, ROW_CHUNK):
         stop = min(n, start + ROW_CHUNK)
-        fields = [islice(names, stop - start)]
+        comma = np.full((stop - start, 1), ord(","), np.uint8)
+        parts = [codes.name_bytes(start, stop)]
         columns = zip(_number_columns(classes, start, stop),
                       _column_sources(classes, start, stop))
         for _, run in groupby(columns, key=lambda c: id(c[0])):
             run = list(run)
-            fields += _column_texts(*run[0], len(run))
-        yield "\n".join(map(",".join, zip(*fields))) + "\n"
+            parts += [comma, _field_bytes(*run[0])] * len(run)
+        parts.append(np.full((stop - start, 1), ord("\n"), np.uint8))
+        rows = np.concatenate(parts, axis=1).ravel()
+        yield rows[rows != 0].tobytes().decode("ascii")
 
 
 def _write_classes(fh, classes):

@@ -136,15 +136,32 @@ def _batch_sigma1(batch: np.ndarray) -> np.ndarray:
     return np.linalg.svd(batch, compute_uv=False)[:, 0]
 
 
+def _complex_lambda1(tr: np.ndarray, det: np.ndarray) -> np.ndarray:
+    """The larger |root| of x**2 - tr x + det, in complex arithmetic."""
+    tr, det = tr.astype(np.complex128), det.astype(np.complex128)
+    q = np.sqrt(tr * tr - 4.0 * det)
+    return np.maximum(np.abs((tr + q) / 2.0), np.abs((tr - q) / 2.0))
+
+
 def _batch_lambda1(batch: np.ndarray) -> np.ndarray:
     m = batch.shape[-1]
-    if m == 2:
-        tr = (batch[:, 0, 0] + batch[:, 1, 1]).astype(np.complex128)
-        det = (batch[:, 0, 0] * batch[:, 1, 1]
-               - batch[:, 0, 1] * batch[:, 1, 0]).astype(np.complex128)
-        q = np.sqrt(tr * tr - 4.0 * det)
-        return np.maximum(np.abs((tr + q) / 2.0), np.abs((tr - q) / 2.0))
-    return np.max(np.abs(np.linalg.eigvals(batch)), axis=1)
+    if m != 2:
+        return np.max(np.abs(np.linalg.eigvals(batch)), axis=1)
+    tr = batch[:, 0, 0] + batch[:, 1, 1]
+    det = batch[:, 0, 0] * batch[:, 1, 1] - batch[:, 0, 1] * batch[:, 1, 0]
+    if np.iscomplexobj(batch):
+        return _complex_lambda1(tr, det)
+    # where disc >= 0 the roots are real, and max(|tr + q|, |tr - q|) / 2
+    # is (|tr| + q) / 2, with the complex formula's bits (rounding is
+    # symmetric in sign); numpy's complex sqrt of a negative real is not
+    # bit-equal to 1j * sqrt(-x), so the other rows (disc < 0 or nan) stay
+    # complex
+    disc = tr * tr - 4.0 * det
+    lam = (np.abs(tr) + np.sqrt(np.maximum(disc, 0.0))) / 2.0
+    rows = np.flatnonzero(~(disc >= 0))
+    if rows.size:
+        lam[rows] = _complex_lambda1(tr[rows], det[rows])
+    return lam
 
 
 def _matrix_levels(mats, n_max: int, cap: int):

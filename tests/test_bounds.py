@@ -8,8 +8,12 @@ hand, and the sandwich counts are ball sizes 2*3^r - 1.
 
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -46,6 +50,7 @@ from lenspec.spaces import (
 )
 from lenspec.words import GeneratingSet, Word, WordRows, enumerate_ball, word_length
 
+ROOT = Path(__file__).resolve().parents[1]
 
 UNIT = TreeModel(2)
 WB2 = TreeModel(2, [1, 2])
@@ -459,6 +464,23 @@ def test_envelope_band_validation():
         ratio_envelope_report(WB2, UNIT, 2, 1, VerifierConfig(L_values=(4,)))
     with pytest.raises(InputError):
         ratio_envelope_report(WB2, UNIT, -1, 1, VerifierConfig(L_values=(4,)))
+
+
+def test_verify_on_the_tree_pair_never_imports_numpy_ma(tmp_path):
+    # np.union1d's np.unique imports numpy.ma on its first call; cor14's
+    # candidate unions are plain sorted sets
+    scen = ROOT / "src" / "lenspec" / "scenarios" / "tree-pair.json"
+    code = ("import sys\n"
+            "from lenspec.cli import main\n"
+            f"assert main(['verify', '--scenario', {str(scen)!r},"
+            f" '--out', {str(tmp_path)!r}]) == 0\n"
+            "assert 'numpy.ma' not in sys.modules\n")
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "classes.csv").exists()
 
 
 # ------------------------------------------------------ joint vs dilation

@@ -9,6 +9,7 @@ must the cell values of the ``spectrum`` JSON preview, number types
 included.
 """
 
+import io
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -234,3 +235,76 @@ def test_equal_values_keep_their_own_text(model):
     assert want <= texts
     assert len(want) == len(model.values)
 
+
+
+# ------------------------------------------------------------- edge cases
+
+
+def _listing(target, reference, radius, rank=2):
+    scen = SimpleNamespace(rank=rank, params={"radius": radius})
+    return cli._class_listing(scen, VerifierConfig(), target, reference)
+
+
+@pytest.mark.parametrize("extra", [0, 1], ids=["ROW_CHUNK", "ROW_CHUNK+1"])
+def test_listings_of_one_chunk_and_one_row_more(monkeypatch, extra):
+    # the 234 classes of radius 6, cut at ROW_CHUNK = 234 and 233 rows: one
+    # full chunk, then a chunk of one row, whose name starts a new block
+    for pair in ((_SCHOTTKY.mobius, TreeModel(2)), (TreeModel(2, [1, 2]), None),
+                 (_WORD_METRICS[1], TreeModel(2))):
+        n = len(_listing(*pair, 6))
+        assert n == 234
+        monkeypatch.setattr(cli, "ROW_CHUNK", n - extra)
+        _check(*pair, 6)
+        sizes = [c.count("\n") for c in cli._csv_chunks(_listing(*pair, 6))]
+        assert sizes == [n] if extra == 0 else [n - 1, 1]
+
+
+def test_names_past_rank_26_in_chunks_with_and_without_them(monkeypatch):
+    # ClassCodes.walk(27, 2): 1,512 classes; chunks of 50 rows hold a
+    # letter past rank 26 (read from names()) or none (read as bytes)
+    codes = ClassCodes.walk(27, 2)
+    assert len(codes) == 1512
+    monkeypatch.setattr(cli, "ROW_CHUNK", 50)
+    for pair in ((TreeModel(27), TreeModel(27, [2] * 26 + [Fraction(1, 3)])),
+                 (TreeModel(27, [0.5] * 27), None)):
+        rows = _check(*pair, 2, rank=27)
+        assert [r[0] for r in rows] == list(codes.names())
+        dotted = [any("." in r[0] for r in rows[i:i + 50])
+                  for i in range(0, len(rows), 50)]
+        assert any(dotted) and not all(dotted)
+
+
+@pytest.mark.parametrize("values,texts", [
+    ([1, 1.0], {"1", "1.0"}),            # mixed types: str() per cell
+    ([0.0, -0.0], {"0.0", "-0.0"}),      # floats: keyed by bits
+    ([2 ** 53, 2 ** 53 + 1, 2 ** 60], {"9007199254740992",
+                                       "9007199254740993",
+                                       "1152921504606846976"}),
+], ids=["1-and-1.0", "0.0-and-minus-0.0", "ints-past-2**53"])
+def test_equal_floats_in_one_column_keep_their_texts(values, texts):
+    # each value lands in the length columns of both sides
+    model = _Cycled(values)
+    for pair in ((model, None), (model, TreeModel(2)), (TreeModel(2), model)):
+        rows = _check(*pair, 3)
+        # str() first: a set of the values would merge 1 and 1.0
+        assert texts <= {str(c) for r in rows for c in r[1:5]}
+
+
+def test_one_model_listing_has_blank_reference_and_ratio_columns():
+    for pair in ((_SCHOTTKY.linear, None), (None, TreeModel(2, [1, 2]))):
+        rows = _check(*pair, 5)
+        assert all(r[1:3] == ("", "") and r[5:] == ("", "") for r in rows)
+        text = "".join(cli._csv_chunks(_listing(*pair, 5)))
+        assert all(line.split(",")[1:3] == ["", ""]
+                   and line.split(",")[5:] == ["", ""]
+                   for line in text.splitlines())
+
+
+def test_an_empty_listing_writes_the_header_only():
+    for pair in ((TreeModel(2), None), (TreeModel(2), TreeModel(2, [1, 2]))):
+        assert _check(*pair, 0) == []
+        classes = _listing(*pair, 0)
+        assert len(classes) == 0 and list(cli._csv_chunks(classes)) == []
+        out = io.StringIO()
+        cli._write_classes(out, classes)
+        assert out.getvalue() == "class,ref_lo,ref_hi,target_lo,target_hi,ratio_lo,ratio_hi\n"

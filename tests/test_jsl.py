@@ -9,6 +9,7 @@ and tree-dp gives the exact joint length [1, 1].
 import functools
 import importlib
 import itertools
+import json
 import math
 import pkgutil
 import random
@@ -19,8 +20,9 @@ import numpy as np
 import pytest
 
 import lenspec
+from lenspec import jsl
 from lenspec.actions import ActionModel, LengthBracket, exact_div
-from lenspec.cli import load_scenario, run
+from lenspec.cli import load_scenario, parse_scenario, run
 from lenspec.errors import InputError, ResourceCapError
 from lenspec.jsl import (
     BochiConstants,
@@ -555,3 +557,52 @@ def test_tree_profile_does_not_depend_on_earlier_calls():
     assert tree_joint_profile(m, ["abbA", "abA", "aBA"]).bracket.exact
     p = tree_joint_profile(m, ["abA", "aBA"])
     assert p.bracket == first.bracket == LengthBracket(3, 3, exact=True)
+
+
+def _complex_lambda1_of(batch):
+    """lambda_1 of each 2x2 matrix of ``batch``, all in complex arithmetic."""
+    tr = (batch[:, 0, 0] + batch[:, 1, 1]).astype(np.complex128)
+    det = (batch[:, 0, 0] * batch[:, 1, 1]
+           - batch[:, 0, 1] * batch[:, 1, 0]).astype(np.complex128)
+    q = np.sqrt(tr * tr - 4.0 * det)
+    return np.maximum(np.abs((tr + q) / 2.0), np.abs((tr - q) / 2.0))
+
+
+def _assert_same_bits(batch, lambda1=jsl._batch_lambda1):
+    got, want = lambda1(batch), _complex_lambda1_of(batch)
+    assert got.dtype == want.dtype == np.float64
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_real_2x2_lambda1_has_the_complex_formula_bits():
+    # a real batch takes the float formula where its discriminant is >= 0
+    # and the complex one elsewhere; every row keeps the complex bits
+    rng = np.random.default_rng(34)
+    batch = rng.standard_normal((20_000, 2, 2))
+    batch[:100] *= 1e-160         # tiny entries: tr**2 and det underflow
+    batch[100:200] *= 1e-308      # subnormal halves
+    batch[200:300, 0] = batch[200:300, 1]   # singular: det 0
+    tr = batch[:, 0, 0] + batch[:, 1, 1]
+    det = batch[:, 0, 0] * batch[:, 1, 1] - batch[:, 0, 1] * batch[:, 1, 0]
+    disc = tr * tr - 4.0 * det
+    assert (disc >= 0).sum() > 1000 and (disc < 0).sum() > 1000
+    _assert_same_bits(batch)
+    _assert_same_bits(np.zeros((3, 2, 2)))
+    _assert_same_bits(np.zeros((0, 2, 2)))
+
+
+def test_jsr_ensemble_levels_keep_the_complex_formula_bits(monkeypatch):
+    # every level bochi_rhs reads on the shipped ensemble, seeds 0-7
+    raw = json.loads((SCEN_DIR / "jsr-ensemble.json").read_text())
+    lambda1 = jsl._batch_lambda1
+    rows = []
+
+    def checked(batch):
+        _assert_same_bits(batch, lambda1)
+        rows.append(len(batch))
+        return lambda1(batch)
+
+    monkeypatch.setattr(jsl, "_batch_lambda1", checked)
+    for seed in range(8):
+        assert run(parse_scenario({**raw, "seed": seed})).verdict == "holds"
+    assert sum(rows) > 10_000_000
