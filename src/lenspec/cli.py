@@ -346,6 +346,10 @@ def parse_scenario(source) -> Scenario:
     data["matrices"] = mats if mats is None else [
         _norm_matrix(m, mp)
         for m, mp in _items(mats, "matrices", "a nonempty list of matrices")]
+    for i, m in enumerate(mats or ()):
+        if len(m) != len(mats[0]):
+            _fail(f"matrices[{i}]", f"expected {len(mats[0])}x{len(mats[0])} like "
+                                    f"matrices[0], got {len(m)}x{len(m)}")
     ens = raw.get("ensemble")
     if ens is not None:
         if not isinstance(ens, dict):
@@ -456,17 +460,17 @@ def build_model(spec: Optional[dict], rank: int):
 
 
 def _ensemble_pairs(ens: dict, seed: int) -> list:
-    """Seeded random unit-|det| matrix pairs for spectral checks."""
+    """Seeded random unit-|det| matrix pairs for spectral checks; a draw
+    is tested for singularity before it is scaled, so no scale rejects all."""
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(ens["count"]):
         pair = []
         while len(pair) < 2:
-            m = rng.standard_normal((ens["dim"], ens["dim"])) * ens["scale"]
-            d = abs(np.linalg.det(m))
-            if d < 1e-12:
-                continue
-            pair.append(m / d ** (1.0 / ens["dim"]))
+            m = rng.standard_normal((ens["dim"], ens["dim"]))
+            if abs(np.linalg.det(m)) >= 1e-12:
+                m = m * ens["scale"]
+                pair.append(m / abs(np.linalg.det(m)) ** (1.0 / ens["dim"]))
         out.append(pair)
     return out
 

@@ -26,9 +26,10 @@ linear model, 2 log rho for a Mobius model (arccosh(||A||_F^2 / 2) =
 2 log sigma_1(A) for det-1 A).  So the matrix engine is ``jsr_profile``,
 whose levels bound the radius in log scale by sigma_1 from above and by
 spectral radii from below; a_n and l[s] are its terms in the model's
-length scale: float brackets with no rounding bound.  ``bochi_rhs`` adds
-the explicit dimension-dependent constants for the spectral upper bound
-c_m = 8 log 2 + 5 log m, d_m = 2 m^3.
+length scale: float brackets with no rounding bound.  A level reads sigma_1
+and lambda_1 from ``spaces``, by its closed forms for 2x2 products.
+``bochi_rhs`` adds the explicit dimension-dependent constants for the
+spectral upper bound c_m = 8 log 2 + 5 log m, d_m = 2 m^3.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import numpy as np
 from .actions import LengthBracket, exact_div
 from .errors import InputError, NumericError, ResourceCapError, SearchExhaustedError
 from .spaces import (MatrixActionModel, TreeModel, WordMetricModel,
-                     class_bracket_reader)
+                     _batch_lambda1, _batch_sigma1, class_bracket_reader)
 from .words import (ConjClass, Word, WordRows, _as_words, _concat_reduced,
                     _cyclic_core, _unscaled)
 
@@ -123,45 +124,6 @@ def _word_joint_profile(model, words, n_max, frontier_cap):
 
 
 # ------------------------------------------------- vectorized matrix levels
-
-
-def _batch_sigma1(batch: np.ndarray) -> np.ndarray:
-    m = batch.shape[-1]
-    if m == 2:
-        f = np.sum(np.abs(batch) ** 2, axis=(1, 2))
-        det = batch[:, 0, 0] * batch[:, 1, 1] - batch[:, 0, 1] * batch[:, 1, 0]
-        d2 = np.abs(det) ** 2
-        q = np.sqrt(np.clip(f * f - 4.0 * d2, 0.0, None))
-        return np.sqrt(np.clip((f + q) / 2.0, 0.0, None))
-    return np.linalg.svd(batch, compute_uv=False)[:, 0]
-
-
-def _complex_lambda1(tr: np.ndarray, det: np.ndarray) -> np.ndarray:
-    """The larger |root| of x**2 - tr x + det, in complex arithmetic."""
-    tr, det = tr.astype(np.complex128), det.astype(np.complex128)
-    q = np.sqrt(tr * tr - 4.0 * det)
-    return np.maximum(np.abs((tr + q) / 2.0), np.abs((tr - q) / 2.0))
-
-
-def _batch_lambda1(batch: np.ndarray) -> np.ndarray:
-    m = batch.shape[-1]
-    if m != 2:
-        return np.max(np.abs(np.linalg.eigvals(batch)), axis=1)
-    tr = batch[:, 0, 0] + batch[:, 1, 1]
-    det = batch[:, 0, 0] * batch[:, 1, 1] - batch[:, 0, 1] * batch[:, 1, 0]
-    if np.iscomplexobj(batch):
-        return _complex_lambda1(tr, det)
-    # where disc >= 0 the roots are real, and max(|tr + q|, |tr - q|) / 2
-    # is (|tr| + q) / 2, with the complex formula's bits (rounding is
-    # symmetric in sign); numpy's complex sqrt of a negative real is not
-    # bit-equal to 1j * sqrt(-x), so the other rows (disc < 0 or nan) stay
-    # complex
-    disc = tr * tr - 4.0 * det
-    lam = (np.abs(tr) + np.sqrt(np.maximum(disc, 0.0))) / 2.0
-    rows = np.flatnonzero(~(disc >= 0))
-    if rows.size:
-        lam[rows] = _complex_lambda1(tr[rows], det[rows])
-    return lam
 
 
 def _matrix_levels(mats, n_max: int, cap: int):

@@ -402,18 +402,20 @@ def _spelling_costs(rows, k_max, pieces, letter_cost, base) -> list:
 
 
 def _sv_pair_2x2(a: np.ndarray) -> tuple[float, float]:
-    """Singular values of a 2x2 (real or complex) matrix, closed form.
+    """Singular values of a 2x2 (real or complex) matrix, closed form, in
+    Python arithmetic (squares by multiplication, moduli by abs, that is
+    hypot); ``_batch_sigma1`` is its array twin.
 
     s2 comes from s1 s2 = |det|, not from the subtractive branch of the
     quadratic, which cancels catastrophically once s1 >> s2.
     """
-    f = float(np.abs(a[0, 0]) ** 2 + np.abs(a[0, 1]) ** 2
-              + np.abs(a[1, 0]) ** 2 + np.abs(a[1, 1]) ** 2)
-    d = abs(complex(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]))
-    q = math.sqrt(max(f * f - 4.0 * d * d, 0.0))
-    s1 = math.sqrt(max((f + q) / 2.0, 0.0))
-    s2 = d / s1 if s1 > 0 else 0.0
-    return s1, s2
+    (p, q), (r, t) = a.tolist()
+    x, y, u, v = abs(p), abs(q), abs(r), abs(t)
+    f = x * x + y * y + u * u + v * v
+    d = abs(p * t - q * r)
+    g = math.sqrt(max(f * f - 4.0 * d * d, 0.0))
+    s1 = math.sqrt(max((f + g) / 2.0, 0.0))
+    return s1, (d / s1 if s1 > 0 else 0.0)
 
 
 def _joined(parts) -> np.ndarray:
@@ -428,46 +430,91 @@ def _lambda1(tr: complex, det: complex) -> float:
     return max(abs(tr + q), abs(tr - q)) / 2.0
 
 
-def _cmul(ar, ai, br, bi):
-    """(a*b).real, (a*b).imag with the operations of Python's complex a*b."""
-    return ar * br - ai * bi, ar * bi + ai * br
+def _cmul(a, b) -> tuple:
+    """a*b of values given as their parts, (real,) arrays or (real, imag)
+    pairs, the latter by the operations of Python's complex a*b."""
+    if len(a) == 1:
+        return (a[0] * b[0],)
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
 
 
-def _cmuladd(ar, ai, br, bi, cr, ci, dr, di):
-    """a*b + c*d, real and imaginary parts, as Python's complex arithmetic."""
-    (p, q), (r, t) = _cmul(ar, ai, br, bi), _cmul(cr, ci, dr, di)
-    return p + r, q + t
+def _cmuladd(a, b, c, d, op=np.add) -> tuple:
+    """op(a*b, c*d) of values given as their parts, as Python's arithmetic."""
+    return tuple(map(op, _cmul(a, b), _cmul(c, d)))
 
 
-def _lambda1_rows(trr, tri, dr, di) -> np.ndarray:
-    """_lambda1 of arrays of traces and determinants, bit for bit.
+def _lambda1_rows(tr, det) -> np.ndarray:
+    """_lambda1 of arrays of traces and determinants given as their parts,
+    bit for bit.
 
     cmath.sqrt is CPython's algorithm, s = 2 sqrt(|x|/8 + hypot(|x|/8,
     |y|/8)) for z = x + iy, and abs(z) is hypot; IEEE arithmetic and the
-    C library's hypot round each step alike.  Rows outside that path
+    C library's hypot round each step alike.  For real z = tr**2 - 4 det,
+    s = sqrt(|z|) once |z|/8 is a normal float: lambda1 is (|tr| + s) / 2
+    where z >= 0, hypot(tr, s) / 2 where z < 0.  Rows outside that path
     (an infinite or overflowing value, a zero or subnormal discriminant)
     are finished by _lambda1 itself, which also raises its errors.
     """
+    tiny = np.finfo(np.float64).tiny
     with np.errstate(all="ignore"):
-        zr, zi = _cmul(trr, tri, trr, tri)
-        # 4.0 * det: a signed zero of this product can differ from
-        # complex multiplication, which moves neither hypot below
-        zr, zi = zr - 4.0 * dr, zi - 4.0 * di
-        ax, ay = np.abs(zr) / 8.0, np.abs(zi) / 8.0
-        s = 2.0 * np.sqrt(ax + np.hypot(ax, ay))
-        d = np.abs(zi) / (2.0 * s)
-        pos = zr >= 0.0
-        qr = np.where(pos, s, d)
-        qi = np.copysign(np.where(pos, d, s), zi)
-        lam = np.maximum(np.hypot(trr + qr, tri + qi),
-                         np.hypot(trr - qr, tri - qi)) / 2.0
-        tiny = np.finfo(np.float64).tiny
-        odd = ~(np.isfinite(np.hypot(trr, tri)) & np.isfinite(np.hypot(dr, di))
-                & np.isfinite(zr) & np.isfinite(zi) & np.isfinite(lam)
-                & ((np.abs(zr) >= tiny) | (np.abs(zi) >= tiny)))
+        if len(tr) == 1:
+            (t,), (d,) = tr, det
+            z = t * t - 4.0 * d
+            s = np.sqrt(np.abs(z))
+            lam = np.hypot(t, s, out=np.abs(t) + s, where=z < 0.0) / 2.0
+            # a finite lambda1 needs a finite trace, det and z
+            odd = ~(np.isfinite(lam) & (np.abs(z) >= 8.0 * tiny))
+        else:
+            (trr, tri), (dr, di) = tr, det
+            zr, zi = _cmul(tr, tr)
+            # 4.0 * det: a signed zero of this product can differ from
+            # complex multiplication, which moves neither hypot below
+            zr, zi = zr - 4.0 * dr, zi - 4.0 * di
+            ax, ay = np.abs(zr) / 8.0, np.abs(zi) / 8.0
+            s = 2.0 * np.sqrt(ax + np.hypot(ax, ay))
+            d = np.abs(zi) / (2.0 * s)
+            pos = zr >= 0.0
+            qr = np.where(pos, s, d)
+            qi = np.copysign(np.where(pos, d, s), zi)
+            lam = np.maximum(np.hypot(trr + qr, tri + qi),
+                             np.hypot(trr - qr, tri - qi)) / 2.0
+            odd = ~(np.isfinite(np.hypot(trr, tri)) & np.isfinite(np.hypot(dr, di))
+                    & np.isfinite(zr) & np.isfinite(zi) & np.isfinite(lam)
+                    & ((np.abs(zr) >= tiny) | (np.abs(zi) >= tiny)))
     for i in np.flatnonzero(odd).tolist():
-        lam[i] = _lambda1(complex(trr[i], tri[i]), complex(dr[i], di[i]))
+        lam[i] = _lambda1(complex(*(x[i] for x in tr)), complex(*(x[i] for x in det)))
     return lam
+
+
+def _entries(batch: np.ndarray) -> list:
+    """The entries a, b, c, d of an (N, 2, 2) batch as their parts: (real,)
+    arrays, or (real, imag) pairs for a complex batch."""
+    split = (lambda x: (x.real, x.imag)) if np.iscomplexobj(batch) else (lambda x: (x,))
+    return [split(batch[:, i, j]) for i in (0, 1) for j in (0, 1)]
+
+
+def _batch_lambda1(batch: np.ndarray) -> np.ndarray:
+    """The spectral radius of each matrix of an (N, m, m) batch: for m = 2
+    _lambda1_rows of its traces and determinants, formed as class_lambda1
+    forms them, else LAPACK's largest |eigenvalue|."""
+    if batch.shape[-1] != 2:
+        return np.max(np.abs(np.linalg.eigvals(batch)), axis=1)
+    a, b, c, d = _entries(batch)
+    return _lambda1_rows(tuple(map(np.add, a, d)), _cmuladd(a, d, b, c, np.subtract))
+
+
+def _batch_sigma1(batch: np.ndarray) -> np.ndarray:
+    """sigma_1 of each matrix of an (N, m, m) batch: for m = 2 _sv_pair_2x2's
+    s1 bit for bit, by its operations on the entries' parts; else LAPACK's."""
+    if batch.shape[-1] != 2:
+        return np.linalg.svd(batch, compute_uv=False)[:, 0]
+    a, b, c, d = _entries(batch)
+    with np.errstate(all="ignore"):
+        x, y, u, v, det = (np.hypot(*e) if len(e) == 2 else np.abs(*e) for e in
+                           (a, b, c, d, _cmuladd(a, d, b, c, np.subtract)))
+        f = x * x + y * y + u * u + v * v
+        g = np.sqrt(np.maximum(f * f - 4.0 * det * det, 0.0))
+        return np.sqrt(np.maximum((f + g) / 2.0, 0.0))
 
 
 class MatrixActionModel(ActionModel):
@@ -494,6 +541,9 @@ class MatrixActionModel(ActionModel):
             self._gen[i] = a
             self._gen[-i] = np.linalg.inv(a)
         self.rank = len(mats)
+        # flat complex tuples for class_lambda1's 2x2 products, ~20x faster than numpy
+        self._tgens = {k: tuple(map(complex, m.ravel().tolist()))
+                       for k, m in self._gen.items()}
 
     def generator_matrix(self, letter: int) -> np.ndarray:
         try:
@@ -542,23 +592,11 @@ class MatrixActionModel(ActionModel):
             raise NumericError("degenerate singular values")
         return math.log(s1 / s2)
 
-    def _tuple_gens(self) -> dict:
-        # flat 2x2 complex tuples; ~20x faster than numpy for tiny products
-        cached = getattr(self, "_tgens", None)
-        if cached is None:
-            cached = {
-                k: (complex(m[0, 0]), complex(m[0, 1]),
-                    complex(m[1, 0]), complex(m[1, 1]))
-                for k, m in self._gen.items()
-            }
-            self._tgens = cached
-        return cached
-
     def class_lambda1(self, letters) -> float:
         """Spectral radius of the product matrix of a (canonical) word."""
         if self.dim != 2:
             return float(np.max(np.abs(np.linalg.eigvals(self.matrix(Word(letters))))))
-        gens = self._tuple_gens()
+        gens = self._tgens
         a, b, c, d = 1.0 + 0j, 0j, 0j, 1.0 + 0j
         for x in letters:
             e, f, g, h = gens[x]
@@ -569,9 +607,11 @@ class MatrixActionModel(ActionModel):
         """class_lambda1 of every class of ``codes`` (2x2 generators).
 
         The prefix product runs one column at a time over the rows of a
-        row chunk of a length block, as separate real and imaginary
-        float64 arrays in the operations of class_lambda1's complex
-        arithmetic (each a separate ufunc call, so no step is fused).
+        row chunk of a length block, on the float64 parts of the entries
+        in the operations of class_lambda1's complex arithmetic (each a
+        separate ufunc call, so no step is fused); real generators keep
+        real parts alone, which are the complex ones up to the sign of a
+        zero, and no modulus reads that sign.
         The rows are in code order, so the rows that share their codes up
         to a column are adjacent: a column step keeps one product per run
         of such rows and multiplies only those by the next generator.
@@ -579,10 +619,8 @@ class MatrixActionModel(ActionModel):
         operations in the same order from the identity, so every value is
         class_lambda1's bit for bit, repeated over the rows of its run.
         """
-        gens = self._tuple_gens()
-        parts = [np.array(_per_code(lambda x: getattr(gens[x][k], part),
-                                    self.rank))
-                 for k in range(4) for part in ("real", "imag")]
+        # the entries of each generator, by code
+        parts = _entries(np.array(_per_code(self._gen.__getitem__, self.rank)))
         out = []
         with np.errstate(all="ignore"):
             for rows in codes.row_chunks():
@@ -591,23 +629,18 @@ class MatrixActionModel(ActionModel):
                 new = np.zeros(len(rows), bool)
                 new[0] = True
                 starts = np.zeros(1, np.intp)
-                one, zero = np.ones(1), np.zeros(1)
-                ar, ai, br, bi, cr, ci, dr, di = one, zero, zero, zero, zero, zero, one, zero
+                a, b, c, d = _entries(np.eye(2, dtype=self._gen[1].dtype)[None])
                 for col in rows.T:
                     new[1:] |= col[1:] != col[:-1]
                     # each run lies in one run of the last step, its parent
                     prev, starts = starts, np.flatnonzero(new)
                     parent = np.searchsorted(prev, starts, side="right") - 1
-                    ar, ai, br, bi, cr, ci, dr, di = (
-                        s[parent] for s in (ar, ai, br, bi, cr, ci, dr, di))
-                    er, ei, fr, fi, gr, gi, hr, hi = (p[col[starts]] for p in parts)
-                    (ar, ai), (br, bi), (cr, ci), (dr, di) = (
-                        _cmuladd(ar, ai, er, ei, br, bi, gr, gi),
-                        _cmuladd(ar, ai, fr, fi, br, bi, hr, hi),
-                        _cmuladd(cr, ci, er, ei, dr, di, gr, gi),
-                        _cmuladd(cr, ci, fr, fi, dr, di, hr, hi))
-                (p, q), (r, t) = _cmul(ar, ai, dr, di), _cmul(br, bi, cr, ci)
-                lam = _lambda1_rows(ar + dr, ai + di, p - r, q - t)
+                    a, b, c, d = (tuple(x[parent] for x in m) for m in (a, b, c, d))
+                    e, f, g, h = (tuple(x[col[starts]] for x in m) for m in parts)
+                    a, b, c, d = (_cmuladd(a, e, b, g), _cmuladd(a, f, b, h),
+                                  _cmuladd(c, e, d, g), _cmuladd(c, f, d, h))
+                lam = _lambda1_rows(tuple(map(np.add, a, d)),
+                                    _cmuladd(a, d, b, c, np.subtract))
                 out.append(np.repeat(lam, np.diff(starts, append=len(rows))))
         return _joined(out)
 

@@ -32,6 +32,7 @@ from lenspec.spaces import (
     WordMetricModel,
     _lambda1,
     _lambda1_rows,
+    _sv_pair_2x2,
     class_lengths,
 )
 from lenspec.words import ROW_CHUNK, ClassCodes, GeneratingSet, Word, iter_class_reps
@@ -173,30 +174,76 @@ def test_lambda1_column_is_class_lambda1_bit_for_bit(model, rank, radius):
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
+def _wide_draw(rng, n=20_000):
+    # floats over the whole range, subnormals included, zeros of both
+    # signs and infinities
+    with np.errstate(all="ignore"):
+        x = rng.standard_normal(n) * 10.0 ** rng.uniform(-320, 320, n)
+    x[rng.random(n) < 0.1] = 0.0
+    x[rng.random(n) < 0.05] = -0.0
+    x[rng.random(n) < 0.01] = np.inf
+    x[rng.random(n) < 0.01] = -np.inf
+    return x
+
+
+def _same_bits(got, want):
+    # the bits, not ==, which holds for 0.0 against -0.0; a NaN's sign and
+    # payload are not part of the contract
+    nan = np.isnan(want)
+    return (np.array_equal(np.isnan(got), nan)
+            and np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64)))
+
+
 def test_lambda1_rows_is_lambda1_bit_for_bit():
     # traces and determinants over the whole float range, zeros of both
-    # signs, infinities and exact zero discriminants
+    # signs, infinities and exact zero discriminants; real input (parts
+    # (real,) only) takes the real branch
     rng = np.random.default_rng(7)
+    for real in (False, True):
+        trr, tri, dr, di = (_wide_draw(rng) for _ in range(4))
+        if real:
+            tri, di = np.zeros_like(trr), np.zeros_like(dr)
+        trr[:50], tri[:50], dr[:50], di[:50] = 2.0, 0.0, 1.0, 0.0
+        trr[50:100], dr[50:100] = -3.0, 2.25
+        rows = []
+        for row in zip(trr, tri, dr, di):
+            try:
+                want = _lambda1(complex(row[0], row[1]), complex(row[2], row[3]))
+            except (NumericError, OverflowError):
+                continue
+            rows.append((*row, want))
+        trr, tri, dr, di, want = map(np.array, zip(*rows))
+        if real:
+            with np.errstate(all="ignore"):
+                disc = trr * trr - 4.0 * dr
+            assert (disc > 0).sum() > 1000 and (disc < 0).sum() > 1000
+        got = _lambda1_rows(*(((trr,), (dr,)) if real else ((trr, tri), (dr, di))))
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
-    def draw(n=20_000):
-        with np.errstate(all="ignore"):
-            x = rng.standard_normal(n) * 10.0 ** rng.uniform(-320, 320, n)
-        x[rng.random(n) < 0.1] = 0.0
-        x[rng.random(n) < 0.05] = -0.0
-        return x
 
-    trr, tri, dr, di = draw(), draw(), draw(), draw()
-    trr[:50], tri[:50], dr[:50], di[:50] = 2.0, 0.0, 1.0, 0.0
-    rows = []
-    for row in zip(trr, tri, dr, di):
-        try:
-            want = _lambda1(complex(row[0], row[1]), complex(row[2], row[3]))
-        except (NumericError, OverflowError):
-            continue
-        rows.append((*row, want))
-    trr, tri, dr, di, want = map(np.array, zip(*rows))
-    got = _lambda1_rows(trr, tri, dr, di)
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_batch_sigma1_is_sv_pair_bit_for_bit(dtype):
+    # the array twin of _sv_pair_2x2's s1, on entries over the whole float
+    # range and on plain normal draws (where pow squares would differ)
+    rng = np.random.default_rng(35)
+    wide = np.stack([_wide_draw(rng, 4 * 10_000) for _ in range(2)])
+    normal = rng.standard_normal((2, 4 * 50_000))
+    for re, im in (wide, normal):
+        batch = re.astype(dtype).reshape(-1, 2, 2)
+        if dtype is np.complex128:
+            batch.imag = im.reshape(-1, 2, 2)
+        batch[:100] = 0.0
+        batch[100:200] = [[1.0, 1.0], [0.0, 1.0]]
+        keep, want = [], []
+        for i, m in enumerate(batch):
+            try:
+                want.append(_sv_pair_2x2(m)[0])
+            except OverflowError:   # abs() of a complex past the float range
+                continue
+            keep.append(i)
+        assert len(keep) > 9_000
+        got = spaces._batch_sigma1(batch[keep])
+        assert _same_bits(got, np.array(want))
 
 
 def test_linear_beyond_2x2_goes_class_by_class():

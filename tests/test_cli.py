@@ -1107,3 +1107,31 @@ def test_main_maps_numeric_failure_and_resource_cap(tmp_path, capsys, command,
     p.write_text(json.dumps(data))
     assert main([command, "--scenario", str(p)]) == code
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["verify", "bochi"], ["jsr"]],
+                         ids=["verify", "jsr"])
+def test_mixed_size_top_level_matrices_exit_2(tmp_path, capsys, argv):
+    # the parent stacked them for the JSR levels and died in numpy, exit 1
+    p = tmp_path / "scen.json"
+    p.write_text(json.dumps({"matrices": [[[2.0]], [[1.0, 1.0], [0.0, 1.0]]],
+                             "verify": ["bochi"]}))
+    assert main([*argv, "--scenario", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert "scenario.matrices[1]: expected 1x1 like matrices[0], got 2x2" in err
+
+
+def test_a_tiny_ensemble_scale_still_draws(tmp_path):
+    # each scaled draw had |det| < 1e-12 and was drawn again, for ever; a
+    # subprocess with a timeout fails where the loop would hang the suite
+    p = tmp_path / "scen.json"
+    p.write_text(json.dumps({"ensemble": {"count": 2, "dim": 2, "scale": 1e-9},
+                             "verify": ["bochi"]}))
+    path = [str(SCEN_DIR.parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run([sys.executable, "-m", "lenspec", "verify",
+                           "--scenario", str(p)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["verdict"] == "holds"
+

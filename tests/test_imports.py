@@ -7,7 +7,8 @@ be listed in its ``__all__`` (a re-export); the tests and demos are held
 to the same rule.  A ``from ... import`` of a
 name with a leading underscore from another module of the package must
 come from ``words`` (the word arithmetic every layer builds on) or be
-listed in ``PRIVATE_IMPORTS``.
+listed in ``PRIVATE_IMPORTS``.  A module-level private definition
+(function, class or constant) must be read somewhere in the package.
 """
 
 import ast
@@ -59,9 +60,13 @@ def test_the_scan_sees_an_unused_import():
 
 # (importing module, source module, name): the private names a module may
 # import from another besides those of words.  The CLI's classes.csv reads
-# the class tables of the run's reports.
+# the class tables of the run's reports.  The JSR levels read sigma_1 and
+# lambda_1 through the 2x2 closed forms the class lengths and the gap
+# certificate use, so that one formula owns each quantity.
 PRIVATE_IMPORTS = {
     ("cli", "bounds", "_class_table"),
+    ("jsl", "spaces", "_batch_lambda1"),
+    ("jsl", "spaces", "_batch_sigma1"),
 }
 
 
@@ -96,6 +101,50 @@ def test_the_scan_sees_a_private_import():
                                                 (5, "spaces", "_joined")]
     assert _private_imports(tree, "cli") == [(1, "jsl", "_peeled_length"),
                                              (5, "spaces", "_joined")]
+
+
+def _orphans(trees: dict) -> list:
+    """(module, line, name) of every module-level private function, class
+    or constant of the modules ``trees`` (name -> AST) that none of them
+    reads, by name or as an attribute."""
+    read = set()
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                read.add(n.attr)
+    out = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                names = [n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name)]
+            else:
+                continue
+            out += [(module, node.lineno, name) for name in names
+                    if name.startswith("_") and not name.startswith("__")
+                    and name not in read]
+    return sorted(out)
+
+
+def test_no_orphaned_private_definitions():
+    trees = {p.stem: ast.parse(p.read_text(), filename=str(p))
+             for p in sorted(SRC.glob("*.py"))}
+    assert _orphans(trees) == []
+
+
+def test_the_scan_sees_an_orphaned_private_definition():
+    trees = {"a": ast.parse("import b\n_K, _L = 1, 2\n_M: int = 3\n"
+                            "def _f():\n    return _g()\n"
+                            "def _g():\n    return b._h\nclass _C:\n    pass\n"),
+             "b": ast.parse("def _h():\n    pass\nprint(_K)\n")}
+    assert _orphans(trees) == [("a", 2, "_L"), ("a", 3, "_M"), ("a", 4, "_f"),
+                               ("a", 8, "_C")]
 
 
 def _exported(module) -> set:

@@ -34,7 +34,9 @@ from lenspec.jsl import (
     jsr_profile,
     tree_joint_profile,
 )
-from lenspec.spaces import LinearRepModel, TreeModel, WordMetricModel, build_schottky
+from lenspec.spaces import (LinearRepModel, TreeModel, WordMetricModel,
+                            _batch_lambda1, _batch_sigma1, _lambda1,
+                            _sv_pair_2x2, build_schottky)
 
 SCEN_DIR = Path(__file__).resolve().parents[1] / "src" / "lenspec" / "scenarios"
 from lenspec.words import ConjClass, GeneratingSet, Word
@@ -560,49 +562,76 @@ def test_tree_profile_does_not_depend_on_earlier_calls():
 
 
 def _complex_lambda1_of(batch):
-    """lambda_1 of each 2x2 matrix of ``batch``, all in complex arithmetic."""
-    tr = (batch[:, 0, 0] + batch[:, 1, 1]).astype(np.complex128)
-    det = (batch[:, 0, 0] * batch[:, 1, 1]
-           - batch[:, 0, 1] * batch[:, 1, 0]).astype(np.complex128)
-    q = np.sqrt(tr * tr - 4.0 * det)
-    return np.maximum(np.abs((tr + q) / 2.0), np.abs((tr - q) / 2.0))
+    """lambda_1 of each 2x2 matrix of ``batch`` by the scalar ``_lambda1``,
+    its entries, trace and determinant Python complex numbers, as
+    ``class_lambda1`` forms them."""
+    return np.array([_lambda1(a + d, a * d - b * c)
+                     for (a, b), (c, d) in batch.astype(np.complex128).tolist()])
 
 
-def _assert_same_bits(batch, lambda1=jsl._batch_lambda1):
-    got, want = lambda1(batch), _complex_lambda1_of(batch)
+def _sv1_of(batch):
+    """sigma_1 of each 2x2 matrix of ``batch`` by the scalar ``_sv_pair_2x2``."""
+    return np.array([_sv_pair_2x2(m)[0] for m in batch])
+
+
+def _assert_same_bits(got, want):
+    # the bits, not ==, which holds for 0.0 against -0.0; a NaN's sign and
+    # payload are not part of the contract
     assert got.dtype == want.dtype == np.float64
-    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    nan = np.isnan(want)
+    np.testing.assert_array_equal(np.isnan(got), nan)
+    np.testing.assert_array_equal(got[~nan].view(np.int64),
+                                  want[~nan].view(np.int64))
+
+
+def _check_kernels(batch):
+    _assert_same_bits(_batch_lambda1(batch), _complex_lambda1_of(batch))
+    _assert_same_bits(_batch_sigma1(batch), _sv1_of(batch))
 
 
 def test_real_2x2_lambda1_has_the_complex_formula_bits():
-    # a real batch takes the float formula where its discriminant is >= 0
-    # and the complex one elsewhere; every row keeps the complex bits
+    # a real batch takes the real branch of _lambda1_rows, real roots or
+    # not, and every row keeps the bits of _lambda1 in complex arithmetic
     rng = np.random.default_rng(34)
     batch = rng.standard_normal((20_000, 2, 2))
     batch[:100] *= 1e-160         # tiny entries: tr**2 and det underflow
     batch[100:200] *= 1e-308      # subnormal halves
     batch[200:300, 0] = batch[200:300, 1]   # singular: det 0
+    batch[300:400] = [[1.0, 1.0], [0.0, 1.0]]  # unipotent: zero discriminant
+    batch[400:500] *= -0.0        # zeros of both signs
     tr = batch[:, 0, 0] + batch[:, 1, 1]
     det = batch[:, 0, 0] * batch[:, 1, 1] - batch[:, 0, 1] * batch[:, 1, 0]
     disc = tr * tr - 4.0 * det
     assert (disc >= 0).sum() > 1000 and (disc < 0).sum() > 1000
-    _assert_same_bits(batch)
-    _assert_same_bits(np.zeros((3, 2, 2)))
-    _assert_same_bits(np.zeros((0, 2, 2)))
+    _check_kernels(batch)
+    _check_kernels(batch.astype(np.complex128) * np.exp(0.3j))
+    _check_kernels(np.zeros((3, 2, 2)))
+    _check_kernels(np.zeros((0, 2, 2)))
 
 
 def test_jsr_ensemble_levels_keep_the_complex_formula_bits(monkeypatch):
-    # every level bochi_rhs reads on the shipped ensemble, seeds 0-7
+    # every level jsr_profile and bochi_rhs read on the shipped ensemble,
+    # seeds 0-7: its largest row and a stride sample of about 100 rows
+    # against the scalar forms (all 10^7 rows would take minutes)
     raw = json.loads((SCEN_DIR / "jsr-ensemble.json").read_text())
-    lambda1 = jsl._batch_lambda1
-    rows = []
+    rows = {"lambda": 0, "sigma": 0}
 
-    def checked(batch):
-        _assert_same_bits(batch, lambda1)
-        rows.append(len(batch))
-        return lambda1(batch)
+    def checked(kernel, scalar, key):
+        def read(batch):
+            out = kernel(batch)
+            sample = np.unique(np.r_[np.arange(0, len(batch), len(batch) // 100 + 1),
+                                     np.argmax(out)])
+            _assert_same_bits(out[sample], scalar(batch[sample]))
+            rows[key] += len(batch)
+            return out
+        return read
 
-    monkeypatch.setattr(jsl, "_batch_lambda1", checked)
+    monkeypatch.setattr(jsl, "_batch_lambda1",
+                        checked(_batch_lambda1, _complex_lambda1_of, "lambda"))
+    monkeypatch.setattr(jsl, "_batch_sigma1",
+                        checked(_batch_sigma1, _sv1_of, "sigma"))
     for seed in range(8):
         assert run(parse_scenario({**raw, "seed": seed})).verdict == "holds"
-    assert sum(rows) > 10_000_000
+    # 10 pairs per seed: 2 + 4 + ... + 2^8 rows in jsr_profile's levels,
+    # 2 + ... + 2^16 in bochi_rhs's
+    assert rows == {"lambda": 80 * (2**9 - 2 + 2**17 - 2), "sigma": 80 * (2**9 - 2)}
