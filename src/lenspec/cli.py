@@ -460,15 +460,14 @@ def build_model(spec: Optional[dict], rank: int):
 
 
 def _ensemble_pairs(ens: dict, seed: int) -> list:
-    """Seeded random unit-|det| matrix pairs for spectral checks; a draw
-    is tested for singularity before it is scaled, so no scale rejects all."""
+    """Seeded random unit-|det| matrix pairs for spectral checks."""
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(ens["count"]):
         pair = []
         while len(pair) < 2:
             m = rng.standard_normal((ens["dim"], ens["dim"]))
-            if abs(np.linalg.det(m)) >= 1e-12:
+            if abs(np.linalg.det(m)) >= 1e-12:   # unscaled: no scale rejects all
                 m = m * ens["scale"]
                 pair.append(m / abs(np.linalg.det(m)) ** (1.0 / ens["dim"]))
         out.append(pair)

@@ -371,14 +371,12 @@ def jsr_profile(mats, n_max: int = 8, *, cap: int = 2_000_000) -> JsrProfile:
     """
     if n_max < 1:
         raise InputError("n_max must be >= 1")
-    sig = {}
-    lam = {}
+    sig, lam = {}, {}
     for n, batch, ls in _matrix_levels(mats, n_max, cap):
         sig[n] = _log_max(_batch_sigma1(batch), ls) / n
         lam[n] = _log_max(_batch_lambda1(batch), ls) / n
     hi = min(sig.values())
-    lo = max(lam.values())
-    lo = min(lo, hi)
+    lo = min(max(lam.values()), hi)
     return JsrProfile(bracket=LengthBracket(lo, hi), sigma_terms=sig,
                       lambda_terms=lam)
 
@@ -403,13 +401,11 @@ def bochi_rhs(mats, *, cap: int = 2_000_000) -> BochiBound:
     mats = list(mats)
     constants = BochiConstants.for_dim(np.asarray(mats[0]).shape[0])
     lam = {}
-    j_used = 0
     try:
         for j, batch, ls in _matrix_levels(mats, constants.d_m, cap):
             lam[j] = _log_max(_batch_lambda1(batch), ls) / j
-            j_used = j
     except ResourceCapError:
         pass
     value = constants.c_m + max(lam.values())
-    return BochiBound(value=value, constants=constants, j_used=j_used,
-                      partial=j_used < constants.d_m)
+    return BochiBound(value=value, constants=constants, j_used=max(lam),
+                      partial=max(lam) < constants.d_m)

@@ -410,9 +410,11 @@ def _sv_pair_2x2(a: np.ndarray) -> tuple[float, float]:
     quadratic, which cancels catastrophically once s1 >> s2.
     """
     (p, q), (r, t) = a.tolist()
-    x, y, u, v = abs(p), abs(q), abs(r), abs(t)
+    try:
+        x, y, u, v, d = abs(p), abs(q), abs(r), abs(t), abs(p * t - q * r)
+    except OverflowError:   # the modulus of a finite complex past the float range
+        raise NumericError("matrix overflow in singular values") from None
     f = x * x + y * y + u * u + v * v
-    d = abs(p * t - q * r)
     g = math.sqrt(max(f * f - 4.0 * d * d, 0.0))
     s1 = math.sqrt(max((f + g) / 2.0, 0.0))
     return s1, (d / s1 if s1 > 0 else 0.0)
@@ -438,9 +440,9 @@ def _cmul(a, b) -> tuple:
     return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
 
 
-def _cmuladd(a, b, c, d, op=np.add) -> tuple:
-    """op(a*b, c*d) of values given as their parts, as Python's arithmetic."""
-    return tuple(map(op, _cmul(a, b), _cmul(c, d)))
+def _cmuladd(a, b, c, d) -> tuple:
+    """a*b + c*d of values given as their parts, as Python's arithmetic."""
+    return tuple(map(np.add, _cmul(a, b), _cmul(c, d)))
 
 
 def _lambda1_rows(tr, det) -> np.ndarray:
@@ -493,14 +495,19 @@ def _entries(batch: np.ndarray) -> list:
     return [split(batch[:, i, j]) for i in (0, 1) for j in (0, 1)]
 
 
+def _lambda1_entries(a, b, c, d) -> np.ndarray:
+    """_lambda1_rows of 2x2 matrices given by their entries' parts, the
+    trace and determinant formed as class_lambda1 forms them."""
+    return _lambda1_rows(tuple(map(np.add, a, d)),
+                         tuple(map(np.subtract, _cmul(a, d), _cmul(b, c))))
+
+
 def _batch_lambda1(batch: np.ndarray) -> np.ndarray:
-    """The spectral radius of each matrix of an (N, m, m) batch: for m = 2
-    _lambda1_rows of its traces and determinants, formed as class_lambda1
-    forms them, else LAPACK's largest |eigenvalue|."""
+    """The spectral radius of each matrix of an (N, m, m) batch:
+    _lambda1_entries for m = 2, else LAPACK's largest |eigenvalue|."""
     if batch.shape[-1] != 2:
         return np.max(np.abs(np.linalg.eigvals(batch)), axis=1)
-    a, b, c, d = _entries(batch)
-    return _lambda1_rows(tuple(map(np.add, a, d)), _cmuladd(a, d, b, c, np.subtract))
+    return _lambda1_entries(*_entries(batch))
 
 
 def _batch_sigma1(batch: np.ndarray) -> np.ndarray:
@@ -510,8 +517,9 @@ def _batch_sigma1(batch: np.ndarray) -> np.ndarray:
         return np.linalg.svd(batch, compute_uv=False)[:, 0]
     a, b, c, d = _entries(batch)
     with np.errstate(all="ignore"):
-        x, y, u, v, det = (np.hypot(*e) if len(e) == 2 else np.abs(*e) for e in
-                           (a, b, c, d, _cmuladd(a, d, b, c, np.subtract)))
+        det = tuple(map(np.subtract, _cmul(a, d), _cmul(b, c)))
+        x, y, u, v, det = (np.hypot(*e) if len(e) == 2 else np.abs(*e)
+                           for e in (a, b, c, d, det))
         f = x * x + y * y + u * u + v * v
         g = np.sqrt(np.maximum(f * f - 4.0 * det * det, 0.0))
         return np.sqrt(np.maximum((f + g) / 2.0, 0.0))
@@ -639,8 +647,7 @@ class MatrixActionModel(ActionModel):
                     e, f, g, h = (tuple(x[col[starts]] for x in m) for m in parts)
                     a, b, c, d = (_cmuladd(a, e, b, g), _cmuladd(a, f, b, h),
                                   _cmuladd(c, e, d, g), _cmuladd(c, f, d, h))
-                lam = _lambda1_rows(tuple(map(np.add, a, d)),
-                                    _cmuladd(a, d, b, c, np.subtract))
+                lam = _lambda1_entries(a, b, c, d)
                 out.append(np.repeat(lam, np.diff(starts, append=len(rows))))
         return _joined(out)
 
@@ -808,11 +815,9 @@ def class_lengths(model, codes: ClassCodes, k_max: int) -> ClassLengths:
 
 
 def _rotation(theta) -> np.ndarray:
-    if isinstance(theta, complex):
-        c, s = cmath.cos(theta), cmath.sin(theta)
-        return np.array([[c, -s], [s, c]], dtype=np.complex128)
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, -s], [s, c]], dtype=np.float64)
+    lib = cmath if isinstance(theta, complex) else math
+    c, s = lib.cos(theta), lib.sin(theta)
+    return np.array([[c, -s], [s, c]])
 
 
 @dataclass(frozen=True)

@@ -186,14 +186,6 @@ def _wide_draw(rng, n=20_000):
     return x
 
 
-def _same_bits(got, want):
-    # the bits, not ==, which holds for 0.0 against -0.0; a NaN's sign and
-    # payload are not part of the contract
-    nan = np.isnan(want)
-    return (np.array_equal(np.isnan(got), nan)
-            and np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64)))
-
-
 def test_lambda1_rows_is_lambda1_bit_for_bit():
     # traces and determinants over the whole float range, zeros of both
     # signs, infinities and exact zero discriminants; real input (parts
@@ -224,7 +216,8 @@ def test_lambda1_rows_is_lambda1_bit_for_bit():
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
 def test_batch_sigma1_is_sv_pair_bit_for_bit(dtype):
     # the array twin of _sv_pair_2x2's s1, on entries over the whole float
-    # range and on plain normal draws (where pow squares would differ)
+    # range and on plain normal draws (where pow squares would differ),
+    # each with zeros of both signs and unipotent rows
     rng = np.random.default_rng(35)
     wide = np.stack([_wide_draw(rng, 4 * 10_000) for _ in range(2)])
     normal = rng.standard_normal((2, 4 * 50_000))
@@ -232,18 +225,26 @@ def test_batch_sigma1_is_sv_pair_bit_for_bit(dtype):
         batch = re.astype(dtype).reshape(-1, 2, 2)
         if dtype is np.complex128:
             batch.imag = im.reshape(-1, 2, 2)
-        batch[:100] = 0.0
+            batch.imag[:100] = np.copysign(0.0, rng.standard_normal((100, 2, 2)))
+        batch.real[:100] = np.copysign(0.0, rng.standard_normal((100, 2, 2)))
         batch[100:200] = [[1.0, 1.0], [0.0, 1.0]]
-        keep, want = [], []
-        for i, m in enumerate(batch):
-            try:
-                want.append(_sv_pair_2x2(m)[0])
-            except OverflowError:   # abs() of a complex past the float range
-                continue
-            keep.append(i)
-        assert len(keep) > 9_000
-        got = spaces._batch_sigma1(batch[keep])
-        assert _same_bits(got, np.array(want))
+        got = spaces._batch_sigma1(batch)
+        want = np.array([_sv_pair_2x2(m)[0] for m in batch])
+        # the bits, not ==; abs() of a complex with a NaN part is CPython's
+        # one NaN, so a NaN's sign and payload are not part of the contract
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
+
+
+def test_sv_pair_overflow_is_a_numeric_error():
+    # finite parts whose modulus passes the float range: abs() overflows
+    big = np.array([[1.3e308 + 1.3e308j, 0.0], [0.0, 1.0]])
+    with pytest.raises(NumericError, match="overflow"):
+        _sv_pair_2x2(big)
+    model = MobiusModel([np.eye(2, dtype=complex)], dim=3)
+    with pytest.raises(NumericError, match="overflow"):
+        model.singular_gap(big)
 
 
 def test_linear_beyond_2x2_goes_class_by_class():
