@@ -371,7 +371,8 @@ def jsr_profile(mats, n_max: int = 8, *, cap: int = 2_000_000) -> JsrProfile:
     """
     if n_max < 1:
         raise InputError("n_max must be >= 1")
-    sig, lam = {}, {}
+    sig = {}
+    lam = {}
     for n, batch, ls in _matrix_levels(mats, n_max, cap):
         sig[n] = _log_max(_batch_sigma1(batch), ls) / n
         lam[n] = _log_max(_batch_lambda1(batch), ls) / n

@@ -569,7 +569,7 @@ class MatrixActionModel(ActionModel):
 
     def displacement_of_powers(self, g: Word, ks: Sequence[int]) -> dict:
         m = self.matrix(g)
-        out, cache = {}, {1: m}
+        cache = {1: m}
 
         def power(k: int) -> np.ndarray:
             if k in cache:
@@ -584,9 +584,7 @@ class MatrixActionModel(ActionModel):
             cache[k] = p
             return p
 
-        for k in ks:
-            out[k] = self._matrix_displacement(power(k))
-        return out
+        return {k: self._matrix_displacement(power(k)) for k in ks}
 
     def singular_gap(self, a: np.ndarray) -> float:
         if self.dim < 2:
