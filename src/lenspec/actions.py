@@ -34,8 +34,11 @@ __all__ = [
 ]
 
 
+_EXACT = (int, Fraction)  # the exact value types; no numpy scalar is one
+
+
 def _is_exact(x) -> bool:
-    return isinstance(x, (int, Fraction))
+    return isinstance(x, _EXACT)
 
 
 def exact_div(a, b):
@@ -52,9 +55,8 @@ class LengthBracket:
     """A certified interval [lo, hi] around a length-type quantity.
 
     ``exact`` means lo == hi by construction (not merely numerically).
-    ``certified`` False would mark a bracket whose hi is not a proven upper
-    bound.  No engine of the package returns one (an enumeration past its
-    cap raises ResourceCapError instead).
+    ``certified`` is always True and no verdict reads it: report.json
+    echoes it until the report names the basis of each value.
     Values may be int/Fraction (exact models) or float.
     """
 
@@ -65,7 +67,7 @@ class LengthBracket:
 
     def __post_init__(self):
         lo, hi = self.lo, self.hi
-        if lo is hi and type(lo) in (int, Fraction):
+        if lo is hi and type(lo) in _EXACT:
             # one exact value at both ends: every check below holds
             return
         if not (_is_exact(lo) and _is_exact(hi)):

@@ -12,11 +12,11 @@ cap, the window is flagged truncated and verdicts degrade accordingly).
 
 Verdict policy, uniformly (``verdict_of``): a bound "holds" when the
 compared bracket's hi sits below the bound, is "violated" only when the
-bracket's lo certifiedly exceeds the bound AND the check's data is
-certified (for a windowed bound: the bound-side window had full coverage,
-otherwise the computed bound may understate the true right-hand side),
-and is "inconclusive" in between.  Violations are therefore certified
-events.
+bracket's lo exceeds the bound, both are exact (int or Fraction: a float
+excess refutes nothing) and the check's data is not truncated (for a
+windowed bound: the bound-side window had full coverage, otherwise the
+computed bound may understate the true right-hand side), and is
+"inconclusive" in between.
 
 The windowed reports take an optional ``tables`` dict through which the
 reports of one run share their class tables (see ``_class_table``).
@@ -35,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .actions import LengthBracket, exact_div
+from .actions import _EXACT, LengthBracket, _is_exact, exact_div
 from .errors import InputError, ResourceCapError
 from .jsl import BochiConstants, joint_stable_profile
 from .spaces import MatrixActionModel, TreeModel, WordMetricModel, class_lengths
@@ -86,7 +86,6 @@ INCONCLUSIVE = "inconclusive"
 HYPOTHESIS_FAILED = "hypothesis-failed"
 
 _ZERO_EPS = 1e-9
-_EXACT = (int, Fraction)
 
 # the int fields of VerifierConfig (caps, radii, levels), each with its least value
 _INT_FIELDS = {"radius_cap": 1, "class_cap": 1, "k_max": 1, "window_k_max": 1,
@@ -496,17 +495,16 @@ class DilationReport:
     extras: dict = field(default_factory=dict)
 
 
-def verdict_of(lo, hi, bound_lo, bound_hi, tol: float, certified: bool) -> str:
+def verdict_of(lo, hi, bound_lo, bound_hi, tol: float, *, truncated: bool) -> str:
     """The verdict of a bracket [lo, hi] against a bound bracketed by
-    [bound_lo, bound_hi]: "holds" when hi <= bound_lo + tol, "violated"
-    only when the data is ``certified`` and lo > bound_hi + tol, and
-    "inconclusive" otherwise.  Every check that compares a bracket against
-    a bound decides by this rule."""
-    if hi <= bound_lo + tol:
+    [bound_lo, bound_hi]: "holds" when hi - bound_lo <= tol, "violated" only
+    when the data is not ``truncated``, lo and bound_hi are int or Fraction
+    and lo - bound_hi > tol, else "inconclusive".  Every check that compares
+    a bracket against a bound decides by this rule."""
+    if hi - bound_lo <= tol:
         return HOLDS
-    if certified and lo > bound_hi + tol:
-        return VIOLATED
-    return INCONCLUSIVE
+    exact_data = not truncated and _is_exact(lo) and _is_exact(bound_hi)
+    return VIOLATED if exact_data and lo - bound_hi > tol else INCONCLUSIVE
 
 
 def _coverage(ws: WindowSup) -> dict:
@@ -628,7 +626,7 @@ def cobounded_dilation_report(target, ref, config: Optional[VerifierConfig] = No
         bound, sup_term, den, pen_delta = _comparison_bound(
             ws.value.hi, L, D, delta, cfg.K, variant)
         verdict = verdict_of(ref_ws.value.lo, ref_ws.value.hi, bound, bound,
-                             cfg.tolerance, not ws.truncated)
+                             cfg.tolerance, truncated=ws.truncated)
         return f"cobounded-window[{variant}]", bound, verdict, {
             "D": D,
             "delta": delta,
@@ -664,7 +662,7 @@ def word_metric_dilation_report(target, gens, config: Optional[VerifierConfig] =
         pen = cfg.K * delta
         bound = ws.value.hi if pen == 0 else exact_div(pen, L) + ws.value.hi
         verdict = verdict_of(ref_ws.value.lo, ref_ws.value.hi, bound, bound,
-                             cfg.tolerance, not ws.truncated)
+                             cfg.tolerance, truncated=ws.truncated)
         return "word-metric-window", bound, verdict, {
             "delta": delta,
             "K": cfg.K,
@@ -705,7 +703,7 @@ def spectral_dilation_report(rho, tau, config: Optional[VerifierConfig] = None,
         den = L - slack
         bound = consts.c_m * consts.d_m / den + float(ws.value.hi) * L / den
         verdict = verdict_of(ref_ws.value.lo, ref_ws.value.hi, bound, bound,
-                             cfg.tolerance, not ws.truncated)
+                             cfg.tolerance, truncated=ws.truncated)
         return "spectral-window", bound, verdict, {
             "c_m": consts.c_m,
             "d_m": consts.d_m,
@@ -789,7 +787,7 @@ def ratio_envelope_report(target, ref, alpha_lo, beta_hi,
         else:
             bound = C0
             # a single certified escapee refutes, whatever the coverage
-            verdict = verdict_of(cert_c0, need_c0, C0, C0, tol, True)
+            verdict = verdict_of(cert_c0, need_c0, C0, C0, tol, truncated=False)
             if verdict == HOLDS and hyp_uncertified:
                 verdict = INCONCLUSIVE
         return "ratio-envelope", bound, verdict, {
@@ -842,7 +840,7 @@ def joint_vs_dilation_report(model, s, config: Optional[VerifierConfig] = None,
         bound_value=joint.hi,
         reference_dilation=ws.value,
         verdict=verdict_of(ws.value.lo, ws.value.hi, joint.lo, joint.hi,
-                           cfg.tolerance, not ws.truncated),
+                           cfg.tolerance, truncated=ws.truncated),
         diagnostics=list(ws.rows),
         coverage={"window": _coverage(ws)},
         extras={

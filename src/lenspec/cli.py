@@ -22,7 +22,7 @@ Model specs: {"kind": "tree", "weights": [...]},
 {"kind": "schottky", "stretch": l, "angles": [...], "use": "mobius"|"linear"},
 {"kind": "preset", "name": "cor17-default"} (expands at parse time).
 
-Exit codes: 0 clean, 1 certified violation, 2 input error, 3 resource cap.
+Exit codes: 0 clean, 1 violation on exact data, 2 input error, 3 resource cap.
 Report files never contain wall-clock data, so equal seeds give
 byte-identical reports.
 """
@@ -610,7 +610,7 @@ def _run_token(token: str, scen: Scenario, cfg: VerifierConfig,
                                K=cfg.K, frontier_cap=cfg.frontier_cap)
         half_lo, joint_hi = check.pair_half.lo, check.joint.hi
         verdict = verdict_of(half_lo, half_lo, joint_hi, joint_hi, tol,
-                             check.joint.certified)
+                             truncated=False)
         return {"reports": [_jsonable(check)], "verdict": verdict}
     if token == "bochi":
         instances = _spectral_instances(scen, target)
@@ -620,7 +620,7 @@ def _run_token(token: str, scen: Scenario, cfg: VerifierConfig,
             jsr = jsr_profile(mats, cfg.n_max, cap=cfg.frontier_cap).bracket
             rhs = bochi_rhs(mats, cap=cfg.frontier_cap)
             verdicts.append(verdict_of(jsr.lo, jsr.hi, rhs.value, rhs.value, tol,
-                                       not rhs.partial))
+                                       truncated=rhs.partial))
             rows.append({
                 "jsr": _jsonable(jsr),
                 "rhs": _num(rhs.value),

@@ -15,6 +15,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from lenspec.actions import AnosovCertificate, LengthBracket
@@ -151,43 +152,58 @@ def test_submultiplicativity_of_dilations():
 
 
 def test_verdict_requires_certified_refutation():
-    assert verdict_of(5, 6, 1, 1, 0, True) == VIOLATED
+    assert verdict_of(5, 6, 1, 1, 0, truncated=False) == VIOLATED
     # a truncated test window cannot certify: the bound underestimates
-    assert verdict_of(5, 6, 1, 1, 0, False) == INCONCLUSIVE
-    assert verdict_of(1, 2, 3, 3, 0, False) == HOLDS
+    assert verdict_of(5, 6, 1, 1, 0, truncated=True) == INCONCLUSIVE
+    assert verdict_of(1, 2, 3, 3, 0, truncated=True) == HOLDS
     # straddling reference bracket: neither side settles
-    assert verdict_of(1, 6, 3, 3, 0, True) == INCONCLUSIVE
+    assert verdict_of(1, 6, 3, 3, 0, truncated=False) == INCONCLUSIVE
 
 
-# (lo, hi, bound_lo, bound_hi, tol, certified) -> verdict
+# (lo, hi, bound_lo, bound_hi, tol, truncated) -> verdict
+_BIG = Fraction(3 * 10**8 + 1, 3)
 VERDICT_TABLE = [
-    ((1, 3, 3, 3, 0, True), HOLDS),             # hi == bound: holds
-    ((1, 3.5, 3, 3, 0.5, True), HOLDS),         # within tol
-    ((3, 4, 3, 3, 0, True), INCONCLUSIVE),      # lo == bound: not above it
-    ((4, 5, 3, 3, 0, True), VIOLATED),
-    ((4, 5, 3, 3, 1, True), INCONCLUSIVE),      # lo not above bound + tol
+    ((1, 3, 3, 3, 0, False), HOLDS),            # hi == bound: holds
+    ((1, 3.5, 3, 3, 0.5, False), HOLDS),        # within tol
+    ((3, 4, 3, 3, 0, False), INCONCLUSIVE),     # lo == bound: not above it
+    ((4, 5, 3, 3, 0, False), VIOLATED),
+    ((4, 5, 3, 3, 1, False), INCONCLUSIVE),     # lo not above bound + tol
     # a bracketed bound: holds against its lo, refuted only above its hi
-    ((1, 2, 2, 5, 0, True), HOLDS),
-    ((1, 3, 2, 5, 0, True), INCONCLUSIVE),
-    ((5, 6, 2, 5, 0, True), INCONCLUSIVE),
-    ((6, 7, 2, 5, 0, True), VIOLATED),
-    ((Fraction(7, 2), Fraction(7, 2), 3, 3, 0, True), VIOLATED),
+    ((1, 2, 2, 5, 0, False), HOLDS),
+    ((1, 3, 2, 5, 0, False), INCONCLUSIVE),
+    ((5, 6, 2, 5, 0, False), INCONCLUSIVE),
+    ((6, 7, 2, 5, 0, False), VIOLATED),
+    ((Fraction(7, 2), Fraction(7, 2), 3, 3, 0, False), VIOLATED),
+    # the float twins of the violated rows: a float lo or bound_hi, or a
+    # numpy int, is not exact
+    ((4.0, 5, 3, 3, 0, False), INCONCLUSIVE),
+    ((6, 7, 2, 5.0, 0, False), INCONCLUSIVE),
+    ((3.5, 3.5, 3, 3, 0, False), INCONCLUSIVE),
+    ((np.int64(4), 5, 3, 3, 0, False), INCONCLUSIVE),
+    # equal exact sides are subtracted before the float tol enters, where
+    # bound + tol would round below the bound
+    ((_BIG, _BIG, _BIG, _BIG, 1e-9, False), HOLDS),
+    ((10**17 + 1, 10**17 + 1, 10**17 + 1, 10**17 + 1, 1e-9, False), HOLDS),
 ]
 
 
 @pytest.mark.parametrize("args,verdict", VERDICT_TABLE,
                          ids=range(len(VERDICT_TABLE)))
 def test_verdict_of_table(args, verdict):
-    assert verdict_of(*args) == verdict
+    *values, truncated = args
+    assert verdict_of(*values, truncated=truncated) == verdict
 
 
 def test_uncertified_data_never_gives_violated():
-    values = [0, 1, 2, 2.5, 3, Fraction(7, 2), 4, 5]
+    # truncated data, a float lo or a float bound_hi never refutes
+    values = [0, 1, 2, 2.5, 3, Fraction(7, 2), 4, 4.0, 5]
     for lo, hi, b_lo, b_hi in itertools.product(values, repeat=4):
         if lo <= hi and b_lo <= b_hi:
-            for tol in (0, 0.5):
-                assert verdict_of(lo, hi, b_lo, b_hi, tol, False) == (
-                    HOLDS if hi <= b_lo + tol else INCONCLUSIVE)
+            for tol, truncated in itertools.product((0, 0.5), (True, False)):
+                if truncated or float in (type(lo), type(b_hi)):
+                    assert verdict_of(lo, hi, b_lo, b_hi, tol,
+                                      truncated=truncated) == (
+                        HOLDS if hi <= b_lo + tol else INCONCLUSIVE)
 
 
 # ------------------------------------------------------ class table reuse

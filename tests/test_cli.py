@@ -448,6 +448,22 @@ def test_main_verify_token_args_override(capsys):
     assert [e["token"] for e in body["entries"]] == ["bf"]
 
 
+def test_main_float_tie_is_inconclusive(tmp_path, capsys):
+    # the window sup at 2L is l[B] and the reference sup is l[BBBBB]/5:
+    # equal lengths whose floats differ by one ulp, which refutes nothing
+    p = tmp_path / "ulp.json"
+    p.write_text(json.dumps({
+        "name": "ulp", "target": {"kind": "preset", "name": "cor17-default"},
+        "reference": {"kind": "word-metric", "elements": ["a", "A", "b", "B"]},
+        "verify": ["thm15"], "config": {"L_values": [2], "K": 0,
+                                        "tolerance": 0}}))
+    code = main(["verify", "--scenario", str(p)])
+    report = json.loads(capsys.readouterr().out)["entries"][0]["reports"][0]
+    assert report["reference_dilation"]["lo"] > report["bound_value"]
+    assert report["verdict"] == "inconclusive"
+    assert code == 0
+
+
 def test_main_bad_token_exits_2(capsys):
     code = main(["verify", "thm99",
                  "--scenario", str(SCEN_DIR / "bf-tree.json")])
@@ -642,16 +658,18 @@ def test_main_jsr_subcommand(capsys):
 
 def test_main_jsr_verdict_is_the_worst_over_instances(tmp_path, capsys,
                                                       monkeypatch):
-    # a violated instance followed by an inconclusive one stays violated
+    # a violated instance followed by an inconclusive one stays violated;
+    # exact brackets, since float data never refutes
     from lenspec.actions import LengthBracket
 
-    brackets = iter([LengthBracket(5.0, 6.0), LengthBracket(1.0, 6.0)])
+    brackets = iter([LengthBracket(Fraction(5), Fraction(6)),
+                     LengthBracket(Fraction(1), Fraction(6))])
     monkeypatch.setattr(cli, "jsr_profile",
                         lambda mats, n_max, cap: SimpleNamespace(
                             bracket=next(brackets)))
     monkeypatch.setattr(cli, "bochi_rhs",
                         lambda mats, cap: SimpleNamespace(
-                            value=2.0, j_used=16, partial=False))
+                            value=2, j_used=16, partial=False))
     p = tmp_path / "jsr.json"
     p.write_text(json.dumps({"ensemble": {"count": 2, "dim": 2},
                              "verify": ["bochi"]}))

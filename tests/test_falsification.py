@@ -42,6 +42,17 @@ the weight sum of its cyclically reduced word, so a window sup flagged
 exact must be an int or a Fraction equal to the largest Fraction
 l_tgt / l_ref over the classes of the window's radius with l_ref <= L,
 and each row ratio flagged exact must equal its class's Fraction ratio.
+
+Violations.  A ``violated`` verdict must be confirmed in exact arithmetic
+on the rows that decide it.  A real Schottky pair's lengths are logs of
+eigenvalues of float matrices, which no exact arithmetic here reproduces,
+so thm13, thm15, cor17 and cor14 on such a pair against the word metric
+of a A b B must never read ``violated``.  K and tolerance are 0, where a
+bound can tie the reference dilation: thm15's bound is then the window
+sup at 2L, which the reference sup at 4L can meet with a float one ulp
+above it (l[B] against l[B^5]/5).  cor14 takes the band [0, thm13's
+window sup at L] with C0 0, so a class past the window that leaves the
+band by a float excess is a candidate refutation.
 """
 
 import itertools
@@ -55,7 +66,9 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from lenspec.actions import exact_div
-from lenspec.bounds import VerifierConfig, dilation_window, displacement_ball
+from lenspec.bounds import (VIOLATED, VerifierConfig, cobounded_dilation_report,
+                            dilation_window, displacement_ball,
+                            ratio_envelope_report, word_metric_dilation_report)
 from lenspec.cli import _ensemble_pairs
 from lenspec.jsl import joint_stable_profile, jsr_profile
 from lenspec.spaces import (TreeModel, WordMetricModel, build_schottky,
@@ -252,3 +265,33 @@ def test_exact_window_flags_hold_the_fraction_sup(case):
         if row.ratio.exact:
             assert _is_exact(row.ratio.lo), row
             assert row.ratio.lo == ratios[cyclic_reduce(row.rep).rep], row
+
+
+_UNIT = WordMetricModel(GeneratingSet.standard(2))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.floats(2.5, 6.0), st.lists(st.floats(0.0, 3.0), min_size=2, max_size=2),
+       st.sampled_from(["mobius", "linear"]))
+@example(3.516, [0.568, 0.56], "mobius")
+@example(3.516, [0.568, 0.56], "linear")
+def test_matrix_pairs_never_read_violated(stretch, angles, use):
+    with warnings.catch_warnings():
+        # a failed certificate only warns; no window here reads it
+        warnings.simplefilter("ignore")
+        target = getattr(build_schottky(stretch, angles), use)
+    tables = {}
+    # thm15 at L 2 and 3; thm13 and cor17 need L > 6D = 3
+    cfg15 = VerifierConfig(L_values=(2, 3), K=0, tolerance=0)
+    cfg13 = VerifierConfig(L_values=(4, 5), K=0, tolerance=0)
+    reports = word_metric_dilation_report(target, _UNIT, cfg15, tables=tables)
+    for variant in ("tight", "plain-log4"):
+        reports += cobounded_dilation_report(target, _UNIT, cfg13, variant,
+                                             tables=tables)
+    for r in reports[2:4]:  # thm13's windows
+        cfg = VerifierConfig(L_values=(r.window_L,), K=0, tolerance=0)
+        reports += ratio_envelope_report(target, _UNIT, 0, r.window_sup.hi, cfg,
+                                         C0=0, tables=tables)
+    for r in reports:
+        assert r.verdict != VIOLATED, (r.name, r.window_L, r.bound_value,
+                                       r.reference_dilation, r.extras)

@@ -8,7 +8,8 @@ to the same rule.  A ``from ... import`` of a
 name with a leading underscore from another module of the package must
 come from ``words`` (the word arithmetic every layer builds on) or be
 listed in ``PRIVATE_IMPORTS``.  A module-level private definition
-(function, class or constant) must be read somewhere in the package.
+(function, class or constant) must be read somewhere in the package.  Only
+the verdict rule (``VERDICT_OWNERS``) may give a verdict of "violated".
 """
 
 import ast
@@ -62,8 +63,11 @@ def test_the_scan_sees_an_unused_import():
 # import from another besides those of words.  The CLI's classes.csv reads
 # the class tables of the run's reports.  The JSR levels read sigma_1 and
 # lambda_1 through the 2x2 closed forms the class lengths and the gap
-# certificate use, so that one formula owns each quantity.
+# certificate use, so that one formula owns each quantity.  The bounds
+# read exact values by the one type test that brackets use.
 PRIVATE_IMPORTS = {
+    ("bounds", "actions", "_EXACT"),
+    ("bounds", "actions", "_is_exact"),
     ("cli", "bounds", "_class_table"),
     ("jsl", "spaces", "_batch_lambda1"),
     ("jsl", "spaces", "_batch_sigma1"),
@@ -145,6 +149,64 @@ def test_the_scan_sees_an_orphaned_private_definition():
              "b": ast.parse("def _h():\n    pass\nprint(_K)\n")}
     assert _orphans(trees) == [("a", 2, "_L"), ("a", 3, "_M"), ("a", 4, "_f"),
                                ("a", 8, "_C")]
+
+
+# the functions that may give a verdict of "violated": the one rule every
+# comparison of a bracket with a bound decides by, and the tree sandwich,
+# whose exact case compares ints
+VERDICT_OWNERS = {"verdict_of", "displacement_sandwich_report"}
+
+
+def _outside_comparisons(node):
+    """``node`` and its subexpressions, less those inside a comparison."""
+    if not isinstance(node, ast.Compare):
+        yield node
+        for child in ast.iter_child_nodes(node):
+            yield from _outside_comparisons(child)
+
+
+def _violated_writers(tree: ast.Module) -> list:
+    """(line, function) of every return, assignment or conditional
+    expression in a function outside ``VERDICT_OWNERS`` whose value names
+    VIOLATED or the literal "violated" other than inside a comparison.  A
+    nested function's hit counts for it and for each function around it."""
+    out = set()
+    for fn in ast.walk(tree):
+        if (not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                or fn.name in VERDICT_OWNERS):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.IfExp):
+                values = [node.body, node.orelse]
+            elif isinstance(node, (ast.Return, ast.Assign, ast.AnnAssign,
+                                   ast.AugAssign)) and node.value:
+                values = [node.value]
+            else:
+                continue
+            for v in values:
+                out.update((n.lineno, fn.name) for n in _outside_comparisons(v)
+                           if (isinstance(n, ast.Name) and n.id == "VIOLATED")
+                           or (isinstance(n, ast.Constant)
+                               and n.value == "violated"))
+    return sorted(out)
+
+
+def test_only_the_verdict_rule_gives_violated():
+    assert [] == [(p.name, *hit) for p in sorted(SRC.glob("*.py"))
+                  for hit in _violated_writers(ast.parse(p.read_text()))]
+
+
+def test_the_scan_sees_a_violated_verdict():
+    tree = ast.parse("RANK = {VIOLATED: 3}\n"
+                     "def f(x):\n    return VIOLATED\n"
+                     "def g(x):\n    v = {'verdict': 'violated'}\n"
+                     "    print(HOLDS if x else VIOLATED)\n"
+                     "    return 1 if x == VIOLATED else 0\n"
+                     "def verdict_of(x):\n    return VIOLATED\n"
+                     "def h(x):\n    def k():\n        return VIOLATED\n"
+                     "    return 'violated' in x\n")
+    assert _violated_writers(tree) == [(3, "f"), (5, "g"), (6, "g"),
+                                       (12, "h"), (12, "k")]
 
 
 def _exported(module) -> set:

@@ -157,9 +157,11 @@ def _oracle_envelope(table, L, truncated, alpha_lo, beta_hi, C0, cfg):
         verdict = HYPOTHESIS_FAILED
     elif C0 is None:
         verdict = HOLDS if not hyp_uncertified else INCONCLUSIVE
-    elif need_c0 <= C0 + tol:
+    elif need_c0 - C0 <= tol:
         verdict = HOLDS if not hyp_uncertified else INCONCLUSIVE
-    elif cert_c0 > C0 + tol:
+    elif cert_c0 - C0 > tol and all(isinstance(v, (int, Fraction))
+                                    for v in (cert_c0, C0)):
+        # only exact data refutes
         verdict = VIOLATED
     else:
         verdict = INCONCLUSIVE
