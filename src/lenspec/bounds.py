@@ -188,8 +188,10 @@ class ClassTable:
     read in one direction: the ratios are target over reference.
 
     ``ref`` and ``tgt`` are the ClassLengths of the reference and of the
-    target over the same ``classes`` (a ClassCodes, from one walk);
-    ``reps`` is their letter tuples, built on first use.  ``lo`` =
+    target over the same ``classes`` (a ClassCodes, from one walk: with
+    ``tables``, maybe an earlier table's, as may the lengths of a model
+    evaluated there, see ``_walked``; a model on both sides is evaluated
+    once); ``reps`` is their letter tuples, built on first use.  ``lo`` =
     tgt.lo/ref.hi and ``hi`` = tgt.hi/ref.lo are the ratio columns (nan
     where the reference lo is <= _ZERO_EPS), and ``positive`` masks the
     classes whose reference lo is > _ZERO_EPS.  Every column entry is the
@@ -212,15 +214,20 @@ class ClassTable:
     """
 
     def __init__(self, target, ref, radius: int,
-                 config: Optional[VerifierConfig] = None):
+                 config: Optional[VerifierConfig] = None,
+                 tables: Optional[dict] = None):
         if target.rank != ref.rank:
             raise InputError(
                 f"rank mismatch: target {target.rank}, reference {ref.rank}"
             )
         cfg = config or VerifierConfig()
-        classes = ClassCodes.walk(target.rank, int(radius), cfg.class_cap)
-        self.ref = class_lengths(ref, classes, cfg.window_k_max)
-        self.tgt = class_lengths(target, classes, cfg.window_k_max)
+        classes, sides = _walked(target.rank, int(radius), cfg, tables)
+        for model in (ref, target):
+            if id(model) not in sides:
+                sides[id(model)] = class_lengths(model, classes,
+                                                 cfg.window_k_max)
+        self.ref = sides[id(ref)].over(classes)
+        self.tgt = sides[id(target)].over(classes)
         self._divide()
 
     def _divide(self):
@@ -273,7 +280,8 @@ class ClassTable:
         if radius == self.radius:
             return self
         cut = copy.copy(self)
-        cut.ref, cut.tgt = self.ref.prefix(radius), self.tgt.prefix(radius)
+        classes = self.classes.prefix(radius)
+        cut.ref, cut.tgt = self.ref.over(classes), self.tgt.over(classes)
         k = len(cut.ref)
         cut.positive, cut.lo, cut.hi = self.positive[:k], self.lo[:k], self.hi[:k]
         return cut
@@ -300,11 +308,24 @@ class ClassTable:
         ratio columns of classes.csv), two lists: "" off ``positive``,
         else the exact_div value.  Without ``exact_pairs`` that value is
         the float of the ratio column, and the two lists are one when both
-        sides are points; otherwise it is ratio_lo and ratio_hi."""
+        sides are points; otherwise it is ratio_lo and ratio_hi, found
+        once per distinct (tgt.lo, ref.hi, tgt.hi, ref.lo) of the rows.
+        Unless both sides hold ints and Fractions alone, each value is
+        keyed by ``_typed``; with those alone the values are the key, since
+        equal exact values give one Fraction, and one text."""
         if self.exact_pairs:
             lo, hi = [""] * (stop - start), [""] * (stop - start)
+            tl, rh, th, rl = self.tgt.lo, self.ref.hi, self.tgt.hi, self.ref.lo
+            typed = not (self.ref.kinds | self.tgt.kinds) <= {int, Fraction}
+            ratios = {}
             for i in np.flatnonzero(self.positive[start:stop]).tolist():
-                lo[i], hi[i] = self.ratio_lo(start + i), self.ratio_hi(start + i)
+                j = start + i
+                key = tl[j], rh[j], th[j], rl[j]
+                if typed:
+                    key = tuple(map(_typed, key))
+                if key not in ratios:
+                    ratios[key] = self.ratio_lo(j), self.ratio_hi(j)
+                lo[i], hi[i] = ratios[key]
             return lo, hi
         lo = self.lo[start:stop].tolist()
         hi = lo if self.tgt.point and self.ref.point else self.hi[start:stop].tolist()
@@ -312,16 +333,24 @@ class ClassTable:
             lo[i] = hi[i] = ""
         return lo, hi
 
-    def ratio_floats(self, start: int, stop: int) -> tuple:
-        """What fixes the two lists of ratio_cells: without ``exact_pairs``
-        their cells are the floats of the ratio columns, "" where ``blank``
-        (off ``positive``), given as (floats, blank, {float}); with it,
-        (None, None)."""
+    def ratio_floats(self) -> tuple:
+        """What fixes the two lists of ratio_cells over the whole table:
+        without ``exact_pairs`` their cells are the floats of the ratio
+        columns, "" where ``blank`` (off ``positive``), given as (floats,
+        blank, {float}); with it, (None, None)."""
         if self.exact_pairs:
             return None, None
-        blank, kinds = ~self.positive[start:stop], frozenset({float})
-        return ((self.lo[start:stop], blank, kinds),
-                (self.hi[start:stop], blank, kinds))
+        blank, kinds = ~self.positive, frozenset({float})
+        return (self.lo, blank, kinds), (self.hi, blank, kinds)
+
+
+def _typed(v) -> tuple:
+    """v as a key on which exact_div's value and its text depend alone: with
+    its type, and a float with its sign, since 1 and 1.0, or 0.0 and -0.0,
+    are equal values with different quotients' texts."""
+    if isinstance(v, float):
+        return float, v, math.copysign(1.0, v)
+    return type(v), v
 
 
 def _above(f, exact, x, floats_exact: bool = False):
@@ -377,21 +406,49 @@ def _first_max(cands, value_of, ties_exact: bool = False):
     return best, at
 
 
+def _walked(rank: int, radius: int, cfg: VerifierConfig,
+            tables: Optional[dict] = None) -> tuple:
+    """(classes, sides) of a new table of ``rank`` up to ``radius``.
+
+    Every table of ``tables`` (see ``_class_table``) with that rank, cfg's
+    class_cap and window_k_max and a radius >= ``radius`` holds the classes
+    of one walk, so ``classes`` is the prefix of the first such table's,
+    and ``sides`` maps the id of each model that is a side of such a table
+    to its ClassLengths, to be read over ``classes`` by
+    ``ClassLengths.over``.  With no such table, ``classes`` is a new walk
+    and ``sides`` is empty.
+    """
+    classes, sides = None, {}
+    for (target, ref, cap, k_max), table in (tables or {}).items():
+        if ((cap, k_max) == (cfg.class_cap, cfg.window_k_max)
+                and table.classes.rank == rank and table.radius >= radius):
+            if classes is None:
+                classes = table.classes.prefix(radius)
+            sides.setdefault(id(target), table.tgt)
+            sides.setdefault(id(ref), table.ref)
+    if classes is None:
+        classes = ClassCodes.walk(rank, radius, cfg.class_cap)
+    return classes, sides
+
+
 def _class_table(target, ref, radius: int, cfg: VerifierConfig,
                 tables: Optional[dict] = None) -> ClassTable:
     """The class table of (target, ref) up to radius, reusing ``tables``.
 
     ``tables`` maps (target, ref, class_cap, window_k_max) to the largest
     table built so far for that pair; a smaller radius gets a prefix of it.
-    The caller owns the dict and decides how long tables live; without one
-    every call builds a fresh table.
+    A new table takes its classes, and the lengths of a model that is
+    already a side, from the tables of its rank that reach its radius
+    (``_walked``), so a run walks the classes of a rank once while its
+    radius does not grow.  The caller owns the dict and decides how long
+    tables live; without one every call builds a fresh table.
     """
     radius = int(radius)
     key = (target, ref, cfg.class_cap, cfg.window_k_max)
     table = tables.get(key) if tables is not None else None
     if table is not None and table.radius >= radius:
         return table.prefix(radius)
-    table = ClassTable(target, ref, radius, config=cfg)
+    table = ClassTable(target, ref, radius, config=cfg, tables=tables)
     if tables is not None:
         tables[key] = table
     return table

@@ -721,51 +721,53 @@ def _number_columns(classes, start: int, stop: int) -> list:
             *classes.ratio_cells(start, stop)]
 
 
-def _column_sources(classes, start: int, stop: int) -> list:
+def _column_sources(classes) -> list:
     """What fixes the text of each of the six columns of
-    ``_number_columns``, rows start..stop-1, as (floats, blank, kinds): the
-    float64 column of its cells, the mask of its "" cells (or None) and
-    the set of its cells' types.  A side's columns are its ``lo_f`` and
-    ``hi_f`` with its ``kinds``, ratio columns the table's
+    ``_number_columns`` over the whole listing, as (floats, blank, kinds):
+    the float64 column of its cells, the mask of its "" cells (or None)
+    and the set of its cells' types.  A side's columns are its ``lo_f``
+    and ``hi_f`` with its ``kinds``, ratio columns the table's
     ``ratio_floats``; a blank column holds text alone.  None for exact
     ratio cells."""
-    rows = slice(start, stop)
     text = (None, None, frozenset({str}))
     if isinstance(classes, ClassLengths):
-        return [text, text, (classes.lo_f[rows], None, classes.kinds),
-                (classes.hi_f[rows], None, classes.kinds), text, text]
-    return [*((f[rows], None, s.kinds) for s in (classes.ref, classes.tgt)
+        return [text, text, (classes.lo_f, None, classes.kinds),
+                (classes.hi_f, None, classes.kinds), text, text]
+    return [*((f, None, s.kinds) for s in (classes.ref, classes.tgt)
               for f in (s.lo_f, s.hi_f)),
-            *classes.ratio_floats(start, stop)]
+            *classes.ratio_floats()]
 
 
-def _field_bytes(cells, source) -> np.ndarray:
-    """The fields of a classes.csv column of ``cells``, with its
-    ``_column_sources`` entry ``source``: an (N, W) uint8 array, row i the
-    ASCII bytes of str(cells[i]), NUL-padded.
+def _field_bytes(source, n: int):
+    """The fields of a classes.csv column of n rows, with its
+    ``_column_sources`` entry ``source``, as (texts, index): texts an
+    (K, W) uint8 array, each row the ASCII bytes of one text, NUL-padded,
+    and row i's field texts[index[i]].  None for a column whose chunks
+    render str() of each cell.
 
     A column whose cells are all floats, or all ints below 2**53 in size
-    (its "" cells aside), is a table of texts and a per-row index: its
-    float64 bits fix each cell's str(), a float's repr or an int's digits,
-    so each distinct value is rendered once and gathered by np.unique's
-    inverse.  The key is the type and the bits, never the value: 1 and
-    1.0, or 0.0 and -0.0, are equal values with different texts.  A
-    column of "" is zero bytes wide; any other column (Fractions, mixed
-    types, exact ratios) renders str() of each cell.
+    (its "" cells aside), has one table of texts for the whole listing:
+    its float64 bits fix each cell's str(), a float's repr or an int's
+    digits, so each distinct value is rendered once, and np.unique's
+    inverse is the index.  The key is the type and the bits, never the
+    value: 1 and 1.0, or 0.0 and -0.0, are equal values with different
+    texts.  A column of "" is one text zero bytes wide; any other column
+    (Fractions, mixed types, ints past 2**53, exact ratios) is None.
     """
     floats, blank, kinds = source or (None, None, None)
     if kinds == {str}:
-        return np.zeros((len(cells), 0), np.uint8)
+        return np.zeros((1, 0), np.uint8), np.broadcast_to(np.intp(0), (n,))
     if floats is None or not (kinds == {float} or kinds == {int}
                               and np.all(np.abs(floats) < 2.0 ** 53)):
-        return _ascii_rows(list(map(str, cells)))
+        return None
     keys, inv = np.unique(floats.view(np.int64), return_inverse=True)
     values = keys.view(np.float64).tolist()
     texts = list(map(str, values if kinds == {float} else map(int, values)))
     if blank is not None:
         inv[blank] = len(texts)
         texts.append("")
-    return _ascii_rows(texts)[inv]
+    # the index outlives every chunk: kept in the least type that holds it
+    return _ascii_rows(texts), inv.astype(np.min_scalar_type(len(texts)))
 
 
 def _csv_chunks(classes):
@@ -776,22 +778,35 @@ def _csv_chunks(classes):
     (``ClassCodes.name_bytes``), then "," and the field of each column,
     then a newline, every part NUL-padded.  A run of adjacent columns of
     ``_number_columns`` that are one list (a point's lo and hi, the ratio
-    cells of two points, blank columns) is rendered once by
-    ``_field_bytes`` and laid out once per column.  No cell or name holds
-    a NUL, a comma, a quote or a newline, so dropping the NULs leaves the
-    rows.  Each cell's text is str() of the cell (a float's repr), so no
-    byte depends on which way ``_field_bytes`` took.
+    cells of two points, blank columns) has one source: its texts are
+    made once for the whole listing by ``_field_bytes``, each chunk
+    gathers its rows' fields from them, or else renders its cells, and
+    lays them out once per column.  No cell or name holds a NUL, a comma,
+    a quote or a newline, so dropping the NULs leaves the rows.  Each
+    cell's text is str() of the cell (a float's repr), so no byte depends
+    on which way ``_field_bytes`` took.
     """
     codes, n = classes.classes, len(classes)
+    sources = _column_sources(classes)
+    # (first column, width, texts) of each run; the runs of one listing
+    # are the same in every chunk, so a chunk of no rows shows them
+    runs, col = [], 0
+    for _, run in groupby(_number_columns(classes, 0, 0), key=id):
+        width = len(list(run))
+        runs.append((col, width, _field_bytes(sources[col], n)))
+        col += width
     for start in range(0, n, ROW_CHUNK):
         stop = min(n, start + ROW_CHUNK)
         comma = np.full((stop - start, 1), ord(","), np.uint8)
         parts = [codes.name_bytes(start, stop)]
-        columns = zip(_number_columns(classes, start, stop),
-                      _column_sources(classes, start, stop))
-        for _, run in groupby(columns, key=lambda c: id(c[0])):
-            run = list(run)
-            parts += [comma, _field_bytes(*run[0])] * len(run)
+        cells = None
+        for col, width, field in runs:
+            if field is None:
+                cells = cells or _number_columns(classes, start, stop)
+                field = _ascii_rows(list(map(str, cells[col])))
+            else:
+                field = np.take(field[0], field[1][start:stop], axis=0)
+            parts += [comma, field] * width
         parts.append(np.full((stop - start, 1), ord("\n"), np.uint8))
         rows = np.concatenate(parts, axis=1).ravel()
         yield rows[rows != 0].tobytes().decode("ascii")

@@ -94,9 +94,14 @@ class ClassLengths:
         return lo, lo if self.point else self.hi[start:stop]
 
     def prefix(self, radius: int) -> "ClassLengths":
-        """The classes of length <= radius: self at this radius, else list
-        slices and column views, one of each when point."""
-        classes = self.classes.prefix(radius)
+        """The classes of length <= radius (see ``over``)."""
+        return self.over(self.classes.prefix(radius))
+
+    def over(self, classes: ClassCodes) -> "ClassLengths":
+        """These lengths over ``classes``, a prefix of this side's classes
+        (so both sides of a table can hold one ClassCodes): self when they
+        are its classes, else list slices and column views, one of each
+        when point."""
         if classes is self.classes:
             return self
         k = len(classes)
@@ -654,21 +659,18 @@ class MatrixActionModel(ActionModel):
         is unused.  None beyond 2x2 matrices, which are evaluated class
         by class.
 
-        A length is _length of the float lambda1, so within each ROW_CHUNK
-        rows one length is built per distinct lambda1 (keyed by its bits)
-        and shared by the rows that hold it.
+        A length is _length of the float lambda1, so one length is built
+        per distinct lambda1 of the whole table (keyed by its bits) and
+        shared by the rows that hold it.
         """
         if self.dim != 2:
             return None
         lam = self.class_lambda1_column(codes)
-        vals, floats = [], []
-        for start in range(0, len(lam), ROW_CHUNK):
-            keys, inv = np.unique(lam[start:start + ROW_CHUNK].view(np.int64),
-                                  return_inverse=True)
-            lengths = list(map(self._length, keys.view(np.float64).tolist()))
-            vals += map(lengths.__getitem__, inv.tolist())
-            floats.append(np.array(lengths)[inv])
-        floats = _joined(floats)
+        keys, inv = np.unique(lam.view(np.int64), return_inverse=True)
+        distinct = keys.view(np.float64).tolist()
+        lengths = np.array(list(map(self._length, distinct)), dtype=object)
+        vals = lengths[inv].tolist()
+        floats = lengths.astype(np.float64)[inv]
         # _length returns a float
         return ClassLengths(codes, vals, vals, floats, floats,
                             frozenset({float} if vals else ()))

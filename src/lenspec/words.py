@@ -295,6 +295,7 @@ def enumerate_ball(rank: int, radius: int, cap: int = 2_000_000) -> list[Word]:
 
 # rows of a code block handled together: bounds the temporaries of the
 # per-block evaluations, and the byte matrix of each classes.csv chunk
+# (whose texts come from tables made once per listing, not per chunk)
 ROW_CHUNK = 8192
 
 

@@ -438,6 +438,102 @@ def test_tables_of_one_rank_hold_the_same_classes():
     assert other.reps == ClassTable(TreeModel(2), TreeModel(2, [3, 1]), 6).reps
 
 
+def test_a_new_table_reads_the_walk_and_lengths_of_the_run(monkeypatch):
+    cfg, tables = VerifierConfig(), {}
+    target, tree = TreeModel(2, [1, 2]), TreeModel(2)
+    first = _class_table(target, tree, 8, cfg, tables)
+    walks, evaluated = [], []
+    walk, real = ClassCodes.walk.__func__, bounds.class_lengths
+
+    def counting_walk(cls, rank, radius, *args, **kwargs):
+        walks.append(radius)
+        return walk(cls, rank, radius, *args, **kwargs)
+
+    def counting(model, codes, k_max):
+        evaluated.append(model)
+        return real(model, codes, k_max)
+
+    monkeypatch.setattr(ClassCodes, "walk", classmethod(counting_walk))
+    monkeypatch.setattr(bounds, "class_lengths", counting)
+    metric = _WORD_METRICS[0]
+    other = _class_table(target, metric, 6, cfg, tables)
+    # the classes and the target's lengths are the first table's, cut
+    assert walks == [] and evaluated == [metric]
+    assert other.ref.classes is other.tgt.classes is other.classes
+    assert other.tgt.lo == first.tgt.lo[:len(other)]
+    assert np.shares_memory(other.tgt.lo_f, first.tgt.lo_f)
+    fresh = ClassTable(target, metric, 6)
+    assert other.reps == fresh.reps
+    for name in ("lo", "hi"):
+        assert np.array_equal(getattr(other, name), getattr(fresh, name),
+                              equal_nan=True)
+    # the tables keep their key, one per pair
+    assert set(tables.values()) == {first, other}
+    # past every radius, or under another cap, a table walks afresh
+    walks.clear()
+    evaluated.clear()
+    _class_table(tree, metric, 9, cfg, tables)
+    _class_table(tree, target, 6, VerifierConfig(class_cap=10 ** 6), tables)
+    assert walks == [9, 6] and evaluated == [metric, tree, target, tree]
+
+
+def test_a_model_on_both_sides_is_evaluated_once(monkeypatch):
+    evaluated = []
+    real = bounds.class_lengths
+
+    def counting(model, codes, k_max):
+        evaluated.append(model)
+        return real(model, codes, k_max)
+
+    monkeypatch.setattr(bounds, "class_lengths", counting)
+    model = TreeModel(2, [1, 2])
+    table = ClassTable(model, model, 5)
+    assert evaluated == [model] and table.ref is table.tgt
+    assert np.all(table.lo[table.positive] == 1)
+
+
+def test_exact_ratio_cells_divide_once_per_distinct_pair(monkeypatch):
+    table = ClassTable(TreeModel(2, [1, 2]), TreeModel(2, [3, 1]), 8)
+    assert table.exact_pairs
+    want = [(table.ratio_lo(i), table.ratio_hi(i)) for i in range(len(table))]
+    divided = []
+    real = bounds.exact_div
+
+    def counting(a, b):
+        divided.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(bounds, "exact_div", counting)
+    lo, hi = table.ratio_cells(0, len(table))
+    assert list(zip(lo, hi)) == want
+    pairs = set(zip(table.tgt.lo, table.ref.hi, table.tgt.hi, table.ref.lo))
+    assert len(divided) == 2 * len(pairs) < len(table)
+
+
+def test_matrix_lengths_are_built_once_per_distinct_lambda1(monkeypatch):
+    # radius 11: the last length block spans row chunks, and a lambda1
+    # that recurs in several of them still gets one _length
+    model = _MATRIX_MODELS[0]
+    codes = ClassCodes.walk(2, 11)
+    lam = model.class_lambda1_column(codes)
+    bits = lam.view(np.int64)
+    per_chunk = sum(len(np.unique(bits[i:i + ROW_CHUNK]))
+                    for i in range(0, len(bits), ROW_CHUNK))
+    assert len(np.unique(bits)) < per_chunk
+    calls = []
+    real = model._length
+
+    def counting(lam):
+        calls.append(lam)
+        return real(lam)
+
+    monkeypatch.setattr(model, "_length", counting)
+    lengths = model.class_brackets(codes, 2)
+    assert len(calls) == len(np.unique(bits))
+    assert lengths.lo == list(map(real, lam.tolist()))
+    assert np.array_equal(lengths.lo_f, np.array(lengths.lo))
+
+
 # ------------------------------------------------------- swapped tables
 
 

@@ -26,7 +26,7 @@ from lenspec.cli import (
 )
 from lenspec.errors import InputError
 from lenspec.spaces import TreeModel, build_schottky
-from lenspec.words import Word, iter_class_reps
+from lenspec.words import ClassCodes, Word, iter_class_reps
 
 SCEN_DIR = Path(__file__).resolve().parents[1] / "src" / "lenspec" / "scenarios"
 SHIPPED = sorted(SCEN_DIR.glob("*.json"))
@@ -380,6 +380,23 @@ def test_run_shares_the_subset_word_metric(monkeypatch):
               with_classes=True)
     assert rep.verdict == "holds"
     assert built == [("TreeModel", 8), ("WordMetricModel", 12)]
+
+
+def test_verify_walks_the_classes_once(monkeypatch, tmp_path):
+    # tree-pair's tables against the tree and against the subset's word
+    # metric, and its classes.csv, all read one walk of radius 12
+    walks = []
+    walk = ClassCodes.walk.__func__
+
+    def counting(cls, rank, radius, *args, **kwargs):
+        walks.append((rank, radius))
+        return walk(cls, rank, radius, *args, **kwargs)
+
+    monkeypatch.setattr(ClassCodes, "walk", classmethod(counting))
+    assert main(["verify", "--scenario", str(SCEN_DIR / "tree-pair.json"),
+                 "--out", str(tmp_path)]) == 0
+    assert walks == [(2, 12)]
+    assert (tmp_path / "classes.csv").exists()
 
 
 def test_emit_writes_report_and_classes(tmp_path):

@@ -237,6 +237,16 @@ def test_equal_values_keep_their_own_text(model):
 
 
 
+def test_equal_exact_values_of_two_types_share_a_ratio():
+    # an int and the Fraction it equals: with no float on either side the
+    # exact ratio cells are found once per distinct value, whatever type
+    # holds it, and keep the per-row texts
+    model = _Cycled([2, Fraction(2), Fraction(3, 2), 3])
+    for pair in ((model, TreeModel(2, [1, 2])), (TreeModel(2, [1, 2]), model),
+                 (model, _TRAPS[2])):
+        _check(*pair, 5)
+
+
 # ------------------------------------------------------------- edge cases
 
 
@@ -257,6 +267,37 @@ def test_listings_of_one_chunk_and_one_row_more(monkeypatch, extra):
         _check(*pair, 6)
         sizes = [c.count("\n") for c in cli._csv_chunks(_listing(*pair, 6))]
         assert sizes == [n] if extra == 0 else [n - 1, 1]
+
+
+def test_a_value_repeated_across_chunks_is_rendered_once(monkeypatch):
+    # chunks of 20 rows over the 234 classes of radius 6: each length of
+    # the model recurs in many chunks, yet every column source (the
+    # target's point, the tree's ints, the ratios of two points) renders
+    # each of its distinct values once per listing
+    model = _Cycled([0.25, 1.5, 2.75, 4.0])
+    monkeypatch.setattr(cli, "ROW_CHUNK", 20)
+    for pair in ((model, None), (model, TreeModel(2, [1, 2]))):
+        _check(*pair, 6)
+        classes = _listing(*pair, 6)
+        rendered = []
+
+        def counting(value):
+            rendered.append(value)
+            return str(value)
+
+        monkeypatch.setattr(cli, "str", counting, raising=False)
+        text = "".join(cli._csv_chunks(classes))
+        monkeypatch.delattr(cli, "str")
+        assert text.count("\n") == 234
+        if pair[1] is None:
+            assert sorted(rendered) == model.values
+            continue
+        assert classes.tgt.point and classes.ref.point
+        assert not classes.exact_pairs and classes.positive.all()
+        distinct = [set(classes.tgt.lo), set(classes.ref.lo),
+                    set(classes.lo.tolist())]
+        assert len(rendered) == sum(map(len, distinct))
+        assert set(rendered) == set().union(*distinct)
 
 
 def test_names_past_rank_26_in_chunks_with_and_without_them(monkeypatch):
