@@ -198,11 +198,11 @@ class ClassTable:
     correctly rounded float of the exact value, so float order never
     contradicts exact order: where two floats differ, the exact values
     differ the same way.  Every window sup and the cor14 envelope read
-    these columns, and the classes.csv rows read ``ratio_cells`` and, for
-    their text, ``ratio_floats``.
+    these columns; ``ratio_lo`` and ``ratio_hi`` give the exact ratios.
 
     ``exact_pairs``: some class can pair two exact lengths, the target
-    and the reference each holding an int or a Fraction somewhere.
+    and the reference each holding an int or a Fraction somewhere.  Where
+    it is False every ratio is a float, the ratio column's entry.
 
     ``floats_exact``: every length is a float or an int below 2**53 in
     size, so each equals its float.
@@ -302,55 +302,6 @@ class ClassTable:
     def ratio_hi(self, i):
         """The exact tgt.hi/ref.lo of class i."""
         return exact_div(self.tgt.hi[i], self.ref.lo[i])
-
-    def ratio_cells(self, start: int, stop: int) -> tuple:
-        """The ratio_lo and ratio_hi cells of classes start..stop-1 (the
-        ratio columns of classes.csv), two lists: "" off ``positive``,
-        else the exact_div value.  Without ``exact_pairs`` that value is
-        the float of the ratio column, and the two lists are one when both
-        sides are points; otherwise it is ratio_lo and ratio_hi, found
-        once per distinct (tgt.lo, ref.hi, tgt.hi, ref.lo) of the rows.
-        Unless both sides hold ints and Fractions alone, each value is
-        keyed by ``_typed``; with those alone the values are the key, since
-        equal exact values give one Fraction, and one text."""
-        if self.exact_pairs:
-            lo, hi = [""] * (stop - start), [""] * (stop - start)
-            tl, rh, th, rl = self.tgt.lo, self.ref.hi, self.tgt.hi, self.ref.lo
-            typed = not (self.ref.kinds | self.tgt.kinds) <= {int, Fraction}
-            ratios = {}
-            for i in np.flatnonzero(self.positive[start:stop]).tolist():
-                j = start + i
-                key = tl[j], rh[j], th[j], rl[j]
-                if typed:
-                    key = tuple(map(_typed, key))
-                if key not in ratios:
-                    ratios[key] = self.ratio_lo(j), self.ratio_hi(j)
-                lo[i], hi[i] = ratios[key]
-            return lo, hi
-        lo = self.lo[start:stop].tolist()
-        hi = lo if self.tgt.point and self.ref.point else self.hi[start:stop].tolist()
-        for i in np.flatnonzero(~self.positive[start:stop]).tolist():
-            lo[i] = hi[i] = ""
-        return lo, hi
-
-    def ratio_floats(self) -> tuple:
-        """What fixes the two lists of ratio_cells over the whole table:
-        without ``exact_pairs`` their cells are the floats of the ratio
-        columns, "" where ``blank`` (off ``positive``), given as (floats,
-        blank, {float}); with it, (None, None)."""
-        if self.exact_pairs:
-            return None, None
-        blank, kinds = ~self.positive, frozenset({float})
-        return (self.lo, blank, kinds), (self.hi, blank, kinds)
-
-
-def _typed(v) -> tuple:
-    """v as a key on which exact_div's value and its text depend alone: with
-    its type, and a float with its sign, since 1 and 1.0, or 0.0 and -0.0,
-    are equal values with different quotients' texts."""
-    if isinstance(v, float):
-        return float, v, math.copysign(1.0, v)
-    return type(v), v
 
 
 def _above(f, exact, x, floats_exact: bool = False):

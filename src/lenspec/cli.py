@@ -35,6 +35,7 @@ import json
 import math
 import platform
 import shutil
+import string
 import sys
 import time
 from dataclasses import dataclass, fields
@@ -47,6 +48,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
+from .actions import exact_div
 from .bounds import (
     HOLDS,
     HYPOTHESIS_FAILED,
@@ -78,8 +80,7 @@ from .spaces import (
     build_schottky,
     class_lengths,
 )
-from .words import (ROW_CHUNK, ClassCodes, GeneratingSet, Word, _ascii_rows,
-                    _finite_real)
+from .words import ROW_CHUNK, ClassCodes, GeneratingSet, Word, _finite_real
 
 __all__ = [
     "Scenario",
@@ -460,16 +461,20 @@ def build_model(spec: Optional[dict], rank: int):
 
 
 def _ensemble_pairs(ens: dict, seed: int) -> list:
-    """Seeded random unit-|det| matrix pairs for spectral checks."""
+    """Seeded random unit-|det| matrix pairs for spectral checks: each
+    standard normal draw m with |det m| >= 1e-12 becomes m / |det m|^(1/dim).
+    The ensemble's ``scale`` would cancel in that normalisation, so the
+    draw never reads it: no scale can overflow, underflow or round it."""
     rng = np.random.default_rng(seed)
+    dim = ens["dim"]
     out = []
     for _ in range(ens["count"]):
         pair = []
         while len(pair) < 2:
-            m = rng.standard_normal((ens["dim"], ens["dim"]))
-            if abs(np.linalg.det(m)) >= 1e-12:   # unscaled: no scale rejects all
-                m = m * ens["scale"]
-                pair.append(m / abs(np.linalg.det(m)) ** (1.0 / ens["dim"]))
+            m = rng.standard_normal((dim, dim))
+            det = abs(np.linalg.det(m))
+            if det >= 1e-12:
+                pair.append(m / det ** (1.0 / dim))
         out.append(pair)
     return out
 
@@ -708,66 +713,146 @@ def _class_listing(scen: Scenario, cfg: VerifierConfig, target, reference, *,
     return _class_table(target, reference, radius, cfg, tables)
 
 
-def _number_columns(classes, start: int, stop: int) -> list:
-    """The six number columns of classes.csv (ref_lo, ref_hi, target_lo,
-    target_hi, ratio_lo, ratio_hi) for rows start..stop-1 of a
-    _class_listing, as values, "" where a cell has no value.  The lo and
-    hi of a point (``ClassLengths.rows``) are one list, and the ratio
-    cells are the table's ``ratio_cells``."""
-    if isinstance(classes, ClassLengths):
-        blank = [""] * (stop - start)
-        return [blank, blank, *classes.rows(start, stop), blank, blank]
-    return [*classes.ref.rows(start, stop), *classes.tgt.rows(start, stop),
-            *classes.ratio_cells(start, stop)]
+# code -> the ASCII byte of its letter, for the codes of rank 26 (code c is
+# letter c//2 + 1, its inverse when c is odd: see words._letters_in_order)
+_CODE_ASCII = np.frombuffer(
+    "".join(c + c.upper() for c in string.ascii_lowercase).encode(), np.uint8)
 
 
-def _column_sources(classes) -> list:
-    """What fixes the text of each of the six columns of
-    ``_number_columns`` over the whole listing, as (floats, blank, kinds):
-    the float64 column of its cells, the mask of its "" cells (or None)
-    and the set of its cells' types.  A side's columns are its ``lo_f``
-    and ``hi_f`` with its ``kinds``, ratio columns the table's
-    ``ratio_floats``; a blank column holds text alone.  None for exact
-    ratio cells."""
-    text = (None, None, frozenset({str}))
-    if isinstance(classes, ClassLengths):
-        return [text, text, (classes.lo_f, None, classes.kinds),
-                (classes.hi_f, None, classes.kinds), text, text]
-    return [*((f, None, s.kinds) for s in (classes.ref, classes.tgt)
-              for f in (s.lo_f, s.hi_f)),
-            *classes.ratio_floats()]
+def _ascii_rows(texts) -> np.ndarray:
+    """The ASCII strings ``texts`` as an (N, W) uint8 array, one string a
+    row, NUL-padded to the longest."""
+    texts = np.array(texts, dtype=np.bytes_)
+    return texts.view(np.uint8).reshape(len(texts), texts.itemsize)
 
 
-def _field_bytes(source, n: int):
-    """The fields of a classes.csv column of n rows, with its
-    ``_column_sources`` entry ``source``, as (texts, index): texts an
-    (K, W) uint8 array, each row the ASCII bytes of one text, NUL-padded,
-    and row i's field texts[index[i]].  None for a column whose chunks
-    render str() of each cell.
+def _name_chunks(codes: ClassCodes):
+    """The names of the classes of ``codes``, ROW_CHUNK rows at a time,
+    each chunk an (N, W) uint8 array of their ASCII bytes, NUL-padded:
+    within rank 26 its rows' codes read through ``_CODE_ASCII`` across the
+    length blocks it spans, past it the text of one ``codes.names()``."""
+    n = len(codes)
+    if codes.rank > 26:
+        names = codes.names()
+        for _ in range(0, n, ROW_CHUNK):
+            yield _ascii_rows(list(islice(names, ROW_CHUNK)))
+        return
+    for first in range(0, n, ROW_CHUNK):
+        start, stop = first, min(n, first + ROW_CHUNK)
+        parts = []
+        for b in codes.blocks:
+            if stop <= 0:
+                break
+            if start < len(b):
+                parts.append(b[max(start, 0):stop])
+            start, stop = start - len(b), stop - len(b)
+        out = np.zeros((sum(map(len, parts)), parts[-1].shape[1]), np.uint8)
+        at = 0
+        for rows in parts:
+            out[at:at + len(rows), :rows.shape[1]] = _CODE_ASCII[rows]
+            at += len(rows)
+        yield out
 
-    A column whose cells are all floats, or all ints below 2**53 in size
-    (its "" cells aside), has one table of texts for the whole listing:
-    its float64 bits fix each cell's str(), a float's repr or an int's
-    digits, so each distinct value is rendered once, and np.unique's
-    inverse is the index.  The key is the type and the bits, never the
-    value: 1 and 1.0, or 0.0 and -0.0, are equal values with different
-    texts.  A column of "" is one text zero bytes wide; any other column
-    (Fractions, mixed types, ints past 2**53, exact ratios) is None.
-    """
-    floats, blank, kinds = source or (None, None, None)
-    if kinds == {str}:
-        return np.zeros((1, 0), np.uint8), np.broadcast_to(np.intp(0), (n,))
-    if floats is None or not (kinds == {float} or kinds == {int}
-                              and np.all(np.abs(floats) < 2.0 ** 53)):
-        return None
-    keys, inv = np.unique(floats.view(np.int64), return_inverse=True)
-    values = keys.view(np.float64).tolist()
-    texts = list(map(str, values if kinds == {float} else map(int, values)))
+
+def _typed(v) -> tuple:
+    """v as a key on which its text, and the text of exact_div's value
+    with it, depend alone: with its type, and a float with its sign, since
+    1 and 1.0, or 0.0 and -0.0, are equal values with different texts."""
+    if isinstance(v, float):
+        return float, v, math.copysign(1.0, v)
+    return type(v), v
+
+
+def _field_bytes(n: int, text, floats=None, cells=(), blank=None) -> tuple:
+    """A classes.csv column of n rows over the whole listing as (texts,
+    index): ``texts`` its distinct texts as an (K, W) uint8 array of
+    NUL-padded ASCII rows, row i's field texts[index[i]], "" where the
+    mask ``blank`` holds.  Each distinct key is rendered once, by ``text``.
+
+    Where a float64 column ``floats`` fixes each text (cells all floats,
+    or all ints below 2**53 in size), the keys are its bits, never its
+    values (0.0 and -0.0 differ in text), found by np.unique.  Otherwise
+    one pass numbers the ``_typed`` keys of the n ``cells``, each a tuple
+    of the values its text depends on; a cell of objects seen before (the
+    lists share objects) reuses its number without hashing a value."""
+    if floats is not None:
+        distinct, index = np.unique(floats.view(np.int64), return_inverse=True)
+        distinct = distinct.view(np.float64).tolist()
+    else:
+        ids, seen = {}, {}
+
+        def number(cell):
+            ident = tuple(map(id, cell))
+            if ident not in seen:
+                seen[ident] = ids.setdefault(tuple(map(_typed, cell)), len(ids))
+            return seen[ident]
+
+        index = np.fromiter(map(number, cells), np.intp, n)
+        distinct = list(ids)
+    texts = list(map(text, distinct))
     if blank is not None:
-        inv[blank] = len(texts)
+        index[blank] = len(texts)
         texts.append("")
     # the index outlives every chunk: kept in the least type that holds it
-    return _ascii_rows(texts), inv.astype(np.min_scalar_type(len(texts)))
+    return _ascii_rows(texts), index.astype(np.min_scalar_type(len(texts)))
+
+
+def _length_fields(side: ClassLengths) -> list:
+    """The lo and hi columns of a ClassLengths, one object when a point:
+    keyed by the float column when ``kinds`` is {float}, or {int} with
+    every length below 2**53 in size, else by ``_typed`` of each length."""
+    kinds, n = side.kinds, len(side)
+
+    def field(values, floats):
+        if kinds == {float}:
+            return _field_bytes(n, str, floats)
+        if kinds == {int} and np.all(np.abs(floats) < 2.0 ** 53):
+            return _field_bytes(n, lambda v: str(int(v)), floats)
+        return _field_bytes(n, lambda k: str(k[0][1]), cells=zip(values))
+
+    lo = field(side.lo, side.lo_f)
+    return [lo, lo if side.point else field(side.hi, side.hi_f)]
+
+
+def _ratio_fields(table) -> list:
+    """The ratio_lo and ratio_hi columns of a ClassTable, blank off
+    ``positive``, one object when both sides are points.
+
+    Without ``exact_pairs`` each cell is the float of the table's ratio
+    column.  With it, a cell of ratio_lo is keyed by its typed pair
+    (tgt.lo, ref.hi) and one of ratio_hi by (tgt.hi, ref.lo), and one
+    off ``positive`` by the empty tuple, so exact_div runs once per
+    distinct pair of the listing."""
+    n, point = len(table), table.tgt.point and table.ref.point
+    if not table.exact_pairs:
+        blank = ~table.positive
+        lo = _field_bytes(n, str, table.lo, blank=blank)
+        return [lo, lo if point else _field_bytes(n, str, table.hi, blank=blank)]
+    positive = table.positive.tolist()
+
+    def text(key):
+        return str(exact_div(key[0][1], key[1][1])) if key else ""
+
+    def field(tops, bottoms):
+        return _field_bytes(n, text, cells=((t, b) if p else () for t, b, p
+                                            in zip(tops, bottoms, positive)))
+
+    lo = field(table.tgt.lo, table.ref.hi)
+    return [lo, lo if point else field(table.tgt.hi, table.ref.lo)]
+
+
+def _number_fields(classes) -> list:
+    """The six number columns of classes.csv (ref_lo, ref_hi, target_lo,
+    target_hi, ratio_lo, ratio_hi) of a _class_listing, each as the
+    (texts, index) of ``_field_bytes`` over the whole listing.  Columns
+    that hold one list are one object: a point's lo and hi, the ratio
+    columns of two points, and the blank columns of a one-model listing
+    (one text zero bytes wide)."""
+    if isinstance(classes, ClassLengths):
+        blank = np.zeros((1, 0), np.uint8), np.broadcast_to(np.intp(0), (len(classes),))
+        return [blank, blank, *_length_fields(classes), blank, blank]
+    return [*_length_fields(classes.ref), *_length_fields(classes.tgt),
+            *_ratio_fields(classes)]
 
 
 def _csv_chunks(classes):
@@ -775,38 +860,26 @@ def _csv_chunks(classes):
     as text of at most ROW_CHUNK rows per string.
 
     A chunk is laid out as one (N, W) uint8 array: the names
-    (``ClassCodes.name_bytes``), then "," and the field of each column,
-    then a newline, every part NUL-padded.  A run of adjacent columns of
-    ``_number_columns`` that are one list (a point's lo and hi, the ratio
-    cells of two points, blank columns) has one source: its texts are
-    made once for the whole listing by ``_field_bytes``, each chunk
-    gathers its rows' fields from them, or else renders its cells, and
-    lays them out once per column.  No cell or name holds a NUL, a comma,
-    a quote or a newline, so dropping the NULs leaves the rows.  Each
-    cell's text is str() of the cell (a float's repr), so no byte depends
-    on which way ``_field_bytes`` took.
+    (``_name_chunks``), then "," and the field of each column, then a
+    newline, every part NUL-padded.  Each number column's texts are made
+    once for the whole listing (``_number_fields``), before the first
+    chunk; a chunk gathers its rows' fields from them by the index, once
+    per run of adjacent columns that are one object, and lays them out
+    once per column.  Every text is str() of its cell's value (a float's
+    repr), "" where a cell has none.  No cell or name holds a NUL, a
+    comma, a quote or a newline, so dropping the NULs leaves the rows.
     """
-    codes, n = classes.classes, len(classes)
-    sources = _column_sources(classes)
-    # (first column, width, texts) of each run; the runs of one listing
-    # are the same in every chunk, so a chunk of no rows shows them
-    runs, col = [], 0
-    for _, run in groupby(_number_columns(classes, 0, 0), key=id):
-        width = len(list(run))
-        runs.append((col, width, _field_bytes(sources[col], n)))
-        col += width
-    for start in range(0, n, ROW_CHUNK):
+    n = len(classes)
+    runs = []
+    for _, run in groupby(_number_fields(classes), key=id):
+        run = list(run)
+        runs.append((run[0], len(run)))
+    for start, names in zip(range(0, n, ROW_CHUNK), _name_chunks(classes.classes)):
         stop = min(n, start + ROW_CHUNK)
         comma = np.full((stop - start, 1), ord(","), np.uint8)
-        parts = [codes.name_bytes(start, stop)]
-        cells = None
-        for col, width, field in runs:
-            if field is None:
-                cells = cells or _number_columns(classes, start, stop)
-                field = _ascii_rows(list(map(str, cells[col])))
-            else:
-                field = np.take(field[0], field[1][start:stop], axis=0)
-            parts += [comma, field] * width
+        parts = [names]
+        for (texts, index), width in runs:
+            parts += [comma, np.take(texts, index[start:stop], axis=0)] * width
         parts.append(np.full((stop - start, 1), ord("\n"), np.uint8))
         rows = np.concatenate(parts, axis=1).ravel()
         yield rows[rows != 0].tobytes().decode("ascii")
@@ -820,10 +893,21 @@ def _write_classes(fh, classes):
 
 def _first_cells(classes, k: int) -> list:
     """The cells of the first k rows of classes.csv, one tuple per class:
-    the class as a string, then the numbers, "" where a cell has no value."""
-    k = min(k, len(classes))
-    return list(zip(islice(classes.classes.names(), k),
-                    *_number_columns(classes, 0, k)))
+    the class as a string, then the numbers, "" where a cell has no value.
+    The lengths are the sides' list entries, the ratios the table's
+    ``ratio_lo`` and ``ratio_hi`` where ``positive``: where that value is a
+    float it is the ratio column's entry, so the cells read as the rows'
+    texts."""
+    out = []
+    for i, name in enumerate(islice(classes.classes.names(), k)):
+        if isinstance(classes, ClassLengths):
+            out.append((name, "", "", classes.lo[i], classes.hi[i], "", ""))
+            continue
+        ratios = ((classes.ratio_lo(i), classes.ratio_hi(i))
+                  if classes.positive[i] else ("", ""))
+        out.append((name, classes.ref.lo[i], classes.ref.hi[i],
+                    classes.tgt.lo[i], classes.tgt.hi[i], *ratios))
+    return out
 
 
 def _models(scen: Scenario):

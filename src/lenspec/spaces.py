@@ -67,7 +67,9 @@ class ClassLengths:
     and ``hi_f`` of their correctly rounded floats.  A ``point`` (one
     length per class) holds one list and one column under both names.
     ``kinds`` is the set of the lengths' types: given by a bulk form that
-    knows it, else found by one scan of the lists."""
+    knows it, else found by one scan of the lists.  The windows read the
+    columns; classes.csv renders the lists, keyed by the columns where
+    ``kinds`` shows that they fix each length's text."""
 
     classes: ClassCodes
     lo: list
@@ -87,11 +89,6 @@ class ClassLengths:
 
     def __len__(self):
         return len(self.classes)
-
-    def rows(self, start: int, stop: int) -> tuple:
-        """(lo, hi) of the classes start..stop-1, one list when point."""
-        lo = self.lo[start:stop]
-        return lo, lo if self.point else self.hi[start:stop]
 
     def prefix(self, radius: int) -> "ClassLengths":
         """The classes of length <= radius (see ``over``)."""

@@ -81,10 +81,6 @@ def _parse_letter_string(s: str) -> tuple[int, ...]:
 _LETTER_CHARS = {sign * i: (c if sign > 0 else c.upper())
                  for i, c in enumerate(string.ascii_lowercase, 1)
                  for sign in (1, -1)}
-# code -> the ASCII byte of its letter, for the codes of rank 26 (code c is
-# letter c//2 + 1, its inverse when c is odd: see _letters_in_order)
-_CODE_ASCII = np.frombuffer(
-    "".join(c + c.upper() for c in string.ascii_lowercase).encode(), np.uint8)
 
 
 @dataclass(frozen=True, slots=True)
@@ -293,9 +289,8 @@ def enumerate_ball(rank: int, radius: int, cap: int = 2_000_000) -> list[Word]:
     return out
 
 
-# rows of a code block handled together: bounds the temporaries of the
-# per-block evaluations, and the byte matrix of each classes.csv chunk
-# (whose texts come from tables made once per listing, not per chunk)
+# rows of a code block handled together: bounds the temporaries of
+# per-block work
 ROW_CHUNK = 8192
 
 
@@ -407,51 +402,16 @@ class ClassCodes:
         """Iterate over str(Word(rep)) of every rep, rendered from the
         codes a row chunk at a time: a..z and A..Z for inverses, and a word
         with a letter beyond rank 26 as its letters joined by "."."""
-        for rows in self.row_chunks():
-            yield from self._row_names(rows)
-
-    def _row_names(self, rows: np.ndarray) -> list:
-        """The names of the code rows ``rows`` (one block's width)."""
         letters = _letters_in_order(self.rank)
         chars = np.array([_LETTER_CHARS.get(x, "?") for x in letters])
         text = [str(x) for x in letters]
-        # the (N, n) characters of the rows, each row read as one string
-        names = np.ascontiguousarray(chars[rows]).view(f"<U{rows.shape[1]}")
-        names = names.ravel().tolist()
-        for i in np.flatnonzero((rows >= 52).any(axis=1)).tolist():
-            names[i] = ".".join(map(text.__getitem__, rows[i].tolist()))
-        return names
-
-    def name_bytes(self, start: int, stop: int) -> np.ndarray:
-        """The names of the classes start..stop-1 (start < stop) as an
-        (N, W) uint8 array of their ASCII bytes, each row NUL-padded to the
-        longest name.
-
-        A name of letters within rank 26 is its codes read through
-        ``_CODE_ASCII``; when a row holds a letter beyond it, every row
-        takes the text of ``names``."""
-        parts = []
-        for b in self.blocks:
-            if stop <= 0:
-                break
-            if start < len(b):
-                parts.append(b[max(start, 0):stop])
-            start, stop = start - len(b), stop - len(b)
-        if any((rows >= len(_CODE_ASCII)).any() for rows in parts):
-            return _ascii_rows([n for rows in parts for n in self._row_names(rows)])
-        out = np.zeros((sum(map(len, parts)), parts[-1].shape[1]), np.uint8)
-        at = 0
-        for rows in parts:
-            out[at:at + len(rows), :rows.shape[1]] = _CODE_ASCII[rows]
-            at += len(rows)
-        return out
-
-
-def _ascii_rows(texts) -> np.ndarray:
-    """The ASCII strings ``texts`` as an (N, W) uint8 array, one string a
-    row, NUL-padded to the longest."""
-    texts = np.array(texts, dtype=np.bytes_)
-    return texts.view(np.uint8).reshape(len(texts), texts.itemsize)
+        for rows in self.row_chunks():
+            # the (N, n) characters of the rows, each row read as one string
+            names = np.ascontiguousarray(chars[rows]).view(f"<U{rows.shape[1]}")
+            names = names.ravel().tolist()
+            for i in np.flatnonzero((rows >= 52).any(axis=1)).tolist():
+                names[i] = ".".join(map(text.__getitem__, rows[i].tolist()))
+            yield from names
 
 
 def _pad_beyond(codes: np.ndarray, lengths: np.ndarray, pad: int) -> None:

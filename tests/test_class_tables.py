@@ -15,7 +15,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from lenspec import bounds, spaces
+from lenspec import bounds, cli, spaces
 from lenspec.bounds import (
     ClassTable,
     VerifierConfig,
@@ -358,15 +358,11 @@ def test_rows_across_a_row_chunk_boundary(model):
     codes = ClassCodes.walk(2, 10)
     assert len(codes) > ROW_CHUNK + 8
     lengths = class_lengths(model, codes, 2)
+    assert (lengths.lo is lengths.hi) == lengths.point
     start, stop = ROW_CHUNK - 5, ROW_CHUNK + 5
-    lo, hi = lengths.rows(start, stop)
-    assert (lo is hi) == lengths.point
+    lo, hi = lengths.lo[start:stop], lengths.hi[start:stop]
     want = _per_class(model, SimpleNamespace(reps=codes.reps[start:stop]))
     assert _canon([lo, hi]) == _canon(list(want))
-    assert (lo, hi) == (lengths.lo[start:stop], lengths.hi[start:stop])
-    # the chunks of classes.csv rejoin to the whole lists
-    first, rest = lengths.rows(0, ROW_CHUNK), lengths.rows(ROW_CHUNK, len(codes))
-    assert (first[0] + rest[0], first[1] + rest[1]) == (lengths.lo, lengths.hi)
 
 
 def test_a_class_length_subclass_reads_as_a_point():
@@ -493,21 +489,36 @@ def test_a_model_on_both_sides_is_evaluated_once(monkeypatch):
 
 
 def test_exact_ratio_cells_divide_once_per_distinct_pair(monkeypatch):
-    table = ClassTable(TreeModel(2, [1, 2]), TreeModel(2, [3, 1]), 8)
-    assert table.exact_pairs
-    want = [(table.ratio_lo(i), table.ratio_hi(i)) for i in range(len(table))]
+    # classes.csv in chunks of 50 rows: the operand pairs of the ratio
+    # cells recur across chunks, yet the renderer divides each distinct
+    # pair of the listing once, (tgt.lo, ref.hi) for ratio_lo and (tgt.hi,
+    # ref.lo) for ratio_hi, one table of them when both sides are points
     divided = []
-    real = bounds.exact_div
+    real = cli.exact_div
 
     def counting(a, b):
         divided.append((a, b))
         return real(a, b)
 
-    monkeypatch.setattr(bounds, "exact_div", counting)
-    lo, hi = table.ratio_cells(0, len(table))
-    assert list(zip(lo, hi)) == want
-    pairs = set(zip(table.tgt.lo, table.ref.hi, table.tgt.hi, table.ref.lo))
-    assert len(divided) == 2 * len(pairs) < len(table)
+    monkeypatch.setattr(cli, "exact_div", counting)
+    monkeypatch.setattr(cli, "ROW_CHUNK", 50)
+    bracket = WordMetricModel(GeneratingSet(2, ["a", "A", "b", "B", "aB"],
+                                            [1, 1, Fraction(3, 2), 2, 1]))
+    for reference in (TreeModel(2, [3, 1]), bracket):
+        table = ClassTable(TreeModel(2, [1, 2]), reference, 8)
+        assert table.exact_pairs and table.positive.all()
+        want = [f"{table.ratio_lo(i)},{table.ratio_hi(i)}" for i in range(len(table))]
+        divided.clear()
+        rows = "".join(cli._csv_chunks(table)).splitlines()
+        assert [r.split(",", 5)[5] for r in rows] == want
+        tgt, ref = table.tgt, table.ref
+        pairs = [set(zip(tgt.lo, ref.hi)), set(zip(tgt.hi, ref.lo))]
+        if ref.point:
+            pairs.pop()
+        per_chunk = sum(len(set(zip(tgt.lo[i:i + 50], ref.hi[i:i + 50])))
+                        for i in range(0, len(table), 50))
+        assert len(divided) == sum(map(len, pairs)) and len(pairs[0]) < per_chunk
+        assert set(divided) == set().union(*pairs)
 
 
 def test_matrix_lengths_are_built_once_per_distinct_lambda1(monkeypatch):

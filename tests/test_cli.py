@@ -772,9 +772,10 @@ def test_first_cells_of_a_table_are_its_csv_rows_past_its_end():
     assert len(cells) == len(classes) == 4
     rows = "".join(cli._csv_chunks(classes)).splitlines()
     assert [",".join(map(str, c)) for c in cells] == rows
-    # a list held under two names is one column, rendered once
-    cols = cli._number_columns(classes, 0, len(classes))
-    assert cols[0] is cols[1] and cols[2] is cols[3] and cols[4] is cols[5]
+    # a list held under two names is one column: one table of texts
+    fields = cli._number_fields(classes)
+    assert fields[0] is fields[1] and fields[2] is fields[3] and fields[4] is fields[5]
+    assert len({id(f) for f in fields}) == 3
 
 
 @pytest.mark.parametrize("command", ["verify", "spectrum"])
@@ -1170,3 +1171,20 @@ def test_a_tiny_ensemble_scale_still_draws(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["verdict"] == "holds"
 
+
+@pytest.mark.parametrize("scale", [1e-200, 1e-9, 1e200])
+def test_an_ensemble_scale_leaves_the_draw_as_at_scale_one(tmp_path, capsys,
+                                                            scale):
+    # the scale cancels in the unit-|det| normalisation; scaling the draw
+    # first underflowed (1e-200: non-finite entries), overflowed (1e200:
+    # a zero matrix) or moved the brackets' last bits (1e-9)
+    def entries(s):
+        p = tmp_path / "scen.json"
+        p.write_text(json.dumps({"ensemble": {"count": 3, "dim": 2, "scale": s},
+                                 "verify": ["bochi"]}))
+        assert main(["verify", "--scenario", str(p)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["scenario"]["ensemble"]["scale"] == s
+        return report["entries"]
+
+    assert entries(scale) == entries(1.0)

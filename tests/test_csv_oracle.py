@@ -1,7 +1,8 @@
-"""classes.csv rendered a column and a row chunk at a time, against the
-per-row path.
+"""classes.csv rendered from listing-wide tables of texts a row chunk at
+a time, against the per-row path.
 
-``cli._csv_chunks`` renders each column of a chunk of rows once.  The
+``cli._csv_chunks`` renders each distinct value of a column once per
+listing and gathers each chunk's fields from those texts.  The
 oracle below is the per-row path it replaced: one tuple of cell values per
 class (``_class_cells``, with the ratio rows of ``_exact_ratio_rows``),
 each turned into one line by ``_csv_line``.  Every byte must agree, and so
@@ -271,12 +272,16 @@ def test_listings_of_one_chunk_and_one_row_more(monkeypatch, extra):
 
 def test_a_value_repeated_across_chunks_is_rendered_once(monkeypatch):
     # chunks of 20 rows over the 234 classes of radius 6: each length of
-    # the model recurs in many chunks, yet every column source (the
-    # target's point, the tree's ints, the ratios of two points) renders
-    # each of its distinct values once per listing
-    model = _Cycled([0.25, 1.5, 2.75, 4.0])
+    # the model recurs in many chunks, yet every column's table of texts
+    # (a model's point, a tree's ints or Fractions, the ratios of two
+    # points, floats or exact) renders each distinct typed value once per
+    # listing, and each distinct typed operand pair of an exact ratio once
+    floats = _Cycled([0.25, 1.5, 2.75, 4.0])
+    exact = _Cycled([2, Fraction(3, 2), 1.5, 2 ** 60])
+    halves = TreeModel(2, [Fraction(1, 2), 3])
     monkeypatch.setattr(cli, "ROW_CHUNK", 20)
-    for pair in ((model, None), (model, TreeModel(2, [1, 2]))):
+    for pair in ((floats, None), (floats, TreeModel(2, [1, 2])),
+                 (exact, halves), (halves, exact)):
         _check(*pair, 6)
         classes = _listing(*pair, 6)
         rendered = []
@@ -290,19 +295,27 @@ def test_a_value_repeated_across_chunks_is_rendered_once(monkeypatch):
         monkeypatch.delattr(cli, "str")
         assert text.count("\n") == 234
         if pair[1] is None:
-            assert sorted(rendered) == model.values
+            assert sorted(rendered) == floats.values
             continue
         assert classes.tgt.point and classes.ref.point
-        assert not classes.exact_pairs and classes.positive.all()
-        distinct = [set(classes.tgt.lo), set(classes.ref.lo),
-                    set(classes.lo.tolist())]
-        assert len(rendered) == sum(map(len, distinct))
-        assert set(rendered) == set().union(*distinct)
+        assert classes.positive.all()
+        # a value with its type: 2 and 2 ** 60 are ints, 3/2 and 1.5 are
+        # equal values of two texts
+        sides = [{(type(v), v) for v in s.lo} for s in (classes.tgt, classes.ref)]
+        want = [str(v) for side in sides for _, v in side]
+        if classes.exact_pairs:
+            ratios = {(type(t), t, type(b), b)
+                      for t, b in zip(classes.tgt.lo, classes.ref.lo)}
+            want += [str(exact_div(t, b)) for _, t, _, b in ratios]
+        else:
+            want += list(map(str, set(classes.lo.tolist())))
+        assert len(rendered) == len(want)
+        assert sorted(map(str, rendered)) == sorted(want)
 
 
 def test_names_past_rank_26_in_chunks_with_and_without_them(monkeypatch):
     # ClassCodes.walk(27, 2): 1,512 classes; chunks of 50 rows hold a
-    # letter past rank 26 (read from names()) or none (read as bytes)
+    # letter past rank 26 or none, and each takes its names' text
     codes = ClassCodes.walk(27, 2)
     assert len(codes) == 1512
     monkeypatch.setattr(cli, "ROW_CHUNK", 50)

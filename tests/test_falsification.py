@@ -43,6 +43,15 @@ exact must be an int or a Fraction equal to the largest Fraction
 l_tgt / l_ref over the classes of the window's radius with l_ref <= L,
 and each row ratio flagged exact must equal its class's Fraction ratio.
 
+Declared delta.  A Mobius model acts on H^2 or H^3, CAT(-1) spaces whose
+Gromov products satisfy (x|z)_w >= min((x|y)_w, (y|z)_w) - log 2
+(Nica-Spakula, "Strong hyperbolicity", Groups Geom. Dyn. 10, 2016); a
+2x2 linear model's psi = log sigma_1 is half that metric, so its constant
+is at most (log 2) / 2.  On real and complex Schottky pairs in both uses,
+the orbit points of 40 words of the radius-4 ball must satisfy the
+condition with the model's declared ``delta`` over all their triples, to
+1e-9, the Gromov products (g x | h x)_x taken from ``gromov_product``.
+
 Violations.  A ``violated`` verdict must be confirmed in exact arithmetic
 on the rows that decide it.  A real Schottky pair's lengths are logs of
 eigenvalues of float matrices, which no exact arithmetic here reproduces,
@@ -65,7 +74,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from lenspec.actions import exact_div
+from lenspec.actions import exact_div, gromov_product
 from lenspec.bounds import (VIOLATED, VerifierConfig, cobounded_dilation_report,
                             dilation_window, displacement_ball,
                             ratio_envelope_report, word_metric_dilation_report)
@@ -295,3 +304,26 @@ def test_matrix_pairs_never_read_violated(stretch, angles, use):
     for r in reports:
         assert r.verdict != VIOLATED, (r.name, r.window_L, r.bound_value,
                                        r.reference_dilation, r.extras)
+
+
+# real pairs, then complex ones (a complex angle: the Mobius model acts on
+# H^3); the first is the pair whose sample came nearest log 2
+_DELTA_PAIRS = [(2, (0, 0.6)), (4.0, (0.0, 1.2)), (3.0, (0.3, 2.0)),
+                (2.5, (0.0, 1 + 0.5j)), (4.0, (0.5, 0.2 + 1j)),
+                (3.0, (1.0, 2 - 0.7j))]
+
+
+@pytest.mark.parametrize("use", ["mobius", "linear"])
+@pytest.mark.parametrize("stretch,angles", _DELTA_PAIRS)
+def test_declared_delta_bounds_the_gromov_product_condition(stretch, angles, use):
+    model = getattr(build_schottky(stretch, angles), use)
+    ball = enumerate_ball(2, 4)
+    rng = np.random.default_rng(0)
+    words = [ball[i] for i in rng.choice(len(ball), 40, replace=False)]
+    gp = np.array([[float(gromov_product(model, g, h)) for h in words]
+                   for g in words])
+    # excess[g, h, k] = min((g|h), (h|k)) - (g|k)
+    excess = np.minimum(gp[:, :, None], gp[None, :, :]) - gp[:, None, :]
+    assert excess.max() <= model.delta + _TOL, (excess.max(), model.delta)
+    if use == "linear":
+        assert excess.max() <= math.log(2) / 2 + _TOL, excess.max()
