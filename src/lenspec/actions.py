@@ -23,6 +23,11 @@ from .errors import InputError, NumericError
 from .words import Word, enumerate_ball
 
 __all__ = [
+    "HOLDS",
+    "VIOLATED",
+    "INCONCLUSIVE",
+    "HYPOTHESIS_FAILED",
+    "verdict_of",
     "LengthBracket",
     "ActionModel",
     "AnosovCertificate",
@@ -39,6 +44,25 @@ _EXACT = (int, Fraction)  # the exact value types; no numpy scalar is one
 
 def _is_exact(x) -> bool:
     return isinstance(x, _EXACT)
+
+
+HOLDS = "holds"
+VIOLATED = "violated"
+INCONCLUSIVE = "inconclusive"
+HYPOTHESIS_FAILED = "hypothesis-failed"
+
+
+def verdict_of(lo, hi, bound_lo, bound_hi, tol: float, *, truncated: bool) -> str:
+    """The verdict of a bracket [lo, hi] against a bound bracketed by
+    [bound_lo, bound_hi]: "holds" when hi - bound_lo <= tol, "violated" only
+    when the data is not ``truncated``, lo and bound_hi are int or Fraction
+    and lo - bound_hi > tol, else "inconclusive".  Every check decides by
+    this rule, and meets a tolerance as it does: the difference first, so
+    no exact side is rounded to a float before ``tol`` enters."""
+    if hi - bound_lo <= tol:
+        return HOLDS
+    exact_data = not truncated and _is_exact(lo) and _is_exact(bound_hi)
+    return VIOLATED if exact_data and lo - bound_hi > tol else INCONCLUSIVE
 
 
 def exact_div(a, b):
@@ -91,7 +115,7 @@ class LengthBracket:
         return self.hi - self.lo
 
     def contains(self, v, tol=0) -> bool:
-        return self.lo - tol <= v <= self.hi + tol
+        return self.lo - v <= tol and v - self.hi <= tol
 
     def scale(self, c) -> "LengthBracket":
         if c < 0:
@@ -203,8 +227,8 @@ class AnosovCertificate:
     log C = min of (gap - mu |g|).  mu > 0 certifies a uniform singular-value
     gap on the sample (dominated / convex-cocompact behavior); rotations
     and the trivial representation give mu = 0.  ``ok`` (mu > 1e-9) is the
-    one threshold of a usable certificate: a window radius or displacement
-    ball is sized from mu only where it holds.
+    one threshold of a usable certificate, where a displacement ball (never
+    a window radius: mu is a sample, not a bound) is sized from mu.
     """
 
     mu: float

@@ -10,13 +10,14 @@ with enumeration depth chosen so that every class in the window is seen
 (each model provides a comparison radius; when it exceeds the configured
 cap, the window is flagged truncated and verdicts degrade accordingly).
 
-Verdict policy, uniformly (``verdict_of``): a bound "holds" when the
-compared bracket's hi sits below the bound, is "violated" only when the
-bracket's lo exceeds the bound, both are exact (int or Fraction: a float
-excess refutes nothing) and the check's data is not truncated (for a
-windowed bound: the bound-side window had full coverage, otherwise the
-computed bound may understate the true right-hand side), and is
-"inconclusive" in between.
+Verdict policy, uniformly: every check decides by ``actions.verdict_of``
+(re-exported here).  A bound "holds" when the compared bracket's hi sits
+below the bound, is "violated" only when the bracket's lo exceeds the
+bound, both are exact (int or Fraction: a float excess refutes nothing)
+and the check's data is not truncated (for a windowed bound: the
+bound-side window had full coverage, otherwise the computed bound may
+understate the true right-hand side), and is "inconclusive" in between.
+A value meets a tolerance as there: the difference first, then ``tol``.
 
 The windowed reports take an optional ``tables`` dict through which the
 reports of one run share their class tables (see ``_class_table``).
@@ -35,12 +36,12 @@ from typing import Optional
 
 import numpy as np
 
-from .actions import _EXACT, LengthBracket, _is_exact, exact_div
+from .actions import (_EXACT, HOLDS, HYPOTHESIS_FAILED, INCONCLUSIVE, VIOLATED,
+                      LengthBracket, exact_div, verdict_of)
 from .errors import InputError, ResourceCapError
 from .jsl import BochiConstants, joint_stable_profile
 from .spaces import MatrixActionModel, TreeModel, WordMetricModel, class_lengths
 from .words import (
-    _SEARCH_NODE_CAP,
     ClassCodes,
     GeneratingSet,
     Word,
@@ -79,11 +80,6 @@ __all__ = [
     "DeltaReport",
     "DilationReport",
 ]
-
-HOLDS = "holds"
-VIOLATED = "violated"
-INCONCLUSIVE = "inconclusive"
-HYPOTHESIS_FAILED = "hypothesis-failed"
 
 _ZERO_EPS = 1e-9
 
@@ -503,18 +499,6 @@ class DilationReport:
     extras: dict = field(default_factory=dict)
 
 
-def verdict_of(lo, hi, bound_lo, bound_hi, tol: float, *, truncated: bool) -> str:
-    """The verdict of a bracket [lo, hi] against a bound bracketed by
-    [bound_lo, bound_hi]: "holds" when hi - bound_lo <= tol, "violated" only
-    when the data is not ``truncated``, lo and bound_hi are int or Fraction
-    and lo - bound_hi > tol, else "inconclusive".  Every check that compares
-    a bracket against a bound decides by this rule."""
-    if hi - bound_lo <= tol:
-        return HOLDS
-    exact_data = not truncated and _is_exact(lo) and _is_exact(bound_hi)
-    return VIOLATED if exact_data and lo - bound_hi > tol else INCONCLUSIVE
-
-
 def _coverage(ws: WindowSup) -> dict:
     return {
         "L": ws.L,
@@ -526,6 +510,23 @@ def _coverage(ws: WindowSup) -> dict:
         "truncated": ws.truncated,
         "empty": ws.empty,
     }
+
+
+def _bound_reports(target, ref, cfg: VerifierConfig, tables: Optional[dict],
+                   name: str, bound_of, scale=1) -> list[DilationReport]:
+    """``_windowed_reports`` of a windowed upper bound on the dilation:
+    ``bound_of(L, ws, ref_ws)`` gives (bound, extras), ``verdict_of`` judges
+    the reference window sup against the bound, truncated where the window
+    is, and the extras gain the class attaining the window sup."""
+
+    def judge(L, ws, ref_ws, table):
+        bound, extras = bound_of(L, ws, ref_ws)
+        extras["attained"] = str(ws.attained) if ws.attained else None
+        verdict = verdict_of(ref_ws.value.lo, ref_ws.value.hi, bound, bound,
+                             cfg.tolerance, truncated=ws.truncated)
+        return name, bound, verdict, extras
+
+    return _windowed_reports(target, ref, cfg, tables, judge, scale)
 
 
 def _windowed_reports(target, ref, cfg: VerifierConfig, tables: Optional[dict],
@@ -630,21 +631,19 @@ def cobounded_dilation_report(target, ref, config: Optional[VerifierConfig] = No
         if not L > 6 * D:
             raise InputError(f"need L > 6D for every window; L={L}, 6D={6 * D}")
 
-    def judge(L, ws, ref_ws, table):
+    def bound_of(L, ws, ref_ws):
         bound, sup_term, den, pen_delta = _comparison_bound(
             ws.value.hi, L, D, delta, cfg.K, variant)
-        verdict = verdict_of(ref_ws.value.lo, ref_ws.value.hi, bound, bound,
-                             cfg.tolerance, truncated=ws.truncated)
-        return f"cobounded-window[{variant}]", bound, verdict, {
+        return bound, {
             "D": D,
             "delta": delta,
             "K": cfg.K,
             "variant": variant,
-            "attained": str(ws.attained) if ws.attained else None,
             "minimal_K": _minimal_K(ref_ws.value.hi, sup_term, den, pen_delta),
         }
 
-    return _windowed_reports(target, ref, cfg, tables, judge)
+    return _bound_reports(target, ref, cfg, tables,
+                          f"cobounded-window[{variant}]", bound_of)
 
 
 # --------------------------------------------- semigroup word-metric bound
@@ -666,19 +665,13 @@ def word_metric_dilation_report(target, gens, config: Optional[VerifierConfig] =
         if L < 1 or int(L) != L:
             raise InputError(f"window lengths must be integers >= 1, got {L}")
 
-    def judge(L, ws, ref_ws, table):
+    def bound_of(L, ws, ref_ws):
         pen = cfg.K * delta
         bound = ws.value.hi if pen == 0 else exact_div(pen, L) + ws.value.hi
-        verdict = verdict_of(ref_ws.value.lo, ref_ws.value.hi, bound, bound,
-                             cfg.tolerance, truncated=ws.truncated)
-        return "word-metric-window", bound, verdict, {
-            "delta": delta,
-            "K": cfg.K,
-            "window": 2 * L,
-            "attained": str(ws.attained) if ws.attained else None,
-        }
+        return bound, {"delta": delta, "K": cfg.K, "window": 2 * L}
 
-    return _windowed_reports(target, ref, cfg, tables, judge, scale=2)
+    return _bound_reports(target, ref, cfg, tables, "word-metric-window",
+                          bound_of, scale=2)
 
 
 # ---------------------------------------------------- spectral-radius bound
@@ -707,21 +700,18 @@ def spectral_dilation_report(rho, tau, config: Optional[VerifierConfig] = None,
         if not L > slack:
             raise InputError(f"need L > d_m(alpha+1) = {slack}; got L={L}")
 
-    def judge(L, ws, ref_ws, table):
+    def bound_of(L, ws, ref_ws):
         den = L - slack
         bound = consts.c_m * consts.d_m / den + float(ws.value.hi) * L / den
-        verdict = verdict_of(ref_ws.value.lo, ref_ws.value.hi, bound, bound,
-                             cfg.tolerance, truncated=ws.truncated)
-        return "spectral-window", bound, verdict, {
+        return bound, {
             "c_m": consts.c_m,
             "d_m": consts.d_m,
             "alpha": alpha,
             "eta": ws.value.hi,
             "certificate_mu": cert.mu,
-            "attained": str(ws.attained) if ws.attained else None,
         }
 
-    return _windowed_reports(rho, tau, cfg, tables, judge)
+    return _bound_reports(rho, tau, cfg, tables, "spectral-window", bound_of)
 
 
 # ------------------------------------------------------- ratio envelope
@@ -761,8 +751,8 @@ def ratio_envelope_report(target, ref, alpha_lo, beta_hi,
             max_lo = max(map(r_lo, _near(lo_f, hyp)))
             min_hi = min(map(r_hi, _near(hi_f, hyp, lowest=True)))
             max_hi = max(map(r_hi, _near(hi_f, hyp)))
-            hyp_failed = min_hi < alpha_lo - tol or max_lo > beta_hi + tol
-            hyp_uncertified = min_lo < alpha_lo - tol or max_hi > beta_hi + tol
+            hyp_failed = alpha_lo - min_hi > tol or max_lo - beta_hi > tol
+            hyp_uncertified = alpha_lo - min_lo > tol or max_hi - beta_hi > tol
         hyp_uncertified = hyp_uncertified or ws.truncated
         # Each C0 term is monotone in one ratio, so its max sits at an
         # extreme of that ratio's column.  Float arithmetic in a term can
@@ -786,18 +776,16 @@ def ratio_envelope_report(target, ref, alpha_lo, beta_hi,
             c_cert = max((alpha_lo - r_hi(i)) * a_scale, (r_lo(i) - beta_hi) * b_scale)
             if c_cert > cert_c0:
                 cert_c0 = c_cert
+        bound = None if hyp_failed else C0
         if hyp_failed:
             verdict = HYPOTHESIS_FAILED
-            bound = None
         elif C0 is None:
-            verdict = HOLDS if not hyp_uncertified else INCONCLUSIVE
-            bound = None
+            verdict = INCONCLUSIVE if hyp_uncertified else HOLDS
         else:
-            bound = C0
-            # a single certified escapee refutes, whatever the coverage
-            verdict = verdict_of(cert_c0, need_c0, C0, C0, tol, truncated=False)
-            if verdict == HOLDS and hyp_uncertified:
-                verdict = INCONCLUSIVE
+            # a single certified escapee refutes, whatever the coverage; an
+            # unverified hypothesis leaves the needed C0 unbounded above
+            verdict = verdict_of(cert_c0, math.inf if hyp_uncertified else need_c0,
+                                 C0, C0, tol, truncated=False)
         return "ratio-envelope", bound, verdict, {
             "alpha": alpha_lo,
             "beta": beta_hi,
@@ -1010,38 +998,42 @@ def displacement_sandwich_report(model, n: int, ball_radius: int,
     if exact:
         k, capped = _greedy_chunks(rows, model.weight_of, bound), False
     else:
-        # S_n has unit weights, so a search cost is a word length, and the
-        # cost budget _SEARCH_NODE_CAP never binds before the node cap does
-        lengths, capped = _settled_lengths(s_n, [g.letters for g in ball],
-                                           _SEARCH_NODE_CAP)
+        # S_n has unit weights, so a search cost is a word length; the
+        # search has no cost budget and stops at its node cap
+        lengths, capped = _settled_lengths(s_n, [g.letters for g in ball], None)
         settled = [i for i, g in enumerate(ball) if g.letters in lengths]
         ball, rows = [ball[i] for i in settled], rows.take(settled)
         k = np.array([lengths[g.letters] for g in ball], dtype=np.int64)
     d, den = _row_values(model, rows, "displacement")
-    bad = _outside(d, den, k, slope, shift, bound, tol)
+    excess, tol = _excess(d, den, k, slope, shift, bound, tol)
     violations = [(str(ball[i]), int(k[i]),
                    d[i] if den is None else _unscaled(int(d[i]), den))
-                  for i in bad]
+                  for i in np.flatnonzero(excess > tol).tolist()]
+    # a tree's excess is an exact int, a matrix model's a float, which
+    # refutes nothing; a capped search leaves the worst excess unbounded
+    worst = max(excess.tolist(), default=0)
     extras = {"s_n_size": len(s_n.elements)}
     if not exact:
         extras["bfs_capped"] = capped
     return SandwichReport(
         case="cobounded" if exact else "rough", n=n, scale=scale,
         bound=bound, s_n=s_n, checked=len(ball), violations=violations,
-        verdict=(HOLDS if not violations and not capped
-                 else VIOLATED if exact else INCONCLUSIVE),
+        verdict=verdict_of(worst, math.inf if capped else worst, 0, 0, tol,
+                           truncated=False),
         truncated=not exact, extras=extras,
     )
 
 
-def _outside(d, den, k, slope, shift, bound, tol) -> list:
-    """The indices of the rows whose value (``_row_values``: d, den) lies
-    outside [slope k - shift - tol, bound k + tol], k an int per row.
+def _excess(d, den, k, slope, shift, bound, tol) -> tuple:
+    """(excess, tol): each row's excess max(slope k - shift - d, d - bound k)
+    over the sandwich [slope k - shift, bound k], d its value
+    (``_row_values``: d, den) and k an int per row, and the tolerance, in
+    one unit.  A row is outside the sandwich where its excess passes tol.
 
-    With den None the comparisons are the values' own.  Otherwise the
-    values are den times exact lengths, so the coefficients times den are
-    brought to one denominator q and every side is an exact int: in int64
-    where no side can pass it, else in Python ints.
+    With den None the unit is the values' own.  Otherwise the values are
+    den times exact lengths, so the coefficients times den are brought to
+    one denominator q and every side is an exact int: in int64 where no
+    side can pass it, else in Python ints.
     """
     if den is None:
         k = k.astype(object)
@@ -1053,8 +1045,7 @@ def _outside(d, den, k, slope, shift, bound, tol) -> list:
         if not (top < 2 ** 62 and q * int(d.max(initial=0)) < 2 ** 62):
             d, k = d.astype(object), k.astype(object)
         d = d * q
-    ok = (slope * k - shift - tol <= d) & (d <= bound * k + tol)
-    return np.flatnonzero(~ok).tolist()
+    return np.maximum(slope * k - shift - d, d - bound * k), tol
 
 
 # ---------------------------------------------------- pointwise length cover

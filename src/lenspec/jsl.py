@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .actions import LengthBracket, exact_div
+from .actions import HOLDS, LengthBracket, exact_div, verdict_of
 from .errors import InputError, NumericError, ResourceCapError, SearchExhaustedError
 from .spaces import (MatrixActionModel, TreeModel, WordMetricModel,
                      _batch_lambda1, _batch_sigma1, class_bracket_reader)
@@ -277,7 +277,8 @@ def joint_stable_profile(
 
 @dataclass(frozen=True)
 class BfCheck:
-    """Two-sided sandwich of the joint length by half the pair maximum."""
+    """Two-sided sandwich of the joint length by half the pair maximum;
+    ``ok`` is ``verdict_of``'s "holds" for its lo against the joint hi."""
 
     ok: bool
     pair_half: LengthBracket
@@ -316,7 +317,8 @@ def bf_lower_check(model, s, n_max: int = 8, tol: float = 1e-9, K=None, **kw) ->
     half = LengthBracket(
         exact_div(pair.lo, 2), exact_div(pair.hi, 2), pair.exact, pair.certified
     )
-    ok = bool(half.lo <= joint.hi + tol)
+    ok = verdict_of(half.lo, half.lo, joint.hi, joint.hi, tol,
+                    truncated=False) == HOLDS
     K = 1 if K is None else K
     upper = K * model.delta + half.hi
     return BfCheck(

@@ -21,7 +21,7 @@ import numpy as np
 from .actions import ActionModel, AnosovCertificate, anosov_certificate, exact_div
 from .errors import InputError, NumericError
 from .words import (ROW_CHUNK, ClassCodes, GeneratingSet, Word, _as_weight,
-                    _cheapest_first, _letters_in_order, _unscaled, word_length)
+                    _letters_in_order, _settled_lengths, _unscaled, word_length)
 
 __all__ = [
     "ClassLengths",
@@ -270,22 +270,17 @@ class WordMetricModel(ActionModel):
         else:
             # each letter's cost is its distance in the metric, from one
             # cheapest-first search that stops once every letter is settled
-            cost = {}
-            for d, w in _cheapest_first(gens, self.radius_cap):
-                if len(w) == 1:
-                    cost[w[0]] = d
-                    if len(cost) == 2 * self.rank:
-                        break
             letters = _letters_in_order(self.rank)
-            missing = [x for x in letters if x not in cost]
-            if missing:
+            cost, missed = _settled_lengths(gens, [(x,) for x in letters],
+                                            self.radius_cap)
+            if missed:
                 # with positive weights finitely many elements lie within
                 # any cost, so a letter not reached means the budget ran out
-                raise InputError(
-                    f"semigroup generation check inconclusive: letter "
-                    f"{missing[0]} not reached within cost {self.radius_cap}"
-                )
-            self._letter_cost = {x: _unscaled(cost[x], gens._den) for x in letters}
+                missing = next(x for x in letters if (x,) not in cost)
+                raise InputError(f"semigroup generation check inconclusive: "
+                                 f"letter {missing} not reached within cost "
+                                 f"{self.radius_cap}")
+            self._letter_cost = {x: cost[(x,)] for x in letters}
 
     def displacement(self, g: Word):
         if self._standard:
@@ -673,12 +668,12 @@ class MatrixActionModel(ActionModel):
                             frozenset({float} if vals else ()))
 
     def window_radius(self, length_bound) -> float:
-        # log sigma1 >= gap/2 for unit determinant, and a class length is
-        # _length_scale log lambda1, so l >= _length_scale * mu * cyclen / 2
-        cert = self.certificate()
-        if not cert.ok:
-            return math.inf
-        return math.ceil(2 * length_bound / (self._length_scale * cert.mu))
+        # no radius is certified: the certificate's mu is the least gap
+        # per letter over a finite ball, a sample and not a bound, so every
+        # window reads to radius_cap and is marked truncated
+        if self.dim < 2:
+            raise InputError("a singular gap needs matrices of size 2 or more")
+        return math.inf
 
     def certificate(self, radius: int = 6) -> AnosovCertificate:
         """The gap certificate over the ball of ``radius``, one per radius."""
@@ -862,7 +857,7 @@ def build_schottky(stretch, angles: Sequence, delta: Optional[float] = None
     if not cert.ok:
         warnings.warn(
             f"Schottky certificate failed (mu = {cert.mu:.3g}); "
-            "window coverage radii will be unavailable",
+            "displacement balls will be unavailable",
             stacklevel=2,
         )
     return SchottkyAction(mobius=mob, linear=lin, certificate=cert)

@@ -673,29 +673,35 @@ def _unscaled(cost: int, den: int):
     return cost if den == 1 else Fraction(cost, den)
 
 
-def _cheapest_first(s: GeneratingSet, radius_cap):
-    """Yield (scaled cost, letters) of each element of the free group in
-    the order a uniform-cost search over the word metric of s settles it.
+def _settled_lengths(s: GeneratingSet, targets, radius_cap):
+    """(length of each nonidentity target that one shared cheapest-first
+    search settles, in the order of ``targets``; whether some target was
+    left unsettled).
 
-    The search expands the identity by right multiplication with the
-    elements of s, ties broken by the letters.  Costs are exact ints: the
-    weights scaled by ``s._den``, which a reader divides back out of the
-    costs it keeps (``_unscaled``).  The search stops when no element
-    within cost radius_cap is left, or once it has reached more than
-    _SEARCH_NODE_CAP elements.
+    The search is a uniform-cost search over the word metric of s: it
+    expands the identity by right multiplication with the elements of s,
+    ties broken by the letters.  Costs are exact ints, the weights scaled
+    by ``s._den`` (``_unscaled`` divides it back out of a length).  The
+    search stops once every target is settled, when no element within
+    cost radius_cap (None: no cost budget) is left, or once it has reached
+    more than _SEARCH_NODE_CAP elements.
     """
+    pending = {t for t in targets if t}
+    found = {}
     den = s._den
     steps = [(e.letters, int(w * den)) for e, w in zip(s.elements, s.weights)]
-    cap = math.floor(Fraction(radius_cap) * den)
+    cap = math.inf if radius_cap is None else math.floor(Fraction(radius_cap) * den)
     dist: dict[tuple[int, ...], int] = {(): 0}
     heap: list = [(0, ())]
     while heap:
         d, w = heapq.heappop(heap)
         if dist[w] != d:
             continue
-        yield d, w
-        if len(dist) > _SEARCH_NODE_CAP:
-            return
+        if w in pending:
+            pending.remove(w)
+            found[w] = _unscaled(d, den)
+        if not pending or len(dist) > _SEARCH_NODE_CAP:
+            break
         for letters, wt in steps:
             nd = d + wt
             if nd > cap:
@@ -705,20 +711,6 @@ def _cheapest_first(s: GeneratingSet, radius_cap):
             if old is None or nd < old:
                 dist[nw] = nd
                 heapq.heappush(heap, (nd, nw))
-
-
-def _settled_lengths(s: GeneratingSet, targets, radius_cap):
-    """(length of each nonidentity target that one shared cheapest-first
-    search within cost radius_cap settles, in the order of ``targets``;
-    whether some target was left unsettled)."""
-    pending = {t for t in targets if t}
-    found = {}
-    for d, w in _cheapest_first(s, radius_cap) if pending else ():
-        if w in pending:
-            pending.remove(w)
-            found[w] = _unscaled(d, s._den)
-            if not pending:
-                break
     return {t: found[t] for t in targets if t in found}, bool(pending)
 
 
@@ -729,13 +721,8 @@ def word_length(g: Word, s: GeneratingSet, radius_cap=32):
     not reached within cost radius_cap or _SEARCH_NODE_CAP elements; that
     says nothing about g beyond the budget.
     """
-    target = g.letters
-    if not target:
-        return 0
-    for d, w in _cheapest_first(s, radius_cap):
-        if w == target:
-            return _unscaled(d, s._den)
-    raise SearchExhaustedError(
-        f"{g} not reached within cost {radius_cap} or "
-        f"{_SEARCH_NODE_CAP} elements"
-    )
+    lengths, missed = _settled_lengths(s, [g.letters], radius_cap)
+    if missed:
+        raise SearchExhaustedError(f"{g} not reached within cost {radius_cap} "
+                                   f"or {_SEARCH_NODE_CAP} elements")
+    return lengths.get(g.letters, 0)

@@ -59,6 +59,14 @@ def test_bracket_basics():
     assert str(LengthBracket.exactly(2)) == "2"
 
 
+def test_bracket_contains_an_exact_tie_past_float_precision():
+    # hi + tol rounds to the float 2**53 < v: a side is never shifted by tol
+    v = 2 ** 53 + 1
+    assert LengthBracket.exactly(v).contains(v, tol=1e-9)
+    assert LengthBracket(v, v + 2).contains(v, tol=1e-9)
+    assert not LengthBracket.exactly(v).contains(v + 1, tol=1e-9)
+
+
 def test_bracket_validation():
     with pytest.raises(InputError):
         LengthBracket(2, 1)

@@ -26,6 +26,7 @@ from lenspec.bounds import (
     VIOLATED,
     ClassTable,
     VerifierConfig,
+    _bound_reports,
     _class_table,
     _greedy_chunks,
     cobounded_dilation_report,
@@ -41,6 +42,7 @@ from lenspec.bounds import (
     window_comparison_bound,
     word_metric_dilation_report,
 )
+from lenspec import words
 from lenspec.errors import InputError, ResourceCapError
 from lenspec.spaces import (
     LinearRepModel,
@@ -124,6 +126,29 @@ def test_window_truncation_flag():
     assert ws.truncated
     assert ws.radius == 3 and ws.radius_needed == 8
     assert ws.value.hi == 2  # letter classes are still enumerated
+
+
+@pytest.mark.parametrize("radius_cap,verdict", [(12, VIOLATED), (1, INCONCLUSIVE)])
+def test_a_bound_below_an_exact_sup_is_violated_only_on_a_full_window(
+        radius_cap, verdict):
+    # a bound of 0 under the exact reference sup 2: refuted only where the
+    # bound-side window had every class it needs
+    (r,) = _bound_reports(WB2, UNIT, VerifierConfig(L_values=(2,),
+                                                    radius_cap=radius_cap),
+                          None, "zero", lambda L, ws, ref_ws: (0, {}))
+    assert r.coverage["window"]["truncated"] == (radius_cap == 1)
+    assert (r.verdict, r.extras["attained"]) == (verdict, "b")
+
+
+def test_a_matrix_window_reads_to_radius_cap_and_is_truncated():
+    # on the cor17-default pair (ab)^6 has cyclic length 12 and length
+    # 15.257 <= 16, past the radius 11 that the sampled mu gave: a window
+    # sized from mu missed it and read untruncated
+    mob = build_schottky(4.0, (0.0, 1.2)).mobius
+    assert mob.class_length((1, 2) * 6) < 16
+    ws = dilation_window(UNIT, mob, 16)
+    assert (ws.radius, ws.radius_needed, ws.truncated) == (12, math.inf, True)
+    assert ws.count == 1076
 
 
 def test_zero_length_classes_are_excluded_not_fatal():
@@ -475,6 +500,16 @@ def test_envelope_measurement_without_certified_escape_is_inconclusive():
     assert r.extras["minimal_C0"] > 0
 
 
+def test_envelope_hypothesis_reads_an_exact_tie_past_float_precision():
+    # every ratio is exactly w, which no float holds: beta + tol rounds to
+    # the float 1e17 < w, which read the hypothesis as failed
+    w = 10 ** 17 + 1
+    (r,) = ratio_envelope_report(TreeModel(2, [w, w]), UNIT, w, w,
+                                 VerifierConfig(L_values=(4,)), C0=0)
+    assert (r.verdict, r.extras["hypothesis"]) == (HOLDS, "verified")
+    assert r.extras["minimal_C0"] == 0
+
+
 def test_envelope_band_validation():
     with pytest.raises(InputError):
         ratio_envelope_report(WB2, UNIT, 2, 1, VerifierConfig(L_values=(4,)))
@@ -685,6 +720,21 @@ def test_rough_sandwich_lists_a_violation_it_cannot_certify():
     assert sr.verdict == INCONCLUSIVE
     assert sr.checked == 52
     assert sr.truncated and not sr.extras["bfs_capped"]
+
+
+def test_a_capped_rough_sandwich_cannot_hold(monkeypatch):
+    # the search stops before every ball word is settled: the rows it
+    # checked are inside the sandwich, but the unsettled ones are unknown
+    monkeypatch.setattr(words, "_SEARCH_NODE_CAP", 20)
+    act = schottky()
+    lin = LinearRepModel(
+        [act.linear.generator_matrix(1), act.linear.generator_matrix(2)],
+        alpha=0.0,
+    )
+    sr = displacement_sandwich_report(lin, 3, 3, VerifierConfig())
+    assert sr.extras["bfs_capped"] and sr.checked < 52
+    assert sr.violations == []
+    assert sr.verdict == INCONCLUSIVE
 
 
 def test_sandwich_validation():

@@ -1,5 +1,5 @@
-"""Each demo, and the README's library quick start, runs to completion
-against the package as it stands."""
+"""Each demo, the README's library quick start and its scenario example
+run to completion against the package as it stands."""
 
 import os
 import re
@@ -29,4 +29,14 @@ def test_readme_quick_start_exits_0():
     [block] = re.findall(r"```python\n(.*?)```",
                          (ROOT / "README.md").read_text(), re.S)
     proc = _run("-c", block)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_scenario_example_verifies(tmp_path):
+    # the schema's example, less its // comments, is a scenario that holds
+    [block] = re.findall(r"```jsonc\n(.*?)```",
+                         (ROOT / "README.md").read_text(), re.S)
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(re.sub(r"//[^\n]*", "", block))
+    proc = _run("-m", "lenspec", "verify", "--scenario", str(scenario))
     assert proc.returncode == 0, proc.stderr

@@ -37,6 +37,14 @@ B / (least weight) letters.  ``displacement_ball`` must hold, in ball
 order, every nonidentity word of a ball one letter larger whose weight sum
 is <= B.
 
+Window reach.  A window at L flagged untruncated claims to hold every
+class whose reference length (the lo of its bracket) is at most L, so a
+class table of a larger radius must show no such class of positive length
+past the window's radius.  References are trees, standard and non-standard
+word metrics, and the Mobius model of ``cor17-default``, whose window at
+L = 16, sized from the certificate's sampled mu, stopped at radius 11 and
+missed (ab)^6, of cyclic length 12 and length 15.257.
+
 Exact window flags.  On trees and standard word metrics a class length is
 the weight sum of its cyclically reduced word, so a window sup flagged
 exact must be an int or a Fraction equal to the largest Fraction
@@ -75,7 +83,8 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from lenspec.actions import exact_div, gromov_product
-from lenspec.bounds import (VIOLATED, VerifierConfig, cobounded_dilation_report,
+from lenspec.bounds import (VIOLATED, ClassTable, VerifierConfig,
+                            cobounded_dilation_report,
                             dilation_window, displacement_ball,
                             ratio_envelope_report, word_metric_dilation_report)
 from lenspec.cli import _ensemble_pairs
@@ -234,6 +243,48 @@ def test_tree_displacement_balls_are_complete(case):
                 if w.letters and _weight_sum(weights, w) <= bound]
     got = displacement_ball(TreeModel(rank, weights), bound).elements
     assert list(got) == expected, (weights, bound)
+
+
+def _missed_by_the_window(ref, L, radius_cap, extra):
+    """The classes of positive reference lo <= L, up to ``extra`` letters
+    past the radius of the window at L, that an untruncated window misses."""
+    ws = dilation_window(TreeModel(ref.rank), ref, L,
+                         VerifierConfig(radius_cap=radius_cap))
+    if ws.truncated:
+        return []
+    table = ClassTable(TreeModel(ref.rank), ref, ws.radius + extra)
+    return [Word(table.classes.rep(i))
+            for i in np.flatnonzero(table.positive).tolist()
+            if table.ref.lo[i] <= L and len(table.classes.rep(i)) > ws.radius]
+
+
+@st.composite
+def _reach_cases(draw):
+    kind = draw(st.sampled_from(["tree", "word-metric", "word-metric-nonstandard"]))
+    weights = draw(st.lists(_WEIGHT, min_size=2, max_size=2))
+    if kind == "tree":
+        ref = TreeModel(2, weights)
+    elif kind == "word-metric":
+        ref = WordMetricModel(GeneratingSet.standard(2, weights))
+    else:
+        a, b = weights
+        extra = _reduced_word(draw, 2, 3) or Word("ab")
+        ref = WordMetricModel(GeneratingSet(2, ["a", "A", "b", "B", extra],
+                                            [a, a, b, b, draw(_WEIGHT)]))
+    L = min(weights) * draw(st.fractions(1, 4, max_denominator=3))
+    return ref, L, draw(st.integers(1, 6))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_reach_cases())
+def test_untruncated_windows_hold_every_class_up_to_their_length(case):
+    ref, L, radius_cap = case
+    assert _missed_by_the_window(ref, L, radius_cap, 2) == [], (ref, L)
+
+
+def test_the_cor17_default_window_holds_every_class_up_to_its_length():
+    mob = build_schottky(4.0, (0.0, 1.2)).mobius
+    assert _missed_by_the_window(mob, 16, 12, 1) == []
 
 
 @st.composite

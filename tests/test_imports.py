@@ -9,7 +9,9 @@ name with a leading underscore from another module of the package must
 come from ``words`` (the word arithmetic every layer builds on) or be
 listed in ``PRIVATE_IMPORTS``.  A module-level private definition
 (function, class or constant) must be read somewhere in the package.  Only
-the verdict rule (``VERDICT_OWNERS``) may give a verdict of "violated".
+the verdict rule (``VERDICT_OWNERS``) may give a verdict of "violated",
+and no comparison adds a tolerance to, or takes it from, a side: a value
+meets a tolerance as the verdict rule does, the difference first.
 """
 
 import ast
@@ -67,7 +69,6 @@ def test_the_scan_sees_an_unused_import():
 # read exact values by the one type test that brackets use.
 PRIVATE_IMPORTS = {
     ("bounds", "actions", "_EXACT"),
-    ("bounds", "actions", "_is_exact"),
     ("cli", "bounds", "_class_table"),
     ("jsl", "spaces", "_batch_lambda1"),
     ("jsl", "spaces", "_batch_sigma1"),
@@ -152,9 +153,8 @@ def test_the_scan_sees_an_orphaned_private_definition():
 
 
 # the functions that may give a verdict of "violated": the one rule every
-# comparison of a bracket with a bound decides by, and the tree sandwich,
-# whose exact case compares ints
-VERDICT_OWNERS = {"verdict_of", "displacement_sandwich_report"}
+# comparison of a value with a bound decides by
+VERDICT_OWNERS = {"verdict_of"}
 
 
 def _outside_comparisons(node):
@@ -207,6 +207,39 @@ def test_the_scan_sees_a_violated_verdict():
                      "    return 'violated' in x\n")
     assert _violated_writers(tree) == [(3, "f"), (5, "g"), (6, "g"),
                                        (12, "h"), (12, "k")]
+
+
+def _is_tolerance(node) -> bool:
+    return ((isinstance(node, ast.Name) and node.id == "tol")
+            or (isinstance(node, ast.Attribute) and node.attr == "tolerance"))
+
+
+def _shifted_by_tolerance(tree: ast.Module) -> list:
+    """The lines of every comparison one of whose sides adds the name
+    ``tol`` or an attribute ``.tolerance`` to something, or subtracts it:
+    ``x > bound + tol`` rounds an exact bound to a float before comparing,
+    where ``x - bound > tol`` does not."""
+    return sorted({node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.Compare)
+                   for side in (node.left, *node.comparators)
+                   for n in ast.walk(side)
+                   if isinstance(n, ast.BinOp) and isinstance(n.op, (ast.Add, ast.Sub))
+                   and (_is_tolerance(n.left) or _is_tolerance(n.right))})
+
+
+def test_no_comparison_shifts_a_side_by_the_tolerance():
+    assert [] == [(p.name, line) for p in sorted(SRC.glob("*.py"))
+                  for line in _shifted_by_tolerance(ast.parse(p.read_text()))]
+
+
+def test_the_scan_sees_a_side_shifted_by_the_tolerance():
+    tree = ast.parse("ok = x <= bound + tol\n"
+                     "ok = x - bound <= tol\n"
+                     "ok = lo - cfg.tolerance < v < 2 * (hi + tol)\n"
+                     "ok = x - tol_max <= bound\n"
+                     "y = bound + tol\n"
+                     "ok = f(x) > hi + self.tolerance\n")
+    assert _shifted_by_tolerance(tree) == [1, 3, 6]
 
 
 def _exported(module) -> set:

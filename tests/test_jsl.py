@@ -289,6 +289,15 @@ def test_bf_check_on_standard_pair():
     assert chk.minimal_K_lower == 0
 
 
+def test_bf_check_reads_an_exact_tie_past_float_precision():
+    # the pair half and the joint length are both w, which no float holds:
+    # joint.hi + tol rounds to the float 1e17 < w, which read ok False
+    w = 10 ** 17 + 1
+    chk = bf_lower_check(TreeModel(2, [w, 1]), ["a"], n_max=4)
+    assert chk.pair_half.lo == chk.joint.hi == w
+    assert chk.ok
+
+
 def test_bf_check_bracket_too_loose_for_certification():
     # delta = 0 and joint.hi > pair_half.lo: no finite K is certified,
     # but nothing refutes K = 0 either

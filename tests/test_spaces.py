@@ -361,21 +361,25 @@ def test_schottky_warns_when_certificate_fails():
         build_schottky(1.0001, [0.0, 0.78])
 
 
-def test_window_radius_uses_certificate():
+def test_matrix_window_radius_is_not_sized_from_the_certificate():
+    # mu is the least gap per letter over a finite ball, a sample and not
+    # a bound, so no matrix window radius is certified
     act = build_schottky(4.0, [0.0, 1.2])
-    mu = act.certificate.mu
-    assert act.mobius.window_radius(5.0) == math.ceil(5.0 / mu)
-    assert act.linear.window_radius(5.0) == math.ceil(10.0 / mu)
+    assert act.mobius.window_radius(5.0) == math.inf
+    assert act.linear.window_radius(5.0) == math.inf
+    # a 1x1 model has no singular gap, which a size check says with no
+    # certificate walked
+    one = LinearRepModel([[[2.0]], [[3.0]]])
+    with pytest.raises(InputError, match="size 2 or more"):
+        one.window_radius(5.0)
+    assert one._certs == {}
 
 
 def test_certificates_are_kept_per_radius():
-    # a certificate over a larger ball neither stands in for a smaller
-    # cert_radius nor moves the radius-6 one that window_radius reads
+    # a certificate over a larger ball stands in for neither a smaller
+    # cert_radius nor the radius-6 one
     mob = build_schottky(4.0, [0.0, 1.2]).mobius
-    window = mob.window_radius(16)
-    assert window == 11
     assert mob.certificate(8).radius == 8
-    assert mob.window_radius(16) == window
     assert mob.certificate(3).radius == 3
     assert mob.certificate() is mob.certificate(6)
     assert mob.certificate(3).mu == anosov_certificate(mob, radius=3).mu

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 import _oracle
 from lenspec import cli
-from lenspec.bounds import (_greedy_chunks, _outside, displacement_sandwich_report,
+from lenspec.bounds import (_excess, _greedy_chunks, displacement_sandwich_report,
                             pointwise_cover_report)
 from lenspec.errors import ResourceCapError
 from lenspec.jsl import joint_stable_profile
@@ -212,6 +212,12 @@ def test_sandwich_matches_the_oracle(weights, n, ball_radius):
     assert got.checked == len(words) and got.violations == []
     counts = _greedy_chunks(WordRows.of(RANK, words), model.weight_of, bound)
     assert counts.tolist() == [_oracle.pieces(exact, g, bound) for g in words]
+
+
+def _outside(*args) -> list:
+    """The rows whose ``_excess`` is above the tolerance."""
+    excess, tol = _excess(*args)
+    return np.flatnonzero(excess > tol).tolist()
 
 
 def test_int_and_object_bounds_list_the_same_rows():
