@@ -10,13 +10,13 @@ with enumeration depth chosen so that every class in the window is seen
 (each model provides a comparison radius; when it exceeds the configured
 cap, the window is flagged truncated and verdicts degrade accordingly).
 
-Verdict policy, uniformly: every check decides by ``actions.verdict_of``
-(re-exported here).  A bound "holds" when the compared bracket's hi sits
-below the bound, is "violated" only when the bracket's lo exceeds the
-bound, both are exact (int or Fraction: a float excess refutes nothing)
-and the check's data is not truncated (for a windowed bound: the
-bound-side window had full coverage, otherwise the computed bound may
-understate the true right-hand side), and is "inconclusive" in between.
+Verdict policy, uniformly: every check decides by ``actions.verdict_of``.
+A bound "holds" when the compared bracket's hi sits below the bound, is
+"violated" only when the bracket's lo exceeds the bound, both are exact
+(int or Fraction: a float excess refutes nothing) and the check's data is
+not truncated (for a windowed bound: the bound-side window had full
+coverage, otherwise the computed bound may understate the true right-hand
+side), and is "inconclusive" in between.
 A value meets a tolerance as there: the difference first, then ``tol``.
 
 The windowed reports take an optional ``tables`` dict through which the
@@ -25,7 +25,6 @@ reports of one run share their class tables (see ``_class_table``).
 
 from __future__ import annotations
 
-import copy
 import heapq
 import math
 import numbers
@@ -36,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .actions import (_EXACT, HOLDS, HYPOTHESIS_FAILED, INCONCLUSIVE, VIOLATED,
+from .actions import (_EXACT, HOLDS, HYPOTHESIS_FAILED, INCONCLUSIVE,
                       LengthBracket, exact_div, verdict_of)
 from .errors import InputError, ResourceCapError
 from .jsl import BochiConstants, joint_stable_profile
@@ -55,11 +54,6 @@ from .words import (
 )
 
 __all__ = [
-    "HOLDS",
-    "VIOLATED",
-    "INCONCLUSIVE",
-    "HYPOTHESIS_FAILED",
-    "verdict_of",
     "VerifierConfig",
     "WindowRow",
     "WindowSup",
@@ -222,14 +216,8 @@ class ClassTable:
             if id(model) not in sides:
                 sides[id(model)] = class_lengths(model, classes,
                                                  cfg.window_k_max)
-        self.ref = sides[id(ref)].over(classes)
-        self.tgt = sides[id(target)].over(classes)
-        self._divide()
-
-    def _divide(self):
-        """Build ``positive``, the ratio columns ``lo`` and ``hi`` and the
-        flags ``exact_pairs``, ``floats_exact`` and ``ties_exact``."""
-        ref, tgt = self.ref, self.tgt
+        self.ref = ref = sides[id(ref)].over(classes)
+        self.tgt = tgt = sides[id(target)].over(classes)
         rl, rh, tl, th = ref.lo_f, ref.hi_f, tgt.lo_f, tgt.hi_f
         self.exact_pairs = all(any(issubclass(t, _EXACT) for t in s.kinds)
                                for s in (ref, tgt))
@@ -264,32 +252,6 @@ class ClassTable:
     @property
     def reps(self) -> list:
         return self.classes.reps
-
-    def prefix(self, radius: int) -> "ClassTable":
-        """This table cut to the classes of length <= radius <= self.radius.
-
-        The same object when radius is this table's radius; the classes
-        are sorted by length, so the cut is the prefix of each side
-        (``ClassLengths.prefix``) and of the ratio columns, views of this
-        table's.
-        """
-        if radius == self.radius:
-            return self
-        cut = copy.copy(self)
-        classes = self.classes.prefix(radius)
-        cut.ref, cut.tgt = self.ref.over(classes), self.tgt.over(classes)
-        k = len(cut.ref)
-        cut.positive, cut.lo, cut.hi = self.positive[:k], self.lo[:k], self.hi[:k]
-        return cut
-
-    def swapped(self) -> "ClassTable":
-        """This table with target and reference exchanged: the lengths
-        already evaluated, each side in the other's place, and the ratio
-        columns of the other direction."""
-        out = copy.copy(self)
-        out.ref, out.tgt = self.tgt, self.ref
-        out._divide()
-        return out
 
     def ratio_lo(self, i):
         """The exact tgt.lo/ref.hi of class i."""
@@ -383,20 +345,23 @@ def _class_table(target, ref, radius: int, cfg: VerifierConfig,
     """The class table of (target, ref) up to radius, reusing ``tables``.
 
     ``tables`` maps (target, ref, class_cap, window_k_max) to the largest
-    table built so far for that pair; a smaller radius gets a prefix of it.
-    A new table takes its classes, and the lengths of a model that is
-    already a side, from the tables of its rank that reach its radius
-    (``_walked``), so a run walks the classes of a rank once while its
-    radius does not grow.  The caller owns the dict and decides how long
-    tables live; without one every call builds a fresh table.
+    table built so far for that pair, returned as it is at its own radius.
+    Any other radius gets a new table, kept under the key when it is the
+    largest.  A new table takes its classes, and the lengths of a model
+    that is already a side, from the tables of its rank that reach its
+    radius (``_walked``), so a run walks the classes of a rank, and
+    evaluates a model over them, once while its radius does not grow; a
+    smaller table only divides its columns anew.  The caller owns the dict
+    and decides how long tables live; without one every call builds a
+    fresh table.
     """
     radius = int(radius)
     key = (target, ref, cfg.class_cap, cfg.window_k_max)
-    table = tables.get(key) if tables is not None else None
-    if table is not None and table.radius >= radius:
-        return table.prefix(radius)
+    largest = tables.get(key) if tables is not None else None
+    if largest is not None and largest.radius == radius:
+        return largest
     table = ClassTable(target, ref, radius, config=cfg, tables=tables)
-    if tables is not None:
+    if tables is not None and (largest is None or radius > largest.radius):
         tables[key] = table
     return table
 
@@ -472,8 +437,9 @@ def dilation_window(target, ref, L, config: Optional[VerifierConfig] = None,
     length cannot be certified positive are excluded and counted.  The
     window reads the classes up to ``ref.window_radius(L)``, capped at
     ``radius_cap``.  With a ``tables`` dict (see ``_class_table``) calls on
-    the same pair share one table: a window no larger than one already
-    built reads a prefix of it, so the largest L should come first.
+    the same pair share one walk and one evaluation of each model: a
+    window no larger than one already built takes its classes and lengths
+    from it, so the largest L should come first.
     """
     cfg = config or VerifierConfig()
     needed = ref.window_radius(L)
@@ -691,8 +657,9 @@ def spectral_dilation_report(rho, tau, config: Optional[VerifierConfig] = None,
     cert = rho.certificate(cert_radius)
     if not cert.ok:
         raise InputError(
-            "singular gap certificate failed for the dominated representation "
-            f"(mu={cert.mu:.6g} at radius {cert.radius}); cannot certify windows"
+            f"singular gap certificate failed (mu={cert.mu:.6g} at radius "
+            f"{cert.radius}): it is the spectral bound's hypothesis that rho "
+            "is a dominated representation"
         )
     consts = BochiConstants.for_dim(rho.dim)
     slack = consts.d_m * (alpha + 1)
@@ -1145,9 +1112,11 @@ def metric_distance_report(a, b, config: Optional[VerifierConfig] = None
     cfg = config or VerifierConfig()
     L = max(cfg.L_values)
     r_ab, r_ba = b.window_radius(L), a.window_radius(L)
-    table = _build_table(a, b, [max(r_ab, r_ba)], cfg)
+    tables: dict = {}
+    table = _build_table(a, b, [max(r_ab, r_ba)], cfg, tables)
+    back = _class_table(b, a, table.radius, cfg, tables)
     ws_ab = _window_sup(table, L, r_ab, diag_cap=cfg.diagnostics_cap)
-    ws_ba = _window_sup(table.swapped(), L, r_ba, diag_cap=cfg.diagnostics_cap)
+    ws_ba = _window_sup(back, L, r_ba, diag_cap=cfg.diagnostics_cap)
     if ws_ab.empty or ws_ba.empty or ws_ab.value.lo <= 0 or ws_ba.value.lo <= 0:
         return DeltaReport(
             delta=LengthBracket(0.0, math.inf), dil_ab=ws_ab.value,

@@ -48,12 +48,9 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .actions import exact_div
+from .actions import (HOLDS, HYPOTHESIS_FAILED, INCONCLUSIVE, VIOLATED,
+                      exact_div, verdict_of)
 from .bounds import (
-    HOLDS,
-    HYPOTHESIS_FAILED,
-    INCONCLUSIVE,
-    VIOLATED,
     VerifierConfig,
     WindowRow,
     _class_table,
@@ -65,7 +62,6 @@ from .bounds import (
     pointwise_cover_report,
     ratio_envelope_report,
     spectral_dilation_report,
-    verdict_of,
     word_metric_dilation_report,
 )
 from .errors import InputError, NumericError, ResourceCapError
@@ -80,7 +76,7 @@ from .spaces import (
     build_schottky,
     class_lengths,
 )
-from .words import ROW_CHUNK, ClassCodes, GeneratingSet, Word, _finite_real
+from .words import ClassCodes, GeneratingSet, Word, _finite_real
 
 __all__ = [
     "Scenario",
@@ -727,31 +723,17 @@ def _ascii_rows(texts) -> np.ndarray:
 
 
 def _name_chunks(codes: ClassCodes):
-    """The names of the classes of ``codes``, ROW_CHUNK rows at a time,
-    each chunk an (N, W) uint8 array of their ASCII bytes, NUL-padded:
-    within rank 26 its rows' codes read through ``_CODE_ASCII`` across the
-    length blocks it spans, past it the text of one ``codes.names()``."""
-    n = len(codes)
-    if codes.rank > 26:
-        names = codes.names()
-        for _ in range(0, n, ROW_CHUNK):
-            yield _ascii_rows(list(islice(names, ROW_CHUNK)))
+    """The names of the classes of ``codes``, one chunk per array of
+    ``codes.row_chunks()``, each an (N, W) uint8 array of their ASCII
+    bytes, NUL-padded: within rank 26 the chunk's codes read through
+    ``_CODE_ASCII``, past it the text of one ``codes.names()``."""
+    if codes.rank <= 26:
+        for rows in codes.row_chunks():
+            yield _CODE_ASCII[rows]
         return
-    for first in range(0, n, ROW_CHUNK):
-        start, stop = first, min(n, first + ROW_CHUNK)
-        parts = []
-        for b in codes.blocks:
-            if stop <= 0:
-                break
-            if start < len(b):
-                parts.append(b[max(start, 0):stop])
-            start, stop = start - len(b), stop - len(b)
-        out = np.zeros((sum(map(len, parts)), parts[-1].shape[1]), np.uint8)
-        at = 0
-        for rows in parts:
-            out[at:at + len(rows), :rows.shape[1]] = _CODE_ASCII[rows]
-            at += len(rows)
-        yield out
+    names = codes.names()
+    for rows in codes.row_chunks():
+        yield _ascii_rows(list(islice(names, len(rows))))
 
 
 def _typed(v) -> tuple:
@@ -857,7 +839,8 @@ def _number_fields(classes) -> list:
 
 def _csv_chunks(classes):
     """The rows of classes.csv (without its header) of a _class_listing,
-    as text of at most ROW_CHUNK rows per string.
+    as text, one string per row chunk of its classes
+    (``ClassCodes.row_chunks``).
 
     A chunk is laid out as one (N, W) uint8 array: the names
     (``_name_chunks``), then "," and the field of each column, then a
@@ -869,13 +852,13 @@ def _csv_chunks(classes):
     repr), "" where a cell has none.  No cell or name holds a NUL, a
     comma, a quote or a newline, so dropping the NULs leaves the rows.
     """
-    n = len(classes)
     runs = []
     for _, run in groupby(_number_fields(classes), key=id):
         run = list(run)
         runs.append((run[0], len(run)))
-    for start, names in zip(range(0, n, ROW_CHUNK), _name_chunks(classes.classes)):
-        stop = min(n, start + ROW_CHUNK)
+    stop = 0
+    for names in _name_chunks(classes.classes):
+        start, stop = stop, stop + len(names)
         comma = np.full((stop - start, 1), ord(","), np.uint8)
         parts = [names]
         for (texts, index), width in runs:
@@ -1066,7 +1049,7 @@ def _cmd_dilation(args) -> int:
     cfg = scen.config()
     target, reference = _models(scen)
     _require_both(target, reference, "dilation")
-    # the largest window first: the smaller ones read a prefix of its table
+    # the largest window first: the smaller ones take its classes and lengths
     tables: dict = {}
     out = {}
     for L in sorted(cfg.L_values, reverse=True):

@@ -90,10 +90,6 @@ class ClassLengths:
     def __len__(self):
         return len(self.classes)
 
-    def prefix(self, radius: int) -> "ClassLengths":
-        """The classes of length <= radius (see ``over``)."""
-        return self.over(self.classes.prefix(radius))
-
     def over(self, classes: ClassCodes) -> "ClassLengths":
         """These lengths over ``classes``, a prefix of this side's classes
         (so both sides of a table can hold one ClassCodes): self when they
@@ -269,7 +265,7 @@ class WordMetricModel(ActionModel):
             }
         else:
             # each letter's cost is its distance in the metric, from one
-            # cheapest-first search that stops once every letter is settled
+            # search that stops once every letter is settled
             letters = _letters_in_order(self.rank)
             cost, missed = _settled_lengths(gens, [(x,) for x in letters],
                                             self.radius_cap)

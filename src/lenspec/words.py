@@ -665,6 +665,8 @@ class GeneratingSet:
 
 # elements a word-metric search reaches before it gives up
 _SEARCH_NODE_CAP = 200_000
+# the most pending targets a search aims at (see _settled_lengths)
+_AIMED_TARGETS = 16
 
 
 def _unscaled(cost: int, den: int):
@@ -673,28 +675,70 @@ def _unscaled(cost: int, den: int):
     return cost if den == 1 else Fraction(cost, den)
 
 
-def _settled_lengths(s: GeneratingSet, targets, radius_cap):
-    """(length of each nonidentity target that one shared cheapest-first
-    search settles, in the order of ``targets``; whether some target was
-    left unsettled).
+def _tree_distance(x: tuple, t: tuple) -> int:
+    """|x^-1 t| for reduced x and t: their distance in the Cayley tree of
+    the free basis."""
+    k = 0
+    for a, b in zip(x, t):
+        if a != b:
+            break
+        k += 1
+    return len(x) + len(t) - 2 * k
 
-    The search is a uniform-cost search over the word metric of s: it
-    expands the identity by right multiplication with the elements of s,
-    ties broken by the letters.  Costs are exact ints, the weights scaled
-    by ``s._den`` (``_unscaled`` divides it back out of a length).  The
+
+def _settled_lengths(s: GeneratingSet, targets, radius_cap):
+    """(length of each nonidentity target that one shared search settles,
+    in the order of ``targets``; whether some target was left unsettled).
+
+    The search is an A* search over the word metric of s: it expands the
+    identity by right multiplication with the elements of s, the least
+    priority g + h first (g the cost reached, h below), ties broken by g
+    and then by the letters.  Costs are exact ints, the weights scaled by
+    ``s._den`` (``_unscaled`` divides it back out of a length).  The
     search stops once every target is settled, when no element within
     cost radius_cap (None: no cost budget) is left, or once it has reached
     more than _SEARCH_NODE_CAP elements.
+
+    The heuristic.  Let r = min w_e/|e| over the elements e of s of
+    positive length, w_e the scaled weight.  A step x -> xe moves the tree
+    distance |x^-1 t| to a target t by at most |e| <= w_e/r, so every path
+    from x to t costs at least r |x^-1 t|, and, costs being ints, at least
+    h_t(x) = ceil(r |x^-1 t|).  h_t is consistent: r |x^-1 t| <= w_e +
+    r |(xe)^-1 t|, and ceil(a + w_e) = ceil(a) + w_e for the int w_e, so
+    h_t(x) <= w_e + h_t(xe); and h_t(t) = 0.  An element is queued with h =
+    the min of h_t over the targets then pending, itself consistent as a
+    min of consistent functions; h = 0 while more than _AIMED_TARGETS are
+    pending (the ball of lemma25), where the min costs too much per
+    element and the search is uniform-cost.
+
+    Exactness (Hart, Nilsson and Raphael, IEEE Trans. Syst. Sci. Cybern.
+    4, 1968).  Targets only leave ``pending``, so an entry queued for x at
+    cost g has priority <= g + h_t(x) for each target t still pending.
+    Say t is settled at cost c > d(t), its distance; then d(t) <= c <=
+    radius_cap.  On a cheapest path to t, let y be the first element not
+    expanded at its own distance (the identity is).  Its predecessor was,
+    so y was queued at d(y), no cost can replace, and that entry is still
+    queued with priority <= d(y) + h_t(y) <= d(t) < c, the priority of t's
+    entry at c.  So it would have been popped first; every settled length
+    is exact.
     """
     pending = {t for t in targets if t}
     found = {}
     den = s._den
     steps = [(e.letters, int(w * den)) for e, w in zip(s.elements, s.weights)]
+    rate = min((Fraction(wt, len(e)) for e, wt in steps if e), default=Fraction(0))
+    p, q = rate.numerator, rate.denominator
+
+    def aim(w) -> int:
+        if len(pending) > _AIMED_TARGETS:
+            return 0
+        return min(-(-p * _tree_distance(w, t) // q) for t in pending)
+
     cap = math.inf if radius_cap is None else math.floor(Fraction(radius_cap) * den)
     dist: dict[tuple[int, ...], int] = {(): 0}
-    heap: list = [(0, ())]
+    heap: list = [(0, 0, ())]
     while heap:
-        d, w = heapq.heappop(heap)
+        _, d, w = heapq.heappop(heap)
         if dist[w] != d:
             continue
         if w in pending:
@@ -710,7 +754,7 @@ def _settled_lengths(s: GeneratingSet, targets, radius_cap):
             old = dist.get(nw)
             if old is None or nd < old:
                 dist[nw] = nd
-                heapq.heappush(heap, (nd, nw))
+                heapq.heappush(heap, (nd + aim(nw), nd, nw))
     return {t: found[t] for t in targets if t in found}, bool(pending)
 
 

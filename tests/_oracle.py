@@ -8,8 +8,9 @@ length of g is the weight of the cyclically reduced core of g: g acts as
 a translation along the axis through that core (Culler-Morgan, Proc.
 London Math. Soc. 55, 1987, section 1).  A standard word metric, the set
 {a_i, a_i^-1} with one weight per generator and its inverse, is the path
-metric of that tree, so it is read as the tree.  Other word metrics and
-matrix models have no oracle here yet.
+metric of that tree, so it is read as the tree.  Another word metric's
+word lengths come from ``word_metric_lengths``, a plain uniform-cost
+search; its class lengths and matrix models have no oracle here yet.
 
 On such trees the module also gives the claims of three checks from these
 lengths alone: the joint bracket of the levels S^n (prop31), the greedy
@@ -19,6 +20,7 @@ sandwich (lemma25).  ``joint_levels`` is different: it is the walk of the
 own per-word methods, as the reference for the engine's code-row walk.
 """
 
+import heapq
 from fractions import Fraction
 from functools import cache
 
@@ -85,6 +87,34 @@ def concat(w: tuple, s: tuple) -> tuple:
     while w and s and w[-1] == -s[0]:
         w, s = w[:-1], s[1:]
     return w + s
+
+
+def word_metric_lengths(elements, weights, targets, cost_cap,
+                        node_cap: int) -> dict:
+    """target -> its length in the word metric of the elements (reduced
+    words) with these weights, for each nonidentity target that a plain
+    uniform-cost search from the identity settles within cost cost_cap
+    before it has reached more than node_cap elements: right
+    multiplication by the elements, Fraction costs, no heuristic."""
+    steps = list(zip(elements, map(Fraction, weights)))
+    pending, found = {t for t in targets if t}, {}
+    dist = {(): Fraction(0)}
+    heap = [(Fraction(0), ())]
+    while heap and pending and len(dist) <= node_cap:
+        d, w = heapq.heappop(heap)
+        if d > dist[w]:
+            continue
+        if w in pending:
+            pending.remove(w)
+            found[w] = d
+        for e, cost in steps:
+            x = concat(w, e)
+            if d + cost > cost_cap:
+                continue
+            if x not in dist or d + cost < dist[x]:
+                dist[x] = d + cost
+                heapq.heappush(heap, (d + cost, x))
+    return found
 
 
 def joint_levels(model, words, n_max: int, frontier_cap: int):

@@ -18,12 +18,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lenspec.actions import AnosovCertificate, LengthBracket
+from lenspec import bounds
+from lenspec.actions import (HOLDS, HYPOTHESIS_FAILED, INCONCLUSIVE, VIOLATED,
+                             AnosovCertificate, LengthBracket, verdict_of)
 from lenspec.bounds import (
-    HOLDS,
-    HYPOTHESIS_FAILED,
-    INCONCLUSIVE,
-    VIOLATED,
     ClassTable,
     VerifierConfig,
     _bound_reports,
@@ -38,7 +36,6 @@ from lenspec.bounds import (
     pointwise_cover_report,
     ratio_envelope_report,
     spectral_dilation_report,
-    verdict_of,
     window_comparison_bound,
     word_metric_dilation_report,
 )
@@ -51,7 +48,8 @@ from lenspec.spaces import (
     WordMetricModel,
     build_schottky,
 )
-from lenspec.words import GeneratingSet, Word, WordRows, enumerate_ball, word_length
+from lenspec.words import (ClassCodes, GeneratingSet, Word, WordRows,
+                           enumerate_ball, word_length)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -247,42 +245,71 @@ def _count_tables(monkeypatch):
     return built
 
 
-def test_class_table_prefix_equals_fresh_table():
-    big = ClassTable(WB2, UNIT, 12)
-    cut = big.prefix(8)
+def _count_work(monkeypatch):
+    """(walks, evaluated) from here on: the radius of each class walk, and
+    the (model, radius) of each model evaluated over a walk's classes."""
+    walks, evaluated = [], []
+    walk, real = ClassCodes.walk.__func__, bounds.class_lengths
+
+    def counting_walk(cls, rank, radius, *args, **kwargs):
+        walks.append(radius)
+        return walk(cls, rank, radius, *args, **kwargs)
+
+    def counting(model, codes, k_max):
+        evaluated.append((model, codes.radius))
+        return real(model, codes, k_max)
+
+    monkeypatch.setattr(ClassCodes, "walk", classmethod(counting_walk))
+    monkeypatch.setattr(bounds, "class_lengths", counting)
+    return walks, evaluated
+
+
+def test_class_table_prefix_equals_fresh_table(monkeypatch):
+    cfg, tables = VerifierConfig(), {}
+    big = _class_table(WB2, UNIT, 12, cfg, tables)
+    walks, evaluated = _count_work(monkeypatch)
+    cut = _class_table(WB2, UNIT, 8, cfg, tables)
+    assert walks == evaluated == []
     fresh = ClassTable(WB2, UNIT, 8)
     assert cut.radius == fresh.radius == 8
     assert cut.reps == fresh.reps
     for side in ("ref", "tgt"):
         a, b = getattr(cut, side), getattr(fresh, side)
         assert (a.lo, a.hi) == (b.lo, b.hi)
-    assert big.prefix(12) is big
+    for name in ("lo", "hi", "positive"):
+        assert np.array_equal(getattr(cut, name), getattr(fresh, name),
+                              equal_nan=True)
+    assert _class_table(WB2, UNIT, 12, cfg, tables) is big
 
 
 def test_class_table_dict_keeps_the_largest_table(monkeypatch):
-    built = _count_tables(monkeypatch)
+    walks, evaluated = _count_work(monkeypatch)
     cfg = VerifierConfig()
     tables = {}
     t6 = _class_table(WB2, UNIT, 6, cfg, tables)
     t8 = _class_table(WB2, UNIT, 8, cfg, tables)
     assert _class_table(WB2, UNIT, 8, cfg, tables) is t8
     assert _class_table(WB2, UNIT, 6, cfg, tables).reps == t6.reps
-    # another pair, or another cap, is another key
+    assert list(tables.values()) == [t8]
+    # another pair reads the largest table; another cap walks afresh
     _class_table(UNIT, WB2, 6, cfg, tables)
     _class_table(WB2, UNIT, 6, VerifierConfig(window_k_max=3), tables)
-    assert built == [6, 8, 6, 6]
+    assert walks == [6, 8, 6]
+    assert evaluated == [(UNIT, 6), (WB2, 6), (UNIT, 8), (WB2, 8),
+                         (UNIT, 6), (WB2, 6)]
 
 
 def test_reports_share_tables_only_through_the_dict(monkeypatch):
-    built = _count_tables(monkeypatch)
+    walks, evaluated = _count_work(monkeypatch)
     cfg8, cfg4 = VerifierConfig(L_values=(8,)), VerifierConfig(L_values=(4,))
     fresh = (cobounded_dilation_report(WB2, UNIT, cfg8),
              ratio_envelope_report(WB2, UNIT, 1, 2, cfg4))
-    assert built == [12, 8]
+    assert walks == [12, 8] and len(evaluated) == 4
     tables = {}
     shared = (cobounded_dilation_report(WB2, UNIT, cfg8, tables=tables),
               ratio_envelope_report(WB2, UNIT, 1, 2, cfg4, tables=tables))
-    assert built == [12, 8, 12]
+    assert walks == [12, 8, 12]
+    assert evaluated[4:] == [(UNIT, 12), (WB2, 12)]
     assert shared == fresh
 
 
@@ -294,11 +321,11 @@ def test_every_window_is_validated_before_a_table_is_built(monkeypatch):
 
 
 def test_dilation_windows_share_one_table_through_the_dict(monkeypatch):
-    built = _count_tables(monkeypatch)
+    walks, evaluated = _count_work(monkeypatch)
     tables = {}
     big = dilation_window(WB2, UNIT, 8, tables=tables)
     small = dilation_window(WB2, UNIT, 4, tables=tables)
-    assert built == [8]
+    assert walks == [8] and evaluated == [(UNIT, 8), (WB2, 8)]
     assert small == dilation_window(WB2, UNIT, 4)
     assert big == dilation_window(WB2, UNIT, 8)
 
@@ -437,8 +464,11 @@ def test_spectral_report_oracle():
 
 
 def test_spectral_report_requires_certificate():
+    # the certificate is the bound's domination hypothesis: no window reads it
     rot = LinearRepModel([[[0.0, -1.0], [1.0, 0.0]]])
-    with pytest.raises(InputError, match="certificate"):
+    with pytest.raises(InputError, match="certificate failed .*: it is the "
+                       "spectral bound's hypothesis that rho is a dominated "
+                       "representation$"):
         spectral_dilation_report(rot, TreeModel(1), VerifierConfig(L_values=(20,)))
 
 
@@ -573,13 +603,13 @@ def test_joint_vs_dilation_inconclusive_on_a_loose_window():
 
 
 def test_joint_vs_dilation_shares_a_word_metric_table(monkeypatch):
-    built = _count_tables(monkeypatch)
+    walks, evaluated = _count_work(monkeypatch)
     cfg = VerifierConfig(L_values=(4,))
     ref = WordMetricModel(GeneratingSet(2, ["a", "A", "b", "B"]))
     tables = {}
     windows = word_metric_dilation_report(WB2, ref, cfg, tables=tables)
     joint = joint_vs_dilation_report(WB2, ref, cfg, tables=tables)
-    assert built == [12]
+    assert walks == [12] and evaluated == [(ref, 12), (WB2, 12)]
     assert joint == joint_vs_dilation_report(WB2, ["a", "A", "b", "B"], cfg)
     assert windows[0].window_sup == LengthBracket(2, 2, exact=True)
 

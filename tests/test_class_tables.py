@@ -15,7 +15,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from lenspec import bounds, cli, spaces
+from lenspec import bounds, cli, spaces, words
 from lenspec.bounds import (
     ClassTable,
     VerifierConfig,
@@ -333,7 +333,7 @@ def _point(lengths: ClassLengths) -> bool:
 def test_kinds_are_the_types_of_the_lengths(model):
     for radius in (0, 4):
         lengths = class_lengths(model, ClassCodes.walk(2, radius), 2)
-        for part in (lengths, lengths.prefix(2)):
+        for part in (lengths, lengths.over(lengths.classes.prefix(2))):
             assert part.kinds == set(map(type, [*part.lo, *part.hi]))
 
 
@@ -341,13 +341,13 @@ def test_a_point_prefix_stays_one_object():
     codes = ClassCodes.walk(2, 5)
     whole = class_lengths(TreeModel(2, [1, 2]), codes, 2)
     assert _point(whole) and len(whole) == len(codes)
-    assert whole.prefix(5) is whole
-    cut = whole.prefix(3)
+    assert whole.over(codes) is whole
+    cut = whole.over(codes.prefix(3))
     assert _point(cut) and len(cut) == len(codes.prefix(3))
     assert cut.lo == whole.lo[:len(cut)]
     assert np.shares_memory(cut.lo_f, whole.lo_f)
     # a bracket's prefix keeps its two ends apart
-    brackets = class_lengths(_SHORTCUT, codes, 2).prefix(3)
+    brackets = class_lengths(_SHORTCUT, codes, 2).over(codes.prefix(3))
     assert not brackets.point and brackets.lo_f is not brackets.hi_f
     assert len(brackets.lo) == len(brackets.hi) == len(brackets.lo_f) == len(cut)
 
@@ -501,7 +501,7 @@ def test_exact_ratio_cells_divide_once_per_distinct_pair(monkeypatch):
         return real(a, b)
 
     monkeypatch.setattr(cli, "exact_div", counting)
-    monkeypatch.setattr(cli, "ROW_CHUNK", 50)
+    monkeypatch.setattr(words, "ROW_CHUNK", 50)
     bracket = WordMetricModel(GeneratingSet(2, ["a", "A", "b", "B", "aB"],
                                             [1, 1, Fraction(3, 2), 2, 1]))
     for reference in (TreeModel(2, [3, 1]), bracket):
@@ -559,17 +559,16 @@ def test_swapped_tables_evaluate_each_model_once(monkeypatch):
     monkeypatch.setattr(bounds, "class_lengths", counting)
     # an elliptic generator: zero reference lengths once swapped
     a, b = _MATRIX_MODELS[2], TreeModel(2, [1, 2])
-    table = ClassTable(a, b, 4)
-    back = table.swapped()
+    cfg, tables = VerifierConfig(), {}
+    table = _class_table(a, b, 4, cfg, tables)
+    back = _class_table(b, a, 4, cfg, tables)
     assert len(evaluated) == 2 and evaluated[0] is b and evaluated[1] is a
     assert back.ref is table.tgt and back.tgt is table.ref
     fresh = ClassTable(b, a, 4)
     assert back.reps == fresh.reps and back.ties_exact == fresh.ties_exact
-    for name in ("lo", "hi"):
+    for name in ("lo", "hi", "positive"):
         assert np.array_equal(getattr(back, name), getattr(fresh, name),
                               equal_nan=True)
-        assert np.array_equal(getattr(back.swapped(), name),
-                              getattr(table, name), equal_nan=True)
     evaluated.clear()
     metric_distance_report(a, b, VerifierConfig(L_values=(3,), radius_cap=4))
     assert sorted(map(id, evaluated)) == sorted(map(id, (a, b)))

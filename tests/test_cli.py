@@ -366,20 +366,21 @@ def test_run_builds_one_class_table(monkeypatch):
 
 
 def test_run_shares_the_subset_word_metric(monkeypatch):
-    # thm15 and prop31 read one table against one word metric of the
-    # subset; thm13 and the classes.csv rows share the tree pair's table
-    built = []
-    init = bounds.ClassTable.__init__
+    # thm15 and prop31 read one evaluation of one word metric of the
+    # subset; thm13 and the classes.csv rows share the tree pair's
+    evaluated = []
+    real = bounds.class_lengths
 
-    def counting(self, target, ref, radius, **kwargs):
-        built.append((type(ref).__name__, radius))
-        init(self, target, ref, radius, **kwargs)
+    def counting(model, codes, k_max):
+        evaluated.append((type(model).__name__, codes.radius))
+        return real(model, codes, k_max)
 
-    monkeypatch.setattr(bounds.ClassTable, "__init__", counting)
+    monkeypatch.setattr(bounds, "class_lengths", counting)
     rep = run(load_scenario(SCEN_DIR / "identical-actions.json"),
               with_classes=True)
     assert rep.verdict == "holds"
-    assert built == [("TreeModel", 8), ("WordMetricModel", 12)]
+    assert evaluated == [("TreeModel", 8), ("TreeModel", 8),
+                         ("WordMetricModel", 12), ("TreeModel", 12)]
 
 
 def test_verify_walks_the_classes_once(monkeypatch, tmp_path):

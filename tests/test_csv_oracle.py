@@ -19,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from lenspec import bounds, cli
+from lenspec import bounds, cli, words
 from lenspec.actions import exact_div
 from lenspec.bounds import VerifierConfig, _class_table
 from lenspec.spaces import (
@@ -210,15 +210,15 @@ def test_length_blocks_cross_chunk_boundaries():
 
 def test_a_prefix_table_matches_the_per_row_path():
     # the listing of a run that built a larger table first reads a prefix
-    # of it: its lists are cut, and a side with one list under both
-    # names (a point) stays one
+    # of its sides: their lists are cut, and a side with one list under
+    # both names (a point) stays one
     target, reference = _SCHOTTKY.mobius, TreeModel(2)
     tables = {}
     whole = _class_table(target, reference, 6, VerifierConfig(), tables)
     _check(target, reference, 4, tables=tables)
     cut = cli._class_listing(SimpleNamespace(rank=2, params={"radius": 4}),
                              VerifierConfig(), target, reference, tables=tables)
-    assert cut is not whole and np.shares_memory(cut.lo, whole.lo)
+    assert cut is not whole and np.shares_memory(cut.ref.lo_f, whole.ref.lo_f)
     assert cut.tgt.point and cut.ref.point
 
 
@@ -258,16 +258,18 @@ def _listing(target, reference, radius, rank=2):
 
 @pytest.mark.parametrize("extra", [0, 1], ids=["ROW_CHUNK", "ROW_CHUNK+1"])
 def test_listings_of_one_chunk_and_one_row_more(monkeypatch, extra):
-    # the 234 classes of radius 6, cut at ROW_CHUNK = 234 and 233 rows: one
-    # full chunk, then a chunk of one row, whose name starts a new block
+    # the 234 classes of radius 6, whose last length block holds 132, cut
+    # at ROW_CHUNK = 132 and 131 rows: a chunk per block, the last one
+    # full, or else a full chunk and then a chunk of one row
+    blocks = [4, 8, 12, 26, 52, 132]
     for pair in ((_SCHOTTKY.mobius, TreeModel(2)), (TreeModel(2, [1, 2]), None),
                  (_WORD_METRICS[1], TreeModel(2))):
-        n = len(_listing(*pair, 6))
-        assert n == 234
-        monkeypatch.setattr(cli, "ROW_CHUNK", n - extra)
+        classes = _listing(*pair, 6)
+        assert [len(b) for b in classes.classes.blocks] == blocks
+        monkeypatch.setattr(words, "ROW_CHUNK", 132 - extra)
         _check(*pair, 6)
-        sizes = [c.count("\n") for c in cli._csv_chunks(_listing(*pair, 6))]
-        assert sizes == [n] if extra == 0 else [n - 1, 1]
+        sizes = [c.count("\n") for c in cli._csv_chunks(classes)]
+        assert sizes == (blocks if extra == 0 else [*blocks[:-1], 131, 1])
 
 
 def test_a_value_repeated_across_chunks_is_rendered_once(monkeypatch):
@@ -279,7 +281,7 @@ def test_a_value_repeated_across_chunks_is_rendered_once(monkeypatch):
     floats = _Cycled([0.25, 1.5, 2.75, 4.0])
     exact = _Cycled([2, Fraction(3, 2), 1.5, 2 ** 60])
     halves = TreeModel(2, [Fraction(1, 2), 3])
-    monkeypatch.setattr(cli, "ROW_CHUNK", 20)
+    monkeypatch.setattr(words, "ROW_CHUNK", 20)
     for pair in ((floats, None), (floats, TreeModel(2, [1, 2])),
                  (exact, halves), (halves, exact)):
         _check(*pair, 6)
@@ -318,7 +320,7 @@ def test_names_past_rank_26_in_chunks_with_and_without_them(monkeypatch):
     # letter past rank 26 or none, and each takes its names' text
     codes = ClassCodes.walk(27, 2)
     assert len(codes) == 1512
-    monkeypatch.setattr(cli, "ROW_CHUNK", 50)
+    monkeypatch.setattr(words, "ROW_CHUNK", 50)
     for pair in ((TreeModel(27), TreeModel(27, [2] * 26 + [Fraction(1, 3)])),
                  (TreeModel(27, [0.5] * 27), None)):
         rows = _check(*pair, 2, rank=27)

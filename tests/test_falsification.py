@@ -60,6 +60,18 @@ the orbit points of 40 words of the radius-4 ball must satisfy the
 condition with the model's declared ``delta`` over all their triples, to
 1e-9, the Gromov products (g x | h x)_x taken from ``gromov_product``.
 
+Search exactness.  The word-metric search aims at its targets with a
+tree-distance heuristic (A*), which must not change a length: wherever a
+plain uniform-cost search (``_oracle.word_metric_lengths``) settles a
+target, the package's search settles it at the same length, for one to
+three targets, where the heuristic applies, and for twenty, where it does
+not until fewer than seventeen are pending.  A set holds the letters of
+rank 1 or 2 and up to three words of length <= 3 (the identity allowed),
+each at a random weight, and a target is a product of one to five of its
+elements.  A cheap detour can beat a direct step: with b at 5/2 and a,
+A and ab at 1, b = A(ab) costs 2, while a heuristic doubled in error, 4
+at A, would settle b at 5/2.
+
 Violations.  A ``violated`` verdict must be confirmed in exact arithmetic
 on the rows that decide it.  A real Schottky pair's lengths are logs of
 eigenvalues of float matrices, which no exact arithmetic here reproduces,
@@ -76,14 +88,17 @@ import itertools
 import math
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from lenspec.actions import exact_div, gromov_product
-from lenspec.bounds import (VIOLATED, ClassTable, VerifierConfig,
+import _oracle
+from lenspec import words
+from lenspec.actions import VIOLATED, exact_div, gromov_product
+from lenspec.bounds import (ClassTable, VerifierConfig,
                             cobounded_dilation_report,
                             dilation_window, displacement_ball,
                             ratio_envelope_report, word_metric_dilation_report)
@@ -92,7 +107,7 @@ from lenspec.jsl import joint_stable_profile, jsr_profile
 from lenspec.spaces import (TreeModel, WordMetricModel, build_schottky,
                             class_bracket_reader)
 from lenspec.words import (ConjClass, GeneratingSet, Word, _concat_reduced,
-                           cyclic_reduce, enumerate_ball)
+                           _settled_lengths, cyclic_reduce, enumerate_ball)
 
 _LEVELS = 5
 _WEIGHT = st.sampled_from([1, 2, 3, Fraction(1, 3), Fraction(5, 2)])
@@ -325,6 +340,38 @@ def test_exact_window_flags_hold_the_fraction_sup(case):
         if row.ratio.exact:
             assert _is_exact(row.ratio.lo), row
             assert row.ratio.lo == ratios[cyclic_reduce(row.rep).rep], row
+
+
+@st.composite
+def _search_cases(draw):
+    rank = draw(st.sampled_from([1, 2]))
+    letters = [(x,) for i in range(1, rank + 1) for x in (i, -i)]
+    elements = letters + [_reduced_word(draw, rank, 3).letters
+                          for _ in range(draw(st.integers(0, 3)))]
+    weights = [draw(_WEIGHT) for _ in elements]
+    count = draw(st.sampled_from([1, 2, 3, 20]))
+    targets = []
+    for _ in range(count):
+        t = ()
+        for e in draw(st.lists(st.sampled_from(elements), min_size=1, max_size=5)):
+            t = _concat_reduced(t, e)
+        targets.append(t)
+    return rank, elements, weights, targets
+
+
+@settings(max_examples=80, deadline=None)
+@given(_search_cases())
+@example((2, [(1,), (-1,), (2,), (1, 2)], [1, 1, Fraction(5, 2), 1], [(2,)]))
+def test_the_aimed_search_settles_the_uniform_cost_lengths(case):
+    rank, elements, weights, targets = case
+    # the package's search reaches no more elements than the oracle's
+    # before it settles a length the oracle settles; the caps keep both
+    # searches small
+    want = _oracle.word_metric_lengths(elements, weights, targets, 12, 2000)
+    gens = GeneratingSet(rank, [Word(e) for e in elements], weights)
+    with mock.patch.object(words, "_SEARCH_NODE_CAP", 10_000):
+        got, _ = _settled_lengths(gens, targets, 12)
+    assert {t: got.get(t) for t in want} == want, (elements, weights)
 
 
 _UNIT = WordMetricModel(GeneratingSet.standard(2))

@@ -4,7 +4,8 @@ across modules without a listed reason.
 AST scans of ``src/lenspec/*.py``.  A name bound by a module-level
 ``import`` or ``from ... import`` must be read somewhere in the module or
 be listed in its ``__all__`` (a re-export); the tests and demos are held
-to the same rule.  A ``from ... import`` of a
+to the same rule.  Only the package's ``__init__`` re-exports: every other
+module's ``__all__`` lists names it defines.  A ``from ... import`` of a
 name with a leading underscore from another module of the package must
 come from ``words`` (the word arithmetic every layer builds on) or be
 listed in ``PRIVATE_IMPORTS``.  A module-level private definition
@@ -29,7 +30,9 @@ SCANNED = [*sorted(SRC.glob("*.py")), *sorted((ROOT / "tests").glob("*.py")),
            *sorted((ROOT / "demos").glob("*.py"))]
 
 
-def _unused_imports(tree: ast.Module) -> list:
+def _imported_and_exported(tree: ast.Module) -> tuple:
+    """(name -> line of each name a module-level import binds, the names
+    of the module's ``__all__``)."""
     imported = {}
     exported = set()
     for node in tree.body:
@@ -42,6 +45,11 @@ def _unused_imports(tree: ast.Module) -> list:
         elif isinstance(node, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
             exported = {e.value for e in node.value.elts}
+    return imported, exported
+
+
+def _unused_imports(tree: ast.Module) -> list:
+    imported, exported = _imported_and_exported(tree)
     read = {n.id for n in ast.walk(tree)
             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
     return sorted((line, name) for name, line in imported.items()
@@ -268,3 +276,24 @@ def test_top_level_exports_are_exported_by_their_modules():
         if name not in _exported(importlib.import_module(home)):
             missing.append((name, home))
     assert missing == []
+
+
+def _reexports(tree: ast.Module) -> list:
+    """(line, name) of every name a module-level import binds that the
+    module also lists in its ``__all__``."""
+    imported, exported = _imported_and_exported(tree)
+    return sorted((imported[name], name) for name in exported & imported.keys())
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py"))
+                                  if p.stem != "__init__"], ids=lambda p: p.name)
+def test_each_public_name_has_one_home(path):
+    # only the package's __init__ re-exports: every other module lists in
+    # its __all__ the names it defines
+    assert _reexports(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+def test_the_scan_sees_a_reexport():
+    tree = ast.parse("from .actions import HOLDS, exact_div\nimport math\n"
+                     "__all__ = ['HOLDS', 'math', 'f']\ndef f():\n    pass\n")
+    assert _reexports(tree) == [(1, "HOLDS"), (2, "math")]

@@ -20,16 +20,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from lenspec import bounds
-from lenspec.actions import LengthBracket, exact_div
+from lenspec.actions import (HOLDS, HYPOTHESIS_FAILED, INCONCLUSIVE, VIOLATED,
+                             LengthBracket, exact_div)
 from lenspec.bounds import (
-    HOLDS,
-    HYPOTHESIS_FAILED,
-    INCONCLUSIVE,
-    VIOLATED,
     ClassTable,
     VerifierConfig,
     WindowRow,
     WindowSup,
+    _class_table,
     _window_sup,
     dilation_window,
     metric_distance_report,
@@ -117,7 +115,7 @@ def _oracle_window_sup(table, L, radius_needed, *, diag_cap=16):
 
 def _exchanged(table):
     """The lengths of ``table`` with target and reference exchanged, read
-    by the oracle in place of the table's own ``swapped()``."""
+    by the oracle in place of the table of the exchanged pair."""
     return SimpleNamespace(ref=table.tgt, tgt=table.ref, reps=table.reps,
                            radius=table.radius)
 
@@ -261,10 +259,14 @@ _SETTINGS = settings(max_examples=60, deadline=None,
 @_SETTINGS
 @given(pairs(), st.integers(3, 5), st.booleans(), st.data())
 def test_window_sup_matches_the_per_class_scan(pair, radius, swap, data):
-    whole = ClassTable(*pair, radius)
-    for tab in (whole, whole.prefix(radius - 1)):
+    cfg, tables = VerifierConfig(), {}
+    whole = _class_table(*pair, radius, cfg, tables)
+    for tab in (whole, _class_table(*pair, radius - 1, cfg, tables)):
         # with swap the oracle reads the unswapped table's lists exchanged
-        table, lists = (tab.swapped(), _exchanged(tab)) if swap else (tab, tab)
+        table, lists = tab, tab
+        if swap:
+            back = _class_table(pair[1], pair[0], tab.radius, cfg, tables)
+            table, lists = back, _exchanged(tab)
         for i, (rl, rh, tl, th) in enumerate(zip(lists.ref.lo, lists.ref.hi,
                                                  lists.tgt.lo, lists.tgt.hi)):
             # every column entry is the correctly rounded exact value
@@ -424,9 +426,10 @@ def test_float_exact_tables_settle_ties_without_reading_a_length():
 
 
 def test_columns_are_views_of_the_whole_table():
-    table = ClassTable(TreeModel(2, [1, 2]), TreeModel(2), 5)
-    cut = table.prefix(3)
-    cols = [(cut.lo, table.lo), (cut.hi, table.hi)]
+    pair, cfg, tables = (TreeModel(2, [1, 2]), TreeModel(2)), VerifierConfig(), {}
+    table = _class_table(*pair, 5, cfg, tables)
+    cut = _class_table(*pair, 3, cfg, tables)
+    cols = []
     for part, whole in ((cut.ref, table.ref), (cut.tgt, table.tgt)):
         cols += [(part.lo_f, whole.lo_f), (part.hi_f, whole.hi_f)]
     for col, whole in cols:

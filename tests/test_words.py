@@ -392,21 +392,22 @@ def test_semigroup_generation():
     assert WordMetricModel(gen)._letter_cost == {1: 1, -1: 1, 2: 2, -2: 2}
 
 
-# A costs 8, so the search settles over a thousand cheaper elements first
-_DEAR_A = GeneratingSet(2, ["a", "A", "b", "B"], [1, 8, 1, 1])
+# B costs 12 and b costs 2, while ab makes r = 1/2, so the tree-distance
+# bound of the search is weak: it reaches over a thousand elements first
+_DEAR_B = GeneratingSet(2, ["a", "A", "b", "B", "ab"], [1, 1, 2, 12, 1])
 
 
 def test_word_length_stops_at_the_node_cap(monkeypatch):
-    deep = Word("ab") ** 4
-    assert word_length(deep, GeneratingSet.standard(2)) == 8
+    deep = Word("b") ** 6
+    assert word_length(deep, _DEAR_B) == 12
     monkeypatch.setattr(words, "_SEARCH_NODE_CAP", 1000)
     with pytest.raises(ResourceCapError, match="1000 elements"):
-        word_length(deep, GeneratingSet.standard(2))
+        word_length(deep, _DEAR_B)
 
 
 def test_letter_cost_search_stops_at_the_node_cap(monkeypatch):
-    assert WordMetricModel(_DEAR_A)._letter_cost[-1] == 8
+    assert WordMetricModel(_DEAR_B)._letter_cost[-2] == 12
     monkeypatch.setattr(words, "_SEARCH_NODE_CAP", 1000)
     with pytest.raises(InputError, match="semigroup generation check "
-                                         "inconclusive: letter -1"):
-        WordMetricModel(_DEAR_A)
+                                         "inconclusive: letter -2"):
+        WordMetricModel(_DEAR_B)
