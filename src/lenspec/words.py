@@ -22,6 +22,7 @@ import heapq
 import math
 import numbers
 import string
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -665,25 +666,12 @@ class GeneratingSet:
 
 # elements a word-metric search reaches before it gives up
 _SEARCH_NODE_CAP = 200_000
-# the most pending targets a search aims at (see _settled_lengths)
-_AIMED_TARGETS = 16
 
 
 def _unscaled(cost: int, den: int):
     """A cost scaled by ``den`` as the exact number it stands for: the int
     itself when den is 1, else a Fraction."""
     return cost if den == 1 else Fraction(cost, den)
-
-
-def _tree_distance(x: tuple, t: tuple) -> int:
-    """|x^-1 t| for reduced x and t: their distance in the Cayley tree of
-    the free basis."""
-    k = 0
-    for a, b in zip(x, t):
-        if a != b:
-            break
-        k += 1
-    return len(x) + len(t) - 2 * k
 
 
 def _settled_lengths(s: GeneratingSet, targets, radius_cap):
@@ -707,9 +695,10 @@ def _settled_lengths(s: GeneratingSet, targets, radius_cap):
     r |(xe)^-1 t|, and ceil(a + w_e) = ceil(a) + w_e for the int w_e, so
     h_t(x) <= w_e + h_t(xe); and h_t(t) = 0.  An element is queued with h =
     the min of h_t over the targets then pending, itself consistent as a
-    min of consistent functions; h = 0 while more than _AIMED_TARGETS are
-    pending (the ball of lemma25), where the min costs too much per
-    element and the search is uniform-cost.
+    min of consistent functions.  The pending targets are indexed by
+    prefix, so the min costs one lookup per common letter, not one tree
+    distance per target: for the ball of lemma25 it is as cheap as for one
+    target.
 
     Exactness (Hart, Nilsson and Raphael, IEEE Trans. Syst. Sci. Cybern.
     4, 1968).  Targets only leave ``pending``, so an entry queued for x at
@@ -723,6 +712,13 @@ def _settled_lengths(s: GeneratingSet, targets, radius_cap):
     is exact.
     """
     pending = {t for t in targets if t}
+    # each prefix of a pending target: the lengths of the pending targets
+    # through it (length -> count), and the least of them
+    through: dict[tuple, Counter] = defaultdict(Counter)
+    for t in pending:
+        for k in range(len(t) + 1):
+            through[t[:k]][len(t)] += 1
+    nearest = {prefix: min(lengths) for prefix, lengths in through.items()}
     found = {}
     den = s._den
     steps = [(e.letters, int(w * den)) for e, w in zip(s.elements, s.weights)]
@@ -730,9 +726,16 @@ def _settled_lengths(s: GeneratingSet, targets, radius_cap):
     p, q = rate.numerator, rate.denominator
 
     def aim(w) -> int:
-        if len(pending) > _AIMED_TARGETS:
-            return 0
-        return min(-(-p * _tree_distance(w, t) // q) for t in pending)
+        # |w| - 2k + |t| >= |w^-1 t| for each t through the prefix w[:k],
+        # with equality at their common prefix: the least over k is the
+        # least tree distance to a target, and ceil is monotone
+        n, near = len(w), math.inf
+        for k in range(n + 1):
+            m = nearest.get(w[:k])
+            if m is None:
+                break
+            near = min(near, m - 2 * k)
+        return -(-p * (n + near) // q)
 
     cap = math.inf if radius_cap is None else math.floor(Fraction(radius_cap) * den)
     dist: dict[tuple[int, ...], int] = {(): 0}
@@ -744,6 +747,15 @@ def _settled_lengths(s: GeneratingSet, targets, radius_cap):
         if w in pending:
             pending.remove(w)
             found[w] = _unscaled(d, den)
+            for k in range(len(w) + 1):
+                lengths = through[w[:k]]
+                lengths[len(w)] -= 1
+                if not lengths[len(w)]:
+                    del lengths[len(w)]
+                    if lengths:
+                        nearest[w[:k]] = min(lengths)
+                    else:
+                        del nearest[w[:k]]
         if not pending or len(dist) > _SEARCH_NODE_CAP:
             break
         for letters, wt in steps:

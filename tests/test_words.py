@@ -411,3 +411,17 @@ def test_letter_cost_search_stops_at_the_node_cap(monkeypatch):
     with pytest.raises(InputError, match="semigroup generation check "
                                          "inconclusive: letter -2"):
         WordMetricModel(_DEAR_B)
+
+
+def test_letter_costs_of_many_letters_settle():
+    # each inverse letter A_i is cheapest as (A_i A_i) a_i, at 4; the one
+    # search aims at all 48 letters, where a search that aims at none (or
+    # only at the last 16 pending) passes the node cap first
+    rank = 24
+    elements, weights = [], []
+    for i in range(1, rank + 1):
+        elements += [Word((i,)), Word((-i,)), Word((-i, -i))]
+        weights += [1, 8, 3]
+    model = WordMetricModel(GeneratingSet(rank, elements, weights))
+    assert model._letter_cost == {x: 1 if x > 0 else 4
+                                  for i in range(1, rank + 1) for x in (i, -i)}
