@@ -20,7 +20,8 @@ side), and is "inconclusive" in between.
 A value meets a tolerance as there: the difference first, then ``tol``.
 
 The windowed reports take an optional ``tables`` dict through which the
-reports of one run share their class tables (see ``_class_table``).
+reports of one run share their class walks and model lengths (see
+``ClassTable``).
 """
 
 from __future__ import annotations
@@ -178,10 +179,15 @@ class ClassTable:
     read in one direction: the ratios are target over reference.
 
     ``ref`` and ``tgt`` are the ClassLengths of the reference and of the
-    target over the same ``classes`` (a ClassCodes, from one walk: with
-    ``tables``, maybe an earlier table's, as may the lengths of a model
-    evaluated there, see ``_walked``; a model on both sides is evaluated
-    once); ``reps`` is their letter tuples, built on first use.  ``lo`` =
+    target over the same ``classes``, a ClassCodes; ``reps`` is their
+    letter tuples, built on first use.  ``tables`` (a fresh dict when not
+    given) keeps the largest walk of each (rank, class_cap) and the
+    largest ClassLengths of each (model, window_k_max): ``classes`` is a
+    prefix of the kept walk and each side the kept lengths read over it,
+    walked or evaluated anew (and kept) only where the kept one is missing
+    or smaller.  A run sharing one dict thus walks a rank, and evaluates a
+    model, once while its radius does not grow; a model on both sides is
+    evaluated once, and a repeat table only divides its columns.  ``lo`` =
     tgt.lo/ref.hi and ``hi`` = tgt.hi/ref.lo are the ratio columns (nan
     where the reference lo is <= _ZERO_EPS), and ``positive`` masks the
     classes whose reference lo is > _ZERO_EPS.  Every column entry is the
@@ -210,14 +216,21 @@ class ClassTable:
             raise InputError(
                 f"rank mismatch: target {target.rank}, reference {ref.rank}"
             )
-        cfg = config or VerifierConfig()
-        classes, sides = _walked(target.rank, int(radius), cfg, tables)
-        for model in (ref, target):
-            if id(model) not in sides:
-                sides[id(model)] = class_lengths(model, classes,
-                                                 cfg.window_k_max)
-        self.ref = ref = sides[id(ref)].over(classes)
-        self.tgt = tgt = sides[id(target)].over(classes)
+        cfg, radius = config or VerifierConfig(), int(radius)
+        tables = {} if tables is None else tables
+        key = (target.rank, cfg.class_cap)
+        if key not in tables or tables[key].radius < radius:
+            tables[key] = ClassCodes.walk(target.rank, radius, cfg.class_cap)
+        classes = tables[key].prefix(radius)
+
+        def side(model):
+            key = (model, cfg.window_k_max)
+            if key not in tables or tables[key].classes.radius < radius:
+                tables[key] = class_lengths(model, classes, cfg.window_k_max)
+            return tables[key].over(classes)
+
+        self.ref = ref = side(ref)
+        self.tgt = tgt = side(target)
         rl, rh, tl, th = ref.lo_f, ref.hi_f, tgt.lo_f, tgt.hi_f
         self.exact_pairs = all(any(issubclass(t, _EXACT) for t in s.kinds)
                                for s in (ref, tgt))
@@ -315,66 +328,15 @@ def _first_max(cands, value_of, ties_exact: bool = False):
     return best, at
 
 
-def _walked(rank: int, radius: int, cfg: VerifierConfig,
-            tables: Optional[dict] = None) -> tuple:
-    """(classes, sides) of a new table of ``rank`` up to ``radius``.
-
-    Every table of ``tables`` (see ``_class_table``) with that rank, cfg's
-    class_cap and window_k_max and a radius >= ``radius`` holds the classes
-    of one walk, so ``classes`` is the prefix of the first such table's,
-    and ``sides`` maps the id of each model that is a side of such a table
-    to its ClassLengths, to be read over ``classes`` by
-    ``ClassLengths.over``.  With no such table, ``classes`` is a new walk
-    and ``sides`` is empty.
-    """
-    classes, sides = None, {}
-    for (target, ref, cap, k_max), table in (tables or {}).items():
-        if ((cap, k_max) == (cfg.class_cap, cfg.window_k_max)
-                and table.classes.rank == rank and table.radius >= radius):
-            if classes is None:
-                classes = table.classes.prefix(radius)
-            sides.setdefault(id(target), table.tgt)
-            sides.setdefault(id(ref), table.ref)
-    if classes is None:
-        classes = ClassCodes.walk(rank, radius, cfg.class_cap)
-    return classes, sides
-
-
-def _class_table(target, ref, radius: int, cfg: VerifierConfig,
-                tables: Optional[dict] = None) -> ClassTable:
-    """The class table of (target, ref) up to radius, reusing ``tables``.
-
-    ``tables`` maps (target, ref, class_cap, window_k_max) to the largest
-    table built so far for that pair, returned as it is at its own radius.
-    Any other radius gets a new table, kept under the key when it is the
-    largest.  A new table takes its classes, and the lengths of a model
-    that is already a side, from the tables of its rank that reach its
-    radius (``_walked``), so a run walks the classes of a rank, and
-    evaluates a model over them, once while its radius does not grow; a
-    smaller table only divides its columns anew.  The caller owns the dict
-    and decides how long tables live; without one every call builds a
-    fresh table.
-    """
-    radius = int(radius)
-    key = (target, ref, cfg.class_cap, cfg.window_k_max)
-    largest = tables.get(key) if tables is not None else None
-    if largest is not None and largest.radius == radius:
-        return largest
-    table = ClassTable(target, ref, radius, config=cfg, tables=tables)
-    if tables is not None and (largest is None or radius > largest.radius):
-        tables[key] = table
-    return table
-
-
 def _build_table(target, ref, radii, cfg: VerifierConfig,
                  tables: Optional[dict] = None) -> ClassTable:
     finite = [r for r in radii if r != math.inf]
     radius = int(min(max(finite, default=cfg.radius_cap), cfg.radius_cap))
-    return _class_table(target, ref, radius, cfg, tables)
+    return ClassTable(target, ref, radius, config=cfg, tables=tables)
 
 
 def _window_sup(table: ClassTable, L, radius_needed, *,
-                diag_cap: int = 16) -> WindowSup:
+                diag_cap: int) -> WindowSup:
     ref, tgt = table.ref, table.tgt
     seen = ~_above(ref.lo_f, ref.lo, L, table.floats_exact)
     positive = table.positive
@@ -436,10 +398,10 @@ def dilation_window(target, ref, L, config: Optional[VerifierConfig] = None,
     for the hi side, excluded from the lo side); classes whose reference
     length cannot be certified positive are excluded and counted.  The
     window reads the classes up to ``ref.window_radius(L)``, capped at
-    ``radius_cap``.  With a ``tables`` dict (see ``_class_table``) calls on
-    the same pair share one walk and one evaluation of each model: a
-    window no larger than one already built takes its classes and lengths
-    from it, so the largest L should come first.
+    ``radius_cap``.  With a ``tables`` dict (see ``ClassTable``) calls
+    share one walk and one evaluation of each model: a window no larger
+    than one already read takes its classes and lengths from it, so the
+    largest L should come first.
     """
     cfg = config or VerifierConfig()
     needed = ref.window_radius(L)
@@ -1114,7 +1076,7 @@ def metric_distance_report(a, b, config: Optional[VerifierConfig] = None
     r_ab, r_ba = b.window_radius(L), a.window_radius(L)
     tables: dict = {}
     table = _build_table(a, b, [max(r_ab, r_ba)], cfg, tables)
-    back = _class_table(b, a, table.radius, cfg, tables)
+    back = ClassTable(b, a, table.radius, config=cfg, tables=tables)
     ws_ab = _window_sup(table, L, r_ab, diag_cap=cfg.diagnostics_cap)
     ws_ba = _window_sup(back, L, r_ba, diag_cap=cfg.diagnostics_cap)
     if ws_ab.empty or ws_ba.empty or ws_ab.value.lo <= 0 or ws_ba.value.lo <= 0:

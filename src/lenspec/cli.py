@@ -51,9 +51,9 @@ from . import __version__
 from .actions import (HOLDS, HYPOTHESIS_FAILED, INCONCLUSIVE, VIOLATED,
                       exact_div, verdict_of)
 from .bounds import (
+    ClassTable,
     VerifierConfig,
     WindowRow,
-    _class_table,
     cobounded_dilation_report,
     dilation_window,
     displacement_sandwich_report,
@@ -567,7 +567,7 @@ def _run_token(token: str, scen: Scenario, cfg: VerifierConfig,
                subset_reference=None) -> dict:
     """One verifier's entry.  ``subset_reference()`` gives the word metric
     of the subset (built per call when not given), so that the checks of a
-    run can share it and, through ``tables``, its class table."""
+    run can share it and, through ``tables``, its evaluation."""
     p = scen.params
     if subset_reference is None:
         subset_reference = partial(_subset_reference, scen)
@@ -706,7 +706,7 @@ def _class_listing(scen: Scenario, cfg: VerifierConfig, target, reference, *,
     if target is None or reference is None:
         codes = ClassCodes.walk(scen.rank, int(radius), cfg.class_cap)
         return class_lengths(primary, codes, cfg.window_k_max)
-    return _class_table(target, reference, radius, cfg, tables)
+    return ClassTable(target, reference, radius, config=cfg, tables=tables)
 
 
 # code -> the ASCII byte of its letter, for the codes of rank 26 (code c is
@@ -912,8 +912,8 @@ def run(scenario: Scenario, *, with_classes: bool = False) -> RunReport:
     """
     cfg = scenario.config()
     target, reference = _models(scenario)
-    # one class table per (target, reference) and one subset word metric
-    # for the whole run
+    # one class walk per rank, one evaluation per model and one subset
+    # word metric for the whole run
     tables: dict = {}
     subset_reference = cache(partial(_subset_reference, scenario))
     entries = []

@@ -710,8 +710,13 @@ def _settled_lengths(s: GeneratingSet, targets, radius_cap):
     queued with priority <= d(y) + h_t(y) <= d(t) < c, the priority of t's
     entry at c.  So it would have been popped first; every settled length
     is exact.
+
+    The search runs on every letter doubled, which keeps the letters'
+    order and inverses: in CPython hash(-1) == hash(-2), so the words of
+    one length over A and B (letters -1 and -2) would all hash alike.
     """
-    pending = {t for t in targets if t}
+    doubled = {t: tuple(2 * x for x in t) for t in targets}
+    pending = {doubled[t] for t in targets if t}
     # each prefix of a pending target: the lengths of the pending targets
     # through it (length -> count), and the least of them
     through: dict[tuple, Counter] = defaultdict(Counter)
@@ -721,7 +726,8 @@ def _settled_lengths(s: GeneratingSet, targets, radius_cap):
     nearest = {prefix: min(lengths) for prefix, lengths in through.items()}
     found = {}
     den = s._den
-    steps = [(e.letters, int(w * den)) for e, w in zip(s.elements, s.weights)]
+    steps = [(tuple(2 * x for x in e.letters), int(w * den))
+             for e, w in zip(s.elements, s.weights)]
     rate = min((Fraction(wt, len(e)) for e, wt in steps if e), default=Fraction(0))
     p, q = rate.numerator, rate.denominator
 
@@ -767,7 +773,8 @@ def _settled_lengths(s: GeneratingSet, targets, radius_cap):
             if old is None or nd < old:
                 dist[nw] = nd
                 heapq.heappush(heap, (nd + aim(nw), nd, nw))
-    return {t: found[t] for t in targets if t in found}, bool(pending)
+    return ({t: found[doubled[t]] for t in targets if doubled[t] in found},
+            bool(pending))
 
 
 def word_length(g: Word, s: GeneratingSet, radius_cap=32):

@@ -25,7 +25,6 @@ from lenspec.bounds import (
     ClassTable,
     VerifierConfig,
     _bound_reports,
-    _class_table,
     _greedy_chunks,
     cobounded_dilation_report,
     dilation_window,
@@ -266,10 +265,14 @@ def _count_work(monkeypatch):
 
 def test_class_table_prefix_equals_fresh_table(monkeypatch):
     cfg, tables = VerifierConfig(), {}
-    big = _class_table(WB2, UNIT, 12, cfg, tables)
+    big = ClassTable(WB2, UNIT, 12, cfg, tables)
     walks, evaluated = _count_work(monkeypatch)
-    cut = _class_table(WB2, UNIT, 8, cfg, tables)
+    cut = ClassTable(WB2, UNIT, 8, cfg, tables)
+    # a repeat of the largest table reads its walk and sides as they are
+    again = ClassTable(WB2, UNIT, 12, cfg, tables)
     assert walks == evaluated == []
+    assert again.classes is big.classes
+    assert again.ref is big.ref and again.tgt is big.tgt
     fresh = ClassTable(WB2, UNIT, 8)
     assert cut.radius == fresh.radius == 8
     assert cut.reps == fresh.reps
@@ -279,22 +282,22 @@ def test_class_table_prefix_equals_fresh_table(monkeypatch):
     for name in ("lo", "hi", "positive"):
         assert np.array_equal(getattr(cut, name), getattr(fresh, name),
                               equal_nan=True)
-    assert _class_table(WB2, UNIT, 12, cfg, tables) is big
 
 
 def test_class_table_dict_keeps_the_largest_table(monkeypatch):
     walks, evaluated = _count_work(monkeypatch)
     cfg = VerifierConfig()
     tables = {}
-    t6 = _class_table(WB2, UNIT, 6, cfg, tables)
-    t8 = _class_table(WB2, UNIT, 8, cfg, tables)
-    assert _class_table(WB2, UNIT, 8, cfg, tables) is t8
-    assert _class_table(WB2, UNIT, 6, cfg, tables).reps == t6.reps
-    assert list(tables.values()) == [t8]
-    # another pair reads the largest table; another cap walks afresh
-    _class_table(UNIT, WB2, 6, cfg, tables)
-    _class_table(WB2, UNIT, 6, VerifierConfig(window_k_max=3), tables)
-    assert walks == [6, 8, 6]
+    t6 = ClassTable(WB2, UNIT, 6, cfg, tables)
+    t8 = ClassTable(WB2, UNIT, 8, cfg, tables)
+    assert ClassTable(WB2, UNIT, 8, cfg, tables).reps == t8.reps
+    assert ClassTable(WB2, UNIT, 6, cfg, tables).reps == t6.reps
+    # another pair reads the largest walk and lengths; another k_max
+    # evaluates anew over that walk, another cap walks anew and reads them
+    ClassTable(UNIT, WB2, 6, cfg, tables)
+    ClassTable(WB2, UNIT, 6, VerifierConfig(window_k_max=3), tables)
+    ClassTable(WB2, UNIT, 8, VerifierConfig(class_cap=10 ** 6), tables)
+    assert walks == [6, 8, 8]
     assert evaluated == [(UNIT, 6), (WB2, 6), (UNIT, 8), (WB2, 8),
                          (UNIT, 6), (WB2, 6)]
 

@@ -19,7 +19,6 @@ from lenspec import bounds, cli, spaces, words
 from lenspec.bounds import (
     ClassTable,
     VerifierConfig,
-    _class_table,
     metric_distance_report,
 )
 from lenspec.cli import build_model, builtin_preset
@@ -36,6 +35,7 @@ from lenspec.spaces import (
     class_lengths,
 )
 from lenspec.words import ROW_CHUNK, ClassCodes, GeneratingSet, Word, iter_class_reps
+from test_bounds import _count_work
 from test_window_oracle import _MATRIX_MODELS, _WORD_METRICS, _canon, _Listed
 
 RADIUS = 6
@@ -428,8 +428,8 @@ def test_names_past_rank_26_join_the_letters():
 
 def test_tables_of_one_rank_hold_the_same_classes():
     cfg, tables = VerifierConfig(), {}
-    first = _class_table(TreeModel(2, [1, 2]), TreeModel(2), 8, cfg, tables)
-    other = _class_table(TreeModel(2), TreeModel(2, [3, 1]), 6, cfg, tables)
+    first = ClassTable(TreeModel(2, [1, 2]), TreeModel(2), 8, cfg, tables)
+    other = ClassTable(TreeModel(2), TreeModel(2, [3, 1]), 6, cfg, tables)
     assert other.reps == first.reps[:len(other)]
     assert other.reps == ClassTable(TreeModel(2), TreeModel(2, [3, 1]), 6).reps
 
@@ -437,24 +437,12 @@ def test_tables_of_one_rank_hold_the_same_classes():
 def test_a_new_table_reads_the_walk_and_lengths_of_the_run(monkeypatch):
     cfg, tables = VerifierConfig(), {}
     target, tree = TreeModel(2, [1, 2]), TreeModel(2)
-    first = _class_table(target, tree, 8, cfg, tables)
-    walks, evaluated = [], []
-    walk, real = ClassCodes.walk.__func__, bounds.class_lengths
-
-    def counting_walk(cls, rank, radius, *args, **kwargs):
-        walks.append(radius)
-        return walk(cls, rank, radius, *args, **kwargs)
-
-    def counting(model, codes, k_max):
-        evaluated.append(model)
-        return real(model, codes, k_max)
-
-    monkeypatch.setattr(ClassCodes, "walk", classmethod(counting_walk))
-    monkeypatch.setattr(bounds, "class_lengths", counting)
+    first = ClassTable(target, tree, 8, cfg, tables)
+    walks, evaluated = _count_work(monkeypatch)
     metric = _WORD_METRICS[0]
-    other = _class_table(target, metric, 6, cfg, tables)
+    other = ClassTable(target, metric, 6, cfg, tables)
     # the classes and the target's lengths are the first table's, cut
-    assert walks == [] and evaluated == [metric]
+    assert walks == [] and evaluated == [(metric, 6)]
     assert other.ref.classes is other.tgt.classes is other.classes
     assert other.tgt.lo == first.tgt.lo[:len(other)]
     assert np.shares_memory(other.tgt.lo_f, first.tgt.lo_f)
@@ -463,14 +451,13 @@ def test_a_new_table_reads_the_walk_and_lengths_of_the_run(monkeypatch):
     for name in ("lo", "hi"):
         assert np.array_equal(getattr(other, name), getattr(fresh, name),
                               equal_nan=True)
-    # the tables keep their key, one per pair
-    assert set(tables.values()) == {first, other}
-    # past every radius, or under another cap, a table walks afresh
+    # past every radius a table walks and evaluates anew; under another
+    # cap it walks anew and reads the lengths of the run
     walks.clear()
     evaluated.clear()
-    _class_table(tree, metric, 9, cfg, tables)
-    _class_table(tree, target, 6, VerifierConfig(class_cap=10 ** 6), tables)
-    assert walks == [9, 6] and evaluated == [metric, tree, target, tree]
+    ClassTable(tree, metric, 9, cfg, tables)
+    ClassTable(tree, target, 6, VerifierConfig(class_cap=10 ** 6), tables)
+    assert walks == [9, 6] and evaluated == [(metric, 9), (tree, 9)]
 
 
 def test_a_model_on_both_sides_is_evaluated_once(monkeypatch):
@@ -560,8 +547,8 @@ def test_swapped_tables_evaluate_each_model_once(monkeypatch):
     # an elliptic generator: zero reference lengths once swapped
     a, b = _MATRIX_MODELS[2], TreeModel(2, [1, 2])
     cfg, tables = VerifierConfig(), {}
-    table = _class_table(a, b, 4, cfg, tables)
-    back = _class_table(b, a, 4, cfg, tables)
+    table = ClassTable(a, b, 4, cfg, tables)
+    back = ClassTable(b, a, 4, cfg, tables)
     assert len(evaluated) == 2 and evaluated[0] is b and evaluated[1] is a
     assert back.ref is table.tgt and back.tgt is table.ref
     fresh = ClassTable(b, a, 4)

@@ -27,6 +27,7 @@ from lenspec.cli import (
 from lenspec.errors import InputError
 from lenspec.spaces import TreeModel, build_schottky
 from lenspec.words import ClassCodes, Word, iter_class_reps
+from test_bounds import _count_work
 
 SCEN_DIR = Path(__file__).resolve().parents[1] / "src" / "lenspec" / "scenarios"
 SHIPPED = sorted(SCEN_DIR.glob("*.json"))
@@ -253,8 +254,9 @@ def test_run_entries_follow_verify_order():
 @pytest.mark.parametrize("name", ["identical-actions", "schottky-cobounded",
                                   "tree-pair"])
 def test_an_entry_does_not_depend_on_the_order_of_the_checks(name):
-    # the checks of a run share class tables, the subset word metric and
-    # the models' certificates; none of it may move another check's entry
+    # the checks of a run share class walks, lengths, the subset word metric
+    # and the models' certificates; none of it may move another check's
+    # entry
     raw = json.loads((SCEN_DIR / f"{name}.json").read_text())
     outputs = []
     for tokens in (raw["verify"], raw["verify"][::-1]):
@@ -349,38 +351,30 @@ def test_class_cap_in_classes_csv_keeps_the_report(tmp_path, capsys, verify,
                                        for t in verify)
 
 
-def test_run_builds_one_class_table(monkeypatch):
-    # thm13, cor17 and the classes.csv rows share one (target, reference)
-    built = []
-    init = bounds.ClassTable.__init__
+# each shipped scenario's work in a run with its classes.csv: the radius of
+# each class walk, and the model class and radius of each evaluation; the
+# checks and the listing read one walk per rank and one evaluation per model
+# while the radius does not grow
+_RUN_WORK = {
+    "bf-tree": ([12], [("TreeModel", 12)]),
+    "identical-actions": ([8, 12], [("TreeModel", 8), ("TreeModel", 8),
+                                    ("WordMetricModel", 12), ("TreeModel", 12)]),
+    "jsr-ensemble": ([], []),
+    "schottky-cobounded": ([12], [("TreeModel", 12), ("MobiusModel", 12)]),
+    "schottky-linear": ([10], [("TreeModel", 10), ("LinearRepModel", 10)]),
+    "tree-pair": ([12], [("TreeModel", 12), ("TreeModel", 12),
+                         ("WordMetricModel", 12)]),
+    "word-metric-window": ([10], [("WordMetricModel", 10), ("TreeModel", 10)]),
+}
 
-    def counting(self, *args, **kwargs):
-        built.append(args[2])
-        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(bounds.ClassTable, "__init__", counting)
-    rep = run(load_scenario(SCEN_DIR / "schottky-cobounded.json"),
-              with_classes=True)
-    assert rep.exit_code == 0 and len(rep.classes) == 69_996
-    assert len(built) == 1
-
-
-def test_run_shares_the_subset_word_metric(monkeypatch):
-    # thm15 and prop31 read one evaluation of one word metric of the
-    # subset; thm13 and the classes.csv rows share the tree pair's
-    evaluated = []
-    real = bounds.class_lengths
-
-    def counting(model, codes, k_max):
-        evaluated.append((type(model).__name__, codes.radius))
-        return real(model, codes, k_max)
-
-    monkeypatch.setattr(bounds, "class_lengths", counting)
-    rep = run(load_scenario(SCEN_DIR / "identical-actions.json"),
-              with_classes=True)
-    assert rep.verdict == "holds"
-    assert evaluated == [("TreeModel", 8), ("TreeModel", 8),
-                         ("WordMetricModel", 12), ("TreeModel", 12)]
+@pytest.mark.parametrize("name", sorted(_RUN_WORK))
+def test_a_run_walks_and_evaluates_each_radius_once(monkeypatch, name):
+    walks, evaluated = _count_work(monkeypatch)
+    monkeypatch.setattr(cli, "class_lengths", bounds.class_lengths)
+    run(load_scenario(SCEN_DIR / f"{name}.json"), with_classes=True)
+    kinds = [(type(model).__name__, radius) for model, radius in evaluated]
+    assert (walks, kinds) == _RUN_WORK[name]
 
 
 def test_verify_walks_the_classes_once(monkeypatch, tmp_path):

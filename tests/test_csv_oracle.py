@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from lenspec import bounds, cli, words
 from lenspec.actions import exact_div
-from lenspec.bounds import VerifierConfig, _class_table
+from lenspec.bounds import ClassTable, VerifierConfig
 from lenspec.spaces import (
     LinearRepModel,
     MobiusModel,
@@ -73,7 +73,7 @@ def _class_cells(scen, cfg, target, reference, *, tables=None):
         for name, l, h in zip(codes.names(), lengths.lo, lengths.hi):
             yield name, "", "", l, h, "", ""
         return
-    table = _class_table(target, reference, radius, cfg, tables)
+    table = ClassTable(target, reference, radius, cfg, tables)
     for name, rlo, rhi, tlo, thi, ratio in zip(
             table.classes.names(), table.ref.lo, table.ref.hi, table.tgt.lo,
             table.tgt.hi, _exact_ratio_rows(table)):
@@ -214,7 +214,7 @@ def test_a_prefix_table_matches_the_per_row_path():
     # both names (a point) stays one
     target, reference = _SCHOTTKY.mobius, TreeModel(2)
     tables = {}
-    whole = _class_table(target, reference, 6, VerifierConfig(), tables)
+    whole = ClassTable(target, reference, 6, VerifierConfig(), tables)
     _check(target, reference, 4, tables=tables)
     cut = cli._class_listing(SimpleNamespace(rank=2, params={"radius": 4}),
                              VerifierConfig(), target, reference, tables=tables)

@@ -70,33 +70,33 @@ def test_the_scan_sees_an_unused_import():
 
 
 # (importing module, source module, name): the private names a module may
-# import from another besides those of words.  The CLI's classes.csv reads
-# the class tables of the run's reports.  The JSR levels read sigma_1 and
-# lambda_1 through the 2x2 closed forms the class lengths and the gap
+# import from another besides those of words.  The JSR levels read sigma_1
+# and lambda_1 through the 2x2 closed forms the class lengths and the gap
 # certificate use, so that one formula owns each quantity.  The bounds
 # read exact values by the one type test that brackets use.
 PRIVATE_IMPORTS = {
     ("bounds", "actions", "_EXACT"),
-    ("cli", "bounds", "_class_table"),
     ("jsl", "spaces", "_batch_lambda1"),
     ("jsl", "spaces", "_batch_sigma1"),
 }
 
 
+def _package_imports(tree: ast.Module) -> list:
+    """(line, source module, name) of every name a ``from ... import``
+    anywhere in the module takes from a module of the package."""
+    return [(node.lineno, node.module.rsplit(".", 1)[-1], alias.name)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module
+            and (node.level > 0 or node.module.startswith("lenspec."))
+            for alias in node.names]
+
+
 def _private_imports(tree: ast.Module, module: str) -> list:
     """(line, source module, name) of every import of an underscore name
     from another module of the package that is not allowed."""
-    out = []
-    for node in ast.walk(tree):
-        if not (isinstance(node, ast.ImportFrom) and node.module
-                and (node.level > 0 or node.module.startswith("lenspec."))):
-            continue
-        source = node.module.rsplit(".", 1)[-1]
-        for alias in node.names:
-            if (alias.name.startswith("_") and source not in ("words", module)
-                    and (module, source, alias.name) not in PRIVATE_IMPORTS):
-                out.append((node.lineno, source, alias.name))
-    return out
+    return [(line, source, name) for line, source, name in _package_imports(tree)
+            if name.startswith("_") and source not in ("words", module)
+            and (module, source, name) not in PRIVATE_IMPORTS]
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
@@ -108,12 +108,33 @@ def test_no_private_names_cross_modules(path):
 def test_the_scan_sees_a_private_import():
     tree = ast.parse("from .jsl import _peeled_length, bf_upper\n"
                      "from .words import _as_words\n"
-                     "from .bounds import _class_table\n"
+                     "from .spaces import _batch_sigma1\n"
                      "def f():\n    from lenspec.spaces import _joined\n")
     assert _private_imports(tree, "bounds") == [(1, "jsl", "_peeled_length"),
+                                                (3, "spaces", "_batch_sigma1"),
                                                 (5, "spaces", "_joined")]
-    assert _private_imports(tree, "cli") == [(1, "jsl", "_peeled_length"),
-                                             (5, "spaces", "_joined")]
+    assert _private_imports(tree, "jsl") == [(5, "spaces", "_joined")]
+
+
+def _stale_exceptions(trees: dict) -> list:
+    """The entries of PRIVATE_IMPORTS whose module, in ``trees`` (name ->
+    AST), no longer imports the name from the source."""
+    imported = {(module, source, name) for module, tree in trees.items()
+                for _, source, name in _package_imports(tree)}
+    return sorted(PRIVATE_IMPORTS - imported)
+
+
+def test_every_private_import_exception_is_used():
+    trees = {p.stem: ast.parse(p.read_text(), filename=str(p))
+             for p in sorted(SRC.glob("*.py"))}
+    assert _stale_exceptions(trees) == []
+
+
+def test_the_scan_sees_a_stale_exception():
+    trees = {"bounds": ast.parse("from .actions import _EXACT\n"),
+             "jsl": ast.parse("def f():\n    from .spaces import _batch_sigma1\n"),
+             "cli": ast.parse("from .spaces import _batch_lambda1\n")}
+    assert _stale_exceptions(trees) == [("jsl", "spaces", "_batch_lambda1")]
 
 
 def _orphans(trees: dict) -> list:

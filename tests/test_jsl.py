@@ -553,8 +553,8 @@ def test_engines_leave_module_state_unchanged():
     tree_joint_profile(m, ["abA", "aBA"])
     tree_joint_profile(m, ["ab", "bA", "aab"])
     joint_stable_profile(m, ["a", "bA"], n_max=4, engine="products")
-    # a whole run: class tables, their ratio columns and the subset word
-    # metric live on the run and its tables, never in a module
+    # a whole run: class walks, lengths, tables and the subset word metric
+    # live on the run and its tables dict, never in a module
     scen = SCEN_DIR / "tree-pair.json"
     assert run(load_scenario(scen), with_classes=True).verdict == "holds"
     assert _module_container_sizes() == before

@@ -16,6 +16,7 @@ from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -27,7 +28,6 @@ from lenspec.bounds import (
     VerifierConfig,
     WindowRow,
     WindowSup,
-    _class_table,
     _window_sup,
     dilation_window,
     metric_distance_report,
@@ -41,6 +41,7 @@ from lenspec.spaces import (
     build_schottky,
 )
 from lenspec.words import GeneratingSet, Word
+from test_bounds import _count_work
 
 _ZERO_EPS = bounds._ZERO_EPS
 
@@ -260,12 +261,12 @@ _SETTINGS = settings(max_examples=60, deadline=None,
 @given(pairs(), st.integers(3, 5), st.booleans(), st.data())
 def test_window_sup_matches_the_per_class_scan(pair, radius, swap, data):
     cfg, tables = VerifierConfig(), {}
-    whole = _class_table(*pair, radius, cfg, tables)
-    for tab in (whole, _class_table(*pair, radius - 1, cfg, tables)):
+    whole = ClassTable(*pair, radius, cfg, tables)
+    for tab in (whole, ClassTable(*pair, radius - 1, cfg, tables)):
         # with swap the oracle reads the unswapped table's lists exchanged
         table, lists = tab, tab
         if swap:
-            back = _class_table(pair[1], pair[0], tab.radius, cfg, tables)
+            back = ClassTable(pair[1], pair[0], tab.radius, cfg, tables)
             table, lists = back, _exchanged(tab)
         for i, (rl, rh, tl, th) in enumerate(zip(lists.ref.lo, lists.ref.hi,
                                                  lists.tgt.lo, lists.tgt.hi)):
@@ -304,6 +305,17 @@ bands = st.one_of(
 ).filter(lambda b: b[0] <= b[1])
 
 
+def _reports_table(pair, report, cfg, tables) -> ClassTable:
+    """The table a windowed report read, rebuilt from the walk and lengths
+    it left in ``tables``: no class is walked or evaluated again."""
+    with pytest.MonkeyPatch.context() as patch:
+        walks, evaluated = _count_work(patch)
+        table = ClassTable(*pair, report.coverage["window"]["radius"], cfg,
+                           tables)
+    assert walks == evaluated == []
+    return table
+
+
 @_SETTINGS
 @given(pairs(), bands, st.sampled_from([None, 0, Fraction(1, 2), 1, 2.5]),
        st.lists(st.sampled_from([1, 2, 3, 2.5]), min_size=1, max_size=2,
@@ -313,7 +325,7 @@ def test_ratio_envelope_matches_the_per_class_scan(pair, band, C0, Ls):
     tables = {}
     reports = ratio_envelope_report(*pair, band[0], band[1], cfg, C0=C0,
                                     tables=tables)
-    (table,) = tables.values()
+    table = _reports_table(pair, reports[0], cfg, tables)
     with mock.patch.object(bounds, "_window_sup", _oracle_window_sup):
         oracle_reports = ratio_envelope_report(*pair, band[0], band[1], cfg, C0=C0)
     for L, rep, orep in zip(Ls, reports, oracle_reports):
@@ -358,12 +370,11 @@ def test_envelope_scans_every_class_a_float_computation_can_tie():
     # needed C0 as much as class A (ratio 1.5, the least ratio), though
     # neither ratio of a is extreme (b has ratio 3)
     alpha = float(2 ** 53)
-    target = _Listed({"A": 1.5, "b": 3}, weights=[2, 2])
+    pair = (_Listed({"A": 1.5, "b": 3}, weights=[2, 2]), TreeModel(2))
     cfg = VerifierConfig(L_values=(1,), radius_cap=4)
     tables = {}
-    (rep,) = ratio_envelope_report(target, TreeModel(2), alpha, alpha, cfg,
-                                   tables=tables)
-    (table,) = tables.values()
+    (rep,) = ratio_envelope_report(*pair, alpha, alpha, cfg, tables=tables)
+    table = _reports_table(pair, rep, cfg, tables)
     assert rep.extras["worst_class"] == "a"
     want = _oracle_envelope(table, 1, rep.coverage["window"]["truncated"],
                             alpha, alpha, None, cfg)
@@ -427,8 +438,8 @@ def test_float_exact_tables_settle_ties_without_reading_a_length():
 
 def test_columns_are_views_of_the_whole_table():
     pair, cfg, tables = (TreeModel(2, [1, 2]), TreeModel(2)), VerifierConfig(), {}
-    table = _class_table(*pair, 5, cfg, tables)
-    cut = _class_table(*pair, 3, cfg, tables)
+    table = ClassTable(*pair, 5, cfg, tables)
+    cut = ClassTable(*pair, 3, cfg, tables)
     cols = []
     for part, whole in ((cut.ref, table.ref), (cut.tgt, table.tgt)):
         cols += [(part.lo_f, whole.lo_f), (part.hi_f, whole.hi_f)]
