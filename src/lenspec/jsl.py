@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -43,8 +44,7 @@ from .actions import HOLDS, LengthBracket, exact_div, verdict_of
 from .errors import InputError, NumericError, ResourceCapError, SearchExhaustedError
 from .spaces import (MatrixActionModel, TreeModel, WordMetricModel,
                      _batch_lambda1, _batch_sigma1, class_bracket_reader)
-from .words import (ConjClass, Word, WordRows, _as_words, _concat_reduced,
-                    _cyclic_core, _unscaled)
+from .words import ConjClass, Word, WordRows, _as_words
 
 __all__ = [
     "JointLengthProfile",
@@ -170,6 +170,30 @@ def _log_max(values, log_scale: float) -> float:
 # ------------------------------------------------------- tree: the S^2 scan
 
 
+def _cancelled_pair(u: tuple, v: tuple, total: int, weight) -> int:
+    """The scaled length of the cyclic core of uv, ``total`` being
+    W(u) + W(v): less twice the weight of each letter cancelled at the seam
+    of uv, then of each pair of end letters peeled off its ends, read by
+    index into u and v."""
+    m, n = len(u), len(v)
+    k = 0
+    while k < m and k < n and u[m - 1 - k] == -v[k]:
+        total -= 2 * weight(v[k])
+        k += 1
+    # the reduced product p = u[:a] + v[k:]: p[t] is u[t] for t < a, else
+    # v[t + shift]
+    a, shift = m - k, 2 * k - m
+    i, j = 0, m + n - 2 * k - 1
+    while i < j:
+        x = u[i] if i < a else v[i + shift]
+        if x != -(u[j] if j < a else v[j + shift]):
+            break
+        total -= 2 * weight(x)
+        i += 1
+        j -= 1
+    return total
+
+
 def tree_joint_profile(model: TreeModel, s) -> JointLengthProfile:
     """Joint stable length on a tree: exactly half the largest stable length
     over S^2.
@@ -191,19 +215,43 @@ def tree_joint_profile(model: TreeModel, s) -> JointLengthProfile:
 
     Pairs: ts = s^-1 (st) s is conjugate to st, so l(ts) = l(st) and the
     scan reads each unordered pair {s, t}, s = t included, once:
-    |S|(|S| + 1)/2 products.  Each length is the sum of the tree's scaled
-    int weights (``_scaled``) over the cyclic core of st; S is checked
-    against the rank once, so no letter can miss the table, and the
-    largest sum is divided back by ``_den`` and halved once.
+    |S|(|S| + 1)/2 pairs.  No product word is built.  With W(u) the sum of
+    the tree's scaled int weights (``_scaled``) over a reduced word u, and
+    a letter weighing what its inverse does,
+
+        l(core(uv)) = W(u) + W(v) - 2 (weight cancelled),
+
+    the cancelled weight being that of the letters cancelled at the seam
+    of uv and then peeled off the ends of the product in inverse pairs
+    (``_cancelled_pair``).  When u and v are nonempty and neither junction
+    of the cyclic word uv cancels (last of u against first of v, last of v
+    against first of u), nothing is cancelled and l(uv) = W(u) + W(v).  An
+    empty factor takes the cancelling path: e t is t, whose ends may peel.
+    As l(core(uv)) <= W(u) + W(v), a pair whose sum is no more than the
+    largest length so far cannot raise it and is not scored.  Each factor
+    is read once for W, and a letter missing from ``_scaled`` is one
+    beyond the rank.  The largest length is divided back by ``_den`` and
+    halved once.
 
     No level is computed: ``a`` is empty and ``lo_terms`` holds the pair
     term alone.
     """
-    s_list = [w.letters for w in _as_words(s, model.rank)]
     weight = model._scaled.__getitem__
-    pair = max(sum(map(weight, _cyclic_core(_concat_reduced(u, v))))
-               for i, u in enumerate(s_list) for v in s_list[i:])
-    lam = exact_div(_unscaled(pair, model._den), 2)
+    try:
+        factors = [(w.letters, sum(map(weight, w.letters))) for w in _as_words(s)]
+    except KeyError:
+        raise InputError(f"S uses letters beyond rank {model.rank}") from None
+    pair = 0
+    for i, (u, wu) in enumerate(factors):
+        for v, wv in factors[i:]:
+            length = wu + wv
+            if length <= pair:
+                continue
+            if not (u and v and u[-1] != -v[0] and u[0] != -v[-1]):
+                length = _cancelled_pair(u, v, length, weight)
+            if length > pair:
+                pair = length
+    lam = Fraction(pair, 2 * model._den)
     return JointLengthProfile(
         bracket=LengthBracket(lam, lam, exact=True),
         a={},

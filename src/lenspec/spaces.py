@@ -169,11 +169,22 @@ class TreeModel(ActionModel):
         """The class_length of every class of ``codes``, a point;
         ``k_max`` is unused, the lengths are exact.
 
-        The ``scaled_sums`` of each length block; with ``_den`` > 1 one
-        Fraction and one float is built per distinct sum.
+        The uniform case, a tree whose letters all have one scaled weight s
+        (the unit tree, which every standard word metric reads through
+        ``_tree``): the block of length n holds the one value n s, unscaled
+        once, with no gather.  Otherwise the ``scaled_sums`` of each length
+        block; with ``_den`` > 1 one Fraction and one float is built per
+        distinct sum.
         """
+        weights = set(self._scaled.values())
+        uniform = weights.pop() if len(weights) == 1 else None
         vals, floats = [], []
         for block in codes.blocks:
+            if uniform is not None:
+                v = _unscaled(block.shape[1] * uniform, self._den)
+                vals += [v] * len(block)
+                floats.append(np.full(len(block), float(v)))
+                continue
             total = self.scaled_sums(block)
             if self._den == 1:
                 vals += total.tolist()

@@ -144,7 +144,7 @@ class Word:
         return w.inverse() * self * w
 
     def max_index(self) -> int:
-        return max((abs(x) for x in self.letters), default=0)
+        return max(map(abs, self.letters), default=0)
 
     # -- rendering ----------------------------------------------------
 

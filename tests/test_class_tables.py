@@ -97,6 +97,33 @@ def test_tree_bulk_types_follow_the_weights():
     assert all(type(v) is int for v in vals)
 
 
+def _gathered(model, codes):
+    """A tree's lengths over ``codes`` as the ``scaled_sums`` gather reads
+    them: the row sums divided back by ``_den``, and their floats."""
+    total = np.concatenate([model.scaled_sums(b) for b in codes.blocks])
+    if model._den == 1:
+        return total.tolist(), total.astype(np.float64)
+    vals = [Fraction(v, model._den) for v in total.tolist()]
+    return vals, np.array(list(map(float, vals)))
+
+
+# a tree whose letters weigh alike gives each length block one value with
+# no gather; 2**60 + 1 sums past int64 and rounds in float64
+@pytest.mark.parametrize("w", [1, 7, 2**60 + 1, Fraction(2, 3), 0.1, 2.5],
+                         ids=str)
+@pytest.mark.parametrize("rank,radius", [(1, 8), (2, 8), (3, 7)])
+def test_uniform_tree_blocks_are_the_gathered_sums(rank, radius, w):
+    model = TreeModel(rank, [w] * rank)
+    codes = ClassCodes.walk(rank, radius)
+    got = model.class_brackets(codes, 2)
+    vals, floats = _gathered(model, codes)
+    assert got.point
+    assert [(type(v), v) for v in got.lo] == [(type(v), v) for v in vals]
+    assert got.kinds == frozenset(map(type, vals))
+    assert got.lo_f.dtype == np.float64
+    assert np.array_equal(got.lo_f.view(np.int64), floats.view(np.int64))
+
+
 # every set is bulk: a float weight is the Fraction it equals
 @pytest.mark.parametrize("model", [
     *_WORD_METRICS,

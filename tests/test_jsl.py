@@ -18,6 +18,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import lenspec
 from lenspec import jsl
@@ -39,7 +41,8 @@ from lenspec.spaces import (LinearRepModel, TreeModel, WordMetricModel,
                             _sv_pair_2x2, build_schottky)
 
 SCEN_DIR = Path(__file__).resolve().parents[1] / "src" / "lenspec" / "scenarios"
-from lenspec.words import ConjClass, GeneratingSet, Word
+from lenspec.words import (ConjClass, GeneratingSet, Word, _concat_reduced,
+                           _cyclic_core)
 
 
 def random_subset(rng, size, max_len=4):
@@ -139,6 +142,77 @@ def test_identity_element_is_tolerated():
     assert p.bracket == LengthBracket(1, 1, exact=True)
 
 
+# what a factor of S is made from: drawn words w and x as they are, the
+# identity, w^-1, x w x^-1, or w^-1 x, whose seam with w eats w whole when
+# w and x share no first letter
+_FACTOR_OPS = (
+    lambda w, x: w,
+    lambda w, x: Word(),
+    lambda w, x: w.inverse(),
+    lambda w, x: x * w * x.inverse(),
+    lambda w, x: w.inverse() * x,
+)
+
+
+# trees of ranks 1, 2, 3 and 40 whose letters alternate two weights: ints,
+# Fractions, floats, ~2**60 (sums past 2**63) and mixes
+_TREES = [TreeModel(rank, [pair[i % 2] for i in range(rank)])
+          for rank in (1, 2, 3, 40)
+          for pair in ((1, 1), (2, 3), (5, 1), (Fraction(1, 3), Fraction(1, 3)),
+                       (Fraction(2, 7), Fraction(5, 4)), (3, Fraction(1, 2)),
+                       (0.1, 0.1), (0.1, 0.2), (2.5, 0.3), (2**60, 2**60),
+                       (2**60 + 1, 2**60 - 3), (0.1, 2**60))]
+
+
+def _digits(code, base, n):
+    """The n lowest base-``base`` digits of code, lowest first."""
+    return [code // base**k % base for k in range(n)]
+
+
+def _tree_case(model, shape, words_code, ops_code):
+    """S over the letters a, A, b, B and the rank's letter and its inverse
+    (capped at the rank), decoded from ints.  ``shape`` gives the number of
+    words (1-3), of made factors (0-3) and S's order as a permutation
+    index; each base-6**6 digit of ``words_code`` a word of length d_0 < 6
+    with letter slots d_1.. (base 6); each base-45 digit of ``ops_code`` a
+    factor, its ``_FACTOR_OPS`` entry and the indices of w and x."""
+    rank = model.rank
+    slots = [sign * min(g, rank) for g in (1, 2, rank) for sign in (1, -1)]
+    words = []
+    for code in _digits(words_code, 6**6, 1 + shape % 3):
+        length, *letters = _digits(code, 6, 6)
+        words.append(Word([slots[x] for x in letters[:length]]))
+    s = words + [_FACTOR_OPS[code % 5](words[code // 5 % 3 % len(words)],
+                                       words[code // 15 % len(words)])
+                 for code in _digits(ops_code, 45, shape // 3 % 4)]
+    order = shape // 12
+    out = []
+    for n in range(len(s), 0, -1):
+        out.append(s.pop(order % n))
+        order //= n
+    return model, out
+
+
+# four draws an example: a list's length costs a choice per element, and
+# 1,000 examples must stay well under 2 s
+_TREE_CASES = st.builds(
+    _tree_case, st.sampled_from(_TREES), st.integers(0, 12 * 720 - 1),
+    st.integers(0, 6**18 - 1), st.integers(0, 45**3 - 1))
+
+
+@settings(max_examples=1000, deadline=None)
+@example((TreeModel(2), [Word("A"), Word(), Word("Aba")]))
+@example((TreeModel(1), [Word("a"), Word("AAA")]))
+@given(_TREE_CASES)
+def test_pair_scan_is_half_the_largest_product_core_length(case):
+    # the scan builds no product; the oracle builds every ordered one
+    model, s = case
+    want = exact_div(max(model.class_length(_cyclic_core(_concat_reduced(
+        u.letters, v.letters))) for u in s for v in s), 2)
+    got = tree_joint_profile(model, s).pair_half
+    assert (type(got), got) == (type(want), want)
+
+
 # ------------------------------------------------------------ word engine
 
 
@@ -196,6 +270,14 @@ def test_subset_validation():
     for engine in ("auto", "products", "tree-dp"):
         with pytest.raises(InputError, match="S uses letters beyond rank 2"):
             joint_stable_profile(TreeModel(2), ["c"], 2, engine=engine)
+    # the tree scan's own checks, on a tree and on a standard word metric
+    for model, engine in ((TreeModel(2), "tree-dp"),
+                          (WordMetricModel(GeneratingSet.standard(2)), "auto")):
+        with pytest.raises(InputError, match="^subset must be nonempty$"):
+            joint_stable_profile(model, [], 4, engine=engine)
+        for bad in (["c"], ["ab", "", "bC"]):
+            with pytest.raises(InputError, match="^S uses letters beyond rank 2$"):
+                joint_stable_profile(model, bad, 4, engine=engine)
     prof = joint_stable_profile(TreeModel(2), ["a", "bA"], 4, engine="products")
     assert prof.bracket == joint_stable_profile(
         TreeModel(2), [Word("a"), Word("bA")], 4, engine="products").bracket
