@@ -19,6 +19,8 @@ from fractions import Fraction
 from itertools import groupby
 from typing import Sequence
 
+import numpy as np
+
 from .errors import InputError, NumericError
 from .words import Word, enumerate_ball
 
@@ -246,33 +248,40 @@ def anosov_certificate(model, radius: int = 6) -> AnosovCertificate:
     """Fit the gap certificate over ``enumerate_ball(model.rank, radius)``.
 
     ``model`` must expose ``rank``, ``generator_matrix(letter)`` and
-    ``singular_gap(matrix) -> log(sigma1/sigma2)`` (the matrix models do).
-    Each word's matrix is its parent's times its last generator.  A radius
-    below 1 raises InputError, a ball past the walk's cap ResourceCapError.
+    ``singular_gaps(batch)``, the log(sigma1/sigma2) of an (N, m, m) batch
+    up to its first non-finite one (the matrix models' kernel).  A level
+    is one batch: in the ball's (length, letter) order word i of level n
+    is word i // (2r - 1) of level n - 1 times its last generator, one
+    matmul for the level.  A radius below 1 raises InputError, a ball past
+    the walk's cap ResourceCapError before any product, and the first
+    word with a non-finite gap NumericError.
     """
     if radius < 1:
         raise InputError(f"empty ball; radius must be >= 1, got {radius}")
     mu = math.inf
     worst = Word()
-    rows: list[tuple[int, float]] = []
+    levels: list[tuple[int, np.ndarray]] = []
     for n, level in groupby(enumerate_ball(model.rank, radius)[1:], key=len):
-        cur = {}
-        for g in level:
-            mat = model.generator_matrix(g.letters[-1])
-            if n > 1:
-                mat = prev[g.letters[:-1]] @ mat
-            gap = model.singular_gap(mat)
-            if not math.isfinite(gap):
-                raise NumericError(f"non-finite singular gap at {g}")
-            rows.append((n, gap))
-            r = gap / n
-            if r < mu:
-                mu, worst = r, g
-            if n < radius:
-                cur[g.letters] = mat
-        prev = cur
+        level = list(level)
+        last = [g.letters[-1] for g in level]
+        if n == 1:
+            gens = batch = np.stack([model.generator_matrix(x) for x in last])
+            where = {x: i for i, x in enumerate(last)}
+        else:
+            parents = batch[np.arange(len(level)) // (2 * model.rank - 1)]
+            batch = np.matmul(parents, gens[[where[x] for x in last]])
+        gaps = model.singular_gaps(batch)
+        finite = np.isfinite(gaps)
+        if not finite.all():
+            raise NumericError(
+                f"non-finite singular gap at {level[int(finite.argmin())]}")
+        levels.append((n, gaps))
+        r = gaps / n
+        i = int(r.argmin())
+        if r[i] < mu:
+            mu, worst = float(r[i]), level[i]
     mu = max(mu, 0.0)
-    log_c = min(gap - mu * n for n, gap in rows)
+    log_c = min(float((gaps - mu * n).min()) for n, gaps in levels)
     log_c = min(log_c, 0.0)
     return AnosovCertificate(
         mu=mu, log_C=log_c, ok=mu > 1e-9, radius=radius, worst=worst

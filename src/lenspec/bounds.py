@@ -48,6 +48,7 @@ from .words import (
     _as_words,
     WordRows,
     _finite_real,
+    _id_groups,
     _letters_in_order,
     _settled_lengths,
     _unscaled,
@@ -159,18 +160,22 @@ class WindowSup:
 
 
 def _ratio_column(tops, bottoms, positive) -> np.ndarray:
-    """float(exact_div(t, b)) of each pair where ``positive``, else nan.
+    """float(exact_div(t, b)) of each pair where ``positive``, else nan,
+    divided once per distinct pair of objects (``_id_groups``).
 
     An exact pair (int or Fraction) is one correctly rounded int division,
     with no Fraction built.
     """
-    out = np.full(len(tops), np.nan)
-    for i in np.flatnonzero(positive).tolist():
+    def ratio(i):
         t, b = tops[i], bottoms[i]
         if isinstance(t, _EXACT) and isinstance(b, _EXACT):
-            out[i] = (t.numerator * b.denominator) / (t.denominator * b.numerator)
-        else:
-            out[i] = float(exact_div(t, b))
+            return (t.numerator * b.denominator) / (t.denominator * b.numerator)
+        return float(exact_div(t, b))
+
+    out = np.full(len(tops), np.nan)
+    rows = np.flatnonzero(positive)
+    firsts, groups = _id_groups((tops, bottoms), rows)
+    out[rows] = np.array(list(map(ratio, firsts)))[groups]
     return out
 
 

@@ -76,7 +76,7 @@ from .spaces import (
     build_schottky,
     class_lengths,
 )
-from .words import ClassCodes, GeneratingSet, Word, _finite_real
+from .words import ClassCodes, GeneratingSet, Word, _finite_real, _id_groups
 
 __all__ = [
     "Scenario",
@@ -745,7 +745,7 @@ def _typed(v) -> tuple:
     return type(v), v
 
 
-def _field_bytes(n: int, text, floats=None, cells=(), blank=None) -> tuple:
+def _field_bytes(n: int, text, floats=None, cols=(), blank=None) -> tuple:
     """A classes.csv column of n rows over the whole listing as (texts,
     index): ``texts`` its distinct texts as an (K, W) uint8 array of
     NUL-padded ASCII rows, row i's field texts[index[i]], "" where the
@@ -754,23 +754,22 @@ def _field_bytes(n: int, text, floats=None, cells=(), blank=None) -> tuple:
     Where a float64 column ``floats`` fixes each text (cells all floats,
     or all ints below 2**53 in size), the keys are its bits, never its
     values (0.0 and -0.0 differ in text), found by np.unique.  Otherwise
-    one pass numbers the ``_typed`` keys of the n ``cells``, each a tuple
-    of the values its text depends on; a cell of objects seen before (the
-    lists share objects) reuses its number without hashing a value."""
+    the rows off ``blank`` are numbered by the ``_typed`` keys of their
+    entries in the lists ``cols``, each key a tuple of the values its text
+    depends on, built once per group of rows that hold the same objects
+    (``_id_groups``)."""
     if floats is not None:
         distinct, index = np.unique(floats.view(np.int64), return_inverse=True)
         distinct = distinct.view(np.float64).tolist()
     else:
-        ids, seen = {}, {}
-
-        def number(cell):
-            ident = tuple(map(id, cell))
-            if ident not in seen:
-                seen[ident] = ids.setdefault(tuple(map(_typed, cell)), len(ids))
-            return seen[ident]
-
-        index = np.fromiter(map(number, cells), np.intp, n)
-        distinct = list(ids)
+        rows = np.arange(n) if blank is None else np.flatnonzero(~blank)
+        firsts, groups = _id_groups(cols, rows)
+        keys = {}
+        number = [keys.setdefault(tuple(_typed(col[i]) for col in cols), len(keys))
+                  for i in firsts]
+        distinct = list(keys)
+        index = np.zeros(n, np.intp)
+        index[rows] = np.array(number, np.intp)[groups]
     texts = list(map(text, distinct))
     if blank is not None:
         index[blank] = len(texts)
@@ -790,7 +789,7 @@ def _length_fields(side: ClassLengths) -> list:
             return _field_bytes(n, str, floats)
         if kinds == {int} and np.all(np.abs(floats) < 2.0 ** 53):
             return _field_bytes(n, lambda v: str(int(v)), floats)
-        return _field_bytes(n, lambda k: str(k[0][1]), cells=zip(values))
+        return _field_bytes(n, lambda k: str(k[0][1]), cols=(values,))
 
     lo = field(side.lo, side.lo_f)
     return [lo, lo if side.point else field(side.hi, side.hi_f)]
@@ -802,22 +801,19 @@ def _ratio_fields(table) -> list:
 
     Without ``exact_pairs`` each cell is the float of the table's ratio
     column.  With it, a cell of ratio_lo is keyed by its typed pair
-    (tgt.lo, ref.hi) and one of ratio_hi by (tgt.hi, ref.lo), and one
-    off ``positive`` by the empty tuple, so exact_div runs once per
-    distinct pair of the listing."""
+    (tgt.lo, ref.hi) and one of ratio_hi by (tgt.hi, ref.lo), so
+    exact_div runs once per distinct pair of the listing."""
     n, point = len(table), table.tgt.point and table.ref.point
+    blank = ~table.positive
     if not table.exact_pairs:
-        blank = ~table.positive
         lo = _field_bytes(n, str, table.lo, blank=blank)
         return [lo, lo if point else _field_bytes(n, str, table.hi, blank=blank)]
-    positive = table.positive.tolist()
 
     def text(key):
-        return str(exact_div(key[0][1], key[1][1])) if key else ""
+        return str(exact_div(key[0][1], key[1][1]))
 
     def field(tops, bottoms):
-        return _field_bytes(n, text, cells=((t, b) if p else () for t, b, p
-                                            in zip(tops, bottoms, positive)))
+        return _field_bytes(n, text, cols=(tops, bottoms), blank=blank)
 
     lo = field(table.tgt.lo, table.ref.hi)
     return [lo, lo if point else field(table.tgt.hi, table.ref.lo)]

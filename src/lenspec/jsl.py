@@ -43,7 +43,7 @@ import numpy as np
 from .actions import HOLDS, LengthBracket, exact_div, verdict_of
 from .errors import InputError, NumericError, ResourceCapError, SearchExhaustedError
 from .spaces import (MatrixActionModel, TreeModel, WordMetricModel,
-                     _batch_lambda1, _batch_sigma1, class_bracket_reader)
+                     _batch_lambda1, _batch_svals, class_bracket_reader)
 from .words import ConjClass, Word, WordRows, _as_words
 
 __all__ = [
@@ -133,29 +133,36 @@ def _matrix_levels(mats, n_max: int, cap: int):
     The products of level n are the level n-1 batch times each generator
     in turn; a level of more than ``cap`` products raises ResourceCapError.
     The N products of a level are multiplied as one (N m, m) array of their
-    stacked rows, one matmul per generator: row i of P g is row i of P
-    times g, so the level holds the same products in the same order as the
-    stacked ``batch @ g`` with one call in place of N.
+    stacked rows, one matmul per generator into its block of the
+    preallocated level: row i of P g is row i of P times g, so the level
+    holds the same products in the same order as the stacked ``batch @ g``
+    with one call in place of N.  A level is divided by its max |entry|
+    in place, a real one's read from its two ends.
     """
     gens = np.stack([np.asarray(m) for m in mats])
     gens = gens.astype(np.complex128 if np.iscomplexobj(gens) else np.float64)
-    m = gens.shape[-1]
-    batch = gens
+    k, m = len(gens), gens.shape[-1]
+    batch = gens.copy()
     log_scale = 0.0
     for n in range(1, n_max + 1):
         if n > 1:
-            if batch.shape[0] * gens.shape[0] > cap:
+            if len(batch) * k > cap:
                 raise ResourceCapError(
                     f"level {n} matrix frontier would exceed cap {cap}"
                 )
             rows = batch.reshape(-1, m)
-            batch = np.concatenate([rows @ g for g in gens]).reshape(-1, m, m)
-        c = float(np.max(np.abs(batch)))
+            batch = np.empty((k, len(rows), m), gens.dtype)
+            for g, block in zip(gens, batch):
+                np.matmul(rows, g, out=block)
+            batch = batch.reshape(-1, m, m)
+        # np.maximum keeps a NaN, which both ends of a real level then hold
+        c = float(np.max(np.abs(batch)) if np.iscomplexobj(batch)
+                  else np.maximum(batch.max(), -batch.min()))
         if not math.isfinite(c):
             raise NumericError("non-finite matrix entries in joint enumeration")
         if c <= 0:
             raise NumericError("zero matrix reached in joint enumeration")
-        batch = batch / c
+        batch /= c
         log_scale += math.log(c)
         yield n, batch, log_scale
 
@@ -424,7 +431,7 @@ def jsr_profile(mats, n_max: int = 8, *, cap: int = 2_000_000) -> JsrProfile:
     sig = {}
     lam = {}
     for n, batch, ls in _matrix_levels(mats, n_max, cap):
-        sig[n] = _log_max(_batch_sigma1(batch), ls) / n
+        sig[n] = _log_max(_batch_svals(batch)[:, 0], ls) / n
         lam[n] = _log_max(_batch_lambda1(batch), ls) / n
     hi = min(sig.values())
     lo = min(max(lam.values()), hi)

@@ -408,7 +408,7 @@ def _spelling_costs(rows, k_max, pieces, letter_cost, base) -> list:
 def _sv_pair_2x2(a: np.ndarray) -> tuple[float, float]:
     """Singular values of a 2x2 (real or complex) matrix, closed form, in
     Python arithmetic (squares by multiplication, moduli by abs, that is
-    hypot); ``_batch_sigma1`` is its array twin.
+    hypot); ``_batch_svals`` is its array twin.
 
     s2 comes from s1 s2 = |det|, not from the subtractive branch of the
     quadratic, which cancels catastrophically once s1 >> s2.
@@ -508,17 +508,20 @@ def _lambda1_entries(a, b, c, d) -> np.ndarray:
 
 def _batch_lambda1(batch: np.ndarray) -> np.ndarray:
     """The spectral radius of each matrix of an (N, m, m) batch:
-    _lambda1_entries for m = 2, else LAPACK's largest |eigenvalue|."""
+    _lambda1_entries for m = 2, ROW_CHUNK matrices at a time (which bounds
+    its temporaries), else LAPACK's largest |eigenvalue|."""
     if batch.shape[-1] != 2:
         return np.max(np.abs(np.linalg.eigvals(batch)), axis=1)
-    return _lambda1_entries(*_entries(batch))
+    return _joined([_lambda1_entries(*_entries(batch[i:i + ROW_CHUNK]))
+                    for i in range(0, len(batch), ROW_CHUNK)])
 
 
-def _batch_sigma1(batch: np.ndarray) -> np.ndarray:
-    """sigma_1 of each matrix of an (N, m, m) batch: for m = 2 _sv_pair_2x2's
-    s1 bit for bit, by its operations on the entries' parts; else LAPACK's."""
+def _batch_svals(batch: np.ndarray) -> np.ndarray:
+    """The singular values of each matrix of an (N, m, m) batch, largest
+    first, as an (N, m) array: for m = 2 _sv_pair_2x2's pair bit for bit,
+    by its operations on the entries' parts; else LAPACK's."""
     if batch.shape[-1] != 2:
-        return np.linalg.svd(batch, compute_uv=False)[:, 0]
+        return np.linalg.svd(batch, compute_uv=False)
     a, b, c, d = _entries(batch)
     with np.errstate(all="ignore"):
         det = tuple(map(np.subtract, _cmul(a, d), _cmul(b, c)))
@@ -526,15 +529,17 @@ def _batch_sigma1(batch: np.ndarray) -> np.ndarray:
                            for e in (a, b, c, d, det))
         f = x * x + y * y + u * u + v * v
         g = np.sqrt(np.maximum(f * f - 4.0 * det * det, 0.0))
-        return np.sqrt(np.maximum((f + g) / 2.0, 0.0))
+        s1 = np.sqrt(np.maximum((f + g) / 2.0, 0.0))
+        return np.stack([s1, np.where(s1 > 0, det / s1, 0.0)], axis=1)
 
 
 class MatrixActionModel(ActionModel):
     """Shared machinery for models whose generators are matrices.
 
-    A subclass gives ``_normalize``, ``_matrix_displacement``, ``_length``
-    (a class length from the spectral radius lambda1 of its matrix) and
-    ``_length_scale``, the factor of log lambda1 in its class lengths.
+    A subclass gives ``_normalize``, ``_matrix_displacement`` and the two
+    constants of its one length rule: the class length of a spectral
+    radius lambda1 is 0.0 up to ``_length_floor``, else ``_length_scale``
+    times log lambda1 (``_length``, and ``class_brackets`` over a table).
     """
 
     def _init_matrices(self, mats: Sequence[np.ndarray], dtype) -> None:
@@ -590,17 +595,29 @@ class MatrixActionModel(ActionModel):
 
         return {k: self._matrix_displacement(power(k)) for k in ks}
 
-    def singular_gap(self, a: np.ndarray) -> float:
+    def singular_gaps(self, batch: np.ndarray) -> np.ndarray:
+        """log(sigma1/sigma2) of each matrix of an (N, m, m) batch by
+        _batch_svals and math.log, ending at the first whose s1/s2 is not a
+        finite positive.  That one is finished alone, as its word's matrix
+        once was: by _sv_pair_2x2 (NumericError on an overflowing modulus)
+        or LAPACK (an error on a NaN, so a NaN matrix reads as zero in the
+        batch), then NumericError if s2 <= 0, else its gap, not finite."""
         if self.dim < 2:
             raise InputError("a singular gap needs matrices of size 2 or more")
-        if self.dim == 2:
-            s1, s2 = _sv_pair_2x2(a)
-        else:
-            s = np.linalg.svd(a, compute_uv=False)
-            s1, s2 = float(s[0]), float(s[1])
-        if s2 <= 0:
-            raise NumericError("degenerate singular values")
-        return math.log(s1 / s2)
+        nan = np.isnan(batch).any(axis=(1, 2), keepdims=True)
+        s = _batch_svals(np.where(nan, 0.0, batch))
+        with np.errstate(all="ignore"):
+            ratio = s[:, 0] / s[:, 1]
+        bad = np.flatnonzero(~((s[:, 1] > 0) & (ratio > 0) & (ratio < math.inf)))
+        gaps = list(map(math.log, ratio[:bad[0] if bad.size else None].tolist()))
+        if bad.size:
+            a = batch[bad[0]]
+            s1, s2 = (_sv_pair_2x2(a) if self.dim == 2
+                      else np.linalg.svd(a, compute_uv=False)[:2].tolist())
+            if s2 <= 0:
+                raise NumericError("degenerate singular values")
+            gaps.append(math.log(s1 / s2))
+        return np.array(gaps)
 
     def class_lambda1(self, letters) -> float:
         """Spectral radius of the product matrix of a (canonical) word."""
@@ -653,24 +670,27 @@ class MatrixActionModel(ActionModel):
                 out.append(np.repeat(lam, np.diff(starts, append=len(rows))))
         return _joined(out)
 
+    def _length(self, lam: float) -> float:
+        return 0.0 if lam <= self._length_floor else self._length_scale * math.log(lam)
+
     def class_brackets(self, codes: ClassCodes, k_max: int):
         """The class_length of every class of ``codes``, a point; ``k_max``
         is unused.  None beyond 2x2 matrices, which are evaluated class
         by class.
 
-        A length is _length of the float lambda1, so one length is built
-        per distinct lambda1 of the whole table (keyed by its bits) and
-        shared by the rows that hold it.
+        One length is built per distinct lambda1 of the whole table (keyed
+        by its bits), by _length's rule in one pass, and shared by the
+        rows that hold it.
         """
         if self.dim != 2:
             return None
         lam = self.class_lambda1_column(codes)
         keys, inv = np.unique(lam.view(np.int64), return_inverse=True)
-        distinct = keys.view(np.float64).tolist()
-        lengths = np.array(list(map(self._length, distinct)), dtype=object)
-        vals = lengths[inv].tolist()
-        floats = lengths.astype(np.float64)[inv]
-        # _length returns a float
+        floor, scale, log = self._length_floor, self._length_scale, math.log
+        lengths = [0.0 if x <= floor else scale * log(x)
+                   for x in keys.view(np.float64).tolist()]
+        vals = [lengths[i] for i in inv.tolist()]
+        floats = np.array(lengths)[inv]
         return ClassLengths(codes, vals, vals, floats, floats,
                             frozenset({float} if vals else ()))
 
@@ -701,6 +721,7 @@ class MobiusModel(MatrixActionModel):
     """
 
     alpha = None
+    _length_floor = 1.0 + 1e-12
     _length_scale = 2.0
 
     def __init__(self, generators: Sequence, dim: int = 2, delta: float = math.log(2)):
@@ -728,9 +749,6 @@ class MobiusModel(MatrixActionModel):
     def displacement(self, g: Word) -> float:
         return self._matrix_displacement(self.matrix(g))
 
-    def _length(self, lam: float) -> float:
-        return 0.0 if lam <= 1.0 + 1e-12 else 2.0 * math.log(lam)
-
     def class_length(self, letters) -> float:
         return self._length(self.class_lambda1(letters))
 
@@ -749,6 +767,7 @@ class LinearRepModel(MatrixActionModel):
     of psi along subgroups) is configuration, default None.
     """
 
+    _length_floor = 1.0   # max(log lambda1, 0.0): log lambda1 <= 0 up to 1
     _length_scale = 1.0
 
     def __init__(
@@ -778,9 +797,6 @@ class LinearRepModel(MatrixActionModel):
 
     def displacement(self, g: Word) -> float:
         return self._matrix_displacement(self.matrix(g))
-
-    def _length(self, lam: float) -> float:
-        return max(math.log(lam), 0.0)
 
     def class_length(self, letters) -> float:
         return self._length(self.class_lambda1(letters))

@@ -571,6 +571,20 @@ def _finite_real(v) -> bool:
         return False
 
 
+def _id_groups(cols, rows) -> tuple:
+    """(firsts, groups): the rows ``rows`` (an index array) of the lists
+    ``cols`` grouped by the identities of their entries, by np.unique over
+    the ids (a table's lists share objects): rows[j] is in group groups[j],
+    whose first row is firsts[groups[j]]."""
+    code = np.zeros(len(rows), np.intp)
+    for col in cols:
+        ids = np.fromiter(map(id, col), np.uintp, len(col))[rows]
+        _, inv = np.unique(ids, return_inverse=True)
+        code = code * (int(inv.max(initial=0)) + 1) + inv
+    _, first, groups = np.unique(code, return_index=True, return_inverse=True)
+    return rows[first].tolist(), groups
+
+
 def _as_weight(w):
     """A positive finite real weight as the exact number it equals: an int
     when whole, else a Fraction (a float is read as its binary value)."""

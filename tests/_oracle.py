@@ -18,6 +18,10 @@ cover search (lemma32), and the displacement ball and piece counts of the
 sandwich (lemma25).  ``joint_levels`` is different: it is the walk of the
 ``products`` engine over Python sets, reading any word model through its
 own per-word methods, as the reference for the engine's code-row walk.
+
+The last part keeps the per-element forms of steps the package takes in
+batches (the gap certificate's walk, the ratio columns, the matrix class
+lengths and the JSR levels), for checks that the batches keep their bits.
 """
 
 import heapq
@@ -245,3 +249,111 @@ def displacement_ball(weights, bound) -> list:
     radius = int(Fraction(bound) / min(map(Fraction, weights)))
     return [g for g in ball(len(weights), radius)[1:]
             if displacement(weights, g) <= bound]
+
+
+# -------------------------------------- per-element forms of batched code
+#
+# The forms the package computed one element at a time before it took
+# each step in batches: the batched steps must keep their bits.
+
+
+def singular_gap(a):
+    """log(sigma1/sigma2) of one matrix as a matrix model read it: the
+    2x2 closed form ``_sv_pair_2x2``, else LAPACK's SVD of it alone."""
+    import math
+
+    import numpy as np
+    from lenspec.errors import InputError, NumericError
+    from lenspec.spaces import _sv_pair_2x2
+
+    if a.shape[0] < 2:
+        raise InputError("a singular gap needs matrices of size 2 or more")
+    if a.shape[0] == 2:
+        s1, s2 = _sv_pair_2x2(a)
+    else:
+        s = np.linalg.svd(a, compute_uv=False)
+        s1, s2 = float(s[0]), float(s[1])
+    if s2 <= 0:
+        raise NumericError("degenerate singular values")
+    return math.log(s1 / s2)
+
+
+def certificate(model, radius: int, gap=singular_gap):
+    """anosov_certificate by its per-word walk over the ball: each word's
+    matrix its parent's times its last generator by one ``@``, its gap
+    ``gap(matrix)``."""
+    import math
+    from itertools import groupby
+
+    from lenspec.actions import AnosovCertificate
+    from lenspec.errors import InputError, NumericError
+    from lenspec.words import Word, enumerate_ball
+
+    if radius < 1:
+        raise InputError(f"empty ball; radius must be >= 1, got {radius}")
+    mu = math.inf
+    worst = Word()
+    rows = []
+    for n, level in groupby(enumerate_ball(model.rank, radius)[1:], key=len):
+        cur = {}
+        for g in level:
+            mat = model.generator_matrix(g.letters[-1])
+            if n > 1:
+                mat = prev[g.letters[:-1]] @ mat
+            v = gap(mat)
+            if not math.isfinite(v):
+                raise NumericError(f"non-finite singular gap at {g}")
+            rows.append((n, v))
+            r = v / n
+            if r < mu:
+                mu, worst = r, g
+            if n < radius:
+                cur[g.letters] = mat
+        prev = cur
+    mu = max(mu, 0.0)
+    log_c = min(v - mu * n for n, v in rows)
+    log_c = min(log_c, 0.0)
+    return AnosovCertificate(
+        mu=mu, log_C=log_c, ok=mu > 1e-9, radius=radius, worst=worst
+    )
+
+
+def ratio_column(tops, bottoms, positive) -> list:
+    """float(exact_div(t, b)) row by row where ``positive``, else nan."""
+    from lenspec.actions import exact_div
+
+    return [float(exact_div(t, b)) if p else float("nan")
+            for t, b, p in zip(tops, bottoms, positive)]
+
+
+def matrix_length(model, lam: float) -> float:
+    """A matrix model's class length of the spectral radius lam, by the
+    rule of its kind: 2 log lam past 1 + 1e-12 on a Mobius model, else
+    0.0; max(log lam, 0.0) on a linear one."""
+    import math
+
+    from lenspec.spaces import MobiusModel
+
+    if isinstance(model, MobiusModel):
+        return 0.0 if lam <= 1.0 + 1e-12 else 2.0 * math.log(lam)
+    return max(math.log(lam), 0.0)
+
+
+def stacked_levels(mats, n_max: int):
+    """The levels (n, batch, log_scale) of the JSR enumeration from the
+    stacked ``batch @ g`` of each generator, concatenated, each level
+    divided by its largest modulus."""
+    import math
+
+    import numpy as np
+
+    gens = np.stack([np.asarray(m) for m in mats])
+    gens = gens.astype(np.complex128 if np.iscomplexobj(gens) else np.float64)
+    batch, log_scale = gens, 0.0
+    for n in range(1, n_max + 1):
+        if n > 1:
+            batch = np.concatenate([batch @ g for g in gens])
+        c = float(np.max(np.abs(batch)))
+        batch = batch / c
+        log_scale += math.log(c)
+        yield n, batch, log_scale

@@ -12,10 +12,12 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _oracle
 from lenspec.actions import (
+    AnosovCertificate,
     LengthBracket,
     anosov_certificate,
     exact_div,
@@ -23,8 +25,8 @@ from lenspec.actions import (
     power_schedule,
     stable_length_bracket,
 )
-from lenspec.errors import InputError, ResourceCapError
-from lenspec.spaces import LinearRepModel, TreeModel, build_schottky
+from lenspec.errors import InputError, NumericError, ResourceCapError
+from lenspec.spaces import LinearRepModel, MobiusModel, TreeModel, build_schottky
 from lenspec.words import ConjClass, Word, enumerate_ball
 
 
@@ -289,7 +291,7 @@ def test_certificate_mu_is_ball_minimum():
     for g in enumerate_ball(2, 4):
         if not g:
             continue
-        gap = lin.singular_gap(lin.matrix(g))
+        gap = lin.singular_gaps(lin.matrix(g)[None])[0]
         worst = min(worst, gap / len(g))
         assert gap >= cert.log_C + cert.mu * len(g) - 1e-9
     assert cert.mu == pytest.approx(worst)
@@ -310,30 +312,127 @@ def test_certificate_ball_past_its_cap_raises_before_any_product():
         anosov_certificate(NoProducts([np.eye(2), np.eye(2)]), 40)
 
 
-class _Spelled:
-    """A 'matrix' that spells the product it stands for."""
-
-    def __init__(self, letters):
-        self.letters = letters
-
-    def __matmul__(self, other):
-        return _Spelled(self.letters + other.letters)
+# Sanov's free pair a = [[1, 2], [0, 1]], b = [[1, 0], [2, 1]] and their
+# inverses: every reduced word has its own integer product, exact in floats
+_SANOV = {1: np.array([[1.0, 2.0], [0.0, 1.0]]), -1: np.array([[1.0, -2.0], [0.0, 1.0]]),
+          2: np.array([[1.0, 0.0], [2.0, 1.0]]), -2: np.array([[1.0, 0.0], [-2.0, 1.0]])}
 
 
 def test_certificate_walks_the_ball_in_length_then_letter_order():
     # gap/|g| = 1 at b and at aa and 10 elsewhere: a depth-first walk
-    # meets aa first, the ball's (length, letter) order meets b first
+    # meets aa first, the ball's (length, letter) order meets b first.
+    # Each batch row is read back as the word whose product it is.
+    ball = enumerate_ball(2, 3)[1:]
+    word_of = {}
+    for g in ball:
+        m = np.eye(2)
+        for x in g.letters:
+            m = m @ _SANOV[x]
+        word_of[tuple(m.ravel().tolist())] = g.letters
+    assert len(word_of) == len(ball)
     gaps = {(2,): 1.0, (1, 1): 2.0}
     seen = []
 
-    def gap(m):
-        seen.append(m.letters)
-        return gaps.get(m.letters, 10.0 * len(m.letters))
+    def singular_gaps(batch):
+        level = [word_of[tuple(m.ravel().tolist())] for m in batch]
+        seen.append(level)
+        return np.array([gaps.get(w, 10.0 * len(w)) for w in level])
 
-    model = SimpleNamespace(rank=2, singular_gap=gap,
-                            generator_matrix=lambda x: _Spelled((x,)))
+    model = SimpleNamespace(rank=2, singular_gaps=singular_gaps,
+                            generator_matrix=_SANOV.__getitem__)
     cert = anosov_certificate(model, 3)
-    # each matrix is its word's product, one per word of the ball
-    assert seen == [g.letters for g in enumerate_ball(2, 3)[1:]]
+    # one batch per level, each row its word's product, in ball order
+    assert seen == [[g.letters for g in ball if len(g) == n] for n in (1, 2, 3)]
     assert cert.mu == 1.0 and cert.worst == Word("b")
     assert cert.log_C == 0.0 and cert.ok and cert.radius == 3
+
+
+def _gap_model(kind: int, rank: int, seed: int, stretch: int):
+    """A random matrix model: real 2x2 linear (kind 0), complex 2x2
+    Mobius in space (1) or 3x3 linear (2), each generator times
+    diag(10**stretch, 1, ...) before the model normalizes it, so large
+    stretches overflow within a few letters."""
+    rng = np.random.default_rng(seed)
+    m = 3 if kind == 2 else 2
+    scale = np.diag([10.0 ** stretch] + [1.0] * (m - 1))
+    mats = [rng.standard_normal((m, m)) @ scale for _ in range(rank)]
+    if kind == 1:
+        mats = [a + 1j * rng.standard_normal((m, m)) @ scale for a in mats]
+        return MobiusModel(mats, dim=3)
+    return LinearRepModel(mats)
+
+
+def _outcome(f):
+    """f()'s value, or the type and text of what it raised."""
+    try:
+        return f()
+    except (NumericError, ValueError, np.linalg.LinAlgError) as e:
+        return type(e), str(e)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+_STRETCHES = st.sampled_from([0, 0, 0, 40, 150, 300])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2), st.integers(1, 2), st.integers(1, 4),
+       st.integers(0, 2**32 - 1), _STRETCHES)
+def test_certificate_is_the_per_word_walk(kind, rank, radius, seed, stretch):
+    # the batched walk against the per-word loop of _oracle.certificate:
+    # the same matrices bit for bit (one np.matmul per level against one
+    # @ per word), and the same certificate, mu and log_C to the bit, or
+    # the same error at the same word
+    model = _gap_model(kind, rank, seed, stretch)
+    batches, mats = [], []
+    kernel = model.singular_gaps
+    model.singular_gaps = lambda batch: (batches.append(batch), kernel(batch))[1]
+
+    def gap(mat):
+        mats.append(mat)
+        return _oracle.singular_gap(mat)
+
+    got = _outcome(lambda: anosov_certificate(model, radius))
+    want = _outcome(lambda: _oracle.certificate(model, radius, gap))
+    if isinstance(want, AnosovCertificate):
+        assert isinstance(got, AnosovCertificate)
+        assert (got.mu.hex(), got.log_C.hex()) == (want.mu.hex(), want.log_C.hex())
+        assert (got.worst, got.ok, got.radius) == (want.worst, want.ok, want.radius)
+    else:
+        assert got == want
+    rows = np.concatenate(batches)[:len(mats)]
+    assert np.array_equal(_bits(rows), _bits(np.stack(mats)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2), st.integers(0, 2**32 - 1), _STRETCHES,
+       st.integers(0, 4))
+def test_singular_gaps_are_the_scalar_gaps(kind, seed, stretch, holes):
+    # the gap kernel on a batch of products against _oracle.singular_gap
+    # row by row: the same bits up to the first gap that is not finite,
+    # or the same error where the first bad row raises; ``holes`` rows
+    # are made NaN, inf, zero or one whose moduli pass the float range
+    model = _gap_model(kind, 2, seed, stretch)
+    rng = np.random.default_rng(seed)
+    gens = np.stack([model.generator_matrix(x) for x in (1, -1, 2, -2)])
+    batch = gens[rng.integers(0, 4, 400)]
+    for _ in range(3):
+        batch = batch @ gens[rng.integers(0, 4, 400)]
+    for i, v in zip(rng.integers(0, 400, holes),
+                    (math.nan, math.inf, 0.0, 1.3e308 * (1 + 1j) if kind == 1 else 1e300)):
+        batch[i] = v
+    want, raised = [], None
+    for a in batch:
+        v = _outcome(lambda: _oracle.singular_gap(a))
+        if isinstance(v, tuple):
+            raised = v
+            assert _outcome(lambda: model.singular_gaps(batch)) == raised
+            break
+        want.append(v)
+        if not math.isfinite(v):
+            break
+    if want:
+        got = model.singular_gaps(batch[:len(want)] if raised else batch)
+        assert np.array_equal(_bits(got), _bits(np.array(want)))

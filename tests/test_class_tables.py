@@ -9,12 +9,17 @@ the per-class methods' values class by class, number types included
 correctly rounded floats of those values.
 """
 
+import math
+import pickle
 from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import _oracle
 from lenspec import bounds, cli, spaces, words
 from lenspec.bounds import (
     ClassTable,
@@ -178,6 +183,62 @@ def test_matrix_bulk_lengths_are_class_length_bit_for_bit(model):
     assert all(type(v) is float for v in vals)
 
 
+@pytest.mark.parametrize("model", [*_MATRIX_MODELS, _COMPLEX_MOBIUS],
+                         ids=["schottky-mobius", "schottky-linear",
+                              "elliptic-mobius", "linear", "complex-mobius"])
+def test_matrix_class_length_is_the_rule_of_its_kind(model):
+    # the one floor-and-scale rule against each kind's own per-class rule
+    # (_oracle.matrix_length), to the bit
+    for rep in ClassCodes.walk(2, RADIUS).reps:
+        want = _oracle.matrix_length(model, model.class_lambda1(rep))
+        assert model.class_length(rep).hex() == want.hex()
+
+
+def _random_2x2_model(kind: int, seed: int):
+    """Random 2x2 generators of a Mobius model in the plane (kind 0) or in
+    space (1), or of a real (2) or complex (3) linear one; on odd seeds
+    the second generator is a rotation, so some classes are elliptic."""
+    rng = np.random.default_rng(seed)
+    mats = [rng.standard_normal((2, 2)) for _ in range(2)]
+    mats = [m if np.linalg.det(m) > 0 else m[::-1] for m in mats]
+    if kind in (1, 3):
+        mats = [m + 0.5j * rng.standard_normal((2, 2)) for m in mats]
+    if seed % 2:
+        mats[1] = _complex_rotation(rng.uniform(0, 3)) if kind in (1, 3) else (
+            _complex_rotation(rng.uniform(0, 3)).real)
+    return MobiusModel(mats, dim=2 + kind) if kind < 2 else LinearRepModel(mats)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 3), st.integers(0, 2**32 - 1))
+def test_bulk_matrix_lengths_are_the_per_class_rule(kind, seed):
+    # class_brackets' one pass over the distinct lambda1 against the rule
+    # of the model's kind class by class, to the bit; the classes of one
+    # lambda1 share one length object
+    model = _random_2x2_model(kind, seed)
+    codes = ClassCodes.walk(2, 5)
+    got = model.class_brackets(codes, 2)
+    lam = [model.class_lambda1(r) for r in codes.reps]
+    want = np.array([_oracle.matrix_length(model, x) for x in lam])
+    assert got.lo is got.hi and got.kinds == {float}
+    assert np.array_equal(got.lo_f.view(np.int64), want.view(np.int64))
+    assert [v.hex() for v in got.lo] == [v.hex() for v in want.tolist()]
+    shared = {}
+    assert all(shared.setdefault(x.hex(), v) is v for x, v in zip(lam, got.lo))
+
+
+def test_cobounded_table_lengths_keep_math_log():
+    # schottky-cobounded's radius-12 table holds 49,571 distinct lambda1,
+    # 6 of which np.log rounds apart from math.log
+    model = _MATRIX_MODELS[0]
+    codes = ClassCodes.walk(2, 12)
+    lam = model.class_lambda1_column(codes)
+    assert len(np.unique(lam)) == 49_571
+    want = np.array([_oracle.matrix_length(model, x) for x in lam.tolist()])
+    got = model.class_brackets(codes, 2).lo_f
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 # three generators, one unipotent: its powers have a zero discriminant,
 # which _lambda1_rows hands to _lambda1
 _RANK3_LINEAR = LinearRepModel([np.array([[2.0, 1.0], [1.0, 1.0]]),
@@ -242,9 +303,10 @@ def test_lambda1_rows_is_lambda1_bit_for_bit():
 
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
 def test_batch_sigma1_is_sv_pair_bit_for_bit(dtype):
-    # the array twin of _sv_pair_2x2's s1, on entries over the whole float
-    # range and on plain normal draws (where pow squares would differ),
-    # each with zeros of both signs and unipotent rows
+    # _batch_svals is the array twin of _sv_pair_2x2's pair (s1, s2), on
+    # entries over the whole float range and on plain normal draws (where
+    # pow squares would differ), each with zeros of both signs and
+    # unipotent rows
     rng = np.random.default_rng(35)
     wide = np.stack([_wide_draw(rng, 4 * 10_000) for _ in range(2)])
     normal = rng.standard_normal((2, 4 * 50_000))
@@ -255,8 +317,8 @@ def test_batch_sigma1_is_sv_pair_bit_for_bit(dtype):
             batch.imag[:100] = np.copysign(0.0, rng.standard_normal((100, 2, 2)))
         batch.real[:100] = np.copysign(0.0, rng.standard_normal((100, 2, 2)))
         batch[100:200] = [[1.0, 1.0], [0.0, 1.0]]
-        got = spaces._batch_sigma1(batch)
-        want = np.array([_sv_pair_2x2(m)[0] for m in batch])
+        got = spaces._batch_svals(batch)
+        want = np.array([_sv_pair_2x2(m) for m in batch])
         # the bits, not ==; abs() of a complex with a NaN part is CPython's
         # one NaN, so a NaN's sign and payload are not part of the contract
         nan = np.isnan(want)
@@ -271,7 +333,7 @@ def test_sv_pair_overflow_is_a_numeric_error():
         _sv_pair_2x2(big)
     model = MobiusModel([np.eye(2, dtype=complex)], dim=3)
     with pytest.raises(NumericError, match="overflow"):
-        model.singular_gap(big)
+        model.singular_gaps(big[None])
 
 
 def test_linear_beyond_2x2_goes_class_by_class():
@@ -537,7 +599,8 @@ def test_exact_ratio_cells_divide_once_per_distinct_pair(monkeypatch):
 
 def test_matrix_lengths_are_built_once_per_distinct_lambda1(monkeypatch):
     # radius 11: the last length block spans row chunks, and a lambda1
-    # that recurs in several of them still gets one _length
+    # that recurs in several of them still gets one logarithm (every
+    # class of this model is hyperbolic, so each distinct lambda1 takes one)
     model = _MATRIX_MODELS[0]
     codes = ClassCodes.walk(2, 11)
     lam = model.class_lambda1_column(codes)
@@ -545,17 +608,19 @@ def test_matrix_lengths_are_built_once_per_distinct_lambda1(monkeypatch):
     per_chunk = sum(len(np.unique(bits[i:i + ROW_CHUNK]))
                     for i in range(0, len(bits), ROW_CHUNK))
     assert len(np.unique(bits)) < per_chunk
+    assert lam.min() > 1.0 + 1e-12
     calls = []
-    real = model._length
+    log = math.log
 
-    def counting(lam):
-        calls.append(lam)
-        return real(lam)
+    def counting(x):
+        calls.append(x)
+        return log(x)
 
-    monkeypatch.setattr(model, "_length", counting)
+    monkeypatch.setattr(spaces.math, "log", counting)
     lengths = model.class_brackets(codes, 2)
+    monkeypatch.undo()
     assert len(calls) == len(np.unique(bits))
-    assert lengths.lo == list(map(real, lam.tolist()))
+    assert lengths.lo == list(map(model._length, lam.tolist()))
     assert np.array_equal(lengths.lo_f, np.array(lengths.lo))
 
 
@@ -586,3 +651,48 @@ def test_swapped_tables_evaluate_each_model_once(monkeypatch):
     evaluated.clear()
     metric_distance_report(a, b, VerifierConfig(L_values=(3,), radius_cap=4))
     assert sorted(map(id, evaluated)) == sorted(map(id, (a, b)))
+
+
+# ------------------------------------------------------------ ratio columns
+
+
+_EXACTS = st.one_of(st.integers(-10**20, 10**20),
+                    st.fractions(-10**6, 10**6, max_denominator=10**6))
+_VALUES = st.one_of(_EXACTS, st.floats(-1e6, 1e6),
+                    st.sampled_from([0, 0.0, -0.0, Fraction(0), 1, 1.0]))
+
+
+def _fresh(v):
+    """An equal value of the same type, a new object where Python makes one."""
+    return pickle.loads(pickle.dumps(v))
+
+
+def _picked(pool, picks):
+    """A table-like list: row i the pool value picks[i][0] names, a fresh
+    copy of it where picks[i][1]."""
+    return [_fresh(v) if new else v
+            for v, new in ((pool[k % len(pool)], new) for k, new in picks)]
+
+
+_PICKS = st.lists(st.tuples(st.integers(0, 5), st.booleans()), max_size=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_VALUES, min_size=1, max_size=6),
+       st.lists(_VALUES.filter(lambda v: v > 0), min_size=1, max_size=6),
+       _PICKS, _PICKS, st.integers(0, 2**40 - 1))
+@example([0.0, -0.0, 1, 1.0], [Fraction(1, 3)], [(k, False) for k in range(4)],
+         [(0, False)] * 4, 15)
+def test_ratio_column_is_the_per_row_division(tops, bottoms, top_picks,
+                                              bottom_picks, mask):
+    # one division per distinct pair of objects against
+    # float(exact_div(t, b)) row by row (_oracle.ratio_column), to the bit:
+    # ints, Fractions and floats, 0 against 0.0 against -0.0, rows that
+    # share their objects and rows that hold equal fresh ones.  A table
+    # divides where its reference is positive, so every bottom is.
+    n = min(len(top_picks), len(bottom_picks))
+    tops, bottoms = _picked(tops, top_picks[:n]), _picked(bottoms, bottom_picks[:n])
+    positive = np.array([mask >> i & 1 for i in range(n)], bool)
+    got = bounds._ratio_column(tops, bottoms, positive)
+    want = np.array(_oracle.ratio_column(tops, bottoms, positive), np.float64)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))

@@ -77,7 +77,7 @@ def test_the_scan_sees_an_unused_import():
 PRIVATE_IMPORTS = {
     ("bounds", "actions", "_EXACT"),
     ("jsl", "spaces", "_batch_lambda1"),
-    ("jsl", "spaces", "_batch_sigma1"),
+    ("jsl", "spaces", "_batch_svals"),
 }
 
 
@@ -108,10 +108,10 @@ def test_no_private_names_cross_modules(path):
 def test_the_scan_sees_a_private_import():
     tree = ast.parse("from .jsl import _peeled_length, bf_upper\n"
                      "from .words import _as_words\n"
-                     "from .spaces import _batch_sigma1\n"
+                     "from .spaces import _batch_svals\n"
                      "def f():\n    from lenspec.spaces import _joined\n")
     assert _private_imports(tree, "bounds") == [(1, "jsl", "_peeled_length"),
-                                                (3, "spaces", "_batch_sigma1"),
+                                                (3, "spaces", "_batch_svals"),
                                                 (5, "spaces", "_joined")]
     assert _private_imports(tree, "jsl") == [(5, "spaces", "_joined")]
 
@@ -132,7 +132,7 @@ def test_every_private_import_exception_is_used():
 
 def test_the_scan_sees_a_stale_exception():
     trees = {"bounds": ast.parse("from .actions import _EXACT\n"),
-             "jsl": ast.parse("def f():\n    from .spaces import _batch_sigma1\n"),
+             "jsl": ast.parse("def f():\n    from .spaces import _batch_svals\n"),
              "cli": ast.parse("from .spaces import _batch_lambda1\n")}
     assert _stale_exceptions(trees) == [("jsl", "spaces", "_batch_lambda1")]
 

@@ -21,11 +21,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import _oracle
 import lenspec
 from lenspec import jsl
 from lenspec.actions import ActionModel, LengthBracket, exact_div
 from lenspec.cli import load_scenario, parse_scenario, run
-from lenspec.errors import InputError, ResourceCapError
+from lenspec.errors import InputError, NumericError, ResourceCapError
 from lenspec.jsl import (
     BochiConstants,
     bf_lower_check,
@@ -37,7 +38,7 @@ from lenspec.jsl import (
     tree_joint_profile,
 )
 from lenspec.spaces import (LinearRepModel, TreeModel, WordMetricModel,
-                            _batch_lambda1, _batch_sigma1, _lambda1,
+                            _batch_lambda1, _batch_svals, _lambda1,
                             _sv_pair_2x2, build_schottky)
 
 SCEN_DIR = Path(__file__).resolve().parents[1] / "src" / "lenspec" / "scenarios"
@@ -528,26 +529,14 @@ def test_jsr_overflow_resistance():
     assert b.lo == pytest.approx(8 * math.log(10), rel=1e-12)
 
 
-def _stacked_levels(mats, n_max):
-    """The levels of ``_matrix_levels`` from the stacked ``batch @ g``."""
-    gens = np.stack([np.asarray(m) for m in mats])
-    gens = gens.astype(np.complex128 if np.iscomplexobj(gens) else np.float64)
-    batch, log_scale = gens, 0.0
-    for n in range(1, n_max + 1):
-        if n > 1:
-            batch = np.concatenate([batch @ g for g in gens])
-        c = float(np.max(np.abs(batch)))
-        batch = batch / c
-        log_scale += math.log(c)
-        yield n, batch, log_scale
-
-
 @pytest.mark.parametrize("m,count,complex_", [
     (2, 2, False), (2, 3, False), (2, 2, True), (2, 3, True),
-    (3, 2, False), (3, 3, False)])
+    (3, 2, False), (3, 3, False), (3, 2, True)])
 def test_matrix_levels_match_the_stacked_matmul(m, count, complex_):
-    # one matmul per generator over the flattened rows gives the products
-    # of the stacked matmul bit for bit, in the same order
+    # one matmul per generator over the flattened rows, written into its
+    # block of the level, gives the products of the stacked matmul
+    # (_oracle.stacked_levels) bit for bit, in the same order, and the
+    # max |entry| of a real level from its two ends the same scale
     rng = np.random.default_rng(26 + 10 * m + count)
     mats = [rng.standard_normal((m, m))
             + (1j * rng.standard_normal((m, m)) if complex_ else 0)
@@ -555,11 +544,21 @@ def test_matrix_levels_match_the_stacked_matmul(m, count, complex_):
     got = list(_matrix_levels(mats, 8, 2_000_000))
     assert len(got) == 8
     for (n, batch, log_scale), (want_n, want, want_scale) in zip(
-            got, _stacked_levels(mats, 8)):
+            got, _oracle.stacked_levels(mats, 8)):
         assert n == want_n and batch.shape == (count ** n, m, m)
         assert batch.dtype == want.dtype
         np.testing.assert_array_equal(batch, want)
         assert log_scale == want_scale
+
+
+@pytest.mark.parametrize("gen,entry", [(0, 0), (1, 3), (2, 1)])
+def test_matrix_levels_reject_a_nan_beside_larger_entries(gen, entry):
+    # a NaN raises wherever it sits, though finite entries of its level
+    # are larger and smaller: Python's max(finite, nan) would drop it
+    mats = [np.array([[5.0, -7.0], [0.0, 1.0]]) for _ in range(3)]
+    mats[gen].flat[entry] = math.nan
+    with pytest.raises(NumericError, match="non-finite matrix entries"):
+        list(_matrix_levels(mats, 3, 2_000_000))
 
 
 @pytest.mark.parametrize("v", [3, Fraction(7, 2)])
@@ -660,9 +659,10 @@ def _complex_lambda1_of(batch):
                      for (a, b), (c, d) in batch.astype(np.complex128).tolist()])
 
 
-def _sv1_of(batch):
-    """sigma_1 of each 2x2 matrix of ``batch`` by the scalar ``_sv_pair_2x2``."""
-    return np.array([_sv_pair_2x2(m)[0] for m in batch])
+def _sv_pair_of(batch):
+    """(sigma_1, sigma_2) of each 2x2 matrix of ``batch`` by the scalar
+    ``_sv_pair_2x2``."""
+    return np.array([_sv_pair_2x2(m) for m in batch])
 
 
 def _assert_same_bits(got, want):
@@ -709,8 +709,9 @@ def test_jsr_ensemble_levels_keep_the_complex_formula_bits(monkeypatch):
         def read(batch):
             out = kernel(batch)
             _assert_same_bits(out, kernel(batch.astype(np.complex128)))
+            top = np.argmax(out.reshape(len(batch), -1)[:, 0])
             sample = np.unique(np.r_[np.arange(0, len(batch), len(batch) // 100 + 1),
-                                     np.argmax(out)])
+                                     top])
             _assert_same_bits(out[sample], scalar(batch[sample]))
             rows[key] += len(batch)
             return out
@@ -718,8 +719,8 @@ def test_jsr_ensemble_levels_keep_the_complex_formula_bits(monkeypatch):
 
     monkeypatch.setattr(jsl, "_batch_lambda1",
                         checked(_batch_lambda1, _complex_lambda1_of, "lambda"))
-    monkeypatch.setattr(jsl, "_batch_sigma1",
-                        checked(_batch_sigma1, _sv1_of, "sigma"))
+    monkeypatch.setattr(jsl, "_batch_svals",
+                        checked(_batch_svals, _sv_pair_of, "sigma"))
     for seed in range(8):
         assert run(parse_scenario({**raw, "seed": seed})).verdict == "holds"
     # 10 pairs per seed: 2 + 4 + ... + 2^8 rows in jsr_profile's levels,

@@ -314,7 +314,7 @@ def test_three_by_three_linear_reads_numpy_svd():
         s = np.linalg.svd(a, compute_uv=False)
         assert m.displacement(w) == pytest.approx(max(math.log(s[0]), 0.0),
                                                   abs=1e-9)
-        assert m.singular_gap(m.matrix(w)) == pytest.approx(
+        assert m.singular_gaps(m.matrix(w)[None])[0] == pytest.approx(
             math.log(s[0] / s[1]), abs=1e-9)
 
 

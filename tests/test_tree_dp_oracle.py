@@ -2,9 +2,9 @@
 
 ``jsl.tree_joint_profile`` returns [lambda, lambda], lambda half the largest
 stable length over S^2, from the Helly argument in its docstring.  The
-oracle below is the bounded-suffix automaton engine it replaced, kept
-verbatim: every level a dict of states, every state stepped through every
-factor of S, in the arithmetic of the tree's weights.  Its level maxima
+oracle below is the bounded-suffix automaton engine it replaced: every
+level a dict of states, every state stepped through every factor of S, in
+exact arithmetic (the weights scaled to ints by their common denominator).  Its level maxima
 a[n] are upper bounds for the largest displacement over S^n (exact until
 the walk erodes), so they check the upper side independently: a[n] / n >=
 lambda for every n, and the exact hi lies at or below the oracle's.  The
@@ -12,6 +12,8 @@ oracle's lo is its own S^2 scan and must equal lambda.  Every bracket end is
 a Fraction.
 """
 
+import functools
+import math
 from collections import namedtuple
 from fractions import Fraction
 
@@ -70,6 +72,15 @@ def _oracle_tree_step(weights, suffix, trunc, s, cap):
 
 
 def _oracle_tree_joint_profile(model: TreeModel, s, n_max: int = 12) -> _OracleProfile:
+    """The oracle's profile of S on the tree of ``model``.  The last few
+    (weights, S, n_max) are walked once: hypothesis replays a draw, and a
+    few draws take most of the oracle's time."""
+    return _oracle_walk(tuple(model.weights),
+                        tuple(w.letters for w in _as_words(s)), n_max)
+
+
+@functools.lru_cache(maxsize=32)
+def _oracle_walk(tree_weights: tuple, s_list: tuple, n_max: int) -> _OracleProfile:
     """Joint stable length on a tree via a bounded-suffix automaton.
 
     Cancellation against a single factor never looks deeper than the factor
@@ -80,11 +91,13 @@ def _oracle_tree_joint_profile(model: TreeModel, s, n_max: int = 12) -> _OracleP
     as reported by ``eroded``), so the hi side of the bracket stays sound.
     The lo side is the exact half-max stable length over S^2.
     """
-    words = _as_words(s)
-    s_list = [w.letters for w in words]
     if any(not w for w in s_list):
         s_list = [w for w in s_list if w] or [()]
-    weights = tuple(model.weights)
+    # the walk adds weights scaled by their common denominator, as ints,
+    # and divides it back out of each level maximum: the same values as
+    # Fraction sums, without a Fraction built per transition
+    den = math.lcm(*(Fraction(w).denominator for w in tree_weights))
+    weights = tuple(int(w * den) for w in tree_weights)
     cap = max(_SUFFIX_CAP, 2 * max((len(w) for w in s_list), default=1))
     # transitions of this call: (suffix, trunc, s) -> _tree_step(...)
     step: dict = {}
@@ -121,10 +134,12 @@ def _oracle_tree_joint_profile(model: TreeModel, s, n_max: int = 12) -> _OracleP
                     nxt[key] = nv
         states = nxt
         a[n] = max(states.values())
+    a = {n: Fraction(v, den) for n, v in a.items()}
     pair = 0
     for u in s_list:
         for v in s_list:
-            cand = _peeled_length(_concat_reduced(u, v), model.weight_of)
+            cand = _peeled_length(_concat_reduced(u, v),
+                                  lambda x: tree_weights[abs(x) - 1])
             if cand > pair:
                 pair = cand
     pair_half = exact_div(pair, 2)
