@@ -161,7 +161,8 @@ class WindowSup:
 
 def _ratio_column(tops, bottoms, positive) -> np.ndarray:
     """float(exact_div(t, b)) of each pair where ``positive``, else nan,
-    divided once per distinct pair of objects (``_id_groups``).
+    divided once per distinct pair of objects, or of a column's bits
+    (``_id_groups``).
 
     An exact pair (int or Fraction) is one correctly rounded int division,
     with no Fraction built.
@@ -194,12 +195,13 @@ class ClassTable:
     model, once while its radius does not grow; a model on both sides is
     evaluated once, and a repeat table only divides its columns.  ``lo`` =
     tgt.lo/ref.hi and ``hi`` = tgt.hi/ref.lo are the ratio columns (nan
-    where the reference lo is <= _ZERO_EPS), and ``positive`` masks the
-    classes whose reference lo is > _ZERO_EPS.  Every column entry is the
-    correctly rounded float of the exact value, so float order never
-    contradicts exact order: where two floats differ, the exact values
-    differ the same way.  Every window sup and the cor14 envelope read
-    these columns; ``ratio_lo`` and ``ratio_hi`` give the exact ratios.
+    where the reference lo is <= _ZERO_EPS), one array when both sides
+    are points, and ``positive`` masks the classes whose reference lo is
+    > _ZERO_EPS.  Every column entry is the correctly rounded float of the
+    exact value, so float order never contradicts exact order: where two
+    floats differ, the exact values differ the same way.  Every window
+    sup and the cor14 envelope read these columns; ``ratio_lo`` and
+    ``ratio_hi`` give the exact ratios.
 
     ``exact_pairs``: some class can pair two exact lengths, the target
     and the reference each holding an int or a Fraction somewhere.  Where
@@ -244,16 +246,18 @@ class ClassTable:
                   default=0.0)
         self.floats_exact = types <= {int, float} and top < 2.0 ** 53
         self.positive = positive = _above(rl, ref.lo, _ZERO_EPS, self.floats_exact)
+        points = ref.point and tgt.point
         if self.floats_exact:
             # one IEEE division is the correctly rounded exact_div value (a
             # Fraction for int/int, Python's a / b otherwise)
             with np.errstate(divide="ignore", invalid="ignore"):
-                self.lo, self.hi = tl / rh, th / rl
+                self.lo = tl / rh
+                self.hi = self.lo if points else th / rl
             self.lo[rl <= _ZERO_EPS] = np.nan
             self.hi[rl <= _ZERO_EPS] = np.nan
         else:
             self.lo = _ratio_column(tgt.lo, ref.hi, positive)
-            self.hi = _ratio_column(tgt.hi, ref.lo, positive)
+            self.hi = self.lo if points else _ratio_column(tgt.hi, ref.lo, positive)
         self.ties_exact = types <= {int} and top ** 3 < 2.0 ** 52
 
     def __len__(self):

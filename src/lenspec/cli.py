@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import io
 import json
 import math
 import platform
@@ -755,9 +756,9 @@ def _field_bytes(n: int, text, floats=None, cols=(), blank=None) -> tuple:
     or all ints below 2**53 in size), the keys are its bits, never its
     values (0.0 and -0.0 differ in text), found by np.unique.  Otherwise
     the rows off ``blank`` are numbered by the ``_typed`` keys of their
-    entries in the lists ``cols``, each key a tuple of the values its text
-    depends on, built once per group of rows that hold the same objects
-    (``_id_groups``)."""
+    entries in the sequences ``cols``, each key a tuple of the values its
+    text depends on, built once per group of rows that hold the same
+    objects, or a column's same bits (``_id_groups``)."""
     if floats is not None:
         distinct, index = np.unique(floats.view(np.int64), return_inverse=True)
         distinct = distinct.view(np.float64).tolist()
@@ -823,7 +824,7 @@ def _number_fields(classes) -> list:
     """The six number columns of classes.csv (ref_lo, ref_hi, target_lo,
     target_hi, ratio_lo, ratio_hi) of a _class_listing, each as the
     (texts, index) of ``_field_bytes`` over the whole listing.  Columns
-    that hold one list are one object: a point's lo and hi, the ratio
+    that hold one sequence are one object: a point's lo and hi, the ratio
     columns of two points, and the blank columns of a one-model listing
     (one text zero bytes wide)."""
     if isinstance(classes, ClassLengths):
@@ -835,7 +836,7 @@ def _number_fields(classes) -> list:
 
 def _csv_chunks(classes):
     """The rows of classes.csv (without its header) of a _class_listing,
-    as text, one string per row chunk of its classes
+    as ASCII bytes, one uint8 array per row chunk of its classes
     (``ClassCodes.row_chunks``).
 
     A chunk is laid out as one (N, W) uint8 array: the names
@@ -861,19 +862,21 @@ def _csv_chunks(classes):
             parts += [comma, np.take(texts, index[start:stop], axis=0)] * width
         parts.append(np.full((stop - start, 1), ord("\n"), np.uint8))
         rows = np.concatenate(parts, axis=1).ravel()
-        yield rows[rows != 0].tobytes().decode("ascii")
+        yield rows[rows != 0]
 
 
 def _write_classes(fh, classes):
-    """Write classes.csv, header first, a row chunk at a time."""
-    fh.write(_CSV_HEADER_LINE)
-    fh.writelines(_csv_chunks(classes))
+    """Write classes.csv, header first, a row chunk at a time: the bytes
+    to a binary file, their text to a text one (io.TextIOBase)."""
+    text = isinstance(fh, io.TextIOBase)
+    fh.write(_CSV_HEADER_LINE if text else _CSV_HEADER_LINE.encode())
+    fh.writelines(str(c, "ascii") if text else c for c in _csv_chunks(classes))
 
 
 def _first_cells(classes, k: int) -> list:
     """The cells of the first k rows of classes.csv, one tuple per class:
     the class as a string, then the numbers, "" where a cell has no value.
-    The lengths are the sides' list entries, the ratios the table's
+    The lengths are the sides' entries, the ratios the table's
     ``ratio_lo`` and ``ratio_hi`` where ``positive``: where that value is a
     float it is the ratio column's entry, so the cells read as the rows'
     texts."""
@@ -957,7 +960,7 @@ def emit(report: RunReport, out_dir, fmt: str = "json") -> list:
     paths[0].write_text(report.to_json())
     if report.classes:
         p = out / "classes.csv"
-        with p.open("w") as fh:
+        with p.open("wb") as fh:
             _write_classes(fh, report.classes)
         paths.append(p)
     if fmt == "csv" and not report.classes:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .actions import ActionModel, AnosovCertificate, anosov_certificate, exact_div
 from .errors import InputError, NumericError
-from .words import (ROW_CHUNK, ClassCodes, GeneratingSet, Word, _as_weight,
+from .words import (ROW_CHUNK, ClassCodes, GeneratingSet, Word, _as_weight, _Column,
                     _letters_in_order, _settled_lengths, _unscaled, word_length)
 
 __all__ = [
@@ -62,18 +62,21 @@ def class_bracket_reader(model, k_max: int):
 
 @dataclass(frozen=True, eq=False)
 class ClassLengths:
-    """One model's stable-length brackets over ``classes``: lists ``lo``
-    and ``hi`` of ints, Fractions or floats, and float64 columns ``lo_f``
-    and ``hi_f`` of their correctly rounded floats.  A ``point`` (one
-    length per class) holds one list and one column under both names.
-    ``kinds`` is the set of the lengths' types: given by a bulk form that
-    knows it, else found by one scan of the lists.  The windows read the
-    columns; classes.csv renders the lists, keyed by the columns where
-    ``kinds`` shows that they fix each length's text."""
+    """One model's stable-length brackets over ``classes``: sequences
+    ``lo`` and ``hi`` of ints, Fractions or floats, and float64 columns
+    ``lo_f`` and ``hi_f`` of their correctly rounded floats.  Floats, and
+    ints below 2**53 in size, of a tree or 2x2 matrix bulk form live in
+    the columns alone, ``lo`` and ``hi`` a ``_Column`` over them; lists
+    hold the rest (Fractions, larger ints, lengths read class by class).
+    A ``point`` (one length per class) holds one sequence and one column
+    under both names.  ``kinds`` is the set of the lengths' types: given
+    by a bulk form that knows it, else found by one scan of the lists.
+    The windows read the columns; classes.csv renders the sequences, keyed
+    by the columns where ``kinds`` shows that they fix each length's text."""
 
     classes: ClassCodes
-    lo: list
-    hi: list
+    lo: Sequence
+    hi: Sequence
     lo_f: np.ndarray
     hi_f: np.ndarray
     kinds: Optional[frozenset] = None
@@ -93,8 +96,8 @@ class ClassLengths:
     def over(self, classes: ClassCodes) -> "ClassLengths":
         """These lengths over ``classes``, a prefix of this side's classes
         (so both sides of a table can hold one ClassCodes): self when they
-        are its classes, else list slices and column views, one of each
-        when point."""
+        are its classes, else slices of the sequences and column views,
+        one of each when point."""
         if classes is self.classes:
             return self
         k = len(classes)
@@ -174,20 +177,22 @@ class TreeModel(ActionModel):
         ``_tree``): the block of length n holds the one value n s, unscaled
         once, with no gather.  Otherwise the ``scaled_sums`` of each length
         block; with ``_den`` > 1 one Fraction and one float is built per
-        distinct sum.
+        distinct sum.  Ints live in the float column alone when
+        ``codes.radius`` times the largest weight is below 2**53.
         """
         weights = set(self._scaled.values())
         uniform = weights.pop() if len(weights) == 1 else None
+        listed = self._den > 1 or max(self._scaled.values()) * codes.radius >= 2 ** 53
         vals, floats = [], []
         for block in codes.blocks:
             if uniform is not None:
                 v = _unscaled(block.shape[1] * uniform, self._den)
-                vals += [v] * len(block)
+                vals += [v] * len(block) if listed else ()
                 floats.append(np.full(len(block), float(v)))
                 continue
             total = self.scaled_sums(block)
             if self._den == 1:
-                vals += total.tolist()
+                vals += total.tolist() if listed else ()
                 floats.append(total.astype(np.float64))
                 continue
             uniq, inv = np.unique(total, return_inverse=True)
@@ -195,6 +200,8 @@ class TreeModel(ActionModel):
             vals += map(lengths.__getitem__, inv.tolist())
             floats.append(np.array(list(map(float, lengths)))[inv])
         floats = _joined(floats)
+        if not listed:
+            vals = _Column(floats, int)
         kinds = frozenset({int} if self._den == 1 else {Fraction})
         return ClassLengths(codes, vals, vals, floats, floats,
                             kinds if vals else frozenset())
@@ -679,19 +686,18 @@ class MatrixActionModel(ActionModel):
         by class.
 
         One length is built per distinct lambda1 of the whole table (keyed
-        by its bits), by _length's rule in one pass, and shared by the
-        rows that hold it.
+        by its bits), by _length's rule in one pass, and gathered into the
+        float64 column, the lengths' only store.
         """
         if self.dim != 2:
             return None
         lam = self.class_lambda1_column(codes)
         keys, inv = np.unique(lam.view(np.int64), return_inverse=True)
         floor, scale, log = self._length_floor, self._length_scale, math.log
-        lengths = [0.0 if x <= floor else scale * log(x)
-                   for x in keys.view(np.float64).tolist()]
-        vals = [lengths[i] for i in inv.tolist()]
-        floats = np.array(lengths)[inv]
-        return ClassLengths(codes, vals, vals, floats, floats,
+        lengths = np.array([0.0 if x <= floor else scale * log(x)
+                            for x in keys.view(np.float64).tolist()])
+        vals = _Column(lengths[inv], float)
+        return ClassLengths(codes, vals, vals, vals.floats, vals.floats,
                             frozenset({float} if vals else ()))
 
     def window_radius(self, length_bound) -> float:

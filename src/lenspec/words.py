@@ -23,10 +23,10 @@ import math
 import numbers
 import string
 from collections import Counter, defaultdict
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -571,14 +571,33 @@ def _finite_real(v) -> bool:
         return False
 
 
+class _Column(Sequence):
+    """A float64 column read back as Python numbers of one type ``kind``:
+    float, or int where each entry is an int below 2**53 in size, so each
+    reads back exactly.  A read-only sequence; slices are views."""
+
+    def __init__(self, floats: np.ndarray, kind: type):
+        self.floats, self.kind = floats, kind
+
+    def __len__(self):
+        return len(self.floats)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return _Column(self.floats[i], self.kind)
+        return self.kind(self.floats.item(i))
+
+
 def _id_groups(cols, rows) -> tuple:
-    """(firsts, groups): the rows ``rows`` (an index array) of the lists
-    ``cols`` grouped by the identities of their entries, by np.unique over
-    the ids (a table's lists share objects): rows[j] is in group groups[j],
-    whose first row is firsts[groups[j]]."""
+    """(firsts, groups): the rows ``rows`` (an index array) of ``cols``
+    grouped by their entries, by np.unique over keys: the identities of a
+    list's entries (a table's lists share objects), the bits of a
+    _Column's floats (equal bits, equal values of one type): rows[j] is in
+    group groups[j], whose first row is firsts[groups[j]]."""
     code = np.zeros(len(rows), np.intp)
     for col in cols:
-        ids = np.fromiter(map(id, col), np.uintp, len(col))[rows]
+        ids = (col.floats.view(np.int64)[rows] if isinstance(col, _Column)
+               else np.fromiter(map(id, col), np.uintp, len(col))[rows])
         _, inv = np.unique(ids, return_inverse=True)
         code = code * (int(inv.max(initial=0)) + 1) + inv
     _, first, groups = np.unique(code, return_index=True, return_inverse=True)

@@ -278,7 +278,7 @@ def test_class_table_prefix_equals_fresh_table(monkeypatch):
     assert cut.reps == fresh.reps
     for side in ("ref", "tgt"):
         a, b = getattr(cut, side), getattr(fresh, side)
-        assert (a.lo, a.hi) == (b.lo, b.hi)
+        assert [[*a.lo], [*a.hi]] == [[*b.lo], [*b.hi]]
     for name in ("lo", "hi", "positive"):
         assert np.array_equal(getattr(cut, name), getattr(fresh, name),
                               equal_nan=True)

@@ -11,6 +11,7 @@ correctly rounded floats of those values.
 
 import math
 import pickle
+import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 
 import _oracle
 from lenspec import bounds, cli, spaces, words
+from lenspec.actions import exact_div
 from lenspec.bounds import (
     ClassTable,
     VerifierConfig,
@@ -213,8 +215,8 @@ def _random_2x2_model(kind: int, seed: int):
 @given(st.integers(0, 3), st.integers(0, 2**32 - 1))
 def test_bulk_matrix_lengths_are_the_per_class_rule(kind, seed):
     # class_brackets' one pass over the distinct lambda1 against the rule
-    # of the model's kind class by class, to the bit; the classes of one
-    # lambda1 share one length object
+    # of the model's kind class by class, to the bit; the lengths live in
+    # the float column alone and read back as Python floats
     model = _random_2x2_model(kind, seed)
     codes = ClassCodes.walk(2, 5)
     got = model.class_brackets(codes, 2)
@@ -223,8 +225,8 @@ def test_bulk_matrix_lengths_are_the_per_class_rule(kind, seed):
     assert got.lo is got.hi and got.kinds == {float}
     assert np.array_equal(got.lo_f.view(np.int64), want.view(np.int64))
     assert [v.hex() for v in got.lo] == [v.hex() for v in want.tolist()]
-    shared = {}
-    assert all(shared.setdefault(x.hex(), v) is v for x, v in zip(lam, got.lo))
+    assert all(type(v) is float for v in got.lo)
+    assert isinstance(got.lo, words._Column) and got.lo.floats is got.lo_f
 
 
 def test_cobounded_table_lengths_keep_math_log():
@@ -433,7 +435,7 @@ def test_a_point_prefix_stays_one_object():
     assert whole.over(codes) is whole
     cut = whole.over(codes.prefix(3))
     assert _point(cut) and len(cut) == len(codes.prefix(3))
-    assert cut.lo == whole.lo[:len(cut)]
+    assert _canon(cut.lo) == _canon(whole.lo[:len(cut)])
     assert np.shares_memory(cut.lo_f, whole.lo_f)
     # a bracket's prefix keeps its two ends apart
     brackets = class_lengths(_SHORTCUT, codes, 2).over(codes.prefix(3))
@@ -478,6 +480,82 @@ def test_a_word_metric_bracket_keeps_distinct_ends(model):
 def test_a_model_without_per_class_lengths_is_rejected():
     with pytest.raises(InputError, match="_NoLengths"):
         ClassTable(_NoLengths(), TreeModel(2), 2)
+
+
+# ------------------------------------------------- column-backed sides
+
+
+def _typed_reprs(values) -> list:
+    # a float's repr is its bits up to a NaN's payload, and keeps -0.0
+    return [(type(v), repr(v)) for v in values]
+
+
+_COLUMN_MODELS = st.one_of(
+    st.builds(lambda w: TreeModel(len(w), w),
+              st.lists(st.integers(1, 10 ** 6), min_size=2, max_size=2)),
+    st.builds(_random_2x2_model, st.integers(0, 3), st.integers(0, 2 ** 32 - 1)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_COLUMN_MODELS, st.integers(0, 8), st.data())
+def test_column_sides_read_back_the_per_class_lengths(model, radius, data):
+    # an int-weight tree and a 2x2 Mobius or linear model keep their
+    # lengths in the float column alone; every read of it (an index, a
+    # slice, iteration, a prefix through over()) gives the class_length of
+    # its class, the same Python value of the same type, never a numpy one
+    codes = ClassCodes.walk(2, radius)
+    got = class_lengths(model, codes, 2)
+    want = [model.class_length(r) for r in codes.reps]
+    assert isinstance(got.lo, words._Column) and got.lo.floats is got.lo_f
+    assert _point(got) and len(got.lo) == len(want)
+    assert _typed_reprs(got.lo) == _typed_reprs(want)
+    assert _typed_reprs(got.lo[i] for i in range(-len(want), len(want))) == (
+        _typed_reprs(want + want))
+    cut = slice(*data.draw(st.tuples(st.integers(-5, 300), st.integers(-5, 300),
+                                     st.sampled_from([None, 1, 2, 7, -1, -3]))))
+    assert _typed_reprs(got.lo[cut]) == _typed_reprs(want[cut])
+    assert np.shares_memory(got.lo[cut].floats, got.lo_f) or not len(want[cut])
+    prefix = codes.prefix(data.draw(st.integers(0, radius)))
+    part = got.over(prefix)
+    assert _point(part) and isinstance(part.lo, words._Column)
+    assert _typed_reprs(part.lo) == _typed_reprs(want[:len(prefix)])
+    with pytest.raises(IndexError):
+        got.lo[len(want)]
+
+
+@pytest.mark.parametrize("model", [
+    TreeModel(2, [1, Fraction(1, 2)]),
+    TreeModel(2, [Fraction(3, 2)] * 2),
+    TreeModel(2, [2 ** 60, 3]),
+    _SHORTCUT,
+], ids=["fraction-tree", "uniform-fraction-tree", "tree-past-2**53", "word-metric"])
+def test_lengths_a_column_cannot_hold_are_listed(model):
+    # Fractions and ints of 2**53 or more keep their per-class lists, and a
+    # standard word metric reads its tree's column
+    lengths = class_lengths(model, ClassCodes.walk(2, 4), 2)
+    assert type(lengths.lo) is list and type(lengths.hi) is list
+    standard = WordMetricModel(GeneratingSet(2, ["a", "A", "b", "B"], [1, 1, 3, 3]))
+    assert type(class_lengths(standard, ClassCodes.walk(2, 4), 2).lo) is words._Column
+
+
+@pytest.mark.parametrize("target", [builtin_preset("cor17-default"),
+                                    {"kind": "tree", "weights": [1, 2]}],
+                         ids=["cor17-default", "weights-1-2"])
+def test_radius_12_table_bytes_per_class(target):
+    # the live bytes a radius-12 table over the unit tree holds per class,
+    # its codes, its two sides' float columns and its one ratio column
+    # (two points share it): 37.8 and 36.5 bytes, against 78.9 and 60.5
+    # when every length was also a list entry
+    target, unit = build_model(target, 2), TreeModel(2)
+    ClassTable(target, unit, 4)   # every first-call cache, outside the window
+    tracemalloc.start()
+    try:
+        table = ClassTable(target, unit, 12, tables={})
+        live = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(table) == 69996 and live / len(table) <= 45, live / len(table)
+    assert table.lo is table.hi
 
 
 # ------------------------------------------------------------ class codes
@@ -533,7 +611,7 @@ def test_a_new_table_reads_the_walk_and_lengths_of_the_run(monkeypatch):
     # the classes and the target's lengths are the first table's, cut
     assert walks == [] and evaluated == [(metric, 6)]
     assert other.ref.classes is other.tgt.classes is other.classes
-    assert other.tgt.lo == first.tgt.lo[:len(other)]
+    assert _canon(other.tgt.lo) == _canon(first.tgt.lo[:len(other)])
     assert np.shares_memory(other.tgt.lo_f, first.tgt.lo_f)
     fresh = ClassTable(target, metric, 6)
     assert other.reps == fresh.reps
@@ -585,7 +663,7 @@ def test_exact_ratio_cells_divide_once_per_distinct_pair(monkeypatch):
         assert table.exact_pairs and table.positive.all()
         want = [f"{table.ratio_lo(i)},{table.ratio_hi(i)}" for i in range(len(table))]
         divided.clear()
-        rows = "".join(cli._csv_chunks(table)).splitlines()
+        rows = b"".join(cli._csv_chunks(table)).decode().splitlines()
         assert [r.split(",", 5)[5] for r in rows] == want
         tgt, ref = table.tgt, table.ref
         pairs = [set(zip(tgt.lo, ref.hi)), set(zip(tgt.hi, ref.lo))]
@@ -595,6 +673,48 @@ def test_exact_ratio_cells_divide_once_per_distinct_pair(monkeypatch):
                         for i in range(0, len(table), 50))
         assert len(divided) == sum(map(len, pairs)) and len(pairs[0]) < per_chunk
         assert set(divided) == set().union(*pairs)
+
+
+def test_a_column_side_divides_once_per_distinct_value_pair(monkeypatch):
+    # a tree's int lengths above 256 read from its column as new objects
+    # each time, so they are grouped by their bits and never by identity:
+    # the table's ratio columns and classes.csv's exact ratio cells divide
+    # once per distinct (top, bottom) pair of values against a word
+    # metric's Fraction brackets, each division reading its top once
+    metric = WordMetricModel(GeneratingSet(2, ["a", "A", "b", "B", "ab"]))
+    target = TreeModel(2, [300, 7])
+    reads, divided = [], []
+    read, real = words._Column.__getitem__, cli.exact_div
+
+    def counting_read(col, i):
+        reads.append(i)
+        return read(col, i)
+
+    def counting(a, b):
+        divided.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(words._Column, "__getitem__", counting_read)
+    monkeypatch.setattr(cli, "exact_div", counting)
+    table = ClassTable(target, metric, 8)
+    table_reads = len(reads)
+    reads.clear()
+    rows = b"".join(cli._csv_chunks(table)).decode().splitlines()
+    csv_reads = len(reads)
+    tgt, ref = table.tgt, table.ref
+    assert isinstance(tgt.lo, words._Column) and type(ref.lo) is list
+    assert table.exact_pairs and not table.floats_exact and table.positive.all()
+    pairs = [{(t, type(b), b) for t, b in zip(tgt.lo, ref.hi)},
+             {(t, type(b), b) for t, b in zip(tgt.hi, ref.lo)}]
+    assert max(t for t, _, _ in pairs[0]) > 256 and len(pairs[0]) < len(table) / 10
+    assert table_reads == csv_reads == len(divided) == sum(map(len, pairs))
+    for column, (tops, bottoms) in ((table.lo, (tgt.lo, ref.hi)),
+                                    (table.hi, (tgt.hi, ref.lo))):
+        want = [float(exact_div(t, b)) for t, b in zip(tops, bottoms)]
+        assert np.array_equal(column, want)
+    assert {(t, type(b), b) for t, b in divided} == pairs[0] | pairs[1]
+    assert [r.split(",", 5)[5] for r in rows] == [
+        f"{table.ratio_lo(i)},{table.ratio_hi(i)}" for i in range(len(table))]
 
 
 def test_matrix_lengths_are_built_once_per_distinct_lambda1(monkeypatch):
@@ -620,7 +740,7 @@ def test_matrix_lengths_are_built_once_per_distinct_lambda1(monkeypatch):
     lengths = model.class_brackets(codes, 2)
     monkeypatch.undo()
     assert len(calls) == len(np.unique(bits))
-    assert lengths.lo == list(map(model._length, lam.tolist()))
+    assert list(lengths.lo) == list(map(model._length, lam.tolist()))
     assert np.array_equal(lengths.lo_f, np.array(lengths.lo))
 
 

@@ -1,5 +1,7 @@
 """Scenario parsing, run determinism, emit outputs, and exit codes."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -262,7 +264,7 @@ def test_an_entry_does_not_depend_on_the_order_of_the_checks(name):
     for tokens in (raw["verify"], raw["verify"][::-1]):
         rep = run(parse_scenario({**raw, "verify": tokens}), with_classes=True)
         entries = {e["token"]: json.dumps(e, sort_keys=True) for e in rep.entries}
-        outputs.append((entries, "".join(cli._csv_chunks(rep.classes))))
+        outputs.append((entries, b"".join(cli._csv_chunks(rep.classes))))
     assert outputs[0] == outputs[1]
 
 
@@ -765,7 +767,7 @@ def test_first_cells_of_a_table_are_its_csv_rows_past_its_end():
     classes = _listing(act.mobius, act.linear, 1)
     cells = cli._first_cells(classes, 20)
     assert len(cells) == len(classes) == 4
-    rows = "".join(cli._csv_chunks(classes)).splitlines()
+    rows = b"".join(cli._csv_chunks(classes)).decode().splitlines()
     assert [",".join(map(str, c)) for c in cells] == rows
     # a list held under two names is one column: one table of texts
     fields = cli._number_fields(classes)
@@ -794,6 +796,22 @@ def test_csv_out_renders_classes_csv_once(tmp_path, capsys, monkeypatch,
     tokens = json.loads((SCEN_DIR / "tree-pair.json").read_text())["verify"]
     entries = "".join(f"{t},ok,holds\n" for t in tokens)
     assert out == (entries if command == "verify" else "") + classes
+
+
+@pytest.mark.parametrize("command", ["verify", "spectrum"])
+def test_csv_without_out_prints_the_file_rows_to_a_text_stdout(tmp_path, command):
+    # classes.csv is written as bytes; with no --out its rows go as text to
+    # a stdout that has no binary buffer (a StringIO), the same rows
+    scenario = str(SCEN_DIR / "word-metric-window.json")
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main([command, "--scenario", scenario, "--format", "csv"]) == 0
+    assert not hasattr(out, "buffer")
+    with contextlib.redirect_stdout(io.StringIO()) as written:
+        assert main([command, "--scenario", scenario, "--format", "csv",
+                     "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "classes.csv").read_bytes()
+    assert rows.count(b"\n") > 1000 and written.getvalue().endswith(rows.decode())
+    assert out.getvalue() == written.getvalue()
 
 
 def test_command_line_values_equal_an_edited_scenario_file(tmp_path, capsys):

@@ -94,8 +94,8 @@ def _check(target, reference, radius, *, rank=2, cfg=None, tables=None):
     cells = list(_class_cells(scen, cfg, target, reference))
     classes = cli._class_listing(scen, cfg, target, reference, tables=tables)
     chunks = list(cli._csv_chunks(classes))
-    assert all(c.count("\n") <= ROW_CHUNK for c in chunks)
-    assert "".join(chunks) == "".join(map(_csv_line, cells))
+    assert all(bytes(c).count(b"\n") <= ROW_CHUNK for c in chunks)
+    assert b"".join(chunks) == "".join(map(_csv_line, cells)).encode()
     assert len(classes) == len(cells)
     preview = cli._first_cells(classes, 20)
     assert list(map(repr, preview)) == list(map(repr, cells[:20]))
@@ -268,7 +268,7 @@ def test_listings_of_one_chunk_and_one_row_more(monkeypatch, extra):
         assert [len(b) for b in classes.classes.blocks] == blocks
         monkeypatch.setattr(words, "ROW_CHUNK", 132 - extra)
         _check(*pair, 6)
-        sizes = [c.count("\n") for c in cli._csv_chunks(classes)]
+        sizes = [bytes(c).count(b"\n") for c in cli._csv_chunks(classes)]
         assert sizes == (blocks if extra == 0 else [*blocks[:-1], 131, 1])
 
 
@@ -293,7 +293,7 @@ def test_a_value_repeated_across_chunks_is_rendered_once(monkeypatch):
             return str(value)
 
         monkeypatch.setattr(cli, "str", counting, raising=False)
-        text = "".join(cli._csv_chunks(classes))
+        text = b"".join(cli._csv_chunks(classes)).decode()
         monkeypatch.delattr(cli, "str")
         assert text.count("\n") == 234
         if pair[1] is None:
@@ -350,7 +350,7 @@ def test_one_model_listing_has_blank_reference_and_ratio_columns():
     for pair in ((_SCHOTTKY.linear, None), (None, TreeModel(2, [1, 2]))):
         rows = _check(*pair, 5)
         assert all(r[1:3] == ("", "") and r[5:] == ("", "") for r in rows)
-        text = "".join(cli._csv_chunks(_listing(*pair, 5)))
+        text = b"".join(cli._csv_chunks(_listing(*pair, 5))).decode()
         assert all(line.split(",")[1:3] == ["", ""]
                    and line.split(",")[5:] == ["", ""]
                    for line in text.splitlines())

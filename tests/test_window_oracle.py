@@ -11,6 +11,7 @@ Fraction and a float of equal value render differently in a report).
 import dataclasses
 import heapq
 import math
+from collections.abc import Sequence
 from fractions import Fraction
 from types import SimpleNamespace
 from unittest import mock
@@ -176,7 +177,7 @@ def _canon(x):
             (f.name, _canon(getattr(x, f.name))) for f in dataclasses.fields(x))
     if isinstance(x, dict):
         return tuple(sorted((k, _canon(v)) for k, v in x.items()))
-    if isinstance(x, (list, tuple)):
+    if isinstance(x, Sequence) and not isinstance(x, (str, bytes)):
         return tuple(_canon(v) for v in x)
     if isinstance(x, (int, float, Fraction)) and not isinstance(x, bool):
         return (type(x).__name__, x)
@@ -237,7 +238,7 @@ def pairs(draw):
 def _window_lengths(draw, table):
     """A window length: a reference length of the table (so L equals one),
     a value below every length (an empty window), or a number in between."""
-    values = [v for v in table.ref.lo + table.ref.hi if v > _ZERO_EPS]
+    values = [v for v in [*table.ref.lo, *table.ref.hi] if v > _ZERO_EPS]
     choice = draw(st.sampled_from(["length", "below", "int", "float", "fraction"]))
     if choice == "length" and values:
         return draw(st.sampled_from(values))
