@@ -61,6 +61,8 @@ __all__ = [
     "WindowSup",
     "ClassTable",
     "dilation_window",
+    "table_radius",
+    "window_lengths",
     "window_comparison_bound",
     "cobounded_dilation_report",
     "word_metric_dilation_report",
@@ -176,7 +178,7 @@ def _ratio_column(tops, bottoms, positive) -> np.ndarray:
     out = np.full(len(tops), np.nan)
     rows = np.flatnonzero(positive)
     firsts, groups = _id_groups((tops, bottoms), rows)
-    out[rows] = np.array(list(map(ratio, firsts)))[groups]
+    out[rows] = np.take(np.array(list(map(ratio, firsts))), groups)
     return out
 
 
@@ -193,7 +195,11 @@ class ClassTable:
     walked or evaluated anew (and kept) only where the kept one is missing
     or smaller.  A run sharing one dict thus walks a rank, and evaluates a
     model, once while its radius does not grow; a model on both sides is
-    evaluated once, and a repeat table only divides its columns.  ``lo`` =
+    evaluated once, and a repeat table only divides its columns.  A run
+    that knows the largest radius its tables of a rank read sets it as
+    ``tables["radius", rank]``: a walk of that rank then reaches it, so a
+    smaller table first reads a prefix of the one walk (a walk that would
+    pass class_cap there is made to the table's own radius).  ``lo`` =
     tgt.lo/ref.hi and ``hi`` = tgt.hi/ref.lo are the ratio columns (nan
     where the reference lo is <= _ZERO_EPS), one array when both sides
     are points, and ``positive`` masks the classes whose reference lo is
@@ -227,7 +233,14 @@ class ClassTable:
         tables = {} if tables is None else tables
         key = (target.rank, cfg.class_cap)
         if key not in tables or tables[key].radius < radius:
-            tables[key] = ClassCodes.walk(target.rank, radius, cfg.class_cap)
+            planned = tables.get(("radius", target.rank), 0)
+            try:
+                walk = ClassCodes.walk(target.rank, max(radius, planned), cfg.class_cap)
+            except ResourceCapError:
+                if planned <= radius:
+                    raise
+                walk = ClassCodes.walk(target.rank, radius, cfg.class_cap)
+            tables[key] = walk
         classes = tables[key].prefix(radius)
 
         def side(model):
@@ -337,11 +350,22 @@ def _first_max(cands, value_of, ties_exact: bool = False):
     return best, at
 
 
-def _build_table(target, ref, radii, cfg: VerifierConfig,
-                 tables: Optional[dict] = None) -> ClassTable:
-    finite = [r for r in radii if r != math.inf]
-    radius = int(min(max(finite, default=cfg.radius_cap), cfg.radius_cap))
-    return ClassTable(target, ref, radius, config=cfg, tables=tables)
+def window_lengths(config: VerifierConfig, scale=1) -> list:
+    """The (window, reference window) lengths of each L of
+    ``config.L_values`` that the windowed reports read: (scale L,
+    scale reference_factor L)."""
+    return [(scale * L, scale * config.reference_factor * L)
+            for L in config.L_values]
+
+
+def table_radius(ref, lengths, config: Optional[VerifierConfig] = None) -> int:
+    """The radius of the class table that windows of these lengths of the
+    reference ``ref``'s spectrum read: their largest finite
+    ``ref.window_radius``, capped at radius_cap (radius_cap when none is
+    finite)."""
+    cap = (config or VerifierConfig()).radius_cap
+    finite = [r for r in map(ref.window_radius, lengths) if r != math.inf]
+    return int(min(max(finite, default=cap), cap))
 
 
 def _window_sup(table: ClassTable, L, radius_needed, *,
@@ -413,9 +437,8 @@ def dilation_window(target, ref, L, config: Optional[VerifierConfig] = None,
     largest L should come first.
     """
     cfg = config or VerifierConfig()
-    needed = ref.window_radius(L)
-    table = _build_table(target, ref, [needed], cfg, tables)
-    return _window_sup(table, L, needed, diag_cap=cfg.diagnostics_cap)
+    table = ClassTable(target, ref, table_radius(ref, [L], cfg), cfg, tables)
+    return _window_sup(table, L, ref.window_radius(L), diag_cap=cfg.diagnostics_cap)
 
 
 # ----------------------------------------------------------------- verdicts
@@ -476,11 +499,9 @@ def _windowed_reports(target, ref, cfg: VerifierConfig, tables: Optional[dict],
     ``judge(L, ws, ref_ws, table)`` returns (name, bound, verdict, extras).
     Reference windows keep no rows: no report reads them.
     """
-    windows = [(scale * L, scale * cfg.reference_factor * L)
-               for L in cfg.L_values]
-    table = _build_table(target, ref,
-                         [ref.window_radius(w) for pair in windows for w in pair],
-                         cfg, tables)
+    windows = window_lengths(cfg, scale)
+    radius = table_radius(ref, [w for pair in windows for w in pair], cfg)
+    table = ClassTable(target, ref, radius, cfg, tables)
     out = []
     for L, (win, ref_win) in zip(cfg.L_values, windows):
         ws = _window_sup(table, win, ref.window_radius(win),
@@ -1084,7 +1105,8 @@ def metric_distance_report(a, b, config: Optional[VerifierConfig] = None
     L = max(cfg.L_values)
     r_ab, r_ba = b.window_radius(L), a.window_radius(L)
     tables: dict = {}
-    table = _build_table(a, b, [max(r_ab, r_ba)], cfg, tables)
+    radius = max(table_radius(b, [L], cfg), table_radius(a, [L], cfg))
+    table = ClassTable(a, b, radius, cfg, tables)
     back = ClassTable(b, a, table.radius, config=cfg, tables=tables)
     ws_ab = _window_sup(table, L, r_ab, diag_cap=cfg.diagnostics_cap)
     ws_ba = _window_sup(back, L, r_ba, diag_cap=cfg.diagnostics_cap)

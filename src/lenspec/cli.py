@@ -36,7 +36,6 @@ import json
 import math
 import platform
 import shutil
-import string
 import sys
 import time
 from dataclasses import dataclass, fields
@@ -63,6 +62,8 @@ from .bounds import (
     pointwise_cover_report,
     ratio_envelope_report,
     spectral_dilation_report,
+    table_radius,
+    window_lengths,
     word_metric_dilation_report,
 )
 from .errors import InputError, NumericError, ResourceCapError
@@ -77,7 +78,8 @@ from .spaces import (
     build_schottky,
     class_lengths,
 )
-from .words import ClassCodes, GeneratingSet, Word, _finite_real, _id_groups
+from .words import (ROW_CHUNK, ClassCodes, GeneratingSet, Word, _distinct, _finite_real,
+                    _id_groups)
 
 __all__ = [
     "Scenario",
@@ -648,6 +650,31 @@ def _run_token(token: str, scen: Scenario, cfg: VerifierConfig,
     raise InputError(f"unknown verifier token {token!r}")
 
 
+def _table_radius(token: str, scen: Scenario, cfg: VerifierConfig, target,
+                  reference, subset_reference) -> Optional[int]:
+    """The radius of the class table that ``_run_token`` reads for the
+    check ``token``, None for a check that reads none.  It only sets how far
+    a run's class walk reaches: a check that raises before its table is
+    built may still be given one, and None where finding it raises."""
+    try:
+        if token in ("thm13", "cor17", "cor14", "anosov"):
+            if target is None or reference is None or (
+                    token == "anosov" and not isinstance(target, LinearRepModel)):
+                return None
+            ref, lengths = reference, window_lengths(cfg)
+        elif token == "thm15" and target is not None:
+            ref = (reference if isinstance(reference, WordMetricModel)
+                   else subset_reference())
+            lengths = window_lengths(cfg, 2)
+        elif token == "prop31" and target is not None:
+            ref, lengths = subset_reference(), [(max(cfg.L_values),)]
+        else:
+            return None
+        return table_radius(ref, [w for pair in lengths for w in pair], cfg)
+    except InputError:
+        return None
+
+
 # ------------------------------------------------------------- run + emit
 
 
@@ -695,25 +722,24 @@ def _class_listing(scen: Scenario, cfg: VerifierConfig, target, reference, *,
     when neither is.  Every step of classes.csv that can raise
     ResourceCapError (the class walk, the length evaluation) runs here;
     rendering the rows (``_csv_chunks``) raises none."""
-    radius = scen.params["radius"]
-    if radius is None:
-        radius = cfg.radius_cap
-        if reference is not None:
-            needed = reference.window_radius(max(cfg.L_values))
-            radius = int(min(needed, cfg.radius_cap))
     primary = target if target is not None else reference
     if primary is None:
         return None
+    radius = _listing_radius(scen, cfg, reference)
     if target is None or reference is None:
-        codes = ClassCodes.walk(scen.rank, int(radius), cfg.class_cap)
+        codes = ClassCodes.walk(scen.rank, radius, cfg.class_cap)
         return class_lengths(primary, codes, cfg.window_k_max)
     return ClassTable(target, reference, radius, config=cfg, tables=tables)
 
 
-# code -> the ASCII byte of its letter, for the codes of rank 26 (code c is
-# letter c//2 + 1, its inverse when c is odd: see words._letters_in_order)
-_CODE_ASCII = np.frombuffer(
-    "".join(c + c.upper() for c in string.ascii_lowercase).encode(), np.uint8)
+def _listing_radius(scen: Scenario, cfg: VerifierConfig, reference) -> int:
+    """The radius of classes.csv: params.radius, else the reference's
+    window of the largest L, capped at radius_cap."""
+    if scen.params["radius"] is not None:
+        return int(scen.params["radius"])
+    if reference is None:
+        return cfg.radius_cap
+    return table_radius(reference, [max(cfg.L_values)], cfg)
 
 
 def _ascii_rows(texts) -> np.ndarray:
@@ -726,11 +752,13 @@ def _ascii_rows(texts) -> np.ndarray:
 def _name_chunks(codes: ClassCodes):
     """The names of the classes of ``codes``, one chunk per array of
     ``codes.row_chunks()``, each an (N, W) uint8 array of their ASCII
-    bytes, NUL-padded: within rank 26 the chunk's codes read through
-    ``_CODE_ASCII``, past it the text of one ``codes.names()``."""
+    bytes, NUL-padded: within rank 26 the ASCII byte of each code, past
+    it the text of one ``codes.names()``."""
     if codes.rank <= 26:
         for rows in codes.row_chunks():
-            yield _CODE_ASCII[rows]
+            # code c is letter c//2 + 1, its inverse (upper case) when c is
+            # odd: see words._letters_in_order
+            yield (rows >> 1) + np.uint8(ord("a")) - ((rows & 1) << 5)
         return
     names = codes.names()
     for rows in codes.row_chunks():
@@ -746,22 +774,51 @@ def _typed(v) -> tuple:
     return type(v), v
 
 
+# the widest text of a float or of an int below 2**53 in size: the repr of
+# -2.2250738585072014e-308
+_TEXT_WIDTH = 24
+
+
+def _text_table(values, text, blank: bool) -> np.ndarray:
+    """The texts ``text(v)`` of the sequence ``values`` (an array is read
+    as Python numbers), and an empty last one when ``blank``, as a (K, W)
+    uint8 array of NUL-padded ASCII rows, W the widest text.
+
+    The texts are rendered a ROW_CHUNK slice of values at a time into one
+    table _TEXT_WIDTH bytes wide (widened where a slice holds a longer
+    text, as an exact ratio can), then cut to W: no list of every text is
+    built."""
+    table = np.zeros((len(values) + blank, _TEXT_WIDTH), np.uint8)
+    width = 0
+    for start in range(0, len(values), ROW_CHUNK):
+        part = values[start:start + ROW_CHUNK]
+        rows = _ascii_rows(list(map(text, part.tolist() if isinstance(part, np.ndarray)
+                                    else part)))
+        if rows.shape[1] > table.shape[1]:
+            table = np.pad(table, ((0, 0), (0, rows.shape[1] - table.shape[1])))
+        table[start:start + len(rows), :rows.shape[1]] = rows
+        width = max(width, rows.shape[1])
+    return np.ascontiguousarray(table[:, :width])
+
+
 def _field_bytes(n: int, text, floats=None, cols=(), blank=None) -> tuple:
     """A classes.csv column of n rows over the whole listing as (texts,
-    index): ``texts`` its distinct texts as an (K, W) uint8 array of
-    NUL-padded ASCII rows, row i's field texts[index[i]], "" where the
-    mask ``blank`` holds.  Each distinct key is rendered once, by ``text``.
+    index): ``texts`` its distinct texts as a (K, W) uint8 array of
+    NUL-padded ASCII rows (``_text_table``), row i's field
+    texts[index[i]], "" where the mask ``blank`` holds.  Each distinct key
+    is rendered once, by ``text``; the index is in the least type that
+    holds K.
 
     Where a float64 column ``floats`` fixes each text (cells all floats,
     or all ints below 2**53 in size), the keys are its bits, never its
-    values (0.0 and -0.0 differ in text), found by np.unique.  Otherwise
-    the rows off ``blank`` are numbered by the ``_typed`` keys of their
-    entries in the sequences ``cols``, each key a tuple of the values its
-    text depends on, built once per group of rows that hold the same
+    values (0.0 and -0.0 differ in text), found by ``_distinct``.
+    Otherwise the rows off ``blank`` are numbered by the ``_typed`` keys of
+    their entries in the sequences ``cols``, each key a tuple of the values
+    its text depends on, built once per group of rows that hold the same
     objects, or a column's same bits (``_id_groups``)."""
     if floats is not None:
-        distinct, index = np.unique(floats.view(np.int64), return_inverse=True)
-        distinct = distinct.view(np.float64).tolist()
+        keys, index = _distinct(floats.view(np.int64))
+        distinct = keys.view(np.float64)
     else:
         rows = np.arange(n) if blank is None else np.flatnonzero(~blank)
         firsts, groups = _id_groups(cols, rows)
@@ -769,14 +826,11 @@ def _field_bytes(n: int, text, floats=None, cols=(), blank=None) -> tuple:
         number = [keys.setdefault(tuple(_typed(col[i]) for col in cols), len(keys))
                   for i in firsts]
         distinct = list(keys)
-        index = np.zeros(n, np.intp)
-        index[rows] = np.array(number, np.intp)[groups]
-    texts = list(map(text, distinct))
+        index = np.zeros(n, np.min_scalar_type(len(distinct)))
+        index[rows] = np.take(np.array(number, index.dtype), groups)
     if blank is not None:
-        index[blank] = len(texts)
-        texts.append("")
-    # the index outlives every chunk: kept in the least type that holds it
-    return _ascii_rows(texts), index.astype(np.min_scalar_type(len(texts)))
+        index[blank] = len(distinct)
+    return _text_table(distinct, text, blank is not None), index
 
 
 def _length_fields(side: ClassLengths) -> list:
@@ -834,16 +888,22 @@ def _number_fields(classes) -> list:
             *_ratio_fields(classes)]
 
 
+# the bytes of the padded layout of one piece of classes.csv, which bounds
+# the temporaries of writing it
+_PIECE_BYTES = 1 << 18
+
+
 def _csv_chunks(classes):
     """The rows of classes.csv (without its header) of a _class_listing,
-    as ASCII bytes, one uint8 array per row chunk of its classes
-    (``ClassCodes.row_chunks``).
+    as ASCII bytes: one uint8 array per piece of a row chunk of its
+    classes (``ClassCodes.row_chunks``), a chunk cut into pieces of at most
+    _PIECE_BYTES of layout (one piece where its rows fit).
 
-    A chunk is laid out as one (N, W) uint8 array: the names
-    (``_name_chunks``), then "," and the field of each column, then a
+    A piece is laid out in one (N, W) uint8 array, kept for the chunk: the
+    names (``_name_chunks``), then "," and the field of each column, then a
     newline, every part NUL-padded.  Each number column's texts are made
     once for the whole listing (``_number_fields``), before the first
-    chunk; a chunk gathers its rows' fields from them by the index, once
+    chunk; a piece gathers its rows' fields from them by the index, once
     per run of adjacent columns that are one object, and lays them out
     once per column.  Every text is str() of its cell's value (a float's
     repr), "" where a cell has none.  No cell or name holds a NUL, a
@@ -856,13 +916,24 @@ def _csv_chunks(classes):
     stop = 0
     for names in _name_chunks(classes.classes):
         start, stop = stop, stop + len(names)
-        comma = np.full((stop - start, 1), ord(","), np.uint8)
-        parts = [names]
-        for (texts, index), width in runs:
-            parts += [comma, np.take(texts, index[start:stop], axis=0)] * width
-        parts.append(np.full((stop - start, 1), ord("\n"), np.uint8))
-        rows = np.concatenate(parts, axis=1).ravel()
-        yield rows[rows != 0]
+        # the first byte of each field, past its comma, then the row width
+        widths = [texts.shape[1] for (texts, _), k in runs for _ in range(k)]
+        at = np.cumsum([names.shape[1] + 1] + [1 + w for w in widths]).tolist()
+        step = max(1, min(len(names), _PIECE_BYTES // at[-1]))
+        layout = np.zeros((step, at[-1]), np.uint8)
+        layout[:, np.subtract(at, 1)] = np.frombuffer(b"," * len(widths) + b"\n", np.uint8)
+        for lo in range(0, len(names), step):
+            hi = min(lo + step, len(names))
+            rows = layout[:hi - lo]
+            rows[:, :names.shape[1]] = names[lo:hi]
+            col = 0
+            for (texts, index), k in runs:
+                field = np.take(texts, index[start + lo:start + hi], axis=0)
+                for _ in range(k):
+                    rows[:, at[col]:at[col] + texts.shape[1]] = field
+                    col += 1
+            flat = rows.ravel()
+            yield flat[flat != 0]
 
 
 def _write_classes(fh, classes):
@@ -915,6 +986,13 @@ def run(scenario: Scenario, *, with_classes: bool = False) -> RunReport:
     # word metric for the whole run
     tables: dict = {}
     subset_reference = cache(partial(_subset_reference, scenario))
+    # the largest radius of the run's class tables, so that it walks the
+    # classes of its rank once
+    radii = [_table_radius(token, scenario, cfg, target, reference, subset_reference)
+             for token in scenario.verify]
+    if with_classes and target is not None and reference is not None:
+        radii.append(_listing_radius(scenario, cfg, reference))
+    tables["radius", scenario.rank] = max((r for r in radii if r is not None), default=0)
     entries = []
     capped = False
     for token in scenario.verify:

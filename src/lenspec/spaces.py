@@ -21,7 +21,8 @@ import numpy as np
 from .actions import ActionModel, AnosovCertificate, anosov_certificate, exact_div
 from .errors import InputError, NumericError
 from .words import (ROW_CHUNK, ClassCodes, GeneratingSet, Word, _as_weight, _Column,
-                    _letters_in_order, _settled_lengths, _unscaled, word_length)
+                    _distinct, _letters_in_order, _settled_lengths, _unscaled,
+                    word_length)
 
 __all__ = [
     "ClassLengths",
@@ -195,10 +196,10 @@ class TreeModel(ActionModel):
                 vals += total.tolist() if listed else ()
                 floats.append(total.astype(np.float64))
                 continue
-            uniq, inv = np.unique(total, return_inverse=True)
+            uniq, inv = _distinct(total)
             lengths = [Fraction(v, self._den) for v in uniq.tolist()]
             vals += map(lengths.__getitem__, inv.tolist())
-            floats.append(np.array(list(map(float, lengths)))[inv])
+            floats.append(np.take(np.array(list(map(float, lengths))), inv))
         floats = _joined(floats)
         if not listed:
             vals = _Column(floats, int)
@@ -652,10 +653,11 @@ class MatrixActionModel(ActionModel):
         Each run's product is the one its rows would reach, by the same
         operations in the same order from the identity, so every value is
         class_lambda1's bit for bit, repeated over the rows of its run.
+        Each row chunk's values are written into the one column returned.
         """
         # the entries of each generator, by code
         parts = _entries(np.array(_per_code(self._gen.__getitem__, self.rank)))
-        out = []
+        out, stop = np.empty(len(codes)), 0
         with np.errstate(all="ignore"):
             for rows in codes.row_chunks():
                 # new[i]: row i starts a run, its codes so far differing
@@ -674,8 +676,9 @@ class MatrixActionModel(ActionModel):
                     a, b, c, d = (_cmuladd(a, e, b, g), _cmuladd(a, f, b, h),
                                   _cmuladd(c, e, d, g), _cmuladd(c, f, d, h))
                 lam = _lambda1_entries(a, b, c, d)
-                out.append(np.repeat(lam, np.diff(starts, append=len(rows))))
-        return _joined(out)
+                start, stop = stop, stop + len(rows)
+                out[start:stop] = np.repeat(lam, np.diff(starts, append=len(rows)))
+        return out
 
     def _length(self, lam: float) -> float:
         return 0.0 if lam <= self._length_floor else self._length_scale * math.log(lam)
@@ -686,18 +689,26 @@ class MatrixActionModel(ActionModel):
         by class.
 
         One length is built per distinct lambda1 of the whole table (keyed
-        by its bits), by _length's rule in one pass, and gathered into the
-        float64 column, the lengths' only store.
+        by its bits, ``_distinct``), by _length's rule a ROW_CHUNK slice of
+        keys at a time, and gathered into the float64 column that held the
+        lambda1 values, the lengths' only store.
         """
         if self.dim != 2:
             return None
-        lam = self.class_lambda1_column(codes)
-        keys, inv = np.unique(lam.view(np.int64), return_inverse=True)
+        # the lambda1 column becomes the length column in place
+        column = self.class_lambda1_column(codes)
+        keys, inv = _distinct(column.view(np.int64))
         floor, scale, log = self._length_floor, self._length_scale, math.log
-        lengths = np.array([0.0 if x <= floor else scale * log(x)
-                            for x in keys.view(np.float64).tolist()])
-        vals = _Column(lengths[inv], float)
-        return ClassLengths(codes, vals, vals, vals.floats, vals.floats,
+        lengths = np.empty(len(keys))
+        for start in range(0, len(keys), ROW_CHUNK):
+            lams = keys[start:start + ROW_CHUNK].view(np.float64).tolist()
+            lengths[start:start + len(lams)] = [0.0 if x <= floor else scale * log(x)
+                                                for x in lams]
+        for start in range(0, len(column), ROW_CHUNK):
+            stop = start + ROW_CHUNK
+            column[start:stop] = np.take(lengths, inv[start:stop])
+        vals = _Column(column, float)
+        return ClassLengths(codes, vals, vals, column, column,
                             frozenset({float} if vals else ()))
 
     def window_radius(self, length_bound) -> float:

@@ -327,38 +327,79 @@ class ClassCodes:
         ``cap`` bounds the number of prefixes the walk visits (every
         prefix, not only the representatives); a level whose children
         would exceed it raises ResourceCapError before it is built.
+
+        Working memory: a level keeps only its prefixes, their periods and
+        the least code of a child, each in the least type that holds them
+        (the banned code is read from the last column).  A level is built
+        ROW_CHUNK parents at a time into arrays of its size, counted while
+        its parents were built, so every index array spans one slice of
+        parents, in int32 (int64 only when ``cap`` reaches 2**31).  The
+        children of the last level are never built whole: each slice
+        keeps only its representatives' rows.
         """
         if rank < 1:
             raise InputError("rank must be >= 1")
         m = 2 * rank
         code_type = np.min_scalar_type(m - 1)
-        prefixes = np.zeros((1, 0), code_type)   # the prefixes of length t - 1
-        first = np.zeros(1, np.int64)            # their first codes
-        period = np.ones(1, np.int64)
-        least = np.zeros(1, np.int64)            # the least code of a child
-        banned = np.full(1, -1, np.int64)        # the inverse of the last code, or -1
+        period_type = np.min_scalar_type(max(radius, 1))
+        index = np.int32 if cap < 2 ** 31 else np.int64
+        # the prefixes of length t - 1, their periods, the least code of a
+        # child and the inverse of the last code (-1: none), and the number
+        # of their children
+        prefixes = np.zeros((1, 0), code_type)
+        period = np.ones(1, period_type)
+        least, banned = np.zeros(1, index), np.full(1, -1, index)
+        size = m
         blocks, visited = [], 0
         for t in range(1, radius + 1):
-            skip = banned >= least
-            count = m - least - skip
-            visited += int(count.sum())
+            visited += size
             if visited > cap:
                 raise ResourceCapError(f"class enumeration exceeds cap {cap}")
-            parent = np.repeat(np.arange(len(prefixes)), count)
-            start = np.repeat(np.cumsum(count) - count, count)
-            code = np.arange(len(parent)) - start + least[parent]
-            code += skip[parent] & (code >= banned[parent])
-            period = np.where(code == least[parent], period[parent], t)
-            first = code if t == 1 else first[parent]
-            code = code.astype(code_type)
-            # the representatives' rows are built from their parents, and
-            # the children of the last level are never built whole
-            rep = np.flatnonzero((t % period == 0) & (code != first ^ 1))
-            blocks.append(np.column_stack((prefixes[parent[rep]], code[rep])))
-            if t < radius:
-                prefixes = np.column_stack((prefixes[parent], code))
-                least = prefixes[np.arange(len(prefixes)), t - period].astype(np.int64)
-                banned = code ^ 1
+            last = t == radius
+            if not last:
+                children = np.empty((size, t), code_type)
+                child_period = np.empty(size, period_type)
+                child_least = np.empty(size, code_type)
+                size = 0
+            reps, at = [], 0
+            for s in range(0, len(prefixes), ROW_CHUNK):
+                s = slice(s, s + ROW_CHUNK)
+                rows, low, ban = prefixes[s], least[s].astype(index), banned[s].astype(index)
+                skip = ban >= low
+                count = m - low - skip
+                # np.take, not fancy indexing: it gathers from int32
+                # indices, and whole rows, several times faster
+                parent = np.repeat(np.arange(len(rows), dtype=index), count)
+                start = np.cumsum(count, dtype=index) - count
+                code = np.arange(len(parent), dtype=index) - np.take(start - low, parent)
+                # the codes from the banned one on move up by one
+                code += code >= np.take(np.where(skip, ban, m), parent)
+                first = np.take(rows[:, 0], parent) if t > 1 else code
+                p = np.where(code == np.take(low, parent), np.take(period[s], parent), t)
+                rep = np.flatnonzero((t % p == 0) & (code != first ^ 1))
+                if last:
+                    block = np.empty((len(rep), t), code_type)
+                    block[:, :-1] = np.take(rows, np.take(parent, rep), axis=0)
+                    block[:, -1] = np.take(code, rep)
+                    reps.append(block)
+                    continue
+                new = slice(at, at + len(code))
+                at = new.stop
+                kids = children[new]
+                kids[:, :-1] = np.take(rows, parent, axis=0)
+                kids[:, -1] = code
+                reps.append(np.take(kids, rep, axis=0))
+                child_period[new] = p
+                # a child's least child code is a[t + 1 - p], its banned one
+                # the inverse of its last code
+                kid_low = np.take(kids, np.arange(0, len(kids) * t, t) + (t - p))
+                child_least[new] = kid_low
+                size += int(m * len(kids) - kid_low.sum(dtype=np.int64)
+                            - np.count_nonzero((code ^ 1) >= kid_low))
+            blocks.append(reps[0] if len(reps) == 1 else np.concatenate(reps))
+            if not last:
+                prefixes, period, least = children, child_period, child_least
+                banned = children[:, -1] ^ 1
         return cls(rank, tuple(blocks))
 
     @property
@@ -588,20 +629,45 @@ class _Column(Sequence):
         return self.kind(self.floats.item(i))
 
 
+def _distinct(keys: np.ndarray, positions: bool = False) -> tuple:
+    """(distinct, inverse) of a 1-D array ``keys``: its distinct entries in
+    ascending order and the index in ``distinct`` of each entry's own, as
+    np.unique(keys, return_inverse=True) gives them, the inverse in the
+    least unsigned type that holds len(distinct).  With ``positions``, a
+    third array holds a position in ``keys`` of each distinct entry.
+
+    One argsort: the ranks of the sorted runs (a cumsum of the "new key"
+    flags) are scattered back through the sort order, so besides ``keys``
+    only the order, one sorted copy, the flags and the inverse span the
+    array."""
+    order = np.argsort(keys)
+    ordered = keys[order]
+    new = np.empty(len(keys), bool)
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    distinct = ordered[new]
+    del ordered
+    rank = np.cumsum(new, dtype=np.min_scalar_type(len(distinct)))
+    rank -= 1
+    inverse = np.empty_like(rank)
+    inverse[order] = rank
+    return (distinct, inverse, order[new]) if positions else (distinct, inverse)
+
+
 def _id_groups(cols, rows) -> tuple:
     """(firsts, groups): the rows ``rows`` (an index array) of ``cols``
-    grouped by their entries, by np.unique over keys: the identities of a
-    list's entries (a table's lists share objects), the bits of a
+    grouped by their entries, by ``_distinct`` over keys: the identities
+    of a list's entries (a table's lists share objects), the bits of a
     _Column's floats (equal bits, equal values of one type): rows[j] is in
-    group groups[j], whose first row is firsts[groups[j]]."""
+    group groups[j], and firsts[groups[j]] is a row of that group."""
     code = np.zeros(len(rows), np.intp)
     for col in cols:
         ids = (col.floats.view(np.int64)[rows] if isinstance(col, _Column)
                else np.fromiter(map(id, col), np.uintp, len(col))[rows])
-        _, inv = np.unique(ids, return_inverse=True)
-        code = code * (int(inv.max(initial=0)) + 1) + inv
-    _, first, groups = np.unique(code, return_index=True, return_inverse=True)
-    return rows[first].tolist(), groups
+        distinct, inv = _distinct(ids)
+        code = code * len(distinct) + inv
+    _, groups, at = _distinct(code, positions=True)
+    return rows[at].tolist(), groups
 
 
 def _as_weight(w):

@@ -13,6 +13,7 @@ import math
 import pickle
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -46,6 +47,7 @@ from test_bounds import _count_work
 from test_window_oracle import _MATRIX_MODELS, _WORD_METRICS, _canon, _Listed
 
 RADIUS = 6
+SCEN_DIR = Path(__file__).resolve().parents[1] / "src" / "lenspec" / "scenarios"
 
 
 def _per_class(model, codes, k_max=2):
@@ -556,6 +558,66 @@ def test_radius_12_table_bytes_per_class(target):
         tracemalloc.stop()
     assert len(table) == 69996 and live / len(table) <= 45, live / len(table)
     assert table.lo is table.hi
+
+
+def _transient(build) -> tuple:
+    """(build(), its transient): the tracemalloc peak of the call above the
+    memory still traced once it has returned."""
+    tracemalloc.start()
+    try:
+        out = build()
+        live, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak - live
+
+
+class _Sink:
+    """A binary file that keeps only the number of bytes written to it."""
+
+    size = 0
+
+    def write(self, data):
+        self.size += len(data)
+
+    def writelines(self, chunks):
+        for c in chunks:
+            self.write(c)
+
+
+# the working memory of the class pipeline at radius 12 (69,996 classes of
+# rank 2): besides a table's own columns, every temporary spans one
+# ROW_CHUNK slice or is of the least type that holds it.  Each step's
+# transient stays within 3 MB; whole-table temporaries took 4.71 MB in the
+# walk, 3.98 MB in the cor17-default lengths and 4.41 MB in writing
+# schottky-cobounded's classes.csv
+_TRANSIENT_LIMIT = 3 * 2 ** 20
+
+
+def test_radius_12_walk_transient():
+    ClassCodes.walk(2, 4)
+    codes, transient = _transient(lambda: ClassCodes.walk(2, 12))
+    assert len(codes) == 69996 and transient <= _TRANSIENT_LIMIT, transient
+
+
+def test_radius_12_matrix_lengths_transient():
+    model = build_model(builtin_preset("cor17-default"), 2)
+    codes = ClassCodes.walk(2, 12)
+    model.class_brackets(ClassCodes.walk(2, 4), 2)
+    lengths, transient = _transient(lambda: model.class_brackets(codes, 2))
+    assert lengths.kinds == {float} and transient <= _TRANSIENT_LIMIT, transient
+
+
+def test_radius_12_classes_csv_transient():
+    scen = cli.load_scenario(SCEN_DIR / "schottky-cobounded.json")
+    cfg = scen.config()
+    target, reference = cli._models(scen)
+    listing = cli._class_listing(scen, cfg, target, reference, tables={})
+    cli._write_classes(_Sink(), ClassTable(target, reference, 4))
+    sink = _Sink()
+    _, transient = _transient(lambda: cli._write_classes(sink, listing))
+    assert len(listing) == 69996 and sink.size > 6 * 10 ** 6
+    assert transient <= _TRANSIENT_LIMIT, transient
 
 
 # ------------------------------------------------------------ class codes

@@ -355,11 +355,12 @@ def test_class_cap_in_classes_csv_keeps_the_report(tmp_path, capsys, verify,
 
 # each shipped scenario's work in a run with its classes.csv: the radius of
 # each class walk, and the model class and radius of each evaluation; the
-# checks and the listing read one walk per rank and one evaluation per model
-# while the radius does not grow
+# checks and the listing read one walk per rank, made to the largest radius
+# any of them reads, and one evaluation per model while its radius does not
+# grow
 _RUN_WORK = {
     "bf-tree": ([12], [("TreeModel", 12)]),
-    "identical-actions": ([8, 12], [("TreeModel", 8), ("TreeModel", 8),
+    "identical-actions": ([12], [("TreeModel", 8), ("TreeModel", 8),
                                     ("WordMetricModel", 12), ("TreeModel", 12)]),
     "jsr-ensemble": ([], []),
     "schottky-cobounded": ([12], [("TreeModel", 12), ("MobiusModel", 12)]),
@@ -377,6 +378,21 @@ def test_a_run_walks_and_evaluates_each_radius_once(monkeypatch, name):
     run(load_scenario(SCEN_DIR / f"{name}.json"), with_classes=True)
     kinds = [(type(model).__name__, radius) for model, radius in evaluated]
     assert (walks, kinds) == _RUN_WORK[name]
+
+
+def test_a_planned_walk_past_the_cap_walks_each_table_alone(monkeypatch):
+    # identical-actions reads tables of radius 8 (thm13), 12 (thm15) and 4
+    # (prop31, classes.csv); a class_cap of 10,000 admits the walk of
+    # radius 8 (2,785 prefixes) but not that of 12: thm13's walk to the
+    # run's radius 12 falls back to its own 8, and thm15 alone is capped
+    data = json.loads((SCEN_DIR / "identical-actions.json").read_text())
+    data["config"]["class_cap"] = 10_000
+    walks, _ = _count_work(monkeypatch)
+    rep = run(parse_scenario(json.dumps(data)), with_classes=True)
+    assert [(e["token"], e["status"]) for e in rep.entries] == [
+        ("thm13", "ok"), ("thm15", "resource-cap"), ("prop31", "ok")]
+    assert rep.exit_code == 3 and len(rep.classes) == 50
+    assert walks == [12, 8, 12]
 
 
 def test_verify_walks_the_classes_once(monkeypatch, tmp_path):

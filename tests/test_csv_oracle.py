@@ -346,6 +346,48 @@ def test_equal_floats_in_one_column_keep_their_texts(values, texts):
         assert texts <= {str(c) for r in rows for c in r[1:5]}
 
 
+class _Subnormal(TreeModel):
+    """A rank-2 model read class by class: the i-th class of the walk of
+    ``radius`` has length -(i + 1) * 5e-324, a negative subnormal, and the
+    last one -2.2250738585072014e-308, the widest text a float has (24
+    characters).  Its float bits key above every subnormal's, so its text
+    is rendered last, in the second slice of a column's texts."""
+
+    def __init__(self, radius):
+        super().__init__(2)
+        reps = ClassCodes.walk(2, radius).reps
+        self.values = {r: -(i + 1) * 5e-324 for i, r in enumerate(reps)}
+        self.values[reps[-1]] = -2.2250738585072014e-308
+
+    def class_length(self, letters):
+        return self.values[tuple(letters)]
+
+
+def test_the_widest_float_text_past_the_first_slice():
+    # 9,518 distinct lengths, more than ROW_CHUNK: alone (blank reference
+    # and ratio columns) and as a reference (negative, so every ratio is
+    # blank) against signed zeros
+    model = _Subnormal(10)
+    assert len(model.values) == 9518 > ROW_CHUNK
+    for pair in ((model, None), (_Cycled([0.0, -0.0]), model)):
+        rows = _check(*pair, 10)
+        assert all(r[5:] == ("", "") for r in rows)
+        cells = [c for r in rows for c in r[1:5]]
+        assert cells.count(-2.2250738585072014e-308) == 2
+        assert len(str(-2.2250738585072014e-308)) == 24
+
+
+def test_a_text_wider_than_a_float(monkeypatch):
+    # ints and exact ratios can outgrow a float's 24 characters: with one
+    # text a slice, a wider one widens the texts already rendered
+    monkeypatch.setattr(cli, "ROW_CHUNK", 1)
+    model = _Cycled([3, 2 ** 100, Fraction(1, 3 ** 30), 7])
+    for pair in ((model, None), (model, TreeModel(2, [1, 2])), (TreeModel(2), model)):
+        rows = _check(*pair, 3)
+        assert {str(2 ** 100), str(Fraction(1, 3 ** 30))} <= {str(c) for r in rows
+                                                               for c in r[1:5]}
+
+
 def test_one_model_listing_has_blank_reference_and_ratio_columns():
     for pair in ((_SCHOTTKY.linear, None), (None, TreeModel(2, [1, 2]))):
         rows = _check(*pair, 5)

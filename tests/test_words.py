@@ -10,8 +10,9 @@ import heapq
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lenspec.words import (
@@ -19,6 +20,7 @@ from lenspec.words import (
     ConjClass,
     GeneratingSet,
     Word,
+    _distinct,
     _min_rotation,
     enumerate_ball,
     free_reduce,
@@ -204,6 +206,50 @@ def test_class_walk_counts_a_level_before_building_it():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2 ** 20
+
+
+@pytest.mark.parametrize("rank,radius", [(2, 6), (3, 5), (1, 7)])
+def test_class_walk_blocks_do_not_depend_on_the_index_type(rank, radius):
+    # a cap of 2**31 or more walks with int64 index arrays, a smaller one
+    # with int32: the blocks, their code type included, are the same
+    wide, narrow = ClassCodes.walk(rank, radius, cap=2 ** 40), ClassCodes.walk(rank, radius)
+    assert [(b.dtype, b.tolist()) for b in wide.blocks] == \
+        [(b.dtype, b.tolist()) for b in narrow.blocks]
+
+
+# int64 keys with many repeats: a few small values among arbitrary ones
+_KEYS = st.lists(st.one_of(st.integers(-3, 3), st.integers(-2 ** 63, 2 ** 63 - 1)),
+                 max_size=600)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_KEYS)
+def test_distinct_is_np_unique(values):
+    keys = np.array(values, np.int64)
+    distinct, inverse = _distinct(keys)
+    want, want_inverse = np.unique(keys, return_inverse=True)
+    assert distinct.dtype == np.int64 and distinct.tolist() == want.tolist()
+    assert inverse.tolist() == want_inverse.tolist()
+    # the inverse type holds len(distinct) itself: classes.csv indexes one
+    # more text there, the blank one
+    assert inverse.dtype.kind == "u" and np.iinfo(inverse.dtype).max >= len(distinct)
+    again, _, at = _distinct(keys, positions=True)
+    assert again.tolist() == distinct.tolist() and keys[at].tolist() == distinct.tolist()
+
+
+def test_distinct_of_empty_one_and_signed_zero_keys():
+    for keys in (np.zeros(0, np.int64), np.array([-5], np.int64)):
+        distinct, inverse = _distinct(keys)
+        assert distinct.tolist() == keys.tolist()
+        assert inverse.tolist() == [0] * len(keys) and inverse.dtype == np.uint8
+    # the bits of 0.0 and -0.0 are two keys, as their texts differ
+    zeros = np.array([0.0, -0.0, 0.0, -0.0, -0.0])
+    distinct, inverse = _distinct(zeros.view(np.int64))
+    assert [str(v) for v in distinct.view(np.float64).tolist()] == ["-0.0", "0.0"]
+    assert [str(v) for v in distinct.view(np.float64)[inverse].tolist()] == \
+        ["0.0", "-0.0", "0.0", "-0.0", "-0.0"]
+    # 256 distinct keys need a uint16 inverse, which holds 256
+    assert _distinct(np.arange(256))[1].dtype == np.uint16
 
 
 def test_class_reps_leave_no_cyclic_garbage():
