@@ -19,10 +19,11 @@ from fractions import Fraction
 from itertools import groupby
 from typing import Sequence
 
-import numpy as np
-
+from ._np import numpy_for
 from .errors import InputError, NumericError
 from .words import Word, enumerate_ball
+
+np = numpy_for(globals())
 
 __all__ = [
     "HOLDS",

@@ -34,8 +34,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Optional
 
-import numpy as np
-
+from ._np import numpy_for
 from .actions import (_EXACT, HOLDS, HYPOTHESIS_FAILED, INCONCLUSIVE,
                       LengthBracket, exact_div, verdict_of)
 from .errors import InputError, ResourceCapError
@@ -54,6 +53,8 @@ from .words import (
     _unscaled,
     enumerate_ball,
 )
+
+np = numpy_for(globals())
 
 __all__ = [
     "VerifierConfig",
@@ -263,7 +264,9 @@ class ClassTable:
         if self.floats_exact:
             # one IEEE division is the correctly rounded exact_div value (a
             # Fraction for int/int, Python's a / b otherwise)
-            with np.errstate(divide="ignore", invalid="ignore"):
+            # a ratio past the float range, over a subnormal reference, is
+            # blanked with its row below
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 self.lo = tl / rh
                 self.hi = self.lo if points else th / rl
             self.lo[rl <= _ZERO_EPS] = np.nan

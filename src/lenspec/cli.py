@@ -45,6 +45,8 @@ from itertools import groupby, islice
 from pathlib import Path
 from typing import Optional
 
+# numpy before the package's modules, so that each binds numpy itself
+# rather than the stand-in of lenspec._np
 import numpy as np
 
 from . import __version__

@@ -38,13 +38,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
+from ._np import numpy_for
 from .actions import HOLDS, LengthBracket, exact_div, verdict_of
 from .errors import InputError, NumericError, ResourceCapError, SearchExhaustedError
 from .spaces import (MatrixActionModel, TreeModel, WordMetricModel,
                      _batch_lambda1, _batch_svals, class_bracket_reader)
 from .words import ConjClass, Word, WordRows, _as_words
+
+np = numpy_for(globals())
 
 __all__ = [
     "JointLengthProfile",

@@ -16,13 +16,14 @@ from fractions import Fraction
 from itertools import chain
 from typing import Optional, Sequence
 
-import numpy as np
-
+from ._np import numpy_for
 from .actions import ActionModel, AnosovCertificate, anosov_certificate, exact_div
 from .errors import InputError, NumericError
 from .words import (ROW_CHUNK, ClassCodes, GeneratingSet, Word, _as_weight, _Column,
                     _distinct, _letters_in_order, _settled_lengths, _unscaled,
                     word_length)
+
+np = numpy_for(globals())
 
 __all__ = [
     "ClassLengths",
@@ -413,6 +414,17 @@ def _spelling_costs(rows, k_max, pieces, letter_cost, base) -> list:
 # ------------------------------------------------------- matrix models
 
 
+def _modulus(z) -> float:
+    """abs(z), but a value with a NaN part never reaches complex abs: in
+    CPython 3.11 that returns NaN without clearing errno, so an ERANGE
+    left by an earlier overflow (numpy's hypot sets it) makes it raise
+    OverflowError.  Its value is abs's: inf with an infinite part, else
+    NaN."""
+    if z == z:
+        return abs(z)
+    return math.inf if math.isinf(z.real) or math.isinf(z.imag) else math.nan
+
+
 def _sv_pair_2x2(a: np.ndarray) -> tuple[float, float]:
     """Singular values of a 2x2 (real or complex) matrix, closed form, in
     Python arithmetic (squares by multiplication, moduli by abs, that is
@@ -423,7 +435,7 @@ def _sv_pair_2x2(a: np.ndarray) -> tuple[float, float]:
     """
     (p, q), (r, t) = a.tolist()
     try:
-        x, y, u, v, d = abs(p), abs(q), abs(r), abs(t), abs(p * t - q * r)
+        x, y, u, v, d = map(_modulus, (p, q, r, t, p * t - q * r))
     except OverflowError:   # the modulus of a finite complex past the float range
         raise NumericError("matrix overflow in singular values") from None
     f = x * x + y * y + u * u + v * v
@@ -438,10 +450,10 @@ def _joined(parts) -> np.ndarray:
 
 def _lambda1(tr: complex, det: complex) -> float:
     """Spectral radius of a 2x2 matrix from its trace and determinant."""
-    if not (math.isfinite(abs(tr)) and math.isfinite(abs(det))):
+    if not (math.isfinite(_modulus(tr)) and math.isfinite(_modulus(det))):
         raise NumericError("matrix overflow in class length evaluation")
     q = cmath.sqrt(tr * tr - 4.0 * det)
-    return max(abs(tr + q), abs(tr - q)) / 2.0
+    return max(_modulus(tr + q), _modulus(tr - q)) / 2.0
 
 
 def _cmul(a, b) -> tuple:

@@ -28,9 +28,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-import numpy as np
-
+from ._np import numpy_for
 from .errors import InputError, ResourceCapError, SearchExhaustedError
+
+np = numpy_for(globals())
 
 __all__ = [
     "Word",

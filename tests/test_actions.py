@@ -12,7 +12,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _oracle
@@ -409,6 +409,8 @@ def test_certificate_is_the_per_word_walk(kind, rank, radius, seed, stretch):
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2), st.integers(0, 2**32 - 1), _STRETCHES,
        st.integers(0, 4))
+# a NaN row right after a batch whose hypot overflowed (errno ERANGE)
+@example(kind=1, seed=127, stretch=300, holes=4)
 def test_singular_gaps_are_the_scalar_gaps(kind, seed, stretch, holes):
     # the gap kernel on a batch of products against _oracle.singular_gap
     # row by row: the same bits up to the first gap that is not finite,
@@ -436,3 +438,19 @@ def test_singular_gaps_are_the_scalar_gaps(kind, seed, stretch, holes):
     if want:
         got = model.singular_gaps(batch[:len(want)] if raised else batch)
         assert np.array_equal(_bits(got), _bits(np.array(want)))
+
+
+def test_a_nan_modulus_ignores_an_overflow_left_in_errno():
+    # CPython 3.11's abs() of a complex with a NaN part raises
+    # OverflowError while errno still holds the ERANGE of an overflowing
+    # np.hypot, such as _batch_svals' on a batch past the float range; the
+    # 2x2 closed forms read such a value as abs does with errno clear
+    from lenspec.spaces import _batch_svals, _lambda1, _sv_pair_2x2
+
+    nan = complex(math.nan, math.nan)
+    _batch_svals(np.full((3, 2, 2), 1.3e308 * (1 + 1j)))
+    s1, s2 = _sv_pair_2x2(np.full((2, 2), nan))
+    assert math.isnan(s1) and s2 == 0.0
+    _batch_svals(np.full((3, 2, 2), 1.3e308 * (1 + 1j)))
+    with pytest.raises(NumericError, match="overflow in class length"):
+        _lambda1(nan, 1 + 0j)

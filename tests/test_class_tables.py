@@ -12,6 +12,7 @@ correctly rounded floats of those values.
 import math
 import pickle
 import tracemalloc
+import warnings
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -878,3 +879,22 @@ def test_ratio_column_is_the_per_row_division(tops, bottoms, top_picks,
     got = bounds._ratio_column(tops, bottoms, positive)
     want = np.array(_oracle.ratio_column(tops, bottoms, positive), np.float64)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+class _Subnormal(TreeModel):
+    """The rank-2 tree whose every class has the subnormal length 5e-324,
+    a float, read class by class."""
+
+    def class_length(self, letters):
+        return 5e-324
+
+
+def test_a_float_ratio_past_the_float_range_is_blanked_silently():
+    # a target length over a subnormal reference length overflows the
+    # float division; the row is blank (the reference lo is <= _ZERO_EPS),
+    # so the table warns of nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = ClassTable(TreeModel(2, [10 ** 10, 1]), _Subnormal(2), 3)
+    assert table.floats_exact and len(table) > 0
+    assert np.isnan(table.lo).all() and np.isnan(table.hi).all()
