@@ -39,7 +39,8 @@ from .actions import (_EXACT, HOLDS, HYPOTHESIS_FAILED, INCONCLUSIVE,
                       LengthBracket, exact_div, verdict_of)
 from .errors import InputError, ResourceCapError
 from .jsl import BochiConstants, joint_stable_profile
-from .spaces import MatrixActionModel, TreeModel, WordMetricModel, class_lengths
+from .spaces import (MatrixActionModel, TreeModel, WordMetricModel, _displacements,
+                     _rep_brackets, class_lengths)
 from .words import (
     ClassCodes,
     GeneratingSet,
@@ -837,7 +838,7 @@ def displacement_ball(model, bound, config: Optional[VerifierConfig] = None
         raise InputError(f"displacement bound {bound} admits no generator")
     # the ball less the identity, its first word
     ball = enumerate_ball(model.rank, unit_radius, cap=cfg.class_cap)[1:]
-    d, den = _row_values(model, _rows(model, ball), "displacement")
+    d, den = _row_values(model, _rows(model, ball))
     within = np.flatnonzero(d <= _scaled_limit(bound, den)).tolist()
     elems = list(map(ball.__getitem__, within))
     if not elems:
@@ -845,20 +846,16 @@ def displacement_ball(model, bound, config: Optional[VerifierConfig] = None
     return GeneratingSet(rank=model.rank, elements=tuple(elems))
 
 
-def _row_values(model, rows: WordRows, method: str):
-    """(values, den): ``method``, "displacement" or "class_length", of
-    every row of a word batch, as an array of den times the values.
-
-    A TreeModel itself (not a subclass, which may override its lengths)
-    reads both as ``scaled_sums``: exact ints, den its ``_den``.  Any other
-    model is read row by row into an object array of the values it gives,
-    den None.
-    """
+def _row_values(model, rows: WordRows):
+    """(values, den): the displacement of every row of a word batch, as an
+    array of den times the values.  A TreeModel itself (not a subclass,
+    which may override its lengths) reads them as ``scaled_sums``: exact
+    ints, den its ``_den``.  Any other model is read row by row
+    (``_displacements``) into an object array of the values it gives, den
+    None."""
     if type(model) is TreeModel:
         return model.scaled_sums(rows.codes), model._den
-    read = (model.class_length if method == "class_length"
-            else lambda w: model.displacement(Word._unchecked(w)))
-    return np.array(list(map(read, rows.letters())), dtype=object), None
+    return np.array(_displacements(model, rows.letters()), dtype=object), None
 
 
 def _scaled_limit(bound, den):
@@ -966,7 +963,7 @@ def displacement_sandwich_report(model, n: int, ball_radius: int,
         settled = [i for i, g in enumerate(ball) if g.letters in lengths]
         ball, rows = [ball[i] for i in settled], rows.take(settled)
         k = np.array([lengths[g.letters] for g in ball], dtype=np.int64)
-    d, den = _row_values(model, rows, "displacement")
+    d, den = _row_values(model, rows)
     excess, tol = _excess(d, den, k, slope, shift, bound, tol)
     violations = [(str(ball[i]), int(k[i]),
                    d[i] if den is None else _unscaled(int(d[i]), den))
@@ -1034,7 +1031,7 @@ def pointwise_cover_report(model, ball_radius: int, f_radius: int,
     Starts from F = {identity} and adds the candidate (word of length <=
     f_radius, the first on a tie) that most reduces C = max over the ball
     of d(x,gx) - max_f l[gf], until no strict improvement remains.  Needs
-    a tree or a matrix model, whose class_length gives l; more than
+    a tree or a matrix model, whose class lengths give l; more than
     ``class_cap`` ball x candidate lengths raise ResourceCapError.
     """
     cfg = config or VerifierConfig()
@@ -1047,13 +1044,15 @@ def pointwise_cover_report(model, ball_radius: int, f_radius: int,
         raise ResourceCapError(f"cover search of {len(ball)} x {len(pool)} "
                                f"class lengths exceeds cap {cfg.class_cap}")
     rows = _rows(model, ball)
-    disp, den = _row_values(model, rows, "displacement")
+    disp, den = _row_values(model, rows)
 
     def col(f: Word):
-        # l[gf] over the ball: a tree or matrix length is the same on
-        # every rotation of the core
-        products = rows.products(_rows(model, [f]))
-        return _row_values(model, products.cores(), "class_length")[0]
+        # l[gf] over the ball in disp's unit, one batch: a tree or matrix
+        # length is the same on every rotation of the core
+        cores = rows.products(_rows(model, [f])).cores()
+        if type(model) is TreeModel:
+            return model.scaled_sums(cores.codes)
+        return np.array(_rep_brackets(model, cores.letters(), 1)[0], dtype=object)
 
     # F holds distinct words of the pool, the identity (pool[0]) first;
     # gap is the max over the ball (never empty: it holds the identity) of

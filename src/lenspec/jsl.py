@@ -18,7 +18,7 @@ metric is its tree's metric and takes the same scan.  The levels of the
 'products' engine, which serves the other word models, are arrays of
 letter codes (``WordRows``): a_n is the largest displacement over a level,
 and l_lo[s] the lo of the model's own class bracket on the cyclic core of
-s (``class_bracket_reader`` with k_max 1).
+s, the cores of a level read as one batch (``class_lengths`` with k_max 1).
 
 For a matrix action the joint stable length is the joint spectral radius
 in the metric's scale (Rota-Strang, Indag. Math. 22, 1960): log rho for a
@@ -40,10 +40,10 @@ from fractions import Fraction
 
 from ._np import numpy_for
 from .actions import HOLDS, LengthBracket, exact_div, verdict_of
-from .errors import InputError, NumericError, ResourceCapError, SearchExhaustedError
+from .errors import InputError, NumericError, ResourceCapError
 from .spaces import (MatrixActionModel, TreeModel, WordMetricModel,
-                     _batch_lambda1, _batch_svals, class_bracket_reader)
-from .words import ConjClass, Word, WordRows, _as_words
+                     _batch_lambda1, _batch_svals, _displacements, _rep_brackets)
+from .words import ConjClass, WordRows, _as_words
 
 np = numpy_for(globals())
 
@@ -79,48 +79,24 @@ class JointLengthProfile:
     engine: str
 
 
-def _displacement_upper(model, w: Word):
-    """The displacement of w, or its certified upper bound ``cost_upper``
-    where a word-metric search exhausts its budget."""
-    try:
-        return model.displacement(w)
-    except SearchExhaustedError:
-        return model.cost_upper(w)
-
-
-def _level_reader(model):
-    """A level (``WordRows``) -> (the largest displacement over its rows,
-    the largest class-bracket lo over their cyclic cores).
-
-    Each row is read as its displacement, or the search's certified upper
-    bound, and its core as the lo of ``class_bracket_reader`` with k_max 1.
-    """
-    read = class_bracket_reader(model, 1)
-    return lambda level: (
-        max(_displacement_upper(model, Word._unchecked(w)) for w in level.letters()),
-        max(read(w)[0] for w in level.cores().letters()))
-
-
 def _word_joint_profile(model, words, n_max, frontier_cap):
     """a[n] and lo_terms[n] for n = 1..n_max over the distinct reduced words
     of S^n: each level is the last times each s in S (duplicates of S
     included, as |S| counts them), reduced at the seam, then deduplicated,
-    as code rows (``WordRows``)."""
+    as code rows (``WordRows``): a[n] is the largest of their
+    ``_displacements`` (a search's cap where it gives up), lo_terms[n] the
+    largest lo (k_max 1) of their cyclic cores, in one batch, over n."""
     s_list = [w.letters for w in words]
-    read = _level_reader(model)
     s_rows = WordRows.of(model.rank, s_list)
     level = s_rows.unique()
-    a = {}
-    lo_terms = {}
+    a, lo_terms = {}, {}
     for n in range(1, n_max + 1):
         if n > 1:
             if len(level) * len(s_list) > frontier_cap:
-                raise ResourceCapError(
-                    f"level {n} frontier would exceed cap {frontier_cap}"
-                )
+                raise ResourceCapError(f"level {n} frontier would exceed cap {frontier_cap}")
             level = level.products(s_rows).unique()
-        a[n], top = read(level)
-        lo_terms[n] = exact_div(top, n)
+        a[n] = max(_displacements(model, level.letters(), or_upper=True))
+        lo_terms[n] = exact_div(max(_rep_brackets(model, level.cores().letters(), 1)[0]), n)
     return a, lo_terms
 
 
@@ -348,13 +324,13 @@ class BfCheck:
 
 
 def _pair_sup_bracket(model, words) -> LengthBracket:
-    """Largest class length over S^2, read on each canonical rep: a
-    model's class_length, or else its class_length_bracket with k_max 8.
-    vu = u^-1 (uv) u is conjugate to uv, so each unordered pair {u, v},
-    u = v included, is read once."""
-    read = class_bracket_reader(model, 8)
-    lo, hi = map(max, zip(*(read(ConjClass.of(u * v).rep.letters)
-                            for i, u in enumerate(words) for v in words[i:])))
+    """Largest class length over S^2, read on each canonical rep, every
+    rep in one batch (``_rep_brackets``, k_max 8).  vu = u^-1 (uv) u is
+    conjugate to uv, so each unordered pair {u, v}, u = v included, is
+    read once."""
+    lo, hi = map(max, _rep_brackets(model, [ConjClass.of(u * v).rep.letters
+                                            for i, u in enumerate(words)
+                                            for v in words[i:]], 8))
     return LengthBracket(lo, hi, exact=bool(lo == hi))
 
 

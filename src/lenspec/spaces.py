@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 from ._np import numpy_for
 from .actions import ActionModel, AnosovCertificate, anosov_certificate, exact_div
-from .errors import InputError, NumericError
+from .errors import InputError, NumericError, SearchExhaustedError
 from .words import (ROW_CHUNK, ClassCodes, GeneratingSet, Word, _as_weight, _Column,
                     _distinct, _letters_in_order, _settled_lengths, _unscaled,
                     word_length)
@@ -37,11 +37,6 @@ __all__ = [
 ]
 
 
-def _per_code(value_of_letter, rank: int) -> list:
-    """value_of_letter of the letter of each code (a, A, b, B, ...)."""
-    return list(map(value_of_letter, _letters_in_order(rank)))
-
-
 def _letter_sum(table: dict, letters, rank: int):
     """The sum of table[x] over the letters x; InputError for a letter
     the table lacks, one beyond the rank."""
@@ -51,15 +46,36 @@ def _letter_sum(table: dict, letters, rank: int):
         raise InputError(f"letter {e.args[0]} outside rank {rank}") from None
 
 
-def class_bracket_reader(model, k_max: int):
-    """letters -> (lo, hi) of a canonical class under ``model``: its
-    class_length twice, or else its class_length_bracket with ``k_max``."""
-    if hasattr(model, "class_length"):
-        return lambda letters: (model.class_length(letters),) * 2
-    if hasattr(model, "class_length_bracket"):
-        return lambda letters: model.class_length_bracket(letters, k_max)
-    raise InputError(f"{type(model).__name__} has neither class_length "
-                     "nor class_length_bracket")
+def _rep_brackets(model, reps: list, k_max: int, read=None) -> tuple:
+    """(lo, hi): lists of the ends of ``reps`` (letter tuples), in order,
+    from one ``ClassCodes.of`` batch read by ``read`` (a model's own
+    class_brackets) or ``class_lengths``; the empty rep's are ``_zero``."""
+    zero = getattr(model, "_zero", 0)
+    lo, hi = [zero] * len(reps), [zero] * len(reps)
+    nonempty = [j for j, r in enumerate(reps) if r]
+    codes, where = ClassCodes.of(model.rank, [reps[j] for j in nonempty])
+    lengths = read(codes, k_max) if read else class_lengths(model, codes, k_max)
+    for j, i in zip(nonempty, where.tolist()):
+        lo[j], hi[j] = lengths.lo[i], lengths.hi[i]
+    return lo, hi
+
+
+def _displacements(model, words: list, or_upper: bool = False) -> list:
+    """The displacement of each of ``words`` (reduced letter tuples) by the
+    model's own method; a non-standard WordMetricModel itself (a subclass
+    may override displacement) caps its searches by one ``cost_uppers``
+    batch, and with ``or_upper`` an exhausted search gives its cap."""
+    own = type(model) is WordMetricModel and not model._standard
+    uppers = model.cost_uppers(words) if own else [None] * len(words)
+    out = []
+    for g, upper in zip(map(Word._unchecked, words), uppers):
+        try:
+            out.append(model.displacement(g, upper) if own else model.displacement(g))
+        except SearchExhaustedError:
+            if not or_upper:
+                raise
+            out.append(model.cost_upper(g) if upper is None else upper)
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,6 +158,7 @@ class TreeModel(ActionModel):
         self._scaled = {x: int(self.weights[abs(x) - 1] * self._den)
                         for x in _letters_in_order(rank)}
         self.cobound_D = exact_div(max(self.weights), 2)
+        self._zero = _unscaled(0, self._den)   # the length of the identity's class
 
     def weight_of(self, letter: int):
         return _unscaled(_letter_sum(self._scaled, (letter,), self.rank), self._den)
@@ -150,7 +167,7 @@ class TreeModel(ActionModel):
         return _unscaled(_letter_sum(self._scaled, g.letters, self.rank), self._den)
 
     def class_length(self, letters):
-        return _unscaled(_letter_sum(self._scaled, letters, self.rank), self._den)
+        return _rep_brackets(self, [letters], 1, self.class_brackets)[0][0]
 
     def scaled_sums(self, codes: np.ndarray) -> np.ndarray:
         """The scaled weight sum, ``_den`` times the length, of every row
@@ -215,28 +232,6 @@ class TreeModel(ActionModel):
 # ---------------------------------------------------------- word metrics
 
 
-def _spell_cost(letters: tuple, table: dict, max_piece: int):
-    """Cheapest way to write `letters` as a no-cancellation concatenation of
-    table entries; None if impossible.  Standard segment DP."""
-    n = len(letters)
-    inf = None
-    dp = [None] * (n + 1)
-    dp[0] = 0
-    for i in range(1, n + 1):
-        best = inf
-        for j in range(max(0, i - max_piece), i):
-            if dp[j] is None:
-                continue
-            w = table.get(letters[j:i])
-            if w is None:
-                continue
-            cand = dp[j] + w
-            if best is None or cand < best:
-                best = cand
-        dp[i] = best
-    return dp[n]
-
-
 class WordMetricModel(ActionModel):
     """Word metric of a finite weighted generating set S on the free group.
 
@@ -273,6 +268,8 @@ class WordMetricModel(ActionModel):
             elif k:
                 self._table[k] = w
         self._max_piece = max(len(e) for e in gens.elements)
+        # the unit of a search length: every cost times it is an int
+        self._den = gens._den
         # unit-tree comparison constant: |g|_S >= |g|_tree / C_cmp
         self._c_cmp = max(exact_div(len(e), w) for e, w in gens if len(e) > 0)
         if self._standard:
@@ -280,9 +277,7 @@ class WordMetricModel(ActionModel):
                 self.rank, [gens.weight_of(i) for i in range(1, self.rank + 1)]
             )
             self.cobound_D = self._tree.cobound_D
-            self._letter_cost = {
-                x: gens.weight_of(x) for x in _letters_in_order(self.rank)
-            }
+            self._letter_cost = {x: gens.weight_of(x) for x in _letters_in_order(self.rank)}
         else:
             # each letter's cost is its distance in the metric, from one
             # search that stops once every letter is settled
@@ -297,75 +292,76 @@ class WordMetricModel(ActionModel):
                                  f"letter {missing} not reached within cost "
                                  f"{self.radius_cap}")
             self._letter_cost = {x: cost[(x,)] for x in letters}
+            # the DP's tables, costs scaled by _den: _pieces[l-1] holds the
+            # sorted keys (codes in base 2 rank, in int64 where all fit) and
+            # the weights of the length-l pieces, _letter_costs each code's
+            b = 2 * self.rank
+            code = {x: c for c, x in enumerate(letters)}
+            keyed = sorted((len(k), sum(code[x] * b ** j for j, x in enumerate(k[::-1])),
+                            int(w * self._den)) for k, w in self._table.items())
+            self._pieces = [
+                (np.array([k for n, k, _ in keyed if n == l],
+                          np.int64 if b ** self._max_piece < 2 ** 62 else object),
+                 np.array([w for n, _, w in keyed if n == l], object))
+                for l in range(1, self._max_piece + 1)]
+            self._letter_costs = np.array(
+                [int(self._letter_cost[x] * self._den) for x in letters], object)
+            self._top_cost = int(max(*self._table.values(), *self._letter_cost.values())
+                                 * self._den)
+        self._zero = self._tree._zero if self._standard else 0   # the identity's class
 
-    def displacement(self, g: Word):
+    def displacement(self, g: Word, upper=None):
+        """|g|_S by a search that stops at ``upper`` (g's cost_upper if None)."""
         if self._standard:
             return self._tree.displacement(g)
         # no search past a spelling of g
-        return word_length(g, self.gens,
-                           radius_cap=min(self.radius_cap, self.cost_upper(g)))
+        upper = self.cost_upper(g) if upper is None else upper
+        return word_length(g, self.gens, radius_cap=min(self.radius_cap, upper))
 
     def cost_upper(self, g: Word):
-        """Certified upper bound for |g|_S (no-cancellation spelling)."""
-        per_letter = _letter_sum(self._letter_cost, g.letters, self.rank)
-        spelt = _spell_cost(g.letters, self._table, self._max_piece)
-        return per_letter if spelt is None else min(spelt, per_letter)
+        """Certified upper bound for |g|_S (``cost_uppers`` of g alone)."""
+        return self.cost_uppers([g.letters])[0]
+
+    def cost_uppers(self, words: list) -> list:
+        """cost_upper of each of ``words`` (reduced letter tuples), typed as
+        a search length: the hi of one bulk batch at k = 1 (no word wraps)."""
+        hi = _rep_brackets(self, words, 1, self.class_brackets)[1]
+        return [_unscaled(int(h * self._den), self._den) for h in hi]
 
     def class_length_bracket(self, letters, k_max: int = 2):
-        """(lo, hi) for the stable length of an already-canonical class."""
-        if self._standard:
-            v = self._tree.class_length(letters)
-            return v, v
-        if not letters:
-            return 0, 0
-        lo = exact_div(len(letters), self._c_cmp)
-        hi = min(exact_div(self.cost_upper(Word(letters * k)), k)
-                 for k in range(1, k_max + 1))
-        return min(lo, hi), hi
+        (lo,), (hi,) = _rep_brackets(self, [letters], k_max, self.class_brackets)
+        return lo, hi
 
     def class_brackets(self, codes: ClassCodes, k_max: int):
-        """The class_length_bracket of every class of ``codes``.
-
-        A standard set is its tree's class_brackets.  Otherwise the
-        spelling cost of u^k for k <= k_max is a min-plus DP over the
-        columns of a length block, for all its rows at once, capped by the
-        sum of the letter costs as cost_upper caps it, in ints scaled by
-        the lcm of the denominators.  None when a scaled cost could pass
-        int64: the caller then evaluates class by class.
-        """
+        """The class_length_bracket of every class of ``codes``: a standard
+        set's is its tree's.  Otherwise the spelling costs of u^k, k <=
+        k_max, come from a min-plus DP over the columns of a row chunk
+        (``_spelling_costs``), in int64 where no cost can pass 2**60, else
+        in Python ints; hi is the least cost over k divided by k, lo that
+        and cyclen(u) / C_cmp, two Fractions per distinct row of costs."""
         if self._standard:
             return self._tree.class_brackets(codes, k_max)
-        weights = [*self._table.values(), *self._letter_cost.values()]
-        den = math.lcm(*(Fraction(w).denominator for w in weights))
-        b = 2 * self.rank
-        top = max(weights) * den * k_max * max(codes.radius, 1)
-        if not (k_max >= 1 and top < 2 ** 60 and b ** self._max_piece < 2 ** 62):
-            return None
-
-        def scale(w):
-            return int(w * den)
-
-        code = {x: c for c, x in enumerate(_letters_in_order(self.rank))}
-        pieces = []   # pieces[l-1]: sorted keys and weights of length-l entries
-        for l in range(1, self._max_piece + 1):
-            keyed = sorted((sum(code[x] * b ** (l - 1 - j) for j, x in enumerate(k)),
-                            scale(w)) for k, w in self._table.items() if len(k) == l)
-            pieces.append((np.array([k for k, _ in keyed], dtype=np.int64),
-                           np.array([w for _, w in keyed], dtype=np.int64)))
-        letter_cost = np.array(_per_code(lambda x: scale(self._letter_cost[x]),
-                                         self.rank), dtype=np.int64)
+        if k_max < 1:
+            raise InputError(f"k_max must be >= 1, got {k_max}")
+        top = self._top_cost * k_max * max(codes.radius, 1)
+        cost_type = np.int64 if top < 2 ** 60 else object
+        pieces = [(keys, weights.astype(cost_type)) for keys, weights in self._pieces]
+        letter_costs = self._letter_costs.astype(cost_type)
+        # a prefix no pieces spell costs more than any spelling, and in
+        # int64 twice that still fits
+        none = max(top + 1, 2 ** 61)
         lo, hi, lo_f, hi_f = [], [], [], []
         for rows in codes.row_chunks():
-            costs = _spelling_costs(rows, k_max, pieces, letter_cost, b)
+            costs = np.stack(_spelling_costs(rows, k_max, pieces, letter_costs,
+                                             2 * self.rank, none), axis=1)
+            # the distinct rows of costs, by their tuples (np.unique rejects
+            # the object arrays of Python ints)
+            first = {}
+            inv = [first.setdefault(row, len(first)) for row in map(tuple, costs.tolist())]
             lo_n = exact_div(rows.shape[1], self._c_cmp)
-            # every bracket is a Fraction, one per distinct cost row
-            uniq, inv = np.unique(np.stack(costs, axis=1), axis=0,
-                                  return_inverse=True)
-            brackets = []
-            for row in uniq.tolist():
-                best = min(Fraction(cost, den * k) for k, cost in enumerate(row, 1))
-                brackets.append((min(lo_n, best), best))
-            inv = inv.ravel().tolist()
+            best = (min(Fraction(c, self._den * k) for k, c in enumerate(row, 1))
+                    for row in first)
+            brackets = [(min(lo_n, b), b) for b in best]
             lo += [brackets[i][0] for i in inv]
             hi += [brackets[i][1] for i in inv]
             lo_f.append(np.array([float(p[0]) for p in brackets])[inv])
@@ -376,36 +372,33 @@ class WordMetricModel(ActionModel):
         return math.ceil(length_bound * self._c_cmp)
 
 
-# the cost of a prefix no table pieces spell: above every scaled cost
-# (< 2**60), and twice it still fits an int64
-_NO_SPELLING = 2 ** 61
-
-
-def _spelling_costs(rows, k_max, pieces, letter_cost, base) -> list:
-    """cost_upper of u^k, k = 1..k_max, for every row u of a code block.
-
-    dp[i] is _spell_cost's: the cheapest spelling of the first i letters
-    of u^k_max by table pieces, _NO_SPELLING where there is none; a piece is
-    keyed by its codes in base ``base``.  The spelling of u^k is dp[k*n],
-    capped by the letter-cost sum of its k*n letters, added in order.
-    """
+def _spelling_costs(rows, k_max, pieces, letter_cost, base, none) -> list:
+    """The scaled spelling cost of u^k, k = 1..k_max, for every row u of a
+    code block: dp[i] is the cheapest spelling of the first i letters of
+    u^k_max as a no-cancellation concatenation of table pieces, ``none``
+    (above every cost) where there is none, each piece keyed by its codes
+    in base ``base``; that of u^k is dp[k*n], capped by the sum of the
+    costs of its k*n letters.  Costs are in the dtype of ``letter_cost``,
+    keys in that of the pieces' keys."""
     n = rows.shape[1]
-    zero = np.zeros(len(rows), dtype=np.int64)
+    key_type = pieces[0][0].dtype
+    zero = np.zeros(len(rows), dtype=letter_cost.dtype)
     dp = [zero]          # dp[-l] is dp[i - l] at step i
     per_letter = zero
     keys = []            # keys[l-1]: the piece of length l ending at i
     out = []
     for i in range(1, k_max * n + 1):
-        x = rows[:, (i - 1) % n].astype(np.int64)
+        c = rows[:, (i - 1) % n]
+        x = c.astype(key_type)
         keys = [x] + [key * base + x for key in keys[:len(pieces) - 1]]
-        best = np.full(len(rows), _NO_SPELLING, dtype=np.int64)
+        best = np.full(len(rows), none, dtype=letter_cost.dtype)
         for (tk, tw), key, prev in zip(pieces, keys, reversed(dp)):
             if tk.size:
                 at = np.minimum(np.searchsorted(tk, key), tk.size - 1)
-                hit = np.where(tk[at] == key, tw[at], _NO_SPELLING)
+                hit = np.where(tk[at] == key, tw[at], none)
                 best = np.minimum(best, prev + hit)
         dp = (dp + [best])[-len(pieces):]
-        per_letter = per_letter + letter_cost[x]
+        per_letter = per_letter + letter_cost[c]
         if i % n == 0:
             out.append(np.minimum(best, per_letter))
     return out
@@ -449,11 +442,15 @@ def _joined(parts) -> np.ndarray:
 
 
 def _lambda1(tr: complex, det: complex) -> float:
-    """Spectral radius of a 2x2 matrix from its trace and determinant."""
-    if not (math.isfinite(_modulus(tr)) and math.isfinite(_modulus(det))):
-        raise NumericError("matrix overflow in class length evaluation")
-    q = cmath.sqrt(tr * tr - 4.0 * det)
-    return max(_modulus(tr + q), _modulus(tr - q)) / 2.0
+    """Spectral radius of a 2x2 matrix from its trace and determinant;
+    NumericError where a value or its modulus passes the float range."""
+    try:
+        if math.isfinite(_modulus(tr)) and math.isfinite(_modulus(det)):
+            q = cmath.sqrt(tr * tr - 4.0 * det)
+            return max(_modulus(tr + q), _modulus(tr - q)) / 2.0
+    except OverflowError:   # the modulus of a finite complex past the float range
+        pass
+    raise NumericError("matrix overflow in class length evaluation")
 
 
 def _cmul(a, b) -> tuple:
@@ -521,7 +518,8 @@ def _entries(batch: np.ndarray) -> list:
 
 def _lambda1_entries(a, b, c, d) -> np.ndarray:
     """_lambda1_rows of 2x2 matrices given by their entries' parts, the
-    trace and determinant formed as class_lambda1 forms them."""
+    trace a + d and the determinant a d - b c formed in the operations of
+    Python's complex arithmetic."""
     return _lambda1_rows(tuple(map(np.add, a, d)),
                          tuple(map(np.subtract, _cmul(a, d), _cmul(b, c))))
 
@@ -559,8 +557,10 @@ class MatrixActionModel(ActionModel):
     A subclass gives ``_normalize``, ``_matrix_displacement`` and the two
     constants of its one length rule: the class length of a spectral
     radius lambda1 is 0.0 up to ``_length_floor``, else ``_length_scale``
-    times log lambda1 (``_length``, and ``class_brackets`` over a table).
+    times log lambda1 (``class_brackets``).
     """
+
+    _zero = 0.0   # the length of the identity's class, whose lambda1 is 1
 
     def _init_matrices(self, mats: Sequence[np.ndarray], dtype) -> None:
         self._gen: dict[int, np.ndarray] = {}
@@ -568,19 +568,27 @@ class MatrixActionModel(ActionModel):
         for i, m in enumerate(mats, start=1):
             a = np.asarray(m, dtype=dtype)
             if a.shape != (self.dim, self.dim):
-                raise InputError(
-                    f"generator {i}: expected {self.dim}x{self.dim}, got {a.shape}"
-                )
-            det = complex(np.linalg.det(a))
-            if abs(det) < 1e-12:
+                raise InputError(f"generator {i}: expected {self.dim}x{self.dim}, "
+                                 f"got {a.shape}")
+            if not np.isfinite(a).all():
+                raise InputError(f"generator {i} has a non-finite entry")
+            with np.errstate(all="ignore"):
+                det = complex(np.linalg.det(a))
+            try:
+                size = _modulus(det)
+            except OverflowError:   # a finite complex whose modulus passes the float range
+                size = math.inf
+            if not math.isfinite(size):
+                raise InputError(f"generator {i}: determinant past the float range")
+            if size < 1e-12:
                 raise InputError(f"generator {i} is singular")
             a = self._normalize(a, det)
             self._gen[i] = a
-            self._gen[-i] = np.linalg.inv(a)
+            try:
+                self._gen[-i] = np.linalg.inv(a)
+            except np.linalg.LinAlgError:
+                raise InputError(f"generator {i} is singular") from None
         self.rank = len(mats)
-        # flat complex tuples for class_lambda1's 2x2 products, ~20x faster than numpy
-        self._tgens = {k: tuple(map(complex, m.ravel().tolist()))
-                       for k, m in self._gen.items()}
 
     def generator_matrix(self, letter: int) -> np.ndarray:
         try:
@@ -639,39 +647,31 @@ class MatrixActionModel(ActionModel):
             gaps.append(math.log(s1 / s2))
         return np.array(gaps)
 
-    def class_lambda1(self, letters) -> float:
-        """Spectral radius of the product matrix of a (canonical) word."""
-        if self.dim != 2:
-            return float(np.max(np.abs(np.linalg.eigvals(self.matrix(Word(letters))))))
-        gens = self._tgens
-        a, b, c, d = 1.0 + 0j, 0j, 0j, 1.0 + 0j
-        for x in letters:
-            e, f, g, h = gens[x]
-            a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
-        return _lambda1(a + d, a * d - b * c)
-
     def class_lambda1_column(self, codes: ClassCodes) -> np.ndarray:
-        """class_lambda1 of every class of ``codes`` (2x2 generators).
-
-        The prefix product runs one column at a time over the rows of a
-        row chunk of a length block, on the float64 parts of the entries
-        in the operations of class_lambda1's complex arithmetic (each a
-        separate ufunc call, so no step is fused); real generators keep
-        real parts alone, which are the complex ones up to the sign of a
-        zero, and no modulus reads that sign.
-        The rows are in code order, so the rows that share their codes up
-        to a column are adjacent: a column step keeps one product per run
-        of such rows and multiplies only those by the next generator.
-        Each run's product is the one its rows would reach, by the same
-        operations in the same order from the identity, so every value is
-        class_lambda1's bit for bit, repeated over the rows of its run.
-        Each row chunk's values are written into the one column returned.
-        """
-        # the entries of each generator, by code
-        parts = _entries(np.array(_per_code(self._gen.__getitem__, self.rank)))
+        """The spectral radius lambda1 of the product matrix of every class
+        of ``codes``, read as written, a row chunk of a length block at a
+        time: beyond 2x2 LAPACK's (``_batch_lambda1``) on the stack of the
+        chunk's ``matrix`` products.  For 2x2 generators the prefix product
+        runs a column at a time, on the float64 parts of the entries in the
+        operations of Python's complex matrix product (a ufunc call each,
+        so no step is fused; real generators keep real parts alone, which
+        differ from complex ones only in the sign of a zero, which no
+        modulus reads).  Adjacent rows that share their codes up to a
+        column (as a walk's, in code order, do most) form a run: a step
+        multiplies one product per run, the one each of its rows would
+        reach by the same operations, so every value keeps its bits."""
+        letters = _letters_in_order(self.rank)
+        # the entries of each 2x2 generator, by code
+        parts = (_entries(np.array([self._gen[x] for x in letters]))
+                 if self.dim == 2 else None)
         out, stop = np.empty(len(codes)), 0
-        with np.errstate(all="ignore"):
-            for rows in codes.row_chunks():
+        for rows in codes.row_chunks():
+            start, stop = stop, stop + len(rows)
+            if self.dim != 2:
+                words = map(Word._unchecked, np.take(letters, rows).tolist())
+                out[start:stop] = _batch_lambda1(np.stack(list(map(self.matrix, words))))
+                continue
+            with np.errstate(all="ignore"):
                 # new[i]: row i starts a run, its codes so far differing
                 # from row i - 1's; starts: the first row of each run
                 new = np.zeros(len(rows), bool)
@@ -680,33 +680,29 @@ class MatrixActionModel(ActionModel):
                 a, b, c, d = _entries(np.eye(2, dtype=self._gen[1].dtype)[None])
                 for col in rows.T:
                     new[1:] |= col[1:] != col[:-1]
-                    # each run lies in one run of the last step, its parent
                     prev, starts = starts, np.flatnonzero(new)
-                    parent = np.searchsorted(prev, starts, side="right") - 1
-                    a, b, c, d = (tuple(x[parent] for x in m) for m in (a, b, c, d))
-                    e, f, g, h = (tuple(x[col[starts]] for x in m) for m in parts)
+                    if len(starts) > len(prev):
+                        # each run lies in one run of the last step, its parent
+                        parent = np.searchsorted(prev, starts, side="right") - 1
+                        a, b, c, d = (tuple(x[parent] for x in m) for m in (a, b, c, d))
+                    at = col[starts]
+                    e, f, g, h = (tuple(x[at] for x in m) for m in parts)
                     a, b, c, d = (_cmuladd(a, e, b, g), _cmuladd(a, f, b, h),
                                   _cmuladd(c, e, d, g), _cmuladd(c, f, d, h))
                 lam = _lambda1_entries(a, b, c, d)
-                start, stop = stop, stop + len(rows)
-                out[start:stop] = np.repeat(lam, np.diff(starts, append=len(rows)))
+            out[start:stop] = np.repeat(lam, np.diff(starts, append=len(rows)))
         return out
-
-    def _length(self, lam: float) -> float:
-        return 0.0 if lam <= self._length_floor else self._length_scale * math.log(lam)
 
     def class_brackets(self, codes: ClassCodes, k_max: int):
         """The class_length of every class of ``codes``, a point; ``k_max``
-        is unused.  None beyond 2x2 matrices, which are evaluated class
-        by class.
+        is unused.
 
         One length is built per distinct lambda1 of the whole table (keyed
-        by its bits, ``_distinct``), by _length's rule a ROW_CHUNK slice of
-        keys at a time, and gathered into the float64 column that held the
-        lambda1 values, the lengths' only store.
+        by its bits, ``_distinct``), by the class's rule (see the class
+        docstring) a ROW_CHUNK slice of keys at a time, and gathered into
+        the float64 column that held the lambda1 values, the lengths' only
+        store.
         """
-        if self.dim != 2:
-            return None
         # the lambda1 column becomes the length column in place
         column = self.class_lambda1_column(codes)
         keys, inv = _distinct(column.view(np.int64))
@@ -779,7 +775,7 @@ class MobiusModel(MatrixActionModel):
         return self._matrix_displacement(self.matrix(g))
 
     def class_length(self, letters) -> float:
-        return self._length(self.class_lambda1(letters))
+        return _rep_brackets(self, [letters], 1, self.class_brackets)[0][0]
 
 
 class LinearRepModel(MatrixActionModel):
@@ -828,26 +824,29 @@ class LinearRepModel(MatrixActionModel):
         return self._matrix_displacement(self.matrix(g))
 
     def class_length(self, letters) -> float:
-        return self._length(self.class_lambda1(letters))
+        return _rep_brackets(self, [letters], 1, self.class_brackets)[0][0]
 
 
-# the package's model classes, whose bulk form class_brackets stands for
-# their per-class method; a subclass may override that method
+# the package's model classes, whose bulk form class_brackets is their
+# one length rule; a subclass may override its per-class method
 _BULK_MODELS = (TreeModel, WordMetricModel, MobiusModel, LinearRepModel)
 
 
 def class_lengths(model, codes: ClassCodes, k_max: int) -> ClassLengths:
     """The class_length (a point) or else class_length_bracket of every
-    class of ``codes`` under ``model``.  A model whose type is one of the
-    package's model classes reads a length block at a time through its
-    bulk form ``class_brackets``; any other model, a subclass included,
-    or one whose bulk form declines (None), is read class by class with
-    ``class_bracket_reader``, a point where every hi is its lo."""
+    class of ``codes``: a model of one of the package's model classes
+    reads its bulk form ``class_brackets``; any other, a subclass
+    included, its per-class method class by class, a point where every hi
+    is its lo (InputError if it has neither)."""
     if type(model) in _BULK_MODELS:
-        lengths = model.class_brackets(codes, k_max)
-        if lengths is not None:
-            return lengths
-    pairs = list(map(class_bracket_reader(model, k_max), codes.reps))
+        return model.class_brackets(codes, k_max)
+    if hasattr(model, "class_length"):
+        pairs = [(v, v) for v in map(model.class_length, codes.reps)]
+    elif hasattr(model, "class_length_bracket"):
+        pairs = [model.class_length_bracket(r, k_max) for r in codes.reps]
+    else:
+        raise InputError(f"{type(model).__name__} has neither class_length "
+                         "nor class_length_bracket")
     lo, hi = [p[0] for p in pairs], [p[1] for p in pairs]
     lo_f = np.array(lo, dtype=np.float64)
     if all(a is b for a, b in zip(lo, hi)):

@@ -298,17 +298,42 @@ ROW_CHUNK = 8192
 
 @dataclass(frozen=True, eq=False)
 class ClassCodes:
-    """The canonical class representatives up to a length, as code blocks.
+    """Class representatives up to a length, as code blocks.
 
     ``blocks[n - 1]`` holds the representatives of length n as one
-    (N_n, n) array of integer codes (see ``_letters_in_order``), its rows
-    in letter_key order; every length up to ``radius`` has
-    representatives (a^n), so every block is there.  A block has one
-    width, so per-class arithmetic over it needs no padding.
+    (N_n, n) array of integer codes (see ``_letters_in_order``).  A block
+    has one width, so per-class arithmetic over it needs no padding.  A
+    ``walk`` holds the canonical reps, every block nonempty (a^n has
+    length n) and its rows in letter_key order; a batch ``of`` given reps
+    keeps them as given, so a block may be empty and its rows unsorted.
     """
 
     rank: int
     blocks: tuple
+
+    @classmethod
+    def of(cls, rank: int, reps) -> tuple:
+        """(the classes of ``reps``, the index of each rep's row among
+        them): nonempty letter tuples, cyclically reduced where they are
+        read as classes, in length blocks in their own order, each kept as
+        given, never rotated (a word metric's bracket and a matrix
+        lambda1's bits read the rotation).  InputError for a letter beyond
+        the rank."""
+        code = {x: c for c, x in enumerate(_letters_in_order(rank))}
+        try:
+            rows = [list(map(code.__getitem__, r)) for r in reps]
+        except KeyError as e:
+            raise InputError(f"letter {e.args[0]} outside rank {rank}") from None
+        if not all(rows):
+            raise InputError("a class rep is a nonempty word")
+        order = sorted(range(len(rows)), key=lambda i: len(rows[i]))
+        blocks = [[] for _ in range(max(map(len, rows), default=0))]
+        for i in order:
+            blocks[len(rows[i]) - 1].append(rows[i])
+        code_type = np.min_scalar_type(2 * rank - 1)
+        return (cls(rank, tuple(np.array(b, code_type).reshape(-1, n)
+                                for n, b in enumerate(blocks, 1))),
+                np.argsort(np.array(order, np.intp)))
 
     @classmethod
     def walk(cls, rank: int, radius: int, cap: int = 4_000_000) -> "ClassCodes":
@@ -412,8 +437,8 @@ class ClassCodes:
 
     @cached_property
     def reps(self) -> list:
-        """The representatives as letter tuples, by (length, letter_key
-        order), built from the blocks on first use."""
+        """The representatives as letter tuples, block by block, built
+        from the blocks on first use."""
         letters = np.array(_letters_in_order(self.rank))
         out: list[tuple[int, ...]] = []
         for b in self.blocks:

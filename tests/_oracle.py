@@ -16,12 +16,14 @@ On such trees the module also gives the claims of three checks from these
 lengths alone: the joint bracket of the levels S^n (prop31), the greedy
 cover search (lemma32), and the displacement ball and piece counts of the
 sandwich (lemma25).  ``joint_levels`` is different: it is the walk of the
-``products`` engine over Python sets, reading any word model through its
-own per-word methods, as the reference for the engine's code-row walk.
+``products`` engine over Python sets, reading a word model's displacements
+through its own per-word methods and its class lengths through
+``class_bracket``, as the reference for the engine's code-row walk.
 
 The last part keeps the per-element forms of steps the package takes in
-batches (the gap certificate's walk, the ratio columns, the matrix class
-lengths and the JSR levels), for checks that the batches keep their bits.
+batches (the gap certificate's walk, the ratio columns, the class lengths
+of every model kind and the JSR levels), for checks that the batches keep
+their bits.
 """
 
 import heapq
@@ -123,13 +125,13 @@ def word_metric_lengths(elements, weights, targets, cost_cap,
 
 def joint_levels(model, words, n_max: int, frontier_cap: int):
     """(a, lo_terms) of the products engine from a walk over Python sets:
-    level n is the set of the reduced words of S^n, each read by the
-    model's own per-word methods, as the engine read them before its
-    levels became code arrays.  a[n] is the largest displacement (the
-    certified ``cost_upper`` where a word-metric search gives up),
-    lo_terms[n] the largest class-bracket lo of a cyclic core (k_max 1)
-    over n.  A level of more than ``frontier_cap`` words raises the
-    package's ResourceCapError before it is built."""
+    level n is the set of the reduced words of S^n, each word read alone,
+    as the engine read them before its levels became code arrays.  a[n] is
+    the largest displacement by the model's own method (the certified
+    ``cost_upper`` where a word-metric search gives up), lo_terms[n] the
+    largest ``class_bracket`` lo of a cyclic core (k_max 1) over n.  A
+    level of more than ``frontier_cap`` words raises the package's
+    ResourceCapError before it is built."""
     from lenspec.actions import exact_div
     from lenspec.errors import ResourceCapError, SearchExhaustedError
     from lenspec.words import Word
@@ -141,9 +143,7 @@ def joint_levels(model, words, n_max: int, frontier_cap: int):
             return model.cost_upper(Word(w))
 
     def lo(letters):
-        if hasattr(model, "class_length"):
-            return model.class_length(letters)
-        return model.class_length_bracket(letters, 1)[0]
+        return class_bracket(model, letters, 1)[0]
 
     s_list = [w.letters for w in words]
     frontier = set(s_list)
@@ -357,3 +357,77 @@ def stacked_levels(mats, n_max: int):
         batch = batch / c
         log_scale += math.log(c)
         yield n, batch, log_scale
+
+
+def class_lambda1(model, letters) -> float:
+    """The spectral radius of the product matrix of a rep under a matrix
+    model, one class alone: for 2x2 generators the product of Python
+    complex matrices from the identity, one letter at a time, and
+    ``_lambda1`` of its trace and determinant; beyond 2x2 LAPACK's
+    largest |eigenvalue| of ``model.matrix``."""
+    import numpy as np
+    from lenspec.spaces import _lambda1
+    from lenspec.words import Word
+
+    if model.dim != 2:
+        return float(np.max(np.abs(np.linalg.eigvals(model.matrix(Word(letters))))))
+    gens = {x: tuple(map(complex, model.generator_matrix(x).ravel().tolist()))
+            for x in set(letters)}
+    a, b, c, d = 1.0 + 0j, 0j, 0j, 1.0 + 0j
+    for x in letters:
+        e, f, g, h = gens[x]
+        a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+    return _lambda1(a + d, a * d - b * c)
+
+
+def spell_cost(letters: tuple, table: dict, max_piece: int):
+    """The cheapest way to write ``letters`` as a no-cancellation
+    concatenation of table entries (word -> weight); None if there is
+    none.  The segment DP over the prefixes."""
+    dp = [0] + [None] * len(letters)
+    for i in range(1, len(letters) + 1):
+        for j in range(max(0, i - max_piece), i):
+            w = table.get(letters[j:i])
+            if dp[j] is not None and w is not None:
+                if dp[i] is None or dp[j] + w < dp[i]:
+                    dp[i] = dp[j] + w
+    return dp[-1]
+
+
+def word_metric_bracket(model, letters: tuple, k_max: int) -> tuple:
+    """(lo, hi) of the class of a cyclically reduced rep u under a
+    non-standard word metric, one class alone: hi the least over
+    k <= k_max of the cost of u^k over k, the cost the cheaper of its
+    ``spell_cost`` and its letter-cost sum; lo the least of hi and
+    |u| / C_cmp; (0, 0) for the empty rep."""
+    if not letters:
+        return 0, 0
+    hi = None
+    for k in range(1, k_max + 1):
+        word = letters * k
+        cost = sum(Fraction(model._letter_cost[x]) for x in word)
+        spelt = spell_cost(word, model._table, model._max_piece)
+        if spelt is not None:
+            cost = min(cost, Fraction(spelt))
+        if hi is None or cost / k < hi:
+            hi = cost / k
+    return min(Fraction(len(letters)) / Fraction(model._c_cmp), hi), hi
+
+
+def class_bracket(model, letters: tuple, k_max: int = 2) -> tuple:
+    """(lo, hi) of the class of a rep under one of the package's models,
+    one class alone and apart from its bulk form: a tree's (and a
+    standard word metric's) ``class_length`` twice, a non-standard word
+    metric's ``word_metric_bracket``, a matrix model's ``matrix_length``
+    of its ``class_lambda1`` twice."""
+    from lenspec.spaces import MatrixActionModel, TreeModel
+
+    if isinstance(model, MatrixActionModel):
+        v = matrix_length(model, class_lambda1(model, letters))
+    elif isinstance(model, TreeModel):
+        v = class_length(model.weights, letters)
+    elif model._standard:
+        v = class_length(model._tree.weights, letters)
+    else:
+        return word_metric_bracket(model, letters, k_max)
+    return v, v

@@ -1,12 +1,13 @@
 """Class tables from integer-coded classes: bulk lengths, names, prefixes.
 
 Every model kind evaluates its class lengths a length block at a time
-through its one bulk form, ``class_brackets``, which returns them as a
-``ClassLengths`` (``class_lengths`` reads any other model class by
-class).  The bulk values must be
-the per-class methods' values class by class, number types included
-(``_canon`` of the window oracle), and their float64 columns the
-correctly rounded floats of those values.
+through its one length rule, the bulk form ``class_brackets``, which
+returns them as a ``ClassLengths`` (``class_lengths`` reads any other
+model class by class); its per-class methods read that rule on one class.
+The bulk values must be the values of each class read alone
+(``_oracle.class_bracket``), number types included (``_canon`` of the
+window oracle), and their float64 columns the correctly rounded floats of
+those values.
 """
 
 import math
@@ -15,7 +16,6 @@ import tracemalloc
 import warnings
 from fractions import Fraction
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -51,18 +51,16 @@ RADIUS = 6
 SCEN_DIR = Path(__file__).resolve().parents[1] / "src" / "lenspec" / "scenarios"
 
 
-def _per_class(model, codes, k_max=2):
-    if hasattr(model, "class_length"):
-        vals = [model.class_length(r) for r in codes.reps]
-        return vals, vals
-    pairs = [model.class_length_bracket(r, k_max) for r in codes.reps]
+def _per_class(model, reps, k_max=2):
+    """(lo, hi) of each rep read alone, by the oracle's per-class forms."""
+    pairs = [_oracle.class_bracket(model, r, k_max) for r in reps]
     return [p[0] for p in pairs], [p[1] for p in pairs]
 
 
 def _assert_bulk_is_per_class(model, rank=2, radius=RADIUS):
     codes = ClassCodes.walk(rank, radius)
     got = class_lengths(model, codes, 2)
-    want_lo, want_hi = _per_class(model, codes)
+    want_lo, want_hi = _per_class(model, codes.reps)
     assert _canon(got.lo) == _canon(want_lo)
     assert _canon(got.hi) == _canon(want_hi)
     assert got.lo_f.tolist() == [float(v) for v in want_lo]
@@ -90,7 +88,6 @@ def _assert_bulk_is_per_class(model, rank=2, radius=RADIUS):
 ], ids=str)
 def test_tree_bulk_lengths_are_class_length(weights, small_ints):
     model = TreeModel(len(weights), weights)
-    assert model.class_brackets(ClassCodes.walk(model.rank, 1), 2) is not None
     vals, _ = _assert_bulk_is_per_class(model, model.rank,
                                         RADIUS if model.rank == 2 else 4)
     assert all(type(v) is int and v < 2 ** 53 for v in vals) == small_ints
@@ -151,21 +148,18 @@ def test_uniform_tree_blocks_are_the_gathered_sums(rank, radius, w):
 ], ids=["shortcut", "asymmetric-fraction", "float", "mixed", "standard",
         "standard-fraction", "cancelling", "no-piece"])
 def test_word_metric_bulk_brackets_are_class_length_bracket(model):
-    assert model.class_brackets(ClassCodes.walk(2, 1), 2) is not None
     lo, hi = _assert_bulk_is_per_class(model)
     assert any(a != b for a, b in zip(lo, hi)) or model._standard
 
 
-# past int64 the bulk form declines and the table reads class by class: a
-# 31-letter piece keys in base 4 at 4**31 = 2**62, and a weight of 2**60
-# passes the scaled-cost bound
+# past int64 the DP runs in Python ints: a 31-letter piece keys in base 4
+# at 4**31 = 2**62, and a weight of 2**60 passes the scaled-cost bound
 @pytest.mark.parametrize("elements,weights", [
     (["a", "A", "b", "B", "a" * 31], None),
     (["a", "A", "b", "B", "ab"], [1, 1, 1, 1, 2 ** 60]),
 ], ids=["long-piece", "heavy-weight"])
-def test_word_metric_bulk_declines_past_int64(elements, weights):
+def test_word_metric_bulk_is_the_oracle_past_int64(elements, weights):
     model = WordMetricModel(GeneratingSet(2, elements, weights))
-    assert model.class_brackets(ClassCodes.walk(2, 1), 2) is None
     _assert_bulk_is_per_class(model, radius=3)
 
 
@@ -192,11 +186,13 @@ def test_matrix_bulk_lengths_are_class_length_bit_for_bit(model):
                          ids=["schottky-mobius", "schottky-linear",
                               "elliptic-mobius", "linear", "complex-mobius"])
 def test_matrix_class_length_is_the_rule_of_its_kind(model):
-    # the one floor-and-scale rule against each kind's own per-class rule
-    # (_oracle.matrix_length), to the bit
+    # the per-class method, the bulk form on one class, against each
+    # kind's own rule (_oracle.matrix_length) on the lambda1 of the
+    # product of Python complex matrices, to the bit
     for rep in ClassCodes.walk(2, RADIUS).reps:
-        want = _oracle.matrix_length(model, model.class_lambda1(rep))
+        want = _oracle.matrix_length(model, _oracle.class_lambda1(model, rep))
         assert model.class_length(rep).hex() == want.hex()
+    assert model.class_length(()) == 0.0
 
 
 def _random_2x2_model(kind: int, seed: int):
@@ -223,7 +219,7 @@ def test_bulk_matrix_lengths_are_the_per_class_rule(kind, seed):
     model = _random_2x2_model(kind, seed)
     codes = ClassCodes.walk(2, 5)
     got = model.class_brackets(codes, 2)
-    lam = [model.class_lambda1(r) for r in codes.reps]
+    lam = [_oracle.class_lambda1(model, r) for r in codes.reps]
     want = np.array([_oracle.matrix_length(model, x) for x in lam])
     assert got.lo is got.hi and got.kinds == {float}
     assert np.array_equal(got.lo_f.view(np.int64), want.view(np.int64))
@@ -262,7 +258,7 @@ def test_lambda1_column_is_class_lambda1_bit_for_bit(model, rank, radius):
     codes = ClassCodes.walk(rank, radius)
     assert len(codes.blocks[-1]) > ROW_CHUNK
     got = model.class_lambda1_column(codes)
-    want = np.array([model.class_lambda1(r) for r in codes.reps])
+    want = np.array([_oracle.class_lambda1(model, r) for r in codes.reps])
     # the bits, not ==, which holds for 0.0 against -0.0
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
@@ -331,6 +327,12 @@ def test_batch_sigma1_is_sv_pair_bit_for_bit(dtype):
         assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
 
 
+def test_lambda1_overflow_is_a_numeric_error():
+    # a finite trace whose modulus passes the float range: abs() overflows
+    with pytest.raises(NumericError, match="overflow"):
+        _lambda1(complex(1.3e308, 1.3e308), 0j)
+
+
 def test_sv_pair_overflow_is_a_numeric_error():
     # finite parts whose modulus passes the float range: abs() overflows
     big = np.array([[1.3e308 + 1.3e308j, 0.0], [0.0, 1.0]])
@@ -341,12 +343,43 @@ def test_sv_pair_overflow_is_a_numeric_error():
         model.singular_gaps(big[None])
 
 
-def test_linear_beyond_2x2_goes_class_by_class():
+def test_linear_beyond_2x2_is_bulk():
     model = LinearRepModel([np.diag([2.0, 1.0, 0.5]),
                             np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0],
                                       [0.0, 0.0, 1.0]])])
-    assert model.class_brackets(ClassCodes.walk(2, 1), 2) is None
-    _assert_bulk_is_per_class(model, radius=3)
+    vals, _ = _assert_bulk_is_per_class(model, radius=3)
+    assert all(type(v) is float for v in vals)
+
+
+def test_3x3_lambda1_column_is_eigvals_bit_for_bit():
+    # a random 3x3 linear model over the radius-6 walk: the bulk lambda1,
+    # one LAPACK call per row chunk, is each class's eigvals of matrix()
+    # alone, to the bit, and its lengths the rule of its kind
+    rng = np.random.default_rng(51)
+    model = LinearRepModel([rng.standard_normal((3, 3)) for _ in range(2)])
+    codes = ClassCodes.walk(2, 6)
+    assert len(codes) == 234
+    got = model.class_lambda1_column(codes)
+    want = np.array([float(np.max(np.abs(np.linalg.eigvals(model.matrix(Word(r))))))
+                     for r in codes.reps])
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    lengths = model.class_brackets(codes, 2)
+    rule = np.array([_oracle.matrix_length(model, x) for x in want.tolist()])
+    assert np.array_equal(lengths.lo_f.view(np.int64), rule.view(np.int64))
+
+
+# each case that once made the bulk form return None: a piece too long for
+# int64 keys, a weight that passes int64 costs, a matrix beyond 2x2
+@pytest.mark.parametrize("model", [
+    WordMetricModel(GeneratingSet(2, ["a", "A", "b", "B", "a" * 31])),
+    WordMetricModel(GeneratingSet(2, ["a", "A", "b", "B", "ab"], [1, 1, 1, 1, 2 ** 60])),
+    LinearRepModel([np.diag([2.0, 1.0, 0.5]), np.eye(3)]),
+], ids=["31-letter-piece", "weight-2**60", "3x3"])
+def test_every_bulk_form_answers(model):
+    for radius in (0, 1, 3):
+        lengths = model.class_brackets(ClassCodes.walk(2, radius), 2)
+        assert isinstance(lengths, ClassLengths)
+        assert len(lengths) == len(lengths.lo) == len(lengths.hi) == len(lengths.lo_f)
 
 
 # the model kinds the scenarios and presets build; a per-class fallback
@@ -365,7 +398,7 @@ def test_linear_beyond_2x2_goes_class_by_class():
 def test_every_built_model_kind_has_a_bulk_form(spec):
     model = build_model(spec, 2)
     assert type(model) in spaces._BULK_MODELS
-    assert model.class_brackets(ClassCodes.walk(2, 3), 2) is not None
+    assert isinstance(model.class_brackets(ClassCodes.walk(2, 3), 2), ClassLengths)
 
 
 def test_overridden_class_length_is_evaluated_class_by_class(monkeypatch):
@@ -373,21 +406,23 @@ def test_overridden_class_length_is_evaluated_class_by_class(monkeypatch):
     real = TreeModel.class_brackets
 
     def counting(self, codes, k_max):
-        bulk.append(self)
+        bulk.append(len(codes))
         return real(self, codes, k_max)
 
     monkeypatch.setattr(TreeModel, "class_brackets", counting)
     listed = _Listed({"b": Fraction(7, 3), "aB": 5})
     # a subclass that keeps the tree's class_length is read class by
-    # class too, with the values of its bulk form
+    # class too, with the values of its bulk form: each class_length reads
+    # the bulk form on its one class
     plain = type("Plain", (TreeModel,), {})(2, [1, 2])
     table = ClassTable(listed, plain, 3)
-    assert bulk == []
+    assert bulk and set(bulk) == {1}
     by_name = dict(zip(table.classes.names(), table.tgt.lo))
     assert by_name["b"] == Fraction(7, 3) and by_name["aB"] == 5
-    assert _canon(table.tgt.lo) == _canon(_per_class(listed, table.classes)[0])
+    assert _canon(table.tgt.lo) == _canon([listed.class_length(r) for r in table.reps])
+    bulk.clear()
     want = class_lengths(TreeModel(2, [1, 2]), table.classes, 2)
-    assert len(bulk) == 1
+    assert bulk == [len(table.classes)]
     got = table.ref
     assert _canon((got.lo, got.hi)) == _canon((want.lo, want.hi))
     assert [got.lo_f.tolist(), got.hi_f.tolist()] == [want.lo_f.tolist(),
@@ -455,7 +490,7 @@ def test_rows_across_a_row_chunk_boundary(model):
     assert (lengths.lo is lengths.hi) == lengths.point
     start, stop = ROW_CHUNK - 5, ROW_CHUNK + 5
     lo, hi = lengths.lo[start:stop], lengths.hi[start:stop]
-    want = _per_class(model, SimpleNamespace(reps=codes.reps[start:stop]))
+    want = _per_class(model, codes.reps[start:stop])
     assert _canon([lo, hi]) == _canon(list(want))
 
 
@@ -468,12 +503,12 @@ def test_a_class_length_subclass_reads_as_a_point():
                                                       codes, 2).lo)
 
 
-# a non-standard word metric keeps two ends, in bulk and class by class
-# (a 31-letter piece makes the bulk form decline)
+# a non-standard word metric keeps two ends, in int64 and in Python ints
+# (a 31-letter piece keys past int64)
 @pytest.mark.parametrize("model", [
     _SHORTCUT,
     WordMetricModel(GeneratingSet(2, ["a", "A", "b", "B", "a" * 31])),
-], ids=["bulk", "class-by-class"])
+], ids=["bulk", "python-ints"])
 def test_a_word_metric_bracket_keeps_distinct_ends(model):
     lengths = class_lengths(model, ClassCodes.walk(2, 3), 2)
     assert not lengths.point and lengths.lo_f is not lengths.hi_f
@@ -504,11 +539,12 @@ _COLUMN_MODELS = st.one_of(
 def test_column_sides_read_back_the_per_class_lengths(model, radius, data):
     # an int-weight tree and a 2x2 Mobius or linear model keep their
     # lengths in the float column alone; every read of it (an index, a
-    # slice, iteration, a prefix through over()) gives the class_length of
-    # its class, the same Python value of the same type, never a numpy one
+    # slice, iteration, a prefix through over()) gives the length of its
+    # class read alone, the same Python value of the same type, never a
+    # numpy one
     codes = ClassCodes.walk(2, radius)
     got = class_lengths(model, codes, 2)
-    want = [model.class_length(r) for r in codes.reps]
+    want = _per_class(model, codes.reps)[0]
     assert isinstance(got.lo, words._Column) and got.lo.floats is got.lo_f
     assert _point(got) and len(got.lo) == len(want)
     assert _typed_reprs(got.lo) == _typed_reprs(want)
@@ -803,7 +839,7 @@ def test_matrix_lengths_are_built_once_per_distinct_lambda1(monkeypatch):
     lengths = model.class_brackets(codes, 2)
     monkeypatch.undo()
     assert len(calls) == len(np.unique(bits))
-    assert list(lengths.lo) == list(map(model._length, lam.tolist()))
+    assert list(lengths.lo) == [_oracle.matrix_length(model, x) for x in lam.tolist()]
     assert np.array_equal(lengths.lo_f, np.array(lengths.lo))
 
 

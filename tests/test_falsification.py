@@ -9,7 +9,8 @@ bracket [lo, hi] must satisfy l[w] / n <= hi for every product of n <= 5
 factors, and lo <= a_m / m for every m <= 5.  Trees are tested on both
 engines, word metrics on ``products``.
 
-A non-standard word metric only brackets l[w], so the lo of that bracket
+A non-standard word metric only brackets l[w], so the lo of that bracket,
+read class by class apart from the package (``_oracle.class_bracket``),
 stands in for l[w].  Its displacement is a cheapest-first search whose
 ball grows exponentially with the cost, so there the certified spelling
 cost ``cost_upper`` stands in for it in a_m, which only weakens the check,
@@ -104,8 +105,7 @@ from lenspec.bounds import (ClassTable, VerifierConfig,
                             ratio_envelope_report, word_metric_dilation_report)
 from lenspec.cli import _ensemble_pairs
 from lenspec.jsl import joint_stable_profile, jsr_profile
-from lenspec.spaces import (TreeModel, WordMetricModel, build_schottky,
-                            class_bracket_reader)
+from lenspec.spaces import TreeModel, WordMetricModel, build_schottky
 from lenspec.words import (ConjClass, GeneratingSet, Word, _concat_reduced,
                            _settled_lengths, cyclic_reduce, enumerate_ball)
 
@@ -171,12 +171,12 @@ def _levels(s, n_max):
 def test_joint_brackets_hold_every_product_and_level(case):
     model, s, engine, n_max = case
     bracket = joint_stable_profile(model, s, n_max, engine=engine).bracket
-    read = class_bracket_reader(model, 2)
     searched = isinstance(model, WordMetricModel) and not model._standard
     displacement = model.cost_upper if searched else model.displacement
     for n, level in _levels(s, _LEVELS):
         for w in level:
-            lo_w = read(ConjClass.of(Word._unchecked(w)).rep.letters)[0]
+            rep = ConjClass.of(Word._unchecked(w)).rep.letters
+            lo_w = _oracle.class_bracket(model, rep, 2)[0]
             assert exact_div(lo_w, n) <= bracket.hi, (w, n, bracket)
         a_n = max(displacement(Word._unchecked(w)) for w in level)
         assert bracket.lo <= exact_div(a_n, n), (n, a_n, bracket)

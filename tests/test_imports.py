@@ -12,7 +12,9 @@ listed in ``PRIVATE_IMPORTS``.  A module-level private definition
 (function, class or constant) must be read somewhere in the package.  Only
 the verdict rule (``VERDICT_OWNERS``) may give a verdict of "violated",
 and no comparison adds a tolerance to, or takes it from, a side: a value
-meets a tolerance as the verdict rule does, the difference first.
+meets a tolerance as the verdict rule does, the difference first.  A
+class length has one route per model family, its bulk form: only the
+per-class fallback of ``class_lengths`` reads a per-class method.
 """
 
 import ast
@@ -73,11 +75,17 @@ def test_the_scan_sees_an_unused_import():
 # import from another besides those of words.  The JSR levels read sigma_1
 # and lambda_1 through the 2x2 closed forms the class lengths and the gap
 # certificate use, so that one formula owns each quantity.  The bounds
-# read exact values by the one type test that brackets use.
+# read exact values by the one type test that brackets use.  The pair
+# maximum, the products levels and the cover search read the classes of
+# reps that may hold the identity's through the one batch reader.
 PRIVATE_IMPORTS = {
     ("bounds", "actions", "_EXACT"),
+    ("bounds", "spaces", "_displacements"),
+    ("bounds", "spaces", "_rep_brackets"),
     ("jsl", "spaces", "_batch_lambda1"),
     ("jsl", "spaces", "_batch_svals"),
+    ("jsl", "spaces", "_displacements"),
+    ("jsl", "spaces", "_rep_brackets"),
 }
 
 
@@ -131,8 +139,11 @@ def test_every_private_import_exception_is_used():
 
 
 def test_the_scan_sees_a_stale_exception():
-    trees = {"bounds": ast.parse("from .actions import _EXACT\n"),
-             "jsl": ast.parse("def f():\n    from .spaces import _batch_svals\n"),
+    trees = {"bounds": ast.parse("from .actions import _EXACT\n"
+                                 "from .spaces import _displacements, _rep_brackets\n"),
+             "jsl": ast.parse("def f():\n"
+                              "    from .spaces import _batch_svals, _rep_brackets\n"
+                              "    from .spaces import _displacements\n"),
              "cli": ast.parse("from .spaces import _batch_lambda1\n")}
     assert _stale_exceptions(trees) == [("jsl", "spaces", "_batch_lambda1")]
 
@@ -318,3 +329,53 @@ def test_the_scan_sees_a_reexport():
     tree = ast.parse("from .actions import HOLDS, exact_div\nimport math\n"
                      "__all__ = ['HOLDS', 'math', 'f']\ndef f():\n    pass\n")
     assert _reexports(tree) == [(1, "HOLDS"), (2, "math")]
+
+
+# one route to a class length: each model family's one rule is its bulk
+# form class_brackets, and its per-class methods read that rule on one
+# class; only the per-class fallback of class_lengths, which reads models
+# outside the package, reads a per-class method.  The second routes it
+# replaced stay gone.
+PER_CLASS_METHODS = {"class_length", "class_length_bracket"}
+PER_CLASS_READER = "class_lengths"
+SECOND_ROUTES = {"_spell_cost", "class_lambda1", "_tgens", "class_bracket_reader"}
+
+
+def _second_routes(tree: ast.Module) -> list:
+    """(line, name) of every read of a per-class method outside the
+    function ``class_lengths``, and of every definition or use of a name
+    of ``SECOND_ROUTES``."""
+    out = []
+
+    def visit(node, inside: bool):
+        if isinstance(node, ast.Attribute) and node.attr in PER_CLASS_METHODS and not inside:
+            out.append((node.lineno, node.attr))
+        name = getattr(node, "name", None) or getattr(node, "id", None) or getattr(
+            node, "attr", None)
+        if name in SECOND_ROUTES:
+            out.append((getattr(node, "lineno", None), name))
+        inside = inside or (isinstance(node, ast.FunctionDef)
+                            and node.name == PER_CLASS_READER)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(tree, False)
+    return sorted(out)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_one_class_length_route(path):
+    assert _second_routes(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+def test_the_scan_sees_a_second_route():
+    tree = ast.parse("def class_lengths(m, reps):\n"
+                     "    return list(map(m.class_length, reps))\n"
+                     "def pair(m, reps):\n"
+                     "    return [m.class_length_bracket(r, 8) for r in reps]\n"
+                     "def _spell_cost(w):\n    pass\n"
+                     "class M:\n"
+                     "    def class_length(self, w):\n"
+                     "        return self.class_lambda1(w)\n")
+    assert _second_routes(tree) == [(4, "class_length_bracket"), (5, "_spell_cost"),
+                                    (9, "class_lambda1")]

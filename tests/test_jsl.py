@@ -208,8 +208,8 @@ _TREE_CASES = st.builds(
 def test_pair_scan_is_half_the_largest_product_core_length(case):
     # the scan builds no product; the oracle builds every ordered one
     model, s = case
-    want = exact_div(max(model.class_length(_cyclic_core(_concat_reduced(
-        u.letters, v.letters))) for u in s for v in s), 2)
+    want = exact_div(max(_oracle.class_length(model.weights, _cyclic_core(
+        _concat_reduced(u.letters, v.letters))) for u in s for v in s), 2)
     got = tree_joint_profile(model, s).pair_half
     assert (type(got), got) == (type(want), want)
 
@@ -245,6 +245,32 @@ def test_word_engine_prices_an_exhausted_search_at_its_spelling_cost():
     p = joint_stable_profile(model, ["bbb"], 2, engine="products")
     assert p.a == {1: 6, 2: 12}
     assert p.bracket.hi == 6 and p.bracket.certified
+
+
+def test_word_engine_reads_a_levels_search_caps_in_one_batch(monkeypatch):
+    # a level's rows take their search caps, cost_upper, from one k = 1
+    # bulk call and its cores their lo from one more: no row reads
+    # cost_upper alone
+    model = WordMetricModel(GeneratingSet(2, ["a", "A", "b", "B", "ab"],
+                                          [1, 1, 2, 2, 1]))
+    want = joint_stable_profile(model, ["bbb", "a"], 2, engine="products")
+    calls = []
+    bulk = WordMetricModel.class_brackets
+
+    def counted(self, codes, k_max):
+        calls.append((len(codes), k_max))
+        return bulk(self, codes, k_max)
+
+    def alone(self, g):
+        raise AssertionError(f"cost_upper of {g} read alone")
+
+    monkeypatch.setattr(WordMetricModel, "class_brackets", counted)
+    monkeypatch.setattr(WordMetricModel, "cost_upper", alone)
+    got = joint_stable_profile(model, ["bbb", "a"], 2, engine="products")
+    assert (got.a, got.lo_terms, got.bracket) == (want.a, want.lo_terms, want.bracket)
+    assert got.a == {1: 6, 2: 12}
+    # levels {bbb, a} and {bbbbbb, bbba, abbb, aa}: rows, then cores
+    assert calls == [(2, 1), (2, 1), (4, 1), (4, 1)]
 
 
 def test_n_max_validation():
@@ -415,11 +441,10 @@ SHORTCUT_3 = GeneratingSet(2, ["a", "A", "b", "B", "ab"], [3, 3, 3, 3, 1])
 
 
 def _pair_lengths(model, s):
-    """(lo, hi) of every class of S^2, read on its canonical rep."""
-    reps = [ConjClass.of(u * v).rep.letters for u in s for v in s]
-    if isinstance(model, WordMetricModel):
-        return [model.class_length_bracket(rep, 8) for rep in reps]
-    return [(model.class_length(rep),) * 2 for rep in reps]
+    """(lo, hi) of every class of S^2, read alone on its canonical rep by
+    the oracle's per-class forms, at k_max 8."""
+    return [_oracle.class_bracket(model, ConjClass.of(u * v).rep.letters, 8)
+            for u in s for v in s]
 
 
 @pytest.mark.parametrize("model,want", [
@@ -460,15 +485,16 @@ def test_pair_half_reads_each_unordered_pair_once(monkeypatch):
     s = [Word(w) for w in ("a", "b", "ab", "aB")]
     lengths = _pair_lengths(wm, s)
     reads = []
-    real = wm.class_length_bracket
+    real = wm.class_brackets
 
-    def counting(letters, k_max=2):
-        reads.append(letters)
-        return real(letters, k_max)
+    def counting(codes, k_max):
+        reads.append(codes.reps)
+        return real(codes, k_max)
 
-    monkeypatch.setattr(wm, "class_length_bracket", counting)
+    # one batch of the 10 pair reps, each handed to the bulk form once
+    monkeypatch.setattr(wm, "class_brackets", counting)
     pair = _pair_sup_bracket(wm, s)
-    assert len(reads) == 10 and len(set(reads)) == 10
+    assert len(reads) == 1 and len(reads[0]) == 10 and len(set(reads[0])) == 10
     lo, hi = max(b[0] for b in lengths), max(b[1] for b in lengths)
     assert (pair.lo, pair.hi) == (lo, hi) == (2, 4)
 
@@ -654,7 +680,7 @@ def test_tree_profile_does_not_depend_on_earlier_calls():
 def _complex_lambda1_of(batch):
     """lambda_1 of each 2x2 matrix of ``batch`` by the scalar ``_lambda1``,
     its entries, trace and determinant Python complex numbers, as
-    ``class_lambda1`` forms them."""
+    ``_oracle.class_lambda1`` forms them."""
     return np.array([_lambda1(a + d, a * d - b * c)
                      for (a, b), (c, d) in batch.astype(np.complex128).tolist()])
 

@@ -12,6 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import _oracle
 from lenspec import spaces
 from lenspec.actions import anosov_certificate
 from lenspec.errors import InputError
@@ -153,6 +154,73 @@ def test_cost_upper_dominates_word_length():
     rng = random.Random(29)
     for g in random_words(rng, 50, max_len=5):
         assert wm.cost_upper(g) >= word_length(g, gens)
+
+
+@pytest.mark.parametrize("gens", [
+    GeneratingSet(2, ["a", "A", "b", "B", "ab", "BA"]),
+    GeneratingSet(2, ["a", "A", "b", "B", "aB"], [1, 1, Fraction(3, 2), 2, 1]),
+    GeneratingSet(2, ["ab", "A", "b", "B", "aab"], [1, 1, 2, 1, Fraction(1, 3)]),
+    GeneratingSet(2, ["a", "A", "b", "B", "ab"], [1, 1, 1, 1, 2 ** 60]),
+], ids=["shortcut", "fraction", "no-piece-a", "past-int64"])
+def test_cost_upper_is_the_segment_dp(gens):
+    # the DP at k = 1 on one row is the cheaper of the segment DP over the
+    # table and the letter-cost sum, in the unit of a search length, one
+    # word alone or the whole ball (the identity first) in one batch
+    wm = WordMetricModel(gens)
+    ball = enumerate_ball(2, 5)
+    batch = wm.cost_uppers([g.letters for g in ball])
+    for g, in_batch in zip(ball, batch, strict=True):
+        spelt = _oracle.spell_cost(g.letters, wm._table, wm._max_piece)
+        want = sum((Fraction(wm._letter_cost[x]) for x in g.letters), Fraction(0))
+        if spelt is not None:
+            want = min(want, Fraction(spelt))
+        got = wm.cost_upper(g)
+        assert got == want
+        assert type(got) is (int if gens._den == 1 else Fraction)
+        assert _canon(in_batch) == _canon(got)
+
+
+def test_displacements_cap_every_search_from_one_batch(monkeypatch):
+    # a non-standard word metric's displacements of a batch (as the
+    # products levels and bounds' row values read them) take each search's
+    # cap from one cost_uppers call: no word reads cost_upper alone
+    wm = WordMetricModel(GeneratingSet(2, ["a", "A", "b", "B", "ab"], [1, 1, 1, 1, 0.5]))
+    words = [g.letters for g in enumerate_ball(2, 3)[1:]]
+    want = [wm.displacement(Word(w)) for w in words]
+    batches = []
+    uppers = WordMetricModel.cost_uppers
+
+    def counted(self, ws):
+        batches.append(len(ws))
+        return uppers(self, ws)
+
+    def alone(self, g):
+        raise AssertionError(f"cost_upper of {g} read alone")
+
+    monkeypatch.setattr(WordMetricModel, "cost_uppers", counted)
+    monkeypatch.setattr(WordMetricModel, "cost_upper", alone)
+    assert _canon(spaces._displacements(wm, words)) == _canon(want)
+    assert batches == [len(words)]
+
+
+def test_the_empty_class_keeps_each_familys_zero():
+    # the per-class methods and the batch reader of reps that may hold the
+    # identity's class (the pair maximum, the products levels, the cover
+    # search) read one zero per family, value and type
+    def ends(model, k_max=2):
+        lo, hi = spaces._rep_brackets(model, [(1,), (), (2, 2)], k_max)
+        return lo[1], hi[1]
+
+    shortcut = WordMetricModel(GeneratingSet(2, ["a", "A", "b", "B", "ab"],
+                                             [1, 1, 1, 1, 0.5]))
+    standard = WordMetricModel(GeneratingSet.standard(2, [1, Fraction(1, 2)]))
+    schottky = build_schottky(3.0, [0.0, 1.0])
+    for model, zero in [(TreeModel(2, [1, 2]), 0), (TreeModel(2, [1, 0.5]), Fraction(0)),
+                        (shortcut, 0), (standard, Fraction(0)),
+                        (schottky.mobius, 0.0), (schottky.linear, 0.0)]:
+        per_class = (model.class_length_bracket(()) if isinstance(model, WordMetricModel)
+                     else (model.class_length(()),) * 2)
+        assert _canon(per_class) == _canon(ends(model)) == _canon((zero, zero))
 
 
 def test_displacement_is_the_word_length():

@@ -21,6 +21,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+import _oracle
 from lenspec.actions import LengthBracket, exact_div
 from lenspec.jsl import tree_joint_profile
 from lenspec.spaces import TreeModel
@@ -258,7 +259,8 @@ def test_pair_scan_matches_the_dict_walk(case):
     # the scan reads unordered pairs; the half-max over ordered pairs is
     # the same value of the same type
     letters = [w.letters for w in s]
-    ordered = exact_div(max(model.class_length(_cyclic_core(_concat_reduced(u, v)))
+    ordered = exact_div(max(_oracle.class_length(model.weights,
+                                                 _cyclic_core(_concat_reduced(u, v)))
                             for u in letters for v in letters), 2)
     assert p.pair_half == ordered and type(p.pair_half) is type(ordered)
 

@@ -217,6 +217,30 @@ def test_class_walk_blocks_do_not_depend_on_the_index_type(rank, radius):
         [(b.dtype, b.tolist()) for b in narrow.blocks]
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.data())
+def test_class_codes_of_blocks_the_reps_by_length(rank, data):
+    # given reps, as given, in length blocks in their own order (a block
+    # may be empty); the order returned reads each rep's row back, and a
+    # letter beyond the rank is an input error
+    letters = [x for i in range(1, rank + 1) for x in (i, -i)]
+    reps = data.draw(st.lists(st.lists(st.sampled_from(letters), min_size=1,
+                                       max_size=6).map(tuple), max_size=12))
+    codes, where = ClassCodes.of(rank, reps)
+    assert codes.rank == rank and codes.radius == max(map(len, reps), default=0)
+    assert [b.shape[1] for b in codes.blocks] == list(range(1, codes.radius + 1))
+    assert codes.reps == sorted(reps, key=len)
+    assert [codes.rep(i) for i in where.tolist()] == reps
+    assert len(codes) == len(reps) and sorted(where.tolist()) == list(range(len(reps)))
+    assert {b.dtype for b in codes.blocks} <= {ClassCodes.walk(rank, 1).blocks[0].dtype}
+    bad = data.draw(st.sampled_from([rank + 1, -rank - 1, 0]))
+    cut = data.draw(st.integers(0, len(reps)))
+    with pytest.raises(InputError, match=f"letter {bad} outside rank {rank}"):
+        ClassCodes.of(rank, [*reps[:cut], (letters[0], bad), *reps[cut:]])
+    with pytest.raises(InputError, match="nonempty"):
+        ClassCodes.of(rank, [*reps[:cut], (), *reps[cut:]])
+
+
 # int64 keys with many repeats: a few small values among arbitrary ones
 _KEYS = st.lists(st.one_of(st.integers(-3, 3), st.integers(-2 ** 63, 2 ** 63 - 1)),
                  max_size=600)
