@@ -6,7 +6,7 @@ Stable translation lengths on concrete models
 
 import math
 
-from lenspec.words import Word, cyclic_reduce
+from lenspec.words import ConjClass, Word
 from lenspec.actions import stable_length_bracket
 from lenspec.spaces import TreeModel, MobiusModel, build_schottky
 
@@ -15,7 +15,7 @@ g = Word("abAAb")
 print("word       ", g)
 print("inverse    ", g.inverse())
 print("g * g      ", g * g)
-print("class rep  ", cyclic_reduce(g).rep)
+print("class rep  ", ConjClass.of(g).rep)
 
 # on the Cayley tree the stable length is the cyclically reduced length
 tree = TreeModel(2)

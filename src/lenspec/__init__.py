@@ -35,8 +35,8 @@ _EXPORTS = {
     "spaces": ("LinearRepModel", "MatrixActionModel", "MobiusModel",
                "SchottkyAction", "TreeModel", "WordMetricModel",
                "build_schottky"),
-    "words": ("ConjClass", "GeneratingSet", "Word", "cyclic_reduce",
-              "enumerate_ball", "free_reduce", "iter_class_reps", "word_length"),
+    "words": ("ConjClass", "GeneratingSet", "Word", "enumerate_ball",
+              "free_reduce", "iter_class_reps", "word_length"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -57,15 +57,18 @@ HYPOTHESIS_FAILED = "hypothesis-failed"
 
 def verdict_of(lo, hi, bound_lo, bound_hi, tol: float, *, truncated: bool) -> str:
     """The verdict of a bracket [lo, hi] against a bound bracketed by
-    [bound_lo, bound_hi]: "holds" when hi - bound_lo <= tol, "violated" only
-    when the data is not ``truncated``, lo and bound_hi are int or Fraction
-    and lo - bound_hi > tol, else "inconclusive".  Every check decides by
-    this rule, and meets a tolerance as it does: the difference first, so
-    no exact side is rounded to a float before ``tol`` enters."""
-    if hi - bound_lo <= tol:
+    [bound_lo, bound_hi]: "holds" when hi - bound_lo <= tol, where ``tol``
+    enters only if hi or bound_lo is not an int or Fraction (0 otherwise),
+    "violated" only when the data is not ``truncated``, lo and bound_hi are
+    int or Fraction and lo - bound_hi > 0, else "inconclusive".  Every
+    check decides by this rule, and meets a tolerance as it does: the
+    difference first, so no exact side is rounded to a float before
+    ``tol`` enters."""
+    exact_sides = _is_exact(hi) and _is_exact(bound_lo)
+    if hi - bound_lo <= (0 if exact_sides else tol):
         return HOLDS
     exact_data = not truncated and _is_exact(lo) and _is_exact(bound_hi)
-    return VIOLATED if exact_data and lo - bound_hi > tol else INCONCLUSIVE
+    return VIOLATED if exact_data and lo - bound_hi > 0 else INCONCLUSIVE
 
 
 def exact_div(a, b):

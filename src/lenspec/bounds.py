@@ -37,7 +37,7 @@ from typing import Optional
 from ._np import numpy_for
 from .actions import (_EXACT, HOLDS, HYPOTHESIS_FAILED, INCONCLUSIVE,
                       LengthBracket, exact_div, verdict_of)
-from .errors import InputError, ResourceCapError
+from .errors import InputError, NumericError, ResourceCapError
 from .jsl import BochiConstants, joint_stable_profile
 from .spaces import (MatrixActionModel, TreeModel, WordMetricModel, _displacements,
                      _rep_brackets, class_lengths)
@@ -64,7 +64,6 @@ __all__ = [
     "ClassTable",
     "dilation_window",
     "table_radius",
-    "window_lengths",
     "window_comparison_bound",
     "cobounded_dilation_report",
     "word_metric_dilation_report",
@@ -169,12 +168,15 @@ def _ratio_column(tops, bottoms, positive) -> np.ndarray:
     (``_id_groups``).
 
     An exact pair (int or Fraction) is one correctly rounded int division,
-    with no Fraction built.
+    with no Fraction built; one past the float range raises NumericError.
     """
     def ratio(i):
         t, b = tops[i], bottoms[i]
         if isinstance(t, _EXACT) and isinstance(b, _EXACT):
-            return (t.numerator * b.denominator) / (t.denominator * b.numerator)
+            try:
+                return (t.numerator * b.denominator) / (t.denominator * b.numerator)
+            except OverflowError:
+                raise NumericError("class length ratio past the float range") from None
         return float(exact_div(t, b))
 
     out = np.full(len(tops), np.nan)
@@ -197,11 +199,7 @@ class ClassTable:
     walked or evaluated anew (and kept) only where the kept one is missing
     or smaller.  A run sharing one dict thus walks a rank, and evaluates a
     model, once while its radius does not grow; a model on both sides is
-    evaluated once, and a repeat table only divides its columns.  A run
-    that knows the largest radius its tables of a rank read sets it as
-    ``tables["radius", rank]``: a walk of that rank then reaches it, so a
-    smaller table first reads a prefix of the one walk (a walk that would
-    pass class_cap there is made to the table's own radius).  ``lo`` =
+    evaluated once, and a repeat table only divides its columns.  ``lo`` =
     tgt.lo/ref.hi and ``hi`` = tgt.hi/ref.lo are the ratio columns (nan
     where the reference lo is <= _ZERO_EPS), one array when both sides
     are points, and ``positive`` masks the classes whose reference lo is
@@ -235,14 +233,7 @@ class ClassTable:
         tables = {} if tables is None else tables
         key = (target.rank, cfg.class_cap)
         if key not in tables or tables[key].radius < radius:
-            planned = tables.get(("radius", target.rank), 0)
-            try:
-                walk = ClassCodes.walk(target.rank, max(radius, planned), cfg.class_cap)
-            except ResourceCapError:
-                if planned <= radius:
-                    raise
-                walk = ClassCodes.walk(target.rank, radius, cfg.class_cap)
-            tables[key] = walk
+            tables[key] = ClassCodes.walk(target.rank, radius, cfg.class_cap)
         classes = tables[key].prefix(radius)
 
         def side(model):
@@ -275,7 +266,8 @@ class ClassTable:
         else:
             self.lo = _ratio_column(tgt.lo, ref.hi, positive)
             self.hi = self.lo if points else _ratio_column(tgt.hi, ref.lo, positive)
-        self.ties_exact = types <= {int} and top ** 3 < 2.0 ** 52
+        # the bound on top first keeps its cube in the float range
+        self.ties_exact = types <= {int} and top < 2.0 ** 18 and top ** 3 < 2.0 ** 52
 
     def __len__(self):
         return len(self.classes)
@@ -352,14 +344,6 @@ def _first_max(cands, value_of, ties_exact: bool = False):
         if best is None or v > best:
             best, at = v, i
     return best, at
-
-
-def window_lengths(config: VerifierConfig, scale=1) -> list:
-    """The (window, reference window) lengths of each L of
-    ``config.L_values`` that the windowed reports read: (scale L,
-    scale reference_factor L)."""
-    return [(scale * L, scale * config.reference_factor * L)
-            for L in config.L_values]
 
 
 def table_radius(ref, lengths, config: Optional[VerifierConfig] = None) -> int:
@@ -503,7 +487,7 @@ def _windowed_reports(target, ref, cfg: VerifierConfig, tables: Optional[dict],
     ``judge(L, ws, ref_ws, table)`` returns (name, bound, verdict, extras).
     Reference windows keep no rows: no report reads them.
     """
-    windows = window_lengths(cfg, scale)
+    windows = [(scale * L, scale * cfg.reference_factor * L) for L in cfg.L_values]
     radius = table_radius(ref, [w for pair in windows for w in pair], cfg)
     table = ClassTable(target, ref, radius, cfg, tables)
     out = []
@@ -560,7 +544,10 @@ def _comparison_bound(window_sup_hi, L, D, delta, K, variant):
     sup_term = bound = window_sup_hi * coef
     pen = 2 * K * pen_delta
     if pen:
-        bound = bound + exact_div(pen, den)
+        try:
+            bound = bound + exact_div(pen, den)
+        except OverflowError:   # an exact sup term with no float
+            raise NumericError("comparison bound past the float range") from None
     return bound, sup_term, den, pen_delta
 
 

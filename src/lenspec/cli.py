@@ -65,7 +65,6 @@ from .bounds import (
     ratio_envelope_report,
     spectral_dilation_report,
     table_radius,
-    window_lengths,
     word_metric_dilation_report,
 )
 from .errors import InputError, NumericError, ResourceCapError
@@ -614,10 +613,7 @@ def _run_token(token: str, scen: Scenario, cfg: VerifierConfig,
         words = [Word(e) for e in scen.data["subset"]]
         check = bf_lower_check(target, words, n_max=cfg.n_max, tol=tol,
                                K=cfg.K, frontier_cap=cfg.frontier_cap)
-        half_lo, joint_hi = check.pair_half.lo, check.joint.hi
-        verdict = verdict_of(half_lo, half_lo, joint_hi, joint_hi, tol,
-                             truncated=False)
-        return {"reports": [_jsonable(check)], "verdict": verdict}
+        return {"reports": [_jsonable(check)], "verdict": check.verdict}
     if token == "bochi":
         instances = _spectral_instances(scen, target)
         rows = []
@@ -650,31 +646,6 @@ def _run_token(token: str, scen: Scenario, cfg: VerifierConfig,
                                               p["f_radius"], cfg,
                                               max_f=p["max_f"])])
     raise InputError(f"unknown verifier token {token!r}")
-
-
-def _table_radius(token: str, scen: Scenario, cfg: VerifierConfig, target,
-                  reference, subset_reference) -> Optional[int]:
-    """The radius of the class table that ``_run_token`` reads for the
-    check ``token``, None for a check that reads none.  It only sets how far
-    a run's class walk reaches: a check that raises before its table is
-    built may still be given one, and None where finding it raises."""
-    try:
-        if token in ("thm13", "cor17", "cor14", "anosov"):
-            if target is None or reference is None or (
-                    token == "anosov" and not isinstance(target, LinearRepModel)):
-                return None
-            ref, lengths = reference, window_lengths(cfg)
-        elif token == "thm15" and target is not None:
-            ref = (reference if isinstance(reference, WordMetricModel)
-                   else subset_reference())
-            lengths = window_lengths(cfg, 2)
-        elif token == "prop31" and target is not None:
-            ref, lengths = subset_reference(), [(max(cfg.L_values),)]
-        else:
-            return None
-        return table_radius(ref, [w for pair in lengths for w in pair], cfg)
-    except InputError:
-        return None
 
 
 # ------------------------------------------------------------- run + emit
@@ -984,17 +955,9 @@ def run(scenario: Scenario, *, with_classes: bool = False) -> RunReport:
     """
     cfg = scenario.config()
     target, reference = _models(scenario)
-    # one class walk per rank, one evaluation per model and one subset
-    # word metric for the whole run
+    # class walks, model evaluations and one subset word metric for the run
     tables: dict = {}
     subset_reference = cache(partial(_subset_reference, scenario))
-    # the largest radius of the run's class tables, so that it walks the
-    # classes of its rank once
-    radii = [_table_radius(token, scenario, cfg, target, reference, subset_reference)
-             for token in scenario.verify]
-    if with_classes and target is not None and reference is not None:
-        radii.append(_listing_radius(scenario, cfg, reference))
-    tables["radius", scenario.rank] = max((r for r in radii if r is not None), default=0)
     entries = []
     capped = False
     for token in scenario.verify:

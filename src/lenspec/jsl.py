@@ -35,8 +35,9 @@ spectral upper bound c_m = 8 log 2 + 5 log m, d_m = 2 m^3.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from ._np import numpy_for
 from .actions import HOLDS, LengthBracket, exact_div, verdict_of
@@ -310,9 +311,10 @@ def joint_stable_profile(
 @dataclass(frozen=True)
 class BfCheck:
     """Two-sided sandwich of the joint length by half the pair maximum;
-    ``ok`` is ``verdict_of``'s "holds" for its lo against the joint hi."""
+    ``verdict`` is ``verdict_of``'s for its lo against the joint hi, and
+    ``ok`` is that verdict's "holds"."""
 
-    ok: bool
+    ok: bool = field(init=False)
     pair_half: LengthBracket
     joint: LengthBracket
     upper_value: object
@@ -321,6 +323,14 @@ class BfCheck:
     K: object
     delta: object
     tol: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "ok", self.verdict == HOLDS)
+
+    @cached_property
+    def verdict(self) -> str:
+        lo, hi = self.pair_half.lo, self.joint.hi
+        return verdict_of(lo, lo, hi, hi, self.tol, truncated=False)
 
 
 def _pair_sup_bracket(model, words) -> LengthBracket:
@@ -349,12 +359,9 @@ def bf_lower_check(model, s, n_max: int = 8, tol: float = 1e-9, K=None, **kw) ->
     half = LengthBracket(
         exact_div(pair.lo, 2), exact_div(pair.hi, 2), pair.exact, pair.certified
     )
-    ok = verdict_of(half.lo, half.lo, joint.hi, joint.hi, tol,
-                    truncated=False) == HOLDS
     K = 1 if K is None else K
     upper = K * model.delta + half.hi
     return BfCheck(
-        ok=ok,
         pair_half=half,
         joint=joint,
         upper_value=upper,

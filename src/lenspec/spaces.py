@@ -197,11 +197,17 @@ class TreeModel(ActionModel):
         once, with no gather.  Otherwise the ``scaled_sums`` of each length
         block; with ``_den`` > 1 one Fraction and one float is built per
         distinct sum.  Ints live in the float column alone when
-        ``codes.radius`` times the largest weight is below 2**53.
+        ``codes.radius`` times the largest weight is below 2**53.  Where
+        that product, the longest length, has no float: NumericError.
         """
+        top = max(self._scaled.values()) * codes.radius
+        try:
+            top / self._den
+        except OverflowError:
+            raise NumericError("tree class length past the float range") from None
         weights = set(self._scaled.values())
         uniform = weights.pop() if len(weights) == 1 else None
-        listed = self._den > 1 or max(self._scaled.values()) * codes.radius >= 2 ** 53
+        listed = self._den > 1 or top >= 2 ** 53
         vals, floats = [], []
         for block in codes.blocks:
             if uniform is not None:
@@ -226,7 +232,7 @@ class TreeModel(ActionModel):
                             kinds if vals else frozenset())
 
     def window_radius(self, length_bound) -> int:
-        return math.ceil(exact_div(length_bound, min(self.weights)))
+        return _ceil_radius(exact_div(length_bound, min(self.weights)))
 
 
 # ---------------------------------------------------------- word metrics
@@ -369,7 +375,12 @@ class WordMetricModel(ActionModel):
         return ClassLengths(codes, lo, hi, _joined(lo_f), _joined(hi_f))
 
     def window_radius(self, length_bound) -> int:
-        return math.ceil(length_bound * self._c_cmp)
+        return _ceil_radius(length_bound * self._c_cmp)
+
+
+def _ceil_radius(r):
+    """ceil(r); inf, no radius, where the float r passes the float range."""
+    return math.inf if r == math.inf else math.ceil(r)
 
 
 def _spelling_costs(rows, k_max, pieces, letter_cost, base, none) -> list:

@@ -40,7 +40,6 @@ __all__ = [
     "GeneratingSet",
     "free_reduce",
     "letter_key",
-    "cyclic_reduce",
     "enumerate_ball",
     "iter_class_reps",
     "word_length",
@@ -117,9 +116,6 @@ class Word:
     def inverse(self) -> "Word":
         return Word(tuple(-x for x in reversed(self.letters)))
 
-    def __invert__(self) -> "Word":
-        return self.inverse()
-
     def __pow__(self, k: int) -> "Word":
         if k == 0:
             return Word()
@@ -129,7 +125,7 @@ class Word:
             return self
         # g = c u c^-1 with u cyclically reduced, so g^k = c u^k c^-1 and u^k
         # needs no internal reduction.
-        c = cyclic_reduce(self)
+        c = ConjClass.of(self)
         u = c.rep.letters
         w = c.conjugator.letters
         return Word(w + u * k + tuple(-x for x in reversed(w)))
@@ -221,7 +217,15 @@ class ConjClass:
 
     @classmethod
     def of(cls, g: Word) -> "ConjClass":
-        return cyclic_reduce(g)
+        """The class of g: g cyclically reduced and rotated to the
+        canonical class representative."""
+        letters = g.letters
+        core = _cyclic_core(letters)
+        peeled = letters[:(len(letters) - len(core)) // 2]  # conjugator prefix
+        r = _min_rotation(core)
+        rep = core[r:] + core[:r]
+        conj = peeled + core[:r]      # rep = conj^-1 g conj; concatenation is reduced
+        return cls(rep=Word._unchecked(rep), conjugator=Word._unchecked(conj))
 
     @property
     def std_length(self) -> int:
@@ -232,17 +236,6 @@ class ConjClass:
 
     def __repr__(self) -> str:
         return f"ConjClass({str(self.rep)!r})"
-
-
-def cyclic_reduce(g: Word) -> ConjClass:
-    """Cyclically reduce and rotate to the canonical class representative."""
-    letters = g.letters
-    core = _cyclic_core(letters)
-    peeled = letters[:(len(letters) - len(core)) // 2]  # conjugator prefix
-    r = _min_rotation(core)
-    rep = core[r:] + core[:r]
-    conj = peeled + core[:r]      # rep = conj^-1 g conj; concatenation is reduced
-    return ConjClass(rep=Word._unchecked(rep), conjugator=Word._unchecked(conj))
 
 
 def _letters_in_order(rank: int) -> list[int]:

@@ -14,6 +14,13 @@ in process and stores the verdict, the exit code and the sha256 of
 It then prints each (scenario, seed, field) whose value differs from the
 file it replaces, or "no change".
 
+It also runs, at seed 0, ``lenspec spectrum``, ``dilation``, ``delta`` and
+``jsr`` on every shipped scenario, the runs that exit 2 on an input error
+included, and every demo in ``demos/``, all in process, and stores each
+subcommand's exit code with the sha256 of its stdout, and each demo's
+stdout, in ``tests/golden_stdout.json``; it prints each (run, field) that
+moved, or "no change".
+
 The runs take ``PYTHONHASHSEED=0`` and BLAS/OpenMP threads pinned to 1; the
 script re-starts itself under them if it was not.  Re-record only when a
 change to the reports is intended, and explain each moved hash.
@@ -26,6 +33,7 @@ import hashlib
 import io
 import json
 import os
+import runpy
 import sys
 import tempfile
 from pathlib import Path
@@ -35,6 +43,11 @@ SRC = ROOT / "src"
 SCENARIOS = SRC / "lenspec" / "scenarios"
 GOLDEN = ROOT / "tests" / "golden.json"
 TEXTS = ROOT / "tests" / "golden"
+STDOUT_GOLDEN = ROOT / "tests" / "golden_stdout.json"
+DEMOS = ROOT / "demos"
+# the subcommands pinned by their stdout, each with the flags it takes
+SUBCOMMANDS = {"spectrum": ["--seed", "0"], "dilation": [], "delta": [],
+               "jsr": ["--seed", "0"]}
 SEEDS = 8
 PINNED = {"PYTHONHASHSEED": "0", "OMP_NUM_THREADS": "1",
           "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
@@ -72,18 +85,55 @@ def verify(main, scenario: Path, seed: int, out: Path):
     }, text
 
 
+def captured(run):
+    """(value of ``run()``, its stdout); stderr is dropped."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        value = run()
+    return value, out.getvalue()
+
+
+def subcommand(main, cmd: str, scenario: Path):
+    """The golden record of one ``lenspec <cmd>`` run at seed 0."""
+    code, out = captured(lambda: main([cmd, "--scenario", str(scenario),
+                                       *SUBCOMMANDS[cmd]]))
+    return {"exit_code": code, "stdout_sha256": sha256(out.encode())}
+
+
+def demo(path: Path) -> dict:
+    """The golden record of one demo: its stdout."""
+    return {"stdout": captured(lambda: runpy.run_path(str(path),
+                                                      run_name="__main__"))[1]}
+
+
+def stdout_goldens(main) -> dict:
+    """The record of every subcommand run and demo, keyed by "<subcommand>
+    <scenario>" and "demo <name>"."""
+    runs = {f"{cmd} {scenario.stem}": subcommand(main, cmd, scenario)
+            for scenario in sorted(SCENARIOS.glob("*.json"))
+            for cmd in SUBCOMMANDS}
+    runs.update({f"demo {path.stem}": demo(path)
+                 for path in sorted(DEMOS.glob("*.py"))})
+    return runs
+
+
 def moves(old: dict, new: dict):
-    """One line per (scenario, seed, field) whose value differs."""
+    """One line per (run, field) whose value differs, for records keyed by
+    run, each a dict of fields."""
     lines = []
-    for name in sorted(old.keys() | new.keys()):
-        runs_old, runs_new = old.get(name, {}), new.get(name, {})
-        for seed in sorted(runs_old.keys() | runs_new.keys(), key=int):
-            a, b = runs_old.get(seed, {}), runs_new.get(seed, {})
-            for field in sorted(a.keys() | b.keys()):
-                if a.get(field) != b.get(field):
-                    lines.append(f"{name} seed {seed} {field}: "
-                                 f"{a.get(field)} -> {b.get(field)}")
+    for run in sorted(old.keys() | new.keys()):
+        a, b = old.get(run, {}), new.get(run, {})
+        lines += [f"{run} {field}: {a.get(field)!r} -> {b.get(field)!r}"
+                  for field in sorted(a.keys() | b.keys())
+                  if a.get(field) != b.get(field)]
     return lines
+
+
+def by_seed(golden: dict) -> dict:
+    """The verify records keyed by "<scenario> seed <seed>"."""
+    return {f"{name} seed {seed}": res for name, runs in golden.items()
+            for seed, res in runs.items()}
 
 
 def record():
@@ -113,7 +163,11 @@ def record():
             stale.unlink()
     for name, text in texts.items():
         (TEXTS / f"{name}.json").write_text(text)
-    print("\n".join(moves(old, golden)) or "no change")
+    print("\n".join(moves(by_seed(old), by_seed(golden))) or "no change")
+    old = json.loads(STDOUT_GOLDEN.read_text()) if STDOUT_GOLDEN.exists() else {}
+    runs = stdout_goldens(main)
+    STDOUT_GOLDEN.write_text(json.dumps(runs, indent=1, sort_keys=True) + "\n")
+    print("\n".join(moves(old, runs)) or "no change")
     return 0
 
 

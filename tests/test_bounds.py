@@ -189,7 +189,7 @@ VERDICT_TABLE = [
     ((1, 3.5, 3, 3, 0.5, False), HOLDS),        # within tol
     ((3, 4, 3, 3, 0, False), INCONCLUSIVE),     # lo == bound: not above it
     ((4, 5, 3, 3, 0, False), VIOLATED),
-    ((4, 5, 3, 3, 1, False), INCONCLUSIVE),     # lo not above bound + tol
+    ((4, 5, 3, 3, 1, False), VIOLATED),         # exact sides take no tol
     # a bracketed bound: holds against its lo, refuted only above its hi
     ((1, 2, 2, 5, 0, False), HOLDS),
     ((1, 3, 2, 5, 0, False), INCONCLUSIVE),
@@ -209,6 +209,14 @@ VERDICT_TABLE = [
 ]
 
 
+def test_an_exact_excess_below_tol_is_violated():
+    # an exact excess of 1e-10 over an exact bound is refuted, however
+    # small next to tol
+    x = Fraction(1) + Fraction(1, 10**10)
+    assert verdict_of(x, x, 1, 1, 1e-9, truncated=False) == VIOLATED
+    assert verdict_of(float(x), float(x), 1, 1, 1e-9, truncated=False) == HOLDS
+
+
 @pytest.mark.parametrize("args,verdict", VERDICT_TABLE,
                          ids=range(len(VERDICT_TABLE)))
 def test_verdict_of_table(args, verdict):
@@ -217,15 +225,17 @@ def test_verdict_of_table(args, verdict):
 
 
 def test_uncertified_data_never_gives_violated():
-    # truncated data, a float lo or a float bound_hi never refutes
+    # truncated data, a float lo or a float bound_hi never refutes; tol
+    # enters only where hi or bound_lo is a float
     values = [0, 1, 2, 2.5, 3, Fraction(7, 2), 4, 4.0, 5]
     for lo, hi, b_lo, b_hi in itertools.product(values, repeat=4):
         if lo <= hi and b_lo <= b_hi:
             for tol, truncated in itertools.product((0, 0.5), (True, False)):
                 if truncated or float in (type(lo), type(b_hi)):
+                    t = tol if float in (type(hi), type(b_lo)) else 0
                     assert verdict_of(lo, hi, b_lo, b_hi, tol,
                                       truncated=truncated) == (
-                        HOLDS if hi <= b_lo + tol else INCONCLUSIVE)
+                        HOLDS if hi <= b_lo + t else INCONCLUSIVE)
 
 
 # ------------------------------------------------------ class table reuse

@@ -83,9 +83,21 @@ sup at 2L, which the reference sup at 4L can meet with a float one ulp
 above it (l[B] against l[B^5]/5).  cor14 takes the band [0, thm13's
 window sup at L] with C0 0, so a class past the window that leaves the
 band by a float excess is a candidate refutation.
+
+Exit codes.  README names four exit codes, and exit 1 is "a violation on
+exact data".  Scenarios drawn from a small grammar (every model kind,
+literal Mobius and linear matrices with entries among +-1e308, 5e-324,
+1e+-200 and 0, tree weights among 1e308, 5e-324 and 1e+-200, random
+tokens and small caps) run in process through
+``cli.main verify`` under the "default" and the "ignore" warnings
+filters: no exception may escape, the exit code must be one README
+names, and exit 1 must come with a ``violated`` entry.
 """
 
+import contextlib
+import io
 import itertools
+import json
 import math
 import warnings
 from fractions import Fraction
@@ -103,11 +115,12 @@ from lenspec.bounds import (ClassTable, VerifierConfig,
                             cobounded_dilation_report,
                             dilation_window, displacement_ball,
                             ratio_envelope_report, word_metric_dilation_report)
-from lenspec.cli import _ensemble_pairs
+from lenspec.cli import VERIFY_TOKENS, _ensemble_pairs, main
 from lenspec.jsl import joint_stable_profile, jsr_profile
 from lenspec.spaces import TreeModel, WordMetricModel, build_schottky
 from lenspec.words import (ConjClass, GeneratingSet, Word, _concat_reduced,
-                           _settled_lengths, cyclic_reduce, enumerate_ball)
+                           _settled_lengths, enumerate_ball)
+from test_cli import _EXTREME_MATRIX_TARGETS
 
 _LEVELS = 5
 _WEIGHT = st.sampled_from([1, 2, 3, Fraction(1, 3), Fraction(5, 2)])
@@ -329,7 +342,7 @@ def test_exact_window_flags_hold_the_fraction_sup(case):
     ws = dilation_window(target, ref, L, VerifierConfig(radius_cap=radius_cap))
     ratios = {}
     for w in enumerate_ball(rank, ws.radius):
-        rep = cyclic_reduce(w).rep
+        rep = ConjClass.of(w).rep
         l_ref = _weight_sum(w_ref, rep)
         if w.letters and l_ref <= L:
             ratios[rep] = _weight_sum(w_tgt, rep) / l_ref
@@ -339,7 +352,7 @@ def test_exact_window_flags_hold_the_fraction_sup(case):
     for row in ws.rows:
         if row.ratio.exact:
             assert _is_exact(row.ratio.lo), row
-            assert row.ratio.lo == ratios[cyclic_reduce(row.rep).rep], row
+            assert row.ratio.lo == ratios[ConjClass.of(row.rep).rep], row
 
 
 @st.composite
@@ -425,3 +438,155 @@ def test_declared_delta_bounds_the_gromov_product_condition(stretch, angles, use
     assert excess.max() <= model.delta + _TOL, (excess.max(), model.delta)
     if use == "linear":
         assert excess.max() <= math.log(2) / 2 + _TOL, excess.max()
+
+
+_EXTREME = [1e308, -1e308, 5e-324, 1e200, 1e-200, -1e200, 0.0]
+_WORD = st.sampled_from(["a", "A", "b", "B", "ab", "aB", "abA", "aab", "BaB"])
+
+
+def _matrix(draw, dim, cplx=False):
+    """A dim x dim matrix: small ints, or (one draw in three) entries among
+    the extremes and small ints; [re, im] pairs when ``cplx``."""
+    pool = [1, -1, 2, 3]
+    if draw(st.integers(0, 2)) == 0:
+        pool += _EXTREME
+    entry = st.sampled_from(pool)
+    if cplx:
+        entry = st.lists(entry, min_size=2, max_size=2)
+    return [[draw(entry) for _ in range(dim)] for _ in range(dim)]
+
+
+@st.composite
+def _model_specs(draw):
+    """A rank-2 model of every kind; tree weights and matrix entries reach
+    the float range's ends.  Word-metric weights stay among 1, 2, 1/2 and
+    3: a weight of 5e-324 makes the generation search that builds the
+    model settle ever longer powers of its letter, past any memory."""
+    kind = draw(st.sampled_from(["tree", "word-metric", "mobius", "linear",
+                                 "schottky", "preset"]))
+    if kind == "tree":
+        spec = {"kind": "tree"}
+        if draw(st.booleans()):
+            spec["weights"] = draw(st.lists(
+                st.sampled_from([1, 2, 0.5, 1e308, 5e-324, 1e-200, 1e200]),
+                min_size=2, max_size=2))
+        return spec
+    if kind == "word-metric":
+        elements = ["a", "A", "b", "B", *draw(st.lists(_WORD, max_size=2))]
+        return {"kind": "word-metric", "elements": elements,
+                "weights": draw(st.lists(st.sampled_from([1, 2, 0.5, 3]),
+                                         min_size=len(elements),
+                                         max_size=len(elements)))}
+    if kind == "mobius":
+        dim = draw(st.sampled_from([2, 3]))
+        return {"kind": "mobius", "dim": dim,
+                "matrices": [_matrix(draw, 2, cplx=dim == 3) for _ in range(2)]}
+    if kind == "linear":
+        return {"kind": "linear", "alpha": draw(st.sampled_from([0.5, 1])),
+                "matrices": [_matrix(draw, 2) for _ in range(2)]}
+    if kind == "schottky":
+        return {"kind": "schottky",
+                "stretch": draw(st.sampled_from([2.5, 4.0, 1e200])),
+                "angles": draw(st.lists(st.sampled_from([0.0, 1.2, 3, 1e200]),
+                                        min_size=2, max_size=2)),
+                "use": draw(st.sampled_from(["mobius", "linear"]))}
+    return {"kind": "preset", "name": "cor17-default",
+            "use": draw(st.sampled_from(["mobius", "linear"]))}
+
+
+@st.composite
+def _scenarios(draw):
+    """A verify scenario of rank 2: mostly a target, a unit tree or a drawn
+    reference, a subset that generates F_2 as a semigroup (a word metric
+    of one that does not costs a search to cost 32), one or two tokens and
+    small caps."""
+    tree = st.just({"kind": "tree"})
+    scen = {"target": draw(st.one_of(_model_specs(), _model_specs(),
+                                     _model_specs(), st.none())),
+            "reference": draw(st.one_of(tree, tree, _model_specs(), st.none())),
+            "verify": draw(st.lists(st.sampled_from(VERIFY_TOKENS),
+                                    min_size=1, max_size=2)),
+            "config": {"L_values": draw(st.lists(st.sampled_from([1, 2, 4, 7]),
+                                                 min_size=1, max_size=2)),
+                       "radius_cap": draw(st.integers(1, 4)),
+                       "class_cap": draw(st.sampled_from([1, 20, 2000])),
+                       "frontier_cap": draw(st.sampled_from([1, 20, 500])),
+                       "n_max": draw(st.integers(1, 4)),
+                       "D": draw(st.sampled_from([0, 0.1, 1]))},
+            "params": {"n": draw(st.integers(1, 3)),
+                       "ball_radius": draw(st.integers(0, 3)),
+                       "f_radius": draw(st.integers(0, 2)),
+                       "cert_radius": draw(st.integers(1, 3)),
+                       "band": draw(st.sampled_from([None, [0, 2], [1, 1e308]])),
+                       "C0": draw(st.sampled_from([None, 0]))}}
+    if draw(st.integers(0, 3)):
+        scen["subset"] = ["a", "A", "b", "B", *draw(st.lists(_WORD, max_size=2))]
+    if draw(st.booleans()):
+        scen["matrices"] = [_matrix(draw, 2) for _ in range(draw(st.integers(1, 2)))]
+    elif draw(st.booleans()):
+        scen["ensemble"] = {"count": draw(st.integers(1, 2)), "dim": 2}
+    return scen
+
+
+def _trees(target, reference, token, L, D=None, **config):
+    """A scenario of two weighted trees and one check at radius_cap 1."""
+    return {"target": {"kind": "tree", "weights": target},
+            "reference": {"kind": "tree", "weights": reference},
+            "verify": [token], "subset": ["a", "A", "b", "B"],
+            "config": {"L_values": L, "radius_cap": 1, "D": D, **config}}
+
+
+# exact tree lengths past the float range, each of which escaped main as an
+# OverflowError: a Fraction length with no float (class_brackets), an int one
+# (class_brackets), the cube of a largest int length (ClassTable.ties_exact),
+# a ratio with no float (_ratio_column), a window radius past the float range
+# (window_radius, of a tree and of a non-standard word metric) and a
+# comparison bound with no float (_comparison_bound)
+_FLOAT_RANGE = [
+    _trees([1e308, 5e-324], [1, 1], "thm15", [7], radius_cap=2),
+    _trees([1, 1e308], [1, 1], "prop31", [7], radius_cap=3),
+    _trees([1e308, 1e308], [1, 1], "thm13", [1], D=0.1),
+    _trees([1e308, 1], [0.5, 1], "thm13", [1], D=0.1),
+    _trees([1e-200, 1e300], [2, 1e-300], "thm13", [1e300, 2], D=0.1),
+    {**_trees([1, 1], [1, 1], "thm13", [1e308], D=0.1),
+     "reference": {"kind": "word-metric", "elements": ["a", "A", "b", "B"],
+                   "weights": [0.5, 1, 1, 1]}},
+    _trees([1e308, 1], [1, 1], "cor17", [7], D=1),
+]
+
+# exit 1: with C0 = 0, the class aab, of length 3 and word-metric length 2
+# (ratio 3/2), leaves the band [1, 1] that every class of the window L = 1
+# keeps
+_VIOLATED = {"target": {"kind": "tree"},
+             "reference": {"kind": "word-metric", "elements": ["a", "A", "b", "B", "aab"],
+                           "weights": [1, 1, 1, 1, 2]},
+             "verify": ["cor14"], "config": {"L_values": [1], "radius_cap": 4},
+             "params": {"band": [1, 1], "C0": 0}}
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_scenarios())
+@example(_EXTREME_MATRIX_TARGETS["singular-inverse"])
+@example(_EXTREME_MATRIX_TARGETS["space-overflow"])
+@example(_FLOAT_RANGE[0])
+@example(_FLOAT_RANGE[1])
+@example(_FLOAT_RANGE[2])
+@example(_FLOAT_RANGE[3])
+@example(_FLOAT_RANGE[4])
+@example(_FLOAT_RANGE[5])
+@example(_FLOAT_RANGE[6])
+@example(_VIOLATED)
+def test_every_drawn_scenario_exits_with_a_named_code(tmp_path, scen):
+    path = tmp_path / "scen.json"
+    path.write_text(json.dumps(scen))
+    for action in ("default", "ignore"):
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter(action)
+            code = main(["verify", "--scenario", str(path)])
+        assert code in (0, 1, 2, 3), (action, code, err.getvalue())
+        if code == 1:
+            entries = json.loads(out.getvalue())["entries"]
+            assert VIOLATED in [e["verdict"] for e in entries], (action, entries)

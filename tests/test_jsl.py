@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 import _oracle
 import lenspec
-from lenspec import jsl
+from lenspec import actions, cli, jsl
 from lenspec.actions import ActionModel, LengthBracket, exact_div
 from lenspec.cli import load_scenario, parse_scenario, run
 from lenspec.errors import InputError, NumericError, ResourceCapError
@@ -426,6 +426,24 @@ def test_bf_check_on_schottky():
     assert chk.upper_value == pytest.approx(
         chk.K * chk.delta + chk.pair_half.hi
     )
+
+
+def test_bf_decides_its_verdict_once(monkeypatch):
+    # bf-tree's one verdict_of call is BfCheck's: the run reads its verdict,
+    # and the report carries ok but no verdict key
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return actions.verdict_of(*args, **kwargs)
+
+    monkeypatch.setattr(jsl, "verdict_of", counting)
+    monkeypatch.setattr(cli, "verdict_of", counting)
+    rep = run(load_scenario(SCEN_DIR / "bf-tree.json"))
+    (entry,) = rep.entries
+    assert len(calls) == 1
+    assert entry["verdict"] == "holds" and entry["reports"][0]["ok"] is True
+    assert "verdict" not in entry["reports"][0]
 
 
 def test_bf_upper_and_minimal_K_helpers():
